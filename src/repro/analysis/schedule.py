@@ -22,10 +22,10 @@ on another.
 
 ``Engine(mode="certified")`` calls :func:`ensure_certified` before
 running and then executes through
-:class:`~repro.fpga.bulk.CertifiedScheduler`, which replays steady
-windows against the certificate with **no** runtime probing,
-fingerprinting, or cooldown fallback — the O(channels) phase-alignment
-check replaces the bulk tier's speculative probe entirely.
+:class:`~repro.fpga.bulk.CertifiedScheduler`, which replays windows
+against the certificate with **no** runtime probing, fingerprinting, or
+cooldown fallback — a per-channel flow check on the current storage
+replaces the bulk tier's speculative probe entirely.
 """
 
 from __future__ import annotations

@@ -15,19 +15,23 @@ streaming implementations with different I/O complexities:
 All kernels expect the matrix stream in the order produced by the matching
 :class:`repro.streaming.tiling.MatrixSchedule` with row-major elements.
 
-The tiled loop nests are mostly not statically regular cycle by cycle
-(block loads, per-tile epilogues, loop-carried solves), so modules here
-carry a *declare-only* :class:`~repro.fpga.pattern.StaticPattern` via
-:func:`_declared`: the steady ports, rates and reordering windows
-(``defer``) are documented for analysis and the bulk engine, but
-``ready()`` is pinned to 0 and the fast path always falls back to exact
-event stepping for these kernels.  The exception is
-:func:`gemv_row_tiles`: when the tile width divides the vectorization
-width evenly its matrix phase *is* regular — one W-wide burst of A per
-cycle for T_N*T_M/W cycles — so it carries an executable pattern over
-the A port alone and the bulk/certified engines fast-forward whole
-tiles, dropping to event stepping only for the x/y block loads and the
-per-row-of-tiles output epilogue.
+A tiled loop nest is not one steady loop but a *sequence* of statically
+regular phases — load a block of y, load a block of x, stream a tile of
+A, store a block of results.  :func:`gemv_row_tiles`,
+:func:`gemv_transposed_row_tiles` and :func:`ger_kernel` are written
+that way (:class:`_Sequencer`): each phase is a cursor shared by a
+scalar generator loop and an executable
+:class:`~repro.fpga.pattern.StaticPattern`, the kernel's outer pattern
+reports the ports and ``ready()`` of whichever phase is current (the
+phase-pattern contract of :mod:`repro.fpga.pattern`), and the
+bulk/certified engines replay block loads, whole tiles and result
+stores alike as windows.  The matrix phase is only regular when the
+vectorization width divides the tile width; otherwise those three fall
+back, like the remaining modules (column tiles, double buffering,
+loop-carried solves), to a *declare-only* pattern via :func:`_declared`:
+the steady ports, rates and reordering windows (``defer``) are
+documented for analysis, but ``ready()`` is pinned to 0 and the fast
+path always falls back to exact event stepping.
 """
 
 from __future__ import annotations
@@ -70,52 +74,196 @@ def _declared(reads=(), writes=(), defer=None):
     return deco
 
 
-def _pop_block(ch, count, width):
-    """Pop ``count`` elements in W-wide cycles; return them as a list.
+class _Sequencer(PatternedGenerator):
+    """Kernel body that runs a tiled module as a sequence of statically
+    regular phases.
+
+    ``program`` is a generator holding the module's control flow: it
+    prepares a phase's cursor (``load.start(count)``), yields the phase
+    object, and resumes — with the phase's results in place — once the
+    phase has run to completion.  A phase object carries ``run()``, the
+    scalar generator loop driven off its cursor, and ``pattern``, the
+    :class:`StaticPattern` whose ``block`` fast-forwards the same
+    cursor.  Both call :meth:`advance` the moment they consume the
+    phase's last iteration — the scalar loop *before* that iteration's
+    ``Clock`` — so at every cycle boundary :meth:`current` already names
+    the phase of the next iteration.
+
+    The engine resumes the current phase's loop directly (no delegating
+    frame in between); when that loop returns — its cursor exhausted by
+    its own last iteration, or by a ``block()`` while it was suspended —
+    the phase current by then takes over within the same cycle.
+    """
+
+    __slots__ = ("phase", "_program")
+
+    def __init__(self):
+        super().__init__(None, None)
+        self.phase = None
+
+    def start(self, program, pattern):
+        self._program = program
+        self._gen = self._first()
+        self.pattern = pattern
+        return self
+
+    def _first(self):
+        self.advance()
+        return
+        yield
+
+    def advance(self):
+        self.phase = next(self._program, None)
+
+    def current(self):
+        ph = self.phase
+        return ph.pattern if ph is not None else None
+
+    def send(self, value):
+        try:
+            return self._gen.send(value)
+        except StopIteration:
+            if self.phase is None:
+                raise
+        # The phase current now always has iterations left.
+        self._gen = self.phase.run()
+        return next(self._gen)
+
+    def __next__(self):
+        return self.send(None)
+
+
+class _Idle:
+    """Stands in for the sequencer of a one-off block transfer."""
+
+    @staticmethod
+    def advance():
+        pass
+
+
+class _Transfer:
+    """Cursor of a W-wide block transfer phase: ``done`` of ``count``
+    elements moved, ``width`` per iteration."""
+
+    __slots__ = ("seq", "ch", "width", "done", "count", "pattern")
+
+    def __init__(self, seq, ch, width):
+        self.seq = seq
+        self.ch = ch
+        self.width = width
+
+    def _ready(self):
+        return (self.count - self.done) // self.width
+
+    def _advance(self, elements):
+        """Move the cursor; hand over to the next phase at the end (so
+        call it only once this iteration's data is in place)."""
+        self.done += elements
+        if self.done == self.count:
+            self.seq.advance()
+
+
+class _Load(_Transfer):
+    """Phase: pop ``count`` elements in W-wide cycles into ``buf``."""
+
+    __slots__ = ("dtype", "buf")
+
+    def __init__(self, seq, ch, width, dtype):
+        super().__init__(seq, ch, width)
+        self.dtype = dtype
+        self.pattern = StaticPattern(reads=((ch, width),), dtype=dtype,
+                                     ready=self._ready, block=self._block)
+
+    def start(self, count):
+        self.buf = np.empty(count, dtype=self.dtype)
+        self.done = 0
+        self.count = count
+        return self
+
+    def run(self):
+        ch, width = self.ch, self.width
+        while self.done < self.count:
+            c = min(width, self.count - self.done)
+            self.buf[self.done:self.done + c] = _chunk((yield Pop(ch, c)), c)
+            self._advance(c)
+            yield Clock()
+
+    def _block(self, k, ins):
+        n = k * self.width
+        self.buf[self.done:self.done + n] = ins[0]
+        self._advance(n)
+        return []
+
+
+class _Store(_Transfer):
+    """Phase: push the ndarray ``values`` in W-wide cycles."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, seq, ch, width):
+        super().__init__(seq, ch, width)
+        self.pattern = StaticPattern(writes=((ch, width, None),),
+                                     ready=self._ready, block=self._block)
+
+    def start(self, values):
+        self.values = values
+        self.done = 0
+        self.count = len(values)
+        return self
+
+    def run(self):
+        ch, width = self.ch, self.width
+        while self.done < self.count:
+            c = min(width, self.count - self.done)
+            yield Push(ch, tuple(self.values[self.done:self.done + c]), None)
+            self._advance(c)
+            yield Clock()
+
+    def _block(self, k, _ins):
+        n = k * self.width
+        out = self.values[self.done:self.done + n]
+        self._advance(n)
+        return [out]
+
+
+class _Stream:
+    """Phase: a module's own matrix loop (scalar ``run`` + pattern)."""
+
+    __slots__ = ("run", "pattern")
+
+    def __init__(self, run, pattern):
+        self.run = run
+        self.pattern = pattern
+
+
+def _pop_block(ch, count, width, dtype):
+    """Pop ``count`` elements in W-wide cycles; return them as an array.
 
     This is a sub-generator used via ``yield from``; each W-chunk costs one
     cycle, matching an interface that delivers W elements per clock.
     """
-    out = []
-    done = 0
-    while done < count:
-        c = min(width, count - done)
-        vals = _chunk((yield Pop(ch, c)), c)
-        out.extend(vals)
-        yield Clock()
-        done += c
-    return out
+    load = _Load(_Idle, ch, width, dtype).start(count)
+    yield from load.run()
+    return load.buf
 
 
 def _push_block(ch, values, width):
-    """Push a list of values in W-wide cycles (sub-generator)."""
-    n = len(values)
-    done = 0
-    while done < n:
-        c = min(width, n - done)
-        yield Push(ch, tuple(values[done:done + c]), None)
-        yield Clock()
-        done += c
+    """Push an array of values in W-wide cycles (sub-generator)."""
+    yield from _Store(_Idle, ch, width).start(values).run()
 
 
 class _GemvCursor:
-    """Shared loop state for the patterned row-tiles GEMV.
+    """Matrix-phase loop state of the row-tiles GEMV, shared by the
+    scalar loop and the pattern's ``block()``."""
 
-    The generator drives its matrix phase entirely off this cursor
-    (updating it *before* each end-of-iteration ``Clock``), so the
-    pattern's ``block()`` can fast-forward ``k`` A-bursts and the
-    resumed generator continues seamlessly from the advanced state.
-    """
-
-    __slots__ = ("in_a", "r", "done", "row_acc", "acc", "xs")
+    __slots__ = ("r", "done", "row_acc", "acc", "xs")
 
     def __init__(self):
-        self.in_a = False      # suspended inside a tile's matrix phase
         self.r = 0             # current row within the tile
         self.done = 0          # elements consumed in the current row
         self.row_acc = None    # partial sum of the current row
         self.acc = None        # (tile_n,) accumulators for the tile row
-        self.xs = None         # current x block as an ndarray
+        self.xs = None         # current x block
 
 
 def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
@@ -129,113 +277,102 @@ def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     entire row of tiles.
 
     When ``width`` divides ``tile_m`` the matrix phase is statically
-    regular (one W-wide burst of A per cycle) and the attached pattern is
-    *executable* over the A port: the bulk/certified engines replay whole
-    tiles arithmetically with the same adder-tree and sequential
-    accumulation rounding as the scalar loop.  The x/y loads and the
-    output epilogue stay event-stepped.
+    regular (one W-wide burst of A per cycle) and the module is a
+    sequence of executable phases — load y, then per tile load x and
+    stream A, then store y' — which the bulk/certified engines replay
+    arithmetically with the same adder-tree and sequential accumulation
+    rounding as the scalar loop.
     """
     _check_tiles(n, tile_n, m, tile_m)
     alpha = dtype(alpha)
     beta = dtype(beta)
     st = _GemvCursor()
-
-    def gen():
-        for ti in range(n // tile_n):
-            ys = yield from _pop_block(ch_y, tile_n, width)
-            st.acc = np.zeros(tile_n, dtype=dtype)
-            for tj in range(m // tile_m):
-                xs = yield from _pop_block(ch_x, tile_m, width)
-                st.xs = np.asarray(xs, dtype=dtype)
-                st.r = 0
-                st.done = 0
-                st.row_acc = dtype(0)
-                st.in_a = True
-                while st.in_a:
-                    c = min(width, tile_m - st.done)
-                    avals = _chunk((yield Pop(ch_a, c)), c)
-                    st.row_acc = st.row_acc + _tree_reduce(
-                        [dtype(a) * dtype(x)
-                         for a, x in zip(avals, xs[st.done:st.done + c])],
-                        dtype)
-                    st.done += c
-                    if st.done == tile_m:
-                        st.acc[st.r] = st.acc[st.r] + st.row_acc
-                        st.row_acc = dtype(0)
-                        st.done = 0
-                        st.r += 1
-                        if st.r == tile_n:
-                            st.in_a = False
-                    yield Clock()
-            result = [alpha * a + beta * dtype(y)
-                      for a, y in zip(st.acc, ys)]
-            yield from _push_block(ch_out, result, width)
-
-    defer = m * tile_n                   # a full row of tiles of A
-    if tile_m % width:
-        # Ragged bursts inside a row: not statically regular; keep the
-        # ports and reordering window visible to analysis only.
-        pat = StaticPattern.declare(
-            reads=((ch_a, width), (ch_x, width), (ch_y, width)),
-            writes=((ch_out, width, None),),
-            read_totals=(n * m, m * (n // tile_n), n),
-            write_totals=(n,), defer=defer)
-        return PatternedGenerator(gen(), pat)
-
+    seq = _Sequencer()
+    load_y = _Load(seq, ch_y, width, dtype)
+    load_x = _Load(seq, ch_x, width, dtype)
+    store = _Store(seq, ch_out, width)
     cpr = tile_m // width               # A-bursts per row
 
-    def ready():
-        if not st.in_a:
-            return 0
-        return (tile_n - st.r) * cpr - st.done // width
-
-    def block(k, ins):
-        xv = st.xs.reshape(cpr, width)
-        start = st.r * cpr + st.done // width
-        amat = np.asarray(ins[0]).reshape(k, width)
-        sums = _tree_reduce_rows(amat * xv[(start + np.arange(k)) % cpr])
-        idx = 0
-        if st.done:
-            # Finish the partially accumulated current row first.
-            take = min(k, cpr - st.done // width)
-            st.row_acc = np.add.accumulate(np.concatenate(
-                (np.asarray([st.row_acc], dtype=dtype),
-                 sums[:take])))[-1]
-            st.done += take * width
-            idx = take
+    def matrix_run():
+        while st.r < tile_n:
+            c = min(width, tile_m - st.done)
+            avals = _chunk((yield Pop(ch_a, c)), c)
+            st.row_acc = st.row_acc + _tree_reduce(
+                [dtype(a) * x
+                 for a, x in zip(avals, st.xs[st.done:st.done + c])],
+                dtype)
+            st.done += c
             if st.done == tile_m:
                 st.acc[st.r] = st.acc[st.r] + st.row_acc
                 st.row_acc = dtype(0)
                 st.done = 0
                 st.r += 1
-        full = (k - idx) // cpr
-        if full:
-            # Whole rows: sequential left-folds from an explicit zero,
-            # vectorized across rows (np.add.accumulate is defined
-            # elementwise-sequentially, matching the scalar adds).
-            mat = np.concatenate(
-                (np.zeros((full, 1), dtype=dtype),
-                 sums[idx:idx + full * cpr].reshape(full, cpr)), axis=1)
-            st.acc[st.r:st.r + full] = (
-                st.acc[st.r:st.r + full]
-                + np.add.accumulate(mat, axis=1)[:, -1])
-            st.r += full
-            idx += full * cpr
-        if idx < k:
-            # Leading bursts of the next (incomplete) row.
-            st.row_acc = np.add.accumulate(np.concatenate(
-                (np.asarray([st.row_acc], dtype=dtype),
-                 sums[idx:])))[-1]
-            st.done = (k - idx) * width
+                if st.r == tile_n:
+                    seq.advance()
+            yield Clock()
+
+    def matrix_ready():
+        return (tile_n - st.r) * cpr - st.done // width
+
+    def matrix_block(k, ins):
+        b0 = st.done // width
+        bursts = st.r * cpr + b0 + np.arange(k)
+        sums = _tree_reduce_rows(
+            ins[0].reshape(k, width) * st.xs.reshape(cpr, width)[bursts % cpr])
+        # Lay the burst sums out on the tile's (row, burst) grid and
+        # left-fold every row at once: the row in progress resumes from
+        # its partial sum, the others from an explicit zero, and the
+        # slots outside this block hold -0.0, the one value whose
+        # addition changes nothing (np.add.accumulate is defined
+        # elementwise-sequentially, matching the scalar adds).
+        rows = -(-(b0 + k) // cpr)
+        grid = np.full(rows * cpr, -0.0, dtype=dtype)
+        grid[b0:b0 + k] = sums
+        first = np.zeros((rows, 1), dtype=dtype)
+        first[0, 0] = st.row_acc
+        totals = np.add.accumulate(
+            np.concatenate((first, grid.reshape(rows, cpr)), axis=1),
+            axis=1)[:, -1]
+        whole, part = divmod(b0 + k, cpr)
+        st.acc[st.r:st.r + whole] = st.acc[st.r:st.r + whole] + totals[:whole]
+        st.r += whole
+        st.row_acc = totals[-1] if part else dtype(0)
+        st.done = part * width
         if st.r == tile_n:
-            st.in_a = False
+            seq.advance()
         return []
 
-    pat = StaticPattern(
-        reads=((ch_a, width),), ii=1, dtype=dtype,
-        ready=ready, block=block,
-        read_totals=(n * m,), defer=defer)
-    return PatternedGenerator(gen(), pat)
+    matrix = _Stream(matrix_run, StaticPattern(
+        reads=((ch_a, width),), dtype=dtype,
+        ready=matrix_ready, block=matrix_block))
+
+    def program():
+        for _ti in range(n // tile_n):
+            yield load_y.start(tile_n)
+            ys = load_y.buf
+            st.acc = np.zeros(tile_n, dtype=dtype)
+            for _tj in range(m // tile_m):
+                yield load_x.start(tile_m)
+                st.xs = load_x.buf
+                st.r = 0
+                st.done = 0
+                st.row_acc = dtype(0)
+                yield matrix
+            yield store.start(alpha * st.acc + beta * ys)
+
+    union = dict(
+        reads=((ch_a, width), (ch_x, width), (ch_y, width)),
+        writes=((ch_out, width, None),),
+        read_totals=(n * m, m * (n // tile_n), n),
+        write_totals=(n,),
+        defer=m * tile_n)               # a full row of tiles of A
+    if tile_m % width:
+        # Ragged bursts inside a row: not statically regular; keep the
+        # ports and reordering window visible to analysis only.
+        pat = StaticPattern.declare(**union)
+    else:
+        pat = StaticPattern.phased(seq.current, dtype=dtype, **union)
+    return seq.start(program(), pat)
 
 
 @_declared(reads=("ch_a", "ch_x", "ch_y"), writes=("ch_out",),
@@ -256,10 +393,10 @@ def gemv_row_tiles_colmajor(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     alpha = dtype(alpha)
     beta = dtype(beta)
     for ti in range(n // tile_n):
-        ys = yield from _pop_block(ch_y, tile_n, width)
+        ys = yield from _pop_block(ch_y, tile_n, width, dtype)
         acc = [dtype(0)] * tile_n
         for tj in range(m // tile_m):
-            xs = yield from _pop_block(ch_x, tile_m, width)
+            xs = yield from _pop_block(ch_x, tile_m, width, dtype)
             for c in range(tile_m):
                 xc = dtype(xs[c])
                 done = 0
@@ -296,9 +433,9 @@ def gemv_col_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     beta = dtype(beta)
     col_tiles_count = m // tile_m
     for tj in range(col_tiles_count):
-        xs = yield from _pop_block(ch_x, tile_m, width)
+        xs = yield from _pop_block(ch_x, tile_m, width, dtype)
         for ti in range(n // tile_n):
-            ys = yield from _pop_block(ch_y, tile_n, width)
+            ys = yield from _pop_block(ch_y, tile_n, width, dtype)
             out = []
             for r in range(tile_n):
                 row_acc = dtype(0)
@@ -337,10 +474,10 @@ def gemv_row_tiles_db(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     total_tiles = (n // tile_n) * tiles_per_row
 
     # Fill the first buffer up front (the only non-overlapped fetch).
-    x_next = yield from _pop_block(ch_x, tile_m, width)
+    x_next = yield from _pop_block(ch_x, tile_m, width, dtype)
     tile_idx = 0
     for ti in range(n // tile_n):
-        ys = yield from _pop_block(ch_y, tile_n, width)
+        ys = yield from _pop_block(ch_y, tile_n, width, dtype)
         acc = [dtype(0)] * tile_n
         for tj in range(tiles_per_row):
             xs = x_next
@@ -427,22 +564,16 @@ def gemv_nontiled(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
 
 
 class _GemvTCursor:
-    """Shared loop state for the patterned transposed GEMV.
+    """Matrix-phase loop state of the transposed GEMV (see
+    :class:`_GemvCursor`)."""
 
-    Like :class:`_GemvCursor`, the generator drives its matrix phase
-    entirely off this cursor, so the pattern's ``block()`` can
-    fast-forward ``k`` A-bursts and the resumed generator continues
-    from the advanced state.
-    """
-
-    __slots__ = ("in_a", "tj", "r", "done", "xs", "s")
+    __slots__ = ("tj", "r", "done", "xs", "s")
 
     def __init__(self):
-        self.in_a = False      # suspended inside a row-of-tiles A phase
         self.tj = 0            # current tile column
         self.r = 0             # current row within the tile
         self.done = 0          # elements consumed in the current row
-        self.xs = None         # current x block as an ndarray
+        self.xs = None         # current x block
         self.s = None          # (m,) on-chip accumulator
 
 
@@ -458,127 +589,107 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     ``ch_y`` the M-element addend once; ``ch_out`` the M-element result.
 
     Like :func:`gemv_row_tiles`, when ``width`` divides ``tile_m`` the
-    matrix phase is statically regular — one W-wide burst of A per cycle
-    for a whole row of tiles — so the attached pattern is *executable*
-    over the A port and the bulk/certified engines fast-forward whole
-    rows of tiles with the scalar loop's exact accumulation order.
+    module is a sequence of executable phases — per row of tiles load x
+    and stream A, then load y and store the result — replayed by the
+    bulk/certified engines with the scalar loop's exact accumulation
+    order.
     """
     _check_tiles(n, tile_n, m, tile_m)
     alpha = dtype(alpha)
     beta = dtype(beta)
     st = _GemvTCursor()
+    seq = _Sequencer()
+    load_x = _Load(seq, ch_x, width, dtype)
+    load_y = _Load(seq, ch_y, width, dtype)
+    store = _Store(seq, ch_out, width)
+    cpr = tile_m // width               # A-bursts per row segment
+    bpt = tile_n * cpr                  # A-bursts per tile
+    col_tiles = m // tile_m
 
-    def gen():
+    def matrix_run():
+        while st.tj < col_tiles:
+            c = min(width, tile_m - st.done)
+            avals = _chunk((yield Pop(ch_a, c)), c)
+            xr = st.xs[st.r]
+            col0 = st.tj * tile_m + st.done
+            for j, a in enumerate(avals):
+                st.s[col0 + j] = st.s[col0 + j] + dtype(a) * xr
+            st.done += c
+            if st.done == tile_m:
+                st.done = 0
+                st.r += 1
+                if st.r == tile_n:
+                    st.r = 0
+                    st.tj += 1
+                    if st.tj == col_tiles:
+                        seq.advance()
+            yield Clock()
+
+    def matrix_ready():
+        return (col_tiles - st.tj) * bpt - st.r * cpr - st.done // width
+
+    def matrix_block(k, ins):
+        lo = st.r * cpr + st.done // width      # bursts into tile st.tj
+        cols = -(-(lo + k) // bpt)              # tile columns touched
+        # Each s segment receives its tile's contributions as a
+        # sequential left-fold over rows (np.add.accumulate is defined
+        # elementwise-sequentially, matching the scalar adds).  Lay the
+        # bursts out on whole tiles; the slots outside this block hold
+        # -0.0, the one value whose addition changes nothing.
+        contrib = np.full((cols * bpt, width), -0.0, dtype=dtype)
+        rows = (lo + np.arange(k)) % bpt // cpr
+        contrib[lo:lo + k] = ins[0].reshape(k, width) * st.xs[rows, None]
+        seg = st.s[st.tj * tile_m:(st.tj + cols) * tile_m]
+        seg[:] = np.add.accumulate(
+            np.concatenate((seg.reshape(cols, 1, cpr, width),
+                            contrib.reshape(cols, tile_n, cpr, width)),
+                           axis=1), axis=1)[:, -1].reshape(-1)
+        whole, rem = divmod(lo + k, bpt)
+        st.tj += whole
+        st.r, b = divmod(rem, cpr)
+        st.done = b * width
+        if st.tj == col_tiles:
+            seq.advance()
+        return []
+
+    matrix = _Stream(matrix_run, StaticPattern(
+        reads=((ch_a, width),), dtype=dtype,
+        ready=matrix_ready, block=matrix_block))
+
+    def program():
         st.s = np.zeros(m, dtype=dtype)
-        for ti in range(n // tile_n):
-            xs = yield from _pop_block(ch_x, tile_n, width)
-            st.xs = np.asarray(xs, dtype=dtype)
+        for _ti in range(n // tile_n):
+            yield load_x.start(tile_n)
+            st.xs = load_x.buf
             st.tj = 0
             st.r = 0
             st.done = 0
-            st.in_a = True
-            while st.in_a:
-                c = min(width, tile_m - st.done)
-                avals = _chunk((yield Pop(ch_a, c)), c)
-                xr = st.xs[st.r]
-                col0 = st.tj * tile_m + st.done
-                for k, a in enumerate(avals):
-                    st.s[col0 + k] = st.s[col0 + k] + dtype(a) * xr
-                st.done += c
-                if st.done == tile_m:
-                    st.done = 0
-                    st.r += 1
-                    if st.r == tile_n:
-                        st.r = 0
-                        st.tj += 1
-                        if st.tj == m // tile_m:
-                            st.in_a = False
-                yield Clock()
-        ys = yield from _pop_block(ch_y, m, width)
-        result = [alpha * sv + beta * dtype(y) for sv, y in zip(st.s, ys)]
-        yield from _push_block(ch_out, result, width)
+            yield matrix
+        yield load_y.start(m)
+        yield store.start(alpha * st.s + beta * load_y.buf)
 
-    defer = n * m                        # the whole matrix before pushing
+    union = dict(
+        reads=((ch_a, width), (ch_x, width), (ch_y, width)),
+        writes=((ch_out, width, None),),
+        read_totals=(n * m, n, m), write_totals=(m,),
+        defer=n * m)                    # the whole matrix before pushing
     if tile_m % width:
-        pat = StaticPattern.declare(
-            reads=((ch_a, width), (ch_x, width), (ch_y, width)),
-            writes=((ch_out, width, None),),
-            read_totals=(n * m, n, m), write_totals=(m,), defer=defer)
-        return PatternedGenerator(gen(), pat)
-
-    cpr = tile_m // width               # A-bursts per row segment
-    bpt = tile_n * cpr                  # A-bursts per tile (one tj block)
-    col_tiles = m // tile_m
-
-    def ready():
-        if not st.in_a:
-            return 0
-        return col_tiles * bpt - (st.tj * bpt + st.r * cpr
-                                  + st.done // width)
-
-    def _fold(bursts, tj, pos):
-        # Sequential scalar-order fold of `bursts` starting at burst
-        # `pos` within tile column `tj` (partial tiles only).
-        for i in range(len(bursts)):
-            r, b = divmod(pos + i, cpr)
-            c0 = tj * tile_m + b * width
-            st.s[c0:c0 + width] = st.s[c0:c0 + width] + bursts[i] * st.xs[r]
-
-    def block(k, ins):
-        amat = np.asarray(ins[0]).reshape(k, width)
-        idx = 0
-        pos = st.r * cpr + st.done // width
-        if pos:
-            # Finish the partially consumed current tile column first.
-            take = min(k, bpt - pos)
-            _fold(amat[:take], st.tj, pos)
-            idx = take
-            pos += take
-            if pos == bpt:
-                st.tj += 1
-                pos = 0
-        full = (k - idx) // bpt
-        for _ in range(full):
-            # Whole tile columns: each s segment receives its tile_n
-            # contributions as a sequential left-fold over rows
-            # (np.add.accumulate is defined elementwise-sequentially,
-            # matching the scalar adds).
-            seg = st.s[st.tj * tile_m:(st.tj + 1) * tile_m]
-            contrib = (amat[idx:idx + bpt].reshape(tile_n, cpr, width)
-                       * st.xs[:, None, None])
-            seg[:] = np.add.accumulate(
-                np.concatenate((seg.reshape(1, cpr, width), contrib),
-                               axis=0), axis=0)[-1].reshape(-1)
-            idx += bpt
-            st.tj += 1
-        if idx < k:
-            # Leading bursts of the next (incomplete) tile column.
-            _fold(amat[idx:], st.tj, 0)
-            pos = k - idx
-        st.r, db = divmod(pos, cpr)
-        st.done = db * width
-        if st.tj == col_tiles:
-            st.in_a = False
-        return []
-
-    pat = StaticPattern(
-        reads=((ch_a, width),), ii=1, dtype=dtype,
-        ready=ready, block=block,
-        read_totals=(n * m,), defer=defer)
-    return PatternedGenerator(gen(), pat)
+        pat = StaticPattern.declare(**union)
+    else:
+        pat = StaticPattern.phased(seq.current, dtype=dtype, **union)
+    return seq.start(program(), pat)
 
 
 class _GerCursor:
-    """Shared loop state for the patterned GER (see :class:`_GemvCursor`)."""
+    """Matrix-phase loop state of GER (see :class:`_GemvCursor`)."""
 
-    __slots__ = ("in_a", "r", "done", "axs", "ys")
+    __slots__ = ("r", "done", "axs", "ys")
 
     def __init__(self):
-        self.in_a = False      # suspended inside one tile's matrix phase
         self.r = 0             # current row within the tile
         self.done = 0          # elements consumed in the current row
-        self.axs = None        # alpha * x block as an ndarray
-        self.ys = None         # current y block as an ndarray
+        self.axs = None        # alpha * x block
+        self.ys = None         # current y block
 
 
 def ger_kernel(n, m, alpha, ch_a, ch_x, ch_y, ch_out,
@@ -592,75 +703,75 @@ def ger_kernel(n, m, alpha, ch_a, ch_x, ch_y, ch_out,
 
     When ``width`` divides ``tile_m`` each tile's matrix phase is
     statically regular — one W-wide burst of A in and one W-wide burst
-    of A' out per cycle — so the attached pattern is *executable* over
-    both matrix ports and the bulk/certified engines replay whole tiles
-    arithmetically; only the x/y block loads stay event-stepped.
+    of A' out per cycle — so the module is a sequence of executable
+    phases (load x per row of tiles, then per tile load y and stream
+    the tile) that the bulk/certified engines replay arithmetically.
     """
     _check_tiles(n, tile_n, m, tile_m)
     alpha = dtype(alpha)
     st = _GerCursor()
-
-    def gen():
-        for ti in range(n // tile_n):
-            xs = yield from _pop_block(ch_x, tile_n, width)
-            st.axs = alpha * np.asarray(xs, dtype=dtype)
-            for tj in range(m // tile_m):
-                ys = yield from _pop_block(ch_y, tile_m, width)
-                st.ys = np.asarray(ys, dtype=dtype)
-                st.r = 0
-                st.done = 0
-                st.in_a = True
-                while st.in_a:
-                    c = min(width, tile_m - st.done)
-                    avals = _chunk((yield Pop(ch_a, c)), c)
-                    xr = st.axs[st.r]
-                    yield Push(ch_out, tuple(
-                        dtype(a) + xr * y
-                        for a, y in zip(avals,
-                                        st.ys[st.done:st.done + c])), None)
-                    st.done += c
-                    if st.done == tile_m:
-                        st.done = 0
-                        st.r += 1
-                        if st.r == tile_n:
-                            st.in_a = False
-                    yield Clock()
-
-    if tile_m % width:
-        pat = StaticPattern.declare(
-            reads=((ch_a, width), (ch_x, width), (ch_y, width)),
-            writes=((ch_out, width, None),),
-            read_totals=(n * m, n, m * (n // tile_n)),
-            write_totals=(n * m,))
-        return PatternedGenerator(gen(), pat)
-
+    seq = _Sequencer()
+    load_x = _Load(seq, ch_x, width, dtype)
+    load_y = _Load(seq, ch_y, width, dtype)
     cpr = tile_m // width               # A-bursts per row
 
-    def ready():
-        if not st.in_a:
-            return 0
-        return tile_n * cpr - (st.r * cpr + st.done // width)
+    def matrix_run():
+        while st.r < tile_n:
+            c = min(width, tile_m - st.done)
+            avals = _chunk((yield Pop(ch_a, c)), c)
+            xr = st.axs[st.r]
+            yield Push(ch_out, tuple(
+                dtype(a) + xr * y
+                for a, y in zip(avals, st.ys[st.done:st.done + c])), None)
+            st.done += c
+            if st.done == tile_m:
+                st.done = 0
+                st.r += 1
+                if st.r == tile_n:
+                    seq.advance()
+            yield Clock()
 
-    def block(k, ins):
-        amat = np.asarray(ins[0]).reshape(k, width)
+    def matrix_ready():
+        return (tile_n - st.r) * cpr - st.done // width
+
+    def matrix_block(k, ins):
         pos = st.r * cpr + st.done // width + np.arange(k)
         # Each burst is an independent elementwise map: A + (alpha*x_r)
         # times the matching y segment — same products and adds as the
         # scalar loop, vectorized across bursts.
-        out = amat + (st.axs[pos // cpr, None]
-                      * st.ys.reshape(cpr, width)[pos % cpr])
-        p = st.r * cpr + st.done // width + k
-        st.r, db = divmod(p, cpr)
-        st.done = db * width
+        out = ins[0].reshape(k, width) + (
+            st.axs[pos // cpr, None] * st.ys.reshape(cpr, width)[pos % cpr])
+        st.r, b = divmod(int(pos[-1]) + 1, cpr)
+        st.done = b * width
         if st.r == tile_n:
-            st.in_a = False
+            seq.advance()
         return [out.reshape(-1)]
 
-    pat = StaticPattern(
+    matrix = _Stream(matrix_run, StaticPattern(
         reads=((ch_a, width),), writes=((ch_out, width, None),),
-        ii=1, dtype=dtype, ready=ready, block=block,
-        read_totals=(n * m,), write_totals=(n * m,))
-    return PatternedGenerator(gen(), pat)
+        dtype=dtype, ready=matrix_ready, block=matrix_block))
+
+    def program():
+        for _ti in range(n // tile_n):
+            yield load_x.start(tile_n)
+            st.axs = alpha * load_x.buf
+            for _tj in range(m // tile_m):
+                yield load_y.start(tile_m)
+                st.ys = load_y.buf
+                st.r = 0
+                st.done = 0
+                yield matrix
+
+    union = dict(
+        reads=((ch_a, width), (ch_x, width), (ch_y, width)),
+        writes=((ch_out, width, None),),
+        read_totals=(n * m, n, m * (n // tile_n)),
+        write_totals=(n * m,))
+    if tile_m % width:
+        pat = StaticPattern.declare(**union)
+    else:
+        pat = StaticPattern.phased(seq.current, dtype=dtype, **union)
+    return seq.start(program(), pat)
 
 
 @_declared(reads=("ch_a", "ch_x_row", "ch_x_col"), writes=("ch_out",))
@@ -688,11 +799,11 @@ def syr2_kernel(n, alpha, ch_a, ch_x_row, ch_y_col, ch_y_row, ch_x_col,
     _check_tiles(n, tile_n, n, tile_m)
     alpha = dtype(alpha)
     for ti in range(n // tile_n):
-        xs = yield from _pop_block(ch_x_row, tile_n, width)
-        ys_row = yield from _pop_block(ch_y_row, tile_n, width)
+        xs = yield from _pop_block(ch_x_row, tile_n, width, dtype)
+        ys_row = yield from _pop_block(ch_y_row, tile_n, width, dtype)
         for tj in range(n // tile_m):
-            ys = yield from _pop_block(ch_y_col, tile_m, width)
-            xs_col = yield from _pop_block(ch_x_col, tile_m, width)
+            ys = yield from _pop_block(ch_y_col, tile_m, width, dtype)
+            xs_col = yield from _pop_block(ch_x_col, tile_m, width, dtype)
             for r in range(tile_n):
                 xr = alpha * dtype(xs[r])
                 yr = alpha * dtype(ys_row[r])

@@ -44,11 +44,11 @@ def gemm_tiled(n, m, k, alpha, beta, ch_a, ch_b, ch_c, ch_out,
     beta = dtype(beta)
     for ti in range(n // tile_n):
         for tj in range(m // tile_m):
-            ctile = yield from _pop_block(ch_c, tile_n * tile_m, width)
+            ctile = yield from _pop_block(ch_c, tile_n * tile_m, width, dtype)
             acc = [[dtype(0)] * tile_m for _ in range(tile_n)]
             for kk in range(k):
-                a_col = yield from _pop_block(ch_a, tile_n, width)
-                b_row = yield from _pop_block(ch_b, tile_m, width)
+                a_col = yield from _pop_block(ch_a, tile_n, width, dtype)
+                b_row = yield from _pop_block(ch_b, tile_m, width, dtype)
                 for r in range(tile_n):
                     ar = dtype(a_col[r])
                     row = acc[r]
@@ -162,13 +162,13 @@ def syr2k_tiled(n, k, alpha, beta, ch_a, ch_bt, ch_b, ch_at, ch_c, ch_out,
     beta = dtype(beta)
     for ti in range(n // tile_n):
         for tj in range(n // tile_m):
-            ctile = yield from _pop_block(ch_c, tile_n * tile_m, width)
+            ctile = yield from _pop_block(ch_c, tile_n * tile_m, width, dtype)
             acc = [[dtype(0)] * tile_m for _ in range(tile_n)]
             for kk in range(k):
-                a_col = yield from _pop_block(ch_a, tile_n, width)
-                bt_row = yield from _pop_block(ch_bt, tile_m, width)
-                b_col = yield from _pop_block(ch_b, tile_n, width)
-                at_row = yield from _pop_block(ch_at, tile_m, width)
+                a_col = yield from _pop_block(ch_a, tile_n, width, dtype)
+                bt_row = yield from _pop_block(ch_bt, tile_m, width, dtype)
+                b_col = yield from _pop_block(ch_b, tile_n, width, dtype)
+                at_row = yield from _pop_block(ch_at, tile_m, width, dtype)
                 for r in range(tile_n):
                     ar = dtype(a_col[r])
                     br = dtype(b_col[r])
@@ -200,11 +200,11 @@ def trsm_tiled(n, m, alpha, ch_a, ch_b, ch_out, width=1,
     if n < 1 or m < 1:
         raise ValueError("dimensions must be positive")
     alpha = dtype(alpha)
-    a_flat = yield from _pop_block(ch_a, n * n, width)
+    a_flat = yield from _pop_block(ch_a, n * n, width, dtype)
     a = [[dtype(a_flat[i * n + j]) for j in range(n)] for i in range(n)]
     rows = list(range(n)) if lower else list(range(n - 1, -1, -1))
     for col in range(m):
-        b = yield from _pop_block(ch_b, n, width)
+        b = yield from _pop_block(ch_b, n, width, dtype)
         x = [dtype(0)] * n
         for i in rows:
             js = range(i) if lower else range(i + 1, n)

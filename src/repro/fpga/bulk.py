@@ -1,65 +1,186 @@
-"""Bulk steady-state scheduler (``Engine(mode="bulk")``).
+"""Superstep schedulers (``Engine(mode="bulk")`` / ``mode="certified"``).
 
 The event core already skips provably idle cycles, but a pipeline at
 full throughput has none: every kernel executes every cycle, so event
 mode degenerates to the dense loop (the honest ~1x of
-``BENCH_engine.json`` in the ii=1 regime).  This scheduler adds the
-missing fast path: when the design is in a *cycle-periodic steady
-state*, K cycles are executed as one arithmetic superstep instead of K
-generator resumes per kernel.
+``BENCH_engine.json`` in the ii=1 regime).  The schedulers here add the
+missing fast path: when the next K cycles are *known* — every queued
+kernel repeats its pattern's iteration, every channel keeps up — they
+are executed as one arithmetic superstep instead of K generator resumes
+per kernel.
 
-How a window is proven, not guessed
------------------------------------
-A superstep must be byte-identical to K event cycles, so the fast path
-only engages on evidence:
+What a window is
+----------------
+A superstep must be byte-identical to K event cycles.  Its kernels are
+the ones queued for this cycle, each with an executable
+:class:`~repro.fpga.pattern.StaticPattern` *phase* (``ii == 1``, at
+least :data:`~BulkScheduler.MIN_WINDOW` iterations ``ready()``, not
+blocked, no fault pending on its outputs); its channels are the ports of
+those phases.  Each window channel has a known net rate per cycle:
 
-1. **Probe precondition** — every kernel queued for this cycle carries
-   an executable :class:`~repro.fpga.pattern.StaticPattern` with
-   ``ii == 1`` and at least :data:`~BulkScheduler.MIN_WINDOW` steady
-   iterations of state left (``ready()``), none is blocked, and no
-   *foreign* kernel waits on any pattern channel (its wake order could
-   not be replayed).  Observers disable the fast path outright — an
-   instrumented run wants per-cycle callbacks, and correctness of
-   metrics/traces then holds trivially because every cycle is real.
-2. **Fingerprint probe** — the relative channel state (FIFO occupancy
-   plus staged-readiness offsets of *every* channel) and the runnable
-   set are captured, one cycle is executed **normally**, and the
-   fingerprint is recomputed.  If the two differ, nothing was lost (a
-   real cycle ran) and probing backs off exponentially.  If they match,
-   the system state is period-1: by induction every subsequent cycle
-   repeats the probe cycle exactly — same pops, pushes, maturations,
-   full DRAM grants — until some kernel leaves its steady phase or a
-   foreign event fires.
-3. **Window bound** — K is clamped to the smallest pattern ``ready()``,
-   the earliest viable foreign heap event (a sleeper's wake, a
-   non-window maturation) and ``max_cycles``, so nothing that could
-   interrupt the periodicity lies inside the window.
+* ``+lanes`` — only the producer is in the window (*fill*: the consumer
+  is blocked on a ``Pop``, asleep, or in the window but busy with another
+  phase, e.g. a GEMV loading x while A queues up);
+* ``0`` — both endpoints are in the window (the steady state; a
+  period-1 fixed point ``F(S) == S`` is the special case where the
+  channel also returns to the same storage every cycle);
+* ``-lanes`` — only the consumer is (*drain*: the producer has finished
+  or moved on, the staged values are a ready ramp to be consumed).
 
-The replay itself walks the window kernels in topological producer →
-consumer order, moves ``K * lanes`` values per port through the
-channels' block-run transfers (:meth:`Channel.push_block` /
-:meth:`Channel.pop_block` — ndarray slices, not per-element tuples),
-lets each pattern's vectorized ``block()`` advance the kernel's shared
-loop state, and adds ``K`` to the activity/traffic/bank counters.  No
-stall is charged (a steady cycle has none), ``max_occupancy`` cannot
-exceed the probe cycle's already-recorded peak (the per-cycle state
-repeats), and :meth:`Channel.end_window` restores exact per-element
-storage — with the FIFO occupancy asserted against the fingerprint.
+:func:`_flow_bound` decides, from a channel's storage alone, for how
+many cycles its pops find matured data and its pushes find room; K is
+that, clamped further to
 
-Anything the proof does not cover — fill and drain phases, epilogues,
-unpatterned kernels, declare-only patterns, ii > 1, blocked neighbours,
-``trace=True`` — executes on the inherited event scheduler unchanged,
-which is what keeps mixed static/dynamic designs and all verdicts
-(including :class:`~repro.fpga.errors.DeadlockError`) byte-identical
-across the three cores.
+1. the smallest ``ready()`` and ``max_cycles``;
+2. the earliest viable foreign heap event (a sleeper's wake, a
+   maturation on a channel outside the window) and the next injected
+   memory fault, which must land on an executed cycle;
+3. the first maturation that would wake a kernel waiting outside the
+   window (nothing may change the runnable set mid-window), and any
+   push waiter at all;
+4. each channel's supply (the staged ramp runs out) and its
+   ``depth + latency * lanes`` staging headroom (the FIFO fills up).
+
+The replay walks the window kernels in topological producer → consumer
+order (DRAM stores last), moves ``K * lanes`` values per port through
+the channels' block-run transfers (:meth:`Channel.push_block` /
+:meth:`Channel.pop_block` — ndarray views, not per-element tuples), lets
+each phase's vectorized ``block()`` advance the kernel's shared loop
+state, and adds ``K`` to the activity/traffic/bank counters.  No stall
+is charged (no op in a window ever fails), ``max_occupancy`` takes the
+peak the per-cycle maturations would have recorded
+(:func:`_flow_peak`), and :meth:`Channel.end_window` restores exact
+per-element storage.
+
+Two ways to trust a window
+--------------------------
+``mode="certified"`` (:class:`CertifiedScheduler`) holds a static
+certificate that every kernel is patterned and every burst is granted,
+so the analysis above is the whole proof and every window it finds is
+taken: steady state, fill, drain and block load/store phases alike.
+
+``mode="bulk"`` (:class:`BulkScheduler`) has no certificate, so it only
+takes period-1 windows and only on runtime evidence: with nobody
+waiting on any port, it fingerprints the relative channel state
+(occupancy plus staged offsets of *every* channel) and the runnable
+set, executes one cycle **normally**, and fingerprints again.  A
+mismatch costs nothing (a real cycle ran) and backs probing off
+exponentially; a match proves the state repeats, the window must have
+both endpoints on every channel, and the occupancies are asserted
+against the fingerprint afterwards.
+
+Anything neither covers — the cycle that wakes or blocks a kernel at a
+phase change, ragged tails, unpatterned kernels, declare-only patterns,
+ii > 1, observers (an instrumented run wants per-cycle callbacks) —
+executes on the inherited event scheduler unchanged, which is what
+keeps mixed static/dynamic designs and all verdicts (including
+:class:`~repro.fpga.errors.DeadlockError`) byte-identical across the
+cores.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import SimulationError
 from .scheduler import _KIDX, _MATURE, WakeListScheduler
 
 __all__ = ["BulkScheduler", "CertifiedScheduler"]
+
+#: Smallest input (elements per port) worth replaying in sub-blocks so
+#: that block runs move as views: below it, one extra ``block()`` call
+#: costs more than concatenating the whole input.
+_CUT_ELEMENTS = 1 << 15
+
+
+def _flow_bound(ch, t, w, eff, push, pop, consumer_first, limit):
+    """How long one channel sustains a window.
+
+    The window's producer pushes ``w`` per cycle at latency ``eff``
+    (``push``) and/or its consumer pops ``w`` per cycle (``pop``); the
+    channel's net rate is therefore ``+w``, ``0`` or ``-w``.  Starting
+    from the storage at cycle ``t`` — ``occ`` visible elements, then the
+    staged ones with their ready offsets — every element of the stream
+    has a known cycle at which it matures and, when the consumer is
+    active, a known cycle at which it is popped (element ``g`` in
+    arrival order leaves in cycle ``g // w``).  The window is exact
+    while
+
+    * every popped element has matured by the cycle that pops it
+      (existing staged elements by their offsets; elements pushed
+      inside the window arrive ``eff`` cycles after their push, so they
+      are in time iff the channel already holds ``eff * w``; with no
+      producer the supply simply runs out);
+    * every push finds room under the ``depth + eff * w`` staging
+      headroom (a constant test at net 0, a budget at net ``+w``);
+    * no maturation hands data to a kernel outside the window (a
+      foreign pop waiter), and nothing frees space for a foreign push
+      waiter.
+
+    A period-1 steady state (``F(S) == S``) is the net-0 case in which
+    the first two hold forever.  Returns ``(cycles, offs)``: the number
+    of cycles (at most ``limit``) the three conditions hold, and the
+    maturation cycle of every staged element relative to ``t`` (for
+    :func:`_flow_peak`; ``None`` when nothing is staged).
+    """
+    if ch._push_waiters or eff < 1 or (pop and ch._pop_waiters):
+        return 0, None
+    occ = len(ch._fifo)
+    staged = ch._staged
+    total = occ + len(staged)
+    K = limit
+    if push:
+        room = ch.depth + eff * w - total
+        if not pop:
+            if room < K * w:
+                K = room // w
+        elif room + (w if consumer_first else 0) < w:
+            return 0, None
+    elif total < K * w:
+        K = total // w              # no producer: the supply runs out
+    if pop and push and total < eff * w and total < K * w:
+        K = total // w              # this window's pushes arrive late
+    if ch._pop_waiters and occ < ch.depth:
+        # First maturation wakes the waiter: that cycle is stepped.
+        K = min(K, staged[0][0] - t if staged else eff)
+    if K < 1 or not staged:
+        return K, None
+    # A staged element matures at its ready offset, no earlier than its
+    # predecessor (head-of-line order) nor than this cycle.
+    offs = np.array([r for r, _v in staged])
+    offs -= t
+    np.maximum.accumulate(offs, out=offs)
+    np.maximum(offs, 0, out=offs)
+    if pop:
+        late = (offs > np.arange(occ, total) // w).nonzero()[0]
+        if late.size:
+            K = min(K, (occ + int(late[0])) // w)
+    return K, offs
+
+
+def _flow_peak(ch, w, eff, push, pop, offs, K):
+    """Highest post-maturation FIFO occupancy over a ``K``-cycle window
+    (what the event core's per-cycle maturations would have recorded in
+    ``max_occupancy``); arguments as in :func:`_flow_bound`."""
+    occ = len(ch._fifo)
+    pushed = w if push else 0
+    if not pop:
+        # Nothing leaves: the last cycle's occupancy is the peak.
+        due = (int(offs.searchsorted(K - 1, side="right"))
+               if offs is not None else 0)
+        return min(ch.depth, occ + due + pushed * max(0, K - eff))
+    if offs is None:
+        return occ
+    # Occupancy only rises when a staged group matures; evaluate it
+    # right after each one that does so inside the window.
+    live = int(offs.searchsorted(K - 1, side="right"))
+    if not live:
+        return occ
+    at = offs[:live]
+    level = np.arange(occ + 1, occ + live + 1) - at * w
+    if push:
+        level += w * np.maximum(at - eff + 1, 0)
+    return min(ch.depth, max(occ, int(np.maximum.reduce(level))))
 
 
 class BulkScheduler(WakeListScheduler):
@@ -75,21 +196,27 @@ class BulkScheduler(WakeListScheduler):
         self._cool = 0            # cycles left before the next probe
         self._cooldown = 1        # next backoff length
         # Introspection for tests/benchmarks/telemetry: number of
-        # supersteps and total cycles they fast-forwarded, plus how
-        # often the runtime had to speculate (probe) and back off
-        # (cooldown) — a certified run keeps the last two at zero.
-        # Exposed as Engine.bulk_stats() and copied into each
-        # engine-run ledger record by the telemetry session.
+        # supersteps and total cycles they fast-forwarded, the cycles
+        # the stepping core executed instead, plus how often the runtime
+        # had to speculate (probe) and back off (cooldown) — a certified
+        # run keeps the last two at zero.  Exposed as
+        # Engine.bulk_stats() and copied into each engine-run ledger
+        # record by the telemetry session.
         engine._bulk_windows = 0
         engine._bulk_cycles = 0
+        engine._bulk_stepped = 0
         engine._bulk_probes = 0
         engine._bulk_cooldowns = 0
 
     # -- probe --------------------------------------------------------------
     def _run_cycle(self) -> None:
-        if self._cool > 0 or self._observers or not self._precheck():
-            if self._cool > 0:
-                self._cool -= 1
+        ready = None
+        if self._cool > 0:
+            self._cool -= 1
+        elif not self._observers:
+            ready = self._precheck()
+        self.engine._bulk_stepped += 1
+        if ready is None or not self._quiet_ports(ready[0]):
             super()._run_cycle()
             return
         self.engine._bulk_probes += 1
@@ -103,33 +230,49 @@ class BulkScheduler(WakeListScheduler):
             self._cool = self._cooldown
             self._cooldown = min(self._cooldown * 2, self.MAX_COOLDOWN)
 
-    def _precheck(self) -> bool:
+    def _precheck(self):
+        """``(phases, iterations)`` — the current phase pattern of every
+        kernel queued for this cycle and the fewest iterations any of
+        them has ``ready()`` — or ``None`` when some kernel cannot take
+        part in a window."""
         cur = self._current
         if not cur:
-            return False
-        for k in cur:
-            p = k.pattern
-            if (p is None or p._ready is None or p.ii != 1
-                    or k.blocked is not None
-                    or p.ready() < self.MIN_WINDOW):
-                return False
+            return None
         inj = self.engine._injector
-        for k in cur:
-            p = k.pattern
-            for ch, _w in p.reads:
-                if ch._pop_waiters or ch._push_waiters:
-                    return False
-            for ch, _w, _lat in p.writes:
-                if ch._pop_waiters or ch._push_waiters:
-                    return False
-                # A pending channel fault would be bypassed by the
-                # window's block transfers; event-step until it fires.
-                if inj is not None and inj.pending(ch):
-                    return False
         # Replay assumes full DRAM grants; an active throttle window
         # invalidates that, so its cycles are always event-stepped.
         if inj is not None and inj.throttle_active(self.now):
-            return False
+            return None
+        phases = []
+        fewest = self.max_cycles - self.now
+        for k in cur:
+            p = k.pattern
+            if p is not None:
+                p = p.phase()
+            if p is None or p.ii != 1 or k.blocked is not None:
+                return None
+            iterations = p.ready()
+            if iterations < self.MIN_WINDOW:
+                return None
+            if iterations < fewest:
+                fewest = iterations
+            if inj is not None:
+                # A pending channel fault would be bypassed by the
+                # window's block transfers; event-step until it fires.
+                for ch, _w, _lat in p.writes:
+                    if inj.pending(ch):
+                        return None
+            phases.append(p)
+        return phases, fewest
+
+    @staticmethod
+    def _quiet_ports(phases) -> bool:
+        """No kernel waits on any port: a wake order the probe cycle's
+        fingerprint could not vouch for."""
+        for p in phases:
+            for port in p.reads + p.writes:
+                if port[0]._pop_waiters or port[0]._push_waiters:
+                    return False
         return True
 
     def _fingerprint(self):
@@ -145,65 +288,85 @@ class BulkScheduler(WakeListScheduler):
 
     # -- replay -------------------------------------------------------------
     def _replay(self, fp) -> bool:
-        plan = self._window_plan()
+        ready = self._precheck()
+        plan = self._window_plan(*ready) if ready is not None else None
         if plan is None:
             return False
-        K, order, producers, consumers = plan
-        expected = {ch: occ
-                    for ch, (occ, _offs) in zip(self.channels, fp[0])}
-        self._execute_window(K, order, producers, expected)
+        K, order, ports = plan
+        # The probe vouches for period-1 states only: every channel has
+        # both endpoints in the window and returns to its occupancy.
+        for port in ports.values():
+            if port[0] is None or port[1] is None:
+                return False
+        self._execute_window(K, order, ports)
+        for ch, (occ, _offs) in zip(self.channels, fp[0]):
+            if ch in ports and len(ch._fifo) != occ:
+                raise SimulationError(
+                    f"bulk window invariant violated on channel "
+                    f"{ch.name!r}: occupancy {len(ch._fifo)} after a "
+                    f"{K}-cycle superstep, expected {occ}")
         return True
 
-    def _window_plan(self):
+    def _window_plan(self, phases, K):
         """Bound and order one superstep from the current state.
 
-        Returns ``(K, order, producers, consumers)`` — the window length,
-        the kernels in topological producer -> consumer order, and the
-        per-window-channel ``{channel: (kernel, lanes)}`` port maps — or
-        ``None`` when no window of at least :data:`MIN_WINDOW` cycles is
-        provable from the pattern structure alone.
+        ``phases`` are the current phase patterns of ``self._current``
+        and ``K`` the iterations they all have ready, already capped at
+        ``max_cycles`` (:meth:`_precheck`).  Returns ``(K, order, ports)`` — the window
+        length, the ``(kernel, phase)`` pairs in topological producer ->
+        consumer order, and per window channel ``[producer, consumer,
+        lanes, latency, FIFO peak]`` with ``None`` for an endpoint that
+        is not in the window — or ``None`` when no window of at least
+        :data:`MIN_WINDOW` cycles is provable.
+
+        A window channel has a net rate of ``+lanes`` (producer only:
+        pipeline fill — the consumer is blocked, asleep, or busy with
+        another phase), ``0`` (both endpoints) or ``-lanes`` (consumer
+        only: drain) per cycle.  ``K`` is clamped to the kernels'
+        ``ready()``, ``max_cycles``, the earliest foreign heap event and
+        injected memory fault, and what every channel sustains
+        (:func:`_flow_bound`: supply, staging headroom, and the first
+        maturation that would wake a foreign waiter).
         """
         t1 = self.now
         kernels = self._current          # sorted by index, all patterned
-        K = min(self.max_cycles - t1,
-                min(k.pattern.ready() for k in kernels))
-        # Port maps; a steady window only supports single-producer /
-        # single-consumer channels with both endpoints inside it and
-        # matching lanes (anything else could not have fingerprinted as
-        # periodic, but bail rather than trust that argument alone).
-        producers = {}
-        consumers = {}
-        for k in kernels:
-            p = k.pattern
+        # Port map {channel: [producer, consumer, lanes, latency, None]}:
+        # single-producer / single-consumer channels with matching lanes
+        # (FB400 proves it for certified designs; bail rather than trust
+        # that for the speculative tier).
+        ports = {}
+        for k, p in zip(kernels, phases):
             for ch, w in p.reads:
-                if ch in consumers:
+                if ch not in ports:
+                    ports[ch] = [None, k, w, 1, None]
+                    continue
+                port = ports[ch]
+                if port[1] is not None or port[2] != w or port[0] is k:
                     return None
-                consumers[ch] = (k, w)
+                port[1] = k
             for ch, w, lat in p.writes:
-                if ch in producers:
+                if lat is None:
+                    lat = k.latency
+                if ch not in ports:
+                    ports[ch] = [k, None, w, lat, None]
+                    continue
+                port = ports[ch]
+                if port[0] is not None or port[2] != w or port[1] is k:
                     return None
-                producers[ch] = (k, w)
-        if set(producers) != set(consumers):
-            return None
-        for ch, (_k, w) in producers.items():
-            if consumers[ch][1] != w:
-                return None
-        window_chans = producers        # == consumers keyset
+                port[0] = k
+                port[3] = lat
         # Topological producer -> consumer order (Kahn, index-ordered).
         indeg = {k: 0 for k in kernels}
         adj = {k: [] for k in kernels}
-        for ch in window_chans:
-            pk = producers[ch][0]
-            ck = consumers[ch][0]
-            if pk is ck:
-                return None
-            adj[pk].append(ck)
-            indeg[ck] += 1
-        frontier = sorted((k for k in kernels if indeg[k] == 0), key=_KIDX)
-        order = []
+        for pk, ck, _w, _eff, _ in ports.values():
+            if pk is not None and ck is not None:
+                adj[pk].append(ck)
+                indeg[ck] += 1
+        frontier = [k for k in kernels if indeg[k] == 0]
+        ranked = []
         while frontier:
             k = frontier.pop(0)
-            order.append(k)
+            ranked.append(k)
             grew = False
             for nk in adj[k]:
                 indeg[nk] -= 1
@@ -212,7 +375,7 @@ class BulkScheduler(WakeListScheduler):
                     grew = True
             if grew:
                 frontier.sort(key=_KIDX)
-        if len(order) != len(kernels):
+        if len(ranked) != len(kernels):
             return None                  # cyclic pattern graph
         # Clamp to the earliest viable foreign event: nothing may fire
         # inside the window except the window's own maturations.
@@ -220,10 +383,10 @@ class BulkScheduler(WakeListScheduler):
             if tev >= t1 + K:
                 continue
             if tag == _MATURE:
-                if obj._mature_at == tev and obj not in window_chans:
-                    K = min(K, tev - t1)
+                if obj._mature_at == tev and obj not in ports:
+                    K = tev - t1
             elif obj._queued_for == tev and not obj.done:
-                K = min(K, tev - t1)
+                K = tev - t1
         # Clamp away from injected memory faults: the fault cycle itself
         # must be an *executed* cycle (begin_cycle applies due faults),
         # exactly as the other cores see it.
@@ -232,28 +395,62 @@ class BulkScheduler(WakeListScheduler):
             nxt = inj.next_memory_event(t1)
             if nxt is not None and nxt < t1 + K:
                 K = nxt - t1
+        for ch, port in ports.items():
+            if K < self.MIN_WINDOW:
+                return None
+            pk, ck, w, eff, _ = port
+            K, port[4] = _flow_bound(
+                ch, t1, w, eff, pk is not None, ck is not None,
+                pk is not None and ck is not None and ck.index < pk.index,
+                K)
         if K < self.MIN_WINDOW:
             return None
-        return K, order, producers, consumers
+        for ch, port in ports.items():
+            pk, ck, w, eff, offs = port
+            port[4] = _flow_peak(ch, w, eff, pk is not None, ck is not None,
+                                 offs, K)
+        # A channel outside the window is never touched by it, which is
+        # only event-faithful while it cannot mature on its own: either
+        # nothing can enter its FIFO, or its maturation is a heap event
+        # the clamp above has already put beyond the window.
+        for ch in self.channels:
+            if (ch not in ports and ch._staged and ch._mature_at is None
+                    and len(ch._fifo) < ch.depth):
+                return None
+        phase_of = dict(zip(kernels, phases))
+        return K, [(k, phase_of[k]) for k in ranked], ports
 
-    def _execute_window(self, K, order, window_chans, expected) -> None:
-        """Execute one K-cycle superstep (no bail-outs).
-
-        ``expected`` maps each window channel to the FIFO occupancy it
-        must return to after the window (the periodicity invariant).
-        """
+    def _execute_window(self, K, order, ports) -> None:
+        """Execute one K-cycle superstep (no bail-outs)."""
         t1 = self.now
+        last = t1 + K - 1
+        # DRAM stores run last: a linear read kernel hands out *views*
+        # of its buffer, and every kernel that consumes one this window
+        # must do so before a store can overwrite the bytes under it.
+        stores = [kp for kp in order if _is_store(kp[1])]
+        for k, p in order:
+            if (k, p) not in stores:
+                self._replay_kernel(k, p, K, t1)
+        if len(stores) > 1:
+            # One store may be fed a view of another's target (an
+            # in-place SWAP): take every store's input, detached from
+            # whatever it is a view of, before any store runs.
+            held = [[a if a.base is None else a.copy()
+                     for a in (ch.pop_block(K * w, p.dtype)
+                               for ch, w in p.reads)]
+                    for _k, p in stores]
+            for (_k, p), ins in zip(stores, held):
+                p.block(K, ins)
+        else:
+            for k, p in stores:
+                self._replay_kernel(k, p, K, t1)
         touched_banks = set()
-        for k in order:
-            p = k.pattern
-            ins = [ch.pop_block(K * w, p.dtype) for ch, w in p.reads]
-            outs = p.block(K, ins)
-            for (ch, w, lat), arr in zip(p.writes, outs):
-                eff = lat if lat is not None else k.latency
-                ch.push_block(arr, w, t1 + eff)
+        for k, p in order:
+            if k.stats.start_cycle is None:
+                k.stats.start_cycle = t1
             k.stats.active_cycles += K
             k._queued_for = t1 + K
-            k._last_stepped = t1 + K - 1
+            k._last_stepped = last
             k._last_progress = True
             for d in p.dram:
                 nbytes = K * d.elements * d.buf.itemsize
@@ -268,24 +465,53 @@ class BulkScheduler(WakeListScheduler):
                     touched_banks.add((id(d.mem), d.mem, d.buf.bank))
         for _mid, mem, bank in touched_banks:
             mem.bank_stats[bank].busy_cycles += K
-        last = t1 + K - 1
-        for ch in window_chans:
-            ch.end_window(last)
-            if len(ch._fifo) != expected[ch]:
-                raise SimulationError(
-                    f"bulk window invariant violated on channel "
-                    f"{ch.name!r}: occupancy {len(ch._fifo)} after a "
-                    f"{K}-cycle superstep, expected {expected[ch]}")
+        for ch, (_pk, ck, w, _eff, peak) in ports.items():
+            ch.end_window(last, w if ck is not None else 0)
+            # The event core's phase-0 maturations would have recorded
+            # the in-cycle FIFO peaks; no real cycle ran here.
+            if peak > ch.stats.max_occupancy:
+                ch.stats.max_occupancy = peak
             ch._mature_at = None
             if ch._staged and len(ch._fifo) < ch.depth:
                 nm = ch._staged[0][0]
                 self._schedule_mature(ch, nm if nm > t1 + K else t1 + K)
         self.now = self.engine.now = t1 + K
-        # Every steady cycle moved data; the watchdog deadline advances
+        # Every window cycle moved data; the watchdog deadline advances
         # exactly as K event-stepped cycles would have advanced it.
-        self.engine._last_op_cycle = t1 + K - 1
+        self.engine._last_op_cycle = last
         self.engine._bulk_windows += 1
         self.engine._bulk_cycles += K
+
+    @staticmethod
+    def _replay_kernel(k, p, K, t1) -> None:
+        """Run ``K`` iterations of phase ``p`` as block transfers, split
+        where an input stream changes storage so every run moves as a
+        view (``block(k1)`` then ``block(k2)`` is ``block(k1 + k2)``)."""
+        cuts = {K}
+        for ch, w in p.reads:
+            if K * w >= _CUT_ELEMENTS:
+                ch.block_cuts(w, K, cuts)
+        done = 0
+        for cut in sorted(cuts) if len(cuts) > 1 else cuts:
+            n = cut - done
+            if n <= 0:
+                continue
+            ins = [ch.pop_block(n * w, p.dtype) for ch, w in p.reads]
+            outs = p.block(n, ins)
+            for (ch, w, lat), arr in zip(p.writes, outs):
+                eff = lat if lat is not None else k.latency
+                ch.push_block(arr, w, t1 + done + eff)
+            done = cut
+
+
+def _is_store(p) -> bool:
+    """True for the phase pattern of a pure DRAM-store sink."""
+    if p.writes:
+        return False
+    for d in p.dram:
+        if d.kind == "write":
+            return True
+    return False
 
 
 class CertifiedScheduler(BulkScheduler):
@@ -299,18 +525,19 @@ class CertifiedScheduler(BulkScheduler):
     ``StaticPattern``, the SDF balance equations are consistent, token
     totals conserve, channel depths meet the inferred minima and the
     steady DRAM demand fits every bank's budget), speculation is
-    unnecessary: whether the current state ``S`` is inside a steady
-    window is *decidable in O(channels)* by checking that one simulated
-    event cycle maps ``S`` to itself — :meth:`_aligned` evaluates that
-    fixed-point condition arithmetically, per channel, without running
-    the cycle.
+    unnecessary: every kernel's next ``ready()`` cycles are known, so
+    how long the current state sustains them is *decidable per channel*
+    from its storage alone (:func:`_flow_bound`) without running a
+    cycle — for the steady state, and equally for the pipeline fill,
+    the drain and each block load/store phase of a tiled module.
 
-    When the check passes, the window executes immediately through the
-    inherited :meth:`_execute_window` machinery; when it fails (fill or
-    drain phases, tile epilogues), the engine event-steps exactly one
-    cycle and tries again.  No fingerprint probes, no cooldown backoff:
-    ``engine._bulk_probes == engine._bulk_cooldowns == 0`` for a whole
-    certified run, which the acceptance tests assert.
+    When :meth:`_window_plan` finds a window it executes immediately
+    through the inherited :meth:`_execute_window`; otherwise (a phase
+    boundary that wakes or blocks a kernel, a ragged tail) the engine
+    event-steps exactly one cycle and tries again.  No fingerprint
+    probes, no cooldown backoff: ``engine._bulk_probes ==
+    engine._bulk_cooldowns == 0`` for a whole certified run, which the
+    acceptance tests assert.
     """
 
     def _run_cycle(self) -> None:
@@ -323,78 +550,10 @@ class CertifiedScheduler(BulkScheduler):
         if w and t >= eng._last_op_cycle + w and not any(
                 not k.done and k.sleep_until >= t for k in self.kernels):
             self._raise_hang("livelock", t, budget=w)
-        if self._observers or not self._precheck():
-            WakeListScheduler._run_cycle(self)
-            return
-        plan = self._window_plan()
+        ready = None if self._observers else self._precheck()
+        plan = self._window_plan(*ready) if ready is not None else None
         if plan is None:
+            eng._bulk_stepped += 1
             WakeListScheduler._run_cycle(self)
-            return
-        K, order, producers, consumers = plan
-        pre = self._aligned(producers, consumers)
-        if pre is None:
-            WakeListScheduler._run_cycle(self)
-            return
-        # The event core's phase-0 maturation would have recorded the
-        # in-cycle FIFO peak (occupancy + matured batch) on every window
-        # channel; no real cycle runs here, so record it explicitly.
-        for ch, peak in pre.items():
-            if peak > ch.stats.max_occupancy:
-                ch.stats.max_occupancy = peak
-        # The fixed-point check proves every simulated cycle returns the
-        # channel to its current occupancy — that *is* the invariant the
-        # window must restore.
-        expected = {ch: len(ch._fifo) for ch in producers}
-        self._execute_window(K, order, producers, expected)
-
-    def _aligned(self, producers, consumers):
-        """Decide ``F(S) == S``: one event cycle maps this state to
-        itself.
-
-        For each window channel (producer pushing ``w`` per cycle at
-        effective latency ``eff``, consumer popping ``w``), simulate the
-        cycle arithmetically on ``(fifo occupancy, staged offsets)``:
-        phase-0 maturation moves due staged values into the FIFO (capped
-        at depth), the pop must be feasible, the push must have space
-        under its ``eff * w`` staging headroom, and the resulting state
-        must equal the starting one.  Foreign channels must be inert: a
-        window never touches them, which is only event-faithful while
-        they cannot mature on their own (no staged values, or a full
-        FIFO blocking maturation — the scheduler does not re-arm those).
-
-        Returns ``{channel: in-cycle FIFO peak}`` when aligned, else
-        ``None``.
-        """
-        t = self.now
-        pre = {}
-        for ch, (pk, w) in producers.items():
-            ck, _w = consumers[ch]
-            lat = next(lt for c, _l, lt in pk.pattern.writes if c is ch)
-            eff = lat if lat is not None else pk.latency
-            occ = len(ch._fifo)
-            offs = [r - t for r, _v in ch._staged]
-            m = 0
-            while m < len(offs) and offs[m] <= 0 and occ + m < ch.depth:
-                m += 1
-            occ1 = occ + m                   # post-maturation occupancy
-            offs1 = offs[m:]
-            if occ1 < w:                     # pop must succeed this cycle
-                return None
-            # Push feasibility: the consumer frees its batch first only
-            # when it steps first (lower kernel index).
-            fifo_at_push = occ1 - w if ck.index < pk.index else occ1
-            if ch.depth + eff * w - fifo_at_push - len(offs1) < w:
-                return None
-            # Fixed point: occupancy and the staged-offset multiset must
-            # come back exactly (w matured out, w pushed at eff).
-            if occ1 - w != occ:
-                return None
-            if [o - 1 for o in offs1] + [eff - 1] * w != offs:
-                return None
-            pre[ch] = occ1
-        for ch in self.channels:
-            if ch in producers:
-                continue
-            if ch._staged and len(ch._fifo) < ch.depth:
-                return None                  # foreign channel could mature
-        return pre
+        else:
+            self._execute_window(*plan)

@@ -194,13 +194,36 @@ class Channel:
         self._runs.append([first_ready, lanes, arr, 0])
         self.stats.pushes += len(arr)
 
+    def block_cuts(self, lanes: int, iterations: int, cuts: set) -> None:
+        """Add to ``cuts`` the iteration indices at which a consumer
+        popping ``lanes`` per iteration crosses a storage boundary.
+
+        The stream is stored in segments — the boxed FIFO/staged tokens,
+        then each block run.  A consumer that replays its window in
+        sub-blocks split at these indices (``block(k1)`` then
+        ``block(k2)`` is ``block(k1 + k2)`` by the pattern contract)
+        receives every run as a *view*; only the single iteration that
+        straddles a boundary is ever concatenated.
+        """
+        total = iterations * lanes
+        edge = len(self._fifo) + len(self._staged)
+        for run in (None, *self._runs):
+            if run is not None:
+                edge += len(run[2]) - run[3]
+            if edge >= total:
+                break
+            if edge:
+                cuts.add(edge // lanes)
+                cuts.add(-(-edge // lanes))
+
     def pop_block(self, count: int, dtype=None) -> np.ndarray:
         """Drain ``count`` elements, in arrival order, as one ndarray.
 
         Sources are consumed in stream order: visible FIFO first, then
-        staged values, then block runs.  Legality (the steady window
-        delivers exactly these elements to the consumer, in this order)
-        is the scheduler's proof obligation, not checked here.
+        staged values, then block runs.  Legality (the window delivers
+        exactly these elements to the consumer, in this order) is the
+        scheduler's proof obligation, not checked here.  A request
+        served by a single run is returned as a view of it.
         """
         need = count
         boxed = []
@@ -218,8 +241,11 @@ class Channel:
         if staged and need:
             take = min(need, len(staged))
             boxed.extend(v for _r, v in islice(staged, take))
-            for _ in range(take):
-                staged.popleft()
+            if take == len(staged):
+                staged.clear()
+            else:
+                for _ in range(take):
+                    staged.popleft()
             need -= take
         parts = []
         if boxed:
@@ -233,44 +259,45 @@ class Channel:
             run = runs[0]
             arr, off = run[2], run[3]
             take = min(need, len(arr) - off)
-            part = arr[off:off + take]
-            if dtype is not None:
-                part = part.astype(dtype, copy=False)
-            parts.append(part)
+            parts.append(arr[off:off + take])
             run[3] = off + take
             need -= take
             if run[3] == len(arr):
                 runs.pop(0)
         self.stats.pops += count
-        if len(parts) == 1:
-            out = parts[0]
-            return out.astype(dtype, copy=False) if dtype is not None else out
-        out = np.concatenate(parts)
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return out.astype(dtype, copy=False) if dtype is not None else out
 
-    def end_window(self, cycle: int) -> None:
+    def end_window(self, cycle: int, popped: int = 0) -> None:
         """Fold leftover run values back into cycle-exact storage.
 
         Values due by ``cycle`` (the window's last executed cycle) enter
         the FIFO as maturation would have — in ready order, capped at
         ``depth`` — and the rest become ordinary staged tuples, so the
         channel leaves the window indistinguishable from one stepped
-        cycle by cycle.
+        cycle by cycle.  ``popped`` is what the consumer took in that
+        last cycle: its pop ran *after* the cycle's maturation, so a
+        backlog the full FIFO held back stays staged until the next
+        cycle instead of refilling the slots the pop just freed.
         """
         fifo, staged = self._fifo, self._staged
-        while (staged and staged[0][0] <= cycle
-               and len(fifo) < self.depth):
+        cap = self.depth - popped
+        while staged and staged[0][0] <= cycle and len(fifo) < cap:
             fifo.append(staged.popleft()[1])
         for first_ready, lanes, arr, off in self._runs:
-            m = len(arr)
-            j = off
-            while (j < m and first_ready + j // lanes <= cycle
-                   and len(fifo) < self.depth and not staged):
-                fifo.append(arr[j])
-                j += 1
-            if j < m:
-                staged.extend((first_ready + jj // lanes, arr[jj])
-                              for jj in range(j, m))
+            end = len(arr)
+            due = off
+            if not staged:
+                due = min(end, (cycle - first_ready + 1) * lanes,
+                          off + cap - len(fifo))
+                if due > off:
+                    fifo.extend(arr[off:due])
+                else:
+                    due = off
+            if due < end:
+                staged.extend(zip(
+                    (first_ready + j // lanes for j in range(due, end)),
+                    arr[due:end]))
         self._runs.clear()
 
     # -- simulation hooks ---------------------------------------------------

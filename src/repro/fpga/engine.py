@@ -412,7 +412,9 @@ class Engine:
         """Superstep counters of the most recent bulk/certified run.
 
         ``windows`` (supersteps replayed), ``bulk_cycles`` (cycles they
-        fast-forwarded), ``probes`` (speculative fingerprint probes) and
+        fast-forwarded), ``stepped_cycles`` (cycles the stepping core
+        executed instead; idle cycles the event core jumps over are in
+        neither count), ``probes`` (speculative fingerprint probes) and
         ``cooldowns`` (probe back-offs) — the introspection the bulk
         tier maintains per run (a certified run keeps the last two at
         zero).  None before any bulk/certified run; the telemetry
@@ -422,6 +424,7 @@ class Engine:
             return None
         return {"windows": self._bulk_windows,
                 "bulk_cycles": self._bulk_cycles,
+                "stepped_cycles": self._bulk_stepped,
                 "probes": self._bulk_probes,
                 "cooldowns": self._bulk_cooldowns}
 

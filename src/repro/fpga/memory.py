@@ -589,9 +589,11 @@ def _write_kernel_linear(mem: DramModel, buf: DramBuffer, ch, count, width):
 
     def block(k, ins):
         moved = k * width
-        arr = ins[0]
-        for j in range(moved):
-            flat[st.pos + j] = arr[j]
+        # One slice store; when ``ins[0]`` is a view of this same buffer
+        # (an in-place map fed by the linear read kernel) numpy buffers
+        # overlapping operands, and the window is a pure elementwise map
+        # of elements at or ahead of ``pos``, so the result is the same.
+        flat[st.pos:st.pos + moved] = ins[0][:moved]
         buf.elements_written += moved
         st.received += moved
         st.pos += moved

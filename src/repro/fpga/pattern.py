@@ -24,11 +24,38 @@ The contract a pattern-carrying generator must honour:
   iteration boundary ``+k`` — i.e. the generator reads its loop state
   from the same shared cursor ``block`` mutates.
 
-Kernels whose steady loop is not statically regular (tiled level-2
-module generators, the reordering routers) use
-:meth:`StaticPattern.declare`: the ports are still documented for
-analysis/telemetry, but ``ready()`` is constantly 0 so the bulk
-scheduler always falls back to exact event stepping for them.
+Kernels whose steady loop is not statically regular (the reordering
+routers, the column-tiled GEMV) use :meth:`StaticPattern.declare`: the
+ports are still documented for analysis/telemetry, but ``ready()`` is
+constantly 0 so the bulk scheduler always falls back to exact event
+stepping for them.
+
+Phase patterns
+--------------
+A tiled module is not one steady loop but a *sequence* of them — load a
+y block, load an x block, stream a tile of A, store the results — each
+regular on its own ports.  Such a kernel carries one
+:class:`StaticPattern` per phase plus an outer pattern built with
+:meth:`StaticPattern.phased`:
+
+* the outer pattern's ``reads``/``writes``/totals/``defer`` are the
+  **union** over all phases — what the kernel does over a whole run,
+  which is what the FB40x rate analyzer and the plan IR consume;
+* :meth:`StaticPattern.phase` returns the pattern of the phase the
+  kernel is in *now* (``None`` between phases, or for an unstarted
+  generator): its ports are the only channels the next ``ready()``
+  iterations touch, and its ``block`` is what replays them.  A
+  single-phase pattern is its own phase;
+* the contract above holds per phase, with one addition: the kernel
+  moves its cursor to the next phase **before** the ``Clock`` that ends
+  a phase's last iteration (and ``block`` does the same when it
+  consumes the last iteration), so at every cycle boundary ``phase()``
+  already describes the next iteration and a phase change costs no
+  event-stepped cycle.
+
+Schedulers therefore always ask ``kernel.pattern.phase()`` for ports,
+``ready()`` and ``block()``; only static analysis reads the outer
+union.
 """
 
 from __future__ import annotations
@@ -104,7 +131,7 @@ class StaticPattern:
 
     __slots__ = ("reads", "writes", "ii", "dtype", "dram",
                  "read_totals", "write_totals", "defer",
-                 "_ready", "_block")
+                 "_ready", "_block", "_phase")
 
     def __init__(self, reads: Sequence[Tuple] = (),
                  writes: Sequence[Tuple] = (), ii: int = 1,
@@ -130,6 +157,23 @@ class StaticPattern:
         self.defer = defer
         self._ready = ready
         self._block = block
+        self._phase = None
+
+    @classmethod
+    def phased(cls, current: Callable[[], Optional["StaticPattern"]],
+               **union) -> "StaticPattern":
+        """Outer pattern of a multi-phase kernel (see the module
+        docstring): ``current()`` returns the active phase's pattern or
+        ``None``; ``union`` carries the whole-run ports, totals, dtype
+        and ``defer`` for static analysis."""
+        def ready():
+            ph = current()
+            return ph.ready() if ph is not None else 0
+
+        pat = cls(ready=ready, block=lambda k, ins: current().block(k, ins),
+                  **union)
+        pat._phase = current
+        return pat
 
     @classmethod
     def declare(cls, reads: Sequence[Tuple] = (),
@@ -143,6 +187,11 @@ class StaticPattern:
         return cls(reads=reads, writes=writes, ii=ii,
                    read_totals=read_totals, write_totals=write_totals,
                    defer=defer)
+
+    def phase(self) -> Optional["StaticPattern"]:
+        """Pattern of the kernel's current phase (``self`` unless the
+        kernel is multi-phase; ``None`` between phases)."""
+        return self if self._phase is None else self._phase()
 
     def ready(self) -> int:
         """Full steady iterations executable from the current state."""

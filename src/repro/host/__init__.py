@@ -1,7 +1,8 @@
 """Host API: BLAS-style calls executed on the simulated FPGA."""
 
-from .api import Fblas, Handle
+from .api import Fblas, Handle, HostArgumentError
 from .context import CallRecord, FblasContext
 from . import orders
 
-__all__ = ["CallRecord", "Fblas", "FblasContext", "Handle", "orders"]
+__all__ = ["CallRecord", "Fblas", "FblasContext", "Handle",
+           "HostArgumentError", "orders"]

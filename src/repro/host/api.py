@@ -25,12 +25,16 @@ Two execution modes:
 
 from __future__ import annotations
 
+import functools
+import inspect
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..fpga.device import STRATIX10, FpgaDevice
 from ..fpga.engine import Engine
+from ..fpga.errors import ReproError
+from ..fpga.memory import DramBuffer
 from ..plan import PlanCache
 from ..telemetry.ledger import run_scope
 from ..telemetry.runtime import active as _telemetry_active
@@ -49,6 +53,10 @@ _ALIASABLE = {
     "gemv", "ger", "syr", "syr2", "trsv", "gemm", "syrk", "syr2k", "trsm",
     "rotg", "rotmg",
 }
+
+
+class HostArgumentError(ReproError, TypeError):
+    """A vector/matrix operand of a host call is not a device buffer."""
 
 
 class Handle:
@@ -366,3 +374,40 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
             if n % d == 0 and d <= limit:
                 best = d
         return best
+
+
+def _device_operands(fn):
+    """Reject host-side operands before the routine touches them.
+
+    FBLAS routines work on device buffers (results land in device
+    memory), so a raw ``ndarray`` is a caller error; name the argument
+    instead of failing deep inside the stride plumbing.
+    """
+    # (rot's ``c`` is the rotation's cosine, not a matrix.)
+    buffers = {"a", "b", "x", "y"}
+    if fn.__name__ != "rot":
+        buffers.add("c")
+    operands = [(i, name) for i, name in
+                enumerate(list(inspect.signature(fn).parameters)[1:])
+                if name in buffers]
+
+    @functools.wraps(fn)
+    def checked(self, *args, **kwargs):
+        for i, name in operands:
+            if i < len(args):
+                val = args[i]
+            elif name in kwargs:
+                val = kwargs[name]
+            else:
+                continue
+            if not isinstance(val, DramBuffer):
+                raise HostArgumentError(
+                    f"{fn.__name__}: argument {name!r} must be a device "
+                    f"buffer (see Fblas.copy_to_device), got "
+                    f"{type(val).__name__}")
+        return fn(self, *args, **kwargs)
+    return checked
+
+
+for _name in sorted((_ALIASABLE | {"sdsdot", "iamax"}) - {"rotg", "rotmg"}):
+    setattr(Fblas, _name, _device_operands(getattr(Fblas, _name)))

@@ -71,6 +71,7 @@ _ACTIVE: Optional["TelemetrySession"] = None
 #: ledger record (set per run by :class:`repro.fpga.bulk.BulkScheduler`).
 _BULK_COUNTERS = (("windows", "_bulk_windows"),
                   ("bulk_cycles", "_bulk_cycles"),
+                  ("stepped_cycles", "_bulk_stepped"),
                   ("probes", "_bulk_probes"),
                   ("cooldowns", "_bulk_cooldowns"))
 

@@ -1,0 +1,332 @@
+"""Certified replay covers the whole run, in whole-array steps.
+
+Two deterministic guards on the certified tier's cost model — wall time
+proportional to the number of *phases*, not cycles or elements:
+
+* **stepped-cycle budget** — for the stream-shaped host calls (DOT,
+  in-place AXPY, tiled GEMV) all but a handful of cycles are replayed as
+  windows, the handful does not grow with the problem size, and the run
+  never probes;
+* **vectorisation guard** — every executable pattern's ``block(k, ins)``
+  touches its input arrays a number of times that does not grow with
+  ``k``, and no ``block`` body loops over a range derived from ``k``.
+"""
+
+import ast
+import inspect
+
+import numpy as np
+import pytest
+
+from repro.blas import level1, level2, reference
+from repro.fpga import Engine, memory, util
+from repro.fpga.channel import Channel
+from repro.fpga.kernel import Clock, Pop
+from repro.fpga.memory import DramModel, read_kernel, write_kernel
+from repro.host import Fblas
+
+WIDTH = 4
+#: Event-stepped cycles allowed per call: pipeline start-up, the cycles
+#: that wake or block a kernel at a phase change, ragged tails.
+BUDGET = 64
+
+
+# ---------------------------------------------------------------------------
+# Stepped-cycle budget
+# ---------------------------------------------------------------------------
+
+def _vec(rng, *shape):
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+def _host_call(routine, n, mode="certified"):
+    """Run one stream-shaped host call; return (result, cycles, stats)."""
+    rng = np.random.default_rng(16)
+    fb = Fblas(width=WIDTH, engine_mode=mode, tile=512)
+    engines = []
+    make = fb._engine
+    fb._engine = lambda: engines.append(make()) or engines[-1]
+    if routine == "dot":
+        x, y = _vec(rng, n), _vec(rng, n)
+        got = fb.dot(fb.copy_to_device(x, bank=0),
+                     fb.copy_to_device(y, bank=1))
+        want = reference.dot(x, y)
+    elif routine == "axpy":
+        x, y = _vec(rng, n), _vec(rng, n)
+        got = fb.axpy(0.5, fb.copy_to_device(x, bank=2),
+                      fb.copy_to_device(y, bank=3))
+        want = reference.axpy(0.5, x, y)
+    else:
+        a, x, y = _vec(rng, n, n), _vec(rng, n), _vec(rng, n)
+        got = fb.gemv(0.5, fb.copy_to_device(a, bank=0),
+                      fb.copy_to_device(x, bank=1), 0.25,
+                      fb.copy_to_device(y, bank=2))
+        want = reference.gemv(0.5, a, x, 0.25, y)
+    np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
+    return (np.asarray(got).tobytes(), fb.records[-1].cycles,
+            engines[-1].bulk_stats())
+
+
+def _tiled_gemv(n, tile, mode):
+    """512-style GEMV with a pre-tiled A stream, so the linear (patterned)
+    read kernel serves tiles smaller than the matrix."""
+    rng = np.random.default_rng(128)
+    a, x, y = _vec(rng, n, n), _vec(rng, n), _vec(rng, n)
+    a_streams, _ = level2.shard_gemv_streams(a, y, tile, tile, lanes=1)
+    mem = DramModel()
+    ba = mem.bind("A", a_streams[0], bank=0)
+    bx = mem.bind("x", x, bank=1)
+    by = mem.bind("y", y.copy(), bank=2)
+    eng = Engine(mode=mode, memory=mem)
+    ca, cx, cy, co = (eng.channel(name, 256)
+                      for name in ("A", "x", "y", "out"))
+    eng.add_kernel("read_a", read_kernel(mem, ba, ca, WIDTH))
+    eng.add_kernel("read_x", read_kernel(mem, bx, cx, WIDTH,
+                                         repeat=n // tile))
+    eng.add_kernel("read_y", read_kernel(mem, by, cy, WIDTH))
+    eng.add_kernel("gemv", level2.gemv_row_tiles(
+        n, n, 0.5, 0.25, ca, cx, cy, co, tile, tile, WIDTH), latency=87)
+    eng.add_kernel("write_y", write_kernel(mem, by, co, n, WIDTH))
+    report = eng.run()
+    np.testing.assert_allclose(by.data, reference.gemv(0.5, a, x, 0.25, y),
+                               rtol=1e-4, atol=1e-4)
+    return by.data.tobytes(), report.to_dict(), eng.bulk_stats()
+
+
+class TestSteppedCycleBudget:
+    @pytest.mark.parametrize("routine,n", [
+        ("dot", 1 << 16), ("axpy", 1 << 16), ("gemv", 512)])
+    def test_host_calls_stay_within_budget(self, routine, n):
+        got, cycles, stats = _host_call(routine, n)
+        assert stats["probes"] == stats["cooldowns"] == 0
+        assert stats["stepped_cycles"] <= BUDGET
+        # Every cycle is either replayed, stepped, or an idle stretch
+        # the event core jumps over (a reduction's result latency).
+        idle = cycles - stats["bulk_cycles"] - stats["stepped_cycles"]
+        assert idle >= 0
+        if routine != "dot":
+            assert cycles - stats["bulk_cycles"] <= BUDGET
+        # Same bytes, same cycle count as the stepping core.
+        assert (got, cycles) == _host_call(routine, n, "event")[:2]
+
+    @pytest.mark.parametrize("routine", ("dot", "axpy"))
+    def test_budget_does_not_grow_with_n(self, routine):
+        small = _host_call(routine, 1 << 12)[2]
+        large = _host_call(routine, 1 << 16)[2]
+        assert large["stepped_cycles"] == small["stepped_cycles"]
+        assert large["windows"] == small["windows"]
+
+    @pytest.mark.parametrize("tile", (512, 128))
+    def test_tiled_gemv_stays_within_budget(self, tile):
+        got, report, stats = _tiled_gemv(512, tile, "certified")
+        assert stats["probes"] == stats["cooldowns"] == 0
+        # Entering a tile's x load and its matrix phase each wakes a
+        # back-pressured read kernel: the waking pop and the reader's
+        # retry are real event cycles, four per tile, on top of the
+        # per-call handful.
+        tiles = (512 // tile) ** 2
+        assert stats["stepped_cycles"] <= min(BUDGET, 16) + 5 * (tiles - 1)
+        event = _tiled_gemv(512, tile, "event")
+        assert (got, report) == event[:2]
+
+    def test_tiled_gemv_budget_follows_phases_not_elements(self):
+        """Four times the elements at the same tile count: the same
+        phases, so (up to where a latency lands in them) the same
+        stepped cycles, while the replayed cycles grow with the data."""
+        small = _tiled_gemv(128, 32, "certified")[2]
+        large = _tiled_gemv(256, 64, "certified")[2]
+        assert abs(large["stepped_cycles"] - small["stepped_cycles"]) <= 8
+        assert large["bulk_cycles"] > 3 * small["bulk_cycles"]
+
+
+class TestViewsAreReadBeforeStores:
+    def test_inplace_swap_on_large_vectors(self):
+        """The read kernels hand out views of x and y, the SWAP passes
+        them through, and both write kernels store in the same window:
+        each must receive the other buffer's *old* bytes."""
+        n = 1 << 17              # large enough for runs to move as views
+        fb = Fblas(width=WIDTH, engine_mode="certified")
+        x0 = np.arange(n, dtype=np.float32)
+        y0 = -x0 - 0.5
+        x, y = fb.copy_to_device(x0, bank=0), fb.copy_to_device(y0, bank=1)
+        fb.swap(x, y)
+        np.testing.assert_array_equal(x.data, y0)
+        np.testing.assert_array_equal(y.data, x0)
+
+
+# ---------------------------------------------------------------------------
+# Vectorisation guard
+# ---------------------------------------------------------------------------
+
+class Counting(np.ndarray):
+    """ndarray that counts Python-level element/slice accesses, on
+    itself and on every array derived from it."""
+
+    hits = 0
+
+    def __getitem__(self, index):
+        Counting.hits += 1
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        Counting.hits += 1
+        super().__setitem__(index, value)
+
+
+def _counting(n, dtype=np.float32):
+    return ((np.arange(n) % 11) - 5).astype(dtype).view(Counting)
+
+
+def _block_hits(pattern, k):
+    """Accesses one ``block(k, ins)`` makes on its (counting) inputs."""
+    ins = [_counting(k * lanes, pattern.dtype or np.float32)
+           for _ch, lanes in pattern.reads]
+    Counting.hits = 0
+    outs = pattern.block(k, ins)
+    assert len(outs) == len(pattern.writes)
+    for out, (_ch, lanes, _lat) in zip(outs, pattern.writes):
+        assert len(out) == k * lanes
+    return Counting.hits
+
+
+def _chan(name="c"):
+    return Channel(name, 64)
+
+
+def _single_phase_patterns():
+    """(label, pattern) for every executable single-loop pattern; data
+    sources are counting arrays too, so a per-element read of the
+    source shows up like one of the inputs."""
+    n = 1 << 12
+    mem = DramModel()
+    src = mem.bind("src", _counting(n))
+    dst = mem.bind("dst", _counting(n))
+    w = WIDTH
+    c = [_chan(f"c{i}") for i in range(4)]
+    yield "memory.read", read_kernel(mem, src, c[0], w).pattern
+    yield "memory.write", write_kernel(mem, dst, c[0], n, w).pattern
+    yield "util.source", util.source_kernel(c[0], _counting(n), w).pattern
+    # (out= collects boxed values one by one by design; the pattern's
+    # own work is what is measured.)
+    yield "util.sink", util.sink_kernel(c[0], n, w).pattern
+    yield "util.forward", util.forward_kernel(c[0], c[1], n, w).pattern
+    yield "util.duplicate", util.duplicate_kernel(
+        c[0], (c[1], c[2]), n, w).pattern
+    l1 = level1
+    yield "scal", l1.scal_kernel(n, 2.0, c[0], c[1], w).pattern
+    yield "copy", l1.copy_kernel(n, c[0], c[1], w).pattern
+    yield "axpy", l1.axpy_kernel(n, 2.0, c[0], c[1], c[2], w).pattern
+    yield "swap", l1.swap_kernel(n, c[0], c[1], c[2], c[3], w).pattern
+    yield "rot", l1.rot_kernel(n, .6, .8, c[0], c[1], c[2], c[3], w).pattern
+    yield "rotm", l1.rotm_kernel(
+        n, [-1.0, 1.0, 2.0, 3.0, 4.0], c[0], c[1], c[2], c[3], w).pattern
+    yield "dot", l1.dot_kernel(n, c[0], c[1], c[2], w).pattern
+    yield "sdsdot", l1.sdsdot_kernel(n, 1.0, c[0], c[1], c[2], w).pattern
+    yield "nrm2", l1.nrm2_kernel(n, c[0], c[1], w).pattern
+    yield "asum", l1.asum_kernel(n, c[0], c[1], w).pattern
+    yield "iamax", l1.iamax_kernel(n, c[0], c[1], w).pattern
+    yield "batched_dot", l1.batched_dot_kernel(
+        2, n // 2, c[0], c[1], c[2], w).pattern
+    yield "batched_axpy", l1.batched_axpy_kernel(
+        2, n // 2, [1.0, 2.0], c[0], c[1], c[2], w).pattern
+
+
+def _phased_kernels():
+    n = m = 128                  # one tile: 32-iteration loads and stores
+    w = WIDTH
+    a, x, y, o = (_chan(name) for name in "axyo")
+    yield "gemv_row_tiles", level2.gemv_row_tiles(
+        n, m, 0.5, 0.25, a, x, y, o, n, m, w)
+    yield "gemv_transposed_row_tiles", level2.gemv_transposed_row_tiles(
+        n, m, 0.5, 0.25, a, x, y, o, n // 2, m // 2, w)
+    yield "ger_kernel", level2.ger_kernel(n, m, 0.5, a, x, y, o, n, m, w)
+
+
+class TestBlocksAreVectorised:
+    @pytest.mark.parametrize(
+        "label,pattern", list(_single_phase_patterns()),
+        ids=[label for label, _p in _single_phase_patterns()])
+    def test_accesses_do_not_grow_with_k(self, label, pattern):
+        assert pattern.ready() >= 256 + 8
+        small = _block_hits(pattern, 8)
+        assert _block_hits(pattern, 256) <= small
+
+    @pytest.mark.parametrize(
+        "label,body", list(_phased_kernels()),
+        ids=[label for label, _b in _phased_kernels()])
+    def test_phase_accesses_do_not_grow_with_k(self, label, body):
+        """Walk a tiled module through every phase of its run with
+        ``block`` alone (after one scalar iteration to start it), at a
+        small and a large ``k`` per phase."""
+        op = body.send(None)
+        assert isinstance(op, Pop)
+        assert isinstance(body.send(list(_counting(op.count))), Clock)
+        outer = body.pattern
+        seen = set()
+        while (phase := outer.phase()) is not None:
+            seen.add((phase.reads, phase.writes))
+            ready = phase.ready()
+            if ready >= 24:
+                # 5 and 19 are odd on purpose: partial rows and tiles.
+                small = _block_hits(phase, 5)
+                assert _block_hits(phase, 19) <= small, label
+                ready -= 24
+            if ready:
+                _block_hits(phase, ready)       # finish the phase
+        # Every port of the module was exercised by some phase, and the
+        # union the analyzer sees is exactly those ports.
+        assert {ch for r, _w in seen for ch, _l in r} == {
+            ch for ch, _l in outer.reads}
+        assert {ch for _r, ws in seen for ch, _l, _t in ws} == {
+            ch for ch, _l, _t in outer.writes}
+        with pytest.raises(StopIteration):
+            body.send(None)
+
+    @pytest.mark.parametrize("module", (memory, util, level1, level2))
+    def test_no_block_loops_over_k(self, module):
+        """No ``block`` executor contains a ``for`` or a comprehension
+        over a ``range`` derived from its iteration count ``k``."""
+        tree = ast.parse(inspect.getsource(module))
+        def first_arg(fn):
+            args = [a.arg for a in fn.args.args if a.arg != "self"]
+            return args[0] if args else None
+
+        # A pattern's executor is ``block(k, ins)`` under some name.
+        blocks = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.lstrip("_").split("_")[-1] in ("block", "blk")
+                  and first_arg(node) == "k"]
+        assert blocks, f"no block executors found in {module.__name__}"
+        for fn in blocks:
+            tainted = {"k"}
+
+            def mentions(node):
+                return any(isinstance(n, ast.Name) and n.id in tainted
+                           for n in ast.walk(node))
+
+            grew = True
+            while grew:
+                grew = False
+                for node in ast.walk(fn):
+                    if isinstance(node, (ast.Assign, ast.AugAssign,
+                                         ast.AnnAssign)) \
+                            and node.value is not None \
+                            and mentions(node.value):
+                        targets = (node.targets
+                                   if isinstance(node, ast.Assign)
+                                   else [node.target])
+                        for name in (n for t in targets
+                                     for n in ast.walk(t)
+                                     if isinstance(n, ast.Name)):
+                            if name.id not in tainted:
+                                tainted.add(name.id)
+                                grew = True
+            loops = [node.iter for node in ast.walk(fn)
+                     if isinstance(node, (ast.For, ast.comprehension))]
+            for it in loops:
+                over_range = (isinstance(it, ast.Call)
+                              and isinstance(it.func, ast.Name)
+                              and it.func.id == "range")
+                assert not (over_range and mentions(it)), (
+                    f"{module.__name__}.{fn.name} (line {fn.lineno}) loops "
+                    f"over a range derived from k: {ast.unparse(it)}")

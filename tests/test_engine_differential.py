@@ -500,46 +500,243 @@ def _build_certified_fanout(eng, spec, out):
     eng.add_kernel("sink", sink_kernel(cres, 1, 1, out))
 
 
+def _tier_outcome(mode, build, spec):
+    """Everything observable about one run on one tier."""
+    from repro.analysis import AnalysisError
+    from repro.fpga import LivelockError
+
+    eng = Engine(mode=mode, memory=spec.get("memory") and spec["memory"]())
+    out = []
+    extra = build(eng, spec, out)
+    try:
+        report = eng.run(max_cycles=spec.get("max_cycles", 200_000))
+    except AnalysisError:
+        assert all(k.stats.active_cycles == 0 for k in eng.kernels.values())
+        return None, eng
+    except DeadlockError as exc:
+        got = ("deadlock", exc.cycle, dict(exc.blocked))
+    except LivelockError as exc:
+        got = ("hang", exc.trigger, exc.cycle, dict(exc.blocked))
+    else:
+        got = ("done", report.to_dict())
+    payload = [np.asarray(o).tobytes() for o in (out, *(extra or ()))]
+    return (got, payload, _stats(eng)), eng
+
+
+def _assert_certified_matches_event(build, spec):
+    certified, eng = _tier_outcome("certified", build, spec)
+    if certified is None:
+        return None                     # refused before cycle 0
+    assert eng._bulk_probes == 0 and eng._bulk_cooldowns == 0
+    event, _ = _tier_outcome("event", build, spec)
+    assert certified == event, f"certified diverged from event for {spec}"
+    return eng
+
+
 class TestDifferentialCertified:
     """When certification succeeds, the certified core must be
     indistinguishable from the event core (data, cycles, all stats)
     while never probing; when it fails, the design is rejected before
     cycle 0."""
 
-    def _check(self, build, spec):
-        from repro.analysis import AnalysisError
-
-        eng = Engine(mode="certified")
-        out = []
-        build(eng, spec, out)
-        try:
-            report = eng.run(max_cycles=200_000)
-        except AnalysisError:
-            # Not certifiable (dynamic stage, mixed lanes, ...): the
-            # refusal is pre-flight — nothing ran.
-            assert all(k.stats.active_cycles == 0
-                       for k in eng.kernels.values())
-            return
-        except DeadlockError as exc:
-            certified = ("deadlock", exc.cycle, dict(exc.blocked),
-                         _stats(eng), None)
-        else:
-            certified = ("done", report.cycles, out, _stats(eng), None)
-        assert eng._bulk_probes == 0, f"certified run probed for {spec}"
-        assert eng._bulk_cooldowns == 0
-        event = _outcome("event", build, spec, False)
-        assert certified == event, (
-            f"certified diverged from event for {spec}")
-
     @settings(max_examples=100, deadline=None)
     @given(patterned_chain_spec)
     def test_certified_chains_match_event(self, spec):
-        self._check(_build_patterned_chain, spec)
+        _assert_certified_matches_event(_build_patterned_chain, spec)
 
     @settings(max_examples=60, deadline=None)
     @given(patterned_fanout_spec)
     def test_certified_fanout_matches_event(self, spec):
-        self._check(_build_certified_fanout, spec)
+        _assert_certified_matches_event(_build_certified_fanout, spec)
+
+
+# ---------------------------------------------------------------------------
+# Ramp windows: the certified tier also replays pipeline fill, drain and
+# the block load/store phases of tiled modules as windows.  These designs
+# aim at exactly those states — long latencies (a fill ramp dozens of
+# cycles deep), channels at and just above their minimal depth (the
+# staging headroom clamp), multi-tile level-2 modules (a prologue and an
+# epilogue per tile), a cycle budget that expires inside a window, and an
+# in-place DRAM map (the read kernel hands out views of the buffer the
+# write kernel stores into).
+# ---------------------------------------------------------------------------
+
+ramp_chain_spec = st.fixed_dictionaries({
+    "n": st.integers(1, 400),
+    "width": st.integers(1, 4),
+    "slack": st.sampled_from((0, 1, 2, 13)),     # depth above the minimum
+    "lat": st.integers(1, 64),
+    "lat2": st.integers(1, 64),
+    "reduce": st.booleans(),
+    "max_cycles": st.one_of(st.just(200_000), st.integers(1, 260)),
+})
+
+
+def _build_ramp_chain(eng, spec, out):
+    """source x2 -> axpy -> scal -> sink | asum: two latency ramps."""
+    n, w = spec["n"], spec["width"]
+    depth = w + spec["slack"]
+    chans = [eng.channel(name, depth) for name in ("cx", "cy", "c0", "c1")]
+    cx, cy, c0, c1 = chans
+    eng.add_kernel("src_x", source_kernel(
+        cx, [np.float32((i % 23) - 11) for i in range(n)], w))
+    eng.add_kernel("src_y", source_kernel(
+        cy, [np.float32((i % 7) - 3) for i in range(n)], w))
+    eng.add_kernel("axpy", level1.axpy_kernel(n, 0.5, cx, cy, c0, w),
+                   latency=spec["lat"])
+    eng.add_kernel("scal", level1.scal_kernel(n, 2.0, c0, c1, w),
+                   latency=spec["lat2"])
+    if spec["reduce"]:
+        cres = eng.channel("cres", 4)
+        eng.add_kernel("asum", level1.asum_kernel(n, c1, cres, w),
+                       latency=spec["lat"])
+        eng.add_kernel("sink", sink_kernel(cres, 1, 1, out))
+    else:
+        eng.add_kernel("sink", sink_kernel(c1, n, w, out))
+
+
+tiled_spec = st.fixed_dictionaries({
+    "kind": st.sampled_from(("gemv", "gemvt", "ger")),
+    "tiles_n": st.integers(1, 3),
+    "tiles_m": st.integers(1, 3),
+    "tile_n": st.sampled_from((2, 4, 8)),
+    "tile_m": st.sampled_from((4, 8, 16)),
+    "width": st.sampled_from((1, 2, 4)),
+    "slack": st.sampled_from((0, 1, 5, 60)),
+    "lat": st.integers(1, 64),
+    "max_cycles": st.one_of(st.just(200_000), st.integers(1, 400)),
+})
+
+
+def _build_tiled(eng, spec, out):
+    """sources -> multi-tile GEMV / GEMV^T / GER -> sink."""
+    from repro.blas import level2
+    from repro.streaming.tiling import row_tiles
+
+    tn, tm, w = spec["tile_n"], spec["tile_m"], spec["width"]
+    n, m = tn * spec["tiles_n"], tm * spec["tiles_m"]
+    rng = np.random.default_rng(n * 31 + m)
+    a = rng.integers(-4, 5, (n, m)).astype(np.float32)
+    a_stream = a.reshape(-1)[list(row_tiles(n, m, tn, tm).indices())]
+    depth = w + spec["slack"]
+    ca, cx, cy, co = (eng.channel(name, depth)
+                      for name in ("A", "x", "y", "out"))
+    kind = spec["kind"]
+    xlen, ylen = (m, n) if kind == "gemv" else (n, m)
+    x = rng.integers(-3, 4, xlen).astype(np.float32)
+    y = rng.integers(-3, 4, ylen).astype(np.float32)
+    reps_x = n // tn if kind == "gemv" else 1
+    reps_y = n // tn if kind == "ger" else 1
+    eng.add_kernel("src_a", source_kernel(ca, a_stream, w))
+    eng.add_kernel("src_x", source_kernel(cx, x, w, repeat=reps_x))
+    eng.add_kernel("src_y", source_kernel(cy, y, w, repeat=reps_y))
+    if kind == "ger":
+        body = level2.ger_kernel(n, m, 0.5, ca, cx, cy, co, tn, tm, w)
+        count = n * m
+    else:
+        maker = (level2.gemv_row_tiles if kind == "gemv"
+                 else level2.gemv_transposed_row_tiles)
+        body = maker(n, m, 0.5, 0.25, ca, cx, cy, co, tn, tm, w)
+        count = ylen
+    eng.add_kernel(kind, body, latency=spec["lat"])
+    eng.add_kernel("sink", sink_kernel(co, count, w, out))
+
+
+inplace_spec = st.fixed_dictionaries({
+    "n": st.integers(1, 600),
+    "width": st.sampled_from((1, 2, 4)),
+    "depth": st.sampled_from((4, 5, 16, 256)),
+    "lat": st.integers(1, 64),
+    "max_cycles": st.one_of(st.just(200_000), st.integers(1, 300)),
+})
+
+
+def _build_inplace_axpy(eng, spec, out):
+    """y <- alpha*x + y through DRAM, y read and written in place."""
+    from repro.fpga.memory import read_kernel, write_kernel
+
+    n, w = spec["n"], spec["width"]
+    mem = eng.memory
+    bx = mem.bind("x", (np.arange(n, dtype=np.float32) % 13) - 6, bank=0)
+    by = mem.bind("y", (np.arange(n, dtype=np.float32) % 5) - 2, bank=1)
+    cx, cy, co = (eng.channel(name, spec["depth"])
+                  for name in ("in0", "in1", "out0"))
+    eng.add_kernel("read0", read_kernel(mem, bx, cx, w))
+    eng.add_kernel("read1", read_kernel(mem, by, cy, w))
+    eng.add_kernel("axpy", level1.axpy_kernel(n, 0.5, cx, cy, co, w),
+                   latency=spec["lat"])
+    eng.add_kernel("write0", write_kernel(mem, by, co, n, w))
+    return (by.data,)
+
+
+def _build_atax(eng, spec, out):
+    """A fans out to GEMV and GEMV^T; the direct branch must buffer the
+    row of tiles the GEMV defers (the Sec. V reconvergence, FB403)."""
+    from repro.blas import level2
+    from repro.streaming.tiling import row_tiles
+
+    n, m, tn, tm, w = 8, 8, spec["tile"], spec["tile"], spec["width"]
+    rng = np.random.default_rng(5)
+    a = rng.integers(-4, 5, (n, m)).astype(np.float32)
+    a_stream = a.reshape(-1)[list(row_tiles(n, m, tn, tm).indices())]
+    x = rng.integers(-3, 4, m).astype(np.float32)
+    zeros_n, zeros_m = np.zeros(n, np.float32), np.zeros(m, np.float32)
+    ca, ca1, cx, cy0, cmid, cy1, co = (
+        eng.channel(name, 16)
+        for name in ("A", "A1", "x", "y0", "mid", "y1", "out"))
+    ca2 = eng.channel("A2", m * tn + spec["slack"])
+    eng.add_kernel("src_a", source_kernel(ca, a_stream, w))
+    eng.add_kernel("dup", duplicate_kernel(ca, (ca1, ca2), n * m, w))
+    eng.add_kernel("src_x", source_kernel(cx, x, w, repeat=n // tn))
+    eng.add_kernel("src_y0", source_kernel(cy0, zeros_n, w))
+    eng.add_kernel("gemv", level2.gemv_row_tiles(
+        n, m, 1.0, 0.0, ca1, cx, cy0, cmid, tn, tm, w),
+        latency=spec["lat"])
+    eng.add_kernel("src_y1", source_kernel(cy1, zeros_m, w))
+    eng.add_kernel("gemvt", level2.gemv_transposed_row_tiles(
+        n, m, 1.0, 0.0, ca2, cmid, cy1, co, tn, tm, w),
+        latency=spec["lat"])
+    eng.add_kernel("sink", sink_kernel(co, m, w, out))
+
+
+class TestDifferentialRampWindows:
+    @settings(max_examples=80, deadline=None)
+    @given(ramp_chain_spec)
+    def test_latency_ramps_match_event(self, spec):
+        _assert_certified_matches_event(_build_ramp_chain, spec)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tiled_spec)
+    def test_tiled_modules_match_event(self, spec):
+        _assert_certified_matches_event(_build_tiled, spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inplace_spec)
+    def test_inplace_axpy_matches_event(self, spec):
+        from repro.fpga.memory import DramModel
+        spec = dict(spec, memory=lambda: DramModel(num_banks=2,
+                                                   bytes_per_cycle=64))
+        _assert_certified_matches_event(_build_inplace_axpy, spec)
+
+    @pytest.mark.parametrize("slack", (-1, 0, 1))
+    @pytest.mark.parametrize("tile,width,lat", [(4, 2, 3), (2, 1, 40)])
+    def test_atax_at_the_minimal_depth(self, slack, tile, width, lat):
+        """At the FB403 minimum and just above it the reconvergent design
+        runs to completion in windows; one below, it is refused."""
+        spec = {"tile": tile, "width": width, "lat": lat, "slack": slack}
+        eng = _assert_certified_matches_event(_build_atax, spec)
+        assert (eng is None) == (slack < 0)
+        if eng is not None:
+            assert eng.bulk_stats()["windows"] > 0
+
+    def test_fill_and_drain_are_windows(self):
+        """A 60-deep latency ramp is replayed, not stepped."""
+        spec = {"n": 4000, "width": 4, "slack": 60, "lat": 60, "lat2": 33,
+                "reduce": False, "max_cycles": 200_000}
+        eng = _assert_certified_matches_event(_build_ramp_chain, spec)
+        stats = eng.bulk_stats()
+        assert stats["windows"] >= 5
+        assert stats["stepped_cycles"] <= 16
 
 
 # ---------------------------------------------------------------------------

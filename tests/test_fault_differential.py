@@ -89,7 +89,13 @@ def _outcome(mode, build, spec, plan, expect=None):
             # No stats here: stall accounting is retro-credited on wake in
             # the event core, so mid-flight aborts leave it incomplete.
             return ("crash", exc.kernel, exc.work_cycle, eng.now)
-        return ("done", report.cycles, out, _stats(eng))
+        return ("done", report.cycles, _payload(out), _stats(eng))
+
+
+def _payload(out):
+    """Result bytes: a corrupting fault can produce NaN, which is never
+    ``==`` itself, so tiers are compared on bit patterns."""
+    return np.asarray(out, dtype=np.float64).tobytes()
 
 
 def _stats(eng):
@@ -161,6 +167,49 @@ class TestFaultDifferential:
                     for m in _MODES}
         assert outcomes["dense"][0] == "crash"
         assert outcomes["dense"] == outcomes["event"] == outcomes["bulk"]
+
+
+class TestFaultInsideRampWindow:
+    """The certified tier replays the pipeline fill as a window; a
+    channel fault pending on a channel that window would push into must
+    keep those cycles on the stepping core until it has fired."""
+
+    N, W, LAT = 400, 4, 30
+
+    def _run(self, mode, plan):
+        with inject(plan):
+            eng = Engine(mode=mode)
+            n, w = self.N, self.W
+            cx, cy, c0 = (eng.channel(name, 16) for name in ("cx", "cy", "c0"))
+            out = []
+            eng.add_kernel("src_x", source_kernel(
+                cx, [np.float32(i % 19) for i in range(n)], w))
+            eng.add_kernel("src_y", source_kernel(
+                cy, [np.float32(i % 5) for i in range(n)], w))
+            eng.add_kernel("axpy", level1.axpy_kernel(n, 0.5, cx, cy, c0, w),
+                           latency=self.LAT)
+            eng.add_kernel("sink", sink_kernel(c0, n, w, out))
+            report = eng.run(max_cycles=200_000)
+            return (report.cycles, _payload(out), _stats(eng)), eng
+
+    def test_pending_fault_defers_the_fill_window(self):
+        # Element 40 is pushed ten cycles into the 30-cycle fill ramp.
+        plan = FaultPlan(seed=0, channel_faults=(
+            ChannelFault("c0", 40, "corrupt", bit=30),))
+        clean, clean_eng = self._run("certified", FaultPlan(seed=0))
+        outcomes = {m: self._run(m, plan)[0]
+                    for m in ("dense", "event", "bulk")}
+        certified, eng = self._run("certified", plan)
+        assert certified == outcomes["dense"] == outcomes["event"] \
+            == outcomes["bulk"]
+        assert certified[1] != clean[1]          # the fault did fire
+        assert certified[0] == clean[0]
+        # Fault-free, the ramp is one window; with the fault pending its
+        # first ten cycles are stepped, the rest still replayed.
+        faulted, free = eng.bulk_stats(), clean_eng.bulk_stats()
+        assert free["stepped_cycles"] <= 8
+        assert 10 <= faulted["stepped_cycles"] - free["stepped_cycles"] <= 14
+        assert faulted["windows"] >= free["windows"]
 
 
 class TestMemoryFaultDifferential:

@@ -5,7 +5,8 @@ import pytest
 
 from repro.blas import reference
 from repro.fpga.device import ARRIA10, STRATIX10
-from repro.host import Fblas, FblasContext, Handle
+from repro.fpga.errors import ReproError
+from repro.host import Fblas, FblasContext, Handle, HostArgumentError
 
 RNG = np.random.default_rng(31)
 
@@ -57,6 +58,36 @@ class TestContext:
             FblasContext(default_width=0)
         with pytest.raises(ValueError):
             Fblas(mode="quantum")
+
+
+class TestHostOperands:
+    """A raw ndarray where a device buffer belongs is the first mistake
+    a new user makes; it must raise a typed error naming the argument,
+    not an AttributeError from the stride plumbing."""
+
+    @pytest.mark.parametrize("call,arg", [
+        (lambda fb, v, m: fb.dot(v, v), "x"),
+        (lambda fb, v, m: fb.dot(fb.copy_to_device(v), v), "y"),
+        (lambda fb, v, m: fb.axpy(2.0, v, fb.copy_to_device(v)), "x"),
+        (lambda fb, v, m: fb.scal(2.0, v), "x"),
+        (lambda fb, v, m: fb.gemv(1.0, m, v, 1.0, v), "a"),
+        (lambda fb, v, m: fb.gemv(1.0, fb.copy_to_device(m), v, 1.0, y=v),
+         "x"),
+        (lambda fb, v, m: fb.sdot(v, v), "x"),
+    ])
+    def test_raw_ndarray_is_a_typed_error(self, call, arg):
+        fb = Fblas(width=8)
+        with pytest.raises(HostArgumentError, match=f"'{arg}'") as exc:
+            call(fb, np.ones(4, np.float32), np.ones((4, 4), np.float32))
+        assert isinstance(exc.value, ReproError)
+        assert isinstance(exc.value, TypeError)
+        assert not fb.records                   # nothing ran
+
+    def test_device_buffers_still_work(self):
+        fb = Fblas(width=8)
+        x = fb.copy_to_device(np.arange(8, dtype=np.float32))
+        assert fb.dot(x, y=x) == 140.0
+        fb.rot(x, fb.copy_to_device(np.ones(8, np.float32)), 0.6, 0.8)
 
 
 class TestLevel1Calls:
