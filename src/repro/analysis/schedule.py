@@ -15,10 +15,13 @@ compiled once through :func:`repro.plan.compile_plan` (live engines are
 coerced at the boundary) and both the rate passes and the schedule
 builder consume only the typed plan.  :func:`ensure_certified` memoizes
 on :attr:`~repro.plan.PlanIR.plan_key` — a structural SHA-256 that
-includes the device-catalog identity of the plan's memory, so
-rebuilding the same composition for a new problem instance reuses the
-certificate while a schedule certified on one device is never replayed
-on another.
+includes the device-catalog identity of the plan's memory and names
+DRAM buffers by role, so rebuilding the same composition for a new
+problem instance (new buffers included) reuses the certificate while a
+schedule certified on one device is never replayed on another.  For a
+live engine the key comes from one extraction pass
+(:func:`repro.plan.plan_identity`); the ``PlanIR`` itself is only built
+when the lookup misses.
 
 ``Engine(mode="certified")`` calls :func:`ensure_certified` before
 running and then executes through
@@ -34,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..models.performance import certified_cycle_band
-from ..plan import PlanIR, PlanKernel, as_plan
+from ..plan import PlanIR, PlanKernel, as_plan, plan_identity
 from .diagnostics import (
     SCHEDULE_SCHEMA,
     AnalysisResult,
@@ -95,7 +98,11 @@ class ChannelPlan:
 
 @dataclass(frozen=True)
 class StaticSchedule:
-    """A certified whole-program schedule (``repro.schedule/1``)."""
+    """A certified whole-program schedule (``repro.schedule/1``).
+
+    ``plan_key`` names the structure the certificate was compiled from
+    (and is cached under); run records copy it from here.
+    """
 
     subject: str
     kernels: Tuple[KernelSchedule, ...]
@@ -103,6 +110,7 @@ class StaticSchedule:
     repetition: Dict[str, int] = field(default_factory=dict)
     bank_bytes_per_cycle: Dict[str, int] = field(default_factory=dict)
     predicted_cycles: Tuple[int, int] = (0, 0)
+    plan_key: str = ""
     schema: str = SCHEDULE_SCHEMA
 
     def to_dict(self) -> dict:
@@ -174,7 +182,8 @@ def _build_schedule(plan: PlanIR) -> StaticSchedule:
         channels=tuple(sorted(channels, key=lambda c: c.channel)),
         repetition={name: int(v) for name, v in sorted(q.items())},
         bank_bytes_per_cycle=banks,
-        predicted_cycles=(lo, hi))
+        predicted_cycles=(lo, hi),
+        plan_key=plan.plan_key)
 
 
 def certify(subject) -> Tuple[AnalysisResult, Optional[StaticSchedule]]:
@@ -204,12 +213,13 @@ def schedule_key(subject) -> str:
     """Structural fingerprint of a composition: the plan's ``plan_key``.
 
     Two designs with the same kernel/pattern/channel shape *on the same
-    device* share their certificate even when the payload data differs —
-    totals are part of the key because they fix the steady repetition
-    counts, and the memory's device-catalog identity is part of the key
-    so a certificate never crosses device boundaries.
+    device* share their certificate even when the payload data (and the
+    buffers holding it) differ — totals are part of the key because
+    they fix the steady repetition counts, and the memory's
+    device-catalog identity is part of the key so a certificate never
+    crosses device boundaries.
     """
-    return as_plan(subject).plan_key
+    return plan_identity(subject)[0]
 
 
 def ensure_certified(subject, cache: Optional[dict] = None
@@ -220,15 +230,16 @@ def ensure_certified(subject, cache: Optional[dict] = None
     that fails any rate pass raises
     :class:`~repro.analysis.diagnostics.AnalysisError` carrying the full
     diagnostic list, *before* any cycle is simulated.  The cache is
-    keyed on :attr:`~repro.plan.PlanIR.plan_key`.
+    keyed on :attr:`~repro.plan.PlanIR.plan_key`; a hit on a live
+    engine costs one extraction pass and builds no ``PlanIR``.
     """
-    plan = as_plan(subject)
-    key = plan.plan_key if cache is not None else None
+    compiled = subject
     if cache is not None:
+        key, compiled = plan_identity(subject)
         hit = cache.get(key)
         if hit is not None:
             return hit
-    result, schedule = certify(plan)
+    result, schedule = certify(compiled)
     if schedule is None:
         result.raise_if_errors()
     if cache is not None:

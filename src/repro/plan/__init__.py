@@ -18,6 +18,7 @@ One compiled artifact, five consumers:
 
 from .cache import PlanCache
 from .compile import (
+    EngineRows,
     as_plan,
     compile_plan,
     composition_from_plan,
@@ -25,6 +26,7 @@ from .compile import (
     plan_from_composition,
     plan_from_engine,
     plan_from_mdag,
+    plan_identity,
 )
 from .ir import (
     PLAN_SCHEMA,
@@ -40,9 +42,9 @@ from .ir import (
 )
 
 __all__ = [
-    "PLAN_SCHEMA", "PlanCache", "PlanChannel", "PlanEdge", "PlanIR",
-    "PlanKernel", "PlanMemory", "PlanPlacement", "PlanPort",
+    "PLAN_SCHEMA", "EngineRows", "PlanCache", "PlanChannel", "PlanEdge",
+    "PlanIR", "PlanKernel", "PlanMemory", "PlanPlacement", "PlanPort",
     "PlanPrediction", "PlanTraffic", "as_plan", "compile_plan",
     "composition_from_plan", "mdag_fingerprint", "plan_from_composition",
-    "plan_from_engine", "plan_from_mdag",
+    "plan_from_engine", "plan_from_mdag", "plan_identity",
 ]

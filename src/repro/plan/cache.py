@@ -1,10 +1,13 @@
 """Keyed caches for compiled plans and certified schedules.
 
-:class:`PlanCache` is a counting dict: it speaks the plain mapping
-protocol the certifier's ``ensure_certified(cache=...)`` hook and the
-executor's ``plan_cache=`` hook expect, while keeping hit/miss counters
-so the host API (and the cache benchmark) can assert that repeat
-requests really skipped scheduling and pattern derivation.
+:class:`PlanCache` is a counting, bounded dict: it speaks the plain
+mapping protocol the certifier's ``ensure_certified(cache=...)`` hook
+and the executor's ``plan_cache=`` hook expect, keeps hit/miss counters
+so callers can assert that repeat requests really skipped scheduling
+and pattern derivation, and never holds more than
+:attr:`PlanCache.MAX_ENTRIES` entries (least recently used goes first),
+so a long-lived process cannot leak through it however many distinct
+structures it sees.
 
 When a telemetry session is active, every counted lookup also
 increments the labelled ``plan_cache.requests`` counter in the
@@ -24,12 +27,17 @@ __all__ = ["PlanCache"]
 
 
 class PlanCache:
-    """A dict-protocol cache with hit/miss accounting.
+    """A dict-protocol LRU cache with hit/miss accounting.
 
     ``name`` labels this cache's series in the telemetry metrics
     registry (e.g. ``"host.plan"``, ``"host.schedule"``,
     ``"executor.schedule"``); anonymous caches report as ``"plan"``.
     """
+
+    #: Entry bound.  A certificate or compiled plan is a few kB and is
+    #: shared by every request of one structure, so a few hundred
+    #: structures cover any real mix; an evicted one is re-derived.
+    MAX_ENTRIES = 256
 
     def __init__(self, name: str = "plan") -> None:
         self.name = name
@@ -47,10 +55,13 @@ class PlanCache:
             ).inc(1, cache=self.name, result=result)
 
     def get(self, key: Any, default: Optional[Any] = None) -> Any:
-        if key in self._store:
+        store = self._store
+        if key in store:
             self.hits += 1
             self._observe("hit")
-            return self._store[key]
+            # Re-insert: dict order is recency, oldest first.
+            value = store[key] = store.pop(key)
+            return value
         self.misses += 1
         self._observe("miss")
         return default
@@ -59,7 +70,11 @@ class PlanCache:
         return self._store[key]
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        self._store[key] = value
+        store = self._store
+        store.pop(key, None)
+        store[key] = value
+        if len(store) > self.MAX_ENTRIES:
+            del store[next(iter(store))]
 
     def __contains__(self, key: Any) -> bool:
         return key in self._store

@@ -17,7 +17,8 @@ package itself imports :mod:`repro.plan`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional, Set,
+                    Tuple, Union)
 
 from .ir import (
     PlanChannel,
@@ -29,12 +30,15 @@ from .ir import (
     PlanPort,
     PlanPrediction,
     PlanTraffic,
+    Row,
+    structure_key,
 )
 
 __all__ = [
-    "as_plan", "compile_plan", "composition_from_plan",
-    "mdag_fingerprint", "plan_from_composition", "plan_from_engine",
-    "plan_from_mdag",
+    "EngineRows", "as_plan", "compile_plan", "composition_from_plan",
+    "engine_rows", "mdag_fingerprint", "plan_from_composition",
+    "plan_from_engine", "plan_from_mdag", "plan_from_rows",
+    "plan_identity",
 ]
 
 
@@ -44,14 +48,17 @@ def compile_plan(subject: Any, *, windows: Optional[Dict] = None,
     """Compile ``subject`` (Engine | MDAG | PlanIR) into a :class:`PlanIR`.
 
     An engine compiles to the kernel/channel/pattern view the analyzer
-    and certifier consume; an MDAG is scheduled once (``windows`` and
+    and certifier consume (so do its already-extracted
+    :class:`EngineRows`); an MDAG is scheduled once (``windows`` and
     ``buffer_budget`` forwarded to the planner) and compiles to the
     edge/component view the executor and codegen consume.  A PlanIR
     passes through unchanged.
     """
     if isinstance(subject, PlanIR):
         return subject
-    if hasattr(subject, "kernels") and hasattr(subject, "channels"):
+    if isinstance(subject, EngineRows):
+        return plan_from_rows(subject)
+    if _is_engine(subject):
         return plan_from_engine(subject)
     if hasattr(subject, "graph") and hasattr(subject, "kind"):
         return plan_from_mdag(subject, windows=windows,
@@ -70,6 +77,12 @@ def as_plan(subject: Any) -> PlanIR:
 # Engine -> PlanIR
 # ---------------------------------------------------------------------------
 
+def _is_engine(subject: Any) -> bool:
+    # PlanIR and EngineRows carry the same two attribute names.
+    return (not isinstance(subject, (PlanIR, EngineRows))
+            and hasattr(subject, "kernels") and hasattr(subject, "channels"))
+
+
 def _memory_label(mem: Any) -> str:
     label = getattr(mem, "device_label", None)
     if label:
@@ -78,90 +91,146 @@ def _memory_label(mem: Any) -> str:
             f"x{getattr(mem, 'bytes_per_cycle', 0)}")
 
 
-def plan_from_engine(engine: Any) -> PlanIR:
-    """The analyzer/certifier view: kernels, patterns, channels, DRAM."""
-    kernels: List[PlanKernel] = []
-    channel_depths: Dict[str, int] = {
+class EngineRows(NamedTuple):
+    """What one pass over a live engine extracts, as plain :data:`Row`
+    tuples: enough to key the design (:attr:`plan_key`) and to build its
+    :class:`PlanIR` (:func:`plan_from_rows`), without touching the
+    engine again."""
+
+    subject: str
+    device: Optional[str]
+    kernels: Tuple[Row, ...]
+    channels: Tuple[Row, ...]
+    memory: Optional[Row]
+    placements: Tuple[Row, ...]
+
+    @property
+    def plan_key(self) -> str:
+        """The ``plan_key`` of the :class:`PlanIR` these rows build."""
+        return structure_key(self.device, self.kernels, self.channels,
+                             self.memory, self.placements)
+
+
+def _stripe(buf: Any) -> Tuple[int, ...]:
+    """Member channels of a striped/range buffer (else empty: ``bank``
+    is authoritative)."""
+    placement = buf.placement
+    if placement is not None and len(placement.channels) > 1:
+        return tuple(placement.channels)
+    return ()
+
+
+def engine_rows(engine: Any) -> EngineRows:
+    """The single extraction pass: kernels, patterns, channels, DRAM."""
+    kernels: List[Row] = []
+    depths: Dict[str, int] = {
         name: ch.depth for name, ch in engine.channels.items()}
     buffers: Dict[str, Any] = {}
     mem = engine.memory
 
     for k in engine.kernels.values():
         p = k.pattern
-        reads: Tuple[PlanPort, ...] = ()
-        writes: Tuple[PlanPort, ...] = ()
-        dram: Tuple[PlanTraffic, ...] = ()
+        reads: Tuple[Row, ...] = ()
+        writes: Tuple[Row, ...] = ()
+        dram: Tuple[Row, ...] = ()
         if p is not None:
             reads = tuple(
-                PlanPort(channel=ch.name, lanes=w, total=total)
+                (ch.name, w, None, total)
                 for (ch, w), total in zip(p.reads, p.read_totals))
             writes = tuple(
-                PlanPort(channel=ch.name, lanes=w, latency=lat, total=total)
+                (ch.name, w, lat, total)
                 for (ch, w, lat), total in zip(p.writes, p.write_totals))
             dram = tuple(
-                PlanTraffic(buffer=d.buf.name, bank=d.buf.bank,
-                            elements=d.elements, itemsize=d.buf.itemsize,
-                            kind=d.kind,
-                            channels=(d.buf.placement.channels
-                                      if d.buf.placement is not None
-                                      and len(d.buf.placement.channels) > 1
-                                      else ()))
+                (d.buf.name, d.buf.bank, d.elements, d.buf.itemsize, d.kind,
+                 _stripe(d.buf))
                 for d in p.dram)
             for d in p.dram:
                 buffers[d.buf.name] = d.buf
                 if mem is None:
                     mem = d.mem
             for ch, _w in p.reads:
-                channel_depths.setdefault(ch.name, ch.depth)
+                depths.setdefault(ch.name, ch.depth)
             for ch, _w, _lat in p.writes:
-                channel_depths.setdefault(ch.name, ch.depth)
-        annotated_writes = tuple(
-            PlanPort(channel=port.channel.name, lanes=port.lanes,
-                     latency=port.latency)
-            for port in k.write_ports)
+                depths.setdefault(ch.name, ch.depth)
         for port in k.write_ports:
-            channel_depths.setdefault(port.channel.name, port.channel.depth)
+            depths.setdefault(port.channel.name, port.channel.depth)
         for ch in k.read_channels:
-            channel_depths.setdefault(ch.name, ch.depth)
-        kernels.append(PlanKernel(
-            name=k.name, latency=k.latency, ii=k.ii, defer=k.defer,
-            annotated=k.annotated,
-            patterned=p is not None,
-            executable=p is not None and p._ready is not None,
-            pattern_ii=p.ii if p is not None else 1,
-            pattern_defer=getattr(p, "defer", 0) if p is not None else 0,
-            reads=reads, writes=writes,
-            annotated_reads=tuple(ch.name for ch in k.read_channels),
-            annotated_writes=annotated_writes,
-            dram=dram))
+            depths.setdefault(ch.name, ch.depth)
+        kernels.append((
+            k.name, k.latency, k.ii, k.defer, k.annotated,
+            p is not None,
+            p is not None and p._ready is not None,
+            p.ii if p is not None else 1,
+            getattr(p, "defer", 0) if p is not None else 0,
+            reads, writes,
+            tuple(ch.name for ch in k.read_channels),
+            tuple((port.channel.name, port.lanes, port.latency, None)
+                  for port in k.write_ports),
+            dram))
 
     memory = None
     device = None
     if mem is not None:
         device = _memory_label(mem)
-        memory = PlanMemory(device=device,
-                            num_banks=mem.num_banks,
-                            bytes_per_cycle=mem.bytes_per_cycle,
-                            interleaving=mem.interleaving)
+        memory = (device, mem.num_banks, mem.bytes_per_cycle,
+                  mem.interleaving)
 
     placements = tuple(
-        PlanPlacement(buffer=name, bank=buf.bank,
-                      elements=buf.num_elements, itemsize=buf.itemsize,
-                      kind=(buf.placement.kind
-                            if buf.placement is not None else "interleaved"),
-                      channels=(buf.placement.channels
-                                if buf.placement is not None
-                                and len(buf.placement.channels) > 1 else ()))
+        (name, buf.bank, buf.num_elements, buf.itemsize,
+         buf.placement.kind if buf.placement is not None else "interleaved",
+         _stripe(buf))
         for name, buf in sorted(buffers.items()))
 
-    return PlanIR(
+    return EngineRows(
         subject=f"engine({len(engine.kernels)} kernels)",
         device=device,
         kernels=tuple(kernels),
-        channels=tuple(PlanChannel(name=n, depth=d)
-                       for n, d in channel_depths.items()),
+        channels=tuple(depths.items()),
         memory=memory,
         placements=placements)
+
+
+def _ports(rows: Iterable[Row]) -> Tuple[PlanPort, ...]:
+    return tuple(PlanPort(*r) for r in rows)
+
+
+def plan_from_rows(rows: EngineRows) -> PlanIR:
+    """Build the typed plan from an engine's extracted rows."""
+    kernels = tuple(
+        PlanKernel(*scalars, _ports(reads), _ports(writes), annotated_reads,
+                   _ports(annotated_writes),
+                   tuple(PlanTraffic(*t) for t in dram))
+        for (*scalars, reads, writes, annotated_reads, annotated_writes,
+             dram) in rows.kernels)
+    return PlanIR(
+        subject=rows.subject,
+        device=rows.device,
+        kernels=kernels,
+        channels=tuple(PlanChannel(*c) for c in rows.channels),
+        memory=PlanMemory(*rows.memory) if rows.memory else None,
+        placements=tuple(PlanPlacement(*p) for p in rows.placements))
+
+
+def plan_from_engine(engine: Any) -> PlanIR:
+    """The analyzer/certifier view: kernels, patterns, channels, DRAM."""
+    return plan_from_rows(engine_rows(engine))
+
+
+def plan_identity(subject: Any) -> Tuple[str, Union[PlanIR, EngineRows]]:
+    """``(plan_key, compiled)`` of anything :func:`compile_plan` takes.
+
+    A live engine is keyed straight from its extracted rows and
+    ``compiled`` is those :class:`EngineRows` — no :class:`PlanIR` is
+    built until someone compiles them, which a certificate-cache hit
+    never does.  Anything else compiles to its ``PlanIR`` first.  The
+    key is the same either way (both go through
+    :func:`~repro.plan.ir.structure_key`).
+    """
+    if _is_engine(subject):
+        rows = engine_rows(subject)
+        return rows.plan_key, rows
+    plan = compile_plan(subject)
+    return plan.plan_key, plan
 
 
 # ---------------------------------------------------------------------------

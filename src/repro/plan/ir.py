@@ -11,10 +11,11 @@ edges, component partition, and closed-form predictions.  It is
   next to the existing ``repro.analysis/1`` / ``repro.schedule/1``
   schemas;
 * **structural** — :attr:`PlanIR.plan_key` is a SHA-256 over the
-  plan's shape (including the device-catalog identity of its memory),
-  so two compilations of the same composition share certificates and
-  caches while a plan certified on one device can never be replayed on
-  another;
+  plan's shape (including the device-catalog identity of its memory,
+  with DRAM buffers identified by *role*, not name — see
+  :func:`structure_key`), so two compilations of the same composition
+  share certificates and caches while a plan certified on one device
+  can never be replayed on another;
 * **lossless** — ``from_dict(to_dict(p))`` reconstructs a structurally
   equal plan with the same ``plan_key`` (property-tested).
 
@@ -28,15 +29,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from typing import Any, Dict, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 __all__ = [
     "PLAN_SCHEMA", "PlanChannel", "PlanEdge", "PlanIR", "PlanKernel",
     "PlanMemory", "PlanPlacement", "PlanPort", "PlanPrediction",
-    "PlanTraffic",
+    "PlanTraffic", "Row", "structure_key",
 ]
+
+#: One plan record as a plain tuple in its dataclass's field order
+#: (``PlanPort(*row)`` rebuilds the record).  Kernel rows nest their
+#: port and traffic rows the same way.
+Row = Tuple[Any, ...]
 
 #: Schema tag for serialized plans, alongside ``repro.analysis/1``,
 #: ``repro.schedule/1``, ``repro.simreport/1`` and ``repro.drift/1``.
@@ -188,12 +195,72 @@ class PlanPrediction:
 
 
 def _freeze(value: Any) -> Any:
-    """Canonical hashable form for plan_key hashing."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
+    """Nested lists -> tuples: a JSON round trip of a ``PlanEdge``
+    stream-order descriptor must hash like the original."""
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(v) for v in value)
     return value
+
+
+def _row_of(cls: type) -> Callable[[Any], Row]:
+    """Getter for a flat record's :data:`Row` (inverse of ``cls(*row)``)."""
+    return attrgetter(*(f.name for f in fields(cls)))
+
+
+_PORT_ROW = _row_of(PlanPort)
+_TRAFFIC_ROW = _row_of(PlanTraffic)
+_CHANNEL_ROW = _row_of(PlanChannel)
+_MEMORY_ROW = _row_of(PlanMemory)
+_PLACEMENT_ROW = _row_of(PlanPlacement)
+_EDGE_ROW = _row_of(PlanEdge)
+
+
+def _kernel_row(k: PlanKernel) -> Row:
+    return (k.name, k.latency, k.ii, k.defer, k.annotated, k.patterned,
+            k.executable, k.pattern_ii, k.pattern_defer,
+            tuple(map(_PORT_ROW, k.reads)), tuple(map(_PORT_ROW, k.writes)),
+            k.annotated_reads, tuple(map(_PORT_ROW, k.annotated_writes)),
+            tuple(map(_TRAFFIC_ROW, k.dram)))
+
+
+def structure_key(device: Optional[str], kernels: Iterable[Row],
+                  channels: Iterable[Row], memory: Optional[Row],
+                  placements: Iterable[Row], edges: Iterable[Row] = (),
+                  components: Tuple[Tuple[str, ...], ...] = ()) -> str:
+    """SHA-256 of a plan's canonical structure, from plain rows.
+
+    The one definition of plan identity: :attr:`PlanIR.plan_key` feeds
+    it the rows of its dataclasses, :func:`repro.plan.plan_identity`
+    the rows it extracted from a live engine, and the two agree.
+
+    Everything a cached :class:`~repro.analysis.schedule.StaticSchedule`
+    refers to is in the key — kernel and channel names, lanes,
+    latencies, totals, depths, banks, placement kind and channels,
+    itemsize, device identity — except DRAM buffer *names*: a buffer is
+    identified by its role, the ordinal of its first appearance in
+    kernel traffic order.  Aliasing therefore stays structure (in-place
+    ``x, y -> y`` and out-of-place ``x, y -> z`` differ) while the same
+    design bound to freshly named buffers is the same plan.  Channels
+    and placements are order-insensitive; a placement no kernel touches
+    has no role and is keyed by its layout alone.
+    """
+    roles: Dict[str, int] = {}
+    keyed = []
+    for row in kernels:
+        dram = row[-1]
+        if dram:
+            row = row[:-1] + (tuple(
+                (roles.setdefault(t[0], len(roles)),) + t[1:]
+                for t in dram),)
+        keyed.append(row)
+    structure = (
+        PLAN_SCHEMA, device, tuple(keyed), tuple(sorted(channels)), memory,
+        # key=repr: a None bank (or role) must sort stably next to
+        # integers instead of raising on the comparison.
+        tuple(sorted(((roles.get(p[0]),) + p[1:] for p in placements),
+                     key=repr)),
+        tuple(edges), components)
+    return hashlib.sha256(repr(structure).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -235,28 +302,21 @@ class PlanIR:
 
     @cached_property
     def plan_key(self) -> str:
-        """Structural SHA-256 fingerprint.
+        """Structural SHA-256 fingerprint (see :func:`structure_key`).
 
         Covers kernels (shape, patterns, rates), channels, memory +
         device identity, placements, edges and components — but not the
-        ``subject`` label or attached predictions, which are derived
-        annotations rather than structure.
+        ``subject`` label, attached predictions or DRAM buffer names,
+        which are labels and derived annotations rather than structure.
         """
-        structure = (
-            self.schema,
+        return structure_key(
             self.device,
-            tuple(_freeze(asdict(k)) for k in self.kernels),
-            tuple(sorted((c.name, c.depth) for c in self.channels)),
-            _freeze(asdict(self.memory)) if self.memory else None,
-            # key=repr: a None bank must sort stably next to integer
-            # banks instead of raising on the comparison.
-            tuple(sorted((_freeze(asdict(p)) for p in self.placements),
-                         key=repr)),
-            tuple(_freeze(asdict(e)) for e in self.edges),
-            _freeze(self.components),
-        )
-        digest = hashlib.sha256(repr(structure).encode("utf-8"))
-        return digest.hexdigest()
+            map(_kernel_row, self.kernels),
+            map(_CHANNEL_ROW, self.channels),
+            _MEMORY_ROW(self.memory) if self.memory else None,
+            map(_PLACEMENT_ROW, self.placements),
+            (_freeze(_EDGE_ROW(e)) for e in self.edges),
+            self.components)
 
     def with_predictions(self, cycles_lo: Optional[int] = None,
                          cycles_hi: Optional[int] = None,

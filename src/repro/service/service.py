@@ -34,7 +34,10 @@ a supervised pool of engine workers:
 * **Shared compiled-plan cache**: all workers share one
   :class:`~repro.plan.PlanCache` pair (plans keyed on the structural
   MDAG fingerprint, certificates on ``plan_key``), so a plan compiled
-  for one tenant is a cache hit for every other.
+  for one tenant is a cache hit for every other — fused batches
+  included: ``plan_key`` names buffers by role, so each burst's fresh
+  ``batch{uid}.*`` buffers replay one certificate.  Both caches are
+  LRU-bounded (:attr:`~repro.plan.PlanCache.MAX_ENTRIES`).
 * **Batched fusion**: compatible queued jobs (same
   :meth:`~.jobs.RoutineJob.batch_key`) fuse into one bulk-tier batched
   engine run with bit-identical per-job results (Table V).

@@ -433,11 +433,17 @@ class RunLedger:
         Stalls, kernel steps and fault counts sum over direct children;
         the certified band sums component bands (only when *every*
         cycle-bearing child carries one, so a partial band never
-        masquerades as a whole-request promise).
+        masquerades as a whole-request promise); the ``plan_key`` is
+        inherited when the keyed children all ran one structure, so a
+        request groups with the plan it executed.
         """
         kids = self.children(rec.run_id)
         if not kids:
             return
+        if rec.plan_key is None:
+            keys = {k.plan_key for k in kids if k.plan_key is not None}
+            if len(keys) == 1:
+                rec.plan_key = keys.pop()
         if rec.stall_cycles == 0:
             rec.stall_cycles = sum(k.stall_cycles for k in kids)
         if rec.kernel_steps == 0:

@@ -282,6 +282,8 @@ class TelemetrySession:
                 band = getattr(schedule, "predicted_cycles", None)
                 if band is not None:
                     rec.predicted_cycles = (int(band[0]), int(band[1]))
+                # The key the certificate lookup already computed.
+                rec.plan_key = getattr(schedule, "plan_key", None)
             if sc0 is not None:
                 sc1 = stats()
                 rec.schedule_cache = {
