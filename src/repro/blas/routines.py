@@ -4,7 +4,10 @@ Each entry records the BLAS level, the inner-loop class (map vs
 map-reduce, Sec. IV-A), the streaming ports, and which parameters are
 functional (change routine semantics) vs non-functional (vectorization
 width, tile sizes) — the distinction the code generator's routine
-specification file draws (Sec. II-C).
+specification file draws (Sec. II-C).  It also declares, once, what the
+classical-BLAS host call takes (:attr:`RoutineInfo.operands`): the host
+API's argument checks, its prefixed aliases and the service's admission
+all read that declaration instead of keeping their own.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ class RoutineInfo:
     scalars: Tuple[str, ...] = ()    # scalar parameters
     functional: Tuple[str, ...] = ()  # functional parameters (semantics)
     supports_tiling: bool = False
+    #: The host call's leading positional arguments, in classical-BLAS
+    #: order, as ``(name, rank)``: rank 0 is a host scalar (``param`` of
+    #: ROTM included), 1 a vector (a buffer of any shape, streamed flat),
+    #: 2 a matrix (exactly 2-D).  Array operands are device buffers
+    #: sharing one dtype.
+    operands: Tuple[Tuple[str, int], ...] = ()
 
     @property
     def operands_per_lane(self) -> int:
@@ -68,58 +77,84 @@ def _register(info: RoutineInfo) -> None:
 
 
 # -- Level 1 ---------------------------------------------------------------
-_register(RoutineInfo("rotg", 1, "map", ("ab",), ("out",)))
-_register(RoutineInfo("rotmg", 1, "map", ("in",), ("out",)))
+_register(RoutineInfo("rotg", 1, "map", ("ab",), ("out",),
+                      operands=(("a", 0), ("b", 0))))
+_register(RoutineInfo("rotmg", 1, "map", ("in",), ("out",),
+                      operands=(("d1", 0), ("d2", 0), ("x1", 0), ("y1", 0))))
 _register(RoutineInfo("rot", 1, "map", ("x", "y"), ("out_x", "out_y"),
-                      scalars=("c", "s")))
+                      scalars=("c", "s"),
+                      operands=(("x", 1), ("y", 1), ("c", 0), ("s", 0))))
 _register(RoutineInfo("rotm", 1, "map", ("x", "y"), ("out_x", "out_y"),
-                      scalars=("param",)))
-_register(RoutineInfo("swap", 1, "map", ("x", "y"), ("out_x", "out_y")))
-_register(RoutineInfo("scal", 1, "map", ("x",), ("out",), scalars=("alpha",)))
-_register(RoutineInfo("copy", 1, "map", ("x",), ("out",)))
+                      scalars=("param",),
+                      operands=(("x", 1), ("y", 1), ("param", 0))))
+_register(RoutineInfo("swap", 1, "map", ("x", "y"), ("out_x", "out_y"),
+                      operands=(("x", 1), ("y", 1))))
+_register(RoutineInfo("scal", 1, "map", ("x",), ("out",), scalars=("alpha",),
+                      operands=(("alpha", 0), ("x", 1))))
+_register(RoutineInfo("copy", 1, "map", ("x",), ("out",),
+                      operands=(("x", 1), ("y", 1))))
 _register(RoutineInfo("axpy", 1, "map", ("x", "y"), ("out",),
-                      scalars=("alpha",)))
-_register(RoutineInfo("dot", 1, "map_reduce", ("x", "y"), ("res",)))
+                      scalars=("alpha",),
+                      operands=(("alpha", 0), ("x", 1), ("y", 1))))
+_register(RoutineInfo("dot", 1, "map_reduce", ("x", "y"), ("res",),
+                      operands=(("x", 1), ("y", 1))))
 _register(RoutineInfo("sdsdot", 1, "map_reduce", ("x", "y"), ("res",),
-                      scalars=("sb",)))
-_register(RoutineInfo("nrm2", 1, "map_reduce", ("x",), ("res",)))
-_register(RoutineInfo("asum", 1, "map_reduce", ("x",), ("res",)))
-_register(RoutineInfo("iamax", 1, "map_reduce", ("x",), ("res",)))
+                      scalars=("sb",),
+                      operands=(("sb", 0), ("x", 1), ("y", 1))))
+_register(RoutineInfo("nrm2", 1, "map_reduce", ("x",), ("res",),
+                      operands=(("x", 1),)))
+_register(RoutineInfo("asum", 1, "map_reduce", ("x",), ("res",),
+                      operands=(("x", 1),)))
+_register(RoutineInfo("iamax", 1, "map_reduce", ("x",), ("res",),
+                      operands=(("x", 1),)))
 
 # -- Level 2 ---------------------------------------------------------------
 _register(RoutineInfo("gemv", 2, "map_reduce", ("A", "x", "y"), ("out",),
                       scalars=("alpha", "beta"),
-                      functional=("trans", "tiles"), supports_tiling=True))
+                      functional=("trans", "tiles"), supports_tiling=True,
+                      operands=(("alpha", 0), ("a", 2), ("x", 1),
+                                ("beta", 0), ("y", 1))))
 _register(RoutineInfo("trsv", 2, "map_reduce", ("A", "b"), ("out",),
                       functional=("lower", "unit_diag"),
-                      supports_tiling=False))
+                      supports_tiling=False,
+                      operands=(("a", 2), ("b", 1))))
 _register(RoutineInfo("ger", 2, "map", ("A", "x", "y"), ("out",),
                       scalars=("alpha",), functional=("tiles",),
-                      supports_tiling=True))
+                      supports_tiling=True,
+                      operands=(("alpha", 0), ("x", 1), ("y", 1), ("a", 2))))
 _register(RoutineInfo("syr", 2, "map", ("A", "x_row", "x_col"), ("out",),
                       scalars=("alpha",), functional=("tiles",),
-                      supports_tiling=True))
+                      supports_tiling=True,
+                      operands=(("alpha", 0), ("x", 1), ("a", 2))))
 _register(RoutineInfo("syr2", 2, "map",
                       ("A", "x_row", "y_col", "y_row", "x_col"), ("out",),
                       scalars=("alpha",), functional=("tiles",),
-                      supports_tiling=True))
+                      supports_tiling=True,
+                      operands=(("alpha", 0), ("x", 1), ("y", 1), ("a", 2))))
 
 # -- Level 3 ---------------------------------------------------------------
 _register(RoutineInfo("gemm", 3, "map_reduce", ("A", "B", "C"), ("out",),
                       scalars=("alpha", "beta"),
                       functional=("trans_a", "trans_b", "tiles"),
-                      supports_tiling=True))
+                      supports_tiling=True,
+                      operands=(("alpha", 0), ("a", 2), ("b", 2),
+                                ("beta", 0), ("c", 2))))
 _register(RoutineInfo("syrk", 3, "map_reduce", ("A", "At", "C"), ("out",),
                       scalars=("alpha", "beta"), functional=("trans", "tiles"),
-                      supports_tiling=True))
+                      supports_tiling=True,
+                      operands=(("alpha", 0), ("a", 2), ("beta", 0),
+                                ("c", 2))))
 _register(RoutineInfo("syr2k", 3, "map_reduce",
                       ("A", "Bt", "B", "At", "C"), ("out",),
                       scalars=("alpha", "beta"), functional=("trans", "tiles"),
-                      supports_tiling=True))
+                      supports_tiling=True,
+                      operands=(("alpha", 0), ("a", 2), ("b", 2),
+                                ("beta", 0), ("c", 2))))
 _register(RoutineInfo("trsm", 3, "map_reduce", ("A", "B"), ("out",),
                       scalars=("alpha",),
                       functional=("side", "lower", "unit_diag"),
-                      supports_tiling=False))
+                      supports_tiling=False,
+                      operands=(("alpha", 0), ("a", 2), ("b", 2))))
 
 
 def info(name: str) -> RoutineInfo:

@@ -1,27 +1,25 @@
-"""Level-1 host calls (mixin for :class:`repro.host.api.Fblas`)."""
+"""Level-1 host calls (mixin for :class:`repro.host.api.Fblas`).
+
+Each routine validates its operands and hands
+:meth:`~repro.host.api.Fblas._run_design` one design row.  The strided
+calls always spell a stream's order out (never None, even at stride 1): a
+logical length n smaller than the buffer must bound the interface's
+stream, or the reader would push the buffer's tail into a channel nobody
+drains.
+"""
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
 from ..blas import level1, reference
-from ..fpga.memory import read_kernel, write_kernel
-from ..fpga.resources import level1_latency
-from ..fpga.util import sink_kernel
 from ..models.performance import level1_cycles, routine_flops
-from .context import CallRecord
+from ._validate import device_operands, strided_length, strided_pair
 
 
-def _stride_order(n, inc):
-    """Flat-index order of n elements at stride inc.
-
-    Always explicit (never None): a logical length n smaller than the
-    buffer must bound the interface's stream, or the reader would push
-    the buffer's tail into a channel nobody drains.
-    """
-    return range(0, n * inc, inc)
+def _strided(buf, inc, n):
+    """The n elements of ``buf`` at stride ``inc``: a writable flat view."""
+    return buf.data.reshape(-1)[::inc][:n]
 
 
 class Level1Mixin:
@@ -30,300 +28,150 @@ class Level1Mixin:
     # -- map routines -----------------------------------------------------------
     def scal(self, alpha, x, n=None, incx=1, async_=False):
         """x <- alpha * x (over n elements with stride incx)."""
-        n = self._stride_len(x, incx, n)
-        order = _stride_order(n, incx)
-
-        def model():
-            view = x.data.reshape(-1)[::incx][:n]
-            x.data.reshape(-1)[::incx][:n] = reference.scal(alpha, view)
-            return None
-
-        return self._execute(lambda: self._map_call(
-            "scal", n, [x], [x],
-            lambda chans: level1.scal_kernel(
-                n, alpha, chans[0], chans[1], self.width, x.data.dtype.type),
-            model=model, target=None,
-            in_orders=[order], out_orders=[order]) or
-            self.context.copy_from_device(x), async_)
+        dt = device_operands("scal", x).type
+        n = strided_length(x, incx, n)
+        order = range(0, n * incx, incx)
+        return self._execute(lambda: self._run_design(
+            "scal", "level1", dt, routine_flops("scal", n),
+            lambda w: ((("in0", "read0", x, w, order),),
+                       lambda c: level1.scal_kernel(n, alpha, *c, w, dt),
+                       (("out0", "write0", x, n, w, order),)),
+            lambda: np.copyto(_strided(x, incx, n), reference.scal(
+                alpha, _strided(x, incx, n))),
+            lambda w: (level1_cycles("scal", n, w), 2 * n),
+            returns=x), async_)
 
     def copy(self, x, y, n=None, incx=1, incy=1, async_=False):
         """y <- x (strided)."""
-        n = self._stride_pair(x, y, incx, incy, n)
-
-        def model():
-            y.data.reshape(-1)[::incy][:n] = reference.copy(
-                x.data.reshape(-1)[::incx][:n])
-            return None
-
-        return self._execute(lambda: self._map_call(
-            "copy", n, [x], [y],
-            lambda chans: level1.copy_kernel(
-                n, chans[0], chans[1], self.width, x.data.dtype.type),
-            model=model, target=None,
-            in_orders=[_stride_order(n, incx)],
-            out_orders=[_stride_order(n, incy)]) or
-            self.context.copy_from_device(y), async_)
+        dt = device_operands("copy", x, y).type
+        n = strided_pair(x, y, incx, incy, n)
+        return self._execute(lambda: self._run_design(
+            "copy", "level1", dt, routine_flops("copy", n),
+            lambda w: ((("in0", "read0", x, w, range(0, n * incx, incx)),),
+                       lambda c: level1.copy_kernel(n, *c, w, dt),
+                       (("out0", "write0", y, n, w,
+                         range(0, n * incy, incy)),)),
+            lambda: np.copyto(_strided(y, incy, n),
+                              reference.copy(_strided(x, incx, n))),
+            lambda w: (level1_cycles("copy", n, w), 2 * n),
+            returns=y), async_)
 
     def axpy(self, alpha, x, y, n=None, incx=1, incy=1, async_=False):
         """y <- alpha*x + y (strided)."""
-        n = self._stride_pair(x, y, incx, incy, n)
+        dt = device_operands("axpy", x, y).type
+        n = strided_pair(x, y, incx, incy, n)
+        return self._execute(lambda: self._run_design(
+            "axpy", "level1", dt, routine_flops("axpy", n),
+            lambda w: ((("in0", "read0", x, w, range(0, n * incx, incx)),
+                        ("in1", "read1", y, w, range(0, n * incy, incy))),
+                       lambda c: level1.axpy_kernel(n, alpha, *c, w, dt),
+                       (("out0", "write0", y, n, w,
+                         range(0, n * incy, incy)),)),
+            lambda: np.copyto(_strided(y, incy, n), reference.axpy(
+                alpha, _strided(x, incx, n), _strided(y, incy, n))),
+            lambda w: (level1_cycles("axpy", n, w), 3 * n),
+            returns=y), async_)
 
-        def model():
-            y.data.reshape(-1)[::incy][:n] = reference.axpy(
-                alpha, x.data.reshape(-1)[::incx][:n],
-                y.data.reshape(-1)[::incy][:n])
-            return None
+    def _update_pair(self, routine, x, y, kernel, apply, async_):
+        """The row SWAP, ROT and ROTM share: x and y stream in, both
+        stream back in place, nothing is returned."""
+        dt = device_operands(routine, x, y).type
+        n = strided_pair(x, y)
 
-        return self._execute(lambda: self._map_call(
-            "axpy", n, [x, y], [y],
-            lambda chans: level1.axpy_kernel(
-                n, alpha, chans[0], chans[1], chans[2], self.width,
-                x.data.dtype.type),
-            model=model, target=None,
-            in_orders=[_stride_order(n, incx), _stride_order(n, incy)],
-            out_orders=[_stride_order(n, incy)]) or
-            self.context.copy_from_device(y), async_)
+        def update():
+            xd, yd = x.data.reshape(-1), y.data.reshape(-1)
+            xd[:], yd[:] = apply(xd, yd)
+
+        return self._execute(lambda: self._run_design(
+            routine, "level1", dt, routine_flops(routine, n),
+            lambda w: ((("in0", "read0", x, w), ("in1", "read1", y, w)),
+                       lambda c: kernel(n, *c, w, dt),
+                       (("out0", "write0", x, n, w),
+                        ("out1", "write1", y, n, w))),
+            update, lambda w: (level1_cycles(routine, n, w), 4 * n)), async_)
 
     def swap(self, x, y, async_=False):
         """x <-> y."""
-        n = self._same_length(x, y)
-
-        def model():
-            sx, sy = reference.swap(x.data.reshape(-1), y.data.reshape(-1))
-            x.data.reshape(-1)[:] = sx
-            y.data.reshape(-1)[:] = sy
-            return None
-
-        return self._execute(lambda: self._map_call(
-            "swap", n, [x, y], [x, y],
-            lambda chans: level1.swap_kernel(
-                n, chans[0], chans[1], chans[2], chans[3], self.width,
-                x.data.dtype.type),
-            model=model, target=None), async_)
+        return self._update_pair("swap", x, y, level1.swap_kernel,
+                                 reference.swap, async_)
 
     def rot(self, x, y, c, s, async_=False):
         """Apply the plane rotation (c, s) to x and y."""
-        n = self._same_length(x, y)
-
-        def model():
-            rx, ry = reference.rot(x.data.reshape(-1), y.data.reshape(-1),
-                                   c, s)
-            x.data.reshape(-1)[:] = rx
-            y.data.reshape(-1)[:] = ry
-            return None
-
-        return self._execute(lambda: self._map_call(
-            "rot", n, [x, y], [x, y],
-            lambda chans: level1.rot_kernel(
-                n, c, s, chans[0], chans[1], chans[2], chans[3],
-                self.width, x.data.dtype.type),
-            model=model, target=None), async_)
+        return self._update_pair(
+            "rot", x, y,
+            lambda n, *rest: level1.rot_kernel(n, c, s, *rest),
+            lambda xd, yd: reference.rot(xd, yd, c, s), async_)
 
     def rotm(self, x, y, param, async_=False):
         """Apply the modified rotation defined by ``param``."""
-        n = self._same_length(x, y)
-
-        def model():
-            rx, ry = reference.rotm(x.data.reshape(-1), y.data.reshape(-1),
-                                    param)
-            x.data.reshape(-1)[:] = rx
-            y.data.reshape(-1)[:] = ry
-            return None
-
-        return self._execute(lambda: self._map_call(
-            "rotm", n, [x, y], [x, y],
-            lambda chans: level1.rotm_kernel(
-                n, param, chans[0], chans[1], chans[2], chans[3],
-                self.width, x.data.dtype.type),
-            model=model, target=None), async_)
+        return self._update_pair(
+            "rotm", x, y,
+            lambda n, *rest: level1.rotm_kernel(n, param, *rest),
+            lambda xd, yd: reference.rotm(xd, yd, param), async_)
 
     # -- reductions -------------------------------------------------------------
     def dot(self, x, y, n=None, incx=1, incy=1, async_=False):
         """Return x^T y (strided)."""
-        n = self._stride_pair(x, y, incx, incy, n)
-        return self._execute(lambda: self._reduce_call(
-            "dot", n, [x, y],
-            lambda chans: level1.dot_kernel(
-                n, chans[0], chans[1], chans[2], self.width,
-                x.data.dtype.type),
-            model=lambda: reference.dot(
-                x.data.reshape(-1)[::incx][:n],
-                y.data.reshape(-1)[::incy][:n]),
-            in_orders=[_stride_order(n, incx),
-                       _stride_order(n, incy)]), async_)
+        dt = device_operands("dot", x, y).type
+        n = strided_pair(x, y, incx, incy, n)
+        return self._execute(lambda: self._run_design(
+            "dot", "level1", dt, routine_flops("dot", n),
+            lambda w: ((("in0", "read0", x, w, range(0, n * incx, incx)),
+                        ("in1", "read1", y, w, range(0, n * incy, incy))),
+                       lambda c: level1.dot_kernel(n, *c, w, dt), ()),
+            lambda: reference.dot(_strided(x, incx, n), _strided(y, incy, n)),
+            lambda w: (level1_cycles("dot", n, w), 2 * n + 1),
+            sink=True), async_)
 
     def sdsdot(self, sb, x, y, async_=False):
         """Return sb + x^T y accumulated in double precision."""
-        n = self._same_length(x, y)
-        return self._execute(lambda: self._reduce_call(
-            "sdsdot", n, [x, y],
-            lambda chans: level1.sdsdot_kernel(
-                n, sb, chans[0], chans[1], chans[2], self.width),
-            model=lambda: reference.sdsdot(sb, x.data.reshape(-1),
-                                           y.data.reshape(-1))), async_)
+        dt = device_operands("sdsdot", x, y).type
+        n = strided_pair(x, y)
+        return self._execute(lambda: self._run_design(
+            "sdsdot", "level1", dt, routine_flops("sdsdot", n),
+            lambda w: ((("in0", "read0", x, w), ("in1", "read1", y, w)),
+                       lambda c: level1.sdsdot_kernel(n, sb, *c, w), ()),
+            lambda: reference.sdsdot(sb, x.data.reshape(-1),
+                                     y.data.reshape(-1)),
+            lambda w: (level1_cycles("dot", n, w), 2 * n + 1),
+            sink=True), async_)
+
+    def _reduce_vector(self, routine, x, kernel, apply, async_):
+        """The row NRM2, ASUM and IAMAX share: x streams in, one scalar
+        comes back."""
+        dt = device_operands(routine, x).type
+        n = x.data.size
+        return self._execute(lambda: self._run_design(
+            routine, "level1", dt, routine_flops(routine, n),
+            lambda w: ((("in0", "read0", x, w),),
+                       lambda c: kernel(n, *c, w, dt), ()),
+            lambda: apply(x.data.reshape(-1)),
+            lambda w: (level1_cycles(routine, n, w), n + 1),
+            sink=True), async_)
 
     def nrm2(self, x, async_=False):
         """Return the Euclidean norm of x."""
-        n = x.num_elements
-        return self._execute(lambda: self._reduce_call(
-            "nrm2", n, [x],
-            lambda chans: level1.nrm2_kernel(
-                n, chans[0], chans[1], self.width, x.data.dtype.type),
-            model=lambda: reference.nrm2(x.data.reshape(-1))), async_)
+        return self._reduce_vector("nrm2", x, level1.nrm2_kernel,
+                                   reference.nrm2, async_)
 
     def asum(self, x, async_=False):
         """Return the sum of absolute values of x."""
-        n = x.num_elements
-        return self._execute(lambda: self._reduce_call(
-            "asum", n, [x],
-            lambda chans: level1.asum_kernel(
-                n, chans[0], chans[1], self.width, x.data.dtype.type),
-            model=lambda: reference.asum(x.data.reshape(-1))), async_)
+        return self._reduce_vector("asum", x, level1.asum_kernel,
+                                   reference.asum, async_)
 
     def iamax(self, x, async_=False):
         """Return the index of the first element of maximal magnitude."""
-        n = x.num_elements
-        return self._execute(lambda: self._reduce_call(
-            "iamax", n, [x],
-            lambda chans: level1.iamax_kernel(
-                n, chans[0], chans[1], self.width, x.data.dtype.type),
-            model=lambda: reference.iamax(x.data.reshape(-1))), async_)
+        return self._reduce_vector("iamax", x, level1.iamax_kernel,
+                                   reference.iamax, async_)
 
     def rotg(self, a, b, dtype=np.float64):
         """Generate a Givens rotation; returns (r, z, c, s)."""
         r = reference.rotg(a, b, dtype=dtype)
-        self.context.record(CallRecord(
-            "rotg", "single" if dtype == np.float32 else "double",
-            cycles=50, frequency=self._frequency("level1", dtype),
-            io_elements=6, flops=10, mode="model"))
+        self._record("rotg", "level1", dtype, 50, 6, 10, "model")
         return r
 
     def rotmg(self, d1, d2, x1, y1, dtype=np.float64):
         """Generate a modified Givens rotation."""
         r = reference.rotmg(d1, d2, x1, y1, dtype=dtype)
-        self.context.record(CallRecord(
-            "rotmg", "single" if dtype == np.float32 else "double",
-            cycles=60, frequency=self._frequency("level1", dtype),
-            io_elements=12, flops=30, mode="model"))
+        self._record("rotmg", "level1", dtype, 60, 12, 30, "model")
         return r
-
-    # -- shared machinery ---------------------------------------------------------
-    @staticmethod
-    def _stride_len(buf, inc, n):
-        """Validate stride/length; derive n from the buffer if omitted."""
-        if inc < 1:
-            raise ValueError(f"stride must be >= 1, got {inc}")
-        avail = 1 + (buf.num_elements - 1) // inc
-        if n is None:
-            n = avail
-        if n < 1 or 1 + (n - 1) * inc > buf.num_elements:
-            raise ValueError(
-                f"{n} elements with stride {inc} exceed buffer "
-                f"{buf.name!r} ({buf.num_elements} elements)")
-        return n
-
-    def _stride_pair(self, x, y, incx, incy, n):
-        """Common n for a two-vector strided call."""
-        if x.data.dtype != y.data.dtype:
-            raise TypeError(
-                f"mixed precision: {x.data.dtype} vs {y.data.dtype}")
-        nx = self._stride_len(x, incx, n)
-        ny = self._stride_len(y, incy, n)
-        if n is None:
-            if nx != ny:
-                raise ValueError(
-                    f"vector length mismatch under strides: {nx} vs {ny}")
-            return nx
-        return n
-
-    def _map_call(self, routine, n, in_bufs, out_bufs, kernel_factory,
-                  model, target="first_out", in_orders=None,
-                  out_orders=None):
-        """Run a map-class Level-1 routine.
-
-        ``target`` selects what is returned: ``"first_out"`` (the first
-        output buffer's refreshed contents) or ``None`` (routines like
-        SWAP/ROT that update several buffers in place return nothing).
-        In model mode ``model()`` computes the result that lands in the
-        first output buffer (or performs the in-place updates itself and
-        returns None).
-        """
-        precision = self._precision(in_bufs[0])
-        freq = self._frequency("level1", in_bufs[0].data.dtype)
-        if self.mode == "model":
-            result = model()
-            if target == "first_out":
-                out_bufs[0].data.reshape(-1)[:] = result
-            cycles = level1_cycles(routine, n, self.width)
-            io = n * (len(in_bufs) + len(out_bufs))
-            self.context.record(CallRecord(
-                routine, precision, cycles, freq, io,
-                routine_flops(routine, n), "model"))
-            return (self.context.copy_from_device(out_bufs[0])
-                    if target == "first_out" else None)
-
-        io_before = self.context.mem.total_elements_moved
-        eng = self._engine()
-        chans = []
-        for i, buf in enumerate(in_bufs):
-            ch = eng.channel(f"in{i}", self.channel_depth)
-            order = in_orders[i] if in_orders else None
-            eng.add_kernel(f"read{i}", read_kernel(
-                self.context.mem, buf, ch, self.width, order=order))
-            chans.append(ch)
-        out_chans = []
-        for i, buf in enumerate(out_bufs):
-            ch = eng.channel(f"out{i}", self.channel_depth)
-            chans.append(ch)
-            out_chans.append((ch, buf))
-        latency = level1_latency("map", self.width, precision)
-        eng.add_kernel(routine, kernel_factory(chans), latency=latency)
-        for i, (ch, buf) in enumerate(out_chans):
-            order = out_orders[i] if out_orders else None
-            eng.add_kernel(f"write{i}", write_kernel(
-                self.context.mem, buf, ch, n, self.width, order=order))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            routine, precision, report.cycles, freq, io,
-            routine_flops(routine, n), "simulate"))
-        if target == "first_out":
-            return self.context.copy_from_device(out_bufs[0])
-        return None
-
-    def _reduce_call(self, routine, n, in_bufs, kernel_factory, model,
-                     in_orders=None):
-        """Run a reduction-class routine; return the scalar result."""
-        precision = self._precision(in_bufs[0])
-        freq = self._frequency("level1", in_bufs[0].data.dtype)
-        if self.mode == "model":
-            cycles = level1_cycles(routine if routine != "sdsdot" else "dot",
-                                   n, self.width)
-            self.context.record(CallRecord(
-                routine, precision, cycles, freq,
-                n * len(in_bufs) + 1, routine_flops(
-                    routine if routine != "iamax" else "iamax", n), "model"))
-            return model()
-
-        io_before = self.context.mem.total_elements_moved
-        eng = self._engine()
-        chans = []
-        for i, buf in enumerate(in_bufs):
-            ch = eng.channel(f"in{i}", self.channel_depth)
-            order = in_orders[i] if in_orders else None
-            eng.add_kernel(f"read{i}", read_kernel(
-                self.context.mem, buf, ch, self.width, order=order))
-            chans.append(ch)
-        cres = eng.channel("res", 4)
-        chans.append(cres)
-        latency = level1_latency("map_reduce", self.width, precision)
-        eng.add_kernel(routine, kernel_factory(chans), latency=latency)
-        out: List = []
-        eng.add_kernel("sink", sink_kernel(cres, 1, 1, out))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before + 1
-        self.context.record(CallRecord(
-            routine, precision, report.cycles, freq, io,
-            routine_flops(routine if routine != "sdsdot" else "dot", n),
-            "simulate"))
-        return out[0]

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from ..blas import level2, reference
-from ..fpga.memory import read_kernel, write_kernel
-from ..fpga.resources import level1_latency
 from ..models import iomodel
 from ..models.performance import gemv_cycles, routine_flops
-from ..streaming.tiling import row_tiles
+from ..streaming.tiling import col_tiles, row_tiles
 from . import orders
-from .context import CallRecord
+from ._validate import HostValueError, device_operands
 
 
 class Level2Mixin:
@@ -26,322 +28,155 @@ class Level2Mixin:
         feedback loop — I/O NM + M + 2NM/T_M).  Transposed GEMV currently
         uses the rows scheme.
         """
+        dt = device_operands("gemv", a, x, y).type
         n, m = a.data.shape
         xlen, ylen = (n, m) if trans else (m, n)
         if x.num_elements != xlen or y.num_elements != ylen:
-            raise ValueError(
+            raise HostValueError(
                 f"gemv shape mismatch: A {a.data.shape}, x {x.num_elements}, "
                 f"y {y.num_elements}, trans={trans}")
         if scheme not in ("rows", "cols"):
-            raise ValueError(f"scheme must be rows/cols, got {scheme!r}")
+            raise HostValueError(f"scheme must be rows/cols, got {scheme!r}")
         if scheme == "cols" and trans:
-            raise ValueError("the cols scheme is not available transposed")
-        if scheme == "cols":
-            return self._execute(
-                lambda: self._gemv_cols_impl(alpha, a, x, beta, y), async_)
-        return self._execute(
-            lambda: self._gemv_impl(alpha, a, x, beta, y, trans), async_)
+            raise HostValueError("the cols scheme is not available transposed")
+        if y is x and scheme == "rows" and not trans:
+            # x is replayed from DRAM while finished tiles of y land in it.
+            raise HostValueError("gemv: y must not alias the replayed x")
 
-    def _gemv_cols_impl(self, alpha, a, x, beta, y):
-        from ..models.performance import gemv_cycles as _gc
-        from ..streaming.tiling import col_tiles
+        def run():
+            tn, tm = self._fit_tile(n), self._fit_tile(m)
+            if scheme == "cols":
+                passes = m // tm
+                # The feedback loop stands in for the DRAM replay of y;
+                # charge the I/O the paper's scheme pays: each non-final
+                # pass writes and re-reads the N partials.
+                io_model, tile, replay_io = (iomodel.gemv_io_tiles_by_cols,
+                                             tm, 2 * n * (passes - 1))
+
+                def design(w):
+                    return ((("A", "read_a", a, w,
+                              col_tiles(n, m, tn, tm).indices()),
+                             ("x", "read_x", x, w),
+                             (("y", max(self.channel_depth, 2 * n)),
+                              "read_y", y, w)),
+                            lambda c: level2.gemv_col_tiles(
+                                n, m, alpha, beta, *c[:4], tn, tm, w, dt),
+                            (("out", "write_y", y, n, w),),
+                            ("partial", "router",
+                             lambda c: level2.y_replay_router(
+                                 n, passes, c[3], c[2], c[4], w)))
+            else:
+                io_model, tile, replay_io = (iomodel.gemv_io_tiles_by_rows,
+                                             tn, 0)
+                kernel = (level2.gemv_transposed_row_tiles if trans
+                          else level2.gemv_row_tiles)
+
+                def design(w):
+                    return ((("A", "read_a", a, w,
+                              row_tiles(n, m, tn, tm).indices()),
+                             ("x", "read_x", x, w, None,
+                              1 if trans else n // tn),
+                             ("y", "read_y", y, w)),
+                            lambda c: kernel(n, m, alpha, beta, *c, tn, tm,
+                                             w, dt),
+                            (("out", "write_y", y, ylen, w),))
+            return self._run_design(
+                "gemv", "level2", dt, routine_flops("gemv", n, m), design,
+                lambda: np.copyto(y.data.reshape(-1), reference.gemv(
+                    alpha, a.data, x.data.reshape(-1), beta,
+                    y.data.reshape(-1), trans=trans)),
+                lambda w: (gemv_cycles(n, m, w), io_model(n, m, tile)),
+                returns=y, io_extra=replay_io)
+
+        return self._execute(run, async_)
+
+    def _rank_update(self, routine, a, reads, kernel, update, model_io,
+                     async_):
+        """The row GER, SYR and SYR2 share: A streams through the module
+        in tiles by rows and back in place, beside vector streams that
+        are read once (``replayed`` False) or once per row of tiles."""
         n, m = a.data.shape
-        precision = self._precision(a)
-        freq = self._frequency("level2", a.data.dtype)
-        tn = self._fit_tile(n)
-        tm = self._fit_tile(m)
-        if self.mode == "model":
-            result = reference.gemv(alpha, a.data, x.data.reshape(-1),
-                                    beta, y.data.reshape(-1))
-            y.data.reshape(-1)[:] = result
-            self.context.record(CallRecord(
-                "gemv", precision, _gc(n, m, self.width), freq,
-                iomodel.gemv_io_tiles_by_cols(n, m, tm),
-                routine_flops("gemv", n, m), "model"))
-            return self.context.copy_from_device(y)
 
-        io_before = self.context.mem.total_elements_moved
-        sched = col_tiles(n, m, tn, tm)
-        passes = m // tm
-        eng = self._engine()
-        ca = eng.channel("A", self.channel_depth)
-        cx = eng.channel("x", self.channel_depth)
-        cy = eng.channel("y", max(self.channel_depth, 2 * n))
-        co = eng.channel("partial", self.channel_depth)
-        cfinal = eng.channel("out", self.channel_depth)
-        dt = a.data.dtype.type
-        eng.add_kernel("read_a", read_kernel(
-            self.context.mem, a, ca, self.width, order=sched.indices()))
-        eng.add_kernel("read_x", read_kernel(
-            self.context.mem, x, cx, self.width))
-        eng.add_kernel("read_y", read_kernel(
-            self.context.mem, y, cy, self.width))
-        eng.add_kernel("gemv", level2.gemv_col_tiles(
-            n, m, alpha, beta, ca, cx, cy, co, tn, tm, self.width, dt),
-            latency=level1_latency("map_reduce", self.width, precision))
-        eng.add_kernel("router", level2.y_replay_router(
-            n, passes, co, cy, cfinal, self.width))
-        eng.add_kernel("write_y", write_kernel(
-            self.context.mem, y, cfinal, n, self.width))
-        report = eng.run()
-        # The feedback loop stands in for the DRAM replay of y; charge the
-        # I/O the paper's scheme pays: each non-final pass writes and
-        # re-reads the N partials.
-        replay_io = 2 * n * (passes - 1)
-        io = (self.context.mem.total_elements_moved - io_before
-              + replay_io)
-        self.context.record(CallRecord(
-            "gemv", precision, report.cycles, freq, io,
-            routine_flops("gemv", n, m), "simulate"))
-        return self.context.copy_from_device(y)
+        def run():
+            tn, tm = self._fit_tile(n), self._fit_tile(m)
+            sched = row_tiles(n, m, tn, tm)
+            return self._run_design(
+                routine, "level2", a.data.dtype,
+                routine_flops(routine, n, m),
+                lambda w: ((("A", "read_a", a, w, sched.indices()),
+                            *((ch, f"read_{ch}", buf, w, None,
+                               n // tn if replayed else 1)
+                              for ch, buf, replayed in reads)),
+                           lambda c: kernel(*c, tn, tm, w),
+                           (("out", "write_a", a, n * m, w,
+                             sched.indices()),)),
+                lambda: np.copyto(a.data, update()),
+                lambda w: (gemv_cycles(n, m, w),
+                           model_io(math.ceil(n / tn))),
+                returns=a)
 
-    def _gemv_impl(self, alpha, a, x, beta, y, trans):
-        n, m = a.data.shape
-        precision = self._precision(a)
-        freq = self._frequency("level2", a.data.dtype)
-        tn = self._fit_tile(n)
-        tm = self._fit_tile(m)
-        if self.mode == "model":
-            result = reference.gemv(alpha, a.data, x.data.reshape(-1),
-                                    beta, y.data.reshape(-1), trans=trans)
-            y.data.reshape(-1)[:] = result
-            cycles = gemv_cycles(n, m, self.width)
-            io = iomodel.gemv_io_tiles_by_rows(n, m, tn)
-            self.context.record(CallRecord(
-                "gemv", precision, cycles, freq, io,
-                routine_flops("gemv", n, m), "model"))
-            return self.context.copy_from_device(y)
-
-        io_before = self.context.mem.total_elements_moved
-        sched = row_tiles(n, m, tn, tm)
-        eng = self._engine()
-        ca = eng.channel("A", self.channel_depth)
-        cx = eng.channel("x", self.channel_depth)
-        cy = eng.channel("y", self.channel_depth)
-        co = eng.channel("out", self.channel_depth)
-        eng.add_kernel("read_a", read_kernel(
-            self.context.mem, a, ca, self.width, order=sched.indices()))
-        dt = a.data.dtype.type
-        latency = level1_latency("map_reduce", self.width, precision)
-        if not trans:
-            eng.add_kernel("read_x", read_kernel(
-                self.context.mem, x, cx, self.width, repeat=n // tn))
-            eng.add_kernel("read_y", read_kernel(
-                self.context.mem, y, cy, self.width))
-            eng.add_kernel("gemv", level2.gemv_row_tiles(
-                n, m, alpha, beta, ca, cx, cy, co, tn, tm, self.width, dt),
-                latency=latency)
-            out_len = n
-        else:
-            eng.add_kernel("read_x", read_kernel(
-                self.context.mem, x, cx, self.width))
-            eng.add_kernel("read_y", read_kernel(
-                self.context.mem, y, cy, self.width))
-            eng.add_kernel("gemv", level2.gemv_transposed_row_tiles(
-                n, m, alpha, beta, ca, cx, cy, co, tn, tm, self.width, dt),
-                latency=latency)
-            out_len = m
-        eng.add_kernel("write_y", write_kernel(
-            self.context.mem, y, co, out_len, self.width))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            "gemv", precision, report.cycles, freq, io,
-            routine_flops("gemv", n, m), "simulate"))
-        return self.context.copy_from_device(y)
+        return self._execute(run, async_)
 
     def ger(self, alpha, x, y, a, async_=False):
         """A <- A + alpha * x y^T."""
+        dt = device_operands("ger", x, y, a).type
         n, m = a.data.shape
         if x.num_elements != n or y.num_elements != m:
-            raise ValueError("ger shape mismatch")
-        return self._execute(lambda: self._ger_impl(alpha, x, y, a), async_)
-
-    def _ger_impl(self, alpha, x, y, a):
-        n, m = a.data.shape
-        precision = self._precision(a)
-        freq = self._frequency("level2", a.data.dtype)
-        tn = self._fit_tile(n)
-        tm = self._fit_tile(m)
-        if self.mode == "model":
-            a.data[:, :] = reference.ger(alpha, x.data.reshape(-1),
-                                         y.data.reshape(-1), a.data)
-            self.context.record(CallRecord(
-                "ger", precision, gemv_cycles(n, m, self.width), freq,
-                2 * n * m + n + m * math.ceil(n / tn),
-                routine_flops("ger", n, m), "model"))
-            return self.context.copy_from_device(a)
-
-        io_before = self.context.mem.total_elements_moved
-        sched = row_tiles(n, m, tn, tm)
-        eng = self._engine()
-        ca = eng.channel("A", self.channel_depth)
-        cx = eng.channel("x", self.channel_depth)
-        cy = eng.channel("y", self.channel_depth)
-        co = eng.channel("out", self.channel_depth)
-        eng.add_kernel("read_a", read_kernel(
-            self.context.mem, a, ca, self.width, order=sched.indices()))
-        eng.add_kernel("read_x", read_kernel(
-            self.context.mem, x, cx, self.width))
-        eng.add_kernel("read_y", read_kernel(
-            self.context.mem, y, cy, self.width, repeat=n // tn))
-        eng.add_kernel("ger", level2.ger_kernel(
-            n, m, alpha, ca, cx, cy, co, tn, tm, self.width,
-            a.data.dtype.type),
-            latency=level1_latency("map", self.width, precision))
-        eng.add_kernel("write_a", write_kernel(
-            self.context.mem, a, co, n * m, self.width,
-            order=sched.indices()))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            "ger", precision, report.cycles, freq, io,
-            routine_flops("ger", n, m), "simulate"))
-        return self.context.copy_from_device(a)
+            raise HostValueError("ger shape mismatch")
+        return self._rank_update(
+            "ger", a, (("x", x, False), ("y", y, True)),
+            lambda *rest: level2.ger_kernel(n, m, alpha, *rest, dt),
+            lambda: reference.ger(alpha, x.data.reshape(-1),
+                                  y.data.reshape(-1), a.data),
+            lambda tiles: 2 * n * m + n + m * tiles, async_)
 
     def syr(self, alpha, x, a, async_=False):
         """A <- A + alpha * x x^T."""
+        dt = device_operands("syr", x, a).type
         n = x.num_elements
         if a.data.shape != (n, n):
-            raise ValueError("syr shape mismatch")
-        return self._execute(lambda: self._syr_impl(alpha, x, a), async_)
-
-    def _syr_impl(self, alpha, x, a):
-        n = x.num_elements
-        precision = self._precision(a)
-        freq = self._frequency("level2", a.data.dtype)
-        tn = self._fit_tile(n)
-        if self.mode == "model":
-            a.data[:, :] = reference.syr(alpha, x.data.reshape(-1), a.data)
-            self.context.record(CallRecord(
-                "syr", precision, gemv_cycles(n, n, self.width), freq,
-                2 * n * n + n + n * math.ceil(n / tn),
-                routine_flops("syr", n), "model"))
-            return self.context.copy_from_device(a)
-
-        io_before = self.context.mem.total_elements_moved
-        sched = row_tiles(n, n, tn, tn)
-        eng = self._engine()
-        ca = eng.channel("A", self.channel_depth)
-        cxr = eng.channel("xr", self.channel_depth)
-        cxc = eng.channel("xc", self.channel_depth)
-        co = eng.channel("out", self.channel_depth)
-        eng.add_kernel("read_a", read_kernel(
-            self.context.mem, a, ca, self.width, order=sched.indices()))
-        eng.add_kernel("read_xr", read_kernel(
-            self.context.mem, x, cxr, self.width))
-        eng.add_kernel("read_xc", read_kernel(
-            self.context.mem, x, cxc, self.width, repeat=n // tn))
-        eng.add_kernel("syr", level2.syr_kernel(
-            n, alpha, ca, cxr, cxc, co, tn, tn, self.width,
-            a.data.dtype.type),
-            latency=level1_latency("map", self.width, precision))
-        eng.add_kernel("write_a", write_kernel(
-            self.context.mem, a, co, n * n, self.width,
-            order=sched.indices()))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            "syr", precision, report.cycles, freq, io,
-            routine_flops("syr", n), "simulate"))
-        return self.context.copy_from_device(a)
+            raise HostValueError("syr shape mismatch")
+        return self._rank_update(
+            "syr", a, (("xr", x, False), ("xc", x, True)),
+            lambda *rest: level2.syr_kernel(n, alpha, *rest, dt),
+            lambda: reference.syr(alpha, x.data.reshape(-1), a.data),
+            lambda tiles: 2 * n * n + n + n * tiles, async_)
 
     def syr2(self, alpha, x, y, a, async_=False):
         """A <- A + alpha * (x y^T + y x^T)."""
+        dt = device_operands("syr2", x, y, a).type
         n = x.num_elements
         if a.data.shape != (n, n) or y.num_elements != n:
-            raise ValueError("syr2 shape mismatch")
-        return self._execute(lambda: self._syr2_impl(alpha, x, y, a), async_)
-
-    def _syr2_impl(self, alpha, x, y, a):
-        n = x.num_elements
-        precision = self._precision(a)
-        freq = self._frequency("level2", a.data.dtype)
-        tn = self._fit_tile(n)
-        if self.mode == "model":
-            a.data[:, :] = reference.syr2(alpha, x.data.reshape(-1),
-                                          y.data.reshape(-1), a.data)
-            self.context.record(CallRecord(
-                "syr2", precision, gemv_cycles(n, n, self.width), freq,
-                2 * n * n + 2 * n + 2 * n * math.ceil(n / tn),
-                routine_flops("syr2", n), "model"))
-            return self.context.copy_from_device(a)
-
-        io_before = self.context.mem.total_elements_moved
-        sched = row_tiles(n, n, tn, tn)
-        eng = self._engine()
-        ca = eng.channel("A", self.channel_depth)
-        cxr = eng.channel("xr", self.channel_depth)
-        cyc = eng.channel("yc", self.channel_depth)
-        cyr = eng.channel("yr", self.channel_depth)
-        cxc = eng.channel("xc", self.channel_depth)
-        co = eng.channel("out", self.channel_depth)
-        replay = n // tn
-        eng.add_kernel("read_a", read_kernel(
-            self.context.mem, a, ca, self.width, order=sched.indices()))
-        eng.add_kernel("read_xr", read_kernel(
-            self.context.mem, x, cxr, self.width))
-        eng.add_kernel("read_yc", read_kernel(
-            self.context.mem, y, cyc, self.width, repeat=replay))
-        eng.add_kernel("read_yr", read_kernel(
-            self.context.mem, y, cyr, self.width))
-        eng.add_kernel("read_xc", read_kernel(
-            self.context.mem, x, cxc, self.width, repeat=replay))
-        eng.add_kernel("syr2", level2.syr2_kernel(
-            n, alpha, ca, cxr, cyc, cyr, cxc, co, tn, tn, self.width,
-            a.data.dtype.type),
-            latency=level1_latency("map", self.width, precision))
-        eng.add_kernel("write_a", write_kernel(
-            self.context.mem, a, co, n * n, self.width,
-            order=sched.indices()))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            "syr2", precision, report.cycles, freq, io,
-            routine_flops("syr2", n), "simulate"))
-        return self.context.copy_from_device(a)
+            raise HostValueError("syr2 shape mismatch")
+        return self._rank_update(
+            "syr2", a, (("xr", x, False), ("yc", y, True),
+                        ("yr", y, False), ("xc", x, True)),
+            lambda *rest: level2.syr2_kernel(n, alpha, *rest, dt),
+            lambda: reference.syr2(alpha, x.data.reshape(-1),
+                                   y.data.reshape(-1), a.data),
+            lambda tiles: 2 * n * n + 2 * n + 2 * n * tiles, async_)
 
     def trsv(self, a, b, lower=True, unit_diag=False, async_=False):
         """Solve A x = b in place of b (triangular A, generic storage)."""
+        dt = device_operands("trsv", a, b).type
         n = b.num_elements
         if a.data.shape != (n, n):
-            raise ValueError("trsv shape mismatch")
-        return self._execute(
-            lambda: self._trsv_impl(a, b, lower, unit_diag), async_)
+            raise HostValueError("trsv shape mismatch")
 
-    def _trsv_impl(self, a, b, lower, unit_diag):
-        n = b.num_elements
-        precision = self._precision(a)
-        freq = self._frequency("level2", a.data.dtype)
-        if self.mode == "model":
-            x = reference.trsv(a.data, b.data.reshape(-1), lower=lower,
-                               unit_diag=unit_diag)
-            b.data.reshape(-1)[:] = x
-            self.context.record(CallRecord(
-                "trsv", precision, gemv_cycles(n, n, self.width), freq,
-                n * n + 2 * n, routine_flops("trsv", n), "model"))
-            return self.context.copy_from_device(b)
+        def design(w):
+            solve_order = (list(range(n)) if lower
+                           else list(range(n - 1, -1, -1)))
+            return ((("A", "read_a", a, w,
+                      list(orders.trsv_row_order(n, lower))),
+                     ("b", "read_b", b, 1, solve_order)),
+                    lambda c: level2.trsv_kernel(n, *c, w, dt, lower,
+                                                 unit_diag),
+                    (("out", "write_x", b, n, 1, solve_order),))
 
-        io_before = self.context.mem.total_elements_moved
-        row_order = list(orders.trsv_row_order(n, lower))
-        solve_order = (list(range(n)) if lower
-                       else list(range(n - 1, -1, -1)))
-        eng = self._engine()
-        ca = eng.channel("A", self.channel_depth)
-        cb = eng.channel("b", self.channel_depth)
-        co = eng.channel("out", self.channel_depth)
-        eng.add_kernel("read_a", read_kernel(
-            self.context.mem, a, ca, self.width, order=row_order))
-        eng.add_kernel("read_b", read_kernel(
-            self.context.mem, b, cb, 1, order=solve_order))
-        eng.add_kernel("trsv", level2.trsv_kernel(
-            n, ca, cb, co, self.width, a.data.dtype.type, lower, unit_diag),
-            latency=level1_latency("map_reduce", self.width, precision))
-        eng.add_kernel("write_x", write_kernel(
-            self.context.mem, b, co, n, 1, order=solve_order))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            "trsv", precision, report.cycles, freq, io,
-            routine_flops("trsv", n), "simulate"))
-        return self.context.copy_from_device(b)
+        return self._execute(lambda: self._run_design(
+            "trsv", "level2", dt, routine_flops("trsv", n), design,
+            lambda: np.copyto(b.data.reshape(-1), reference.trsv(
+                a.data, b.data.reshape(-1), lower=lower,
+                unit_diag=unit_diag)),
+            lambda w: (gemv_cycles(n, n, w), n * n + 2 * n),
+            returns=b), async_)

@@ -6,11 +6,10 @@ import numpy as np
 
 from ..blas import level3, reference
 from ..blas.systolic import SystolicConfig, SystolicGemm
-from ..fpga.memory import read_kernel, write_kernel
-from ..fpga.resources import level1_latency
+from ..models.iomodel import gemm_io_tiled
 from ..models.performance import gemm_systolic_cycles, routine_flops
 from . import orders
-from .context import CallRecord
+from ._validate import HostValueError, device_operands
 
 
 class Level3Mixin:
@@ -24,14 +23,62 @@ class Level3Mixin:
         in "model" mode); ``"tiled"`` uses the generic streaming kernel
         through the DRAM interfaces.
         """
+        dt = device_operands("gemm", a, b, c).type
         n, k = a.data.shape
         k2, m = b.data.shape
         if k != k2 or c.data.shape != (n, m):
-            raise ValueError("gemm shape mismatch")
+            raise HostValueError("gemm shape mismatch")
         if impl not in ("systolic", "tiled"):
-            raise ValueError(f"impl must be systolic/tiled, got {impl!r}")
-        return self._execute(
-            lambda: self._gemm_impl(alpha, a, b, beta, c, impl), async_)
+            raise HostValueError(
+                f"impl must be systolic/tiled, got {impl!r}")
+        if impl == "tiled" and (c is a or c is b):
+            # A and B strips are replayed while finished C tiles land.
+            raise HostValueError("gemm: tiled C must not alias A or B")
+
+        def update():
+            np.copyto(c.data, reference.gemm(alpha, a.data, b.data, beta,
+                                             c.data))
+
+        def tiled(w):
+            # Generic tiled streaming kernel through the DRAM interfaces.
+            tn, tm = self._fit_tile(n), self._fit_tile(m)
+            return ((("A", "read_a", a, w,
+                      orders.gemm_a_order(n, k, m, tn, tm)),
+                     ("B", "read_b", b, w,
+                      orders.gemm_b_order(n, k, m, tn, tm)),
+                     ("C", "read_c", c, w,
+                      orders.gemm_c_order(n, m, tn, tm))),
+                    lambda ch: level3.gemm_tiled(n, m, k, alpha, beta, *ch,
+                                                 tn, tm, w, dt),
+                    (("out", "write_c", c, n * m, w,
+                      orders.gemm_c_order(n, m, tn, tm)),))
+
+        def systolic():
+            flops = routine_flops("gemm", n, m, k)
+            if self.mode == "model":
+                update()
+                cycles, io = self._systolic_model(n, m, k, drain=True)
+            else:
+                cfg = self._systolic_config(n, m)
+                sys = SystolicGemm(cfg, dtype=dt)
+                result, stats = sys.multiply(a.data, b.data, alpha, beta,
+                                             c.data)
+                c.data[:, :] = result
+                # Account the DRAM traffic the feeders/drainers would cause.
+                a.elements_read += n * k * (m // cfg.tile_c)
+                b.elements_read += k * m * (n // cfg.tile_r)
+                c.elements_read += n * m
+                c.elements_written += n * m
+                cycles, io = stats.cycles, self._gemm_io(n, m, k)
+            self._record("gemm", "systolic", dt, cycles, io, flops, self.mode)
+            return self.context.copy_from_device(c)
+
+        if impl == "systolic":
+            return self._execute(systolic, async_)
+        return self._execute(lambda: self._run_design(
+            "gemm", "systolic", dt, routine_flops("gemm", n, m, k), tiled,
+            update, lambda _w: self._systolic_model(n, m, k, drain=True),
+            returns=c), async_)
 
     def _systolic_config(self, n, m):
         pr = self.systolic_rows
@@ -40,197 +87,90 @@ class Level3Mixin:
         tc = self._fit_tile(m, multiple_of=pc)
         return SystolicConfig(pr, pc, tr, tc)
 
-    def _gemm_impl(self, alpha, a, b, beta, c, impl):
-        n, k = a.data.shape
-        m = b.data.shape[1]
-        precision = self._precision(a)
-        freq = self._frequency("systolic", a.data.dtype)
-        flops = routine_flops("gemm", n, m, k)
-        tiled_io = self._gemm_io(n, m, k)
-
-        if self.mode == "model":
-            c.data[:, :] = reference.gemm(alpha, a.data, b.data, beta, c.data)
-            cfg = self._systolic_config(n, m)
-            cycles = gemm_systolic_cycles(
-                n, m, k, cfg.pr, cfg.pc, cfg.tile_r, cfg.tile_c,
-                drain_latency=cfg.elems_per_pe + cfg.pr)
-            self.context.record(CallRecord(
-                "gemm", precision, cycles, freq, tiled_io, flops, "model"))
-            return self.context.copy_from_device(c)
-
-        if impl == "systolic":
-            cfg = self._systolic_config(n, m)
-            sys = SystolicGemm(cfg, dtype=a.data.dtype.type)
-            result, stats = sys.multiply(a.data, b.data, alpha, beta, c.data)
-            c.data[:, :] = result
-            # Account the DRAM traffic the feeders/drainers would cause.
-            a.elements_read += n * k * (m // cfg.tile_c)
-            b.elements_read += k * m * (n // cfg.tile_r)
-            c.elements_read += n * m
-            c.elements_written += n * m
-            self.context.record(CallRecord(
-                "gemm", precision, stats.cycles, freq, tiled_io, flops,
-                "simulate"))
-            return self.context.copy_from_device(c)
-
-        # Generic tiled streaming kernel through the DRAM interfaces.
-        tn = self._fit_tile(n)
-        tm = self._fit_tile(m)
-        io_before = self.context.mem.total_elements_moved
-        eng = self._engine()
-        ca = eng.channel("A", self.channel_depth)
-        cb = eng.channel("B", self.channel_depth)
-        cc = eng.channel("C", self.channel_depth)
-        co = eng.channel("out", self.channel_depth)
-        eng.add_kernel("read_a", read_kernel(
-            self.context.mem, a, ca, self.width,
-            order=orders.gemm_a_order(n, k, m, tn, tm)))
-        eng.add_kernel("read_b", read_kernel(
-            self.context.mem, b, cb, self.width,
-            order=orders.gemm_b_order(n, k, m, tn, tm)))
-        eng.add_kernel("read_c", read_kernel(
-            self.context.mem, c, cc, self.width,
-            order=orders.gemm_c_order(n, m, tn, tm)))
-        eng.add_kernel("gemm", level3.gemm_tiled(
-            n, m, k, alpha, beta, ca, cb, cc, co, tn, tm, self.width,
-            a.data.dtype.type),
-            latency=level1_latency("map_reduce", self.width, precision))
-        eng.add_kernel("write_c", write_kernel(
-            self.context.mem, c, co, n * m, self.width,
-            order=orders.gemm_c_order(n, m, tn, tm)))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            "gemm", precision, report.cycles, freq, io, flops, "simulate"))
-        return self.context.copy_from_device(c)
-
     def _gemm_io(self, n, m, k):
-        from ..models.iomodel import gemm_io_tiled
         return gemm_io_tiled(n, m, k, self._fit_tile(n), self._fit_tile(m))
+
+    def _systolic_model(self, n, m, k, drain=False):
+        """Closed-form ``(cycles, io)`` of an n x m x k product on the
+        systolic array; ``drain`` adds GEMM's per-tile drain."""
+        cfg = self._systolic_config(n, m)
+        return (gemm_systolic_cycles(
+            n, m, k, cfg.pr, cfg.pc, cfg.tile_r, cfg.tile_c,
+            drain_latency=cfg.elems_per_pe + cfg.pr if drain else 0),
+            self._gemm_io(n, m, k))
 
     def syrk(self, alpha, a, beta, c, async_=False):
         """C <- alpha*A*A^T + beta*C."""
+        dt = device_operands("syrk", a, c).type
         n, k = a.data.shape
         if c.data.shape != (n, n):
-            raise ValueError("syrk shape mismatch")
-        return self._execute(
-            lambda: self._syrk_impl(alpha, a, beta, c), async_)
+            raise HostValueError("syrk shape mismatch")
+        if c is a:
+            # A strips are replayed while finished C tiles land in it.
+            raise HostValueError("syrk: C must not alias A")
 
-    def _syrk_impl(self, alpha, a, beta, c):
-        n, k = a.data.shape
-        precision = self._precision(a)
-        freq = self._frequency("systolic", a.data.dtype)
-        flops = routine_flops("syrk", n, 0, k)
-        if self.mode == "model":
-            c.data[:, :] = reference.syrk(alpha, a.data, beta, c.data)
-            cfg = self._systolic_config(n, n)
-            cycles = gemm_systolic_cycles(
-                n, n, k, cfg.pr, cfg.pc, cfg.tile_r, cfg.tile_c)
-            self.context.record(CallRecord(
-                "syrk", precision, cycles, freq, self._gemm_io(n, n, k),
-                flops, "model"))
-            return self.context.copy_from_device(c)
+        def design(w):
+            tn = self._fit_tile(n)
+            # A^T strip rows are column reads of A: A^T[kk, col] = A[col, kk],
+            # flat index col*k + kk.
+            at_order = [col * k + kk
+                        for _ti in range(n // tn)
+                        for tj in range(n // tn)
+                        for kk in range(k)
+                        for col in range(tj * tn, (tj + 1) * tn)]
+            return ((("A", "read_a", a, w,
+                      orders.gemm_a_order(n, k, n, tn, tn)),
+                     ("At", "read_at", a, w, at_order),
+                     ("C", "read_c", c, w,
+                      orders.gemm_c_order(n, n, tn, tn))),
+                    lambda ch: level3.syrk_tiled(n, k, alpha, beta, *ch,
+                                                 tn, tn, w, dt),
+                    (("out", "write_c", c, n * n, w,
+                      orders.gemm_c_order(n, n, tn, tn)),))
 
-        tn = self._fit_tile(n)
-        io_before = self.context.mem.total_elements_moved
-        eng = self._engine()
-        ca = eng.channel("A", self.channel_depth)
-        cat = eng.channel("At", self.channel_depth)
-        cc = eng.channel("C", self.channel_depth)
-        co = eng.channel("out", self.channel_depth)
-        # A^T strip rows are column reads of A: A^T[kk, col] = A[col, kk],
-        # flat index col*k + kk.
-        at_order = [col * k + kk
-                    for _ti in range(n // tn)
-                    for tj in range(n // tn)
-                    for kk in range(k)
-                    for col in range(tj * tn, (tj + 1) * tn)]
-        eng.add_kernel("read_a", read_kernel(
-            self.context.mem, a, ca, self.width,
-            order=orders.gemm_a_order(n, k, n, tn, tn)))
-        eng.add_kernel("read_at", read_kernel(
-            self.context.mem, a, cat, self.width, order=at_order))
-        eng.add_kernel("read_c", read_kernel(
-            self.context.mem, c, cc, self.width,
-            order=orders.gemm_c_order(n, n, tn, tn)))
-        eng.add_kernel("syrk", level3.syrk_tiled(
-            n, k, alpha, beta, ca, cat, cc, co, tn, tn, self.width,
-            a.data.dtype.type),
-            latency=level1_latency("map_reduce", self.width, precision))
-        eng.add_kernel("write_c", write_kernel(
-            self.context.mem, c, co, n * n, self.width,
-            order=orders.gemm_c_order(n, n, tn, tn)))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            "syrk", precision, report.cycles, freq, io, flops, "simulate"))
-        return self.context.copy_from_device(c)
+        return self._execute(lambda: self._run_design(
+            "syrk", "systolic", dt, routine_flops("syrk", n, 0, k), design,
+            lambda: np.copyto(c.data, reference.syrk(alpha, a.data, beta,
+                                                     c.data)),
+            lambda _w: self._systolic_model(n, n, k), returns=c), async_)
 
     def syr2k(self, alpha, a, b, beta, c, async_=False):
         """C <- alpha*(A*B^T + B*A^T) + beta*C (model-backed host call)."""
+        dt = device_operands("syr2k", a, b, c).type
         n, k = a.data.shape
         if b.data.shape != (n, k) or c.data.shape != (n, n):
-            raise ValueError("syr2k shape mismatch")
+            raise HostValueError("syr2k shape mismatch")
 
         def impl():
-            precision = self._precision(a)
-            freq = self._frequency("systolic", a.data.dtype)
             c.data[:, :] = reference.syr2k(alpha, a.data, b.data, beta,
                                            c.data)
-            cfg = self._systolic_config(n, n)
-            cycles = 2 * gemm_systolic_cycles(
-                n, n, k, cfg.pr, cfg.pc, cfg.tile_r, cfg.tile_c)
-            self.context.record(CallRecord(
-                "syr2k", precision, cycles, freq,
-                2 * self._gemm_io(n, n, k), routine_flops("syr2k", n, 0, k),
-                "model"))
+            cycles, io = self._systolic_model(n, n, k)
+            self._record("syr2k", "systolic", dt, 2 * cycles, 2 * io,
+                         routine_flops("syr2k", n, 0, k), "model")
             return self.context.copy_from_device(c)
 
         return self._execute(impl, async_)
 
     def trsm(self, alpha, a, b, lower=True, unit_diag=False, async_=False):
         """B <- solution X of A X = alpha*B (left side)."""
-        n = a.data.shape[0]
-        if a.data.shape != (n, n) or b.data.shape[0] != n:
-            raise ValueError("trsm shape mismatch")
-        return self._execute(
-            lambda: self._trsm_impl(alpha, a, b, lower, unit_diag), async_)
-
-    def _trsm_impl(self, alpha, a, b, lower, unit_diag):
+        dt = device_operands("trsm", a, b).type
         n, m = b.data.shape
-        precision = self._precision(a)
-        freq = self._frequency("level2", a.data.dtype)
-        flops = routine_flops("trsm", n, m)
-        if self.mode == "model":
-            b.data[:, :] = reference.trsm(alpha, a.data, b.data,
-                                          lower=lower, unit_diag=unit_diag)
-            self.context.record(CallRecord(
-                "trsm", precision,
-                n * n // self.width + n * m // self.width, freq,
-                n * n + 2 * n * m, flops, "model"))
-            return self.context.copy_from_device(b)
+        if a.data.shape != (n, n):
+            raise HostValueError("trsm shape mismatch")
 
-        io_before = self.context.mem.total_elements_moved
-        eng = self._engine()
-        ca = eng.channel("A", self.channel_depth)
-        cb = eng.channel("B", self.channel_depth)
-        co = eng.channel("out", self.channel_depth)
-        col_order = list(orders.column_major_order(n, m))
-        eng.add_kernel("read_a", read_kernel(
-            self.context.mem, a, ca, self.width))
-        eng.add_kernel("read_b", read_kernel(
-            self.context.mem, b, cb, self.width, order=col_order))
-        eng.add_kernel("trsm", level3.trsm_tiled(
-            n, m, alpha, ca, cb, co, self.width, a.data.dtype.type,
-            lower, unit_diag),
-            latency=level1_latency("map_reduce", self.width, precision))
-        eng.add_kernel("write_b", write_kernel(
-            self.context.mem, b, co, n * m, self.width, order=col_order))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            "trsm", precision, report.cycles, freq, io, flops, "simulate"))
-        return self.context.copy_from_device(b)
+        def design(w):
+            col_order = list(orders.column_major_order(n, m))
+            return ((("A", "read_a", a, w), ("B", "read_b", b, w, col_order)),
+                    lambda ch: level3.trsm_tiled(n, m, alpha, *ch, w, dt,
+                                                 lower, unit_diag),
+                    (("out", "write_b", b, n * m, w, col_order),))
+
+        return self._execute(lambda: self._run_design(
+            "trsm", "level2", dt, routine_flops("trsm", n, m), design,
+            lambda: np.copyto(b.data, reference.trsm(
+                alpha, a.data, b.data, lower=lower, unit_diag=unit_diag)),
+            lambda w: (n * n // w + n * m // w, n * n + 2 * n * m),
+            returns=b), async_)
 
     # -- batched tiny-matrix routines (Table V) -------------------------------
     def batched_gemm(self, size, a_batch, b_batch, c_batch,
@@ -241,105 +181,17 @@ class Level3Mixin:
         result array; the call record reflects the II=1 pipeline: roughly
         ``latency + nbatch`` cycles when DRAM can feed a problem per cycle.
         """
-        nbatch = a_batch.data.shape[0]
-        precision = self._precision(a_batch)
-        freq = self._frequency("level1", a_batch.data.dtype)
-        dt = a_batch.data.dtype.type
-        s2 = size * size
-        if self.mode == "model":
-            out = np.empty_like(c_batch.data)
-            for i in range(nbatch):
-                out[i] = reference.gemm(alpha, a_batch.data[i],
-                                        b_batch.data[i], beta,
-                                        c_batch.data[i])
-            c_batch.data[:] = out
-            self.context.record(CallRecord(
-                "gemm_batched", precision, 40 + nbatch, freq,
-                4 * s2 * nbatch, 2 * size ** 3 * nbatch, "model"))
-            return self.context.copy_from_device(c_batch)
-
-        io_before = self.context.mem.total_elements_moved
-        eng = self._engine()
-        ci = eng.channel("in", 4 * s2)
-        co = eng.channel("out", 2 * s2)
-
-        def feeder():
-            from ..fpga.kernel import Clock, Push
-            for i in range(nbatch):
-                vals = (tuple(a_batch.data[i].reshape(-1))
-                        + tuple(b_batch.data[i].reshape(-1))
-                        + tuple(c_batch.data[i].reshape(-1)))
-                granted = 0
-                need = 3 * s2 * a_batch.itemsize
-                while granted < need:
-                    granted += self.context.mem.request_read(a_batch,
-                                                             need - granted)
-                    yield Clock()
-                a_batch.elements_read += s2
-                b_batch.elements_read += s2
-                c_batch.elements_read += s2
-                yield Push(ci, vals, 1)
-                yield Clock()
-
-        eng.add_kernel("feed", feeder())
-        eng.add_kernel("gemm_u", level3.gemm_unrolled(
-            size, nbatch, alpha, beta, ci, co, dt), latency=40)
-        eng.add_kernel("write", write_kernel(
-            self.context.mem, c_batch, co, nbatch * s2, s2))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            "gemm_batched", precision, report.cycles, freq, io,
-            2 * size ** 3 * nbatch, "simulate"))
-        return self.context.copy_from_device(c_batch)
+        return self._run_batched(
+            "gemm", size, (a_batch, b_batch, c_batch), 40,
+            lambda nbatch, *rest: level3.gemm_unrolled(
+                size, nbatch, alpha, beta, *rest),
+            lambda ai, bi, ci: reference.gemm(alpha, ai, bi, beta, ci),
+            2 * size ** 3)
 
     def batched_trsm(self, size, a_batch, b_batch, alpha=1.0):
         """Run ``nbatch`` fully-unrolled size x size TRSMs, one per cycle."""
-        nbatch = a_batch.data.shape[0]
-        precision = self._precision(a_batch)
-        freq = self._frequency("level1", a_batch.data.dtype)
-        s2 = size * size
-        if self.mode == "model":
-            out = np.empty_like(b_batch.data)
-            for i in range(nbatch):
-                out[i] = reference.trsm(alpha, a_batch.data[i],
-                                        b_batch.data[i])
-            b_batch.data[:] = out
-            self.context.record(CallRecord(
-                "trsm_batched", precision, 50 + nbatch, freq,
-                3 * s2 * nbatch, size ** 3 * nbatch, "model"))
-            return self.context.copy_from_device(b_batch)
-
-        io_before = self.context.mem.total_elements_moved
-        eng = self._engine()
-        ci = eng.channel("in", 3 * s2)
-        co = eng.channel("out", 2 * s2)
-
-        def feeder():
-            from ..fpga.kernel import Clock, Push
-            for i in range(nbatch):
-                vals = (tuple(a_batch.data[i].reshape(-1))
-                        + tuple(b_batch.data[i].reshape(-1)))
-                granted = 0
-                need = 2 * s2 * a_batch.itemsize
-                while granted < need:
-                    granted += self.context.mem.request_read(a_batch,
-                                                             need - granted)
-                    yield Clock()
-                a_batch.elements_read += s2
-                b_batch.elements_read += s2
-                yield Push(ci, vals, 1)
-                yield Clock()
-
-        eng.add_kernel("feed", feeder())
-        eng.add_kernel("trsm_u", level3.trsm_unrolled(
-            size, nbatch, alpha, ci, co, a_batch.data.dtype.type),
-            latency=50)
-        eng.add_kernel("write", write_kernel(
-            self.context.mem, b_batch, co, nbatch * s2, s2))
-        report = eng.run()
-        io = self.context.mem.total_elements_moved - io_before
-        self.context.record(CallRecord(
-            "trsm_batched", precision, report.cycles, freq, io,
-            size ** 3 * nbatch, "simulate"))
-        return self.context.copy_from_device(b_batch)
+        return self._run_batched(
+            "trsm", size, (a_batch, b_batch), 50,
+            lambda nbatch, *rest: level3.trsm_unrolled(
+                size, nbatch, alpha, *rest),
+            lambda ai, bi: reference.trsm(alpha, ai, bi), size ** 3)

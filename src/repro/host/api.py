@@ -25,38 +25,28 @@ Two execution modes:
 
 from __future__ import annotations
 
-import functools
-import inspect
 from typing import Callable, List, Optional
 
 import numpy as np
 
+from ..blas.routines import REGISTRY
 from ..fpga.device import STRATIX10, FpgaDevice
 from ..fpga.engine import Engine
-from ..fpga.errors import ReproError
-from ..fpga.memory import DramBuffer
+from ..fpga.memory import DramBuffer, read_kernel, write_kernel
+from ..fpga.resources import level1_latency
+from ..fpga.util import sink_kernel
 from ..plan import PlanCache
 from ..telemetry.ledger import run_scope
 from ..telemetry.runtime import active as _telemetry_active
 from ._l1 import Level1Mixin
 from ._l2 import Level2Mixin
 from ._l3 import Level3Mixin
-from .context import FblasContext
+from ._validate import HostArgumentError, HostValueError, device_operands
+from .context import CallRecord, FblasContext
 
 _PREFIXED = {
     "s": np.float32, "d": np.float64,
 }
-
-#: Routines reachable through BLAS-prefixed aliases.
-_ALIASABLE = {
-    "scal", "copy", "axpy", "swap", "rot", "rotm", "dot", "nrm2", "asum",
-    "gemv", "ger", "syr", "syr2", "trsv", "gemm", "syrk", "syr2k", "trsm",
-    "rotg", "rotmg",
-}
-
-
-class HostArgumentError(ReproError, TypeError):
-    """A vector/matrix operand of a host call is not a device buffer."""
 
 
 class Handle:
@@ -95,14 +85,15 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
                  schedule_cache: Optional[PlanCache] = None,
                  **context_kwargs):
         if mode not in ("simulate", "model"):
-            raise ValueError(f"mode must be simulate/model, got {mode!r}")
+            raise HostValueError(
+                f"mode must be simulate/model, got {mode!r}")
         self.context = context or FblasContext(device=device,
                                                **context_kwargs)
         self.mode = mode
         self.width = width or self.context.default_width
         self.tile = tile or self.context.default_tile
         if systolic_rows < 1 or systolic_cols < 1:
-            raise ValueError("systolic grid must be positive")
+            raise HostValueError("systolic grid must be positive")
         self.systolic_rows = systolic_rows
         self.systolic_cols = systolic_cols
         self.channel_depth = channel_depth
@@ -235,9 +226,10 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
         """Run one routine thunk under the recovery ladder.
 
         The thunk rebuilds its streaming design on every invocation (the
-        mixins construct kernels inside the closure), so re-attempts are
-        safe; device memory is restored from a pre-call checkpoint before
-        each re-attempt so partial writes of a failed run cannot leak.
+        runner constructs engine and kernels inside the closure), so
+        re-attempts are safe; device memory is restored from a pre-call
+        checkpoint before each re-attempt so partial writes of a failed
+        run cannot leak.
         Demotion temporarily lowers :attr:`engine_mode` for the re-run.
         """
         from ..faults.recovery import MemoryCheckpoint, run_with_recovery
@@ -283,11 +275,8 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
         the corresponding named method (e.g. ``invoke(gen_dot, x, y)``).
         """
         spec = getattr(routine, "spec", routine)
-        for arg in args:
-            if hasattr(arg, "data") and hasattr(arg.data, "dtype"):
-                want = (np.float32 if spec.precision == "single"
-                        else np.float64)
-                self._check_dtype(spec.user_name, want, arg)
+        dtype = np.float32 if spec.precision == "single" else np.float64
+        self._check_dtype(spec.user_name, dtype, spec.blas_name, args, kwargs)
         method = getattr(self, spec.blas_name)
         if spec.blas_name == "gemv":
             kwargs.setdefault("trans", spec.transposed)
@@ -300,8 +289,6 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
             self.tile = max(spec.tile_n_size, spec.tile_m_size)
         try:
             if spec.blas_name in ("rotg", "rotmg"):
-                dtype = (np.float32 if spec.precision == "single"
-                         else np.float64)
                 return method(*args, dtype=dtype, **kwargs)
             return method(*args, async_=async_, **kwargs)
         finally:
@@ -309,24 +296,20 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
 
     # -- prefixed BLAS aliases ----------------------------------------------------
     def __getattr__(self, name: str):
-        # isamax/idamax
+        # sdot, dgemv, ...: any registry routine behind an s/d prefix.
+        # IAMAX is spelled isamax/idamax; sdsdot is a method of its own.
         if name in ("isamax", "idamax"):
-            want = _PREFIXED[name[1]]
-            def checked_iamax(x, **kw):
-                self._check_dtype(name, want, x)
-                return self.iamax(x, **kw)
-            return checked_iamax
-        if name == "sdsdot":
-            raise AttributeError(name)  # defined concretely on the mixin
-        if len(name) > 1 and name[0] in _PREFIXED and name[1:] in _ALIASABLE:
-            base = name[1:]
-            want = _PREFIXED[name[0]]
+            prefix, base = name[1], "iamax"
+        else:
+            prefix, base = name[:1], name[1:]
+            if base in ("iamax", "sdsdot"):     # siamax, dsdsdot: not BLAS
+                base = None
+        if prefix in _PREFIXED and base in REGISTRY:
+            want = _PREFIXED[prefix]
             method = getattr(self, base)
 
             def checked(*args, **kwargs):
-                for arg in args:
-                    if hasattr(arg, "data") and hasattr(arg.data, "dtype"):
-                        self._check_dtype(name, want, arg)
+                self._check_dtype(name, want, base, args, kwargs)
                 if base in ("rotg", "rotmg"):
                     kwargs.setdefault("dtype", want)
                 return method(*args, **kwargs)
@@ -337,35 +320,150 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @staticmethod
-    def _check_dtype(name, want, buf):
-        if buf.data.dtype != want:
-            raise TypeError(
-                f"{name} requires {np.dtype(want).name} buffers, got "
-                f"{buf.data.dtype.name} ({buf.name!r})")
+    def _check_dtype(name, want, routine, args, kwargs):
+        """Hold the routine's declared array operands, wherever the call
+        passes them, to the precision the prefixed name promises."""
+        for i, (operand, rank) in enumerate(REGISTRY[routine].operands):
+            buf = args[i] if i < len(args) else kwargs.get(operand)
+            if rank and isinstance(buf, DramBuffer) \
+                    and buf.data.dtype != want:
+                raise HostArgumentError(
+                    f"{name} requires {np.dtype(want).name} buffers, got "
+                    f"{buf.data.dtype.name} ({buf.name!r})")
 
-    # -- shared helpers used by the mixins -----------------------------------------
-    def _precision(self, buf) -> str:
-        return "single" if buf.data.dtype == np.float32 else "double"
+    # -- the design runners every routine goes through ----------------------------
+    def _record(self, routine, klass, dtype, cycles, io, flops, mode):
+        """Account one call: the only place a :class:`CallRecord` is made,
+        so the two modes cannot disagree on routine, precision or flops."""
+        precision = "single" if dtype == np.float32 else "double"
+        return self.context.record(CallRecord(
+            routine, precision, cycles,
+            self.context.frequency_for(klass, precision), io, flops, mode))
 
-    def _frequency(self, routine_class: str, dtype) -> float:
-        precision = "single" if np.dtype(dtype) == np.float32 else "double"
-        return self.context.frequency_for(routine_class, precision)
+    def _run_design(self, routine, klass, dtype, flops, design, update,
+                    model, returns=None, sink=False, io_extra=0):
+        """Run one streamed routine from its design row (``klass`` is its
+        frequency-model class, ``dtype`` what its operands share).
 
-    def _same_length(self, x, y) -> int:
-        if x.num_elements != y.num_elements:
-            raise ValueError(
-                f"vector length mismatch: {x.num_elements} vs "
-                f"{y.num_elements}")
-        if x.data.dtype != y.data.dtype:
-            raise TypeError(
-                f"mixed precision: {x.data.dtype} vs {y.data.dtype}")
-        return x.num_elements
+        ``design(width)`` describes the streaming design and is only
+        looked at when simulating: ``(reads, module, writes, *extras)``
+        with one tuple per DRAM stream — ``(channel, kernel name,
+        *read_kernel arguments from the buffer on)`` and ``(channel,
+        kernel name, *write_kernel arguments from the buffer on)`` — a
+        ``module(channels)`` factory for the routine's kernel (named after
+        the routine, latency from its registry class), and ``(channel,
+        kernel name, factory(channels))`` extras such as the y-replay
+        router.  A channel is a name (default depth) or ``(name, depth)``.
+        Channels are created reads, extras, writes (then the ``sink``
+        result channel); kernels reads, module, extras, sink, writes.
+        Names and creation order are part of the contract: they are in
+        ``SimReport.to_dict()`` and the structural ``plan_key``.
+
+        ``update()`` applies :mod:`repro.blas.reference` to the device
+        buffers (and returns the scalar of a reduction) and
+        ``model(width)`` gives the closed-form ``(cycles, io_elements)``;
+        both are only used in model mode.  The call returns the refreshed
+        ``returns`` buffer, the ``sink`` scalar, or None.
+        """
+        if self.mode == "model":
+            value = update()
+            self._record(routine, klass, dtype, *model(self.width), flops,
+                         "model")
+        else:
+            mem = self.context.mem
+            io_before = mem.total_elements_moved
+            eng = self._engine()
+            reads, module, writes, *extras = design(self.width)
+            chans, result = [], []
+            for spec, *_ in (*reads, *extras, *writes):
+                chans.append(eng.channel(*spec) if spec.__class__ is tuple
+                             else eng.channel(spec, self.channel_depth))
+            if sink:
+                chans.append(eng.channel("res", 4))
+            for (_, name, buf, *rest), ch in zip(reads, chans):
+                eng.add_kernel(name, read_kernel(mem, buf, ch, *rest))
+            eng.add_kernel(routine, module(chans), latency=level1_latency(
+                REGISTRY[routine].inner_class, self.width,
+                "single" if dtype == np.float32 else "double"))
+            for _, name, factory in extras:
+                eng.add_kernel(name, factory(chans))
+            if sink:
+                eng.add_kernel("sink", sink_kernel(chans[-1], 1, 1, result))
+                io_extra = 1                    # the scalar result
+            for (_, name, buf, *rest), ch in zip(
+                    writes, chans[len(reads) + len(extras):]):
+                eng.add_kernel(name, write_kernel(mem, buf, ch, *rest))
+            report = eng.run()
+            self._record(routine, klass, dtype, report.cycles,
+                         mem.total_elements_moved - io_before + io_extra,
+                         flops, "simulate")
+            value = result[0] if sink else None
+        if returns is not None:
+            return self.context.copy_from_device(returns)
+        return value
+
+    def _run_batched(self, base, size, batches, latency, module, solve,
+                     flops_each):
+        """Run one batched tiny-matrix routine (Table V) of ``base``.
+
+        A feeder reads problem ``i`` of every ``(nbatch, size, size)``
+        buffer in ``batches`` in one burst and pushes it into the fully
+        unrolled ``module(nbatch, ch_in, ch_out, dtype)`` of fixed
+        ``latency``, whose results overwrite the last buffer; model mode
+        applies ``solve`` problem by problem instead.
+        """
+        dt = device_operands(f"batched_{base}", *batches).type
+        out = batches[-1]
+        nbatch, s2, k = len(out.data), size * size, len(batches)
+        if any(b.data.shape != (nbatch, size, size) for b in batches):
+            raise HostValueError(
+                f"batched_{base}: every batch must be (nbatch, {size}, "
+                f"{size}), got {[b.data.shape for b in batches]}")
+        mem = self.context.mem
+        if self.mode == "model":
+            res = np.empty_like(out.data)
+            for i in range(nbatch):
+                res[i] = solve(*(b.data[i] for b in batches))
+            out.data[:] = res
+            cycles, io = latency + nbatch, (k + 1) * s2 * nbatch
+        else:
+            io_before = mem.total_elements_moved
+            eng = self._engine()
+            ci = eng.channel("in", (k + 1) * s2)
+            co = eng.channel("out", 2 * s2)
+
+            def feeder():
+                from ..fpga.kernel import Clock, Push
+                for i in range(nbatch):
+                    vals = sum((tuple(b.data[i].reshape(-1))
+                                for b in batches), ())
+                    granted = 0
+                    need = k * s2 * out.itemsize
+                    while granted < need:
+                        granted += mem.request_read(batches[0],
+                                                    need - granted)
+                        yield Clock()
+                    for b in batches:
+                        b.elements_read += s2
+                    yield Push(ci, vals, 1)
+                    yield Clock()
+
+            eng.add_kernel("feed", feeder())
+            eng.add_kernel(f"{base}_u", module(nbatch, ci, co, dt),
+                           latency=latency)
+            eng.add_kernel("write", write_kernel(
+                mem, out, co, nbatch * s2, s2))
+            cycles = eng.run().cycles
+            io = mem.total_elements_moved - io_before
+        self._record(f"{base}_batched", "level1", dt, cycles, io,
+                     flops_each * nbatch, self.mode)
+        return self.context.copy_from_device(out)
 
     def _fit_tile(self, n: int, multiple_of: int = 1) -> int:
         """Largest divisor of n that is <= the default tile and a multiple
         of ``multiple_of`` (streaming kernels need exact tiling)."""
         if n % multiple_of:
-            raise ValueError(
+            raise HostValueError(
                 f"dimension {n} is not a multiple of the compute grid "
                 f"({multiple_of})")
         best = multiple_of
@@ -374,40 +472,3 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
             if n % d == 0 and d <= limit:
                 best = d
         return best
-
-
-def _device_operands(fn):
-    """Reject host-side operands before the routine touches them.
-
-    FBLAS routines work on device buffers (results land in device
-    memory), so a raw ``ndarray`` is a caller error; name the argument
-    instead of failing deep inside the stride plumbing.
-    """
-    # (rot's ``c`` is the rotation's cosine, not a matrix.)
-    buffers = {"a", "b", "x", "y"}
-    if fn.__name__ != "rot":
-        buffers.add("c")
-    operands = [(i, name) for i, name in
-                enumerate(list(inspect.signature(fn).parameters)[1:])
-                if name in buffers]
-
-    @functools.wraps(fn)
-    def checked(self, *args, **kwargs):
-        for i, name in operands:
-            if i < len(args):
-                val = args[i]
-            elif name in kwargs:
-                val = kwargs[name]
-            else:
-                continue
-            if not isinstance(val, DramBuffer):
-                raise HostArgumentError(
-                    f"{fn.__name__}: argument {name!r} must be a device "
-                    f"buffer (see Fblas.copy_to_device), got "
-                    f"{type(val).__name__}")
-        return fn(self, *args, **kwargs)
-    return checked
-
-
-for _name in sorted((_ALIASABLE | {"sdsdot", "iamax"}) - {"rotg", "rotmg"}):
-    setattr(Fblas, _name, _device_operands(getattr(Fblas, _name)))

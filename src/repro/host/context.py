@@ -16,6 +16,7 @@ import numpy as np
 
 from ..fpga.device import STRATIX10, FpgaDevice, FrequencyModel, PowerModel
 from ..fpga.memory import DramBuffer, DramModel
+from ._validate import HostArgumentError, HostValueError
 
 
 @dataclass
@@ -69,7 +70,7 @@ class FblasContext:
                  default_width: int = 16,
                  default_tile: int = 256):
         if default_width < 1 or default_tile < 1:
-            raise ValueError("width and tile defaults must be positive")
+            raise HostValueError("width and tile defaults must be positive")
         self.device = device
         self.interleaving = interleaving
         self.default_width = default_width
@@ -92,7 +93,7 @@ class FblasContext:
         """Transfer a host array into device DRAM."""
         array = np.asarray(array)
         if array.dtype not in (np.float32, np.float64):
-            raise TypeError(
+            raise HostArgumentError(
                 f"FBLAS buffers are float32/float64, got {array.dtype}")
         if name is None:
             name = f"buf{self._buffer_seq}"

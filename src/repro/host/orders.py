@@ -18,12 +18,6 @@ def matrix_order(schedule: MatrixSchedule) -> Iterator[int]:
     return schedule.indices()
 
 
-def vector_blocks_replayed(n: int, replay: int) -> Iterator[int]:
-    """The whole vector streamed ``replay`` times."""
-    for _ in range(replay):
-        yield from range(n)
-
-
 def gemm_a_order(n: int, k: int, m: int, tile_n: int, tile_m: int
                  ) -> Iterator[int]:
     """A-strip columns for :func:`repro.blas.level3.gemm_tiled`.

@@ -85,16 +85,47 @@ class RoutineJob:
         return (self.routine, x.size, x.dtype.name)
 
     def validate(self) -> Optional[str]:
-        """Request-shape check; returns a rejection message or None."""
+        """Request-shape check; returns a rejection message or None.
+
+        Held to the same operand declaration the host API checks device
+        buffers against (:attr:`repro.blas.routines.RoutineInfo.operands`):
+        every operand present, arrays exactly where the routine takes
+        them (and positional — only ``args`` are copied to the device),
+        float32/float64, non-empty, matrices 2-D, one common dtype.
+        """
         from ..blas.routines import REGISTRY
         if self.routine not in REGISTRY:
             return f"unknown routine {self.routine!r}"
-        for a in self.arrays():
-            if a.dtype not in (np.float32, np.float64):
-                return (f"routine {self.routine!r}: FBLAS buffers are "
-                        f"float32/float64, got {a.dtype}")
+        who = f"routine {self.routine!r}"
+        operands = REGISTRY[self.routine].operands
+        args, nargs, dtype = self.args, len(self.args), None
+        for i, (name, rank) in enumerate(operands):
+            if i >= nargs:
+                if rank or name not in self.kwargs:
+                    return f"{who}: missing positional operand {name!r}"
+                continue
+            a = args[i]
+            if isinstance(a, np.ndarray) != (rank > 0):
+                return (f"{who}: operand {name!r} must be "
+                        f"{'an ndarray' if rank else 'a scalar'}, got "
+                        f"{type(a).__name__}")
+            if not rank:
+                continue
+            if a.dtype != np.float32 and a.dtype != np.float64:
+                return (f"{who}: FBLAS buffers are float32/float64, got "
+                        f"{a.dtype}")
             if a.size == 0:
-                return f"routine {self.routine!r}: empty operand"
+                return f"{who}: empty operand"
+            if rank > 1 and a.ndim != rank:
+                return (f"{who}: operand {name!r} must be {rank}-D, got "
+                        f"shape {a.shape}")
+            if dtype is None:
+                dtype = a.dtype
+            elif a.dtype != dtype:
+                return f"{who}: mixed precision ({dtype} and {a.dtype})"
+        for a in args[len(operands):]:
+            if isinstance(a, np.ndarray):
+                return f"{who}: unexpected array argument"
         return None
 
 

@@ -151,8 +151,8 @@ class TestHostDesigns:
 
 
 # ---------------------------------------------------------------------------
-# Single mutations of a host-style map design (``Fblas._map_call``'s
-# shape: DRAM readers -> module -> DRAM writer)
+# Single mutations of a host-style map design (the shape of a Level-1
+# design row: DRAM readers -> module -> DRAM writer)
 # ---------------------------------------------------------------------------
 
 BASE = {
@@ -260,8 +260,10 @@ class TestWhatTheKeySees:
 # ---------------------------------------------------------------------------
 
 def test_warm_certified_dot_stays_cheap():
-    """Python + C calls over three warm requests: <= 1 500 each (3 238
-    before the one-pass key), none of them in ``asdict``/``deepcopy``."""
+    """Python + C calls over three warm requests: <= 1 250 each (3 238
+    before the one-pass key, 1 211 measured since), none of them in
+    ``asdict``/``deepcopy`` — host-layer call creep fails here before it
+    fails the benchmark's 2 % bound on ``host_calls_per_req``."""
     fb = Fblas(width=8, engine_mode="certified")
     rng = np.random.default_rng(7)
     x, y = (fb.copy_to_device(rng.standard_normal(4096).astype(np.float32))
@@ -287,7 +289,7 @@ def test_warm_certified_dot_stays_cheap():
     assert fb._schedule_cache.stats() == {"entries": 1, "hits": 4,
                                           "misses": 1}
     assert not walked
-    assert calls / 3 <= 1500, calls / 3
+    assert calls / 3 <= 1250, calls / 3
 
 
 # ---------------------------------------------------------------------------
