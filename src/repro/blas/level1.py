@@ -23,11 +23,49 @@ rounding matches a hardware implementation of the same precision.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..fpga.kernel import Clock, Pop, Push
 from ..fpga.pattern import PatternedGenerator, StaticPattern
 from . import reference
+
+
+class _Scratch(threading.local):
+    """Per-thread temporaries of the reduction block executors.
+
+    A window hands ``block()`` tens of thousands of elements at once;
+    allocating the product, the adder-tree levels and the running sums
+    afresh each time made those temporaries the allocation peak of a
+    certified request.  They live here instead, sized by the largest
+    window the thread has replayed.  Two engines may run on two threads
+    at once (the service's workers), hence ``threading.local``.
+
+    Only values that are consumed before ``block()`` returns may be
+    placed here — never an array that is pushed into a channel, stored
+    on a cursor or returned to a caller: the next ``block()`` on this
+    thread overwrites it.
+    """
+
+    def __init__(self):
+        self.buf = np.empty(0, np.uint8)
+
+
+_scratch = _Scratch()
+
+
+def _burst_sums(ufunc, arrs, k, width):
+    """Adder-tree sum of each of ``k`` ``width``-wide bursts of
+    ``ufunc(*arrs)``: a view of the thread's scratch, valid until the
+    next call on this thread (:func:`_fold_rows` consumes it)."""
+    dtype = arrs[0].dtype
+    nbytes = k * width * dtype.itemsize
+    if _scratch.buf.nbytes < nbytes:
+        _scratch.buf = np.empty(nbytes, np.uint8)
+    terms = _scratch.buf[:nbytes].view(dtype)
+    ufunc(*arrs, out=terms)
+    return _tree_reduce_rows(terms.reshape(k, width))
 
 
 def _chunk(vals, count):
@@ -253,9 +291,7 @@ def dot_kernel(n, ch_x, ch_y, ch_res, width=1, dtype=np.float32, ii=1):
             [dtype(x) * dtype(y) for x, y in zip(xs, ys)], dtype)
 
     def block(k, arrs, _base):
-        xa, ya = arrs
-        rows = _tree_reduce_rows((xa * ya).reshape(k, width))
-        acc[0] = _fold_rows(acc[0], rows)
+        acc[0] = _fold_rows(acc[0], _burst_sums(np.multiply, arrs, k, width))
 
     def finalize():
         return (acc[0],)
@@ -275,9 +311,7 @@ def sdsdot_kernel(n, sb, ch_x, ch_y, ch_res, width=1):
             np.float64)
 
     def block(k, arrs, _base):
-        xa, ya = arrs
-        rows = _tree_reduce_rows((xa * ya).reshape(k, width))
-        acc[0] = _fold_rows(acc[0], rows)
+        acc[0] = _fold_rows(acc[0], _burst_sums(np.multiply, arrs, k, width))
 
     def finalize():
         return (np.float32(acc[0]),)
@@ -296,9 +330,8 @@ def nrm2_kernel(n, ch_x, ch_res, width=1, dtype=np.float32):
             [dtype(x) * dtype(x) for x in xs], dtype)
 
     def block(k, arrs, _base):
-        xa = arrs[0]
-        rows = _tree_reduce_rows((xa * xa).reshape(k, width))
-        acc[0] = _fold_rows(acc[0], rows)
+        acc[0] = _fold_rows(acc[0], _burst_sums(
+            np.multiply, (arrs[0], arrs[0]), k, width))
 
     def finalize():
         return (dtype(np.sqrt(acc[0])),)
@@ -317,8 +350,7 @@ def asum_kernel(n, ch_x, ch_res, width=1, dtype=np.float32):
             [dtype(abs(dtype(x))) for x in xs], dtype)
 
     def block(k, arrs, _base):
-        rows = _tree_reduce_rows(np.abs(arrs[0]).reshape(k, width))
-        acc[0] = _fold_rows(acc[0], rows)
+        acc[0] = _fold_rows(acc[0], _burst_sums(np.abs, arrs, k, width))
 
     def finalize():
         return (acc[0],)
@@ -398,8 +430,7 @@ def batched_dot_kernel(b, n, ch_x, ch_y, ch_res, width=1, dtype=np.float32):
         return (seg_end - st.done) // width
 
     def blk(k, arrs):
-        xa, ya = arrs
-        rows = _tree_reduce_rows((xa * ya).reshape(k, width))
+        rows = _burst_sums(np.multiply, arrs, k, width)
         pos, i = st.done, 0
         while i < k:
             seg = pos // n
@@ -503,21 +534,25 @@ def _tree_reduce(values, dtype):
 
 
 def _tree_reduce_rows(mat):
-    """Row-wise :func:`_tree_reduce` over a ``(k, w)`` matrix.
+    """Row-wise :func:`_tree_reduce` over a ``(k, w)`` matrix, **in
+    place**: ``mat`` must be a temporary the caller owns, its contents
+    are destroyed and the result is its first column (a view).
 
-    Operates on whole columns so the ``k`` per-iteration reductions share
-    each adder-tree level as one vectorized add, with the same pairing —
-    hence the same rounding — as the scalar tree.
+    Each adder-tree level is one vectorized add shared by the ``k``
+    per-iteration reductions, with the same pairing — hence the same
+    rounding — as the scalar tree: at stride ``s`` the live partial
+    sums sit in columns ``0, s, 2s, ...``; neighbours are added into
+    the left one, and an odd one out is already where the next level
+    (stride ``2s``) expects it.
     """
-    cols = [mat[:, j] for j in range(mat.shape[1])]
-    while len(cols) > 1:
-        nxt = []
-        for i in range(0, len(cols) - 1, 2):
-            nxt.append(cols[i] + cols[i + 1])
-        if len(cols) % 2:
-            nxt.append(cols[-1])
-        cols = nxt
-    return cols[0]
+    w = mat.shape[1]
+    s = 1
+    while s < w:
+        right = mat[:, s::2 * s]
+        left = mat[:, :2 * s * right.shape[1]:2 * s]
+        np.add(left, right, out=left)
+        s *= 2
+    return mat[:, 0]
 
 
 def _fold_rows(acc, rows):
@@ -527,6 +562,8 @@ def _fold_rows(acc, rows):
     output is the previous output plus the next input), unlike
     ``np.sum``/``np.add.reduce`` which use pairwise summation — so this
     matches ``k`` per-iteration ``acc = acc + row`` updates bit-exactly.
+    ``rows`` is a temporary the caller owns: its first element absorbs
+    ``acc`` and the running sums overwrite it in place.
     """
-    seq = np.add.accumulate(np.concatenate((np.asarray([acc]), rows)))
-    return seq[-1]
+    rows[0] += acc
+    return np.add.accumulate(rows, out=rows)[-1]

@@ -15,9 +15,9 @@ The recovery ladder, mirroring what a resilient FPGA host runtime does:
    cannot leak into the re-run.
 3. **Graceful degradation** on :class:`~repro.fpga.errors.SimulationError`
    (a livelock/timeout watchdog trip, or a bulk-window invariant
-   violation): demote the engine tier ``bulk -> event -> dense`` and try
-   again — the dense reference core is the last resort that trades all
-   performance for maximal simplicity.
+   violation): demote the engine tier ``certified | bulk -> event ->
+   dense`` and try again — the dense reference core is the last resort
+   that trades all performance for maximal simplicity.
 
 :class:`~repro.fpga.errors.DeadlockError` is deliberately **not**
 recovered: a deadlock is a deterministic property of the composition
@@ -41,7 +41,7 @@ __all__ = ["DEMOTION", "MemoryCheckpoint", "RecoveryOutcome", "RetryPolicy",
            "run_with_recovery"]
 
 #: The degradation ladder: which tier a failing mode falls back to.
-DEMOTION = {"bulk": "event", "event": "dense"}
+DEMOTION = {"certified": "event", "bulk": "event", "event": "dense"}
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,24 @@ against the fingerprint afterwards.
 
 Anything neither covers — the cycle that wakes or blocks a kernel at a
 phase change, ragged tails, unpatterned kernels, declare-only patterns,
-ii > 1, observers (an instrumented run wants per-cycle callbacks) —
-executes on the inherited event scheduler unchanged, which is what
-keeps mixed static/dynamic designs and all verdicts (including
+ii > 1 — executes on the inherited event scheduler unchanged, which is
+what keeps mixed static/dynamic designs and all verdicts (including
 :class:`~repro.fpga.errors.DeadlockError`) byte-identical across the
 cores.
+
+Observers
+---------
+The speculative tier steps every cycle of an observed run (its probe
+proves a fixed point, not what an observer would have seen).  A
+certified window is different: its kernels work every cycle, everything
+outside it is frozen by the clamps above, and each channel's per-cycle
+occupancy follows from the same storage data :func:`_flow_bound` reads
+(:func:`_flow_occupancy`).  So when every attached observer defines
+``on_window`` (see :mod:`repro.fpga.observers`) the certified tier keeps
+its windows and reports each one as a single record; one observer
+without the hook — a per-cycle event dump, say — keeps the whole run on
+the stepping core, and the run's ledger record names it
+(``fallback_reason``).
 """
 
 from __future__ import annotations
@@ -83,14 +96,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SimulationError
+from .observers import Window
 from .scheduler import _KIDX, _MATURE, WakeListScheduler
 
 __all__ = ["BulkScheduler", "CertifiedScheduler"]
-
-#: Smallest input (elements per port) worth replaying in sub-blocks so
-#: that block runs move as views: below it, one extra ``block()`` call
-#: costs more than concatenating the whole input.
-_CUT_ELEMENTS = 1 << 15
 
 
 def _flow_bound(ch, t, w, eff, push, pop, consumer_first, limit):
@@ -181,6 +190,37 @@ def _flow_peak(ch, w, eff, push, pop, offs, K):
     if push:
         level += w * np.maximum(at - eff + 1, 0)
     return min(ch.depth, max(occ, int(np.maximum.reduce(level))))
+
+
+def _flow_occupancy(ch, w, eff, push, pop, offs, K):
+    """Post-maturation FIFO occupancy of each of a window's ``K`` cycles
+    — the samples the event core's ``on_cycle`` would have taken —
+    run-length encoded in time order as ``[(occupancy, cycles), ...]``;
+    arguments as in :func:`_flow_bound`.
+
+    By cycle ``j`` the channel has been offered its ``occ`` visible
+    elements, the staged ones whose offset is at most ``j`` and the
+    window's own pushes of cycles ``0 .. j - eff``; the consumer has
+    taken ``w * j``.  Maturation admits what is due only up to
+    ``depth`` and the overflow waits its turn, so the FIFO holds the
+    smaller of that balance and ``depth``.
+    """
+    n = K
+    if push and pop:
+        # Net rate 0: the balance stops changing once the staged
+        # backlog has matured and the window's first push has arrived.
+        n = min(K, max(eff, int(offs[-1]) + 1 if offs is not None else 0))
+    j = np.arange(n)
+    level = len(ch._fifo) - w * j if pop else np.full(n, len(ch._fifo))
+    if offs is not None:
+        level += offs.searchsorted(j, side="right")
+    if push:
+        level += w * np.maximum(j - eff + 1, 0)
+    np.minimum(level, ch.depth, out=level)
+    starts = np.flatnonzero(np.diff(level, prepend=level[0] - 1))
+    cycles = np.diff(starts, append=n)
+    cycles[-1] += K - n
+    return list(zip(level[starts].tolist(), cycles.tolist()))
 
 
 class BulkScheduler(WakeListScheduler):
@@ -315,9 +355,10 @@ class BulkScheduler(WakeListScheduler):
         ``max_cycles`` (:meth:`_precheck`).  Returns ``(K, order, ports)`` — the window
         length, the ``(kernel, phase)`` pairs in topological producer ->
         consumer order, and per window channel ``[producer, consumer,
-        lanes, latency, FIFO peak]`` with ``None`` for an endpoint that
-        is not in the window — or ``None`` when no window of at least
-        :data:`MIN_WINDOW` cycles is provable.
+        lanes, latency, staged offsets, FIFO peak]`` with ``None`` for
+        an endpoint that is not in the window (and for the peak, which
+        whoever executes the window fills in) — or ``None`` when no
+        window of at least :data:`MIN_WINDOW` cycles is provable.
 
         A window channel has a net rate of ``+lanes`` (producer only:
         pipeline fill — the consumer is blocked, asleep, or busy with
@@ -330,7 +371,7 @@ class BulkScheduler(WakeListScheduler):
         """
         t1 = self.now
         kernels = self._current          # sorted by index, all patterned
-        # Port map {channel: [producer, consumer, lanes, latency, None]}:
+        # Port map {channel: [producer, consumer, lanes, latency, ...]}:
         # single-producer / single-consumer channels with matching lanes
         # (FB400 proves it for certified designs; bail rather than trust
         # that for the speculative tier).
@@ -338,7 +379,7 @@ class BulkScheduler(WakeListScheduler):
         for k, p in zip(kernels, phases):
             for ch, w in p.reads:
                 if ch not in ports:
-                    ports[ch] = [None, k, w, 1, None]
+                    ports[ch] = [None, k, w, 1, None, None]
                     continue
                 port = ports[ch]
                 if port[1] is not None or port[2] != w or port[0] is k:
@@ -348,7 +389,7 @@ class BulkScheduler(WakeListScheduler):
                 if lat is None:
                     lat = k.latency
                 if ch not in ports:
-                    ports[ch] = [k, None, w, lat, None]
+                    ports[ch] = [k, None, w, lat, None, None]
                     continue
                 port = ports[ch]
                 if port[0] is not None or port[2] != w or port[1] is k:
@@ -358,7 +399,7 @@ class BulkScheduler(WakeListScheduler):
         # Topological producer -> consumer order (Kahn, index-ordered).
         indeg = {k: 0 for k in kernels}
         adj = {k: [] for k in kernels}
-        for pk, ck, _w, _eff, _ in ports.values():
+        for pk, ck, *_flow in ports.values():
             if pk is not None and ck is not None:
                 adj[pk].append(ck)
                 indeg[ck] += 1
@@ -398,17 +439,13 @@ class BulkScheduler(WakeListScheduler):
         for ch, port in ports.items():
             if K < self.MIN_WINDOW:
                 return None
-            pk, ck, w, eff, _ = port
+            pk, ck, w, eff = port[:4]
             K, port[4] = _flow_bound(
                 ch, t1, w, eff, pk is not None, ck is not None,
                 pk is not None and ck is not None and ck.index < pk.index,
                 K)
         if K < self.MIN_WINDOW:
             return None
-        for ch, port in ports.items():
-            pk, ck, w, eff, offs = port
-            port[4] = _flow_peak(ch, w, eff, pk is not None, ck is not None,
-                                 offs, K)
         # A channel outside the window is never touched by it, which is
         # only event-faithful while it cannot mature on its own: either
         # nothing can enter its FIFO, or its maturation is a heap event
@@ -424,6 +461,11 @@ class BulkScheduler(WakeListScheduler):
         """Execute one K-cycle superstep (no bail-outs)."""
         t1 = self.now
         last = t1 + K - 1
+        for ch, port in ports.items():
+            if port[5] is None:     # not already read off the series
+                pk, ck, w, eff, offs, _ = port
+                port[5] = _flow_peak(ch, w, eff, pk is not None,
+                                     ck is not None, offs, K)
         # DRAM stores run last: a linear read kernel hands out *views*
         # of its buffer, and every kernel that consumes one this window
         # must do so before a store can overwrite the bytes under it.
@@ -465,7 +507,7 @@ class BulkScheduler(WakeListScheduler):
                     touched_banks.add((id(d.mem), d.mem, d.buf.bank))
         for _mid, mem, bank in touched_banks:
             mem.bank_stats[bank].busy_cycles += K
-        for ch, (_pk, ck, w, _eff, peak) in ports.items():
+        for ch, (_pk, ck, w, _eff, _offs, peak) in ports.items():
             ch.end_window(last, w if ck is not None else 0)
             # The event core's phase-0 maturations would have recorded
             # the in-cycle FIFO peaks; no real cycle ran here.
@@ -489,10 +531,9 @@ class BulkScheduler(WakeListScheduler):
         view (``block(k1)`` then ``block(k2)`` is ``block(k1 + k2)``)."""
         cuts = {K}
         for ch, w in p.reads:
-            if K * w >= _CUT_ELEMENTS:
-                ch.block_cuts(w, K, cuts)
+            ch.block_cuts(w, K, cuts)
         done = 0
-        for cut in sorted(cuts) if len(cuts) > 1 else cuts:
+        for cut in sorted(cuts):
             n = cut - done
             if n <= 0:
                 continue
@@ -540,6 +581,19 @@ class CertifiedScheduler(BulkScheduler):
     acceptance tests assert.
     """
 
+    def __init__(self, engine, max_cycles: int):
+        super().__init__(engine, max_cycles)
+        # A window is reported to observers as one ``on_window`` record;
+        # an observer that does not define the hook wants every cycle,
+        # which keeps the whole run on the stepping core.  The reason
+        # (None when windows may be taken) goes into the run's ledger
+        # record.
+        engine._bulk_fallback = None
+        for o in self._observers:
+            if not hasattr(o, "on_window"):
+                engine._bulk_fallback = f"observer:{type(o).__name__}"
+                break
+
     def _run_cycle(self) -> None:
         eng = self.engine
         t = self.now
@@ -550,10 +604,38 @@ class CertifiedScheduler(BulkScheduler):
         if w and t >= eng._last_op_cycle + w and not any(
                 not k.done and k.sleep_until >= t for k in self.kernels):
             self._raise_hang("livelock", t, budget=w)
-        ready = None if self._observers else self._precheck()
+        ready = self._precheck() if eng._bulk_fallback is None else None
         plan = self._window_plan(*ready) if ready is not None else None
         if plan is None:
             eng._bulk_stepped += 1
             WakeListScheduler._run_cycle(self)
+        elif self._observers:
+            # The record describes the state the window starts from.
+            window = self._describe_window(*plan)
+            self._execute_window(*plan)
+            for o in self._observers:
+                o.on_window(t, plan[0], window)
         else:
             self._execute_window(*plan)
+
+    def _describe_window(self, K, order, ports) -> Window:
+        """What ``K`` stepped cycles would have shown an observer."""
+        t = self.now
+        phase_of = dict(order)
+        states = [(k, "#" if k in phase_of else "-" if k.done
+                   else "z" if k.sleep_until > t else "s")
+                  for k in self.kernels]
+        ops = []
+        for k in self._current:          # step order: by kernel index
+            p = phase_of[k]
+            ops += [(k, ch, "pop", w) for ch, w in p.reads]
+            ops += [(k, ch, "push", w) for ch, w, _lat in p.writes]
+        occupancy = {}
+        for ch, port in ports.items():
+            pk, ck, w, eff, offs, _ = port
+            runs = occupancy[ch] = _flow_occupancy(
+                ch, w, eff, pk is not None, ck is not None, offs, K)
+            # The series is already capped at depth; its maximum is the
+            # peak _execute_window would otherwise ask _flow_peak for.
+            port[5] = max(occ for occ, _n in runs)
+        return Window(states, ops, occupancy)

@@ -214,7 +214,8 @@ class Channel:
                 break
             if edge:
                 cuts.add(edge // lanes)
-                cuts.add(-(-edge // lanes))
+                if edge % lanes:
+                    cuts.add(edge // lanes + 1)
 
     def pop_block(self, count: int, dtype=None) -> np.ndarray:
         """Drain ``count`` elements, in arrival order, as one ndarray.

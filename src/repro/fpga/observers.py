@@ -30,12 +30,42 @@ JSONL event dump, ad-hoc debugging hooks — subscribes as an observer:
     channel occupancies are constant over the window, so observers can
     synthesize the dense per-cycle record exactly — that is how
     ``TraceObserver`` keeps byte-identical timelines across modes.
+
+``on_window(start, cycles, window)``
+    Certified core only, and **opt-in**: the scheduler replayed cycles
+    ``start .. start+cycles-1`` as one arithmetic superstep
+    (:mod:`repro.fpga.bulk`) and describes them with one
+    :class:`Window` instead of ``cycles`` rounds of the three per-cycle
+    hooks.  That is exact because of what the window's own proof holds
+    constant: its kernels all work in every one of the cycles (state
+    ``#``, the same pops and pushes each time); nothing wakes, blocks
+    or finishes outside it, so every other kernel keeps the state it
+    has at ``start``; a channel outside the window is untouched and
+    holds its occupancy; and a window channel's occupancy is a closed
+    form of its storage at ``start``.  The hook is called after the
+    window has executed.
+
+    The scheduler takes windows only when *every* attached observer
+    defines ``on_window`` — it looks for the method, there is no flag.
+    :class:`TraceObserver` and :class:`StallChainProfiler` (and the
+    telemetry session's observers) define it and fold a window into
+    their totals arithmetically, as they do for ``on_quiet``.
+    :class:`EngineObserver` deliberately does not: a subclass that
+    overrides ``on_cycle`` expecting every cycle (``JsonlEventDump``
+    writes a line per op) keeps exact per-cycle stepping, at stepping
+    speed, without having to know the hook exists.  That holds for
+    direct ``EngineObserver`` subclasses only: a subclass of
+    ``TraceObserver`` or ``StallChainProfiler`` inherits ``on_window``,
+    so if it overrides a per-cycle hook it must override ``on_window``
+    as well, or that hook sees the stepped cycles only.  The
+    speculative ``mode="bulk"`` tier never calls it; it steps observed
+    runs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 #: Cap on per-kernel timeline samples and per-channel occupancy samples
 #: kept by :class:`TraceObserver` (timelines and occupancy sums truncate
@@ -43,8 +73,36 @@ from typing import Dict, List, Optional, Set, Tuple
 MAX_TRACE_CYCLES = 100_000
 
 
+class Window(NamedTuple):
+    """One certified superstep, as its observers see it (``on_window``).
+
+    ``states``
+        ``(kernel, state)`` for every kernel of the engine in
+        registration order — the one-character state ``on_kernel_state``
+        would have reported in *each* cycle of the window.
+    ``ops``
+        The ``(kernel, channel, kind, count)`` channel operations every
+        cycle of the window repeats, in step order.
+    ``occupancy``
+        ``{channel: [(occupancy, cycles), ...]}`` for the channels the
+        window moves data through: the occupancy ``on_cycle`` would
+        have sampled in each cycle, run-length encoded in time order
+        (the runs' ``cycles`` add up to the window's).  Every other
+        channel holds ``channel.occupancy`` throughout.
+    """
+
+    states: list
+    ops: list
+    occupancy: dict
+
+
 class EngineObserver:
-    """Base observer: every hook is a no-op; subclass what you need."""
+    """Base observer: every hook is a no-op; subclass what you need.
+
+    There is no ``on_window`` here on purpose — see the module
+    docstring: defining it is how an observer tells the certified core
+    it can account for a whole window at once.
+    """
 
     #: Set True to receive per-cycle per-kernel ``on_kernel_state`` calls.
     #: The event core only performs the full kernel sweep when some
@@ -111,6 +169,26 @@ class TraceObserver(EngineObserver):
             state = "-" if k.done else ("z" if k.sleep_until > start else "s")
             self.timelines.setdefault(k.name, []).extend(state * n)
 
+    def on_window(self, start: int, cycles: int, window: Window) -> None:
+        n = min(start + cycles, MAX_TRACE_CYCLES) - start
+        if n <= 0:
+            return
+        sums = self.occupancy_sums
+        for name, ch in self._engine.channels.items():
+            runs = window.occupancy.get(ch)
+            if runs is None:
+                total = n * ch.occupancy
+            else:
+                total, left = 0, n      # the first n samples of the runs
+                for occ, span in runs:
+                    total += occ * min(span, left)
+                    left -= span
+                    if left <= 0:
+                        break
+            sums[name] = sums.get(name, 0) + total
+        for k, state in window.states:
+            self.timelines.setdefault(k.name, []).extend(state * n)
+
 
 class StallChainProfiler(EngineObserver):
     """Aggregates who stalls on what and derives backpressure chains.
@@ -161,6 +239,13 @@ class StallChainProfiler(EngineObserver):
                       count: int) -> None:
         side = self.producers if kind == "push" else self.consumers
         side.setdefault(channel.name, set()).add(kernel.name)
+
+    def on_window(self, start: int, cycles: int, window: Window) -> None:
+        for k, state in window.states:
+            if state == "s" and k.blocked is not None:
+                self._charge(k, cycles)
+        for k, ch, kind, count in window.ops:
+            self.on_channel_op(start, k, ch, kind, count)
 
     # -- analysis ----------------------------------------------------------
     def dominant_stall(self, kernel: str) -> Optional[Tuple[str, str, int]]:

@@ -204,6 +204,11 @@ class RunRecord:
     #: Bulk-tier superstep counters (windows / bulk_cycles / probes /
     #: cooldowns) when the run used the bulk or certified scheduler.
     bulk: Optional[Dict[str, int]] = None
+    #: Why a run on a windowed tier stepped every cycle instead:
+    #: ``"observer:<ClassName>"`` when an attached observer without
+    #: ``on_window`` kept a certified run off its windows; None when
+    #: nothing did (or the tier has no windows to fall back from).
+    fallback_reason: Optional[str] = None
     faults_injected: int = 0
     retries: int = 0
     demotions: int = 0
@@ -262,6 +267,7 @@ class RunRecord:
                                  else None),
             "in_band": self.in_band,
             "bulk": dict(self.bulk) if self.bulk is not None else None,
+            "fallback_reason": self.fallback_reason,
             "faults_injected": self.faults_injected,
             "retries": self.retries,
             "demotions": self.demotions,
@@ -302,6 +308,7 @@ class RunRecord:
             predicted_cycles=(int(pc[0]), int(pc[1])) if pc else None,
             in_band=d.get("in_band"),
             bulk=dict(d["bulk"]) if d.get("bulk") is not None else None,
+            fallback_reason=d.get("fallback_reason"),
             faults_injected=int(d.get("faults_injected", 0)),
             retries=int(d.get("retries", 0)),
             demotions=int(d.get("demotions", 0)),
@@ -724,6 +731,16 @@ def fleet_report(records: Iterable[RunRecord],
                 f"    {r.run_id}  {r.kind:12s} "
                 f"{(r.label or '-'):16s} {r.cycles:>10d} cy  "
                 f"{r.wall_seconds * 1e3:8.2f} ms  {r.outcome}")
+
+    # Runs a windowed tier had to step, grouped by what kept them off.
+    stepped: Dict[str, int] = {}
+    for r in q.records:
+        if r.fallback_reason:
+            stepped[r.fallback_reason] = stepped.get(r.fallback_reason, 0) + 1
+    if stepped:
+        lines.append("")
+        lines.append("  stepped instead of replayed: " + ", ".join(
+            f"{why} x{n}" for why, n in sorted(stepped.items())))
 
     # Count fault/recovery totals over the set's *roots* only (records
     # whose parent is absent from the set): parents roll child counts

@@ -23,6 +23,10 @@ Both are attached per engine run by
 afterwards, so an engine with no active telemetry session never sees
 them (the zero-cost-when-unused contract).
 
+Both define ``on_window`` (a certified superstep folds into the
+histograms, stall charges and slices arithmetically, like an
+``on_quiet`` jump), so a watched certified run keeps its windows.
+
 Both implement the :class:`~repro.fpga.observers.EngineObserver`
 protocol structurally rather than by inheritance, and the profiler is
 imported lazily: :mod:`repro.telemetry` must stay importable without
@@ -96,6 +100,17 @@ class MetricsObserver:
             for name, ch in self._engine.channels.items():
                 hist.observe(ch.occupancy, count=cycles, run=run,
                              channel=name)
+
+    def on_window(self, start: int, cycles: int, window: Any) -> None:
+        self.profiler.on_window(start, cycles, window)
+        if self.occupancy:
+            hist = self.registry.histogram(
+                "channel.occupancy", "per-cycle FIFO occupancy samples")
+            run = self.run
+            for name, ch in self._engine.channels.items():
+                for occ, span in window.occupancy.get(
+                        ch, ((ch.occupancy, cycles),)):
+                    hist.observe(occ, count=span, run=run, channel=name)
 
     # -- aggregation ---------------------------------------------------------
     def on_run_end(self, report: Any) -> None:
@@ -223,6 +238,11 @@ class SliceRecorder:
         # same per-kernel verdict the TraceObserver uses.
         for k in self._engine.kernels.values():
             state = "-" if k.done else ("z" if k.sleep_until > start else "s")
+            self._transition(k.name, state, start)
+
+    def on_window(self, start: int, cycles: int, window: Any) -> None:
+        # One state per kernel for the whole window, by its own proof.
+        for k, state in window.states:
             self._transition(k.name, state, start)
 
     def finalize(self, t: int) -> None:

@@ -42,8 +42,10 @@ single-threaded; so is the session.
 
 **Ledger-lite mode.**  ``session(metrics=False, kernel_slices=False,
 occupancy=False, ledger_path=...)`` attaches *no observers at all*:
-the bulk/certified fast paths stay engaged (any attached observer
-disables them by contract) and the per-run cost is O(kernels) record
+the speculative bulk fast path stays engaged (any attached observer
+disables it by contract; the certified tier keeps its windows under
+the session's observers too, which take each one as a single
+``on_window`` record) and the per-run cost is O(kernels) record
 assembly after the run, not per-cycle callbacks.  This is the
 configuration the ledger-on overhead gate in
 ``benchmarks/test_telemetry_overhead.py`` holds at >= 90% of the
@@ -121,8 +123,8 @@ class TelemetrySession:
     metrics:
         Attach the :class:`MetricsObserver` to every run.  Disabling it
         (together with ``kernel_slices``) leaves the engine entirely
-        observer-free — the *ledger-lite* mode that keeps the
-        bulk/certified fast paths engaged while still recording one
+        observer-free — the *ledger-lite* mode that keeps even the
+        speculative bulk fast path engaged while still recording one
         :class:`RunRecord` per run.
     ledger_path:
         Optional JSONL sink path for the run ledger (size-rotated; see
@@ -257,6 +259,10 @@ class TelemetrySession:
             self.clock = offset + end_t
             self.spans.close(sp, cycles=end_t - t0)
             if mo is not None:
+                # Kept for report(), which reads the stall tables; the
+                # engine (channels, generators, buffers) must not live
+                # as long as the session does.
+                mo.profiler._engine = None
                 self._profilers.append((idx, mo.profiler))
             report_dict: Optional[dict] = None
             if mo is not None and mo.last_report is not None:
@@ -296,6 +302,7 @@ class TelemetrySession:
                     if hasattr(engine, attr)}
             if bulk:
                 rec.bulk = bulk
+            rec.fallback_reason = getattr(engine, "_bulk_fallback", None)
             self.ledger.append(rec)
 
     # -- reporting -----------------------------------------------------------

@@ -1,7 +1,8 @@
 """Certified replay covers the whole run, in whole-array steps.
 
-Two deterministic guards on the certified tier's cost model — wall time
-proportional to the number of *phases*, not cycles or elements:
+Three deterministic guards on the certified tier's cost model — wall
+time proportional to the number of *phases*, not cycles or elements, and
+allocation proportional to neither:
 
 * **stepped-cycle budget** — for the stream-shaped host calls (DOT,
   in-place AXPY, tiled GEMV) all but a handful of cycles are replayed as
@@ -9,15 +10,24 @@ proportional to the number of *phases*, not cycles or elements:
   never probes;
 * **vectorisation guard** — every executable pattern's ``block(k, ins)``
   touches its input arrays a number of times that does not grow with
-  ``k``, and no ``block`` body loops over a range derived from ``k``.
+  ``k``, and no ``block`` body loops over a range derived from ``k``;
+* **window temporaries** — a warm certified DOT allocates no
+  window-sized array (runs move as views, the adder tree works in place
+  on a per-thread scratch), the in-place tree rounds exactly like the
+  scalar one, and the scratch really is per thread.
 """
 
 import ast
+import gc
 import inspect
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.blas import level1, level2, reference
 from repro.fpga import Engine, memory, util
 from repro.fpga.channel import Channel
@@ -330,3 +340,95 @@ class TestBlocksAreVectorised:
                 assert not (over_range and mentions(it)), (
                     f"{module.__name__}.{fn.name} (line {fn.lineno}) loops "
                     f"over a range derived from k: {ast.unparse(it)}")
+
+
+# ---------------------------------------------------------------------------
+# Window temporaries
+# ---------------------------------------------------------------------------
+
+def _warm_dot(n=4096, width=8):
+    fb = Fblas(width=width, engine_mode="certified")
+    rng = np.random.default_rng(7)
+    x, y = (fb.copy_to_device(_vec(rng, n)) for _ in range(2))
+    want = fb.dot(x, y)                 # certifies, sizes the scratch
+    return (lambda: fb.dot(x, y)), want
+
+
+def _alloc_peak_kb(call):
+    """tracemalloc peak of one warm call above its pre-call baseline —
+    the benchmark's ``host_alloc_peak_kb``, minus the subprocess."""
+    tracemalloc.start()
+    try:
+        call()                          # tracemalloc's own first-use cost
+        gc.collect()
+        gc.disable()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1024
+    finally:
+        gc.enable()
+        tracemalloc.stop()
+
+
+class TestWindowTemporaries:
+    def test_warm_dot_allocates_no_window_sized_array(self):
+        """4096 float32 elements are 16 kB per operand: the products,
+        the tree levels or one concatenated input would each show up
+        (90.8 kB before runs moved as views and the tree went in place,
+        ~33 kB since); the benchmark's bound on this is 5 %."""
+        call, _want = _warm_dot()
+        assert _alloc_peak_kb(call) <= 45
+
+    def test_watched_warm_dot_allocates_no_more_than_a_stepped_one(self):
+        """Inside a full session (55.5 kB when every cycle was stepped):
+        the window's occupancy series are run-length pairs, not one
+        sample per cycle."""
+        call, _want = _warm_dot()
+        with telemetry.session():
+            assert _alloc_peak_kb(call) <= 60
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_in_place_tree_rounds_like_the_scalar_tree(self, width, dtype):
+        rng = np.random.default_rng(width)
+        # Wide exponent range: every pairing rounds differently.
+        mat = (rng.standard_normal((37, width))
+               * 10.0 ** rng.integers(-6, 7, (37, width))).astype(dtype)
+        want = [level1._tree_reduce(list(row), dtype) for row in mat]
+        got = level1._tree_reduce_rows(mat.copy())
+        assert got.dtype == dtype
+        assert got.tobytes() == np.asarray(want, dtype=dtype).tobytes()
+
+    def test_scratch_is_per_thread(self):
+        """Two engines replaying windows at once must not share the
+        temporaries: each thread's results equal the single-thread
+        bytes, every time."""
+        calls = [_warm_dot(n, 8) for n in (4096, 8192)]
+        rounds, got, errors = 40, [[], []], []
+        start = threading.Barrier(2)
+
+        def work(i):
+            call, _want = calls[i]
+            try:
+                start.wait(30)
+                for _ in range(rounds):
+                    got[i].append(call())
+            except BaseException as exc:    # surfaced below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors, errors
+        assert not any(t.is_alive() for t in threads)
+        for (_call, want), seen in zip(calls, got):
+            assert seen == [want] * rounds

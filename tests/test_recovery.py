@@ -267,6 +267,56 @@ class TestHostResilience:
         assert fb.last_recovery.recovered
         assert ctx.faults_injected == 1 and ctx.retries == 1
 
+    def test_certified_failure_demotes_once_to_event(self):
+        """The ladder has a rung for the tier the host and the service
+        ask for: a ``SimulationError`` on the certified tier demotes to
+        event instead of propagating.  No fault in the vocabulary can
+        wedge a certified run on its own (kernel faults are refused at
+        certification, value faults keep the cadence), so the failure is
+        the one only that tier can have — its window replay, broken here
+        by an observer — under a seeded plan whose one-shot fault has
+        already fired when it strikes."""
+        from repro.faults import ChannelFault
+        from repro.fpga.observers import TraceObserver
+
+        class BrokenWindow(TraceObserver):
+            def on_window(self, start, cycles, window):
+                raise SimulationError("window replay failed")
+
+        class Watched(Fblas):
+            def _engine(self):
+                eng = super()._engine()
+                eng.add_observer(BrokenWindow())
+                return eng
+
+        x, y = self._vectors(4096)
+        plan = FaultPlan(seed=3, channel_faults=(
+            ChannelFault("in0", 5, "corrupt", bit=30),))
+
+        def dot(cls, mode, **kw):
+            fb = cls(width=8, engine_mode=mode, **kw)
+            return fb, fb.dot(fb.copy_to_device(x), fb.copy_to_device(y))
+
+        _, clean = dot(Fblas, "event")
+        with inject(plan):
+            _, faulted = dot(Fblas, "event")
+        assert faulted != clean                 # the fault is real
+        with inject(plan):
+            with pytest.raises(SimulationError):
+                dot(Watched, "certified")       # no ladder: it propagates
+        with inject(plan) as ctx:
+            fb, res = dot(Watched, "certified", resilience=True)
+        out = fb.last_recovery
+        assert out.mode == "event"
+        assert out.demotions == 1 and out.retries == 0
+        assert out.actions == [{"action": "demote", "from": "certified",
+                                "to": "event", "error": "SimulationError"}]
+        # One-shot: the fault fired in the failed attempt and does not
+        # replay, so the demoted run returns the clean event-tier bytes.
+        assert ctx.faults_injected == 1 and ctx.demotions == 1
+        assert np.asarray(res).tobytes() == np.asarray(clean).tobytes()
+        assert fb.engine_mode == "certified"    # demotion was per call
+
 
 class TestExecutorRecovery:
     def _build(self, mem, n, width, w, v, u, alpha):
