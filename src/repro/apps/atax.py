@@ -99,9 +99,11 @@ def _atax_streaming(ctx, a, x, tile, width, channel_depth, preflight,
     cy0b = eng.channel("zeros2", 8 * width)
     ctmp = eng.channel("tmp", max(8 * width, 2 * tm_))
     cy = eng.channel("y", 8 * width)
-    y = ctx.mem.allocate("atax_y", n, dtype=a.data.dtype)
-    z1 = ctx.mem.bind("atax_z1", np.zeros(m, dtype=a.data.dtype))
-    z2 = ctx.mem.bind("atax_z2", np.zeros(n, dtype=a.data.dtype))
+    y = ctx.mem.allocate(ctx.free_name("atax_y"), n, dtype=a.data.dtype)
+    z1 = ctx.mem.bind(ctx.free_name("atax_z1"),
+                      np.zeros(m, dtype=a.data.dtype))
+    z2 = ctx.mem.bind(ctx.free_name("atax_z2"),
+                      np.zeros(n, dtype=a.data.dtype))
     eng.add_kernel("read_A", read_kernel(ctx.mem, a, ca, width,
                                          order=sched.indices()),
                    writes=[(ca, width, 1)])
@@ -155,9 +157,11 @@ def atax_broken(ctx: FblasContext, a, x, tile: int = 4,
     cy0b = eng.channel("zeros2", 8 * width)
     ctmp = eng.channel("tmp", max(8 * width, 2 * tm_))
     cy = eng.channel("y", 8 * width)
-    y = ctx.mem.allocate("atax_b_y", n, dtype=a.data.dtype)
-    z1 = ctx.mem.bind("atax_b_z1", np.zeros(m, dtype=a.data.dtype))
-    z2 = ctx.mem.bind("atax_b_z2", np.zeros(n, dtype=a.data.dtype))
+    y = ctx.mem.allocate(ctx.free_name("atax_b_y"), n, dtype=a.data.dtype)
+    z1 = ctx.mem.bind(ctx.free_name("atax_b_z1"),
+                      np.zeros(m, dtype=a.data.dtype))
+    z2 = ctx.mem.bind(ctx.free_name("atax_b_z2"),
+                      np.zeros(n, dtype=a.data.dtype))
     eng.add_kernel("read_A1", read_kernel(ctx.mem, a, ca1, width,
                                           order=sched.indices()),
                    writes=[(ca1, width, 1)])

@@ -76,10 +76,12 @@ def _bicg_streaming(ctx, a, p, r, tile, width, mode) -> AppResult:
     cy2 = eng.channel("y_s", 8 * width)
     cq = eng.channel("q", 8 * width)
     cs = eng.channel("s", 8 * width)
-    q = ctx.mem.allocate("bicg_q", n, dtype=a.data.dtype)
-    s = ctx.mem.allocate("bicg_s", m, dtype=a.data.dtype)
-    zeros_n = ctx.mem.bind("bicg_zn", np.zeros(n, dtype=a.data.dtype))
-    zeros_m = ctx.mem.bind("bicg_zm", np.zeros(m, dtype=a.data.dtype))
+    q = ctx.mem.allocate(ctx.free_name("bicg_q"), n, dtype=a.data.dtype)
+    s = ctx.mem.allocate(ctx.free_name("bicg_s"), m, dtype=a.data.dtype)
+    zeros_n = ctx.mem.bind(ctx.free_name("bicg_zn"),
+                           np.zeros(n, dtype=a.data.dtype))
+    zeros_m = ctx.mem.bind(ctx.free_name("bicg_zm"),
+                           np.zeros(m, dtype=a.data.dtype))
     eng.add_kernel("read_A", read_kernel(ctx.mem, a, ca, width,
                                          order=sched.indices()))
     eng.add_kernel("fanout", duplicate_kernel(ca, (ca1, ca2), n * m, width))

@@ -79,9 +79,10 @@ def _gemver_streaming(ctx, a, u1, v1, u2, v2, y, z, alpha, beta, tile,
     sched = row_tiles(n, n, tn, tn)
     replay = n // tn
     io_before = ctx.mem.total_elements_moved
-    b = ctx.mem.allocate("gemver_B", (n, n), dtype=a.data.dtype)
-    x = ctx.mem.allocate("gemver_x", n, dtype=a.data.dtype)
-    w = ctx.mem.allocate("gemver_w", n, dtype=a.data.dtype)
+    b = ctx.mem.allocate(ctx.free_name("gemver_B"), (n, n),
+                         dtype=a.data.dtype)
+    x = ctx.mem.allocate(ctx.free_name("gemver_x"), n, dtype=a.data.dtype)
+    w = ctx.mem.allocate(ctx.free_name("gemver_w"), n, dtype=a.data.dtype)
     lat_map = level1_latency("map", width, precision)
     lat_red = level1_latency("map_reduce", width, precision)
 
@@ -130,7 +131,8 @@ def _gemver_streaming(ctx, a, u1, v1, u2, v2, y, z, alpha, beta, tile,
     cx2 = eng2.channel("x", 8 * width)
     cy0 = eng2.channel("zeros", 8 * width)
     cw = eng2.channel("w", 8 * width)
-    zeros = ctx.mem.bind("gemver_zeros", np.zeros(n, dtype=a.data.dtype))
+    zeros = ctx.mem.bind(ctx.free_name("gemver_zeros"),
+                         np.zeros(n, dtype=a.data.dtype))
     eng2.add_kernel("read_B", read_kernel(ctx.mem, b, cb, width,
                                           order=sched.indices()))
     eng2.add_kernel("read_x", read_kernel(ctx.mem, x, cx2, width,

@@ -55,16 +55,23 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
-def _burst_sums(ufunc, arrs, k, width):
-    """Adder-tree sum of each of ``k`` ``width``-wide bursts of
-    ``ufunc(*arrs)``: a view of the thread's scratch, valid until the
-    next call on this thread (:func:`_fold_rows` consumes it)."""
-    dtype = arrs[0].dtype
-    nbytes = k * width * dtype.itemsize
+def _temp(n, dtype):
+    """``n`` uninitialised ``dtype`` elements of the thread's scratch,
+    valid until the next call on this thread."""
+    nbytes = n * dtype.itemsize
     if _scratch.buf.nbytes < nbytes:
         _scratch.buf = np.empty(nbytes, np.uint8)
-    terms = _scratch.buf[:nbytes].view(dtype)
-    ufunc(*arrs, out=terms)
+    return _scratch.buf[:nbytes].view(dtype)
+
+
+def _burst_sums(ufunc, arrs, k, width):
+    """Adder-tree sum of each of ``k`` ``width``-wide bursts of
+    ``ufunc(*arrs)``, which takes the shape of ``arrs[0]`` (the others
+    broadcast against it): a view of the thread's scratch, valid until
+    the next call on this thread (:func:`_fold_rows` consumes it)."""
+    first = arrs[0]
+    terms = _temp(k * width, first.dtype)
+    ufunc(*arrs, out=terms.reshape(first.shape))
     return _tree_reduce_rows(terms.reshape(k, width))
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..fpga.kernel import Clock, Pop, Push
 from ..fpga.pattern import PatternedGenerator, StaticPattern
-from .level1 import _chunk, _tree_reduce, _tree_reduce_rows
+from .level1 import _burst_sums, _chunk, _temp, _tree_reduce
 
 
 def _declared(reads=(), writes=(), defer=None):
@@ -252,18 +252,39 @@ def _push_block(ch, values, width):
     yield from _Store(_Idle, ch, width).start(values).run()
 
 
-class _GemvCursor:
-    """Matrix-phase loop state of the row-tiles GEMV, shared by the
-    scalar loop and the pattern's ``block()``."""
+def _pieces(a, pos, period, width):
+    """Cut a popped run of ``width``-wide bursts, the first of which is
+    burst ``pos`` of a stream of ``period``-burst rows, where the row
+    structure changes: the rest of the row in progress, the whole rows,
+    a partial last row.
 
-    __slots__ = ("r", "done", "row_acc", "acc", "xs")
+    Yields ``(row, off, run)`` per non-empty piece: ``run`` is a
+    ``(rows, per, width)`` *view* of ``a`` holding bursts ``off`` to
+    ``off + per`` of rows ``row`` to ``row + rows``, so the on-chip
+    block it meets is a broadcast view too — no per-burst index, no
+    gathered operand.
+    """
+    a = a.reshape(-1, width)
+    k = len(a)
+    head = min(k, -pos % period)
+    body = k - (k - head) % period
+    for start, run in ((pos, a[:head]), (pos + head, a[head:body]),
+                       (pos + body, a[body:])):
+        if len(run):
+            yield (*divmod(start, period),
+                   run.reshape(-1, min(len(run), period), width))
 
-    def __init__(self):
-        self.r = 0             # current row within the tile
-        self.done = 0          # elements consumed in the current row
-        self.row_acc = None    # partial sum of the current row
-        self.acc = None        # (tile_n,) accumulators for the tile row
-        self.xs = None         # current x block
+
+class _TileCursor:
+    """Matrix-phase loop state of a tiled module, shared by its scalar
+    loop and its pattern's ``block()``; the module's program sets what
+    it uses before every matrix phase: ``tj`` the tile column (GEMV^T),
+    ``r`` the row within the tile, ``done`` the elements consumed in
+    that row; ``row_acc`` the row's partial sum (GEMV), ``acc`` the
+    on-chip accumulators (``tile_n`` of them, ``m`` for GEMV^T), ``xs``
+    / ``ys`` the current x / y block, ``axs`` alpha times ``xs`` (GER)."""
+
+    __slots__ = ("tj", "r", "done", "row_acc", "acc", "xs", "axs", "ys")
 
 
 def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
@@ -286,7 +307,7 @@ def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     _check_tiles(n, tile_n, m, tile_m)
     alpha = dtype(alpha)
     beta = dtype(beta)
-    st = _GemvCursor()
+    st = _TileCursor()
     seq = _Sequencer()
     load_y = _Load(seq, ch_y, width, dtype)
     load_x = _Load(seq, ch_x, width, dtype)
@@ -315,29 +336,24 @@ def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
         return (tile_n - st.r) * cpr - st.done // width
 
     def matrix_block(k, ins):
-        b0 = st.done // width
-        bursts = st.r * cpr + b0 + np.arange(k)
-        sums = _tree_reduce_rows(
-            ins[0].reshape(k, width) * st.xs.reshape(cpr, width)[bursts % cpr])
-        # Lay the burst sums out on the tile's (row, burst) grid and
-        # left-fold every row at once: the row in progress resumes from
-        # its partial sum, the others from an explicit zero, and the
-        # slots outside this block hold -0.0, the one value whose
-        # addition changes nothing (np.add.accumulate is defined
-        # elementwise-sequentially, matching the scalar adds).
-        rows = -(-(b0 + k) // cpr)
-        grid = np.full(rows * cpr, -0.0, dtype=dtype)
-        grid[b0:b0 + k] = sums
-        first = np.zeros((rows, 1), dtype=dtype)
-        first[0, 0] = st.row_acc
-        totals = np.add.accumulate(
-            np.concatenate((first, grid.reshape(rows, cpr)), axis=1),
-            axis=1)[:, -1]
-        whole, part = divmod(b0 + k, cpr)
-        st.acc[st.r:st.r + whole] = st.acc[st.r:st.r + whole] + totals[:whole]
-        st.r += whole
-        st.row_acc = totals[-1] if part else dtype(0)
-        st.done = part * width
+        xs = st.xs.reshape(cpr, width)
+        pos = st.r * cpr + st.done // width
+        for r, off, run in _pieces(ins[0], pos, cpr, width):
+            rows, per, _w = run.shape
+            sums = _burst_sums(np.multiply, (run, xs[off:off + per]),
+                               rows * per, width).reshape(rows, per)
+            # Left-fold the piece's rows at once, in place, each from the
+            # row's partial sum (the scalar loop's +0.0 on a fresh row):
+            # np.add.accumulate is elementwise-sequential like its adds.
+            np.add(st.row_acc, sums[:, 0], out=sums[:, 0])
+            totals = np.add.accumulate(sums, axis=1, out=sums)[:, -1]
+            if off + per == cpr:
+                st.acc[r:r + rows] += totals
+                st.row_acc = dtype(0)
+            else:
+                st.row_acc = totals[0]
+        st.r, b = divmod(pos + k, cpr)
+        st.done = b * width
         if st.r == tile_n:
             seq.advance()
         return []
@@ -563,20 +579,6 @@ def gemv_nontiled(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
         yield Clock()
 
 
-class _GemvTCursor:
-    """Matrix-phase loop state of the transposed GEMV (see
-    :class:`_GemvCursor`)."""
-
-    __slots__ = ("tj", "r", "done", "xs", "s")
-
-    def __init__(self):
-        self.tj = 0            # current tile column
-        self.r = 0             # current row within the tile
-        self.done = 0          # elements consumed in the current row
-        self.xs = None         # current x block
-        self.s = None          # (m,) on-chip accumulator
-
-
 def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
                               tile_n, tile_m, width=1, dtype=np.float32):
     """GEMV^T s = alpha*A^T*x + beta*s, with A (N x M) in tiles by ROWS.
@@ -597,7 +599,7 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     _check_tiles(n, tile_n, m, tile_m)
     alpha = dtype(alpha)
     beta = dtype(beta)
-    st = _GemvTCursor()
+    st = _TileCursor()
     seq = _Sequencer()
     load_x = _Load(seq, ch_x, width, dtype)
     load_y = _Load(seq, ch_y, width, dtype)
@@ -613,7 +615,7 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
             xr = st.xs[st.r]
             col0 = st.tj * tile_m + st.done
             for j, a in enumerate(avals):
-                st.s[col0 + j] = st.s[col0 + j] + dtype(a) * xr
+                st.acc[col0 + j] = st.acc[col0 + j] + dtype(a) * xr
             st.done += c
             if st.done == tile_m:
                 st.done = 0
@@ -629,24 +631,24 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
         return (col_tiles - st.tj) * bpt - st.r * cpr - st.done // width
 
     def matrix_block(k, ins):
-        lo = st.r * cpr + st.done // width      # bursts into tile st.tj
-        cols = -(-(lo + k) // bpt)              # tile columns touched
-        # Each s segment receives its tile's contributions as a
-        # sequential left-fold over rows (np.add.accumulate is defined
-        # elementwise-sequentially, matching the scalar adds).  Lay the
-        # bursts out on whole tiles; the slots outside this block hold
-        # -0.0, the one value whose addition changes nothing.
-        contrib = np.full((cols * bpt, width), -0.0, dtype=dtype)
-        rows = (lo + np.arange(k)) % bpt // cpr
-        contrib[lo:lo + k] = ins[0].reshape(k, width) * st.xs[rows, None]
-        seg = st.s[st.tj * tile_m:(st.tj + cols) * tile_m]
-        seg[:] = np.add.accumulate(
-            np.concatenate((seg.reshape(cols, 1, cpr, width),
-                            contrib.reshape(cols, tile_n, cpr, width)),
-                           axis=1), axis=1)[:, -1].reshape(-1)
-        whole, rem = divmod(lo + k, bpt)
-        st.tj += whole
-        st.r, b = divmod(rem, cpr)
+        s = st.acc.reshape(col_tiles, tile_m)
+        pos = st.tj * bpt + st.r * cpr + st.done // width
+        # Whole tiles fold together; a partial tile is cut again into
+        # rows (cutting whole tiles hands them back as their rows).
+        for tj, at, tile_run in _pieces(ins[0], pos, bpt, width):
+            tiles = len(tile_run)
+            for r, off, run in _pieces(tile_run, at, cpr, width):
+                shape = tiles, len(run) // tiles, run.shape[1] * width
+                prod = _temp(run.size, run.dtype).reshape(shape)
+                np.multiply(run.reshape(shape),
+                            st.xs[r:r + shape[1], None], out=prod)
+                # Left-fold the rows into their tile's s segment, in place
+                # on the products (as :func:`gemv_row_tiles` folds bursts).
+                seg = s[tj:tj + tiles, off * width:off * width + shape[2]]
+                np.add(seg, prod[:, 0], out=prod[:, 0])
+                seg[...] = np.add.accumulate(prod, axis=1, out=prod)[:, -1]
+        st.tj, at = divmod(pos + k, bpt)
+        st.r, b = divmod(at, cpr)
         st.done = b * width
         if st.tj == col_tiles:
             seq.advance()
@@ -657,7 +659,7 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
         ready=matrix_ready, block=matrix_block))
 
     def program():
-        st.s = np.zeros(m, dtype=dtype)
+        st.acc = np.zeros(m, dtype=dtype)
         for _ti in range(n // tile_n):
             yield load_x.start(tile_n)
             st.xs = load_x.buf
@@ -666,7 +668,7 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
             st.done = 0
             yield matrix
         yield load_y.start(m)
-        yield store.start(alpha * st.s + beta * load_y.buf)
+        yield store.start(alpha * st.acc + beta * load_y.buf)
 
     union = dict(
         reads=((ch_a, width), (ch_x, width), (ch_y, width)),
@@ -678,18 +680,6 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     else:
         pat = StaticPattern.phased(seq.current, dtype=dtype, **union)
     return seq.start(program(), pat)
-
-
-class _GerCursor:
-    """Matrix-phase loop state of GER (see :class:`_GemvCursor`)."""
-
-    __slots__ = ("r", "done", "axs", "ys")
-
-    def __init__(self):
-        self.r = 0             # current row within the tile
-        self.done = 0          # elements consumed in the current row
-        self.axs = None        # alpha * x block
-        self.ys = None         # current y block
 
 
 def ger_kernel(n, m, alpha, ch_a, ch_x, ch_y, ch_out,
@@ -709,7 +699,7 @@ def ger_kernel(n, m, alpha, ch_a, ch_x, ch_y, ch_out,
     """
     _check_tiles(n, tile_n, m, tile_m)
     alpha = dtype(alpha)
-    st = _GerCursor()
+    st = _TileCursor()
     seq = _Sequencer()
     load_x = _Load(seq, ch_x, width, dtype)
     load_y = _Load(seq, ch_y, width, dtype)
@@ -735,17 +725,25 @@ def ger_kernel(n, m, alpha, ch_a, ch_x, ch_y, ch_out,
         return (tile_n - st.r) * cpr - st.done // width
 
     def matrix_block(k, ins):
-        pos = st.r * cpr + st.done // width + np.arange(k)
+        ys = st.ys.reshape(cpr, width)
+        pos = st.r * cpr + st.done // width
         # Each burst is an independent elementwise map: A + (alpha*x_r)
         # times the matching y segment — same products and adds as the
-        # scalar loop, vectorized across bursts.
-        out = ins[0].reshape(k, width) + (
-            st.axs[pos // cpr, None] * st.ys.reshape(cpr, width)[pos % cpr])
-        st.r, b = divmod(int(pos[-1]) + 1, cpr)
+        # scalar loop.  The result is pushed, so it owns its memory.
+        out = np.empty(k * width, dtype=dtype)
+        lo = 0
+        for r, off, run in _pieces(ins[0], pos, cpr, width):
+            rows, per, _w = run.shape
+            res = out[lo:lo + run.size].reshape(run.shape)
+            np.multiply(st.axs[r:r + rows, None, None], ys[off:off + per],
+                        out=res)
+            np.add(run, res, out=res)
+            lo += run.size
+        st.r, b = divmod(pos + k, cpr)
         st.done = b * width
         if st.r == tile_n:
             seq.advance()
-        return [out.reshape(-1)]
+        return [out]
 
     matrix = _Stream(matrix_run, StaticPattern(
         reads=((ch_a, width),), writes=((ch_out, width, None),),

@@ -466,9 +466,8 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
             raise HostValueError(
                 f"dimension {n} is not a multiple of the compute grid "
                 f"({multiple_of})")
-        best = multiple_of
-        limit = max(self.tile, multiple_of)
-        for d in range(multiple_of, n + 1, multiple_of):
-            if n % d == 0 and d <= limit:
-                best = d
-        return best
+        top = min(n, max(self.tile, multiple_of))
+        for d in range(top - top % multiple_of, 0, -multiple_of):
+            if n % d == 0:
+                return d
+        return multiple_of

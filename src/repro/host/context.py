@@ -108,6 +108,16 @@ class FblasContext:
             self._buffer_seq += 1
         return self.mem.allocate(name, shape, dtype, bank)
 
+    def free_name(self, base: str) -> str:
+        """``base`` while no bound buffer has that name, else ``base.N``
+        for the first free ``N`` — for callers that bind a buffer of
+        their own on every call (the Sec. V applications' outputs)."""
+        name, n = base, 0
+        while name in self.mem.buffers:
+            n += 1
+            name = f"{base}.{n}"
+        return name
+
     def copy_from_device(self, buf: DramBuffer) -> np.ndarray:
         """Transfer a device buffer back to the host."""
         return np.array(buf.data, copy=True)

@@ -14,7 +14,10 @@ allocation proportional to neither:
 * **window temporaries** — a warm certified DOT allocates no
   window-sized array (runs move as views, the adder tree works in place
   on a per-thread scratch), the in-place tree rounds exactly like the
-  scalar one, and the scratch really is per thread.
+  scalar one, and the scratch really is per thread; the tiled Level-2
+  matrix phases meet their on-chip block as broadcast views, so a warm
+  512 x 512 call allocates no gathered operand, index array or staging
+  grid.
 """
 
 import ast
@@ -241,8 +244,8 @@ def _single_phase_patterns():
         2, n // 2, [1.0, 2.0], c[0], c[1], c[2], w).pattern
 
 
-def _phased_kernels():
-    n = m = 128                  # one tile: 32-iteration loads and stores
+def _phased_kernels(n=128):
+    m = n                        # one tile: 32-iteration loads and stores
     w = WIDTH
     a, x, y, o = (_chan(name) for name in "axyo")
     yield "gemv_row_tiles", level2.gemv_row_tiles(
@@ -342,6 +345,25 @@ class TestBlocksAreVectorised:
                     f"over a range derived from k: {ast.unparse(it)}")
 
 
+    def test_matrix_blocks_build_no_index_or_staging_array(self):
+        """The tiled matrix phases cut their window into views
+        (``level2._pieces``); nothing in them enumerates bursts
+        (``arange``), gathers or repeats an operand, or stages the
+        window on a padded grid (``full`` / ``concatenate``)."""
+        banned = {"arange", "indices", "take", "tile", "repeat", "full",
+                  "concatenate", "stack", "pad"}
+        tree = ast.parse(inspect.getsource(level2))
+        blocks = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "matrix_block"]
+        assert len(blocks) == 3
+        for fn in blocks:
+            used = {node.func.attr for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)}
+            assert not used & banned, (fn.lineno, used & banned)
+
+
 # ---------------------------------------------------------------------------
 # Window temporaries
 # ---------------------------------------------------------------------------
@@ -371,7 +393,77 @@ def _alloc_peak_kb(call):
         tracemalloc.stop()
 
 
+def _warm_level2(routine, n=512):
+    """A warm certified ``routine`` on ``n`` x ``n`` float32, one tile."""
+    fb = Fblas(width=WIDTH, engine_mode="certified", tile=n)
+    rng = np.random.default_rng(22)
+    a = fb.copy_to_device(_vec(rng, n, n), bank=0)
+    x = fb.copy_to_device(_vec(rng, n), bank=1)
+    y = fb.copy_to_device(_vec(rng, n), bank=2)
+    call = {"gemv": lambda: fb.gemv(0.5, a, x, 0.25, y),
+            "gemv_trans": lambda: fb.gemv(0.5, a, x, 0.25, y, trans=True),
+            "ger": lambda: fb.ger(0.5, x, y, a)}[routine]
+    call()                              # certifies, sizes the scratch
+    return call
+
+
+def _matrix_block_overhead(body):
+    """Walk a tiled module with ``block`` alone; in its first matrix
+    phase replay one window that starts inside a row and ends the
+    phase.  Returns (bytes that window allocated beyond what it
+    returned, its ``k``)."""
+    op = body.send(None)
+    assert isinstance(body.send([np.float32(1)] * op.count), Clock)
+    measured = None
+    while (phase := body.pattern.phase()) is not None:
+        def run(k):
+            ins = [np.ones(k * lanes, np.float32)
+                   for _ch, lanes in phase.reads]
+            return sum(out.nbytes for out in phase.block(k, ins))
+        matrix = [ch.name for ch, _lanes in phase.reads] == ["a"]
+        if not matrix or measured is not None:
+            run(phase.ready())
+            continue
+        run(5)
+        k = phase.ready()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            returned = run(k)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # (``run`` allocates the inputs inside the traced region too.)
+        measured = (peak - returned - k * WIDTH * 4, k)
+    return measured
+
+
 class TestWindowTemporaries:
+    @pytest.mark.parametrize("routine,budget_kb", [
+        ("gemv", 256), ("gemv_trans", 256), ("ger", 1400)])
+    def test_warm_level2_call_allocates_no_gathered_operand(
+            self, routine, budget_kb):
+        """One 512 x 512 float32 tile is 1 024 kB.  Before the matrix
+        phases met their x / y block as broadcast views a warm call
+        peaked at 2 360 (``gemv``: two int64 index arrays, the gathered
+        x, the product), 3 642 (``gemv(trans=True)``: a padded grid and
+        its concatenation) and 2 920 kB (``ger``); now ~100, ~100 and
+        ~1 170 kB — the last is GER's pushed result, which must own its
+        memory.  The benchmark's bound on this is 5 %."""
+        assert _alloc_peak_kb(_warm_level2(routine)) <= budget_kb
+
+    @pytest.mark.parametrize(
+        "label", [label for label, _b in _phased_kernels()])
+    def test_matrix_block_allocates_nothing_that_grows_with_k(self, label):
+        """Beyond what it returns, a matrix-phase window of ``k`` bursts
+        allocates numpy's fixed broadcast-iteration buffer (32 kB) and
+        under a quarter of one ``k``-long int64 index array: the
+        products live in the per-thread scratch."""
+        _matrix_block_overhead(dict(_phased_kernels(256))[label])   # warm
+        extra, k = _matrix_block_overhead(dict(_phased_kernels(256))[label])
+        assert k >= 8000
+        assert extra <= 40_000 + k * 8 // 4, (extra, k)
+
     def test_warm_dot_allocates_no_window_sized_array(self):
         """4096 float32 elements are 16 kB per operand: the products,
         the tree levels or one concatenated input would each show up

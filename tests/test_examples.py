@@ -71,3 +71,11 @@ def test_conjugate_gradient():
     assert "gemv" in out
     # converged to a small residual
     assert "e-0" in out
+
+
+def test_faithful_order_floors():
+    out = run_example("faithful_order_floors.py")
+    for routine in ("dot", "axpy", "gemv", "gemv^T", "ger", "request"):
+        assert f"\n{routine} " in out
+    # The script asserts byte equality itself before it prints this.
+    assert "same bytes from both columns: yes" in out

@@ -6,7 +6,8 @@ import pytest
 from repro.blas import reference
 from repro.fpga.device import ARRIA10, STRATIX10
 from repro.fpga.errors import ReproError
-from repro.host import Fblas, FblasContext, Handle, HostArgumentError
+from repro.host import (Fblas, FblasContext, Handle, HostArgumentError,
+                        HostValueError)
 
 RNG = np.random.default_rng(31)
 
@@ -448,3 +449,23 @@ class TestPrefixedAliases:
                      "gemv", "ger", "syr", "syr2", "trsv", "gemm", "syrk",
                      "syr2k", "trsm"):
             assert callable(getattr(fb, name))
+
+
+class TestFitTile:
+    """``_fit_tile`` runs twice per Level-2 call, so it searches down
+    from the tile limit instead of over every multiple up to ``n``; the
+    answer is still the definition's."""
+
+    @pytest.mark.parametrize("tile", (1, 7, 64, 256, 512))
+    @pytest.mark.parametrize("grid", (1, 2, 4))
+    def test_largest_fitting_divisor(self, tile, grid):
+        fb = Fblas(width=4, tile=tile)
+        limit = max(tile, grid)
+        for n in range(1, 2049):
+            if n % grid:
+                with pytest.raises(HostValueError, match="compute grid"):
+                    fb._fit_tile(n, multiple_of=grid)
+                continue
+            d = np.arange(grid, n + 1, grid)
+            want = d[(n % d == 0) & (d <= limit)].max(initial=grid)
+            assert fb._fit_tile(n, multiple_of=grid) == want, n

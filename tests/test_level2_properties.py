@@ -6,11 +6,14 @@ the tiling I/O identities must hold for every configuration.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blas import level2, reference
 from repro.fpga import Engine, sink_kernel, source_kernel
+from repro.fpga.channel import Channel
+from repro.fpga.kernel import Clock, Pop
 from repro.models import iomodel
 from repro.streaming import row_tiles
 
@@ -115,3 +118,227 @@ class TestGerConformance:
         np.testing.assert_allclose(got.reshape(n, m),
                                    reference.ger(alpha, x, y, a),
                                    rtol=1e-3, atol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# The matrix phase's block() against its scalar loop, split anywhere
+# ---------------------------------------------------------------------------
+#
+# A window hands ``matrix_block`` any ``k`` bursts from any position: the
+# rest of a row, whole rows, a partial last row (for GEMV^T also whole
+# tiles and a tile-column boundary).  Whatever the split, the cursor and
+# every accumulator / output byte must equal the scalar ``matrix_run``
+# stepped over the same bursts, and the unsplit ``block(total)``.
+#
+# "Byte" has one exception, which predates the broadcast views: IEEE 754
+# leaves the sign and payload of a NaN *result* open, x86 takes them from
+# the first NaN operand, and a SIMD loop may commute an add the scalar
+# path does not — so 0x7fc00000 and 0xffc00000 both occur for the same
+# element.  Where a NaN stands is compared exactly, which NaN is not;
+# zeros, infinities and every finite value are compared bit for bit.
+
+SPECIALS = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-30, 3e38)
+
+
+def _operand(rng, special, dtype, *shape):
+    """Normal values with a hypothesis-chosen share of signed zeros,
+    infinities and NaNs (the values a neutral element must survive)."""
+    vals = rng.standard_normal(shape)
+    mask = rng.random(shape) < special
+    vals[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    with np.errstate(over="ignore"):
+        return vals.astype(dtype)
+
+
+class _Module:
+    """One tiled module outside any engine: its generator is resumed by
+    hand (values fed per ``Pop``, pushes collected) and its phases'
+    ``block()`` called directly — what the stepping core and the window
+    replay do to it."""
+
+    def __init__(self, name, n, m, tn, tm, w, dtype, rng, special):
+        self.ch = {c: Channel(c, 8) for c in "axyo"}
+        a = _operand(rng, special, dtype, n, m)
+        x_len, y_len = (m, n) if name == "gemv_row_tiles" else (n, m)
+        x = _operand(rng, special, dtype, x_len)
+        y = _operand(rng, special, dtype, y_len)
+        replay = n // tn
+        args = (self.ch["a"], self.ch["x"], self.ch["y"], self.ch["o"],
+                tn, tm, w, dtype)
+        if name == "gemv_row_tiles":
+            x = np.tile(x, replay)
+            self.body = level2.gemv_row_tiles(n, m, 0.5, 0.25, *args)
+        elif name == "gemv_transposed_row_tiles":
+            self.body = level2.gemv_transposed_row_tiles(
+                n, m, 0.5, 0.25, *args)
+        else:
+            y = np.tile(y, replay)
+            self.body = level2.ger_kernel(n, m, 0.5, *args)
+        tiled = np.array(stream_of(a, row_tiles(n, m, tn, tm)), dtype=dtype)
+        self.feed = {self.ch["a"]: tiled, self.ch["x"]: x, self.ch["y"]: y}
+        self.at = dict.fromkeys(self.feed, 0)
+        self.dtype = dtype
+        self.out = []               # every value pushed, in order
+        self.bursts = 0             # matrix-phase iterations so far
+        self.cursor = None
+
+    def _take(self, ch, count):
+        lo = self.at[ch]
+        self.at[ch] = lo + count
+        assert self.at[ch] <= len(self.feed[ch])
+        return self.feed[ch][lo:lo + count]
+
+    def phase(self):
+        return self.body.pattern.phase()
+
+    def in_matrix(self, phase):
+        return (phase is not None and bool(phase.reads)
+                and phase.reads[0][0] is self.ch["a"])
+
+    def step(self):
+        """One scalar iteration (up to and including its ``Clock``)."""
+        matrix = self.in_matrix(self.phase())
+        op = self.body.send(None)
+        while not isinstance(op, Clock):
+            if isinstance(op, Pop):
+                vals = list(self._take(op.channel, op.count))
+                op = self.body.send(vals[0] if op.count == 1 else vals)
+            else:
+                self.out.extend(op.values)
+                op = self.body.send(None)
+        self.bursts += matrix
+
+    def find_cursor(self, phase):
+        """The matrix phase's cursor: the one the module's scalar loop
+        and ``matrix_block`` both close over."""
+        self.cursor = next(
+            cell.cell_contents for cell in phase._block.__closure__
+            if isinstance(cell.cell_contents, level2._TileCursor))
+
+    def block(self, k):
+        phase = self.phase()
+        ins = [self._take(ch, k * lanes).copy() for ch, lanes in phase.reads]
+        for out in phase.block(k, ins):
+            self.out.extend(out)
+        self.bursts += k * self.in_matrix(phase)
+
+    def _bytes(self, values):
+        arr = np.array(values, dtype=self.dtype)
+        arr[np.isnan(arr)] = np.nan         # one NaN (see above)
+        return arr.tobytes()
+
+    def snapshot(self):
+        """Cursor position and accumulators, byte for byte."""
+        fields = []
+        for slot in level2._TileCursor.__slots__:
+            val = getattr(self.cursor, slot, None)
+            fields.append(val if val is None or isinstance(val, int)
+                          else self._bytes(val))
+        return tuple(fields)
+
+    def result(self):
+        return self._bytes(self.out)
+
+
+def _run_split(make, chooser):
+    """Run one module to the end.  At every matrix-phase boundary
+    ``chooser(ready, bursts)`` picks ``k``: ``k > 0`` replays ``k``
+    bursts with ``block``, ``0`` steps one scalar iteration.  Returns
+    ``{bursts: snapshot}`` for every boundary visited, and the output
+    bytes."""
+    mod = make()
+    snaps = {}
+    with np.errstate(all="ignore"):
+        mod.step()                  # start the generator (first Pop .. Clock)
+        while (phase := mod.phase()) is not None:
+            if not mod.in_matrix(phase):
+                # Loads and stores: whole phase at once; a ragged last
+                # burst (block narrower than W) only exists stepped.
+                if phase.ready():
+                    mod.block(phase.ready())
+                else:
+                    mod.step()
+                continue
+            if mod.cursor is None:
+                mod.find_cursor(phase)
+            k = chooser(phase.ready(), mod.bursts)
+            if k:
+                mod.block(k)
+            else:
+                mod.step()
+            snaps[mod.bursts] = mod.snapshot()
+        with pytest.raises(StopIteration):
+            mod.body.send(None)
+    assert all(mod.at[ch] == len(data) for ch, data in mod.feed.items())
+    return snaps, mod.result()
+
+
+MODULES = ("gemv_row_tiles", "gemv_transposed_row_tiles", "ger_kernel")
+
+
+def _maker(name, n, m, tn, tm, w, dtype, seed, special):
+    return lambda: _Module(name, n, m, tn, tm, w, dtype,
+                           np.random.default_rng(seed), special)
+
+
+def _check_partition(make, cuts):
+    """``cuts``: the sizes to try, in order (cycled; clipped to what is
+    left of the phase); 0 means one scalar step."""
+    scalar_snaps, scalar_out = _run_split(make, lambda ready, at: 0)
+    whole_snaps, whole_out = _run_split(make, lambda ready, at: ready)
+    sizes = iter(cuts * (max(scalar_snaps) + 1))
+    split_snaps, split_out = _run_split(
+        make, lambda ready, at: min(next(sizes), ready))
+    assert whole_out == scalar_out
+    assert split_out == scalar_out
+    for snaps in (whole_snaps, split_snaps):
+        for at, snap in snaps.items():
+            assert snap == scalar_snaps[at], at
+    return split_snaps
+
+
+class TestMatrixBlockEqualsScalarLoop:
+    @pytest.mark.parametrize("name", MODULES)
+    def test_every_two_cut_partition_of_a_small_phase(self, name):
+        """3 rows of 3 bursts (GEMV^T: two tile columns of them): every
+        (k1, k2, rest) — splits inside a row, on a row edge, ``k == 1``,
+        ``k < cpr``, head + whole rows + tail, and windows across the
+        tile-column boundary."""
+        w = 2
+        make = _maker(name, 3, 12, 3, 6, w, np.float32, seed=5, special=0.2)
+        total = {"gemv_transposed_row_tiles": 18}.get(name, 9)
+        seen = set()
+        for k1 in range(1, total):
+            for k2 in range(1, total - k1 + 1):
+                snaps = _check_partition(make, [k1, k2, total])
+                seen.update(snaps)
+        assert len(seen) >= total
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(MODULES),
+           st.sampled_from((np.float32, np.float64)),
+           st.sampled_from((1, 2, 4, 8)),
+           st.tuples(st.integers(1, 2), st.integers(1, 3),   # tile grid
+                     st.integers(1, 4), st.integers(1, 4)),  # rows, cpr
+           st.lists(st.integers(0, 40), min_size=1, max_size=12),
+           st.sampled_from((0.0, 0.05, 0.5)), st.integers(0, 2 ** 16))
+    def test_any_partition_any_geometry(self, name, dtype, w, geo, cuts,
+                                        special, seed):
+        gn, gm, tn, cpr = geo
+        tm = cpr * w
+        make = _maker(name, gn * tn, gm * tm, tn, tm, w, dtype, seed,
+                      special)
+        _check_partition(make, cuts)
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_signed_zero_rows_keep_their_sign(self, name):
+        """All-(-0.0) products: a fresh row starts from the scalar
+        loop's +0.0, so its sum is +0.0 — and -0.0 only where the
+        scalar loop says so — whichever way the window is cut."""
+        def make():
+            mod = _maker(name, 2, 8, 2, 4, 2, np.float32, 0, 0.0)()
+            for ch, data in mod.feed.items():
+                data[...] = -0.0 if ch is mod.ch["a"] else 1.0
+            return mod
+        for cuts in ([1], [2], [3], [1, 0, 2], [4], [8]):
+            _check_partition(make, cuts)
