@@ -9,7 +9,14 @@ paper's N = 100M with the (simulator-validated) C = CD + N/W model.
 Shape assertions: throughput scales ~linearly with W; every design
 achieves >= 85% of its expected performance at paper scale; double
 precision tops out at W = 128 (the paper's place-and-route limit).
+
+One gate is about the simulator rather than the figure: a
+10 000 000-element DOT on the certified tier — a tenth of the paper's N,
+simulated rather than extrapolated — must finish in single-digit
+seconds.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -28,10 +35,10 @@ WIDTHS_SP = (16, 32, 64, 128, 256)
 WIDTHS_DP = (16, 32, 64, 128)      # DP 256 fails place-and-route (paper)
 
 
-def simulate_dot(width, dtype):
-    """Cycle-accurate DOT with on-chip sources (no DRAM limit)."""
-    x = np.ones(N_SIM, dtype=dtype)
-    eng = Engine()
+def dot_engine(width, dtype, n=N_SIM, mode="event"):
+    """DOT with on-chip sources (no DRAM limit), ready to run."""
+    x = np.ones(n, dtype=dtype)
+    eng = Engine(mode=mode)
     cx = eng.channel("x", 4 * width)
     cy = eng.channel("y", 4 * width)
     cr = eng.channel("r", 4)
@@ -39,10 +46,15 @@ def simulate_dot(width, dtype):
     eng.add_kernel("sx", source_kernel(cx, x, width))
     eng.add_kernel("sy", source_kernel(cy, x, width))
     precision = "single" if dtype == np.float32 else "double"
-    eng.add_kernel("dot", level1.dot_kernel(N_SIM, cx, cy, cr, width, dtype),
+    eng.add_kernel("dot", level1.dot_kernel(n, cx, cy, cr, width, dtype),
                    latency=level1_latency("map_reduce", width, precision))
     eng.add_kernel("sink", sink_kernel(cr, 1, 1, out))
-    return eng.run().cycles
+    return eng
+
+
+def simulate_dot(width, dtype):
+    """Cycle-accurate cycle count of the N_SIM-element DOT."""
+    return dot_engine(width, dtype).run().cycles
 
 
 def collect():
@@ -116,6 +128,20 @@ def test_peak_sdot_throughput_matches_paper_scale():
     """Stratix SDOT at W=256 lands near 2*256*358MHz ~ 183 GOp/s."""
     gops, _ = RESULTS[("Stratix 10 GX 2800", "single", 256)]
     assert 150 < gops < 200
+
+
+def test_certified_dot_10m():
+    """A 10M-element DOT certifies and replays in single-digit seconds
+    (locally ~0.1 s; the bound is CI-safe), in the cycles the model
+    gives it."""
+    n, width = 10_000_000, 16
+    eng = dot_engine(width, np.float32, n, mode="certified")
+    t0 = time.perf_counter()
+    report = eng.run(max_cycles=20_000_000)
+    assert time.perf_counter() - t0 < 10.0
+    assert eng.bulk_stats()["windows"] >= 1
+    bound = 2 * level1_latency("map_reduce", width, "single") + 16
+    assert abs(report.cycles - level1_cycles("dot", n, width)) <= bound
 
 
 def test_bench_dot_simulation(benchmark):

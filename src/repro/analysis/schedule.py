@@ -25,21 +25,24 @@ when the lookup misses.
 
 ``Engine(mode="certified")`` calls :func:`ensure_certified` before
 running and then executes through
-:class:`~repro.fpga.bulk.CertifiedScheduler`, which replays windows
-against the certificate with **no** runtime probing, fingerprinting, or
-cooldown fallback — a per-channel flow check on the current storage
-replaces the bulk tier's speculative probe entirely.
+:class:`~repro.fpga.bulk.WindowScheduler`, which replays windows
+against the certificate on the strength of a per-channel flow check on
+the current storage — nothing is probed at run time.
+``Engine(mode="bulk")`` asks :func:`lookup_certified` instead: the same
+memoized verdict, handed back rather than raised when it is a refusal,
+so the engine can step the design on the event core.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from ..models.performance import certified_cycle_band
 from ..plan import PlanIR, PlanKernel, as_plan, plan_identity
 from .diagnostics import (
     SCHEDULE_SCHEMA,
+    AnalysisError,
     AnalysisResult,
     Diagnostic,
     Severity,
@@ -54,7 +57,7 @@ from .rate_passes import (
 
 __all__ = [
     "ChannelPlan", "KernelSchedule", "PhaseSegment", "StaticSchedule",
-    "certify", "ensure_certified", "schedule_key",
+    "certify", "ensure_certified", "lookup_certified", "schedule_key",
 ]
 
 
@@ -222,16 +225,16 @@ def schedule_key(subject) -> str:
     return plan_identity(subject)[0]
 
 
-def ensure_certified(subject, cache: Optional[dict] = None
-                     ) -> StaticSchedule:
-    """Certify ``subject`` or raise; memoized on ``cache`` when given.
+def lookup_certified(subject, cache: Optional[dict] = None
+                     ) -> Union[StaticSchedule, AnalysisResult]:
+    """The verdict of :func:`certify`, memoized on ``cache`` when given:
+    the :class:`StaticSchedule`, or the failing :class:`AnalysisResult`
+    of a design the rate passes refuse.
 
-    This is the entry point ``Engine(mode="certified")`` uses: a design
-    that fails any rate pass raises
-    :class:`~repro.analysis.diagnostics.AnalysisError` carrying the full
-    diagnostic list, *before* any cycle is simulated.  The cache is
-    keyed on :attr:`~repro.plan.PlanIR.plan_key`; a hit on a live
-    engine costs one extraction pass and builds no ``PlanIR``.
+    The cache is keyed on :attr:`~repro.plan.PlanIR.plan_key`; a hit on
+    a live engine costs one extraction pass and builds no ``PlanIR``.
+    Refusals are cached beside certificates, so a refused structure pays
+    for the rate passes once.
     """
     compiled = subject
     if cache is not None:
@@ -240,8 +243,22 @@ def ensure_certified(subject, cache: Optional[dict] = None
         if hit is not None:
             return hit
     result, schedule = certify(compiled)
-    if schedule is None:
-        result.raise_if_errors()
+    verdict = schedule if schedule is not None else result
     if cache is not None:
-        cache[key] = schedule
-    return schedule
+        cache[key] = verdict
+    return verdict
+
+
+def ensure_certified(subject, cache: Optional[dict] = None
+                     ) -> StaticSchedule:
+    """:func:`lookup_certified`, raising on a refusal.
+
+    This is the entry point ``Engine(mode="certified")`` uses: a design
+    that fails any rate pass raises
+    :class:`~repro.analysis.diagnostics.AnalysisError` carrying the full
+    diagnostic list, *before* any cycle is simulated.
+    """
+    verdict = lookup_certified(subject, cache)
+    if isinstance(verdict, StaticSchedule):
+        return verdict
+    raise AnalysisError(verdict)

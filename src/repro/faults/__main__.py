@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from ..fpga.engine import ENGINE_MODES
 from .campaign import APPS, _to_plain, render_summary, run_campaign
 
 
@@ -30,7 +31,7 @@ def main(argv=None) -> int:
     camp.add_argument("--n", type=int, default=8,
                       help="problem size (vectors length n, matrices n x n)")
     camp.add_argument("--mode", default="event",
-                      choices=("dense", "event", "bulk"),
+                      choices=ENGINE_MODES,
                       help="starting engine tier (demotion may lower it)")
     camp.add_argument("--no-recover", action="store_true",
                       help="disable the retry/demotion recovery ladder")

@@ -21,10 +21,11 @@ three hook surfaces the fpga layer exposes:
   executed cycles, and both cores execute exactly the cycles on which a
   kernel could act.
 
-The bulk tier stays exact by construction: faulted kernels lose their
-pattern (``wrap_body``), pending channel faults veto the superstep
-precheck, and replay windows are clamped so every memory-fault cycle is
-an executed cycle (see :mod:`repro.fpga.bulk`).
+Window replay stays exact by construction: faulted kernels lose their
+pattern (``wrap_body`` — which refuses the certificate, so ``"bulk"``
+steps the run and ``"certified"`` raises), pending channel faults veto
+the superstep precheck, and replay windows are clamped so every
+memory-fault cycle is an executed cycle (see :mod:`repro.fpga.bulk`).
 """
 
 from __future__ import annotations
@@ -144,8 +145,9 @@ class FaultInjector:
         return out
 
     def pending(self, ch) -> bool:
-        """True while unfired faults remain for ``ch`` — the bulk tier
-        must event-step this channel until they have all fired."""
+        """True while unfired faults remain for ``ch`` — the window
+        scheduler must event-step this channel until they have all
+        fired."""
         return bool(self._chan_queues.get(ch.name))
 
     # -- kernel faults (body wrapper) ---------------------------------------
@@ -222,12 +224,12 @@ class FaultInjector:
                    for f in self._throttles)
 
     def next_memory_event(self, after: int) -> Optional[int]:
-        """Earliest memory-fault boundary the bulk tier must execute as a
-        real cycle: the next unapplied one-shot event (which may already
-        be due), or a throttle window edge at/after ``after``.
+        """Earliest memory-fault boundary the window scheduler must
+        execute as a real cycle: the next unapplied one-shot event
+        (which may already be due), or a throttle window edge at/after
+        ``after``.
 
-        Edges are inclusive of ``after`` itself: a replay window starts
-        one cycle past the probed fingerprint, so a throttle beginning
+        Edges are inclusive of ``after`` itself: a throttle beginning
         exactly at the window start would otherwise slip inside it and
         be fast-forwarded at full bandwidth."""
         best = self._mem_queue[0].cycle if self._mem_queue else None

@@ -10,17 +10,18 @@ the same plan, and a plan serializes losslessly through
 Fault coordinates are chosen to be *engine-mode independent*:
 
 * channel faults key on the **cumulative push index** of a named channel
-  (the n-th element ever pushed), which is identical across the dense,
-  event and bulk cores;
+  (the n-th element ever pushed), which is identical across the dense
+  and event cores and the window scheduler;
 * kernel faults key on the kernel's **work-cycle index** (its n-th
   ``Clock`` yield), again identical across cores;
 * memory faults key on the simulated **cycle**, and are applied as
   "latest by cycle t" so the event core's sparse execution observes the
   same effects as the dense core's exhaustive one.
 
-The bulk tier falls back to exact event stepping whenever a fault could
-fire inside a candidate window (see :mod:`repro.fpga.bulk`), which is
-what keeps all three tiers byte-identical under the same plan.
+The window scheduler falls back to exact event stepping whenever a
+fault could fire inside a candidate window (see :mod:`repro.fpga.bulk`),
+which is what keeps every engine mode byte-identical under the same
+plan.
 """
 
 from __future__ import annotations

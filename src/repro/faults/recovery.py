@@ -14,9 +14,8 @@ The recovery ladder, mirroring what a resilient FPGA host runtime does:
    each retry, so a bit flipped or half-written after the checkpoint
    cannot leak into the re-run.
 3. **Graceful degradation** on :class:`~repro.fpga.errors.SimulationError`
-   (a livelock/timeout watchdog trip, or a bulk-window invariant
-   violation): demote the engine tier ``certified | bulk -> event ->
-   dense`` and try again — the dense reference core is the last resort
+   (a livelock/timeout watchdog trip): demote the engine tier
+   ``certified | bulk -> event -> dense`` and try again — the dense reference core is the last resort
    that trades all performance for maximal simplicity.
 
 :class:`~repro.fpga.errors.DeadlockError` is deliberately **not**

@@ -1,29 +1,27 @@
-"""Superstep schedulers (``Engine(mode="bulk")`` / ``mode="certified"``).
+"""The window scheduler (``Engine(mode="certified")`` / ``mode="bulk"``).
 
 The event core already skips provably idle cycles, but a pipeline at
 full throughput has none: every kernel executes every cycle, so event
 mode degenerates to the dense loop (the honest ~1x of
-``BENCH_engine.json`` in the ii=1 regime).  The schedulers here add the
-missing fast path: when the next K cycles are *known* — every queued
-kernel repeats its pattern's iteration, every channel keeps up — they
-are executed as one arithmetic superstep instead of K generator resumes
-per kernel.
+``BENCH_engine.json`` in the ii=1 regime).  :class:`WindowScheduler`
+adds the missing fast path: when the next K cycles are *known* — every
+queued kernel repeats its pattern's iteration, every channel keeps up —
+they are executed as one arithmetic superstep instead of K generator
+resumes per kernel.
 
 What a window is
 ----------------
 A superstep must be byte-identical to K event cycles.  Its kernels are
 the ones queued for this cycle, each with an executable
 :class:`~repro.fpga.pattern.StaticPattern` *phase* (``ii == 1``, at
-least :data:`~BulkScheduler.MIN_WINDOW` iterations ``ready()``, not
+least :data:`~WindowScheduler.MIN_WINDOW` iterations ``ready()``, not
 blocked, no fault pending on its outputs); its channels are the ports of
 those phases.  Each window channel has a known net rate per cycle:
 
 * ``+lanes`` — only the producer is in the window (*fill*: the consumer
   is blocked on a ``Pop``, asleep, or in the window but busy with another
   phase, e.g. a GEMV loading x while A queues up);
-* ``0`` — both endpoints are in the window (the steady state; a
-  period-1 fixed point ``F(S) == S`` is the special case where the
-  channel also returns to the same storage every cycle);
+* ``0`` — both endpoints are in the window (the steady state);
 * ``-lanes`` — only the consumer is (*drain*: the producer has finished
   or moved on, the staged values are a ready ramp to be consumed).
 
@@ -52,54 +50,44 @@ peak the per-cycle maturations would have recorded
 (:func:`_flow_peak`), and :meth:`Channel.end_window` restores exact
 per-element storage.
 
-Two ways to trust a window
---------------------------
-``mode="certified"`` (:class:`CertifiedScheduler`) holds a static
-certificate that every kernel is patterned and every burst is granted,
-so the analysis above is the whole proof and every window it finds is
-taken: steady state, fill, drain and block load/store phases alike.
+Why a window can be trusted
+---------------------------
+The engine only constructs this scheduler for a design that holds a
+:class:`repro.analysis.schedule.StaticSchedule` certificate: every
+kernel carries an executable ii = 1 pattern, the SDF balance equations
+are consistent (one producer, one consumer, equal lanes per channel),
+token totals conserve, channel depths meet the inferred minima and the
+steady DRAM demand fits every bank's budget.  Every kernel's next
+``ready()`` cycles are therefore known, and how long the current state
+sustains them is *decidable per channel* from its storage alone,
+without running a cycle — for the steady state, the pipeline fill, the
+drain and each block load/store phase of a tiled module alike.  Every
+window the analysis finds is taken; nothing is probed at run time.
+Without a certificate ``"certified"`` raises the FB4xx diagnostics
+before cycle 0 and ``"bulk"`` runs the plain event scheduler
+(:meth:`repro.fpga.engine.Engine._window_tier`).
 
-``mode="bulk"`` (:class:`BulkScheduler`) has no certificate, so it only
-takes period-1 windows and only on runtime evidence: with nobody
-waiting on any port, it fingerprints the relative channel state
-(occupancy plus staged offsets of *every* channel) and the runnable
-set, executes one cycle **normally**, and fingerprints again.  A
-mismatch costs nothing (a real cycle ran) and backs probing off
-exponentially; a match proves the state repeats, the window must have
-both endpoints on every channel, and the occupancies are asserted
-against the fingerprint afterwards.
+The cycle that wakes or blocks a kernel at a phase change and ragged
+tails execute on the inherited event scheduler unchanged, which keeps
+all verdicts (including :class:`~repro.fpga.errors.DeadlockError`)
+byte-identical across the cores.
 
-Anything neither covers — the cycle that wakes or blocks a kernel at a
-phase change, ragged tails, unpatterned kernels, declare-only patterns,
-ii > 1 — executes on the inherited event scheduler unchanged, which is
-what keeps mixed static/dynamic designs and all verdicts (including
-:class:`~repro.fpga.errors.DeadlockError`) byte-identical across the
-cores.
-
-Observers
----------
-The speculative tier steps every cycle of an observed run (its probe
-proves a fixed point, not what an observer would have seen).  A
-certified window is different: its kernels work every cycle, everything
-outside it is frozen by the clamps above, and each channel's per-cycle
-occupancy follows from the same storage data :func:`_flow_bound` reads
-(:func:`_flow_occupancy`).  So when every attached observer defines
-``on_window`` (see :mod:`repro.fpga.observers`) the certified tier keeps
-its windows and reports each one as a single record; one observer
-without the hook — a per-cycle event dump, say — keeps the whole run on
-the stepping core, and the run's ledger record names it
-(``fallback_reason``).
+Observers that define ``on_window`` (:mod:`repro.fpga.observers`) get
+each window as a single record — its kernels work every cycle,
+everything outside it is frozen by the clamps above, and each channel's
+per-cycle occupancy follows from the storage data :func:`_flow_bound`
+reads (:func:`_flow_occupancy`); one observer without the hook makes
+the engine step the whole run on the event scheduler instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SimulationError
 from .observers import Window
 from .scheduler import _KIDX, _MATURE, WakeListScheduler
 
-__all__ = ["BulkScheduler", "CertifiedScheduler"]
+__all__ = ["WindowScheduler"]
 
 
 def _flow_bound(ch, t, w, eff, push, pop, consumer_first, limit):
@@ -126,11 +114,10 @@ def _flow_bound(ch, t, w, eff, push, pop, consumer_first, limit):
       foreign pop waiter), and nothing frees space for a foreign push
       waiter.
 
-    A period-1 steady state (``F(S) == S``) is the net-0 case in which
-    the first two hold forever.  Returns ``(cycles, offs)``: the number
-    of cycles (at most ``limit``) the three conditions hold, and the
-    maturation cycle of every staged element relative to ``t`` (for
-    :func:`_flow_peak`; ``None`` when nothing is staged).
+    Returns ``(cycles, offs)``: the number of cycles (at most
+    ``limit``) the three conditions hold, and the maturation cycle of
+    every staged element relative to ``t`` (for :func:`_flow_peak`;
+    ``None`` when nothing is staged).
     """
     if ch._push_waiters or eff < 1 or (pop and ch._pop_waiters):
         return 0, None
@@ -223,52 +210,36 @@ def _flow_occupancy(ch, w, eff, push, pop, offs, K):
     return list(zip(level[starts].tolist(), cycles.tolist()))
 
 
-class BulkScheduler(WakeListScheduler):
-    """Event scheduler plus the steady-state superstep fast path."""
+class WindowScheduler(WakeListScheduler):
+    """Event scheduler plus certificate-driven superstep replay.
+
+    A window :meth:`_window_plan` finds executes immediately
+    (:meth:`_execute_window`); otherwise the inherited scheduler
+    event-steps exactly one cycle and the next cycle tries again.
+    ``engine._bulk_windows`` / ``_bulk_cycles`` count the supersteps and
+    the cycles they fast-forwarded (:meth:`Engine.bulk_stats`).
+    """
 
     #: Smallest window worth replaying arithmetically.
     MIN_WINDOW = 4
-    #: Cap on the exponential probe backoff, in cycles.
-    MAX_COOLDOWN = 64
 
-    def __init__(self, engine, max_cycles: int):
-        super().__init__(engine, max_cycles)
-        self._cool = 0            # cycles left before the next probe
-        self._cooldown = 1        # next backoff length
-        # Introspection for tests/benchmarks/telemetry: number of
-        # supersteps and total cycles they fast-forwarded, the cycles
-        # the stepping core executed instead, plus how often the runtime
-        # had to speculate (probe) and back off (cooldown) — a certified
-        # run keeps the last two at zero.  Exposed as
-        # Engine.bulk_stats() and copied into each engine-run ledger
-        # record by the telemetry session.
-        engine._bulk_windows = 0
-        engine._bulk_cycles = 0
-        engine._bulk_stepped = 0
-        engine._bulk_probes = 0
-        engine._bulk_cooldowns = 0
-
-    # -- probe --------------------------------------------------------------
     def _run_cycle(self) -> None:
-        ready = None
-        if self._cool > 0:
-            self._cool -= 1
-        elif not self._observers:
-            ready = self._precheck()
-        self.engine._bulk_stepped += 1
-        if ready is None or not self._quiet_ports(ready[0]):
-            super()._run_cycle()
-            return
-        self.engine._bulk_probes += 1
-        fp0 = self._fingerprint()
-        super()._run_cycle()
-        fp1 = self._fingerprint()
-        if fp1 == fp0 and self._replay(fp1):
-            self._cooldown = 1
-        else:
-            self.engine._bulk_cooldowns += 1
-            self._cool = self._cooldown
-            self._cooldown = min(self._cooldown * 2, self.MAX_COOLDOWN)
+        ready = self._precheck()
+        plan = self._window_plan(*ready) if ready is not None else None
+        if plan is None:
+            return super()._run_cycle()
+        # The livelock watchdog the event core checks before stepping.
+        eng = self.engine
+        t = self.now
+        w = eng._watch_window
+        if w and t >= eng._last_op_cycle + w and not any(
+                not k.done and k.sleep_until >= t for k in self.kernels):
+            self._raise_hang("livelock", t, budget=w)
+        # The record describes the state the window starts from.
+        window = self._describe_window(*plan) if self._observers else None
+        self._execute_window(*plan)
+        for o in self._observers:
+            o.on_window(t, plan[0], window)
 
     def _precheck(self):
         """``(phases, iterations)`` — the current phase pattern of every
@@ -305,97 +276,38 @@ class BulkScheduler(WakeListScheduler):
             phases.append(p)
         return phases, fewest
 
-    @staticmethod
-    def _quiet_ports(phases) -> bool:
-        """No kernel waits on any port: a wake order the probe cycle's
-        fingerprint could not vouch for."""
-        for p in phases:
-            for port in p.reads + p.writes:
-                if port[0]._pop_waiters or port[0]._push_waiters:
-                    return False
-        return True
-
-    def _fingerprint(self):
-        """Relative channel state + runnable set, invariant under a
-        time shift iff the system is period-1 periodic."""
-        t = self.now
-        return (
-            tuple((len(ch._fifo), tuple(r - t for r, _v in ch._staged))
-                  for ch in self.channels),
-            tuple((k.index, k.blocked is None, k.sleep_until > t)
-                  for k in self._current),
-        )
-
-    # -- replay -------------------------------------------------------------
-    def _replay(self, fp) -> bool:
-        ready = self._precheck()
-        plan = self._window_plan(*ready) if ready is not None else None
-        if plan is None:
-            return False
-        K, order, ports = plan
-        # The probe vouches for period-1 states only: every channel has
-        # both endpoints in the window and returns to its occupancy.
-        for port in ports.values():
-            if port[0] is None or port[1] is None:
-                return False
-        self._execute_window(K, order, ports)
-        for ch, (occ, _offs) in zip(self.channels, fp[0]):
-            if ch in ports and len(ch._fifo) != occ:
-                raise SimulationError(
-                    f"bulk window invariant violated on channel "
-                    f"{ch.name!r}: occupancy {len(ch._fifo)} after a "
-                    f"{K}-cycle superstep, expected {occ}")
-        return True
-
     def _window_plan(self, phases, K):
         """Bound and order one superstep from the current state.
 
         ``phases`` are the current phase patterns of ``self._current``
         and ``K`` the iterations they all have ready, already capped at
-        ``max_cycles`` (:meth:`_precheck`).  Returns ``(K, order, ports)`` — the window
-        length, the ``(kernel, phase)`` pairs in topological producer ->
-        consumer order, and per window channel ``[producer, consumer,
-        lanes, latency, staged offsets, FIFO peak]`` with ``None`` for
-        an endpoint that is not in the window (and for the peak, which
-        whoever executes the window fills in) — or ``None`` when no
-        window of at least :data:`MIN_WINDOW` cycles is provable.
-
-        A window channel has a net rate of ``+lanes`` (producer only:
-        pipeline fill — the consumer is blocked, asleep, or busy with
-        another phase), ``0`` (both endpoints) or ``-lanes`` (consumer
-        only: drain) per cycle.  ``K`` is clamped to the kernels'
-        ``ready()``, ``max_cycles``, the earliest foreign heap event and
-        injected memory fault, and what every channel sustains
-        (:func:`_flow_bound`: supply, staging headroom, and the first
-        maturation that would wake a foreign waiter).
+        ``max_cycles`` (:meth:`_precheck`).  Returns ``(K, order,
+        ports)`` — the window length, the ``(kernel, phase)`` pairs in
+        topological producer -> consumer order, and per window channel
+        ``[producer, consumer, lanes, latency, staged offsets, FIFO
+        peak]`` with ``None`` for an endpoint that is not in the window
+        (and for the peak, which whoever executes the window fills in)
+        — or ``None`` when no window of at least :data:`MIN_WINDOW`
+        cycles is provable (the clamps are the module docstring's).
         """
         t1 = self.now
         kernels = self._current          # sorted by index, all patterned
-        # Port map {channel: [producer, consumer, lanes, latency, ...]}:
-        # single-producer / single-consumer channels with matching lanes
-        # (FB400 proves it for certified designs; bail rather than trust
-        # that for the speculative tier).
+        # Port map {channel: [producer, consumer, lanes, latency, ...]}.
+        # The certificate (FB400) proves every channel has one producer,
+        # one consumer and the same lanes on both sides.
         ports = {}
         for k, p in zip(kernels, phases):
             for ch, w in p.reads:
-                if ch not in ports:
+                if ch in ports:
+                    ports[ch][1] = k
+                else:
                     ports[ch] = [None, k, w, 1, None, None]
-                    continue
-                port = ports[ch]
-                if port[1] is not None or port[2] != w or port[0] is k:
-                    return None
-                port[1] = k
             for ch, w, lat in p.writes:
-                if lat is None:
-                    lat = k.latency
-                if ch not in ports:
-                    ports[ch] = [k, None, w, lat, None, None]
-                    continue
-                port = ports[ch]
-                if port[0] is not None or port[2] != w or port[1] is k:
-                    return None
-                port[0] = k
-                port[3] = lat
+                eff = lat if lat is not None else k.latency
+                if ch in ports:
+                    ports[ch][0], ports[ch][3] = k, eff
+                else:
+                    ports[ch] = [k, None, w, eff, None, None]
         # Topological producer -> consumer order (Kahn, index-ordered).
         indeg = {k: 0 for k in kernels}
         adj = {k: [] for k in kernels}
@@ -544,80 +456,6 @@ class BulkScheduler(WakeListScheduler):
                 ch.push_block(arr, w, t1 + done + eff)
             done = cut
 
-
-def _is_store(p) -> bool:
-    """True for the phase pattern of a pure DRAM-store sink."""
-    if p.writes:
-        return False
-    for d in p.dram:
-        if d.kind == "write":
-            return True
-    return False
-
-
-class CertifiedScheduler(BulkScheduler):
-    """Superstep execution driven by a certificate, not speculation
-    (``Engine(mode="certified")``).
-
-    The bulk tier *discovers* periodicity at runtime: capture a
-    fingerprint, execute one real probe cycle, compare, back off on
-    mismatch.  When the design holds a :class:`repro.analysis.schedule.
-    StaticSchedule` certificate (every kernel carries an executable
-    ``StaticPattern``, the SDF balance equations are consistent, token
-    totals conserve, channel depths meet the inferred minima and the
-    steady DRAM demand fits every bank's budget), speculation is
-    unnecessary: every kernel's next ``ready()`` cycles are known, so
-    how long the current state sustains them is *decidable per channel*
-    from its storage alone (:func:`_flow_bound`) without running a
-    cycle — for the steady state, and equally for the pipeline fill,
-    the drain and each block load/store phase of a tiled module.
-
-    When :meth:`_window_plan` finds a window it executes immediately
-    through the inherited :meth:`_execute_window`; otherwise (a phase
-    boundary that wakes or blocks a kernel, a ragged tail) the engine
-    event-steps exactly one cycle and tries again.  No fingerprint
-    probes, no cooldown backoff: ``engine._bulk_probes ==
-    engine._bulk_cooldowns == 0`` for a whole certified run, which the
-    acceptance tests assert.
-    """
-
-    def __init__(self, engine, max_cycles: int):
-        super().__init__(engine, max_cycles)
-        # A window is reported to observers as one ``on_window`` record;
-        # an observer that does not define the hook wants every cycle,
-        # which keeps the whole run on the stepping core.  The reason
-        # (None when windows may be taken) goes into the run's ledger
-        # record.
-        engine._bulk_fallback = None
-        for o in self._observers:
-            if not hasattr(o, "on_window"):
-                engine._bulk_fallback = f"observer:{type(o).__name__}"
-                break
-
-    def _run_cycle(self) -> None:
-        eng = self.engine
-        t = self.now
-        # The superstep path must replicate the livelock watchdog the
-        # event core checks before stepping anything (the bulk tier gets
-        # it for free from its probe cycle; there is no probe here).
-        w = eng._watch_window
-        if w and t >= eng._last_op_cycle + w and not any(
-                not k.done and k.sleep_until >= t for k in self.kernels):
-            self._raise_hang("livelock", t, budget=w)
-        ready = self._precheck() if eng._bulk_fallback is None else None
-        plan = self._window_plan(*ready) if ready is not None else None
-        if plan is None:
-            eng._bulk_stepped += 1
-            WakeListScheduler._run_cycle(self)
-        elif self._observers:
-            # The record describes the state the window starts from.
-            window = self._describe_window(*plan)
-            self._execute_window(*plan)
-            for o in self._observers:
-                o.on_window(t, plan[0], window)
-        else:
-            self._execute_window(*plan)
-
     def _describe_window(self, K, order, ports) -> Window:
         """What ``K`` stepped cycles would have shown an observer."""
         t = self.now
@@ -639,3 +477,13 @@ class CertifiedScheduler(BulkScheduler):
             # peak _execute_window would otherwise ask _flow_peak for.
             port[5] = max(occ for occ, _n in runs)
         return Window(states, ops, occupancy)
+
+
+def _is_store(p) -> bool:
+    """True for the phase pattern of a pure DRAM-store sink."""
+    if p.writes:
+        return False
+    for d in p.dram:
+        if d.kind == "write":
+            return True
+    return False

@@ -81,9 +81,9 @@ class Channel:
         self._push_waiters: list = []
         # Cycle of the currently scheduled maturation event, for dedup.
         self._mature_at = None
-        # Block runs staged by push_block during a bulk window: entries
-        # [first_ready, lanes, array, consumed_offset].  Always empty
-        # outside a BulkScheduler replay window.
+        # Block runs staged by push_block during a replay window:
+        # entries [first_ready, lanes, array, consumed_offset].  Always
+        # empty outside a WindowScheduler replay window.
         self._runs: list = []
         # Fault-injection hook (repro.faults.FaultInjector) intercepting
         # pushes; None outside an injected run, making push() fault-free.
@@ -171,14 +171,14 @@ class Channel:
             raise ChannelError(f"peek on empty channel {self.name!r}")
         return self._fifo[0]
 
-    # -- block transfers (bulk steady-state windows) ------------------------
+    # -- block transfers (replay windows) -----------------------------------
     #
-    # During a replay window the BulkScheduler owns the channel: values
+    # During a replay window the WindowScheduler owns the channel: values
     # move as ndarrays in ring-buffer *runs* instead of per-element
     # (ready, value) tuples, and no capacity checks or events fire —
-    # the scheduler has already proven the window is steady (every cycle
-    # repeats the probe cycle exactly), so space and availability hold
-    # by construction.  ``occupancy``/``space`` do not count run values;
+    # the scheduler has already proven (_flow_bound) that every pop of
+    # the window finds matured data and every push finds room, so space
+    # and availability hold by construction.  ``occupancy``/``space`` do not count run values;
     # nothing but the scheduler reads them mid-window, and
     # :meth:`end_window` restores exact cycle-level storage before any
     # other code runs.
@@ -328,10 +328,6 @@ class Channel:
         cannot make progress unless some kernel pops first.
         """
         return bool(self._staged) and len(self._fifo) < self.depth
-
-    def next_maturity(self):
-        """Earliest cycle a staged value becomes visible, or None."""
-        return self._staged[0][0] if self._staged else None
 
     @property
     def drained(self) -> bool:

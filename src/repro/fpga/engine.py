@@ -16,7 +16,8 @@ describing every blocked kernel is raised.  This is precisely the "stalls
 forever" condition of invalid module compositions in Sec. V of the FBLAS
 paper.
 
-Three cores implement these semantics:
+Two stepping cores and one window scheduler implement these semantics,
+behind the four spellings of :data:`ENGINE_MODES`:
 
 ``mode="event"`` (default)
     The wake-list scheduler of :mod:`repro.fpga.scheduler`: kernels wait
@@ -29,15 +30,19 @@ Three cores implement these semantics:
     The original reference loop that steps every kernel every cycle.
     Kept as the oracle the differential tests compare against.
 
+``mode="certified"``
+    The event core plus the window scheduler of :mod:`repro.fpga.bulk`:
+    the FB4xx rate analysis must certify the design before cycle 0
+    (:class:`repro.analysis.AnalysisError` otherwise), after which
+    every window of K known cycles is replayed arithmetically in one
+    superstep (vectorized block transfers, counter arithmetic) and
+    only the cycles around a blocking boundary are event-stepped.
+
 ``mode="bulk"``
-    The event core plus the steady-state fast path of
-    :mod:`repro.fpga.bulk`: when every runnable kernel carries a
-    :class:`~repro.fpga.pattern.StaticPattern` and the design has
-    settled into a cycle-periodic steady state, K cycles are replayed
-    arithmetically in one superstep (vectorized block transfers, counter
-    arithmetic).  Unpatterned kernels — and any kernel near a blocking
-    boundary — fall back to exact event stepping, so all reports stay
-    byte-identical to the other cores.
+    The same certificate and scheduler when the design certifies; the
+    plain event core when it does not, with the first blocking FB40x
+    code kept as the run's ``fallback_reason``.  Never raises
+    :class:`~repro.analysis.AnalysisError`.
 
 Tracing and profiling attach through the observer protocol of
 :mod:`repro.fpga.observers`; ``trace=True`` is shorthand for attaching a
@@ -51,26 +56,42 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .bulk import WindowScheduler
 from .channel import DEFAULT_CHANNEL_DEPTH, Channel
-from .errors import (MAX_OPS_PER_CYCLE, DeadlockError, HangError,
-                     LivelockError, SimulationError)
+from .errors import (MAX_OPS_PER_CYCLE, DeadlockError, EngineModeError,
+                     HangError, LivelockError, SimulationError)
 from .kernel import BlockedState, Clock, Kernel, KernelBody, Pop, Push
 from .memory import BankStats
 from .observers import MAX_TRACE_CYCLES, TraceObserver
+from .scheduler import WakeListScheduler
 
 # Safe despite the apparent cycle: repro.telemetry's import closure
 # never touches repro.fpga at module scope (see telemetry/observers.py).
 from ..telemetry.runtime import active as _telemetry_active
 
 __all__ = [
-    "DeadlockError", "Engine", "HangError", "LivelockError",
+    "DeadlockError", "ENGINE_MODES", "Engine", "HangError", "LivelockError",
     "MAX_OPS_PER_CYCLE", "SIM_REPORT_SCHEMA", "SimReport",
-    "SimulationError",
+    "SimulationError", "check_engine_mode",
 ]
+
+#: Every accepted ``Engine(mode=...)`` spelling; the host API, the
+#: service and the CLIs validate against (and offer) exactly these.
+ENGINE_MODES = ("event", "dense", "bulk", "certified")
 
 #: Schema tag of :meth:`SimReport.to_dict` documents (shared by the
 #: benchmark baselines and the telemetry ``--metrics`` artifacts).
 SIM_REPORT_SCHEMA = "repro.simreport/1"
+
+
+def check_engine_mode(mode: str) -> str:
+    """``mode``, or a typed error (a ``ReproError`` that is also a
+    ``ValueError``) where it is configured rather than at the first run."""
+    if mode not in ENGINE_MODES:
+        raise EngineModeError(
+            f"engine mode must be one of {', '.join(ENGINE_MODES)}; "
+            f"got {mode!r}")
+    return mode
 
 
 def _adapt_iterable(body):
@@ -101,12 +122,6 @@ class SimReport:
     #: Per-DRAM-bank traffic deltas for *this run* (empty when the engine
     #: has no memory model attached).
     bank_stats: List[BankStats] = field(default_factory=list)
-
-    def kernel_stats(self, name: str):
-        return self.kernels[name].stats
-
-    def channel_stats(self, name: str):
-        return self.channels[name].stats
 
     @property
     def total_stall_cycles(self) -> int:
@@ -281,41 +296,27 @@ class Engine:
         raises :class:`repro.analysis.AnalysisError` on any error-severity
         diagnostic — failing fast instead of stalling mid-simulation.
     mode:
-        ``"event"`` (default) runs on the wake-list scheduler of
-        :mod:`repro.fpga.scheduler`; ``"dense"`` runs the original
-        every-kernel-every-cycle reference loop; ``"bulk"`` adds the
-        steady-state superstep fast path of :mod:`repro.fpga.bulk` on
-        top of the event core; ``"certified"`` requires a whole-program
-        :class:`repro.analysis.schedule.StaticSchedule` certificate
-        (raising :class:`repro.analysis.AnalysisError` with FB4xx
-        diagnostics when none exists) and then replays steady windows
-        with zero runtime probing or cooldown fallback.  All produce
-        identical reports; event mode is faster the more a design stalls
-        or sleeps, bulk/certified mode the longer its pattern-annotated
-        pipelines run at steady state.
+        One of :data:`ENGINE_MODES` (module docstring).  All produce
+        identical reports; event mode is faster the more a design
+        stalls or sleeps, the window scheduler the longer
+        pattern-annotated pipelines run between blocking boundaries.
     schedule_cache:
-        Optional mutable mapping reused across ``"certified"`` runs:
-        structurally identical compositions share one certification
-        (see :func:`repro.analysis.schedule.ensure_certified`).
+        Optional mutable mapping reused across ``"certified"`` and
+        ``"bulk"`` runs: structurally identical compositions share one
+        certification verdict — certificate or refusal (see
+        :func:`repro.analysis.schedule.lookup_certified`).
     observers:
         Iterable of :class:`~repro.fpga.observers.EngineObserver`
         instances notified of run/cycle/kernel/channel events.
     """
 
-    #: Cap on per-kernel timeline samples kept in trace mode.
-    MAX_TRACE_CYCLES = MAX_TRACE_CYCLES
-
     def __init__(self, memory=None, trace: bool = False,
                  preflight: bool = False, mode: str = "event",
                  observers=(), fault_plan=None, schedule_cache=None):
-        if mode not in ("event", "dense", "bulk", "certified"):
-            raise ValueError(
-                f"mode must be 'event', 'dense', 'bulk' or 'certified', "
-                f"got {mode!r}")
         self.memory = memory
         self.trace = trace
         self.preflight = preflight
-        self.mode = mode
+        self.mode = check_engine_mode(mode)
         #: Optional :class:`repro.faults.FaultPlan` applied to every run of
         #: this engine (takes precedence over an ambient
         #: :func:`repro.faults.inject` context).
@@ -334,14 +335,18 @@ class Engine:
         self._watch_window = 0
         self._last_op_cycle = 0
         # The FaultInjector attached for the duration of a run (None
-        # outside injected runs); the bulk tier consults it to clamp
-        # superstep windows away from fault cycles.
+        # outside injected runs); the window scheduler consults it to
+        # clamp supersteps away from fault cycles.
         self._injector = None
-        # Certified-mode state: the per-composition certification cache
-        # (shared by the caller, e.g. one per Fblas instance) and the
-        # StaticSchedule of the most recent certified run.
+        # "certified" / "bulk" state: the certification cache (shared
+        # by the caller, e.g. one per Fblas instance), the StaticSchedule
+        # the last run replayed against, why it stepped instead (None
+        # when it did not) and its superstep counters (see bulk_stats).
         self._schedule_cache = schedule_cache
         self.schedule = None
+        self._bulk_fallback: Optional[str] = None
+        self._bulk_windows: Optional[int] = None
+        self._bulk_cycles = self._bulk_stepped = 0
 
     # -- construction -------------------------------------------------------
     def channel(self, name: str,
@@ -412,21 +417,17 @@ class Engine:
         """Superstep counters of the most recent bulk/certified run.
 
         ``windows`` (supersteps replayed), ``bulk_cycles`` (cycles they
-        fast-forwarded), ``stepped_cycles`` (cycles the stepping core
+        fast-forwarded) and ``stepped_cycles`` (cycles the stepping core
         executed instead; idle cycles the event core jumps over are in
-        neither count), ``probes`` (speculative fingerprint probes) and
-        ``cooldowns`` (probe back-offs) — the introspection the bulk
-        tier maintains per run (a certified run keeps the last two at
-        zero).  None before any bulk/certified run; the telemetry
-        session copies these into each engine-run ledger record.
+        neither count).  None before any bulk/certified run; the
+        telemetry session copies these into each engine-run ledger
+        record.
         """
-        if not hasattr(self, "_bulk_windows"):
+        if self._bulk_windows is None:
             return None
         return {"windows": self._bulk_windows,
                 "bulk_cycles": self._bulk_cycles,
-                "stepped_cycles": self._bulk_stepped,
-                "probes": self._bulk_probes,
-                "cooldowns": self._bulk_cooldowns}
+                "stepped_cycles": self._bulk_stepped}
 
     # -- execution ----------------------------------------------------------
     def cycle_budget(self) -> int:
@@ -529,28 +530,50 @@ class Engine:
         if injector is not None:
             injector.attach()
         try:
+            if self.mode == "dense":
+                return self._run_dense(max_cycles)
             if self.mode == "event":
-                # Imported lazily: the scheduler imports this module's
-                # sibling errors/kernel modules, only needed in event mode.
-                from .scheduler import WakeListScheduler
                 return WakeListScheduler(self, max_cycles).run()
-            if self.mode == "bulk":
-                from .bulk import BulkScheduler
-                return BulkScheduler(self, max_cycles).run()
-            if self.mode == "certified":
-                # Certify (or fetch the cached certificate for this
-                # structure) before cycle 0; a design the rate analyzer
-                # rejects raises AnalysisError with FB4xx diagnostics.
-                from ..analysis.schedule import ensure_certified
-                from .bulk import CertifiedScheduler
-                self.schedule = ensure_certified(
-                    self, cache=self._schedule_cache)
-                return CertifiedScheduler(self, max_cycles).run()
-            return self._run_dense(max_cycles)
+            self._bulk_windows = self._bulk_cycles = self._bulk_stepped = 0
+            self._bulk_fallback = self._window_tier()
+            if self._bulk_fallback is None:
+                return WindowScheduler(self, max_cycles).run()
+            return WakeListScheduler(self, max_cycles).run()
         finally:
             if injector is not None:
                 injector.detach()
             self._injector = None
+
+    def _window_tier(self) -> Optional[str]:
+        """Find the certificate this run replays against
+        (:attr:`schedule`); return None, or why the run steps instead.
+
+        ``"certified"`` raises :class:`~repro.analysis.AnalysisError`
+        on a refusal.  ``"bulk"`` never does: every FB404 refusal is
+        found by a scan that builds no plan and runs no rate pass, any
+        other is memoized in the schedule cache beside the certificates.
+        Both step when an observer has no ``on_window``.
+        """
+        # Imported lazily: repro.analysis depends on this module.
+        from ..analysis.schedule import (StaticSchedule, ensure_certified,
+                                         lookup_certified)
+        self.schedule = None
+        if self.mode == "certified":
+            self.schedule = ensure_certified(self, cache=self._schedule_cache)
+        else:
+            for k in self.kernels.values():
+                p = k.pattern
+                if p is None or not p.executable or p.ii != 1:
+                    return f"FB404:{k.name}"
+            verdict = lookup_certified(self, cache=self._schedule_cache)
+            if not isinstance(verdict, StaticSchedule):
+                d = verdict.errors[0]
+                return f"{d.code}:{d.obj}" if d.obj else d.code
+            self.schedule = verdict
+        for o in self._observers:
+            if not hasattr(o, "on_window"):
+                return f"observer:{type(o).__name__}"
+        return None
 
     def _make_hang(self, kind: str, cycle: int, budget: int = 0):
         """Build the hang exception for ``kind`` with forensics attached.
@@ -634,9 +657,6 @@ class Engine:
             if not staged and not all(k.done for k in kernels):
                 raise self._make_hang("deadlock", t)
         self.now = t + 1
-
-    def _describe_block(self, k: Kernel) -> str:
-        return k.describe_block()
 
     def _step_kernel(self, k: Kernel, t: int) -> bool:
         """Resume kernel ``k`` for cycle ``t``; return True if it progressed."""

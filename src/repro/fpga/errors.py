@@ -9,6 +9,8 @@ keep working).  The hierarchy:
     │        │                      cycle budgets
     │        └── (also) ``LivelockError`` (multiple inheritance, below)
     ├── ``ChannelError``          — FIFO protocol violations
+    ├── ``EngineModeError``       — unknown ``Engine(mode=...)`` spelling
+    │                               (also a ``ValueError``)
     ├── ``FaultError``            — errors raised *by injected faults*
     │        └── ``TransientFaultError`` — retrying may succeed
     │                 ├── ``KernelCrashError`` — injected kernel crash
@@ -24,10 +26,11 @@ keep working).  The hierarchy:
 
 The hang exceptions are raised identically by the dense stepper
 (:mod:`repro.fpga.engine`), the event-driven wake-list scheduler
-(:mod:`repro.fpga.scheduler`) and the bulk tier (:mod:`repro.fpga.bulk`)
-— that is the contract the differential tests pin down.  They live here
-so the engine modules do not import each other; :mod:`repro.fpga.engine`
-re-exports them under their historical names.
+(:mod:`repro.fpga.scheduler`) and the window scheduler
+(:mod:`repro.fpga.bulk`) — that is the contract the differential tests
+pin down.  They live here so the engine modules do not import each
+other; :mod:`repro.fpga.engine` re-exports them under their historical
+names.
 
 :class:`HangReport` (and its row types) also live here because the hang
 exceptions carry one; the *builder* — wait-for graph, channel pressure,
@@ -55,6 +58,10 @@ class ReproError(RuntimeError):
 
 class SimulationError(ReproError):
     """Raised on kernel protocol violations and exhausted cycle budgets."""
+
+
+class EngineModeError(ReproError, ValueError):
+    """An engine mode that is not one of ``repro.fpga.engine.ENGINE_MODES``."""
 
 
 class ChannelError(ReproError):

@@ -194,7 +194,7 @@ class Kernel:
         self.writes: Tuple[WritePort, ...] = _normalize_writes(writes)
         self.defer = defer
         # Optional StaticPattern (repro.fpga.pattern): the steady-state
-        # op signature the bulk scheduler replays arithmetically.  Set by
+        # op signature the window scheduler replays arithmetically.  Set by
         # Engine.add_kernel from the body's ``pattern`` attribute; None
         # means the kernel is always event-stepped.
         self.pattern = pattern
@@ -222,8 +222,8 @@ class Kernel:
         Must be called before the kernel is first stepped.  The wrapped
         generator no longer matches the kernel's declared steady-state
         pattern — an injected freeze or crash breaks the ii=1 cadence the
-        bulk scheduler would replay — so the pattern is cleared, forcing
-        exact event stepping for this kernel.
+        window scheduler would replay — so the pattern is cleared: no
+        certificate (FB404), exact event stepping.
         """
         self.body = wrapper(self.body)
         self.pattern = None

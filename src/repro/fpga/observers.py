@@ -32,8 +32,9 @@ JSONL event dump, ad-hoc debugging hooks — subscribes as an observer:
     ``TraceObserver`` keeps byte-identical timelines across modes.
 
 ``on_window(start, cycles, window)``
-    Certified core only, and **opt-in**: the scheduler replayed cycles
-    ``start .. start+cycles-1`` as one arithmetic superstep
+    Window scheduler only (``mode="certified"``, and ``mode="bulk"``
+    when the design certifies), and **opt-in**: the scheduler replayed
+    cycles ``start .. start+cycles-1`` as one arithmetic superstep
     (:mod:`repro.fpga.bulk`) and describes them with one
     :class:`Window` instead of ``cycles`` rounds of the three per-cycle
     hooks.  That is exact because of what the window's own proof holds
@@ -45,7 +46,7 @@ JSONL event dump, ad-hoc debugging hooks — subscribes as an observer:
     form of its storage at ``start``.  The hook is called after the
     window has executed.
 
-    The scheduler takes windows only when *every* attached observer
+    The engine takes windows only when *every* attached observer
     defines ``on_window`` — it looks for the method, there is no flag.
     :class:`TraceObserver` and :class:`StallChainProfiler` (and the
     telemetry session's observers) define it and fold a window into
@@ -53,13 +54,13 @@ JSONL event dump, ad-hoc debugging hooks — subscribes as an observer:
     :class:`EngineObserver` deliberately does not: a subclass that
     overrides ``on_cycle`` expecting every cycle (``JsonlEventDump``
     writes a line per op) keeps exact per-cycle stepping, at stepping
-    speed, without having to know the hook exists.  That holds for
-    direct ``EngineObserver`` subclasses only: a subclass of
-    ``TraceObserver`` or ``StallChainProfiler`` inherits ``on_window``,
-    so if it overrides a per-cycle hook it must override ``on_window``
-    as well, or that hook sees the stepped cycles only.  The
-    speculative ``mode="bulk"`` tier never calls it; it steps observed
-    runs.
+    speed, without having to know the hook exists — the whole run goes
+    to the event scheduler and its ledger record's ``fallback_reason``
+    names the observer.  That holds for direct ``EngineObserver``
+    subclasses only: a subclass of ``TraceObserver`` or
+    ``StallChainProfiler`` inherits ``on_window``, so if it overrides a
+    per-cycle hook it must override ``on_window`` as well, or that hook
+    sees the stepped cycles only.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ MAX_TRACE_CYCLES = 100_000
 
 
 class Window(NamedTuple):
-    """One certified superstep, as its observers see it (``on_window``).
+    """One replayed superstep, as its observers see it (``on_window``).
 
     ``states``
         ``(kernel, state)`` for every kernel of the engine in
@@ -100,8 +101,8 @@ class EngineObserver:
     """Base observer: every hook is a no-op; subclass what you need.
 
     There is no ``on_window`` here on purpose — see the module
-    docstring: defining it is how an observer tells the certified core
-    it can account for a whole window at once.
+    docstring: defining it is how an observer tells the engine it can
+    account for a whole window at once.
     """
 
     #: Set True to receive per-cycle per-kernel ``on_kernel_state`` calls.

@@ -1,12 +1,12 @@
-"""Static per-cycle op patterns — the contract behind ``mode="bulk"``.
+"""Static per-cycle op patterns — the contract behind window replay.
 
 A kernel generator describes *behaviour*; a :class:`StaticPattern`
 describes the **shape** of that behaviour in steady state: which
 channels the kernel pops and pushes every initiation, how many lanes
-per port, at what initiation interval and write latency.  The bulk
-scheduler (:mod:`repro.fpga.bulk`) uses the pattern to replay many
-steady-state cycles arithmetically instead of resuming the generator
-once per cycle.
+per port, at what initiation interval and write latency.  The rate
+analyzer certifies a design from its patterns, and the window scheduler
+(:mod:`repro.fpga.bulk`) then uses them to replay many cycles
+arithmetically instead of resuming the generator once per cycle.
 
 The contract a pattern-carrying generator must honour:
 
@@ -26,9 +26,9 @@ The contract a pattern-carrying generator must honour:
 
 Kernels whose steady loop is not statically regular (the reordering
 routers, the column-tiled GEMV) use :meth:`StaticPattern.declare`: the
-ports are still documented for analysis/telemetry, but ``ready()`` is
-constantly 0 so the bulk scheduler always falls back to exact event
-stepping for them.
+ports are still documented for analysis/telemetry, but the pattern is
+not :attr:`~StaticPattern.executable`, so a design containing one is
+never certified (FB404) and runs on the event scheduler.
 
 Phase patterns
 --------------
@@ -98,7 +98,7 @@ class StaticPattern:
         (resolved by the engine when the kernel is registered).
     ii:
         Initiation interval of the steady loop (the ``Clock(ii)`` that
-        ends each iteration).  The bulk fast path only engages at
+        ends each iteration).  Windows are only replayed at
         ``ii == 1``.
     dtype:
         Element dtype the kernel casts popped values to (``None`` keeps
@@ -188,6 +188,11 @@ class StaticPattern:
                    read_totals=read_totals, write_totals=write_totals,
                    defer=defer)
 
+    @property
+    def executable(self) -> bool:
+        """False for a declare-only pattern (no ``ready=``/``block=``)."""
+        return self._ready is not None
+
     def phase(self) -> Optional["StaticPattern"]:
         """Pattern of the kernel's current phase (``self`` unless the
         kernel is multi-phase; ``None`` between phases)."""
@@ -208,7 +213,7 @@ class StaticPattern:
     def describe(self) -> str:
         rd = ", ".join(f"{ch.name}x{w}" for ch, w in self.reads)
         wr = ", ".join(f"{ch.name}x{w}" for ch, w, _lat in self.writes)
-        kind = "static" if self._ready is not None else "declared"
+        kind = "static" if self.executable else "declared"
         return (f"<StaticPattern {kind} ii={self.ii} "
                 f"reads=[{rd}] writes=[{wr}]>")
 

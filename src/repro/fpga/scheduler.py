@@ -40,12 +40,11 @@ lower-index kernel's pop joins *this* cycle only if its own index is
 still ahead of the stepping cursor — otherwise it waits for the next
 cycle, exactly when the dense core would have retried it.
 
-:class:`~repro.fpga.bulk.BulkScheduler` subclasses this scheduler and
-adds a third tier on top of the event machinery: entire steady-state
-windows executed as one arithmetic superstep (``Engine(mode="bulk")``).
-Everything here — waiter lists, heap events, lazy stall charges — is
-the fallback path that keeps the bulk tier byte-identical outside its
-proven windows.
+:class:`~repro.fpga.bulk.WindowScheduler` subclasses this scheduler
+and replays whole windows of a certified design as arithmetic
+supersteps.  Everything here — waiter lists, heap events, lazy stall
+charges — steps the cycles between its windows, and the whole of a
+``"bulk"`` run that has no certificate.
 """
 
 from __future__ import annotations
@@ -81,6 +80,7 @@ class WakeListScheduler:
         self._step_idx = -1               # index of the kernel stepping now
         self._progressed = False
         self._live = 0
+        self._stepped = 0                 # cycles executed, not jumped
         self._observers = list(engine._observers)
         self._wants_states = any(o.wants_kernel_states
                                  for o in self._observers)
@@ -179,6 +179,7 @@ class WakeListScheduler:
                 self._run_cycle()
         finally:
             eng.now = self.now
+            eng._bulk_stepped = self._stepped    # read by bulk_stats()
             for ch in self.channels:
                 ch.bind_events(None)
 
@@ -223,6 +224,7 @@ class WakeListScheduler:
             # Same condition, same cycle as the dense core's check at the
             # top of its _step_cycle.
             self._raise_hang("livelock", t, budget=w)
+        self._stepped += 1
         heap = self._heap
         self._progressed = False
         self._step_idx = -1

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..blas.routines import REGISTRY
 from ..fpga.device import STRATIX10, FpgaDevice
-from ..fpga.engine import Engine
+from ..fpga.engine import Engine, check_engine_mode
 from ..fpga.memory import DramBuffer, read_kernel, write_kernel
 from ..fpga.resources import level1_latency
 from ..fpga.util import sink_kernel
@@ -81,7 +81,6 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
                  systolic_rows: int = 4, systolic_cols: int = 4,
                  channel_depth: int = 256, preflight: bool = False,
                  engine_mode: str = "event", resilience=None,
-                 plan_cache: Optional[PlanCache] = None,
                  schedule_cache: Optional[PlanCache] = None,
                  **context_kwargs):
         if mode not in ("simulate", "model"):
@@ -101,44 +100,36 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
         #: design before simulating it; errors raise
         #: :class:`~repro.analysis.AnalysisError` instead of stalling.
         self.preflight = preflight
-        #: Engine core used for ``simulate`` calls: ``"event"`` (wake-list
+        #: Engine core used for ``simulate`` calls, one of
+        #: :data:`repro.fpga.engine.ENGINE_MODES`: ``"event"`` (wake-list
         #: scheduler, the default), ``"dense"`` (reference cycle loop),
-        #: ``"bulk"`` (event core plus the steady-state superstep fast
-        #: path of :mod:`repro.fpga.bulk` — byte-identical results,
-        #: fast-forwarded steady pipeline phases) or ``"certified"``
-        #: (fully static: the FB4xx rate analysis must certify the design
-        #: up front, after which steady windows replay with no runtime
-        #: probing; raises :class:`~repro.analysis.AnalysisError` for
-        #: non-certifiable designs).
-        self.engine_mode = engine_mode
+        #: ``"certified"`` (the FB4xx rate analysis must certify the
+        #: design up front, after which its windows replay as arithmetic
+        #: supersteps — byte-identical results; raises
+        #: :class:`~repro.analysis.AnalysisError` for non-certifiable
+        #: designs) or ``"bulk"`` (replays like ``"certified"`` when the
+        #: design certifies, steps like ``"event"`` when it does not).
+        self.engine_mode = check_engine_mode(engine_mode)
         #: Certified static schedules memoized on the structural
         #: ``plan_key`` (device identity included) — rebuilding the same
         #: composition for a new problem instance reuses the certificate
         #: instead of re-running the rate passes.  A counting
         #: :class:`repro.plan.PlanCache`, so hit rates are observable
         #: (and, under a telemetry session, exported as the labelled
-        #: ``plan_cache.requests`` counter).
-        #: Both caches accept externally-owned instances so a service
-        #: layer can share one compiled-plan cache across its whole
-        #: worker fleet (every worker's repeat plans hit the same
-        #: entries).
+        #: ``plan_cache.requests`` counter).  An externally-owned
+        #: instance is accepted so a service layer can share one across
+        #: its whole worker fleet (every worker's repeat plans hit the
+        #: same entries).
         self._schedule_cache: PlanCache = (
             schedule_cache if schedule_cache is not None
             else PlanCache(name="host.schedule"))
-        #: Compiled :class:`repro.plan.PlanIR` artifacts memoized on a
-        #: structural MDAG fingerprint: repeat ``simulate`` requests of
-        #: the same composition shape skip MDAG validation, scheduling
-        #: and pattern derivation entirely.
-        self.plan_cache: PlanCache = (
-            plan_cache if plan_cache is not None
-            else PlanCache(name="host.plan"))
         #: Recovery ladder for ``simulate`` calls: ``None`` disables it,
         #: ``True`` uses the default :class:`repro.faults.RetryPolicy`,
         #: or pass a policy instance.  When set, every call runs under
         #: :func:`repro.faults.run_with_recovery`: device memory is
         #: checkpointed before the attempt, transient faults retry from
         #: the checkpoint, and watchdog trips demote the engine tier
-        #: (bulk -> event -> dense) for the re-attempt.
+        #: (certified | bulk -> event -> dense) for the re-attempt.
         if resilience is True:
             from ..faults.recovery import RetryPolicy
             resilience = RetryPolicy()
@@ -181,7 +172,7 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
         trace), correlates everything the call spawns — engine runs,
         hang forensics, recovery outcomes — under that id, and appends a
         ``host.call`` :class:`~repro.telemetry.ledger.RunRecord` with
-        the plan/certificate cache deltas, the recovery summary and the
+        the certificate cache delta, the recovery summary and the
         rolled-up certified cycle band.
         """
         runner = thunk
@@ -193,7 +184,6 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
         recs = self.context.records
         before = len(recs)
         prior_recovery = self.last_recovery
-        pc0 = self.plan_cache.stats()
         sc0 = self._schedule_cache.stats()
         with tel.span("host.call", cat="host") as sp, \
                 run_scope(tel.ledger, "host.call",
@@ -208,10 +198,7 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
                 sp.args["cycles"] = sum(r.cycles for r in new)
                 lrec.label = new[-1].routine
                 lrec.cycles = sum(r.cycles for r in new)
-            pc1 = self.plan_cache.stats()
             sc1 = self._schedule_cache.stats()
-            lrec.plan_cache = {"hits": pc1["hits"] - pc0["hits"],
-                               "misses": pc1["misses"] - pc0["misses"]}
             lrec.schedule_cache = {"hits": sc1["hits"] - sc0["hits"],
                                    "misses": sc1["misses"] - sc0["misses"]}
             if self.last_recovery is not prior_recovery:

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..faults import FaultPlan, inject
+from ..fpga.engine import ENGINE_MODES
 from ..host.api import Fblas
 from ..telemetry.ledger import LedgerQuery
 from .errors import AdmissionRejected, ServiceOverload
@@ -80,8 +81,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="distinct payloads shared by all tenants")
     ap.add_argument("--deadline", type=float, default=None,
                     help="per-request deadline in seconds")
-    ap.add_argument("--engine-mode", default="bulk",
-                    choices=("event", "bulk", "dense", "certified"))
+    ap.add_argument("--engine-mode", default="bulk", choices=ENGINE_MODES)
     ap.add_argument("--faults-seed", type=int, default=None,
                     help="arm a generated ambient fault plan")
     ap.add_argument("--faults", type=int, default=6,

@@ -1,7 +1,7 @@
 """Fused batched engine runs for compatible small jobs.
 
 The service's throughput lever (Table V of the paper: batched GEMV —
-many small problems amortizing one pipeline's fixed costs).  A bulk-tier
+many small problems amortizing one pipeline's fixed costs).  A windowed
 engine run costs a near-constant setup overhead regardless of problem
 size, so B small problems run back to back through *one* pipeline —
 reading B*n-element concatenated buffers as a single regular patterned

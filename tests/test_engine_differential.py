@@ -11,18 +11,18 @@ mode, run all three, and compare everything.
 Two families of random designs:
 
 * the original *dynamic* chains/fan-outs (unpatterned generators) — for
-  these the bulk tier must behave exactly like the event scheduler, its
-  fast path never engaging;
+  these ``"bulk"`` finds no certificate and must behave exactly like
+  the event scheduler;
 * *patterned* chains built from the real module generators
-  (``repro.fpga.util`` sources/sinks, ``repro.blas.level1``), where the
-  fast path does engage and every counter must still match — including
-  specs that deadlock (Sec. V parity) and mixed static/dynamic designs
-  that force mid-run fallback.
+  (``repro.fpga.util`` sources/sinks, ``repro.blas.level1``), where
+  windows are replayed when the design certifies and every counter must
+  still match — including specs that deadlock (Sec. V parity) and mixed
+  static/dynamic designs that are refused and stepped.
 
 A third property covers ``mode="certified"``: any composition the FB4xx
-rate analysis certifies must replay byte-identical to the event core
-with zero runtime probes/cooldowns, and any composition it refuses must
-be refused *before* a single cycle is simulated.
+rate analysis certifies must replay byte-identical to the event core,
+and any composition it refuses must be refused *before* a single cycle
+is simulated.
 """
 
 import numpy as np
@@ -344,13 +344,14 @@ class TestDifferentialPatterned:
     @settings(max_examples=20, deadline=None)
     @given(patterned_chain_spec)
     def test_patterned_chains_identical_traced(self, spec):
-        """With trace observers attached the fast path must disable
-        itself; timelines stay byte-identical."""
+        """Trace observers take each window as one record; timelines
+        stay byte-identical."""
         _assert_identical(_build_patterned_chain, spec, trace=True)
 
     def test_fast_path_engages_on_steady_chain(self):
-        """Sanity: on a long patterned chain the bulk tier really does
-        fast-forward most of the run (it is not silently falling back)."""
+        """Sanity: a long patterned chain certifies, so ``"bulk"``
+        really does fast-forward most of the run (it is not silently
+        stepping)."""
         spec = {"n": 2048, "width": 4, "depth": 16, "lat": 8,
                 "stages": ["scal", "copy"], "reduce": "asum",
                 "dynamic_stage": False}
@@ -360,6 +361,7 @@ class TestDifferentialPatterned:
         report = eng.run()
         assert eng._bulk_windows >= 1
         assert eng._bulk_cycles >= report.cycles // 2
+        assert eng._bulk_fallback is None
 
     def test_patterned_deadlock_parity(self):
         """An axpy missing its second operand stream deadlocks at the
@@ -384,9 +386,9 @@ class TestDifferentialPatterned:
         assert outcomes["dense"] == outcomes["event"] == outcomes["bulk"]
 
     def test_mixed_static_dynamic_fallback(self):
-        """A sleeping unpatterned monitor kernel bounds every window: the
-        bulk tier fast-forwards between its wakes and falls back around
-        them, with identical results and counters."""
+        """A sleeping unpatterned monitor kernel refuses the certificate
+        (FB404): ``"bulk"`` steps the whole run on the event core, with
+        identical results and counters, and says why."""
         def monitor(ticks):
             for _ in range(ticks):
                 yield Clock(37)
@@ -414,8 +416,10 @@ class TestDifferentialPatterned:
             report = eng.run()
             results[mode] = (report.to_dict(), out, _stats(eng))
             if mode == "bulk":
-                assert eng._bulk_windows > 0
-                assert eng._bulk_cycles > 0
+                assert eng._bulk_windows == 0
+                # The first kernel without an executable pattern is
+                # named: scalar_sink is registered before the monitor.
+                assert eng._bulk_fallback == "FB404:sink"
         assert results["dense"] == results["event"] == results["bulk"]
 
 
@@ -524,12 +528,20 @@ def _tier_outcome(mode, build, spec):
 
 
 def _assert_certified_matches_event(build, spec):
+    """``"certified"`` replays what ``"event"`` steps or refuses before
+    cycle 0; ``"bulk"`` is the first when there is a certificate and the
+    second when there is not."""
     certified, eng = _tier_outcome("certified", build, spec)
-    if certified is None:
-        return None                     # refused before cycle 0
-    assert eng._bulk_probes == 0 and eng._bulk_cooldowns == 0
     event, _ = _tier_outcome("event", build, spec)
+    bulk, bulk_eng = _tier_outcome("bulk", build, spec)
+    assert bulk == event, f"bulk diverged from event for {spec}"
+    if certified is None:               # refused before cycle 0
+        assert bulk_eng.bulk_stats()["windows"] == 0
+        assert bulk_eng._bulk_fallback.startswith("FB40")
+        return None
     assert certified == event, f"certified diverged from event for {spec}"
+    assert bulk_eng.bulk_stats() == eng.bulk_stats()
+    assert bulk_eng._bulk_fallback is None
     return eng
 
 
@@ -787,8 +799,6 @@ class TestDifferentialPlanIR:
         # The separately built engine hashed to the same plan_key and
         # replayed the certificate derived from the compiled IR.
         assert cache.hits > hits_before, f"plan_key missed for {spec}"
-        assert eng._bulk_probes == 0
-        assert eng._bulk_cooldowns == 0
         event = _outcome("event", build, spec, False)
         assert certified == event, (
             f"IR-certified run diverged from event for {spec}")

@@ -92,8 +92,6 @@ def _assert_same_story(drive, expect_windows=True):
     windows = sum(e.bulk_stats()["windows"] for e in engines)
     if expect_windows:
         assert windows > 0
-    for e in engines:
-        assert e.bulk_stats()["probes"] == e.bulk_stats()["cooldowns"] == 0
     return windows
 
 
@@ -442,10 +440,20 @@ class TestOptIn:
         assert whole.cycles - partial.cycles == stats["bulk_cycles"]
         assert partial.timelines == whole.timelines
 
-    def test_speculative_bulk_still_steps_observed_runs(self):
-        eng, _report, _ = _run_steady("bulk", [TraceObserver()])
+    def test_bulk_spelling_rides_the_windows_too(self):
+        """``"bulk"`` holds the same certificate, so it is the same run:
+        windows under observers with the hook, every cycle without."""
+        watched = [_run_steady(mode, [TraceObserver()])
+                   for mode in ("certified", "bulk")]
+        (cert, _, _), (bulk, _, _) = watched
+        assert bulk.bulk_stats() == cert.bulk_stats()
+        assert bulk.bulk_stats()["windows"] > 0
+        assert bulk._bulk_fallback is None
+        assert (bulk._observers[0].timelines
+                == cert._observers[0].timelines)
+        eng, _report, _ = _run_steady("bulk", [_CountsCycles()])
         assert eng.bulk_stats()["windows"] == 0
-        assert eng.bulk_stats()["probes"] == 0
+        assert eng._bulk_fallback == "observer:_CountsCycles"
 
 
 # ---------------------------------------------------------------------------

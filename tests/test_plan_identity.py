@@ -324,14 +324,32 @@ def test_ledger_groups_host_calls_by_structure():
     assert sorted(len(g) for g in groups.values()) == [2, 4]
 
 
-@pytest.mark.parametrize("mode", ("event", "bulk"))
-def test_uncertified_runs_stay_keyless(mode):
-    """No certificate, no lookup, no key: nothing is computed just to
-    label a record."""
-    fb = Fblas(width=8, engine_mode=mode)
+@pytest.mark.parametrize("mode,width", [
+    pytest.param("event", 8, id="event"), pytest.param("bulk", 16, id="bulk")])
+def test_uncertified_runs_stay_keyless(mode, width):
+    """No certificate, no key: nothing is computed just to label a
+    record — on ``"event"``, which never looks one up, and on a
+    ``"bulk"`` run the analyzer refuses (FB402 at the default width)."""
+    fb = Fblas(width=width, engine_mode=mode)
     x, y = (fb.copy_to_device(np.ones(64, dtype=np.float32))
             for _ in range(2))
     with telemetry.session(metrics=False, kernel_slices=False,
                            occupancy=False) as tel:
         fb.dot(x, y)
     assert [r.plan_key for r in tel.ledger.records()] == [None, None]
+
+
+def test_certified_bulk_run_carries_the_certificates_key():
+    """``"bulk"`` looks the same certificate up as ``"certified"``, so
+    its records carry the same key."""
+    keys = {}
+    for mode in ("bulk", "certified"):
+        fb = Fblas(width=8, engine_mode=mode)
+        x, y = (fb.copy_to_device(np.ones(64, dtype=np.float32))
+                for _ in range(2))
+        with telemetry.session(metrics=False, kernel_slices=False,
+                               occupancy=False) as tel:
+            fb.dot(x, y)
+        keys[mode] = [r.plan_key for r in tel.ledger.records()]
+    assert keys["bulk"] == keys["certified"]
+    assert keys["bulk"][0] == keys["bulk"][1] and len(keys["bulk"][0]) == 64

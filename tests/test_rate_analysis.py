@@ -2,8 +2,8 @@
 
 Golden tests pin the diagnostic codes (FB400-FB405, FB104) to known-bad
 designs; the certified-engine tests check the headline contract: a
-certified run replays byte-identical to the event core with **zero**
-runtime probes and cooldowns.
+certified run replays byte-identical to the event core on the strength
+of its certificate alone.
 """
 
 import json
@@ -291,17 +291,17 @@ class TestCertifiedEngine:
             report = eng.run()
             runs[mode] = (report.cycles, [float(v) for v in out],
                           _stats(eng))
-            if mode == "certified":
-                assert eng._bulk_probes == 0
-                assert eng._bulk_cooldowns == 0
+            if mode != "event":
+                # Nothing is probed: there is not even a counter.
+                assert sorted(eng.bulk_stats()) == [
+                    "bulk_cycles", "stepped_cycles", "windows"]
                 assert eng._bulk_windows >= 1
         assert runs["event"] == runs["bulk"] == runs["certified"]
 
-    def test_gemv_certified_beats_probing(self):
-        # The row-tiled GEMV re-forms its steady state every tile: the
-        # bulk tier's speculative probe pays a fingerprint + cooldown per
-        # attempt, while the certificate alignment check engages per tile
-        # with zero probes.
+    def test_gemv_four_spellings_agree(self):
+        # The row-tiled GEMV re-forms its steady state every tile; the
+        # per-channel flow check engages per tile, and "bulk" holds the
+        # same certificate so it replays the same windows.
         runs = {}
         counters = {}
         for mode in ("dense", "event", "bulk", "certified"):
@@ -310,18 +310,16 @@ class TestCertifiedEngine:
             report = eng.run()
             runs[mode] = (report.cycles, [float(v) for v in out],
                           _stats(eng))
-            if mode in ("bulk", "certified"):
-                counters[mode] = (eng._bulk_windows, eng._bulk_probes,
-                                  eng._bulk_cooldowns, eng._bulk_cycles)
+            counters[mode] = eng.bulk_stats()
         assert runs["dense"] == runs["event"] == runs["bulk"] \
             == runs["certified"]
         ref = 1.5 * (A @ x) + 0.5 * y
         np.testing.assert_allclose(
             np.array(runs["dense"][1], np.float32), ref, rtol=1e-4)
-        windows, probes, cooldowns, ff = counters["certified"]
-        assert probes == 0 and cooldowns == 0
-        assert windows >= 1 and ff > 0
-        assert windows >= counters["bulk"][0]
+        assert counters["dense"] is counters["event"] is None
+        assert counters["bulk"] == counters["certified"]
+        assert counters["certified"]["windows"] >= 1
+        assert counters["certified"]["bulk_cycles"] > 0
 
     def test_dot_certified_matches_reference(self):
         n, width = 256, 8
@@ -343,7 +341,6 @@ class TestCertifiedEngine:
             report = eng.run()
             results[mode] = (report.cycles, float(out[0]), _stats(eng))
             if mode == "certified":
-                assert eng._bulk_probes == 0
                 assert eng._bulk_windows >= 1
         assert results["event"] == results["certified"]
 
