@@ -2,9 +2,9 @@
 
 The event core already skips provably idle cycles, but a pipeline at
 full throughput has none: every kernel executes every cycle, so event
-mode degenerates to the dense loop (the honest ~1x of
-``BENCH_engine.json`` in the ii=1 regime).  :class:`WindowScheduler`
-adds the missing fast path: when the next K cycles are *known* — every
+mode degenerates to the dense loop (``fpga.run_event_ms`` ~=
+``fpga.run_dense_ms`` in ``bench/``).  :class:`WindowScheduler` adds
+the missing fast path: when the next K cycles are *known* — every
 queued kernel repeats its pattern's iteration, every channel keeps up —
 they are executed as one arithmetic superstep instead of K generator
 resumes per kernel.

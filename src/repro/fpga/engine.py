@@ -130,8 +130,8 @@ class SimReport:
     @property
     def kernel_steps(self) -> int:
         """Total live kernel-cycles (active + stalled) across the run — a
-        mode-independent measure of simulated work, used by the
-        throughput benchmarks to compare engine cores."""
+        mode-independent measure of simulated work (the unit of
+        ``fpga.kernel_steps_per_req`` in ``bench/``)."""
         return sum(k.stats.active_cycles + k.stats.stall_cycles
                    for k in self.kernels.values())
 
@@ -139,8 +139,8 @@ class SimReport:
     def to_dict(self) -> dict:
         """JSON-able summary of the run (schema ``repro.simreport/1``).
 
-        Key names deliberately match the benchmark baselines
-        (``BENCH_engine.json``: ``cycles``, ``kernel_steps``) so every
+        ``cycles`` and ``kernel_steps`` are the names the run ledger
+        (``RunRecord``) and the benchmark's traces use, so every
         artifact that quotes simulated work quotes it identically.
         Trace-mode extras (timelines, occupancy sums) are not included —
         they are unbounded and have their own observers.

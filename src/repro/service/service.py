@@ -597,3 +597,5 @@ class SimulationService:
             for name in bound:
                 if name in mem.buffers:
                     mem.release(name)
+            # The worker's context outlives the job; its call log must not.
+            fb.context.reset_records()

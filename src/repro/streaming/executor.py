@@ -356,8 +356,9 @@ def _run_component(mdag: BoundMDAG, mem: DramModel, plan: CompositionPlan,
             else:
                 in_chans[v][data["dst_port"]] = ch
 
-        # Instantiate node kernels.
-        for node in component:
+        # Instantiate node kernels in MDAG insertion order (``component`` is
+        # a set, and the engine steps kernels in registration order).
+        for node in (n for n in mdag.graph.nodes if n in component):
             kind = mdag.kind(node)
             binding = mdag.bindings.get(node)
             if kind == "compute":

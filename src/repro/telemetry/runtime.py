@@ -45,10 +45,10 @@ occupancy=False, ledger_path=...)`` attaches *no observers at all*:
 the per-run cost is O(kernels) record assembly after the run, with no
 per-cycle or per-window callbacks at all (a full session keeps the
 windows too — its observers take each one as a single ``on_window``
-record — but pays for that accounting).  This is the
-configuration the ledger-on overhead gate in
-``benchmarks/test_telemetry_overhead.py`` holds at >= 90% of the
-observer-off throughput baseline.
+record — but pays for that accounting).  ``bench/`` times this
+configuration as ``telemetry.ledger_lite_ms`` (a full session is
+``telemetry.observed_over_plain``), and ``tests/test_window_tiers.py``
+holds it to the plain run's report and to windows that keep replaying.
 """
 
 from __future__ import annotations

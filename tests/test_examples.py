@@ -1,8 +1,12 @@
 """Every example script must run to completion and print sane output."""
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+from repro.apps import atax_streaming
+from repro.host import FblasContext
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -63,6 +67,12 @@ def test_composition_executor():
     assert "DRAM round trip" in out
     assert "sized channel" in out
     assert "machine-derived" in out
+    # Plan B is the hand-wired ATAX application, described as an MDAG.
+    size = runpy.run_path(str(EXAMPLES / "composition_executor.py"))
+    ctx = FblasContext()
+    a, x = ctx.allocate((size["M"], size["N"])), ctx.allocate(size["N"])
+    app = atax_streaming(ctx, a, x, tile=size["TILE"], width=size["WIDTH"])
+    assert f"executed: {app.cycles} cycles in one engine run" in out
 
 
 def test_conjugate_gradient():

@@ -1,5 +1,9 @@
 """End-to-end MDAG execution: bind kernels, plan, run, compare."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -96,6 +100,23 @@ class TestAxpydotExecution:
             g.bind("m", ReadBinding(mem.allocate("b", 4), 1))
 
 
+def _bind_gemv_pair(g, mem, m, n, tile, width):
+    """The zero ``y`` operands and the two GEMVs that ATAX and BICG share."""
+    g.bind("read_z1", ReadBinding(
+        mem.bind("z1", np.zeros(m, dtype=np.float32)), width))
+    g.bind("read_z2", ReadBinding(
+        mem.bind("z2", np.zeros(n, dtype=np.float32)), width))
+    lat = level1_latency("map_reduce", width)
+    g.bind("gemv", ComputeBinding(
+        lambda ins, outs: level2.gemv_row_tiles(
+            m, n, 1.0, 0.0, ins["A"], ins["x"], ins["y"], outs["out"],
+            tile, tile, width), latency=lat))
+    g.bind("gemvT", ComputeBinding(
+        lambda ins, outs: level2.gemv_transposed_row_tiles(
+            m, n, 1.0, 0.0, ins["A"], ins["x"], ins["y"], outs["out"],
+            tile, tile, width), latency=lat))
+
+
 def build_atax(mem, a, x, tile, width):
     """Fig. 8 as a bound MDAG (A is M x N)."""
     m, n = a.shape
@@ -127,21 +148,49 @@ def build_atax(mem, a, x, tile, width):
                                  order=sched.indices))
     g.bind("read_x", ReadBinding(mem.bind("x_buf", x), width,
                                  repeat=m // tile))
-    g.bind("read_z1", ReadBinding(
-        mem.bind("z1", np.zeros(m, dtype=np.float32)), width))
-    g.bind("read_z2", ReadBinding(
-        mem.bind("z2", np.zeros(n, dtype=np.float32)), width))
-    lat = level1_latency("map_reduce", width)
-    g.bind("gemv", ComputeBinding(
-        lambda ins, outs: level2.gemv_row_tiles(
-            m, n, 1.0, 0.0, ins["A"], ins["x"], ins["y"], outs["out"],
-            tile, tile, width), latency=lat))
-    g.bind("gemvT", ComputeBinding(
-        lambda ins, outs: level2.gemv_transposed_row_tiles(
-            m, n, 1.0, 0.0, ins["A"], ins["x"], ins["y"], outs["out"],
-            tile, tile, width), latency=lat))
+    _bind_gemv_pair(g, mem, m, n, tile, width)
     g.bind("write_y", WriteBinding(y, n, width))
     return g, y
+
+
+def build_bicg(mem, a, p, r, tile, width):
+    """Fig. 7 as a bound MDAG: one read of A fans out to q = A p and
+    s = A^T r, through channels as deep as ``bicg_streaming`` makes them."""
+    m, n = a.shape
+    sched = row_tiles(m, n, tile, tile)
+    g = BoundMDAG()
+    for node in ("read_A", "read_p", "read_r", "read_z1", "read_z2"):
+        g.add_interface(node)
+    g.add_module("gemv")
+    g.add_module("gemvT")
+    g.add_interface("write_q")
+    g.add_interface("write_s")
+    asig = matrix_stream(sched)
+    fan = max(8 * width, 4 * tile)
+    g.connect("read_A", "gemv", asig, asig, dst_port="A", depth=fan)
+    g.connect("read_A", "gemvT", asig, asig, dst_port="A", depth=fan)
+    psig = vector_stream(n, replay=m // tile)
+    g.connect("read_p", "gemv", psig, psig, dst_port="x")
+    for src, dst, port, size in (("read_r", "gemvT", "x", m),
+                                 ("read_z1", "gemv", "y", m),
+                                 ("read_z2", "gemvT", "y", n)):
+        g.connect(src, dst, vector_stream(size), vector_stream(size),
+                  dst_port=port)
+    g.connect("gemv", "write_q", vector_stream(m), vector_stream(m),
+              src_port="out", dst_port="q")
+    g.connect("gemvT", "write_s", vector_stream(n), vector_stream(n),
+              src_port="out", dst_port="s")
+
+    g.bind("read_A", ReadBinding(mem.bind("A_buf", a), width,
+                                 order=sched.indices))
+    g.bind("read_p", ReadBinding(mem.bind("p_buf", p), width,
+                                 repeat=m // tile))
+    g.bind("read_r", ReadBinding(mem.bind("r_buf", r), width))
+    _bind_gemv_pair(g, mem, m, n, tile, width)
+    q, s = mem.allocate("bicg_q", m), mem.allocate("bicg_s", n)
+    g.bind("write_q", WriteBinding(q, m, width))
+    g.bind("write_s", WriteBinding(s, n, width))
+    return g, (q, s)
 
 
 class TestAtaxExecution:
@@ -205,3 +254,52 @@ class TestAtaxExecution:
                              ctx.copy_to_device(x), tile=self.TILE,
                              width=self.WIDTH)
         np.testing.assert_allclose(y.data, app.value, rtol=1e-4, atol=1e-4)
+
+
+SIDE, TILE, WIDTH = 32, 8, 4             # the bench's executor sizes
+
+
+def _operands():
+    rng = np.random.default_rng(5)
+    return [f32(rng.normal(size=shape))
+            for shape in ((SIDE, SIDE), SIDE, SIDE)]
+
+
+def _executor_cycles():
+    """Cycles of one-component ATAX and of BICG through ``execute_plan``."""
+    a, x, r = _operands()
+    mem = DramModel(num_banks=4)
+    g, _y = build_atax(mem, a, x, TILE, WIDTH)
+    window = atax_min_channel_depth(SIDE, TILE) + 8 * WIDTH
+    atax = execute_plan(g, mem, windows={("read_A", "gemvT"): window},
+                        buffer_budget=4 * window)
+    mem = DramModel(num_banks=4)
+    g, (q, s) = build_bicg(mem, a, x, r, TILE, WIDTH)
+    bicg = execute_plan(g, mem)
+    np.testing.assert_allclose(q.data, a @ x, rtol=1e-3, atol=1e-3)
+    np.testing.assert_allclose(s.data, a.T @ r, rtol=1e-3, atol=1e-3)
+    return atax.cycles, bicg.cycles
+
+
+def test_cycles_do_not_depend_on_the_hash_seed():
+    """Components are sets and the engine steps kernels in registration
+    order, so the executor registers in MDAG insertion order: under every
+    seed its counts are the hand-wired apps' (ATAX 789)."""
+    from repro.apps import atax_streaming, bicg_streaming
+    from repro.host import FblasContext
+    ctx = FblasContext()
+    a, x, r = map(ctx.copy_to_device, _operands())
+    want = [atax_streaming(ctx, a, x, tile=TILE, width=WIDTH).cycles,
+            bicg_streaming(ctx, a, x, r, tile=TILE, width=WIDTH).cycles]
+    assert want[0] == 789
+    for seed in "012":
+        child = subprocess.run(
+            [sys.executable, __file__], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONHASHSEED": seed,
+                              "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert child.stdout.split() == [str(c) for c in want], \
+            (seed, child.stderr)
+
+
+if __name__ == "__main__":
+    print(*_executor_cycles())

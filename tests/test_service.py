@@ -56,6 +56,20 @@ class TestBasics:
         assert np.array_equal(got, stock_axpy(a, x, y))
         assert np.array_equal(y, y0)        # by-value semantics
 
+    def test_worker_call_log_is_cleared_with_the_jobs_buffers(
+            self, monkeypatch):
+        """A worker keeps one ``Fblas`` for the life of the service."""
+        workers = []
+        real = SimulationService._worker_fblas
+        monkeypatch.setattr(
+            SimulationService, "_worker_fblas",
+            lambda svc: workers.append(real(svc)) or workers[-1])
+        x, y = f32(), f32()
+        with make_service(workers=1, max_batch=1) as svc:
+            for _ in range(500):
+                svc.call(RoutineJob("dot", (x, y)), timeout=60)
+        assert not workers[0].records and not workers[0].context.mem.buffers
+
     def test_ticket_carries_run_id_and_tenant(self):
         with make_service() as svc:
             t = svc.submit(RoutineJob("dot", (f32(), f32())), tenant="acme")
@@ -212,11 +226,15 @@ class TestDegradation:
 
 
 class TestBatching:
-    def test_backlog_fuses_with_bit_identical_results(self):
-        jobs = [(f32(), f32()) for _ in range(6)]
-        expected = [stock_dot(x, y) for x, y in jobs]
+    @staticmethod
+    def _fuse_backlog(width, count, max_batch, runs):
+        """DOTs queued behind one busy worker fuse into runs of up to
+        ``max_batch`` and return the event-tier single caller's bytes."""
+        jobs = [(f32(), f32()) for _ in range(count)]
+        expected = [stock_dot(x, y, width=width) for x, y in jobs]
         gate = threading.Event()
-        svc = make_service(workers=1, max_batch=8)
+        svc = make_service(workers=1, max_batch=max_batch, width=width,
+                           max_queue=128)
         try:
             svc.submit(AppJob(lambda mode: gate.wait(10), name="blocker"))
             time.sleep(0.2)
@@ -230,11 +248,18 @@ class TestBatching:
         assert all(np.float32(g) == np.float32(e)
                    for g, e in zip(got, expected))
         stats = svc.stats()
-        assert stats["batched_runs"] >= 1
-        assert stats["fused_jobs"] >= 2
+        assert (stats["batched_runs"], stats["fused_jobs"]) == (runs, count)
         fused = [r for r in svc.ledger.records()
                  if r.kind == "service.request" and "batched" in r.extra]
-        assert fused and all(r.outcome == "ok" for r in fused)
+        assert len(fused) == count and all(r.outcome == "ok" for r in fused)
+
+    def test_backlog_fuses_with_bit_identical_results(self):
+        """Width 16 is over bank 0's budget (FB402): the fused run steps."""
+        self._fuse_backlog(W, 6, max_batch=8, runs=1)
+
+    def test_certified_backlog_fuses_into_full_batches(self):
+        """Width 8 certifies: 64 jobs replay windows as four runs of 16."""
+        self._fuse_backlog(8, 64, max_batch=16, runs=4)
 
     def test_incompatible_shapes_never_fuse(self):
         assert RoutineJob("dot", (f32(128), f32(128))).batch_key() != \
@@ -288,12 +313,11 @@ class TestPlanJobs:
         job = PlanJob(self._axpydot_build(w, v, u, 0.7, N, W),
                       name="axpydot")
         with make_service(workers=2) as svc:
-            r1 = svc.call(job, tenant="alice", timeout=60)
-            r2 = svc.call(job, tenant="bob", timeout=60)
+            values = [svc.call(job, tenant=f"tenant-{i % 4}", timeout=60)
+                      for i in range(8)]
             stats = svc.plan_cache.stats()
-        assert r1 == r2
-        assert stats["hits"] >= 1 and stats["misses"] >= 1
-        assert stats["entries"] == 1
+        assert len(set(values)) == 1
+        assert (stats["entries"], stats["misses"], stats["hits"]) == (1, 1, 7)
 
 
 class TestConcurrentTenantsUnderFaults:

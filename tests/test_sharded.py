@@ -183,16 +183,45 @@ class TestShardedGemvDifferential:
             assert res.tobytes() == plain.tobytes()
 
     def test_bandwidth_bound_lane_scaling(self):
-        """Starved config: more lanes (each on its own channel) must cut
-        cycles substantially — the tentpole effect, gate-checked for
-        real in benchmarks/test_hbm_scaling.py."""
-        a, x, y = _problem(32, 32)
-        cycles = {}
-        for lanes in (1, 4):
+        """Starved config (width 16 wants 64 B/cycle of A per lane, a
+        channel grants 16): a lane on its own channel brings a whole
+        budget (4 108 / 2 061 / 1 039 / 531 cycles); the same lanes all
+        on channel 0 gain nothing, so the win is placement."""
+        a, x, y = _problem(128, 128)
+        lane_counts = (1, 2, 4, 8)
+
+        def run(lanes, mode, placements=None):
             mem = DramModel(num_banks=8, bytes_per_cycle=16)
-            cycles[lanes], _res = _run_sharded(a, x, y, lanes, 8, 8, 4,
-                                               "event", mem=mem)
-        assert cycles[1] / cycles[4] >= 2.0, cycles
+            count, res = _run_sharded(a, x, y, lanes, 16, 32, 16, mode,
+                                      mem=mem, placements=placements)
+            return count, res.tobytes()
+
+        cells = []
+        for lanes in lane_counts:
+            by_mode = {run(lanes, mode) for mode in MODES}
+            assert len(by_mode) == 1, f"modes diverged at {lanes} lanes"
+            cells.append(by_mode.pop())
+        cycles, outs = zip(*cells)
+        assert len(set(outs)) == 1
+        np.testing.assert_allclose(
+            np.frombuffer(outs[0], dtype=np.float32),
+            reference.gemv(1.25, a, x, 0.5, y), rtol=1e-4, atol=1e-4)
+        assert all(c > d for c, d in zip(cycles, cycles[1:])), cycles
+        speedup = {lanes: cycles[0] / c
+                   for lanes, c in zip(lane_counts, cycles)}
+        assert speedup[4] >= 2.5, cycles
+        shared, _res = run(4, "event", [Placement.single(0)] * 4)
+        assert cycles[0] / shared <= 0.6 * speedup[4], (shared, cycles)
+        for lanes in lane_counts:
+            model = sharded_gemv_speedup(128, 128, 16, 16, lanes, 16)
+            assert abs(speedup[lanes] - model) <= 0.35 * model, (
+                lanes, speedup[lanes], model)
+        a, x, y = _problem(32, 32)          # and at the small tiles
+        small = [_run_sharded(
+            a, x, y, lanes, 8, 8, 4, "event",
+            mem=DramModel(num_banks=8, bytes_per_cycle=16))[0]
+            for lanes in (1, 4)]
+        assert small[0] / small[1] >= 2.0, small
 
 
 class TestShardRowTiles:

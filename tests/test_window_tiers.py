@@ -20,7 +20,8 @@ builds:
 
 The designs: every simulate row of ``test_host_golden.CASES`` in both
 precisions, the four Sec. V streaming applications at tile 8 and tile =
-n, and the sharded GEMV at 1 / 2 / 4 lanes with and without DRAM.  The
+n (and against the dense loop), the untransformed ii = latency AXPYDOT,
+and the sharded GEMV at 1 / 2 / 4 lanes with and without DRAM.  The
 differential suite's certified builders make the same comparison under
 hypothesis (``test_engine_differential._assert_certified_matches_event``).
 """
@@ -29,6 +30,7 @@ import io
 import json
 import zlib
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,12 +40,14 @@ from repro.analysis import AnalysisError
 from repro.analysis import schedule as schedule_module
 from repro.apps import (atax_streaming, axpydot_streaming, bicg_streaming,
                         gemver_streaming)
+from repro.blas import level1
 from repro.blas.level2 import build_sharded_gemv_engine
 from repro.faults.recovery import DEMOTION
 from repro.fpga import Engine, ReproError
 from repro.fpga.engine import ENGINE_MODES
 from repro.fpga.memory import DramModel
 from repro.fpga.observers import EngineObserver, JsonlEventDump
+from repro.fpga.resources import level1_latency
 from repro.host import Fblas, FblasContext
 from repro.plan import PlanCache
 from repro.service import SimulationService
@@ -214,6 +218,29 @@ class TestApplications:
             _app_drive(app, N_MAT))
         assert windows > 0 and not any(reasons)
 
+    @pytest.mark.parametrize("app", ("axpydot", "atax", "bicg", "gemver"))
+    def test_dense_loop_shows_what_the_event_core_shows(self, app):
+        drive = _app_drive(app, 8)
+        assert _shown(drive, "dense")[0] == _shown(drive, "event")[0]
+
+
+def test_event_core_executes_a_sliver_of_a_latency_bound_run(monkeypatch):
+    """AXPYDOT without the Sec. III-A transposition: DOT runs at ii = its
+    latency (91 in single precision), so >95 % of the cycles have every
+    kernel waiting.  The wake-list scheduler executes 253 of the 5 968
+    and shows what the dense loop shows; no window spelling has a
+    pattern for a reduction at ii > 1."""
+    ii = level1_latency("map_reduce", 8, "single")
+    monkeypatch.setattr(level1, "dot_kernel",
+                        partial(level1.dot_kernel, ii=ii))
+    drive = _app_drive("axpydot", 8)
+    dense, _ = _shown(drive, "dense")
+    event, (eng,) = _shown(drive, "event")
+    assert event == dense and eng.now > N_VEC // 8 * ii
+    assert 20 * eng._observers[-1].cycles <= eng.now
+    windows, reasons = assert_two_spellings_one_scheduler(drive)
+    assert windows == 0 and reasons == ["FB404:dot"]
+
 
 def _sharded_drive(lanes, dram):
     rng = np.random.default_rng(11)
@@ -344,6 +371,20 @@ class TestLedgerSaysWhy:
         assert rec.bulk["windows"] > 0 and rec.fallback_reason is None
         assert sorted(rec.bulk) == ["bulk_cycles", "stepped_cycles",
                                     "windows"]
+
+    def test_no_session_changes_what_is_simulated(self, tmp_path):
+        """Ledger-lite (no observers) also leaves the windows alone."""
+        drive = _app_drive("axpydot", 8)
+        lite = dict(metrics=False, kernel_slices=False, occupancy=False,
+                    ledger_path=str(tmp_path / "ledger.jsonl"))
+        for mode in ("event", "bulk"):
+            plain, (alone,) = _shown(drive, mode)
+            for kwargs in ({}, lite):
+                with telemetry.session(**kwargs):
+                    watched, (eng,) = _shown(drive, mode)
+                assert watched == plain
+                assert eng.bulk_stats() == alone.bulk_stats()
+        assert alone.bulk_stats()["windows"] > 0
 
     def test_hook_less_observer_is_still_the_reason(self):
         eng = Engine(mode="bulk", observers=[JsonlEventDump(io.StringIO())])
