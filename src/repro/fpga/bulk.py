@@ -123,7 +123,7 @@ def _flow_bound(ch, t, w, eff, push, pop, consumer_first, limit):
         return 0, None
     occ = len(ch._fifo)
     staged = ch._staged
-    total = occ + len(staged)
+    total = occ + ch._nstaged
     K = limit
     if push:
         room = ch.depth + eff * w - total
@@ -141,9 +141,10 @@ def _flow_bound(ch, t, w, eff, push, pop, consumer_first, limit):
         K = min(K, staged[0][0] - t if staged else eff)
     if K < 1 or not staged:
         return K, None
-    # A staged element matures at its ready offset, no earlier than its
-    # predecessor (head-of-line order) nor than this cycle.
-    offs = np.array([r for r, _v in staged])
+    # A staged element matures at its ready offset (its burst's), no
+    # earlier than its predecessor (head-of-line order) nor than this
+    # cycle.
+    offs = np.repeat([r for r, _v in staged], [len(v) for _r, v in staged])
     offs -= t
     np.maximum.accumulate(offs, out=offs)
     np.maximum(offs, 0, out=offs)

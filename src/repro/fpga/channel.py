@@ -66,8 +66,11 @@ class Channel:
         self.name = name
         self.depth = depth
         self._fifo: deque = deque()
-        # Staged values: list of (ready_cycle, value) kept sorted by arrival.
+        # Staged (in-flight) values in arrival order, one
+        # ``(ready_cycle, values)`` entry per push — a burst, not an
+        # element — and the number of elements they hold.
         self._staged: deque = deque()
+        self._nstaged = 0
         self.stats = ChannelStats()
         # Event sink (the wake-list scheduler) bound for the duration of an
         # event-mode run; None in dense mode, making every hook a no-op.
@@ -108,7 +111,7 @@ class Channel:
     @property
     def in_flight(self) -> int:
         """Elements pushed but not yet visible (pipeline latency)."""
-        return len(self._staged)
+        return self._nstaged
 
     def space(self, headroom: int = 0) -> int:
         """Free slots a producer may still push into.
@@ -116,7 +119,7 @@ class Channel:
         ``headroom`` is the extra capacity contributed by the producer's
         own pipeline registers (latency x lanes for the push at hand).
         """
-        return self.depth + headroom - len(self._fifo) - len(self._staged)
+        return self.depth + headroom - len(self._fifo) - self._nstaged
 
     def can_push(self, count: int = 1, headroom: int = 0) -> bool:
         return self.space(headroom) >= count
@@ -140,26 +143,42 @@ class Channel:
                 f"(occupancy={self.occupancy}, in_flight={self.in_flight}, "
                 f"depth={self.depth})"
             )
-        self._staged.extend((ready_cycle, v) for v in values)
-        self.stats.pushes += len(values)
-        if values and self.events is not None:
+        if self.stage(values, ready_cycle) and self.events is not None:
             self.events.on_staged(self, ready_cycle)
+
+    def stage(self, values, ready_cycle: int) -> int:
+        """Stage ``values`` as one burst without a capacity check; return
+        how many there were.  For a caller that has just proven the room
+        itself (the engine cores, when no fault hook is attached); fires
+        no event."""
+        n = len(values)
+        if n:
+            if type(values) is not tuple:
+                values = tuple(values)     # the caller may reuse its list
+            self._staged.append((ready_cycle, values))
+            self._nstaged += n
+            self.stats.pushes += n
+        return n
 
     def pop(self, count: int = 1) -> list:
         """Remove and return ``count`` visible elements."""
-        if not self.can_pop(count):
+        fifo = self._fifo
+        if len(fifo) < count:
             raise ChannelError(
                 f"pop of {count} from channel {self.name!r} with only "
                 f"{self.occupancy} visible elements"
             )
-        fifo = self._fifo
-        # Bulk drain: one islice copy instead of count popleft round trips.
-        out = list(islice(fifo, count))
-        if count == len(fifo):
-            fifo.clear()
+        if count == 1:
+            out = [fifo.popleft()]
         else:
-            for _ in range(count):
-                fifo.popleft()
+            # Bulk drain: one islice copy instead of count popleft round
+            # trips when the pop empties the FIFO.
+            out = list(islice(fifo, count))
+            if count == len(fifo):
+                fifo.clear()
+            else:
+                for _ in range(count):
+                    fifo.popleft()
         self.stats.pops += count
         if self.events is not None:
             self.events.on_space(self)
@@ -174,8 +193,8 @@ class Channel:
     # -- block transfers (replay windows) -----------------------------------
     #
     # During a replay window the WindowScheduler owns the channel: values
-    # move as ndarrays in ring-buffer *runs* instead of per-element
-    # (ready, value) tuples, and no capacity checks or events fire —
+    # move as ndarrays in ring-buffer *runs* instead of per-push staged
+    # bursts, and no capacity checks or events fire —
     # the scheduler has already proven (_flow_bound) that every pop of
     # the window finds matured data and every push finds room, so space
     # and availability hold by construction.  ``occupancy``/``space`` do not count run values;
@@ -206,7 +225,7 @@ class Channel:
         straddles a boundary is ever concatenated.
         """
         total = iterations * lanes
-        edge = len(self._fifo) + len(self._staged)
+        edge = len(self._fifo) + self._nstaged
         for run in (None, *self._runs):
             if run is not None:
                 edge += len(run[2]) - run[3]
@@ -238,16 +257,8 @@ class Channel:
                 for _ in range(take):
                     fifo.popleft()
             need -= take
-        staged = self._staged
-        if staged and need:
-            take = min(need, len(staged))
-            boxed.extend(v for _r, v in islice(staged, take))
-            if take == len(staged):
-                staged.clear()
-            else:
-                for _ in range(take):
-                    staged.popleft()
-            need -= take
+        if self._staged and need:
+            need -= self._unstage(min(need, self._nstaged), boxed.extend)
         parts = []
         if boxed:
             parts.append(np.asarray(boxed, dtype=dtype))
@@ -274,7 +285,7 @@ class Channel:
 
         Values due by ``cycle`` (the window's last executed cycle) enter
         the FIFO as maturation would have — in ready order, capped at
-        ``depth`` — and the rest become ordinary staged tuples, so the
+        ``depth`` — and the rest become ordinary staged bursts, so the
         channel leaves the window indistinguishable from one stepped
         cycle by cycle.  ``popped`` is what the consumer took in that
         last cycle: its pop ran *after* the cycle's maturation, so a
@@ -283,8 +294,7 @@ class Channel:
         """
         fifo, staged = self._fifo, self._staged
         cap = self.depth - popped
-        while staged and staged[0][0] <= cycle and len(fifo) < cap:
-            fifo.append(staged.popleft()[1])
+        self._unstage(cap - len(fifo), fifo.extend, cycle)
         for first_ready, lanes, arr, off in self._runs:
             end = len(arr)
             due = off
@@ -295,11 +305,41 @@ class Channel:
                     fifo.extend(arr[off:due])
                 else:
                     due = off
-            if due < end:
-                staged.extend(zip(
-                    (first_ready + j // lanes for j in range(due, end)),
-                    arr[due:end]))
+            # The rest is staged as the bursts per-cycle pushes would
+            # have staged: group j // lanes of the run, ready at
+            # first_ready + j // lanes (the first may be a partial one).
+            j = due
+            while j < end:
+                g = j // lanes
+                stop = min(end, (g + 1) * lanes)
+                staged.append((first_ready + g, tuple(arr[j:stop])))
+                j = stop
+            self._nstaged += end - due
         self._runs.clear()
+
+    def _unstage(self, limit: int, sink, cycle=None) -> int:
+        """Hand up to ``limit`` staged elements, oldest first, to ``sink``
+        (a list or deque ``extend``); with ``cycle``, only those ready by
+        then — head of line, as maturation goes: a burst not yet ready
+        holds back every burst behind it.  Returns how many moved."""
+        staged = self._staged
+        moved = 0
+        while staged and moved < limit:
+            ready, vals = staged[0]
+            if cycle is not None and ready > cycle:
+                break
+            n = len(vals)
+            if moved + n <= limit:
+                staged.popleft()
+                sink(vals)
+                moved += n
+            else:
+                n = limit - moved
+                sink(vals[:n])
+                staged[0] = (ready, vals[n:])
+                moved = limit
+        self._nstaged -= moved
+        return moved
 
     # -- simulation hooks ---------------------------------------------------
     def mature(self, cycle: int) -> int:
@@ -310,13 +350,12 @@ class Channel:
         passed but that find the FIFO full stay staged (the producer's
         pipeline is stalled by backpressure) and enter on a later cycle.
         """
-        moved = 0
-        while (self._staged and self._staged[0][0] <= cycle
-               and len(self._fifo) < self.depth):
-            self._fifo.append(self._staged.popleft()[1])
-            moved += 1
-        if self.occupancy > self.stats.max_occupancy:
-            self.stats.max_occupancy = self.occupancy
+        fifo = self._fifo
+        moved = (self._unstage(self.depth - len(fifo), fifo.extend, cycle)
+                 if self._staged else 0)
+        occ = len(fifo)
+        if occ > self.stats.max_occupancy:
+            self.stats.max_occupancy = occ
         if moved and self.events is not None:
             self.events.on_data(self)
         return moved

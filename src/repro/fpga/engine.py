@@ -675,7 +675,7 @@ class Engine:
                 )
             if op is None:
                 try:
-                    op = k.body.send(k._resume_value)
+                    op = k._send(k._resume_value)
                 except StopIteration:
                     k.done = True
                     k.stats.finish_cycle = t
@@ -683,51 +683,58 @@ class Engine:
                     return True
                 k._resume_value = None
 
-            if isinstance(op, Pop):
-                if op.count > op.channel.depth:
+            kind = type(op)
+            if kind is Pop:
+                ch = op.channel
+                n = op.count
+                if n > ch.depth:
                     raise SimulationError(
-                        f"kernel {k.name!r} pops {op.count} per cycle from "
-                        f"channel {op.channel.name!r} of depth "
-                        f"{op.channel.depth}; a channel must be at least "
+                        f"kernel {k.name!r} pops {n} per cycle from "
+                        f"channel {ch.name!r} of depth "
+                        f"{ch.depth}; a channel must be at least "
                         "as deep as its consumer's width")
-                if op.channel.can_pop(op.count):
-                    vals = op.channel.pop(op.count)
-                    k._resume_value = vals[0] if op.count == 1 else vals
+                if len(ch._fifo) >= n:
+                    vals = ch.pop(n)
+                    k._resume_value = vals[0] if n == 1 else vals
                     k.blocked = None
                     self._last_op_cycle = t
                     if observers:
                         for o in observers:
-                            o.on_channel_op(t, k, op.channel, "pop", op.count)
+                            o.on_channel_op(t, k, ch, "pop", n)
                     progressed = True
                     ops += 1
                     op = None
                     continue
-                k.blocked = BlockedState(op, op.channel, "pop", t)
+                k.blocked = BlockedState(op, ch, "pop", t)
                 k.stats.stall_cycles += 1
-                op.channel.stats.stalled_pop_cycles += 1
+                ch.stats.stalled_pop_cycles += 1
                 return progressed
-            if isinstance(op, Push):
+            if kind is Push:
+                ch = op.channel
                 n = len(op.values)
                 lat = op.latency if op.latency is not None else k.latency
                 # The producer's pipeline registers hold up to lat * n
                 # values beyond the FIFO depth (n lanes, lat stages deep).
                 headroom = lat * n
-                if op.channel.can_push(n, headroom):
-                    op.channel.push(op.values, t + lat, headroom)
+                if ch.depth + headroom - len(ch._fifo) - ch._nstaged >= n:
+                    if ch.fault_hook is not None:
+                        ch.push(op.values, t + lat, headroom)
+                    else:
+                        ch.stage(op.values, t + lat)
                     k.blocked = None
                     self._last_op_cycle = t
                     if observers:
                         for o in observers:
-                            o.on_channel_op(t, k, op.channel, "push", n)
+                            o.on_channel_op(t, k, ch, "push", n)
                     progressed = True
                     ops += 1
                     op = None
                     continue
-                k.blocked = BlockedState(op, op.channel, "push", t)
+                k.blocked = BlockedState(op, ch, "push", t)
                 k.stats.stall_cycles += 1
-                op.channel.stats.stalled_push_cycles += 1
+                ch.stats.stalled_push_cycles += 1
                 return progressed
-            if isinstance(op, Clock):
+            if kind is Clock:
                 k.stats.active_cycles += 1
                 if op.cycles > 1:
                     k.sleep_until = t + op.cycles

@@ -11,6 +11,9 @@ keep working).  The hierarchy:
     ├── ``ChannelError``          — FIFO protocol violations
     ├── ``EngineModeError``       — unknown ``Engine(mode=...)`` spelling
     │                               (also a ``ValueError``)
+    ├── ``StreamOrderError``      — an interface kernel's ``order=`` that
+    │                               does not fit its buffer or count
+    │                               (also a ``ValueError``)
     ├── ``FaultError``            — errors raised *by injected faults*
     │        └── ``TransientFaultError`` — retrying may succeed
     │                 ├── ``KernelCrashError`` — injected kernel crash
@@ -62,6 +65,12 @@ class SimulationError(ReproError):
 
 class EngineModeError(ReproError, ValueError):
     """An engine mode that is not one of ``repro.fpga.engine.ENGINE_MODES``."""
+
+
+class StreamOrderError(ReproError, ValueError):
+    """An ordered ``read_kernel`` / ``write_kernel`` whose order holds an
+    index outside its buffer, or (writes) does not hold ``count`` of them;
+    raised when the kernel is built, not mid-simulation."""
 
 
 class ChannelError(ReproError):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional, Sequence, Tuple
 
 from .channel import Channel
+from .pattern import PatternedGenerator
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,42 @@ def _normalize_writes(writes) -> Tuple[WritePort, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Pop:
+# The three ops are slotted value objects rather than frozen dataclasses:
+# a kernel yields one or more per simulated cycle, and a frozen
+# dataclass pays an ``object.__setattr__`` per field on construction.
+# They compare and hash by value and repr like the dataclasses did; the
+# engine cores dispatch on their exact type (``type(op) is Pop``).
+
+class _Op:
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class Pop(_Op):
     """Receive ``count`` elements from ``channel`` (blocking)."""
 
-    channel: Channel
-    count: int = 1
+    __slots__ = ("channel", "count")
+
+    def __init__(self, channel: Channel, count: int = 1):
+        self.channel = channel
+        self.count = count
 
 
-@dataclass(frozen=True)
-class Push:
+class Push(_Op):
     """Send ``values`` on ``channel`` (blocking while full).
 
     ``latency`` overrides the kernel's pipeline latency for this push;
@@ -82,9 +109,13 @@ class Push:
     compute modules use their circuit depth.
     """
 
-    channel: Channel
-    values: tuple
-    latency: Optional[int] = None
+    __slots__ = ("channel", "values", "latency")
+
+    def __init__(self, channel: Channel, values: tuple,
+                 latency: Optional[int] = None):
+        self.channel = channel
+        self.values = values
+        self.latency = latency
 
     @staticmethod
     def of(channel: Channel, values, latency: Optional[int] = None) -> "Push":
@@ -93,11 +124,13 @@ class Push:
         return Push(channel, (values,), latency)
 
 
-@dataclass(frozen=True)
-class Clock:
+class Clock(_Op):
     """End the current simulated cycle (advance by ``cycles``)."""
 
-    cycles: int = 1
+    __slots__ = ("cycles",)
+
+    def __init__(self, cycles: int = 1):
+        self.cycles = cycles
 
 
 KernelBody = Generator  # yields Pop/Push/Clock, receives pop results
@@ -187,7 +220,7 @@ class Kernel:
         if ii < 1:
             raise ValueError(f"kernel {name!r}: ii must be >= 1")
         self.name = name
-        self.body = body
+        self._bind(body)
         self.latency = latency
         self.ii = ii
         self.reads: Tuple[Channel, ...] = tuple(reads)
@@ -225,8 +258,16 @@ class Kernel:
         window scheduler would replay — so the pattern is cleared: no
         certificate (FB404), exact event stepping.
         """
-        self.body = wrapper(self.body)
+        self._bind(wrapper(self.body))
         self.pattern = None
+
+    def _bind(self, body) -> None:
+        """Install ``body`` and the callable the engine cores resume it
+        with: a plain :class:`PatternedGenerator` only forwards ``send``,
+        so its inner generator is resumed directly."""
+        self.body = body
+        self._send = (body._gen.send if type(body) is PatternedGenerator
+                      else body.send)
 
     @property
     def annotated(self) -> bool:

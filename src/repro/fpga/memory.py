@@ -34,10 +34,11 @@ and channels: they are the circles of the paper's MDAG figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .errors import StreamOrderError
 from .kernel import Clock, Pop, Push
 from .pattern import DramTraffic, PatternedGenerator, StaticPattern
 
@@ -392,44 +393,68 @@ def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
     The linear path carries a :class:`~repro.fpga.pattern.StaticPattern`
     (one full-width contiguous burst per cycle while the bank keeps
     granting it), so bulk mode can fast-forward it; an explicit ``order``
-    keeps the general index-at-a-time generator and is always
-    event-stepped.  An order that *is* the linear order — a unit-stride
-    range covering the whole buffer, as the host API's stride plumbing
-    emits for ``inc == 1`` — is normalized to the patterned linear path,
-    so host-level routines stay certifiable in the common case.
+    is materialised once as an index array (an index out of the buffer
+    raises :class:`~repro.fpga.errors.StreamOrderError` here) and is
+    always event-stepped.  An order that *is* the linear order — a
+    unit-stride range covering the whole buffer, as the host API's stride
+    plumbing emits for ``inc == 1`` — is normalized to the patterned
+    linear path, so host-level routines stay certifiable in the common
+    case.
     """
     if (isinstance(order, range) and order.start == 0 and order.step == 1
             and len(order) == buf.num_elements):
         order = None
     if order is not None:
-        return _read_kernel_ordered(mem, buf, ch, width, order, repeat)
+        return _read_kernel_ordered(mem, buf, ch, width,
+                                    _index_array(order, buf), repeat)
     return _read_kernel_linear(mem, buf, ch, width, repeat)
 
 
+def _index_array(order, buf: DramBuffer, count: Optional[int] = None):
+    """``order`` as an int index array, checked against ``buf`` (and,
+    for a write, against the ``count`` elements it stores)."""
+    if isinstance(order, (np.ndarray, list, tuple, range)):
+        idx = np.asarray(order)
+    else:
+        idx = np.fromiter(order, dtype=np.intp)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise StreamOrderError(
+            f"order for buffer {buf.name!r} must be a flat sequence of "
+            f"integer indices")
+    if count is not None and len(idx) != count:
+        raise StreamOrderError(
+            f"order for buffer {buf.name!r} holds {len(idx)} indices; "
+            f"the kernel stores {count} elements")
+    if idx.size:
+        bad = idx[(idx < 0) | (idx >= buf.num_elements)]
+        if bad.size:
+            raise StreamOrderError(
+                f"order index {int(bad[0])} is outside buffer {buf.name!r} "
+                f"of {buf.num_elements} elements")
+    return idx.astype(np.intp, copy=False)
+
+
 def _read_kernel_ordered(mem: DramModel, buf: DramBuffer, ch, width,
-                         order, repeat):
+                         idx, repeat):
     itemsize = buf.itemsize
     flat = buf.data.reshape(-1)
+    n = len(idx)
+    # breaks[j]: stride breaks among idx[0 .. j], so the burst
+    # idx[a:b] is contiguous iff breaks[b - 1] == breaks[a].
+    breaks = np.zeros(n, dtype=np.intp)
+    np.cumsum(np.diff(idx) != 1, out=breaks[1:])
+    breaks = breaks.tolist()
     for _ in range(repeat):
-        it: Iterator[int] = iter(order)
-        pending: list = []
-        exhausted = False
-        while pending or not exhausted:
-            while not exhausted and len(pending) < width:
-                try:
-                    pending.append(next(it))
-                except StopIteration:
-                    exhausted = True
-            if not pending:
-                break
-            contiguous = all(b == a + 1 for a, b in zip(pending, pending[1:]))
-            granted = mem.request_read(buf, len(pending) * itemsize,
-                                       contiguous=contiguous) // itemsize
+        pos = 0                  # first index not yet pushed
+        while pos < n:
+            end = min(pos + width, n)
+            granted = mem.request_read(
+                buf, (end - pos) * itemsize,
+                contiguous=breaks[end - 1] == breaks[pos]) // itemsize
             if granted > 0:
-                vals = tuple(flat[i] for i in pending[:granted])
                 buf.elements_read += granted
-                yield Push(ch, vals, 1)
-                del pending[:granted]
+                yield Push(ch, tuple(flat[idx[pos:pos + granted]]), 1)
+                pos += granted
             yield Clock()
 
 
@@ -496,10 +521,12 @@ def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
     """Drain ``count`` elements from ``ch`` into ``buf``.
 
     ``order`` gives the flat destination index for each received element
-    (default: linear).  Each cycle the kernel stores whatever the channel
-    has delivered (up to ``width`` elements) within the bank's bandwidth
-    grant, so partial grants and a slower producer do not halve the write
-    rate.
+    (default: linear); it must hold exactly ``count`` indices inside
+    ``buf`` (:class:`~repro.fpga.errors.StreamOrderError` otherwise,
+    raised here).  Each cycle the kernel stores whatever the channel has
+    delivered (up to ``width`` elements) within the bank's bandwidth
+    grant, so partial grants and a slower producer do not halve the
+    write rate.
 
     Like :func:`read_kernel`, the linear path is pattern-annotated for
     bulk mode; an explicit ``order`` is always event-stepped — except a
@@ -511,16 +538,17 @@ def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
             and len(order) == count):
         order = None
     if order is not None:
-        return _write_kernel_ordered(mem, buf, ch, count, width, order)
+        return _write_kernel_ordered(mem, buf, ch, count, width,
+                                     _index_array(order, buf, count))
     return _write_kernel_linear(mem, buf, ch, count, width)
 
 
 def _write_kernel_ordered(mem: DramModel, buf: DramBuffer, ch, count,
-                          width, order):
+                          width, idx):
     itemsize = buf.itemsize
     flat = buf.data.reshape(-1)
-    it: Iterator[int] = iter(order)
     received = 0
+    stored = 0
     pending: list = []
     while received < count or pending:
         # Top up the staging register with whatever is already visible;
@@ -538,8 +566,8 @@ def _write_kernel_ordered(mem: DramModel, buf: DramBuffer, ch, count,
                 received += avail
         granted = mem.request_write(buf, len(pending) * itemsize) // itemsize
         if granted > 0:
-            for v in pending[:granted]:
-                flat[next(it)] = v
+            flat[idx[stored:stored + granted]] = pending[:granted]
+            stored += granted
             buf.elements_written += granted
             del pending[:granted]
         yield Clock()

@@ -389,7 +389,7 @@ class WakeListScheduler:
                 )
             if op is None:
                 try:
-                    op = k.body.send(k._resume_value)
+                    op = k._send(k._resume_value)
                 except StopIteration:
                     k.done = True
                     stats.finish_cycle = t
@@ -398,23 +398,25 @@ class WakeListScheduler:
                     return True
                 k._resume_value = None
 
-            if isinstance(op, Pop):
+            kind = type(op)
+            if kind is Pop:
                 ch = op.channel
-                if op.count > ch.depth:
+                n = op.count
+                if n > ch.depth:
                     raise SimulationError(
-                        f"kernel {k.name!r} pops {op.count} per cycle from "
+                        f"kernel {k.name!r} pops {n} per cycle from "
                         f"channel {ch.name!r} of depth "
                         f"{ch.depth}; a channel must be at least "
                         "as deep as its consumer's width")
-                if ch.can_pop(op.count):
-                    vals = ch.pop(op.count)   # fires on_space
-                    k._resume_value = vals[0] if op.count == 1 else vals
+                if len(ch._fifo) >= n:
+                    vals = ch.pop(n)          # fires on_space
+                    k._resume_value = vals[0] if n == 1 else vals
                     self.engine._last_op_cycle = t
                     if k.blocked is not None:
                         self._unblock(k)
                     if observers:
                         for o in observers:
-                            o.on_channel_op(t, k, ch, "pop", op.count)
+                            o.on_channel_op(t, k, ch, "pop", n)
                     progressed = True
                     ops += 1
                     op = None
@@ -427,13 +429,22 @@ class WakeListScheduler:
                 stats.stall_cycles += 1
                 ch.stats.stalled_pop_cycles += 1
                 return progressed
-            if isinstance(op, Push):
+            if kind is Push:
                 ch = op.channel
-                n = len(op.values)
+                values = op.values
+                n = len(values)
                 lat = op.latency if op.latency is not None else k.latency
+                # The one capacity check: the producer's pipeline holds
+                # lat * n values beyond the FIFO depth.
                 headroom = lat * n
-                if ch.can_push(n, headroom):
-                    ch.push(op.values, t + lat, headroom)  # fires on_staged
+                if ch.depth + headroom - len(ch._fifo) - ch._nstaged >= n:
+                    if ch.fault_hook is not None:
+                        ch.push(values, t + lat, headroom)   # fires on_staged
+                    elif ch.stage(values, t + lat):
+                        # on_staged's clamp: a latency-0 push is seen
+                        # no earlier than the next cycle.
+                        self._schedule_mature(ch, t + lat if lat > 0
+                                              else t + 1)
                     self.engine._last_op_cycle = t
                     if k.blocked is not None:
                         self._unblock(k)
@@ -452,14 +463,15 @@ class WakeListScheduler:
                 stats.stall_cycles += 1
                 ch.stats.stalled_push_cycles += 1
                 return progressed
-            if isinstance(op, Clock):
+            if kind is Clock:
                 stats.active_cycles += 1
-                if op.cycles > 1:
-                    k.sleep_until = t + op.cycles
-                    k._queued_for = t + op.cycles
+                cycles = op.cycles
+                if cycles > 1:
+                    k.sleep_until = t + cycles
+                    k._queued_for = t + cycles
                     self._seq += 1
                     heapq.heappush(self._heap,
-                                   (t + op.cycles, self._seq, _WAKE, k))
+                                   (t + cycles, self._seq, _WAKE, k))
                 else:
                     k._queued_for = t + 1
                     self._next.append(k)

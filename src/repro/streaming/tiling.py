@@ -4,7 +4,7 @@ A matrix crossing a streaming interface is tiled in 2D; both the order of
 tiles and the order of elements within a tile can be scheduled by rows or
 by columns, giving the four streaming modes of the paper.  A schedule is a
 deterministic enumeration of flat (row-major) element indices; interface
-kernels iterate it to read DRAM in streaming order, and compute kernels
+kernels index DRAM with it in streaming order, and compute kernels
 are written against the same order.
 """
 
@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class TileOrder(Enum):
@@ -112,15 +114,19 @@ class MatrixSchedule:
         :func:`repro.fpga.memory.read_kernel` and
         :func:`~repro.fpga.memory.write_kernel` normalize onto their
         patterned linear fast path, keeping such schedules certifiable.
+        Otherwise it is an int ndarray, built without a Python loop: the
+        row-major index grid viewed as (tile row, row, tile col, col)
+        with its axes permuted into tile order, then element order.
         """
         if (self.elem_order is ElementOrder.ROW_MAJOR
                 and self.tile_cols == self.cols):
             return range(self.num_elements)
-        return self._indices_iter()
-
-    def _indices_iter(self) -> Iterator[int]:
-        for ti, tj in self.tiles():
-            yield from self.tile_elements(ti, tj)
+        grid = np.arange(self.num_elements).reshape(
+            self.grid_rows, self.tile_rows, self.grid_cols, self.tile_cols)
+        tiles = (0, 2) if self.tile_order is TileOrder.BY_ROWS else (2, 0)
+        elems = ((1, 3) if self.elem_order is ElementOrder.ROW_MAJOR
+                 else (3, 1))
+        return grid.transpose(*tiles, *elems).reshape(-1)
 
     def descriptor(self) -> tuple:
         """Hashable description used in stream signatures."""

@@ -62,20 +62,36 @@ class TestBlockTransfers:
 
     def test_end_window_matures_due_values(self):
         """Values due by the window's last cycle enter the FIFO, capped at
-        depth; the remainder becomes ordinary staged tuples with the same
-        ready ramp per-cycle pushes would have produced."""
+        depth; the remainder stays staged with the same ready ramp
+        per-cycle pushes would have produced."""
         ch = Channel("c", depth=3)
         ch.push_block(np.arange(8, dtype=np.float32), lanes=2, first_ready=10)
         ch.end_window(11)        # groups ready at 10, 11, 12, 13
         assert ch.occupancy == 3                   # capped at depth
         assert ch.in_flight == 5
-        assert list(ch._fifo) == [0.0, 1.0, 2.0]
-        # Staged entries keep the exact per-group ready cycles.
-        assert [r for r, _v in ch._staged] == [11, 12, 12, 13, 13]
-        # Later maturation proceeds exactly as in cycle-stepped mode.
+        assert ch.pop(3) == [0.0, 1.0, 2.0]
+        # Drained every cycle, the channel shows the exact per-group
+        # ready cycles: 3 (the rest of group 11), then 4, 5 at 12 and
+        # 6, 7 at 13 — (matured, occupancy, in_flight, popped) per cycle.
+        ramp = []
+        for cycle in range(10, 15):
+            moved = ch.mature(cycle)
+            occ, flying = ch.occupancy, ch.in_flight
+            ramp.append((moved, occ, flying, ch.pop(occ) if occ else []))
+        assert ramp == [(0, 0, 5, []), (1, 1, 4, [3.0]),
+                        (2, 2, 2, [4.0, 5.0]), (2, 2, 0, [6.0, 7.0]),
+                        (0, 0, 0, [])]
+
+    def test_end_window_leaves_stepped_maturation_exact(self):
+        """Later maturation proceeds exactly as in cycle-stepped mode,
+        depth cap included."""
+        ch = Channel("c", depth=3)
+        ch.push_block(np.arange(8, dtype=np.float32), lanes=2, first_ready=10)
+        ch.end_window(11)
         ch.pop(3)
-        ch.mature(12)
-        assert list(ch._fifo) == [3.0, 4.0, 5.0]
+        assert ch.mature(12) == 3                  # 3, 4, 5: FIFO full
+        assert (ch.occupancy, ch.in_flight) == (3, 2)
+        assert ch.pop(3) == [3.0, 4.0, 5.0]
 
     def test_end_window_preserves_fifo_before_runs(self):
         ch = Channel("c", depth=8)

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, KernelFault
 from repro.fpga import (
+    Channel,
     Clock,
     DeadlockError,
     Engine,
@@ -183,6 +185,63 @@ class TestProtocol:
         eng.add_kernel("k", iter(()))
         with pytest.raises(ValueError):
             eng.add_kernel("k", iter(()))
+
+
+class TestOpContract:
+    """What kernels and their callers may rely on from the three ops."""
+
+    def test_equality_and_hash_are_by_value(self):
+        a, b = Channel("a", 4), Channel("b", 4)
+        assert Pop(a, 2) == Pop(a, 2) and Pop(a) == Pop(a, 1)
+        assert Pop(a, 2) != Pop(a, 1) and Pop(a, 2) != Pop(b, 2)
+        assert Push(a, (1.0,), 1) == Push(a, (1.0,), 1)
+        assert Push(a, (1.0,)) != Push(a, (1.0,), 1)
+        assert Clock() == Clock(1) != Clock(2)
+        # Different ops never compare equal, even with the same fields.
+        assert Pop(a, 1) != Push(a, 1) and Clock(1) != (1,)
+        assert len({Pop(a, 2), Pop(a, 2), Clock(), Clock(1),
+                    Push(a, (1.0, 2.0), None)}) == 3
+
+    def test_repr_names_every_field(self):
+        ch = Channel("c", 4)
+        assert repr(Pop(ch, 2)) == f"Pop(channel={ch!r}, count=2)"
+        assert (repr(Push(ch, (1.0,), 1))
+                == f"Push(channel={ch!r}, values=(1.0,), latency=1)")
+        assert repr(Clock()) == "Clock(cycles=1)"
+
+    def test_push_of_normalises_values(self):
+        ch = Channel("c", 4)
+        assert Push.of(ch, [1.0, 2.0]) == Push(ch, (1.0, 2.0), None)
+        assert Push.of(ch, (3.0,), 2) == Push(ch, (3.0,), 2)
+        assert Push.of(ch, 4.0).values == (4.0,)
+
+    def test_fault_wrapper_stretches_clock(self):
+        """The freeze wrapper recognises ``Clock`` among the body's ops and
+        stretches exactly the work cycle it targets."""
+        def body():
+            for _ in range(3):
+                yield Clock()
+
+        plan = FaultPlan(seed=0, kernel_faults=(
+            KernelFault("k", 1, "freeze", cycles=5),))
+        inj = FaultInjector(plan, Engine())
+        assert (list(inj._faulted_body("k", body(), plan.kernel_faults))
+                == [Clock(), Clock(6), Clock()])
+
+    @pytest.mark.parametrize("mode", ["event", "dense"])
+    def test_freeze_on_a_patterned_kernel(self, mode):
+        """A patterned body is resumed without its proxy until a fault
+        wrapper replaces it; the wrapped body is what runs."""
+        def cycles(plan):
+            eng = Engine(mode=mode, fault_plan=plan)
+            ch = eng.channel("c", 4)
+            eng.add_kernel("src", source_kernel(ch, [1.0] * 8, 2))
+            eng.add_kernel("sink", sink_kernel(ch, 8, 2))
+            return eng.run().cycles
+
+        frozen = FaultPlan(seed=0, kernel_faults=(
+            KernelFault("src", 2, "freeze", cycles=7),))
+        assert cycles(frozen) == cycles(None) + 7
 
 
 class TestReport:

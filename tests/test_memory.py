@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fpga import DramModel, Engine, sink_kernel, source_kernel
+from repro.fpga.errors import ReproError, StreamOrderError
 from repro.fpga.memory import read_kernel, write_kernel
 
 
@@ -133,6 +134,68 @@ class TestInterfaceKernels:
                                           order=[3, 2, 1, 0]))
         eng.run()
         np.testing.assert_array_equal(dst.data, [40.0, 30.0, 20.0, 10.0])
+
+    def test_iterator_order_is_replayed_every_pass(self):
+        """The order is materialised once, so a one-shot iterator streams
+        on every ``repeat`` pass, not only the first."""
+        mem = DramModel()
+        src = mem.bind("src", np.arange(4, dtype=np.float32))
+        eng = Engine(memory=mem)
+        ch = eng.channel("c", 16)
+        out = []
+        eng.add_kernel("rd", read_kernel(mem, src, ch, 2,
+                                         order=iter([3, 1, 2]), repeat=2))
+        eng.add_kernel("sink", sink_kernel(ch, 6, 1, out))
+        eng.run()
+        assert out == [3.0, 1.0, 2.0] * 2
+
+
+class TestOrderRefusals:
+    """An order that cannot be streamed is refused when the kernel is
+    built, with a typed error, instead of failing mid-simulation."""
+
+    def _setup(self):
+        mem = DramModel()
+        buf = mem.allocate("b", 16)
+        return mem, buf, Engine(memory=mem).channel("c", 16)
+
+    def _refused(self, build, match):
+        with pytest.raises(StreamOrderError, match=match) as info:
+            build()
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ValueError)
+
+    def test_read_index_past_the_buffer(self):
+        mem, b, c = self._setup()
+        self._refused(lambda: read_kernel(mem, b, c, 4, order=[0, 16]),
+                      "order index 16 is outside buffer 'b' of 16")
+
+    def test_read_negative_index(self):
+        mem, b, c = self._setup()
+        self._refused(lambda: read_kernel(mem, b, c, 4, order=[3, -1]),
+                      "order index -1 is outside buffer 'b'")
+
+    def test_write_index_past_the_buffer(self):
+        mem, b, c = self._setup()
+        self._refused(lambda: write_kernel(mem, b, c, 2, 4, order=[1, 99]),
+                      "order index 99 is outside buffer 'b'")
+
+    def test_write_order_shorter_than_count(self):
+        mem, b, c = self._setup()
+        self._refused(
+            lambda: write_kernel(mem, b, c, 16, 4, order=iter(range(8))),
+            "holds 8 indices; the kernel stores 16 elements")
+
+    def test_write_order_longer_than_count(self):
+        mem, b, c = self._setup()
+        self._refused(lambda: write_kernel(mem, b, c, 4, 4,
+                                           order=range(15, -1, -1)),
+                      "holds 16 indices; the kernel stores 4 elements")
+
+    def test_non_integer_order(self):
+        mem, b, c = self._setup()
+        self._refused(lambda: read_kernel(mem, b, c, 4, order=[0.0, 1.0]),
+                      "integer indices")
 
 
 class TestValidation:

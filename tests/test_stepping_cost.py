@@ -1,0 +1,90 @@
+"""Cost guards for the stepping core, counted rather than timed.
+
+Python + C calls (``sys.setprofile`` "call" / "c_call" events; every
+``len`` counts) for the two places the stepping core is the cost: an
+event-tier Sec. V application, and the cycles a certified run cannot
+replay.  Call creep on the per-step path (an op that grows a field, a
+per-element walk over staged values, a second capacity check) fails
+here before it fails the benchmark's 2 % bound on
+``host_calls_per_req``.  The bounds are the counts measured when the
+ops, the per-push staging and the index-array interface kernels landed,
+plus 5 %.
+"""
+
+import sys
+
+import numpy as np
+
+from repro.apps import atax_streaming
+from repro.fpga.scheduler import WakeListScheduler
+from repro.host import Fblas, FblasContext
+
+#: Calls of one warm event-tier ATAX (80 038 before).
+ATAX_CALLS = 44_674
+#: Calls inside the 7 stepped cycles of a warm certified dot (585 before).
+DOT_STEPPED_CALLS = 341
+
+
+def _count_calls(fn, inside=None):
+    """Run ``fn()``; return its result and the calls it made — all of
+    them, or only those made while a frame of code ``inside`` is live."""
+    calls = 0
+    depth = 0 if inside is not None else 1
+
+    def hook(frame, event, arg):
+        nonlocal calls, depth
+        if inside is not None and frame.f_code is inside:
+            if event == "call":
+                depth += 1
+            elif event == "return":
+                depth -= 1
+        if depth and event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def test_event_tier_atax_call_count():
+    """One event-tier ATAX at the benchmark's size (32 x 32, tile 8,
+    width 4): 789 cycles, every one stepped."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((32, 32)).astype(np.float32)
+    x = rng.standard_normal(32).astype(np.float32)
+
+    def call():
+        ctx = FblasContext()
+        return atax_streaming(ctx, ctx.copy_to_device(a),
+                              ctx.copy_to_device(x), tile=8, width=4)
+
+    call()
+    res, calls = _count_calls(call)
+    assert res.cycles == 789
+    assert calls <= 1.05 * ATAX_CALLS, calls
+
+
+class _Capturing(Fblas):
+    """Keeps the engine each call builds."""
+
+    def _engine(self):
+        self.engine = super()._engine()
+        return self.engine
+
+
+def test_certified_dot_stepped_cycles_call_count():
+    """The cycles a warm certified 4096-element ``dot`` steps between its
+    replayed windows (pipeline start-up, the phase entries) — counted
+    inside the event core's ``_run_cycle`` only."""
+    fb = _Capturing(width=8, engine_mode="certified")
+    rng = np.random.default_rng(7)
+    x, y = (fb.copy_to_device(rng.standard_normal(4096).astype(np.float32))
+            for _ in range(2))
+    fb.dot(x, y)
+    _, calls = _count_calls(lambda: fb.dot(x, y),
+                            inside=WakeListScheduler._run_cycle.__code__)
+    assert fb.engine.bulk_stats()["stepped_cycles"] == 7
+    assert calls <= 1.05 * DOT_STEPPED_CALLS, calls
