@@ -70,7 +70,7 @@ def build(mem):
 
     y = mem.allocate("y_out", N)
     g.bind("read_A", ReadBinding(mem.bind("A", a), WIDTH,
-                                 order=sched.indices))
+                                 order=sched.indices()))
     g.bind("read_x", ReadBinding(mem.bind("x", x), WIDTH,
                                  repeat=M // TILE))
     g.bind("read_z1", ReadBinding(

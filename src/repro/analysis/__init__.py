@@ -53,7 +53,7 @@ from .schedule import (
     ensure_certified,
     schedule_key,
 )
-from .spec_passes import estimate_spec_resources, estimate_total_resources
+from .spec_passes import estimate_spec_resources
 
 __all__ = [
     "ANALYSIS_SCHEMA", "CODES", "SCHEDULE_SCHEMA",
@@ -61,7 +61,7 @@ __all__ = [
     "KernelSchedule", "PhaseSegment", "Severity", "StaticSchedule",
     "REGISTRIES", "analyze_engine", "analyze_mdag", "analyze_rates",
     "analyze_specs", "certify", "disjoint_paths", "ensure_certified",
-    "estimate_spec_resources", "estimate_total_resources",
+    "estimate_spec_resources",
     "multipath_pairs", "reconvergent_pairs", "register", "run_passes",
     "schedule_key",
 ]

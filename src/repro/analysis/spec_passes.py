@@ -16,7 +16,7 @@ device at all (FB1xx, checked against the Table II catalogs in
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from ..blas.routines import info
 from ..fpga.resources import (
@@ -122,11 +122,3 @@ def check_resource_fit(specs, ctx) -> Iterable[Diagnostic]:
             f"estimated utilization {util:.0%} of {device.name} "
             f"({detail}); timing closure will derate the clock",
             obj=device.name)
-
-
-def estimate_total_resources(specs: List, device) -> ResourceUsage:
-    """Summed estimate used by reports and tests."""
-    total = ResourceUsage(0, 0, 0, 0)
-    for spec in specs:
-        total = total + estimate_spec_resources(spec, device)
-    return total

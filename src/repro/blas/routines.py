@@ -35,15 +35,6 @@ class RoutineInfo:
     #: sharing one dtype.
     operands: Tuple[Tuple[str, int], ...] = ()
 
-    @property
-    def operands_per_lane(self) -> int:
-        """Stream operands one vector lane consumes per cycle.
-
-        Drives the optimal-width formula W = ceil(B/(k*S*F)): DOT pops one
-        x and one y per lane (k=2), SCAL only one x (k=1).
-        """
-        return max(1, len(self.inputs))
-
     def static_pattern(self, channels: Dict[str, object], width: int = 1,
                        ii: int = 1):
         """Derive a declare-only :class:`~repro.fpga.pattern.StaticPattern`.

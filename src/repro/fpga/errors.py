@@ -11,9 +11,9 @@ keep working).  The hierarchy:
     ├── ``ChannelError``          — FIFO protocol violations
     ├── ``EngineModeError``       — unknown ``Engine(mode=...)`` spelling
     │                               (also a ``ValueError``)
-    ├── ``StreamOrderError``      — an interface kernel's ``order=`` that
-    │                               does not fit its buffer or count
-    │                               (also a ``ValueError``)
+    ├── ``StreamOrderError``      — a stream kernel's width, repeat,
+    │                               count or ``order=`` that cannot be
+    │                               streamed (also a ``ValueError``)
     ├── ``FaultError``            — errors raised *by injected faults*
     │        └── ``TransientFaultError`` — retrying may succeed
     │                 ├── ``KernelCrashError`` — injected kernel crash
@@ -68,9 +68,22 @@ class EngineModeError(ReproError, ValueError):
 
 
 class StreamOrderError(ReproError, ValueError):
-    """An ordered ``read_kernel`` / ``write_kernel`` whose order holds an
-    index outside its buffer, or (writes) does not hold ``count`` of them;
-    raised when the kernel is built, not mid-simulation."""
+    """A stream kernel whose geometry cannot be streamed: a width or
+    ``repeat`` below 1, a negative element count, an interface kernel's
+    order holding an index outside its buffer or (writes) not holding
+    ``count`` of them, or a linear write longer than its buffer.  Raised
+    when the kernel is built, not mid-simulation."""
+
+
+def check_stream_geometry(kernel: str, width: int, repeat: int = 1,
+                          count: int = 0) -> None:
+    """Refuse a stream kernel that would spin, deadlock or finish
+    without moving its elements (:class:`StreamOrderError`)."""
+    for name, value, least in (("width", width, 1), ("repeat", repeat, 1),
+                               ("count", count, 0)):
+        if value < least:
+            raise StreamOrderError(
+                f"{kernel}: {name} must be at least {least}, got {value}")
 
 
 class ChannelError(ReproError):

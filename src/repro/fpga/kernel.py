@@ -169,12 +169,6 @@ class KernelStats:
     start_cycle: Optional[int] = None
     finish_cycle: Optional[int] = None
 
-    @property
-    def total_cycles(self) -> int:
-        if self.start_cycle is None or self.finish_cycle is None:
-            return 0
-        return self.finish_cycle - self.start_cycle
-
 
 class Kernel:
     """A named kernel instance bound to a generator body.
@@ -273,11 +267,6 @@ class Kernel:
     def annotated(self) -> bool:
         """True when the kernel declared its ports for static analysis."""
         return bool(self.reads or self.writes)
-
-    @property
-    def blocked_on(self) -> Optional[object]:
-        """The raw op this kernel is blocked on (compatibility accessor)."""
-        return self.blocked.op if self.blocked is not None else None
 
     # -- typed port accessors (consumed by repro.analysis) -------------------
     @property

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import StreamOrderError
+from .errors import StreamOrderError, check_stream_geometry
 from .kernel import Clock, Pop, Push
 from .pattern import DramTraffic, PatternedGenerator, StaticPattern
 
@@ -104,13 +104,7 @@ class BankStats:
     ecc_events: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "denied_cycles": self.denied_cycles,
-            "busy_cycles": self.busy_cycles,
-            "ecc_events": self.ecc_events,
-        }
+        return dict(vars(self))
 
 
 class DramBuffer:
@@ -143,11 +137,6 @@ class DramBuffer:
     def num_elements(self) -> int:
         return self.data.size
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = ("interleaved" if self.placement is None
-                 else self.placement.describe())
-        return f"DramBuffer({self.name!r}, {self.data.shape}, {where})"
-
 
 class DramModel:
     """N-channel DRAM/HBM with per-channel per-cycle bandwidth budgets.
@@ -156,8 +145,7 @@ class DramModel:
     ----------
     num_banks:
         Number of memory channels on the board (DDR modules on the
-        paper's boards, pseudo-channels on HBM parts; ``num_channels``
-        is an alias).
+        paper's boards, pseudo-channels on HBM parts).
     bytes_per_cycle:
         Peak bytes one channel can move per FPGA clock cycle (channel
         bandwidth divided by design frequency).
@@ -208,11 +196,6 @@ class DramModel:
         # bank budgets for the cycle.  None outside an injected run.
         self.fault_hook = None
         self.begin_cycle(0)
-
-    @property
-    def num_channels(self) -> int:
-        """Alias: one DDR bank is one channel; HBM exposes many."""
-        return self.num_banks
 
     # -- allocation ---------------------------------------------------------
     def allocate(self, name: str, shape, dtype=np.float32,
@@ -381,42 +364,20 @@ class DramModel:
 # Interface kernels (the MDAG "circle" nodes)
 # ---------------------------------------------------------------------------
 
-def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
-                order: Optional[Iterable[int]] = None, repeat: int = 1):
-    """Stream ``buf`` into ``ch``, ``width`` elements per cycle at most.
-
-    ``order`` is an iterable of flat indices defining the streaming order
-    (e.g. a tiled schedule from :mod:`repro.streaming.tiling`); by default
-    the buffer is streamed linearly.  ``repeat`` replays the whole order
-    that many times (the "vector must be replayed" case of Sec. III-B).
-
-    The linear path carries a :class:`~repro.fpga.pattern.StaticPattern`
-    (one full-width contiguous burst per cycle while the bank keeps
-    granting it), so bulk mode can fast-forward it; an explicit ``order``
-    is materialised once as an index array (an index out of the buffer
-    raises :class:`~repro.fpga.errors.StreamOrderError` here) and is
-    always event-stepped.  An order that *is* the linear order — a
-    unit-stride range covering the whole buffer, as the host API's stride
-    plumbing emits for ``inc == 1`` — is normalized to the patterned
-    linear path, so host-level routines stay certifiable in the common
-    case.
-    """
-    if (isinstance(order, range) and order.start == 0 and order.step == 1
-            and len(order) == buf.num_elements):
-        order = None
-    if order is not None:
-        return _read_kernel_ordered(mem, buf, ch, width,
-                                    _index_array(order, buf), repeat)
-    return _read_kernel_linear(mem, buf, ch, width, repeat)
-
-
 def _index_array(order, buf: DramBuffer, count: Optional[int] = None):
-    """``order`` as an int index array, checked against ``buf`` (and,
-    for a write, against the ``count`` elements it stores)."""
-    if isinstance(order, (np.ndarray, list, tuple, range)):
-        idx = np.asarray(order)
-    else:
-        idx = np.fromiter(order, dtype=np.intp)
+    """``order`` as an int index array checked against ``buf`` (and a
+    write's ``count``), or ``None`` for the identity: no order, or a
+    unit-stride range from 0 over the whole buffer (read) or ``count``
+    (write), as the host's stride plumbing emits for ``inc == 1``."""
+    n = buf.num_elements if count is None else count
+    if order is None or (isinstance(order, range) and order == range(n)):
+        if n > buf.num_elements:
+            raise StreamOrderError(
+                f"write of {n} elements overruns buffer {buf.name!r} of "
+                f"{buf.num_elements} elements")
+        return None
+    idx = (np.asarray(order) if hasattr(order, "__len__")
+           else np.fromiter(order, dtype=np.intp))
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise StreamOrderError(
             f"order for buffer {buf.name!r} must be a flat sequence of "
@@ -425,94 +386,88 @@ def _index_array(order, buf: DramBuffer, count: Optional[int] = None):
         raise StreamOrderError(
             f"order for buffer {buf.name!r} holds {len(idx)} indices; "
             f"the kernel stores {count} elements")
-    if idx.size:
-        bad = idx[(idx < 0) | (idx >= buf.num_elements)]
-        if bad.size:
-            raise StreamOrderError(
-                f"order index {int(bad[0])} is outside buffer {buf.name!r} "
-                f"of {buf.num_elements} elements")
+    bad = idx[(idx < 0) | (idx >= buf.num_elements)]
+    if bad.size:
+        raise StreamOrderError(
+            f"order index {int(bad[0])} is outside buffer {buf.name!r} "
+            f"of {buf.num_elements} elements")
     return idx.astype(np.intp, copy=False)
 
 
-def _read_kernel_ordered(mem: DramModel, buf: DramBuffer, ch, width,
-                         idx, repeat):
-    itemsize = buf.itemsize
-    flat = buf.data.reshape(-1)
-    n = len(idx)
-    # breaks[j]: stride breaks among idx[0 .. j], so the burst
-    # idx[a:b] is contiguous iff breaks[b - 1] == breaks[a].
-    breaks = np.zeros(n, dtype=np.intp)
-    np.cumsum(np.diff(idx) != 1, out=breaks[1:])
-    breaks = breaks.tolist()
-    for _ in range(repeat):
-        pos = 0                  # first index not yet pushed
-        while pos < n:
-            end = min(pos + width, n)
-            granted = mem.request_read(
-                buf, (end - pos) * itemsize,
-                contiguous=breaks[end - 1] == breaks[pos]) // itemsize
-            if granted > 0:
-                buf.elements_read += granted
-                yield Push(ch, tuple(flat[idx[pos:pos + granted]]), 1)
-                pos += granted
-            yield Clock()
-
-
-class _LinearReadState:
-    """Shared cursor of the linear read kernel: the generator and the
+class _Cursor:
+    """Shared state of an interface kernel: the generator and its
     pattern's ``block`` advance the same fields."""
 
-    __slots__ = ("pass_no", "base", "plen")
+    __slots__ = ("pos", "pass_no", "received", "partial")
 
     def __init__(self):
+        self.pos = 0             # next stream position to push / store
         self.pass_no = 0
-        self.base = 0            # flat index of the oldest pending element
-        self.plen = 0            # granted-but-unsent elements (pending)
+        self.received = 0        # elements popped so far (writes)
+        self.partial = False     # the last read burst was granted short
 
 
-def _read_kernel_linear(mem: DramModel, buf: DramBuffer, ch, width, repeat):
+def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
+                order: Optional[Iterable[int]] = None, repeat: int = 1):
+    """Stream ``buf`` into ``ch``, ``width`` elements per cycle at most.
+
+    ``order`` is an iterable of flat indices defining the streaming order
+    (e.g. a tiled schedule from :mod:`repro.streaming.tiling`; default
+    linear); ``repeat`` replays it that many times (Sec. III-B).  Each
+    cycle pushes what the bank grants of the next burst, ``flat[pos:end]``
+    or ``flat[idx[pos:end]]``; a gather burst pays the stride penalty.
+    The identity order carries a :class:`~repro.fpga.pattern.StaticPattern`
+    (one full contiguous burst per cycle while the bank grants it) for
+    window replay; any other order is event-stepped.  Bad geometry raises
+    :class:`~repro.fpga.errors.StreamOrderError` here.
+    """
+    check_stream_geometry("read_kernel", width, repeat=repeat)
+    idx = _index_array(order, buf)
     itemsize = buf.itemsize
     flat = buf.data.reshape(-1)
-    n_el = buf.num_elements
-    st = _LinearReadState()
+    n = buf.num_elements if idx is None else len(idx)
+    if idx is not None:
+        # breaks[j]: stride breaks among idx[0 .. j], so the burst
+        # idx[a:b] is contiguous iff breaks[b - 1] == breaks[a].
+        breaks = [0, *np.cumsum(np.diff(idx) != 1).tolist()]
+    st = _Cursor()
 
     def gen():
         while st.pass_no < repeat:
-            while st.plen or st.base + st.plen < n_el:
-                take = min(width - st.plen, n_el - st.base - st.plen)
-                if take > 0:
-                    st.plen += take
+            while st.pos < n:
+                pos = st.pos
+                end = min(pos + width, n)
                 granted = mem.request_read(
-                    buf, st.plen * itemsize, contiguous=True) // itemsize
+                    buf, (end - pos) * itemsize,
+                    contiguous=idx is None or breaks[end - 1] == breaks[pos]
+                ) // itemsize
+                st.partial = pos + granted < end
                 if granted > 0:
-                    vals = tuple(flat[st.base:st.base + granted])
                     buf.elements_read += granted
-                    yield Push(ch, vals, 1)
-                    st.base += granted
-                    st.plen -= granted
+                    yield Push(ch, tuple(
+                        flat[pos:pos + granted] if idx is None
+                        else flat[idx[pos:pos + granted]]), 1)
+                    st.pos = pos + granted
                 yield Clock()
             st.pass_no += 1
-            st.base = 0
-            st.plen = 0
+            st.pos = 0
+
+    if idx is not None:
+        return gen()
 
     def ready():
-        # A partial grant leaves residue in the burst register; the next
-        # cycles are then not statically full-width — fall back.
-        if st.plen:
-            return 0
-        return (n_el - st.base) // width
+        # After a short grant the next cycles are not statically full.
+        return 0 if st.partial else (n - st.pos) // width
 
     def block(k, _ins):
-        base = st.base
-        moved = k * width
-        st.base = base + moved
-        buf.elements_read += moved
-        return [flat[base:base + moved]]
+        pos, st.pos = st.pos, st.pos + k * width
+        buf.elements_read += k * width
+        return [flat[pos:st.pos]]
 
     pat = StaticPattern(
         writes=((ch, width, 1),), ii=1, ready=ready, block=block,
         dram=(DramTraffic(mem, buf, width, "read"),),
-        write_totals=(n_el * repeat,))
+        write_totals=(n * repeat,))
     return PatternedGenerator(gen(), pat)
 
 
@@ -520,75 +475,25 @@ def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
                  width: int = 1, order: Optional[Iterable[int]] = None):
     """Drain ``count`` elements from ``ch`` into ``buf``.
 
-    ``order`` gives the flat destination index for each received element
-    (default: linear); it must hold exactly ``count`` indices inside
-    ``buf`` (:class:`~repro.fpga.errors.StreamOrderError` otherwise,
-    raised here).  Each cycle the kernel stores whatever the channel has
-    delivered (up to ``width`` elements) within the bank's bandwidth
-    grant, so partial grants and a slower producer do not halve the
-    write rate.
-
-    Like :func:`read_kernel`, the linear path is pattern-annotated for
-    bulk mode; an explicit ``order`` is always event-stepped — except a
-    unit-stride range starting at 0 (the linear order spelled out, as
-    :meth:`repro.streaming.tiling.MatrixSchedule.indices` produces for
-    full-width row bands), which is normalized to the patterned path.
+    ``order`` gives the flat destination index of each received element
+    (default: linear), exactly ``count`` of them.  Each cycle the kernel
+    stores what the channel has delivered (up to ``width`` elements)
+    within the bank's grant, so partial grants and a slower producer do
+    not halve the write rate.  As for :func:`read_kernel`, only the
+    identity order is patterned, and bad geometry raises
+    :class:`~repro.fpga.errors.StreamOrderError` here.
     """
-    if (isinstance(order, range) and order.start == 0 and order.step == 1
-            and len(order) == count):
-        order = None
-    if order is not None:
-        return _write_kernel_ordered(mem, buf, ch, count, width,
-                                     _index_array(order, buf, count))
-    return _write_kernel_linear(mem, buf, ch, count, width)
-
-
-def _write_kernel_ordered(mem: DramModel, buf: DramBuffer, ch, count,
-                          width, idx):
+    check_stream_geometry("write_kernel", width, count=count)
+    idx = _index_array(order, buf, count)
     itemsize = buf.itemsize
     flat = buf.data.reshape(-1)
-    received = 0
-    stored = 0
-    pending: list = []
-    while received < count or pending:
-        # Top up the staging register with whatever is already visible;
-        # block for at least one element when empty (avoids busy-spin).
-        if received < count and len(pending) < width:
-            avail = min(ch.occupancy, width - len(pending),
-                        count - received)
-            if avail == 0 and not pending:
-                avail = 1
-            if avail > 0:
-                vals = yield Pop(ch, avail)
-                if avail == 1:
-                    vals = [vals]
-                pending.extend(vals)
-                received += avail
-        granted = mem.request_write(buf, len(pending) * itemsize) // itemsize
-        if granted > 0:
-            flat[idx[stored:stored + granted]] = pending[:granted]
-            stored += granted
-            buf.elements_written += granted
-            del pending[:granted]
-        yield Clock()
-
-
-class _LinearWriteState:
-    __slots__ = ("received", "pos")
-
-    def __init__(self):
-        self.received = 0
-        self.pos = 0             # next linear store index
-
-
-def _write_kernel_linear(mem: DramModel, buf: DramBuffer, ch, count, width):
-    itemsize = buf.itemsize
-    flat = buf.data.reshape(-1)
-    st = _LinearWriteState()
+    st = _Cursor()
     pending: list = []
 
     def gen():
         while st.received < count or pending:
+            # Top up the staging register with what is visible; block
+            # for at least one element when empty (avoids busy-spin).
             if st.received < count and len(pending) < width:
                 avail = min(ch.occupancy, width - len(pending),
                             count - st.received)
@@ -603,17 +508,21 @@ def _write_kernel_linear(mem: DramModel, buf: DramBuffer, ch, count, width):
             granted = mem.request_write(
                 buf, len(pending) * itemsize) // itemsize
             if granted > 0:
-                for j, v in enumerate(pending[:granted]):
-                    flat[st.pos + j] = v
+                pos = st.pos
+                st.pos = pos + granted
+                if idx is None:
+                    flat[pos:pos + granted] = pending[:granted]
+                else:
+                    flat[idx[pos:pos + granted]] = pending[:granted]
                 buf.elements_written += granted
-                st.pos += granted
                 del pending[:granted]
             yield Clock()
 
+    if idx is not None:
+        return gen()
+
     def ready():
-        if pending:
-            return 0
-        return (count - st.received) // width
+        return 0 if pending else (count - st.received) // width
 
     def block(k, ins):
         moved = k * width

@@ -12,13 +12,17 @@ so the bulk engine can fast-forward its steady phase: the generator and the
 pattern's ``block()`` share one cursor object, and the generator updates
 that cursor *before* yielding ``Clock`` (which emits no ops, so the
 observable op sequence is unchanged) — at every cycle boundary the cursor
-therefore describes exactly the iterations still to run.
+therefore describes exactly the iterations still to run.  A width below
+1 or a negative count is refused when the kernel is built
+(:class:`~repro.fpga.errors.StreamOrderError`): an empty push would
+count as progress and spin until the cycle budget ran out.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from .errors import check_stream_geometry
 from .kernel import Clock, Pop, Push
 from .pattern import PatternedGenerator, StaticPattern
 
@@ -38,6 +42,7 @@ def source_kernel(ch, data: Sequence, width: int = 1, repeat: int = 1):
 
     ``repeat`` replays the whole sequence (vector replay, Sec. III-B).
     """
+    check_stream_geometry("source_kernel", width, repeat=repeat)
     n = len(data)
     st = _Cursor()
 
@@ -68,6 +73,7 @@ def source_kernel(ch, data: Sequence, width: int = 1, repeat: int = 1):
 
 def sink_kernel(ch, count: int, width: int = 1, out: Optional[List] = None):
     """Pop ``count`` elements from ``ch``; append them to ``out`` if given."""
+    check_stream_geometry("sink_kernel", width, count=count)
     st = _Cursor()
 
     def gen():
@@ -106,6 +112,7 @@ def scalar_sink(ch, out: List):
 
 def forward_kernel(ch_in, ch_out, count: int, width: int = 1):
     """Copy ``count`` elements from ``ch_in`` to ``ch_out`` (a wire)."""
+    check_stream_geometry("forward_kernel", width, count=count)
     st = _Cursor()
 
     def gen():
@@ -186,6 +193,7 @@ def duplicate_kernel(ch_in, outs: Sequence, count: int, width: int = 1):
     Models sharing one interface module between modules that read the same
     data, as in the BICG composition where both GEMVs read matrix A.
     """
+    check_stream_geometry("duplicate_kernel", width, count=count)
     outs = tuple(outs)
     st = _Cursor()
 

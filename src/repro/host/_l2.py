@@ -164,10 +164,8 @@ class Level2Mixin:
             raise HostValueError("trsv shape mismatch")
 
         def design(w):
-            solve_order = (list(range(n)) if lower
-                           else list(range(n - 1, -1, -1)))
-            return ((("A", "read_a", a, w,
-                      list(orders.trsv_row_order(n, lower))),
+            solve_order = np.arange(n) if lower else np.arange(n)[::-1]
+            return ((("A", "read_a", a, w, orders.trsv_row_order(n, lower)),
                      ("b", "read_b", b, 1, solve_order)),
                     lambda c: level2.trsv_kernel(n, *c, w, dt, lower,
                                                  unit_diag),

@@ -8,6 +8,7 @@ from ..blas import level3, reference
 from ..blas.systolic import SystolicConfig, SystolicGemm
 from ..models.iomodel import gemm_io_tiled
 from ..models.performance import gemm_systolic_cycles, routine_flops
+from ..streaming.tiling import row_tiles
 from . import orders
 from ._validate import HostValueError, device_operands
 
@@ -42,16 +43,15 @@ class Level3Mixin:
         def tiled(w):
             # Generic tiled streaming kernel through the DRAM interfaces.
             tn, tm = self._fit_tile(n), self._fit_tile(m)
+            c_order = row_tiles(n, m, tn, tm).indices()
             return ((("A", "read_a", a, w,
                       orders.gemm_a_order(n, k, m, tn, tm)),
                      ("B", "read_b", b, w,
                       orders.gemm_b_order(n, k, m, tn, tm)),
-                     ("C", "read_c", c, w,
-                      orders.gemm_c_order(n, m, tn, tm))),
+                     ("C", "read_c", c, w, c_order)),
                     lambda ch: level3.gemm_tiled(n, m, k, alpha, beta, *ch,
                                                  tn, tm, w, dt),
-                    (("out", "write_c", c, n * m, w,
-                      orders.gemm_c_order(n, m, tn, tm)),))
+                    (("out", "write_c", c, n * m, w, c_order),))
 
         def systolic():
             flops = routine_flops("gemm", n, m, k)
@@ -111,22 +111,18 @@ class Level3Mixin:
 
         def design(w):
             tn = self._fit_tile(n)
-            # A^T strip rows are column reads of A: A^T[kk, col] = A[col, kk],
-            # flat index col*k + kk.
-            at_order = [col * k + kk
-                        for _ti in range(n // tn)
-                        for tj in range(n // tn)
-                        for kk in range(k)
-                        for col in range(tj * tn, (tj + 1) * tn)]
-            return ((("A", "read_a", a, w,
-                      orders.gemm_a_order(n, k, n, tn, tn)),
+            a_order = orders.gemm_a_order(n, k, n, tn, tn)
+            # A^T strip rows are column reads of A (A^T[kk, col] = A[col,
+            # kk]): the A strips with the two tile loops swapped.
+            at_order = a_order.reshape(n // tn, n // tn, -1).transpose(
+                1, 0, 2).reshape(-1)
+            c_order = row_tiles(n, n, tn, tn).indices()
+            return ((("A", "read_a", a, w, a_order),
                      ("At", "read_at", a, w, at_order),
-                     ("C", "read_c", c, w,
-                      orders.gemm_c_order(n, n, tn, tn))),
+                     ("C", "read_c", c, w, c_order)),
                     lambda ch: level3.syrk_tiled(n, k, alpha, beta, *ch,
                                                  tn, tn, w, dt),
-                    (("out", "write_c", c, n * n, w,
-                      orders.gemm_c_order(n, n, tn, tn)),))
+                    (("out", "write_c", c, n * n, w, c_order),))
 
         return self._execute(lambda: self._run_design(
             "syrk", "systolic", dt, routine_flops("syrk", n, 0, k), design,
@@ -159,7 +155,7 @@ class Level3Mixin:
             raise HostValueError("trsm shape mismatch")
 
         def design(w):
-            col_order = list(orders.column_major_order(n, m))
+            col_order = orders.column_major_order(n, m)
             return ((("A", "read_a", a, w), ("B", "read_b", b, w, col_order)),
                     lambda ch: level3.trsm_tiled(n, m, alpha, *ch, w, dt,
                                                  lower, unit_diag),

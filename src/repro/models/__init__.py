@@ -3,8 +3,6 @@
 from . import cpu, dse, iomodel
 from .performance import (
     FLOPS_PER_DSP_CYCLE,
-    ModulePerformance,
-    achieved_performance,
     expected_performance,
     gemm_systolic_cycles,
     gemv_cycles,
@@ -22,11 +20,9 @@ from .workdepth import (
     MAP_REDUCE_ROUTINES,
     MAP_ROUTINES,
     WorkDepth,
-    axpy_app,
     circuit,
     circuit_for,
     dot_app,
-    gemm_app,
     gemv_app,
     routine_class,
     scal_app,
@@ -34,9 +30,9 @@ from .workdepth import (
 
 __all__ = [
     "FLOPS_PER_DSP_CYCLE", "LA", "LM", "MAP_REDUCE_ROUTINES", "MAP_ROUTINES",
-    "ModulePerformance", "WorkDepth", "achieved_performance", "axpy_app",
-    "circuit", "circuit_for", "cpu", "dse", "dot_app", "expected_performance", "gemm_app",
-    "gemm_systolic_cycles", "gemv_app", "gemv_cycles", "iomodel",
+    "WorkDepth", "circuit", "circuit_for", "cpu", "dse", "dot_app",
+    "expected_performance", "gemm_systolic_cycles", "gemv_app", "gemv_cycles",
+    "iomodel",
     "level1_cycles", "optimal_width", "optimal_width_tiled_gemv",
     "pipeline_cycles", "routine_class", "routine_flops", "scal_app",
     "sharded_gemv_cycles", "sharded_gemv_speedup",

@@ -16,7 +16,6 @@ is a bottleneck (upstream backpressure); a wider one wastes resources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .workdepth import circuit, routine_class
@@ -126,13 +125,6 @@ def expected_performance(dsps: int, frequency: float,
     return dsps * frequency * flops_per_dsp_cycle
 
 
-def achieved_performance(flops: int, cycles: int, frequency: float) -> float:
-    """Flop/s achieved by a run of ``cycles`` cycles at ``frequency``."""
-    if cycles <= 0:
-        raise ValueError("cycles must be positive")
-    return flops * frequency / cycles
-
-
 def optimal_width(bandwidth: float, frequency: float, elem_size: int,
                   operands_per_cycle_per_lane: int = 2) -> int:
     """Optimal vectorization width W = ceil(B / (k*S*F)) (Sec. IV-B).
@@ -181,25 +173,6 @@ def certified_cycle_band(latencies: Sequence[int], iis: Sequence[int],
     hi = lo + sum(pipeline_cycles(lt, ii, 0) + ii + w + 4
                   for lt, ii, w in zip(latencies, iis, lanes)) + 16
     return lo, hi
-
-
-@dataclass(frozen=True)
-class ModulePerformance:
-    """Summary of a dimensioned module: the space/time trade-off point."""
-
-    routine: str
-    width: int
-    cycles: int
-    frequency: float
-    flops: int
-
-    @property
-    def seconds(self) -> float:
-        return self.cycles / self.frequency
-
-    @property
-    def flops_per_second(self) -> float:
-        return self.flops / self.seconds
 
 
 def routine_flops(routine: str, n: int, m: int = 0, k: int = 0) -> int:

@@ -63,11 +63,6 @@ def scal_app(n: int) -> WorkDepth:
     return WorkDepth(work=n, depth=LM)
 
 
-def axpy_app(n: int) -> WorkDepth:
-    """AXPY: N multiply-adds."""
-    return WorkDepth(work=2 * n, depth=LM + LA)
-
-
 def dot_app(n: int) -> WorkDepth:
     """DOT as a binary tree: AW=2N-1, AD=log2(N)*LA + LM."""
     if n < 1:
@@ -81,12 +76,6 @@ def gemv_app(n: int, m: int) -> WorkDepth:
     per_row = dot_app(m)
     return WorkDepth(work=n * (per_row.work + 2) + n,
                      depth=per_row.depth + LM + LA)
-
-
-def gemm_app(n: int, m: int, k: int) -> WorkDepth:
-    """GEMM: N*M independent K-element dot products."""
-    per_elem = dot_app(k)
-    return WorkDepth(work=n * m * per_elem.work, depth=per_elem.depth)
 
 
 # ---------------------------------------------------------------------------

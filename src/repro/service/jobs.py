@@ -153,9 +153,6 @@ class EngineJob:
     def plan_label(self) -> str:
         return self.label
 
-    def batch_key(self) -> Optional[Tuple]:
-        return None
-
 
 @dataclass
 class PlanJob:
@@ -185,9 +182,6 @@ class PlanJob:
     def plan_label(self) -> str:
         return self.label
 
-    def batch_key(self) -> Optional[Tuple]:
-        return None
-
 
 @dataclass
 class AppJob:
@@ -209,6 +203,3 @@ class AppJob:
     @property
     def plan_label(self) -> str:
         return self.label
-
-    def batch_key(self) -> Optional[Tuple]:
-        return None

@@ -115,10 +115,6 @@ class Ticket:
         self._value: Any = None
         self._error: Optional[BaseException] = None
 
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
     def _resolve(self, value: Any) -> bool:
         if self._event.is_set():
             return False
@@ -141,13 +137,6 @@ class Ticket:
         if self._error is not None:
             raise self._error
         return self._value
-
-    def exception(self, timeout: Optional[float] = None,
-                  ) -> Optional[BaseException]:
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.run_id} not resolved within {timeout}s")
-        return self._error
 
 
 @dataclass

@@ -68,7 +68,7 @@ class ReadBinding:
 
     buffer: DramBuffer
     width: int = 1
-    order: Optional[Callable[[], Iterable[int]]] = None   # fresh iterator
+    order: Optional[Iterable[int]] = None   # a sequence, read per kernel
     repeat: int = 1
 
 
@@ -79,7 +79,7 @@ class WriteBinding:
     buffer: DramBuffer
     count: int
     width: int = 1
-    order: Optional[Callable[[], Iterable[int]]] = None
+    order: Optional[Iterable[int]] = None
 
 
 class BoundMDAG(MDAG):
@@ -335,8 +335,7 @@ def _run_component(mdag: BoundMDAG, mem: DramModel, plan: CompositionPlan,
                         binding = mdag.bindings[u]
                         eng.add_kernel(f"read_{u}_{v}", read_kernel(
                             mem, binding.buffer, ch, binding.width,
-                            order=(binding.order() if binding.order
-                                   else None),
+                            order=binding.order,
                             repeat=binding.repeat))
                 continue
             if u not in component and v not in component:
@@ -373,14 +372,14 @@ def _run_component(mdag: BoundMDAG, mem: DramModel, plan: CompositionPlan,
                 if len(chans) == 1:
                     eng.add_kernel(f"read_{node}", read_kernel(
                         mem, binding.buffer, chans[0][0], binding.width,
-                        order=binding.order() if binding.order else None,
+                        order=binding.order,
                         repeat=binding.repeat))
                 else:
                     feed = eng.channel(f"{node}__fan",
                                        max(64, 2 * binding.width))
                     eng.add_kernel(f"read_{node}", read_kernel(
                         mem, binding.buffer, feed, binding.width,
-                        order=binding.order() if binding.order else None,
+                        order=binding.order,
                         repeat=binding.repeat))
                     eng.add_kernel(f"fan_{node}", duplicate_kernel(
                         feed, [c for c, _s in chans], total,
@@ -395,7 +394,7 @@ def _run_component(mdag: BoundMDAG, mem: DramModel, plan: CompositionPlan,
                 eng.add_kernel(f"write_{node}", write_kernel(
                     mem, binding.buffer, chans[0], binding.count,
                     binding.width,
-                    order=binding.order() if binding.order else None))
+                    order=binding.order))
         reports.append(eng.run())
 
 

@@ -24,10 +24,6 @@ class StreamSignature:
     total: int
     order: Tuple
 
-    def compatible_with(self, other: "StreamSignature") -> bool:
-        """True when this producer signature can feed ``other``."""
-        return self.total == other.total and self.order == other.order
-
     def mismatch_reason(self, other: "StreamSignature") -> Optional[str]:
         """Explain why the edge would be invalid, or None if valid."""
         if self.total != other.total:

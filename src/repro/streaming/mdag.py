@@ -120,10 +120,6 @@ class MDAG:
         return self.graph.nodes[name]["kind"]
 
     # -- analysis -------------------------------------------------------------
-    def is_multitree(self) -> bool:
-        """True if there is at most one path between any pair of vertices."""
-        return not self._multipath_pairs()
-
     def _multipath_pairs(self) -> List[Tuple[str, str]]:
         """Vertex pairs with more than one (not necessarily disjoint) path."""
         from ..analysis.graphs import multipath_pairs

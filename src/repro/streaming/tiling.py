@@ -174,9 +174,9 @@ class VectorSchedule:
     def total_elements(self) -> int:
         return self.n * self.replay
 
-    def indices(self) -> Iterator[int]:
-        for _ in range(self.replay):
-            yield from range(self.n)
+    def indices(self) -> np.ndarray:
+        """The vector's flat indices, ``replay`` times over."""
+        return np.tile(np.arange(self.n), self.replay)
 
     def descriptor(self) -> tuple:
         return ("vector", self.n, self.block, self.replay)

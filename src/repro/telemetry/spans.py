@@ -43,14 +43,6 @@ class Span:
     depth: int = 0
     args: dict = field(default_factory=dict)
 
-    @property
-    def duration(self) -> int:
-        return (self.end if self.end is not None else self.start) - self.start
-
-    @property
-    def open(self) -> bool:
-        return self.end is None
-
 
 @dataclass(frozen=True)
 class Slice:
@@ -116,6 +108,3 @@ class SpanRecorder:
             raise
         finally:
             self.close(s)
-
-    def finished(self) -> List[Span]:
-        return [s for s in self.spans if s.end is not None]

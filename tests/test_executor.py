@@ -145,7 +145,7 @@ def build_atax(mem, a, x, tile, width):
 
     y = mem.allocate("atax_y", n)
     g.bind("read_A", ReadBinding(mem.bind("A_buf", a), width,
-                                 order=sched.indices))
+                                 order=sched.indices()))
     g.bind("read_x", ReadBinding(mem.bind("x_buf", x), width,
                                  repeat=m // tile))
     _bind_gemv_pair(g, mem, m, n, tile, width)
@@ -182,7 +182,7 @@ def build_bicg(mem, a, p, r, tile, width):
               src_port="out", dst_port="s")
 
     g.bind("read_A", ReadBinding(mem.bind("A_buf", a), width,
-                                 order=sched.indices))
+                                 order=sched.indices()))
     g.bind("read_p", ReadBinding(mem.bind("p_buf", p), width,
                                  repeat=m // tile))
     g.bind("read_r", ReadBinding(mem.bind("r_buf", r), width))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.fpga import DramModel, Engine, sink_kernel, source_kernel
+from repro.fpga import (DramModel, Engine, duplicate_kernel, forward_kernel,
+                        sink_kernel, source_kernel)
 from repro.fpga.errors import ReproError, StreamOrderError
 from repro.fpga.memory import read_kernel, write_kernel
 
@@ -196,6 +197,210 @@ class TestOrderRefusals:
         mem, b, c = self._setup()
         self._refused(lambda: read_kernel(mem, b, c, 4, order=[0.0, 1.0]),
                       "integer indices")
+
+
+class TestGeometryRefusals:
+    """A stream kernel that would spin, deadlock or finish without moving
+    its elements is refused when it is built."""
+
+    def _setup(self):
+        mem = DramModel()
+        buf = mem.allocate("b", 16)
+        eng = Engine(memory=mem)
+        return mem, buf, eng.channel("c", 16), eng.channel("d", 16)
+
+    def _refused(self, build, match):
+        with pytest.raises(StreamOrderError, match=match) as info:
+            build()
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ValueError)
+
+    def test_read_width_zero(self):
+        mem, b, c, _ = self._setup()
+        self._refused(lambda: read_kernel(mem, b, c, 0),
+                      "read_kernel: width must be at least 1, got 0")
+
+    def test_read_repeat_zero(self):
+        mem, b, c, _ = self._setup()
+        self._refused(lambda: read_kernel(mem, b, c, 4, repeat=0),
+                      "read_kernel: repeat must be at least 1, got 0")
+
+    def test_read_repeat_negative(self):
+        mem, b, c, _ = self._setup()
+        self._refused(lambda: read_kernel(mem, b, c, 4, repeat=-1),
+                      "repeat must be at least 1, got -1")
+
+    def test_write_negative_count(self):
+        mem, b, c, _ = self._setup()
+        self._refused(lambda: write_kernel(mem, b, c, -1, 4),
+                      "write_kernel: count must be at least 0, got -1")
+
+    def test_write_width_zero(self):
+        mem, b, c, _ = self._setup()
+        self._refused(lambda: write_kernel(mem, b, c, 8, 0),
+                      "write_kernel: width must be at least 1, got 0")
+
+    def test_linear_write_past_the_buffer(self):
+        mem, b, c, _ = self._setup()
+        self._refused(lambda: write_kernel(mem, b, c, 17, 4),
+                      "write of 17 elements overruns buffer 'b' of 16")
+
+    def test_source_width_zero(self):
+        _, _, c, _ = self._setup()
+        self._refused(lambda: source_kernel(c, [1.0, 2.0], 0),
+                      "source_kernel: width must be at least 1")
+
+    def test_sink_width_zero(self):
+        _, _, c, _ = self._setup()
+        self._refused(lambda: sink_kernel(c, 2, 0),
+                      "sink_kernel: width must be at least 1")
+
+    def test_sink_negative_count(self):
+        _, _, c, _ = self._setup()
+        self._refused(lambda: sink_kernel(c, -2, 1),
+                      "sink_kernel: count must be at least 0")
+
+    def test_forward_width_zero(self):
+        _, _, c, d = self._setup()
+        self._refused(lambda: forward_kernel(c, d, 2, 0),
+                      "forward_kernel: width must be at least 1")
+
+    def test_duplicate_width_zero(self):
+        _, _, c, d = self._setup()
+        self._refused(lambda: duplicate_kernel(c, [d], 2, 0),
+                      "duplicate_kernel: width must be at least 1")
+
+
+#: The identity order, spelled every way a caller can spell it.  Only
+#: None and a full unit-stride range are recognised as the identity (and
+#: carry a pattern); the others are index arrays that happen to be
+#: sorted, so they must stream, cost and count exactly the same.
+IDENTITY = {
+    "none": lambda n: None,
+    "range": range,
+    "arange": np.arange,
+    "list": lambda n: list(range(n)),
+}
+#: (elements, width, repeat) swept by the order tests.
+GEOMETRIES = [(n, w, r) for n in (1, 6, 17) for w in (2, 4) for r in (1, 3)]
+
+
+def _bank_rates(width, gather=False):
+    """A bank that grants a full burst per cycle, and one throttled
+    below one burst so every burst is granted short (a gather burst is
+    charged the default stride penalty of 2)."""
+    return (64, (8 if gather else 4) * width - 2)
+
+
+def _read(mode, n, width, repeat, bpc, order):
+    """``(what the run streamed, cost and counted, windows replayed)``."""
+    mem = DramModel(num_banks=1, bytes_per_cycle=bpc)
+    src = mem.bind("src", np.arange(n, dtype=np.float32) * 0.5 - 3)
+    eng = Engine(memory=mem, mode=mode)
+    ch = eng.channel("c", 2 * width)
+    total = (n if order is None else len(order)) * repeat
+    out = []
+    eng.add_kernel("rd", read_kernel(mem, src, ch, width, order=order,
+                                     repeat=repeat))
+    eng.add_kernel("sink", sink_kernel(ch, total, width, out))
+    report = eng.run()
+    return ((np.asarray(out, dtype=np.float32).tobytes(), report.to_dict(),
+             [b.to_dict() for b in mem.bank_stats], src.elements_read),
+            (eng.bulk_stats() or {}).get("windows", 0))
+
+
+def _write(mode, count, width, bpc, order):
+    mem = DramModel(num_banks=1, bytes_per_cycle=bpc)
+    dst = mem.allocate("dst", count + 3)
+    data = np.arange(count, dtype=np.float32) * 0.25 + 1
+    eng = Engine(memory=mem, mode=mode)
+    ch = eng.channel("c", 2 * width)
+    eng.add_kernel("src", source_kernel(ch, data, width))
+    eng.add_kernel("wr", write_kernel(mem, dst, ch, count, width,
+                                      order=order))
+    report = eng.run()
+    return (dst.data.tobytes(), report.to_dict(),
+            [b.to_dict() for b in mem.bank_stats], dst.elements_written)
+
+
+class TestAnOrderIsAnOrder:
+    """However the identity order is spelled, a kernel streams the same
+    values in the same cycles at the same DRAM cost; a permutation
+    streams exactly ``flat[order]`` — on the event and the window core,
+    with full and with short bank grants."""
+
+    @pytest.mark.parametrize("mode", ["event", "bulk"])
+    def test_read_identity_spellings_agree(self, mode):
+        for n, width, repeat in GEOMETRIES:
+            for bpc in _bank_rates(width):
+                runs = {name: _read(mode, n, width, repeat, bpc,
+                                    spell(n))[0]
+                        for name, spell in IDENTITY.items()}
+                for name, run in runs.items():
+                    assert run == runs["none"], (name, n, width, repeat, bpc)
+                flat = np.arange(n, dtype=np.float32) * 0.5 - 3
+                assert runs["none"][0] == np.tile(flat, repeat).tobytes()
+        if mode == "bulk":
+            # The identity really is replayed, not only stepped.
+            assert _read(mode, 17, 2, 3, 64, None)[1] > 0
+
+    @pytest.mark.parametrize("mode", ["event", "bulk"])
+    def test_read_permutation_streams_the_gather(self, mode):
+        rng = np.random.default_rng(5)
+        for n, width, repeat in GEOMETRIES:
+            order = rng.permutation(n)
+            flat = np.arange(n, dtype=np.float32) * 0.5 - 3
+            for bpc in _bank_rates(width, gather=True):
+                (got, _, _, moved), _ = _read(mode, n, width, repeat, bpc,
+                                              order)
+                assert got == np.tile(flat[order], repeat).tobytes()
+                assert moved == n * repeat
+
+    @pytest.mark.parametrize("mode", ["event", "bulk"])
+    def test_write_identity_spellings_agree(self, mode):
+        for count, width, _ in GEOMETRIES:
+            for bpc in _bank_rates(width):
+                runs = {name: _write(mode, count, width, bpc, spell(count))
+                        for name, spell in IDENTITY.items()}
+                for name, run in runs.items():
+                    assert run == runs["none"], (name, count, width, bpc)
+                stored = np.frombuffer(runs["none"][0], dtype=np.float32)
+                np.testing.assert_array_equal(
+                    stored[:count],
+                    np.arange(count, dtype=np.float32) * 0.25 + 1)
+                assert not stored[count:].any()
+
+    @pytest.mark.parametrize("mode", ["event", "bulk"])
+    def test_write_permutation_scatters(self, mode):
+        rng = np.random.default_rng(9)
+        for count, width, _ in GEOMETRIES:
+            order = rng.permutation(count + 3)[:count]
+            expect = np.zeros(count + 3, dtype=np.float32)
+            expect[order] = np.arange(count, dtype=np.float32) * 0.25 + 1
+            for bpc in _bank_rates(width):
+                got, _, _, moved = _write(mode, count, width, bpc, order)
+                assert got == expect.tobytes()
+                assert moved == count
+
+    def test_only_the_identity_carries_a_pattern(self):
+        mem = DramModel()
+        buf = mem.allocate("b", 8)
+        ch = Engine(memory=mem).channel("c", 8)
+        for order in (None, range(8), range(0, 8, 1)):
+            assert hasattr(read_kernel(mem, buf, ch, 2, order=order),
+                           "pattern"), order
+        for order in (np.arange(8), list(range(8)), tuple(range(8)),
+                      iter(range(8)), range(7), range(1, 8),
+                      range(7, -1, -1)):
+            assert not hasattr(read_kernel(mem, buf, ch, 2, order=order),
+                               "pattern"), order
+        for order in (None, range(6)):
+            assert hasattr(write_kernel(mem, buf, ch, 6, 2, order=order),
+                           "pattern"), order
+        for order in (np.arange(6), list(range(6)), range(1, 7),
+                      range(5, -1, -1)):
+            assert not hasattr(write_kernel(mem, buf, ch, 6, 2, order=order),
+                               "pattern"), order
 
 
 class TestValidation:
