@@ -18,8 +18,8 @@ three hook surfaces the fpga layer exposes:
   events — fatal ones raise :class:`~repro.fpga.errors.EccError`) and
   cap throttled banks' budgets.  "Apply everything due" at executed
   cycles gives dense/event parity for free: grants only ever happen on
-  executed cycles, and both cores execute exactly the cycles on which a
-  kernel could act.
+  executed cycles, and every schedule executes exactly the cycles on
+  which a kernel could act.
 
 Window replay stays exact by construction: faulted kernels lose their
 pattern (``wrap_body`` — which refuses the certificate, so ``"bulk"``

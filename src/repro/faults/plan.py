@@ -16,7 +16,7 @@ Fault coordinates are chosen to be *engine-mode independent*:
   ``Clock`` yield), again identical across cores;
 * memory faults key on the simulated **cycle**, and are applied as
   "latest by cycle t" so the event core's sparse execution observes the
-  same effects as the dense core's exhaustive one.
+  same effects as the dense schedule's exhaustive one.
 
 The window scheduler falls back to exact event stepping whenever a
 fault could fire inside a candidate window (see :mod:`repro.fpga.bulk`),

@@ -2,7 +2,7 @@
 
 The event core already skips provably idle cycles, but a pipeline at
 full throughput has none: every kernel executes every cycle, so event
-mode degenerates to the dense loop (``fpga.run_event_ms`` ~=
+mode degenerates to the dense schedule (``fpga.run_event_ms`` ~=
 ``fpga.run_dense_ms`` in ``bench/``).  :class:`WindowScheduler` adds
 the missing fast path: when the next K cycles are *known* — every
 queued kernel repeats its pattern's iteration, every channel keeps up —
@@ -70,7 +70,7 @@ before cycle 0 and ``"bulk"`` runs the plain event scheduler
 The cycle that wakes or blocks a kernel at a phase change and ragged
 tails execute on the inherited event scheduler unchanged, which keeps
 all verdicts (including :class:`~repro.fpga.errors.DeadlockError`)
-byte-identical across the cores.
+byte-identical across the schedules.
 
 Observers that define ``on_window`` (:mod:`repro.fpga.observers`) get
 each window as a single record — its kernels work every cycle,
@@ -229,13 +229,7 @@ class WindowScheduler(WakeListScheduler):
         plan = self._window_plan(*ready) if ready is not None else None
         if plan is None:
             return super()._run_cycle()
-        # The livelock watchdog the event core checks before stepping.
-        eng = self.engine
         t = self.now
-        w = eng._watch_window
-        if w and t >= eng._last_op_cycle + w and not any(
-                not k.done and k.sleep_until >= t for k in self.kernels):
-            self._raise_hang("livelock", t, budget=w)
         # The record describes the state the window starts from.
         window = self._describe_window(*plan) if self._observers else None
         self._execute_window(*plan)
@@ -343,7 +337,7 @@ class WindowScheduler(WakeListScheduler):
                 K = tev - t1
         # Clamp away from injected memory faults: the fault cycle itself
         # must be an *executed* cycle (begin_cycle applies due faults),
-        # exactly as the other cores see it.
+        # exactly as the other schedules see it.
         inj = self.engine._injector
         if inj is not None:
             nxt = inj.next_memory_event(t1)

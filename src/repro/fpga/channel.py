@@ -72,8 +72,8 @@ class Channel:
         self._staged: deque = deque()
         self._nstaged = 0
         self.stats = ChannelStats()
-        # Event sink (the wake-list scheduler) bound for the duration of an
-        # event-mode run; None in dense mode, making every hook a no-op.
+        # Event sink (the running scheduler) bound for the duration of a
+        # run; None outside one, making every hook a no-op.
         self.events = None
         # Kernels blocked on this channel, registered by the scheduler:
         # pop waiters wake when data matures into the FIFO (on_data), push
@@ -149,7 +149,7 @@ class Channel:
     def stage(self, values, ready_cycle: int) -> int:
         """Stage ``values`` as one burst without a capacity check; return
         how many there were.  For a caller that has just proven the room
-        itself (the engine cores, when no fault hook is attached); fires
+        itself (the op interpreter, when no fault hook is attached); fires
         no event."""
         n = len(values)
         if n:

@@ -1,4 +1,4 @@
-"""Simulation engine: dense reference core and event-driven default.
+"""Simulation engine: builds a design and hands each run to a scheduler.
 
 The engine advances simulated time in clock cycles.  Each executed cycle:
 
@@ -16,19 +16,18 @@ describing every blocked kernel is raised.  This is precisely the "stalls
 forever" condition of invalid module compositions in Sec. V of the FBLAS
 paper.
 
-Two stepping cores and one window scheduler implement these semantics,
-behind the four spellings of :data:`ENGINE_MODES`:
+One op interpreter implements these semantics and three schedulers
+(:mod:`repro.fpga.scheduler`, :mod:`repro.fpga.bulk`) decide which
+kernels it steps on which cycles, behind :data:`ENGINE_MODES`:
 
 ``mode="event"`` (default)
-    The wake-list scheduler of :mod:`repro.fpga.scheduler`: kernels wait
-    on channel events instead of being re-polled, and simulated time
-    jumps over provably idle cycles.  Cycle counts, stall accounting and
-    deadlock semantics are identical to the dense core — only wall-clock
-    time changes.
+    The wake-list scheduler: kernels wait on channel events instead of
+    being re-polled, and simulated time jumps over provably idle
+    cycles.  Cycle counts, stall accounting and deadlock semantics are
+    identical to the dense schedule — only wall-clock time changes.
 
 ``mode="dense"``
-    The original reference loop that steps every kernel every cycle.
-    Kept as the oracle the differential tests compare against.
+    The reference schedule: every kernel steps every cycle.
 
 ``mode="certified"``
     The event core plus the window scheduler of :mod:`repro.fpga.bulk`:
@@ -60,10 +59,10 @@ from .bulk import WindowScheduler
 from .channel import DEFAULT_CHANNEL_DEPTH, Channel
 from .errors import (MAX_OPS_PER_CYCLE, DeadlockError, EngineModeError,
                      HangError, LivelockError, SimulationError)
-from .kernel import BlockedState, Clock, Kernel, KernelBody, Pop, Push
+from .kernel import Kernel, KernelBody
 from .memory import BankStats
 from .observers import MAX_TRACE_CYCLES, TraceObserver
-from .scheduler import WakeListScheduler
+from .scheduler import DenseScheduler, WakeListScheduler
 
 # Safe despite the apparent cycle: repro.telemetry's import closure
 # never touches repro.fpga at module scope (see telemetry/observers.py).
@@ -331,7 +330,7 @@ class Engine:
         self._bank_baseline = None
         # Watchdog state, resolved by _run: livelock window in cycles
         # (0 = disabled) and the last cycle any channel element moved or
-        # kernel finished.  All three cores update _last_op_cycle.
+        # kernel finished.  Every scheduler updates _last_op_cycle.
         self._watch_window = 0
         self._last_op_cycle = 0
         # The FaultInjector attached for the duration of a run (None
@@ -531,7 +530,7 @@ class Engine:
             injector.attach()
         try:
             if self.mode == "dense":
-                return self._run_dense(max_cycles)
+                return DenseScheduler(self, max_cycles).run()
             if self.mode == "event":
                 return WakeListScheduler(self, max_cycles).run()
             self._bulk_windows = self._bulk_cycles = self._bulk_stepped = 0
@@ -592,153 +591,3 @@ class Engine:
             return DeadlockError(cycle, blocked, report)
         return LivelockError(cycle, blocked, report, trigger=kind,
                              budget=budget)
-
-    def _run_dense(self, max_cycles: int) -> SimReport:
-        observers = self._observers
-        for o in observers:
-            o.on_run_start(self)
-        kernels = list(self.kernels.values())
-        while True:
-            if all(k.done for k in kernels):
-                report = self._build_report()
-                for o in observers:
-                    o.on_run_end(report)
-                return report
-            if self.now >= max_cycles:
-                raise self._make_hang("timeout", self.now, budget=max_cycles)
-            self._step_cycle(kernels)
-
-    def _step_cycle(self, kernels: List[Kernel]) -> None:
-        t = self.now
-        w = self._watch_window
-        if w and t >= self._last_op_cycle + w and not any(
-                not k.done and k.sleep_until >= t for k in kernels):
-            # No channel element moved and no kernel finished for a whole
-            # progress window (and nobody is legitimately sleeping
-            # through it or waking this very cycle): the design spins
-            # without converging.  (A busy spinner never sets
-            # ``sleep_until``, so it is never exempt.)
-            raise self._make_hang("livelock", t, budget=w)
-        observers = self._observers
-        matured = 0
-        for ch in self.channels.values():
-            matured += ch.mature(t)
-        if matured:
-            self._last_op_cycle = t
-        if observers:
-            for o in observers:
-                o.on_cycle(t)
-        if self.memory is not None:
-            self.memory.begin_cycle(t)
-
-        progressed = matured > 0
-        sleepers = 0
-        for k in kernels:
-            if k.done:
-                state = "-"
-            elif k.sleep_until > t:
-                sleepers += 1
-                state = "z"
-            else:
-                stepped = self._step_kernel(k, t)
-                if stepped:
-                    progressed = True
-                state = "#" if stepped else "s"
-            if observers:
-                for o in observers:
-                    if o.wants_kernel_states:
-                        o.on_kernel_state(t, k, state)
-
-        if not progressed and sleepers == 0:
-            # Staged values that can still enter a non-full FIFO will make
-            # progress on a later cycle; staged values behind a full FIFO
-            # cannot move unless some kernel pops, and no kernel stepped.
-            staged = any(ch.can_mature_later() for ch in self.channels.values())
-            if not staged and not all(k.done for k in kernels):
-                raise self._make_hang("deadlock", t)
-        self.now = t + 1
-
-    def _step_kernel(self, k: Kernel, t: int) -> bool:
-        """Resume kernel ``k`` for cycle ``t``; return True if it progressed."""
-        if k.stats.start_cycle is None:
-            k.stats.start_cycle = t
-        observers = self._observers
-        progressed = False
-        ops = 0
-        b = k.blocked
-        op = b.op if b is not None else None
-        while True:
-            if ops > MAX_OPS_PER_CYCLE:
-                raise SimulationError(
-                    f"kernel {k.name!r} performed more than "
-                    f"{MAX_OPS_PER_CYCLE} ops in one cycle; missing Clock()?"
-                )
-            if op is None:
-                try:
-                    op = k._send(k._resume_value)
-                except StopIteration:
-                    k.done = True
-                    k.stats.finish_cycle = t
-                    self._last_op_cycle = t
-                    return True
-                k._resume_value = None
-
-            kind = type(op)
-            if kind is Pop:
-                ch = op.channel
-                n = op.count
-                if n > ch.depth:
-                    raise SimulationError(
-                        f"kernel {k.name!r} pops {n} per cycle from "
-                        f"channel {ch.name!r} of depth "
-                        f"{ch.depth}; a channel must be at least "
-                        "as deep as its consumer's width")
-                if len(ch._fifo) >= n:
-                    vals = ch.pop(n)
-                    k._resume_value = vals[0] if n == 1 else vals
-                    k.blocked = None
-                    self._last_op_cycle = t
-                    if observers:
-                        for o in observers:
-                            o.on_channel_op(t, k, ch, "pop", n)
-                    progressed = True
-                    ops += 1
-                    op = None
-                    continue
-                k.blocked = BlockedState(op, ch, "pop", t)
-                k.stats.stall_cycles += 1
-                ch.stats.stalled_pop_cycles += 1
-                return progressed
-            if kind is Push:
-                ch = op.channel
-                n = len(op.values)
-                lat = op.latency if op.latency is not None else k.latency
-                # The producer's pipeline registers hold up to lat * n
-                # values beyond the FIFO depth (n lanes, lat stages deep).
-                headroom = lat * n
-                if ch.depth + headroom - len(ch._fifo) - ch._nstaged >= n:
-                    if ch.fault_hook is not None:
-                        ch.push(op.values, t + lat, headroom)
-                    else:
-                        ch.stage(op.values, t + lat)
-                    k.blocked = None
-                    self._last_op_cycle = t
-                    if observers:
-                        for o in observers:
-                            o.on_channel_op(t, k, ch, "push", n)
-                    progressed = True
-                    ops += 1
-                    op = None
-                    continue
-                k.blocked = BlockedState(op, ch, "push", t)
-                k.stats.stall_cycles += 1
-                ch.stats.stalled_push_cycles += 1
-                return progressed
-            if kind is Clock:
-                k.stats.active_cycles += 1
-                if op.cycles > 1:
-                    k.sleep_until = t + op.cycles
-                return True
-            raise SimulationError(
-                f"kernel {k.name!r} yielded unknown op {op!r}"
-            )

@@ -27,18 +27,17 @@ keep working).  The hierarchy:
                                      historical type of a cycle-budget
                                      trip)
 
-The hang exceptions are raised identically by the dense stepper
-(:mod:`repro.fpga.engine`), the event-driven wake-list scheduler
-(:mod:`repro.fpga.scheduler`) and the window scheduler
-(:mod:`repro.fpga.bulk`) — that is the contract the differential tests
-pin down.  They live here so the engine modules do not import each
-other; :mod:`repro.fpga.engine` re-exports them under their historical
-names.
+The hang exceptions are raised by ``_raise_deadlock`` / ``_raise_hang``
+of :class:`repro.fpga.scheduler.WakeListScheduler`, which every
+scheduler inherits; the differential tests pin down that each schedule
+raises them at the same cycle.  They live here so the engine modules do
+not import each other; :mod:`repro.fpga.engine` re-exports them under
+their historical names.
 
 :class:`HangReport` (and its row types) also live here because the hang
 exceptions carry one; the *builder* — wait-for graph, channel pressure,
 analyzer verdict — is :func:`repro.faults.forensics.build_hang_report`,
-imported lazily by the engine cores at raise time.
+imported lazily by the engine at raise time.
 """
 
 from __future__ import annotations

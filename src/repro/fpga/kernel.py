@@ -70,7 +70,7 @@ def _normalize_writes(writes) -> Tuple[WritePort, ...]:
 # a kernel yields one or more per simulated cycle, and a frozen
 # dataclass pays an ``object.__setattr__`` per field on construction.
 # They compare and hash by value and repr like the dataclasses did; the
-# engine cores dispatch on their exact type (``type(op) is Pop``).
+# op interpreter dispatches on their exact type (``type(op) is Pop``).
 
 class _Op:
     __slots__ = ()
@@ -140,18 +140,16 @@ KernelBody = Generator  # yields Pop/Push/Clock, receives pop results
 class BlockedState:
     """Typed record of the op a kernel is currently blocked on.
 
-    Owned by the kernel (set and cleared by whichever engine core drives
-    it) and read by deadlock diagnostics, the analysis passes and the
-    stall-chain profiler — replacing the ad-hoc ``blocked_on`` attribute
-    the engine used to poke in from outside.
+    Set and cleared by the op interpreter (``WakeListScheduler._step``)
+    and read by deadlock diagnostics, the analysis passes and the
+    stall-chain profiler.
 
     ``since`` is the last cycle for which a stall has already been
-    charged to the kernel and channel counters.  The dense stepper
-    charges every cycle, so ``since`` simply tracks the current cycle;
-    the event scheduler charges lazily (``wake_cycle - since - 1`` on
-    wake, ``deadlock_cycle - since`` at deadlock), which is what keeps
-    its stall accounting identical to the dense core without touching
-    blocked kernels every cycle.
+    charged to the kernel and channel counters.  The dense schedule
+    retries a blocked kernel every cycle, so ``since`` tracks the
+    current cycle; the wake lists charge lazily (``wake_cycle - since -
+    1`` on wake, ``deadlock_cycle - since`` at deadlock) without
+    touching blocked kernels every cycle.
     """
 
     op: object
@@ -234,7 +232,7 @@ class Kernel:
         # Value delivered at the next generator resume (a completed Pop).
         self._resume_value = None
         # Position in the engine's kernel list; fixes the deterministic
-        # step order both cores share.  Set by Engine.add_kernel.
+        # step order every scheduler shares.  Set by Engine.add_kernel.
         self.index: int = -1
         # Event-scheduler bookkeeping: the cycle this kernel is queued to
         # run at (None while blocked/idle), the last cycle it was stepped,
@@ -256,8 +254,8 @@ class Kernel:
         self.pattern = None
 
     def _bind(self, body) -> None:
-        """Install ``body`` and the callable the engine cores resume it
-        with: a plain :class:`PatternedGenerator` only forwards ``send``,
+        """Install ``body`` and the callable the op interpreter resumes
+        it with: a plain :class:`PatternedGenerator` only forwards ``send``,
         so its inner generator is resumed directly."""
         self.body = body
         self._send = (body._gen.send if type(body) is PatternedGenerator

@@ -1,8 +1,8 @@
 """Pluggable engine observers: tracing and profiling as a protocol.
 
 Tracing used to live inline in the engine's cycle loop behind ``if
-self.trace`` branches.  Both engine cores (dense and event-driven) now
-publish a small event protocol instead, and anything that wants to watch
+self.trace`` branches.  Every scheduler (dense, event, window) now
+publishes a small event protocol instead, and anything that wants to watch
 a run — the classic timeline/occupancy trace, a stall-chain profiler, a
 JSONL event dump, ad-hoc debugging hooks — subscribes as an observer:
 
@@ -12,13 +12,13 @@ JSONL event dump, ad-hoc debugging hooks — subscribes as an observer:
 
 ``on_cycle(t)``
     An executed cycle, fired after channel maturation and before kernels
-    step — channel occupancies are exactly what the dense core samples.
+    step — channel occupancies are exactly what the dense schedule samples.
 
 ``on_kernel_state(t, kernel, state)``
     Per executed cycle, per kernel, the same one-character state the
     dense trace recorded: ``#`` worked, ``s`` stalled, ``z`` sleeping,
     ``-`` done.  Only emitted when the observer sets
-    ``wants_kernel_states`` (the event core otherwise skips the sweep).
+    ``wants_kernel_states`` (the schedulers otherwise skip the sweep).
 
 ``on_channel_op(t, kernel, channel, kind, count)``
     A successful ``pop``/``push`` of ``count`` elements.

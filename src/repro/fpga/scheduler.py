@@ -1,8 +1,13 @@
-"""Event-driven wake-list scheduler (``Engine(mode="event")``).
+"""The op interpreter and the schedulers that drive it.
 
-The dense core resumes every kernel generator every simulated cycle,
-even kernels that are provably asleep or blocked on a channel whose
-state cannot change.  This scheduler only touches kernels that can act:
+:meth:`WakeListScheduler._step` is the one definition of what a kernel
+does in a cycle: it resumes the generator and performs its ``Pop`` /
+``Push`` / ``Clock`` ops against the channels' capacity rules until the
+kernel ends its cycle or blocks.  Schedulers differ only in which
+kernels they step on which cycles.  :class:`DenseScheduler`
+(``mode="dense"``) steps every kernel every cycle.
+:class:`WakeListScheduler` (``mode="event"``) only touches kernels that
+can act:
 
 * a kernel that ends its cycle with ``Clock()`` is queued for the next
   cycle; ``Clock(n)`` parks it on the event heap until ``t + n``;
@@ -20,15 +25,15 @@ state cannot change.  This scheduler only touches kernels that can act:
 When no kernel is queued for the current cycle, ``now`` jumps straight
 to the earliest heap event — the cycle count, per-kernel stall charges,
 channel statistics and :class:`~repro.fpga.errors.DeadlockError`
-semantics stay identical to the dense core (the differential tests in
-``tests/test_engine_differential.py`` enforce this), only wall-clock
-time shrinks.  Deadlock detection becomes simpler here: an executed
-cycle that makes no progress with nothing on the heap — or an empty
-wake list with live kernels — *is* the deadlock; there is no need to
-re-poll every kernel to discover that nothing can run.
+semantics stay identical to the dense schedule (the differential tests
+in ``tests/test_engine_differential.py`` compare the schedules), only
+wall-clock time shrinks.  Deadlock detection becomes simpler here: an
+executed cycle that makes no progress with nothing on the heap — or an
+empty wake list with live kernels — *is* the deadlock; there is no need
+to re-poll every kernel to discover that nothing can run.
 
-Stall accounting is lazy.  The dense core charges a blocked kernel one
-stall per cycle by re-stepping it; this scheduler charges the backlog
+Stall accounting is lazy.  The dense schedule charges a blocked kernel
+one stall per cycle by re-stepping it; this scheduler charges the backlog
 ``wake - since - 1`` when the kernel wakes (the retry itself charges
 the wake cycle if it fails again) and ``deadlock_cycle - since`` when a
 deadlock is declared, where ``since`` is the last charged cycle kept in
@@ -38,13 +43,13 @@ Within an executed cycle the dense step order is preserved: kernels
 step in registration order, and a kernel woken mid-cycle by a
 lower-index kernel's pop joins *this* cycle only if its own index is
 still ahead of the stepping cursor — otherwise it waits for the next
-cycle, exactly when the dense core would have retried it.
+cycle, exactly when the dense schedule would have retried it.
 
-:class:`~repro.fpga.bulk.WindowScheduler` subclasses this scheduler
-and replays whole windows of a certified design as arithmetic
-supersteps.  Everything here — waiter lists, heap events, lazy stall
-charges — steps the cycles between its windows, and the whole of a
-``"bulk"`` run that has no certificate.
+:class:`~repro.fpga.bulk.WindowScheduler` (``"certified"`` /
+``"bulk"``) subclasses this scheduler and replays whole windows of a
+certified design as arithmetic supersteps; the wake lists step the
+cycles between its windows, and the whole of a ``"bulk"`` run that has
+no certificate.
 """
 
 from __future__ import annotations
@@ -137,6 +142,7 @@ class WakeListScheduler:
             if ch._staged:
                 nm = ch._staged[0][0]
                 self._schedule_mature(ch, nm if nm > self.now else self.now)
+        w = eng._watch_window
         try:
             for o in observers:
                 o.on_run_start(eng)
@@ -159,16 +165,10 @@ class WakeListScheduler:
                         # nothing runnable; skip straight to the event —
                         # unless the livelock deadline falls inside the
                         # jump, in which case dense would have tripped
-                        # there (sleeping kernels push their wake event,
-                        # and hence t_next, past the deadline, so they
-                        # exempt the jump exactly as they exempt dense).
-                        w = eng._watch_window
+                        # there.
                         trip = max(eng._last_op_cycle + w, self.now)
-                        if w and t_next > trip and not any(
-                                not k.done and k.sleep_until >= trip
-                                for k in self.kernels):
-                            self.now = trip
-                            self._raise_hang("livelock", trip, budget=w)
+                        if w and t_next > trip:
+                            self._check_livelock(trip)
                         target = min(t_next, self.max_cycles)
                         if observers:
                             for o in observers:
@@ -176,6 +176,9 @@ class WakeListScheduler:
                         self.now = target
                         if target >= self.max_cycles:
                             continue     # hits the max_cycles check above
+                # The watchdog, before anything of this cycle executes.
+                if w and self.now >= eng._last_op_cycle + w:
+                    self._check_livelock(self.now)
                 self._run_cycle()
         finally:
             eng.now = self.now
@@ -215,15 +218,19 @@ class WakeListScheduler:
             best = t
         return best
 
+    def _check_livelock(self, t: int) -> None:
+        """Raise the livelock hang at ``t``, a cycle :meth:`run` found at
+        or past the watchdog deadline, unless a live kernel sleeps
+        through it (a busy spinner never sets ``sleep_until``)."""
+        for k in self.kernels:
+            if not k.done and k.sleep_until >= t:
+                return
+        self.now = t
+        self._raise_hang("livelock", t, budget=self.engine._watch_window)
+
     def _run_cycle(self) -> None:
         t = self.now
         eng = self.engine
-        w = eng._watch_window
-        if w and t >= eng._last_op_cycle + w and not any(
-                not k.done and k.sleep_until >= t for k in self.kernels):
-            # Same condition, same cycle as the dense core's check at the
-            # top of its _step_cycle.
-            self._raise_hang("livelock", t, budget=w)
         self._stepped += 1
         heap = self._heap
         self._progressed = False
@@ -294,7 +301,7 @@ class WakeListScheduler:
                 for o in observers:
                     if o.wants_kernel_states:
                         o.on_kernel_state(t, k, state)
-        # Phase 3: deadlock detection, same condition as the dense core.
+        # Phase 3: deadlock detection, same condition as the dense schedule.
         if not self._progressed and self._live:
             sleepers = any(not k.done and k.sleep_until > t
                            for k in self.kernels)
@@ -353,9 +360,10 @@ class WakeListScheduler:
     def _raise_hang(self, kind: str, t: int, budget: int = 0) -> None:
         """Raise a livelock/timeout hang at cycle ``t``.
 
-        Unlike a deadlock, cycle ``t`` itself was *not* executed (both
-        cores check their watchdog before stepping anything), so stalls
-        are settled only through ``t - 1`` — exactly what dense charged.
+        Unlike a deadlock, cycle ``t`` itself was *not* executed (every
+        schedule checks its watchdog before stepping anything), so
+        stalls are settled only through ``t - 1`` — exactly what dense
+        charged.
         """
         self._charge_stalls(t - 1)
         self.engine.now = t
@@ -372,7 +380,9 @@ class WakeListScheduler:
             pass
 
     def _step(self, k: Kernel, t: int) -> bool:
-        """Resume ``k`` for cycle ``t``; mirror of the dense step."""
+        """Resume ``k`` for cycle ``t`` and interpret its ops until it
+        ends the cycle or blocks; return True if it progressed.  The
+        only op interpreter: every schedule steps kernels through it."""
         stats = k.stats
         if stats.start_cycle is None:
             stats.start_cycle = t
@@ -479,3 +489,49 @@ class WakeListScheduler:
             raise SimulationError(
                 f"kernel {k.name!r} yielded unknown op {op!r}"
             )
+
+
+class DenseScheduler(WakeListScheduler):
+    """The reference schedule (``Engine(mode="dense")``): every live,
+    awake kernel steps every cycle, and its state is reported right
+    after.  No jumps (``_current`` keeps its initial list, so
+    :meth:`run` never looks for an idle stretch), no lazy stall charges,
+    and no wakes (``_queued_for`` never returns to None)."""
+
+    def _run_cycle(self) -> None:
+        t = self.now
+        eng = self.engine
+        self._stepped += 1
+        # What _step queues for the wake lists; nothing here reads it.
+        self._next.clear()
+        self._heap.clear()
+        progressed = False
+        for ch in self.channels:
+            if ch.mature(t):
+                progressed = True
+                eng._last_op_cycle = t
+        observers = self._observers
+        for o in observers:
+            o.on_cycle(t)
+        if eng.memory is not None:
+            eng.memory.begin_cycle(t)
+        sleepers = False
+        for k in self.kernels:
+            if k.done:
+                state = "-"
+            elif k.sleep_until > t:
+                sleepers = True
+                state = "z"
+            elif self._step(k, t):
+                progressed = True
+                state = "#"
+            else:
+                state = "s"
+            if self._wants_states:
+                for o in observers:
+                    if o.wants_kernel_states:
+                        o.on_kernel_state(t, k, state)
+        if not (progressed or sleepers) and self._live and not any(
+                ch.can_mature_later() for ch in self.channels):
+            self._raise_deadlock(t)
+        self.now = eng.now = t + 1

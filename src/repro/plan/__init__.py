@@ -32,6 +32,7 @@ from .ir import (
     PLAN_SCHEMA,
     PlanChannel,
     PlanEdge,
+    PlanError,
     PlanIR,
     PlanKernel,
     PlanMemory,
@@ -43,7 +44,7 @@ from .ir import (
 
 __all__ = [
     "PLAN_SCHEMA", "EngineRows", "PlanCache", "PlanChannel", "PlanEdge",
-    "PlanIR", "PlanKernel", "PlanMemory", "PlanPlacement", "PlanPort",
+    "PlanError", "PlanIR", "PlanKernel", "PlanMemory", "PlanPlacement", "PlanPort",
     "PlanPrediction", "PlanTraffic", "as_plan", "compile_plan",
     "composition_from_plan", "mdag_fingerprint", "plan_from_composition",
     "plan_from_engine", "plan_from_mdag", "plan_identity",

@@ -29,15 +29,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
+from numbers import Integral
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
+# No cycle: nothing repro.fpga imports at module scope imports repro.plan.
+from ..fpga.errors import ReproError
+
 __all__ = [
-    "PLAN_SCHEMA", "PlanChannel", "PlanEdge", "PlanIR", "PlanKernel",
-    "PlanMemory", "PlanPlacement", "PlanPort", "PlanPrediction",
-    "PlanTraffic", "Row", "structure_key",
+    "PLAN_SCHEMA", "PlanChannel", "PlanEdge", "PlanError", "PlanIR",
+    "PlanKernel", "PlanMemory", "PlanPlacement", "PlanPort",
+    "PlanPrediction", "PlanTraffic", "Row", "structure_key",
 ]
 
 #: One plan record as a plain tuple in its dataclass's field order
@@ -48,6 +52,11 @@ Row = Tuple[Any, ...]
 #: Schema tag for serialized plans, alongside ``repro.analysis/1``,
 #: ``repro.schedule/1``, ``repro.simreport/1`` and ``repro.drift/1``.
 PLAN_SCHEMA = "repro.plan/1"
+
+
+class PlanError(ReproError, ValueError):
+    """A document :meth:`PlanIR.from_dict` cannot rebuild a plan from: an
+    unsupported schema, a missing key, or a value of the wrong type."""
 
 
 @dataclass(frozen=True)
@@ -202,6 +211,28 @@ def _freeze(value: Any) -> Any:
     return value
 
 
+#: Runtime checks for the scalar field annotations of the plan records.
+_SCALARS: Dict[str, Tuple[type, ...]] = {
+    "str": (str,), "int": (Integral,), "bool": (bool,),
+    "Optional[str]": (str, type(None)),
+    "Optional[int]": (Integral, type(None)),
+}
+
+
+def _check_types(record: Any) -> None:
+    """Raise :class:`PlanError` on a scalar field of ``record``, or of
+    any record nested in it, that does not hold its annotated type."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        want = _SCALARS.get(str(f.type))
+        if want is not None and not isinstance(value, want):
+            raise PlanError(f"{type(record).__name__}.{f.name} must be "
+                            f"{f.type}, got {value!r}")
+        for item in value if isinstance(value, tuple) else (value,):
+            if is_dataclass(item):
+                _check_types(item)
+
+
 def _row_of(cls: type) -> Callable[[Any], Row]:
     """Getter for a flat record's :data:`Row` (inverse of ``cls(*row)``)."""
     return attrgetter(*(f.name for f in fields(cls)))
@@ -348,10 +379,27 @@ class PlanIR:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PlanIR":
-        """Inverse of :meth:`to_dict` (tolerates JSON round-trips)."""
+        """Inverse of :meth:`to_dict` (tolerates JSON round-trips).
+
+        Raises :class:`PlanError` on a foreign schema, a missing key or
+        a value of the wrong type, never a bare ``KeyError`` /
+        ``TypeError``.
+        """
+        try:
+            plan = cls._from_dict(data)
+        except PlanError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise PlanError(f"malformed {PLAN_SCHEMA} document: "
+                            f"{type(exc).__name__}: {exc}") from exc
+        _check_types(plan)
+        return plan
+
+    @classmethod
+    def _from_dict(cls, data: Mapping[str, Any]) -> "PlanIR":
         schema = data.get("schema", PLAN_SCHEMA)
         if schema != PLAN_SCHEMA:
-            raise ValueError(
+            raise PlanError(
                 f"unsupported plan schema {schema!r} (expected "
                 f"{PLAN_SCHEMA!r})")
 

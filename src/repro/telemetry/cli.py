@@ -70,12 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="vectorization width of the modules")
     p.add_argument("--tile", type=int, default=8,
                    help="tile size for the level-2 compositions")
-    p.add_argument("--mode", choices=("dense", "event"), default=None,
-                   help="engine core (legacy spelling of --engine-mode)")
     p.add_argument("--engine-mode", choices=ENGINE_MODES,
-                   default=None, dest="engine_mode",
-                   help="engine core: dense reference loop, event "
-                        "wake-list scheduler, certified static-schedule "
+                   default="event", dest="mode",
+                   help="engine scheduler: dense reference schedule, "
+                        "event wake lists, certified static-schedule "
                         "replay, or bulk (replays when the design "
                         "certifies, steps like event when it does not; "
                         "default: event)")
@@ -158,11 +156,6 @@ def _report_command(path: Optional[str], threshold: float) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.mode and args.engine_mode and args.mode != args.engine_mode:
-        print("--mode and --engine-mode disagree; pass only one",
-              file=sys.stderr)
-        return 2
-    args.mode = args.engine_mode or args.mode or "event"
     if args.app == "report":
         return _report_command(args.path, args.drift_threshold)
     if args.path is not None:

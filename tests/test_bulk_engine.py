@@ -309,20 +309,20 @@ class TestCliEngineMode:
         assert doc["mode"] == "bulk"
         assert doc["result"]["cycles"] > 0
 
-    def test_engine_mode_matches_legacy_mode_flag(self, tmp_path):
+    def test_engine_mode_matches_legacy_mode_flag(self, tmp_path, capsys):
+        """``--engine-mode`` is the one spelling: ``event`` is the
+        default run, and the retired ``--mode`` is a usage error."""
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         assert telemetry_main(["axpydot", "--n", "256", "--width", "4",
-                               "--mode", "event",
                                "--metrics", str(a)]) == 0
         assert telemetry_main(["axpydot", "--n", "256", "--width", "4",
                                "--engine-mode", "event",
                                "--metrics", str(b)]) == 0
         da, db = json.loads(a.read_text()), json.loads(b.read_text())
         assert da["result"] == db["result"]
-
-    def test_conflicting_mode_flags_rejected(self, capsys):
-        rc = telemetry_main(["axpydot", "--mode", "dense",
-                             "--engine-mode", "bulk"])
-        assert rc == 2
-        assert "disagree" in capsys.readouterr().err
+        assert da["mode"] == db["mode"] == "event"
+        with pytest.raises(SystemExit) as exc:
+            telemetry_main(["axpydot", "--mode", "event"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import ensure_certified, schedule_key
 from repro.fpga.engine import Engine
+from repro.fpga.errors import ReproError
 from repro.fpga.memory import DramModel, read_kernel, write_kernel
 from repro.fpga.util import sink_kernel, source_kernel
 from repro.plan import (
@@ -24,6 +25,7 @@ from repro.plan import (
     PlanCache,
     PlanChannel,
     PlanEdge,
+    PlanError,
     PlanIR,
     PlanKernel,
     PlanMemory,
@@ -230,3 +232,109 @@ class TestDeviceIdentity:
             return eng
         assert schedule_key(plain()) == schedule_key(plain())
         assert compile_plan(plain()).memory is None
+
+
+# ---------------------------------------------------------------------------
+# Malformed documents: a typed PlanError, never a bare KeyError/TypeError.
+# ---------------------------------------------------------------------------
+
+def _document():
+    """A JSON round trip of a compiled plan with every record kind."""
+    return json.loads(compile_plan(_device_engine("stratix10")).to_json())
+
+
+_DROP = object()
+
+
+def _mutation(path, value=_DROP):
+    """Delete the key / item at ``path``, or overwrite it with ``value``."""
+    def mutate(doc):
+        *parents, last = path
+        for p in parents:
+            doc = doc[p]
+        if value is _DROP:
+            del doc[last]
+        else:
+            doc[last] = value
+    return mutate
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("mutate", [
+        _mutation(("kernels", 0, "name")),
+        _mutation(("kernels", 0, "dram", 0, "kind")),
+        _mutation(("channels", 0, "depth")),
+        _mutation(("memory", "device")),
+        _mutation(("placements", 0, "bank")),
+    ], ids=["kernel.name", "traffic.kind", "channel.depth", "memory.device",
+            "placement.bank"])
+    def test_dropped_key(self, mutate):
+        doc = _document()
+        mutate(doc)
+        with pytest.raises(PlanError):
+            PlanIR.from_dict(doc)
+
+    @pytest.mark.parametrize("mutate", [
+        _mutation(("kernels",), "abc"),
+        _mutation(("kernels", 0), ["name"]),
+        _mutation(("placements", 0), "0"),
+        _mutation(("kernels", 0, "latency"), None),
+        _mutation(("kernels", 0, "annotated"), 1),
+        _mutation(("kernels", 0, "writes"), [5]),
+        _mutation(("channels", 0, "depth"), "deep"),
+        _mutation(("channels", 0, "name"), 3),
+        _mutation(("memory",), [4, 64]),
+        _mutation(("predictions",), [1]),
+        _mutation(("components",), 5),
+        _mutation(("device",), 7),
+    ])
+    def test_wrong_type(self, mutate):
+        doc = _document()
+        mutate(doc)
+        with pytest.raises(PlanError):
+            PlanIR.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"schema": "repro.plan/99"}, None, ["repro.plan/1"], "repro.plan/1",
+    ])
+    def test_wrong_schema_or_not_a_document(self, doc):
+        with pytest.raises(PlanError) as exc:
+            PlanIR.from_dict(doc)
+        # A ReproError that is still the historical ValueError.
+        assert isinstance(exc.value, ReproError)
+        assert isinstance(exc.value, ValueError)
+
+    def test_the_unmutated_document_rebuilds(self):
+        plan = PlanIR.from_dict(_document())
+        assert plan.plan_key == compile_plan(
+            _device_engine("stratix10")).plan_key
+
+    @settings(max_examples=150, deadline=None)
+    @given(_plans, st.data())
+    def test_any_single_mutation_is_a_plan_or_a_plan_error(self, plan, data):
+        """Drop any key or list item of a round-trip dict, or overwrite
+        it with a value of another shape: the result is a plan whose key
+        can be computed, or a PlanError."""
+        doc = json.loads(plan.to_json())
+        paths = []
+
+        def walk(node, path):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for k, v in items:
+                paths.append(path + (k,))
+                walk(v, path + (k,))
+
+        walk(doc, ())
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(st.one_of(
+            st.just(_DROP), st.none(), st.booleans(), st.integers(),
+            st.text(max_size=3), st.lists(st.integers(), max_size=2),
+            st.dictionaries(st.text(max_size=3), st.integers(),
+                            max_size=2)))
+        _mutation(path, value)(doc)
+        try:
+            restored = PlanIR.from_dict(doc)
+        except PlanError:
+            return
+        assert len(restored.plan_key) == 64

@@ -33,12 +33,6 @@ class TestExitCodes:
         assert telemetry_main(["report", str(bad)]) == 2
         assert "bad ledger row" in capsys.readouterr().err
 
-    def test_conflicting_mode_flags(self, capsys):
-        rc = telemetry_main(["atax", "--mode", "dense",
-                             "--engine-mode", "event"])
-        assert rc == 2
-        assert "disagree" in capsys.readouterr().err
-
     def test_stray_path_rejected_outside_report(self, capsys):
         rc = telemetry_main(["atax", "ledger.jsonl"])
         assert rc == 2
