@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, List, Optional
 
+from ..plan import PlanIR
 from . import CODES, AnalysisResult, analyze_mdag, analyze_specs
-
-#: Sec. V applications the ``--app`` flag can analyze pre-flight.
-APPS = ("axpydot", "atax", "bicg", "gemver")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from ..apps import APPS
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Statically check FBLAS designs: routine specs, "
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--demo", action="store_true",
                         help="analyze the ATAX reconvergence demo instead "
                              "of a spec file")
-    parser.add_argument("--app", choices=APPS,
+    parser.add_argument("--app", choices=tuple(APPS),
                         help="analyze a built-in Sec. V application MDAG "
                              "(axpydot additionally runs the FB4xx rate "
                              "passes over its streaming engine)")
@@ -74,15 +74,13 @@ def _failed(result: AnalysisResult, strict: bool) -> bool:
 
 
 def run_demo(as_json: bool) -> int:
-    """The worked ATAX example of Sec. V-B, in three acts."""
-    from ..apps.atax import atax_mdag
+    """The worked ATAX example of Sec. V-B (its catalogue MDAG: 64 x 64,
+    tile 8), in three acts."""
+    from ..apps import APPS
     from ..models.iomodel import atax_min_channel_depth
 
-    m = n = 64
-    tile = 8
-    window = atax_min_channel_depth(n, tile)
-
-    mdag = atax_mdag(m, n, tile, tile)
+    window = atax_min_channel_depth(64, 8)
+    mdag = APPS["atax"].mdag()
     stages = []
 
     # Act 1: nothing known about the reordering window -> FB002.
@@ -113,86 +111,52 @@ def run_demo(as_json: bool) -> int:
     return 1
 
 
-def analyze_app(name: str) -> AnalysisResult:
-    """Analyze one of the Sec. V applications pre-flight.
-
-    Every app contributes its MDAG analysis; AXPYDOT — the one whose
-    streaming engine is fully patterned — additionally runs the FB4xx
-    SDF rate passes (so a clean run shows the FB405 certificate).  The
-    results merge into a single report so ``--json``/``--sarif`` emit
-    one valid document.
-    """
+def _axpydot_engine() -> Any:
+    """AXPYDOT's streaming engine on 1024 drawn elements, not run."""
     import numpy as np
 
+    from ..apps import APPS
+    from ..apps.axpydot import build_axpydot_engine
+    from ..host.context import FblasContext
+    ctx = FblasContext()
+    bufs = [ctx.copy_to_device(a) for a in
+            APPS["axpydot"].draw(np.random.default_rng(7), 1024)]
+    eng, _out = build_axpydot_engine(ctx, *bufs, np.float32(0.5), width=8)
+    return eng
+
+
+def analyze_app(name: str) -> AnalysisResult:
+    """Analyze one Sec. V application's catalogue MDAG pre-flight; for
+    AXPYDOT, whose streaming engine is fully patterned, merge in the FB4xx
+    rate passes (a clean run shows the FB405 certificate), so
+    ``--json``/``--sarif`` still emit one document."""
+    from ..apps import APPS
     from . import analyze_rates
 
+    result = analyze_mdag(APPS[name].mdag())
+    result.subject = f"{name} MDAG"
     if name == "axpydot":
-        from ..apps.axpydot import axpydot_mdag, build_axpydot_engine
-        from ..host.context import FblasContext
-        n = 1024
-        result = analyze_mdag(axpydot_mdag(n))
-        ctx = FblasContext()
-        rng = np.random.default_rng(7)
-        bufs = [ctx.copy_to_device(
-            rng.standard_normal(n).astype(np.float32)) for _ in range(3)]
-        eng, _out = build_axpydot_engine(ctx, *bufs, np.float32(0.5),
-                                         width=8)
-        rates = analyze_rates(eng)
+        rates = analyze_rates(_axpydot_engine())
         result.diagnostics.extend(rates.diagnostics)
         result.passes_run.extend(rates.passes_run)
         result.subject = f"axpydot (MDAG + {rates.subject})"
-        return result
-    if name == "atax":
-        from ..apps.atax import atax_mdag
-        result = analyze_mdag(atax_mdag(64, 64, 8, 8))
-        result.subject = "atax MDAG"
-        return result
-    if name == "bicg":
-        from ..apps.bicg import bicg_mdag
-        result = analyze_mdag(bicg_mdag(64, 64, 8, 8))
-        result.subject = "bicg MDAG"
-        return result
-    from ..apps.gemver import gemver_component1_mdag
-    result = analyze_mdag(gemver_component1_mdag(64, 8))
-    result.subject = "gemver component-1 MDAG"
     return result
 
 
-def plan_for_app(name: str):
-    """Compile one Sec. V application to its :class:`~repro.plan.PlanIR`.
-
-    AXPYDOT compiles from its live streaming engine (the fully patterned
-    design, so the plan carries ports, DRAM traffic, and memory
-    identity); the other apps compile from their MDAGs through the
-    scheduler, so the plan carries planned channel depths and I/O
-    predictions.
-    """
-    import numpy as np
-
+def plan_for_app(name: str) -> PlanIR:
+    """Compile one Sec. V application to its :class:`~repro.plan.PlanIR`:
+    AXPYDOT from its live streaming engine (ports, DRAM traffic, memory
+    identity), the others from their catalogue MDAGs (planned channel
+    depths, I/O predictions)."""
+    from ..apps import APPS
     from ..plan import compile_plan
 
     if name == "axpydot":
-        from ..apps.axpydot import build_axpydot_engine
-        from ..host.context import FblasContext
-        n = 1024
-        ctx = FblasContext()
-        rng = np.random.default_rng(7)
-        bufs = [ctx.copy_to_device(
-            rng.standard_normal(n).astype(np.float32)) for _ in range(3)]
-        eng, _out = build_axpydot_engine(ctx, *bufs, np.float32(0.5),
-                                         width=8)
-        return compile_plan(eng)
-    if name == "atax":
-        from ..apps.atax import atax_mdag
-        return compile_plan(atax_mdag(64, 64, 8, 8))
-    if name == "bicg":
-        from ..apps.bicg import bicg_mdag
-        return compile_plan(bicg_mdag(64, 64, 8, 8))
-    from ..apps.gemver import gemver_component1_mdag
-    return compile_plan(gemver_component1_mdag(64, 8))
+        return compile_plan(_axpydot_engine())
+    return compile_plan(APPS[name].mdag())
 
 
-def main(argv=None) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_codes:
         for code in sorted(CODES):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..blas import level2, reference
+from ..blas import level2
 from ..fpga.engine import Engine
 from ..fpga.memory import read_kernel, write_kernel
 from ..fpga.resources import level1_latency
@@ -31,7 +31,7 @@ from ..host.context import FblasContext
 from ..models.iomodel import atax_min_channel_depth
 from ..streaming import MDAG, matrix_stream, row_tiles, vector_stream
 from ..telemetry.runtime import span as _telemetry_span
-from .axpydot import AppResult
+from .axpydot import host_app, streamed_app
 
 
 def atax_reference(a, x):
@@ -40,25 +40,20 @@ def atax_reference(a, x):
     return a.T @ tmp
 
 
-def atax_host(fb: Fblas, a, x) -> AppResult:
+@host_app
+def atax_host(fb: Fblas, a, x):
     """Two GEMV host calls with the intermediate vector in DRAM."""
     m, n = a.data.shape
-    start = len(fb.records)
-    io_before = fb.context.mem.total_elements_moved
     tmp = fb.allocate(m, dtype=a.data.dtype)
     y = fb.allocate(n, dtype=a.data.dtype)
     fb.gemv(1.0, a, x, 0.0, tmp)
-    yv = fb.gemv(1.0, a, tmp, 0.0, y, trans=True)
-    recs = fb.records[start:]
-    io = (fb.context.mem.total_elements_moved - io_before
-          if fb.mode == "simulate" else sum(rr.io_elements for rr in recs))
-    return AppResult(yv, sum(rr.cycles for rr in recs), io,
-                     sum(rr.seconds for rr in recs))
+    return fb.gemv(1.0, a, tmp, 0.0, y, trans=True)
 
 
+@streamed_app("level2")
 def atax_streaming(ctx: FblasContext, a, x, tile: int = 4, width: int = 4,
                    channel_depth="auto", preflight: bool = False,
-                   mode: str = "event") -> AppResult:
+                   mode: str = "event"):
     """Fully streamed ATAX — valid only with an adequately sized channel.
 
     ``channel_depth`` is the depth of the second GEMV's A channel:
@@ -72,15 +67,6 @@ def atax_streaming(ctx: FblasContext, a, x, tile: int = 4, width: int = 4,
     reordering window (it consumes a full row of tiles of A before its
     first output block).
     """
-    with _telemetry_span("app.atax", cat="app", m=a.data.shape[0],
-                         n=a.data.shape[1], tile=tile, width=width,
-                         mode=mode):
-        return _atax_streaming(ctx, a, x, tile, width, channel_depth,
-                               preflight, mode)
-
-
-def _atax_streaming(ctx, a, x, tile, width, channel_depth, preflight,
-                    mode) -> AppResult:
     m, n = a.data.shape
     dtype = a.data.dtype.type
     precision = "single" if a.data.dtype == np.float32 else "double"
@@ -89,7 +75,6 @@ def _atax_streaming(ctx, a, x, tile, width, channel_depth, preflight,
     sched = row_tiles(m, n, tm_, tn_)
     if channel_depth == "auto":
         channel_depth = atax_min_channel_depth(n, tm_) + 8 * width
-    io_before = ctx.mem.total_elements_moved
     eng = Engine(memory=ctx.mem, mode=mode)
     ca = eng.channel("A", 8 * width)
     ca1 = eng.channel("A1", max(8 * width, 4 * max(tm_, tn_)))
@@ -126,16 +111,14 @@ def _atax_streaming(ctx, a, x, tile, width, channel_depth, preflight,
         latency=lat, reads=(ca2, ctmp, cy0b), writes=[(cy, width)])
     eng.add_kernel("write_y", write_kernel(ctx.mem, y, cy, n, width),
                    reads=(cy,))
-    report = eng.run(preflight=preflight)
-    io = ctx.mem.total_elements_moved - io_before
-    freq = ctx.frequency_for("level2", precision)
-    return AppResult(np.array(y.data), report.cycles, io,
-                     report.cycles / freq,
-                     kernel_steps=report.kernel_steps)
+    with _telemetry_span("app.atax", cat="app", m=m, n=n, tile=tile,
+                         width=width, mode=mode):
+        report = eng.run(preflight=preflight)
+    return np.array(y.data), [report]
 
 
-def atax_broken(ctx: FblasContext, a, x, tile: int = 4,
-                width: int = 4) -> AppResult:
+@streamed_app("level2")
+def atax_broken(ctx: FblasContext, a, x, tile: int = 4, width: int = 4):
     """ATAX with the MDAG broken in two: each GEMV reads A itself.
 
     Same I/O volume as the non-streamed version (A read twice), but the
@@ -148,7 +131,6 @@ def atax_broken(ctx: FblasContext, a, x, tile: int = 4,
     tm_ = tile if m % tile == 0 else m
     tn_ = tile if n % tile == 0 else n
     sched = row_tiles(m, n, tm_, tn_)
-    io_before = ctx.mem.total_elements_moved
     eng = Engine(memory=ctx.mem)
     ca1 = eng.channel("A1", 8 * width)
     ca2 = eng.channel("A2", 8 * width)
@@ -186,10 +168,7 @@ def atax_broken(ctx: FblasContext, a, x, tile: int = 4,
     eng.add_kernel("write_y", write_kernel(ctx.mem, y, cy, n, width),
                    reads=(cy,))
     report = eng.run()
-    io = ctx.mem.total_elements_moved - io_before
-    freq = ctx.frequency_for("level2", precision)
-    return AppResult(np.array(y.data), report.cycles, io,
-                     report.cycles / freq)
+    return np.array(y.data), [report]
 
 
 def atax_mdag(m: int, n: int, tm: int, tn: int) -> MDAG:

@@ -11,6 +11,7 @@ ideal 3 (Sec. VI-C).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,48 @@ class AppResult:
                    kernel_steps=d.get("kernel_steps", 0))
 
 
-def axpydot_host(fb: Fblas, w, v, u, alpha) -> AppResult:
+def host_app(body):
+    """``body(fb, ...)`` makes host calls and returns the app's value;
+    the decorated call returns its :class:`AppResult`: cycles and seconds
+    sum the call records, I/O is the DRAM traffic delta (the records'
+    own totals outside ``"simulate"`` mode)."""
+    @functools.wraps(body)
+    def run(fb: Fblas, *args, **kwargs) -> AppResult:
+        start = len(fb.records)
+        io_before = fb.context.mem.total_elements_moved
+        value = body(fb, *args, **kwargs)
+        recs = fb.records[start:]
+        io = (fb.context.mem.total_elements_moved - io_before
+              if fb.mode == "simulate" else sum(r.io_elements for r in recs))
+        return AppResult(value, sum(r.cycles for r in recs), io,
+                         sum(r.seconds for r in recs))
+    return run
+
+
+def streamed_app(routine_class: str, scalar_outputs: int = 0):
+    """``body(ctx, a, ...)`` runs engines and returns ``(value, reports)``;
+    the decorated call returns its :class:`AppResult`: cycles and kernel
+    steps sum the reports, I/O is the DRAM delta plus ``scalar_outputs``
+    (results read back without a DRAM buffer, like AXPYDOT's beta);
+    seconds use ``routine_class``'s modeled frequency."""
+    def decorate(body):
+        @functools.wraps(body)
+        def run(ctx: FblasContext, a, *args, **kwargs) -> AppResult:
+            io_before = ctx.mem.total_elements_moved
+            value, reports = body(ctx, a, *args, **kwargs)
+            cycles = sum(r.cycles for r in reports)
+            io = ctx.mem.total_elements_moved - io_before + scalar_outputs
+            precision = "single" if a.data.dtype == np.float32 else "double"
+            return AppResult(
+                value, cycles, io,
+                cycles / ctx.frequency_for(routine_class, precision),
+                kernel_steps=sum(r.kernel_steps for r in reports))
+        return run
+    return decorate
+
+
+@host_app
+def axpydot_host(fb: Fblas, w, v, u, alpha):
     """Execute AXPYDOT with one host call per BLAS routine.
 
     ``w``, ``v``, ``u`` are device buffers.  A fresh z buffer is allocated
@@ -93,8 +135,6 @@ def axpydot_host(fb: Fblas, w, v, u, alpha) -> AppResult:
     through DRAM between the calls.
     """
     n = w.num_elements
-    start = len(fb.records)
-    io_before = fb.context.mem.total_elements_moved
     # Place z in a bank not used by the inputs when one exists; even so,
     # AXPY reads and writes z in the *same* module — the self-contention
     # the paper blames for the >3x measured speedup.
@@ -108,21 +148,18 @@ def axpydot_host(fb: Fblas, w, v, u, alpha) -> AppResult:
                         bank=free[0] if free else (w.bank or 0))
     fb.copy(w, z)
     fb.axpy(-alpha, v, z)
-    beta = fb.dot(z, u)
-    recs = fb.records[start:]
-    cycles = sum(r.cycles for r in recs)
-    seconds = sum(r.seconds for r in recs)
-    io = (fb.context.mem.total_elements_moved - io_before
-          if fb.mode == "simulate" else sum(r.io_elements for r in recs))
-    return AppResult(beta, cycles, io, seconds)
+    return fb.dot(z, u)
 
 
+@streamed_app("level1", scalar_outputs=1)
 def axpydot_streaming(ctx: FblasContext, w, v, u, alpha,
-                      width: int = 16, mode: str = "event") -> AppResult:
+                      width: int = 16, mode: str = "event"):
     """Execute AXPYDOT as one streaming composition (Fig. 6)."""
     with _telemetry_span("app.axpydot", cat="app", n=w.num_elements,
                          width=width, mode=mode):
-        return _axpydot_streaming(ctx, w, v, u, alpha, width, mode)
+        eng, out = build_axpydot_engine(ctx, w, v, u, alpha, width, mode)
+        report = eng.run()
+    return out[0], [report]
 
 
 def build_axpydot_engine(ctx, w, v, u, alpha, width: int = 16,
@@ -153,18 +190,6 @@ def build_axpydot_engine(ctx, w, v, u, alpha, width: int = 16,
     out = []
     eng.add_kernel("sink", sink_kernel(cres, 1, 1, out))
     return eng, out
-
-
-def _axpydot_streaming(ctx, w, v, u, alpha, width, mode) -> AppResult:
-    n = w.num_elements
-    precision = "single" if w.data.dtype == np.float32 else "double"
-    io_before = ctx.mem.total_elements_moved
-    eng, out = build_axpydot_engine(ctx, w, v, u, alpha, width, mode)
-    report = eng.run()
-    io = ctx.mem.total_elements_moved - io_before + 1
-    freq = ctx.frequency_for("level1", precision)
-    return AppResult(out[0], report.cycles, io, report.cycles / freq,
-                     kernel_steps=report.kernel_steps)
 
 
 def axpydot_mdag(n: int) -> MDAG:

@@ -19,7 +19,7 @@ from ..host.api import Fblas
 from ..host.context import FblasContext
 from ..streaming import MDAG, matrix_stream, row_tiles, vector_stream
 from ..telemetry.runtime import span as _telemetry_span
-from .axpydot import AppResult
+from .axpydot import host_app, streamed_app
 
 
 def bicg_reference(a, p, r):
@@ -30,39 +30,26 @@ def bicg_reference(a, p, r):
             reference.gemv(1.0, a, r, 0.0, zs, trans=True))
 
 
-def bicg_host(fb: Fblas, a, p, r) -> AppResult:
+@host_app
+def bicg_host(fb: Fblas, a, p, r):
     """Two independent GEMV host calls, each reading A from DRAM."""
     n, m = a.data.shape
-    start = len(fb.records)
-    io_before = fb.context.mem.total_elements_moved
     q = fb.allocate(n, dtype=a.data.dtype)
     s = fb.allocate(m, dtype=a.data.dtype)
-    qv = fb.gemv(1.0, a, p, 0.0, q)
-    sv = fb.gemv(1.0, a, r, 0.0, s, trans=True)
-    recs = fb.records[start:]
-    io = (fb.context.mem.total_elements_moved - io_before
-          if fb.mode == "simulate" else sum(rr.io_elements for rr in recs))
-    return AppResult((qv, sv), sum(rr.cycles for rr in recs), io,
-                     sum(rr.seconds for rr in recs))
+    return (fb.gemv(1.0, a, p, 0.0, q),
+            fb.gemv(1.0, a, r, 0.0, s, trans=True))
 
 
+@streamed_app("level2")
 def bicg_streaming(ctx: FblasContext, a, p, r, tile: int = 4,
-                   width: int = 4, mode: str = "event") -> AppResult:
+                   width: int = 4, mode: str = "event"):
     """One read of A feeds both GEMVs (Fig. 7)."""
-    with _telemetry_span("app.bicg", cat="app", n=a.data.shape[0],
-                         m=a.data.shape[1], tile=tile, width=width,
-                         mode=mode):
-        return _bicg_streaming(ctx, a, p, r, tile, width, mode)
-
-
-def _bicg_streaming(ctx, a, p, r, tile, width, mode) -> AppResult:
     n, m = a.data.shape
     dtype = a.data.dtype.type
     precision = "single" if a.data.dtype == np.float32 else "double"
     tn = tile if n % tile == 0 else n
     tm = tile if m % tile == 0 else m
     sched = row_tiles(n, m, tn, tm)
-    io_before = ctx.mem.total_elements_moved
     eng = Engine(memory=ctx.mem, mode=mode)
     # The fan-out channels must absorb the cycles one GEMV spends popping
     # its vector blocks while the other keeps consuming A.
@@ -97,12 +84,10 @@ def _bicg_streaming(ctx, a, p, r, tile, width, mode) -> AppResult:
         n, m, 1.0, 0.0, ca2, cr, cy2, cs, tn, tm, width, dtype), latency=lat)
     eng.add_kernel("write_q", write_kernel(ctx.mem, q, cq, n, width))
     eng.add_kernel("write_s", write_kernel(ctx.mem, s, cs, m, width))
-    report = eng.run()
-    io = ctx.mem.total_elements_moved - io_before
-    freq = ctx.frequency_for("level2", precision)
-    return AppResult((np.array(q.data), np.array(s.data)),
-                     report.cycles, io, report.cycles / freq,
-                     kernel_steps=report.kernel_steps)
+    with _telemetry_span("app.bicg", cat="app", n=n, m=m, tile=tile,
+                         width=width, mode=mode):
+        report = eng.run()
+    return (np.array(q.data), np.array(s.data)), [report]
 
 
 def bicg_mdag(n: int, m: int, tn: int, tm: int) -> MDAG:

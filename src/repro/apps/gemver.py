@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..blas import level2, reference
+from ..blas import level2
 from ..fpga.engine import Engine
 from ..fpga.memory import read_kernel, write_kernel
 from ..fpga.resources import level1_latency
@@ -27,7 +27,7 @@ from ..host.api import Fblas
 from ..host.context import FblasContext
 from ..streaming import MDAG, matrix_stream, row_tiles, vector_stream
 from ..telemetry.runtime import span as _telemetry_span
-from .axpydot import AppResult
+from .axpydot import AppResult, host_app, streamed_app
 
 
 def gemver_reference(a, u1, v1, u2, v2, y, z, alpha, beta):
@@ -38,11 +38,10 @@ def gemver_reference(a, u1, v1, u2, v2, y, z, alpha, beta):
     return b, x, w
 
 
-def gemver_host(fb: Fblas, a, u1, v1, u2, v2, y, z, alpha, beta) -> AppResult:
+@host_app
+def gemver_host(fb: Fblas, a, u1, v1, u2, v2, y, z, alpha, beta):
     """Classic BLAS sequence: 2 copies, 2 GER, 2 GEMV."""
     n = a.data.shape[0]
-    start = len(fb.records)
-    io_before = fb.context.mem.total_elements_moved
     b = fb.allocate((n, n), dtype=a.data.dtype)
     x = fb.allocate(n, dtype=a.data.dtype)
     w = fb.allocate(n, dtype=a.data.dtype)
@@ -52,12 +51,7 @@ def gemver_host(fb: Fblas, a, u1, v1, u2, v2, y, z, alpha, beta) -> AppResult:
     fb.copy(z, x)                        # x <- z
     fb.gemv(beta, b, y, 1.0, x, trans=True)   # x = beta*B^T y + z
     wv = fb.gemv(alpha, b, x, 0.0, w)         # w = alpha*B x
-    recs = fb.records[start:]
-    io = (fb.context.mem.total_elements_moved - io_before
-          if fb.mode == "simulate" else sum(rr.io_elements for rr in recs))
-    return AppResult((fb.copy_from_device(b), fb.copy_from_device(x), wv),
-                     sum(rr.cycles for rr in recs), io,
-                     sum(rr.seconds for rr in recs))
+    return fb.copy_from_device(b), fb.copy_from_device(x), wv
 
 
 def gemver_streaming(ctx: FblasContext, a, u1, v1, u2, v2, y, z,
@@ -70,15 +64,15 @@ def gemver_streaming(ctx: FblasContext, a, u1, v1, u2, v2, y, z,
                                  beta, tile, width, mode)
 
 
+@streamed_app("level2")
 def _gemver_streaming(ctx, a, u1, v1, u2, v2, y, z, alpha, beta, tile,
-                      width, mode) -> AppResult:
+                      width, mode):
     n = a.data.shape[0]
     dtype = a.data.dtype.type
     precision = "single" if a.data.dtype == np.float32 else "double"
     tn = tile if n % tile == 0 else n
     sched = row_tiles(n, n, tn, tn)
     replay = n // tn
-    io_before = ctx.mem.total_elements_moved
     b = ctx.mem.allocate(ctx.free_name("gemver_B"), (n, n),
                          dtype=a.data.dtype)
     x = ctx.mem.allocate(ctx.free_name("gemver_x"), n, dtype=a.data.dtype)
@@ -143,13 +137,8 @@ def _gemver_streaming(ctx, a, u1, v1, u2, v2, y, z, alpha, beta, tile,
         latency=lat_red)
     eng2.add_kernel("write_w", write_kernel(ctx.mem, w, cw, n, width))
     rep2 = eng2.run()
-
-    io = ctx.mem.total_elements_moved - io_before
-    cycles = rep1.cycles + rep2.cycles
-    freq = ctx.frequency_for("level2", precision)
-    return AppResult((np.array(b.data), np.array(x.data), np.array(w.data)),
-                     cycles, io, cycles / freq,
-                     kernel_steps=rep1.kernel_steps + rep2.kernel_steps)
+    return ((np.array(b.data), np.array(x.data), np.array(w.data)),
+            [rep1, rep2])
 
 
 def gemver_full_streaming_mdag(n: int, tn: int) -> MDAG:

@@ -12,10 +12,11 @@ import json
 import sys
 
 from ..fpga.engine import ENGINE_MODES
-from .campaign import APPS, _to_plain, render_summary, run_campaign
+from .campaign import _to_plain, render_summary, run_campaign
 
 
 def main(argv=None) -> int:
+    from ..apps.catalogue import APPS, positive_int
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults",
         description="deterministic fault-injection campaigns")
@@ -24,11 +25,11 @@ def main(argv=None) -> int:
         "campaign", help="sweep seeded fault plans over the Sec. V apps")
     camp.add_argument("--seed", type=int, default=7,
                       help="campaign seed (trial i uses seed*1000+i)")
-    camp.add_argument("--apps", default="atax,axpydot,bicg,gemver",
-                      help=f"comma-separated subset of {sorted(APPS)}")
-    camp.add_argument("--budget", type=int, default=20,
+    camp.add_argument("--apps", default=",".join(sorted(APPS)),
+                      help=f"comma-separated subset of {', '.join(APPS)}")
+    camp.add_argument("--budget", type=positive_int, default=20,
                       help="number of fault trials (round-robin over apps)")
-    camp.add_argument("--n", type=int, default=8,
+    camp.add_argument("--n", type=positive_int, default=8,
                       help="problem size (vectors length n, matrices n x n)")
     camp.add_argument("--mode", default="event",
                       choices=ENGINE_MODES,
@@ -38,10 +39,12 @@ def main(argv=None) -> int:
     camp.add_argument("--out", default=None,
                       help="write the full JSON campaign report here")
     args = parser.parse_args(argv)
+    apps = tuple(a.strip() for a in args.apps.split(",") if a.strip())
+    if not apps or not set(apps) <= set(APPS):
+        camp.error(f"argument --apps: expected a comma-separated subset of "
+                   f"{', '.join(APPS)}, got {args.apps!r}")
 
-    doc = run_campaign(seed=args.seed,
-                       apps=tuple(a.strip() for a in args.apps.split(",")
-                                  if a.strip()),
+    doc = run_campaign(seed=args.seed, apps=apps,
                        budget=args.budget, size=args.n,
                        recover=not args.no_recover, mode=args.mode)
     print(render_summary(doc))

@@ -34,7 +34,7 @@ recorded recovery, never a bare timeout.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .plan import FaultPlan
 from .recovery import RetryPolicy, run_with_recovery
 from .runtime import inject
 
-__all__ = ["APPS", "CAMPAIGN_SCHEMA", "OUTCOMES", "run_campaign",
+__all__ = ["CAMPAIGN_SCHEMA", "OUTCOMES", "fault_targets", "run_campaign",
            "run_trial"]
 
 #: Schema tag of :func:`run_campaign` documents.
@@ -55,114 +55,25 @@ OUTCOMES = ("clean", "masked", "recovered", "hang", "crash_unrecovered",
             "silent_corruption")
 
 
-def _run_axpydot(mode: str, size: int, seed: int):
-    from ..apps.axpydot import axpydot_reference, axpydot_streaming
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(size).astype(np.float32)
-    v = rng.standard_normal(size).astype(np.float32)
-    u = rng.standard_normal(size).astype(np.float32)
-    alpha = 1.5
-    ref = axpydot_reference(w, v, u, alpha)
+#: Tile and vectorization width of every campaign run.
+_TILE = _WIDTH = 4
+
+
+def fault_targets(app: str, size: int) -> Tuple[Tuple[str, ...], ...]:
+    """``(channels, kernels, buffers)`` a plan may hit in ``app``, read
+    off one clean run at ``size``: channels and kernels in registration
+    order from a ledger-lite session, buffers in binding order."""
+    from ..apps import APPS
+    from ..telemetry import runtime
+    spec = APPS[app]
     ctx = FblasContext()
-    res = axpydot_streaming(ctx, ctx.copy_to_device(w, name="w"),
-                            ctx.copy_to_device(v, name="v"),
-                            ctx.copy_to_device(u, name="u"),
-                            alpha, width=4, mode=mode)
-    return res.value, ref
-
-
-def _run_atax(mode: str, size: int, seed: int):
-    from ..apps.atax import atax_reference, atax_streaming
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((size, size)).astype(np.float32)
-    x = rng.standard_normal(size).astype(np.float32)
-    ref = atax_reference(a, x)
-    ctx = FblasContext()
-    res = atax_streaming(ctx, ctx.copy_to_device(a, name="A"),
-                         ctx.copy_to_device(x, name="x"),
-                         tile=4, width=4, mode=mode)
-    return res.value, ref
-
-
-def _run_bicg(mode: str, size: int, seed: int):
-    from ..apps.bicg import bicg_reference, bicg_streaming
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((size, size)).astype(np.float32)
-    p = rng.standard_normal(size).astype(np.float32)
-    r = rng.standard_normal(size).astype(np.float32)
-    ref = bicg_reference(a, p, r)
-    ctx = FblasContext()
-    res = bicg_streaming(ctx, ctx.copy_to_device(a, name="A"),
-                         ctx.copy_to_device(p, name="p"),
-                         ctx.copy_to_device(r, name="r"),
-                         tile=4, width=4, mode=mode)
-    return res.value, ref
-
-
-def _run_gemver(mode: str, size: int, seed: int):
-    from ..apps.gemver import gemver_reference, gemver_streaming
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((size, size)).astype(np.float32)
-    vecs = {name: rng.standard_normal(size).astype(np.float32)
-            for name in ("u1", "v1", "u2", "v2", "y", "z")}
-    alpha, beta = 1.25, 0.75
-    ref = gemver_reference(a, vecs["u1"], vecs["v1"], vecs["u2"],
-                           vecs["v2"], vecs["y"], vecs["z"], alpha, beta)
-    ctx = FblasContext()
-    devs = {name: ctx.copy_to_device(arr, name=name)
-            for name, arr in vecs.items()}
-    res = gemver_streaming(ctx, ctx.copy_to_device(a, name="A"),
-                           devs["u1"], devs["v1"], devs["u2"], devs["v2"],
-                           devs["y"], devs["z"], alpha, beta,
-                           tile=4, width=4, mode=mode)
-    return res.value, ref
-
-
-class AppSpec:
-    """One campaign target: how to run it, and what the plan may hit."""
-
-    def __init__(self, name: str, run: Callable,
-                 channels: Sequence[str], kernels: Sequence[str],
-                 buffers: Sequence[str]):
-        self.name = name
-        self.run = run
-        self.channels = tuple(channels)
-        self.kernels = tuple(kernels)
-        self.buffers = tuple(buffers)
-
-
-#: The four Sec. V applications and their fault-target vocabularies
-#: (channel / kernel / buffer names as the streaming builders declare
-#: them; GEMVER's lists span both of its sequential components).
-APPS: Dict[str, AppSpec] = {
-    "axpydot": AppSpec(
-        "axpydot", _run_axpydot,
-        channels=("w", "v", "u", "z", "beta"),
-        kernels=("read_w", "read_v", "read_u", "axpy", "dot", "sink"),
-        buffers=("w", "v", "u")),
-    "atax": AppSpec(
-        "atax", _run_atax,
-        channels=("A", "A1", "A2", "x", "zeros1", "zeros2", "tmp", "y"),
-        kernels=("read_A", "fanout", "read_x", "read_z1", "read_z2",
-                 "gemv", "gemvT", "write_y"),
-        buffers=("A", "x", "atax_y", "atax_z1", "atax_z2")),
-    "bicg": AppSpec(
-        "bicg", _run_bicg,
-        channels=("A", "A1", "A2", "p", "r", "y_q", "y_s", "q", "s"),
-        kernels=("read_A", "fanout", "read_p", "read_r", "read_zn",
-                 "read_zm", "gemv", "gemvT", "write_q", "write_s"),
-        buffers=("A", "p", "r", "bicg_q", "bicg_s")),
-    "gemver": AppSpec(
-        "gemver", _run_gemver,
-        channels=("A", "B1", "B2", "B_to_mem", "B_to_gemv", "u1", "v1",
-                  "u2", "v2", "y", "z", "x", "B", "zeros", "w"),
-        kernels=("read_A", "read_u1", "read_v1", "read_u2", "read_v2",
-                 "read_y", "read_z", "ger1", "ger2", "fanout", "gemvT",
-                 "write_B", "write_x", "read_B", "read_x", "read_zeros",
-                 "gemv", "write_w"),
-        buffers=("A", "u1", "v1", "u2", "v2", "y", "z",
-                 "gemver_B", "gemver_x", "gemver_w")),
-}
+    with runtime.session(kernel_slices=False, occupancy=False,
+                         metrics=False) as tel:
+        spec.run(ctx, spec.draw(np.random.default_rng(0), size),
+                 width=_WIDTH, tile=_TILE)
+    channels = dict.fromkeys(c for r in tel.runs for c in r["channels"])
+    kernels = dict.fromkeys(k for r in tel.runs for k in r["kernels"])
+    return tuple(channels), tuple(kernels), tuple(ctx.mem.buffers)
 
 
 def _matches(value, ref, rtol: float = 1e-3, atol: float = 1e-4) -> bool:
@@ -172,13 +83,16 @@ def _matches(value, ref, rtol: float = 1e-3, atol: float = 1e-4) -> bool:
                             rtol=rtol, atol=atol))
 
 
-def run_trial(spec: AppSpec, seed: int, size: int = 8,
-              recover: bool = True, mode: str = "event",
+def run_trial(app: str, seed: int, targets: Tuple[Tuple[str, ...], ...],
+              size: int = 8, recover: bool = True, mode: str = "event",
               n_faults: int = 0) -> dict:
-    """Run one seeded fault trial of ``spec`` and classify the outcome."""
+    """Run one seeded fault trial of ``app`` and classify the outcome;
+    ``targets`` is its :func:`fault_targets` at ``size``."""
+    from ..apps import APPS
+    spec = APPS[app]
+    channels, kernels, buffers = targets
     plan = FaultPlan.generate(
-        seed, channels=spec.channels, kernels=spec.kernels,
-        buffers=spec.buffers, banks=4,
+        seed, channels=channels, kernels=kernels, buffers=buffers, banks=4,
         n_faults=n_faults or (1 + seed % 3),
         element_horizon=max(16, size * size), cycle_horizon=64 * size)
     # One correlation id per trial: the hang reports and recovery
@@ -186,25 +100,31 @@ def run_trial(spec: AppSpec, seed: int, size: int = 8,
     # campaign JSON joins against any concurrently recorded ledger.
     run_id = mint_run_id()
     record: dict = {
-        "app": spec.name,
+        "app": app,
         "seed": seed,
         "mode": mode,
         "run_id": run_id,
         "planned_faults": len(plan),
         "plan": plan.to_dict(),
     }
+    arrays = spec.draw(np.random.default_rng(seed), size)
+    ref = spec.reference(*arrays, *spec.scalars)
+
+    def attempt(m: str):
+        return spec.run(FblasContext(), arrays, width=_WIDTH, tile=_TILE,
+                        mode=m).value
+
     with correlate(run_id), inject(plan) as ctx:
         outcome = None
         try:
             if recover:
-                out = run_with_recovery(
-                    lambda m: spec.run(m, size, seed),
-                    policy=RetryPolicy(), mode=mode)
-                value, ref = out.result
+                out = run_with_recovery(attempt, policy=RetryPolicy(),
+                                        mode=mode)
+                value = out.result
                 record["recovery"] = out.to_dict()
                 recovered = out.recovered
             else:
-                value, ref = spec.run(mode, size, seed)
+                value = attempt(mode)
                 recovered = False
         except HangError as exc:
             outcome = "hang"
@@ -236,29 +156,31 @@ def run_trial(spec: AppSpec, seed: int, size: int = 8,
     return record
 
 
-def run_campaign(seed: int = 7,
-                 apps: Sequence[str] = ("atax", "axpydot", "bicg", "gemver"),
+def run_campaign(seed: int = 7, apps: Optional[Sequence[str]] = None,
                  budget: int = 20, size: int = 8, recover: bool = True,
                  mode: str = "event") -> dict:
     """Sweep ``budget`` seeded trials round-robin over ``apps``.
 
-    Trial ``i`` uses seed ``seed * 1000 + i``, so campaigns are exactly
+    ``apps`` defaults to every catalogue app in sorted order.  Trial
+    ``i`` uses seed ``seed * 1000 + i``, so campaigns are exactly
     reproducible and disjoint seeds explore disjoint plans.  Returns the
     full JSON-able campaign document (schema ``repro.faultcampaign/1``).
     """
+    from ..apps import APPS
+    apps = tuple(sorted(APPS) if apps is None else apps)
     unknown = [a for a in apps if a not in APPS]
-    if unknown:
+    if unknown or not apps:
         raise ValueError(
-            f"unknown app(s) {unknown}; choose from {sorted(APPS)}")
-    specs = [APPS[a] for a in apps]
+            f"apps must name some of {sorted(APPS)}, got {list(apps)}")
+    targets = {a: fault_targets(a, size) for a in apps}
     trials = []
     for i in range(budget):
-        spec = specs[i % len(specs)]
-        trials.append(run_trial(spec, seed * 1000 + i, size=size,
-                                recover=recover, mode=mode))
+        app = apps[i % len(apps)]
+        trials.append(run_trial(app, seed * 1000 + i, targets[app],
+                                size=size, recover=recover, mode=mode))
     summary: Dict[str, int] = {o: 0 for o in OUTCOMES}
     per_app: Dict[str, Dict[str, int]] = {
-        s.name: {o: 0 for o in OUTCOMES} for s in specs}
+        a: {o: 0 for o in OUTCOMES} for a in apps}
     counters = {"faults_injected": 0, "retries": 0, "demotions": 0}
     unexplained = 0
     for t in trials:

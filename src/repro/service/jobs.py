@@ -12,8 +12,8 @@ Three shapes of work, mirroring how the repository's layers are used:
   caller-supplied function onto a fresh engine/context pair.  This is
   the kind admission control can *prove* things about: the FBxxx
   pre-flight runs on the built design before the job is queued.
-* :class:`AppJob` — an opaque callable given the engine mode (the
-  fault-campaign ``AppSpec.run`` shape); admitted as-is.
+* :class:`AppJob` — an opaque callable given the engine mode, e.g. a
+  catalogue ``repro.apps.AppSpec.run`` over bound operands; admitted as-is.
 """
 
 from __future__ import annotations

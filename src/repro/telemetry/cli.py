@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -50,25 +50,24 @@ __all__ = ["main", "TELEMETRY_SCHEMA"]
 #: Schema tag of the ``--metrics`` JSON document.
 TELEMETRY_SCHEMA = "repro.telemetry/1"
 
-_APPS = ("axpydot", "bicg", "atax", "gemver")
-
 
 def _build_parser() -> argparse.ArgumentParser:
+    from ..apps.catalogue import APPS, positive_int
     p = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
         description="Run a streaming composition with telemetry attached.")
-    p.add_argument("app", choices=_APPS + ("drift", "report"),
+    p.add_argument("app", choices=(*APPS, "drift", "report"),
                    help="composition to run, 'drift' for the "
                         "model-vs-measured sweep, or 'report' to render "
                         "a run-ledger JSONL as a fleet table")
     p.add_argument("path", nargs="?", default=None,
                    help="ledger JSONL path (required by 'report', "
                         "meaningless otherwise)")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=positive_int, default=None,
                    help="problem size (vector length / matrix side)")
-    p.add_argument("--width", type=int, default=None,
+    p.add_argument("--width", type=positive_int, default=None,
                    help="vectorization width of the modules")
-    p.add_argument("--tile", type=int, default=8,
+    p.add_argument("--tile", type=positive_int, default=8,
                    help="tile size for the level-2 compositions")
     p.add_argument("--engine-mode", choices=ENGINE_MODES,
                    default="event", dest="mode",
@@ -94,47 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_THRESHOLD,
                    help="relative error above which drift is flagged")
     return p
-
-
-def _run_app(app: str, n: Optional[int], width: Optional[int], tile: int,
-             mode: str, seed: int) -> Any:
-    """Build inputs and run one streaming composition; returns AppResult."""
-    rng = np.random.default_rng(seed)
-    ctx = FblasContext()
-    f32 = np.float32
-
-    def vec(k: int) -> Any:
-        return ctx.copy_to_device(rng.standard_normal(k).astype(f32))
-
-    def mat(r: int, c: int) -> Any:
-        return ctx.copy_to_device(rng.standard_normal((r, c)).astype(f32))
-
-    if app == "axpydot":
-        from ..apps.axpydot import axpydot_streaming
-        n = n or 4096
-        width = width or 16
-        return axpydot_streaming(ctx, vec(n), vec(n), vec(n), 0.75,
-                                 width=width, mode=mode)
-    if app == "bicg":
-        from ..apps.bicg import bicg_streaming
-        n = n or 64
-        width = width or 8
-        return bicg_streaming(ctx, mat(n, n), vec(n), vec(n),
-                              tile=tile, width=width, mode=mode)
-    if app == "atax":
-        from ..apps.atax import atax_streaming
-        n = n or 64
-        width = width or 8
-        return atax_streaming(ctx, mat(n, n), vec(n),
-                              tile=tile, width=width, mode=mode)
-    if app == "gemver":
-        from ..apps.gemver import gemver_streaming
-        n = n or 32
-        width = width or 8
-        return gemver_streaming(ctx, mat(n, n), vec(n), vec(n), vec(n),
-                                vec(n), vec(n), vec(n), 1.5, -0.5,
-                                tile=tile, width=width, mode=mode)
-    raise ValueError(f"unknown app {app!r}")       # pragma: no cover
 
 
 def _report_command(path: Optional[str], threshold: float) -> int:
@@ -173,10 +131,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"drift JSON written to {args.metrics}")
         return 1 if rep.flagged() else 0
 
+    from ..apps import APPS
+    spec = APPS[args.app]
+    arrays = spec.draw(np.random.default_rng(args.seed), args.n or spec.n)
     try:
         with runtime.session(ledger_path=args.ledger) as tel:
-            result = _run_app(args.app, args.n, args.width, args.tile,
-                              args.mode, args.seed)
+            result = spec.run(FblasContext(), arrays,
+                              width=args.width or spec.width,
+                              tile=args.tile, mode=args.mode)
     except AnalysisError as exc:
         # certified mode rejects non-certifiable designs before cycle 0
         # (e.g. the default width 16 exceeds the per-bank DRAM budget).

@@ -41,7 +41,7 @@ from ..models.performance import pipeline_cycles
 from ..plan import PlanIR, compile_plan
 
 __all__ = ["DriftEntry", "DriftReport", "entries_for", "entries_from_plan",
-           "drift_report", "DRIFT_SCHEMA", "DEFAULT_THRESHOLD", "APPS"]
+           "drift_report", "probe", "DRIFT_SCHEMA", "DEFAULT_THRESHOLD"]
 
 #: Schema tag for serialized drift reports.
 DRIFT_SCHEMA = "repro.drift/1"
@@ -150,117 +150,77 @@ def entries_from_plan(app: str, plan: PlanIR, measured_cycles: float,
 # Per-application measured-vs-modeled probes (small, deterministic sizes)
 # ---------------------------------------------------------------------------
 
-def _rng() -> np.random.Generator:
-    return np.random.default_rng(7)
-
-
-def drift_axpydot(n: int = 2048, width: int = 16,
-                  mode: str = "event") -> List[DriftEntry]:
-    from ..apps.axpydot import axpydot_mdag, axpydot_streaming
-    rng = _rng()
-    ctx = FblasContext()
-    w = ctx.copy_to_device(rng.standard_normal(n).astype(np.float32))
-    v = ctx.copy_to_device(rng.standard_normal(n).astype(np.float32))
-    u = ctx.copy_to_device(rng.standard_normal(n).astype(np.float32))
-    res = axpydot_streaming(ctx, w, v, u, 0.75, width=width, mode=mode)
+def _axpydot_model(n: int, width: int) -> Tuple[float, float]:
     model = iomodel.axpydot(
         n, l_copy=0,                            # the copy module is fused away
         l_axpy=level1_latency("map", width, "single"),
         l_dot=level1_latency("map_reduce", width, "single"),
         width=width)
-    plan = compile_plan(axpydot_mdag(n)).with_predictions(
-        cycles_lo=model.streaming_cycles, cycles_hi=model.streaming_cycles,
-        io_elements=model.streaming_io)
-    return entries_from_plan("axpydot", plan, res.cycles, res.io_elements)
+    return model.streaming_cycles, model.streaming_io
 
 
-def drift_bicg(n: int = 64, m: int = 64, tile: int = 8, width: int = 8,
-               mode: str = "event") -> List[DriftEntry]:
-    from ..apps.bicg import bicg_mdag, bicg_streaming
-    rng = _rng()
-    ctx = FblasContext()
-    a = ctx.copy_to_device(rng.standard_normal((n, m)).astype(np.float32))
-    p = ctx.copy_to_device(rng.standard_normal(m).astype(np.float32))
-    r = ctx.copy_to_device(rng.standard_normal(n).astype(np.float32))
-    res = bicg_streaming(ctx, a, p, r, tile=tile, width=width, mode=mode)
+def _bicg_model(n: int, width: int) -> Tuple[float, float]:
     model = iomodel.bicg(
-        n, m, l_gemv=level1_latency("map_reduce", width, "single"),
+        n, n, l_gemv=level1_latency("map_reduce", width, "single"),
         width=width)
-    plan = compile_plan(bicg_mdag(n, m, tile, tile)).with_predictions(
-        cycles_lo=model.streaming_cycles, cycles_hi=model.streaming_cycles,
-        io_elements=model.streaming_io)
-    return entries_from_plan("bicg", plan, res.cycles, res.io_elements)
+    return model.streaming_cycles, model.streaming_io
 
 
-def drift_atax(m: int = 64, n: int = 64, tile: int = 8, width: int = 8,
-               mode: str = "event") -> List[DriftEntry]:
-    from ..apps.atax import atax_mdag, atax_streaming
-    rng = _rng()
-    ctx = FblasContext()
-    a = ctx.copy_to_device(rng.standard_normal((m, n)).astype(np.float32))
-    x = ctx.copy_to_device(rng.standard_normal(n).astype(np.float32))
-    res = atax_streaming(ctx, a, x, tile=tile, width=width, mode=mode)
+def _atax_model(n: int, width: int) -> Tuple[float, float]:
     lat = level1_latency("map_reduce", width, "single")
     # The fan-out serializes the two GEMVs (see module docstring): the
     # matrix effectively streams through the chained pipeline twice.
-    modeled_cycles = pipeline_cycles(2 * lat, 1, 2 * math.ceil(m * n / width))
-    modeled_io = iomodel.atax_io(n, m, streaming_valid=True)
-    plan = compile_plan(atax_mdag(m, n, tile, tile)).with_predictions(
-        cycles_lo=modeled_cycles, cycles_hi=modeled_cycles,
-        io_elements=modeled_io)
-    return entries_from_plan("atax", plan, res.cycles, res.io_elements)
+    return (pipeline_cycles(2 * lat, 1, 2 * math.ceil(n * n / width)),
+            iomodel.atax_io(n, n, streaming_valid=True))
 
 
-def drift_gemver(n: int = 32, tile: int = 8, width: int = 8,
-                 mode: str = "event") -> List[DriftEntry]:
-    from ..apps.gemver import gemver_full_streaming_mdag, gemver_streaming
-    rng = _rng()
-    ctx = FblasContext()
-    f32 = np.float32
-    a = ctx.copy_to_device(rng.standard_normal((n, n)).astype(f32))
-    u1 = ctx.copy_to_device(rng.standard_normal(n).astype(f32))
-    v1 = ctx.copy_to_device(rng.standard_normal(n).astype(f32))
-    u2 = ctx.copy_to_device(rng.standard_normal(n).astype(f32))
-    v2 = ctx.copy_to_device(rng.standard_normal(n).astype(f32))
-    y = ctx.copy_to_device(rng.standard_normal(n).astype(f32))
-    z = ctx.copy_to_device(rng.standard_normal(n).astype(f32))
-    res = gemver_streaming(ctx, a, u1, v1, u2, v2, y, z, 1.5, -0.5,
-                           tile=tile, width=width, mode=mode)
+def _gemver_model(n: int, width: int) -> Tuple[float, float]:
     l_map = level1_latency("map", width, "single")
     l_red = level1_latency("map_reduce", width, "single")
-    model = iomodel.gemver(n, l_mod=l_red, width=width)
     # Component 1 chains GER -> GER -> GEMV^T (two map depths plus one
     # reduce depth); component 2 is the lone GEMV.  Each streams N^2/W
     # blocks.
     steps = math.ceil(n * n / width)
-    modeled_cycles = (pipeline_cycles(2 * l_map + l_red, 1, steps)
-                      + pipeline_cycles(l_red, 1, steps))
-    plan = compile_plan(gemver_full_streaming_mdag(n, tile)).with_predictions(
-        cycles_lo=modeled_cycles, cycles_hi=modeled_cycles,
-        io_elements=model.streaming_io)
-    return entries_from_plan("gemver", plan, res.cycles, res.io_elements)
+    return (pipeline_cycles(2 * l_map + l_red, 1, steps)
+            + pipeline_cycles(l_red, 1, steps),
+            iomodel.gemver(n, l_mod=l_red, width=width).streaming_io)
 
 
-_PROBES: Dict[str, Callable[..., List[DriftEntry]]] = {
-    "axpydot": drift_axpydot,
-    "bicg": drift_bicg,
-    "atax": drift_atax,
-    "gemver": drift_gemver,
+#: One row per catalogue app: its closed form ``(n, width) -> (cycles,
+#: io_elements)`` and the size, tile and width the sweep runs it at.
+_MODELS: Dict[str, Tuple[Callable[[int, int], Tuple[float, float]],
+                         int, int, int]] = {
+    "axpydot": (_axpydot_model, 2048, 8, 16),
+    "bicg": (_bicg_model, 64, 8, 8),
+    "atax": (_atax_model, 64, 8, 8),
+    "gemver": (_gemver_model, 32, 8, 8),
 }
 
-#: The applications the full drift sweep covers.
-APPS: Tuple[str, ...] = tuple(_PROBES)
+
+def probe(app: str, n: int, tile: int, width: int,
+          mode: str = "event") -> List[DriftEntry]:
+    """Run catalogue app ``app`` at one size against its closed form,
+    stamped into the predictions of the app's compiled MDAG plan."""
+    from ..apps import APPS
+    spec = APPS[app]
+    res = spec.run(FblasContext(), spec.draw(np.random.default_rng(7), n),
+                   width=width, tile=tile, mode=mode)
+    cycles, io = _MODELS[app][0](n, width)
+    plan = compile_plan(spec.mdag()).with_predictions(
+        cycles_lo=cycles, cycles_hi=cycles, io_elements=io)
+    return entries_from_plan(app, plan, res.cycles, res.io_elements)
 
 
 def drift_report(apps: Optional[Sequence[str]] = None,
                  threshold: float = DEFAULT_THRESHOLD,
                  mode: str = "event") -> DriftReport:
-    """Run the drift sweep for ``apps`` (default: all four)."""
+    """Run the drift sweep for ``apps`` (default: every catalogue app)."""
+    from ..apps import APPS
     entries: List[DriftEntry] = []
     for app in (apps or APPS):
-        probe = _PROBES.get(app)
-        if probe is None:
+        if app not in _MODELS:
             raise ValueError(
-                f"unknown app {app!r}; expected one of {', '.join(APPS)}")
-        entries.extend(probe(mode=mode))
+                f"unknown app {app!r}; expected one of {', '.join(_MODELS)}")
+        _model, n, tile, width = _MODELS[app]
+        entries.extend(probe(app, n, tile, width, mode=mode))
     return DriftReport(entries, threshold)

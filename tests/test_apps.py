@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import (
+    APPS,
     atax_broken,
     atax_host,
     atax_mdag,
@@ -173,6 +174,7 @@ class TestAtax:
                           ctx.copy_to_device(x), tile=4, width=4)
         np.testing.assert_allclose(res.value, atax_reference(a, x),
                                    rtol=1e-3, atol=1e-3)
+        assert res.kernel_steps > res.cycles     # several kernels live
 
     def test_broken_reads_a_twice(self):
         a, x = self._arrays()
@@ -268,31 +270,22 @@ class TestOneContextServesRepeatedCalls:
     (fault plans and reports refer to them); later calls take a free
     one instead of dying in ``DramModel.bind``."""
 
-    N, TILE, W = 16, 4, 4
+    N = 16
 
-    def _cases(self):
-        a = _mat(self.N, self.N)
-        vecs = [_vec(self.N) for _ in range(6)]
-        sized = dict(tile=self.TILE, width=self.W)
-        return {
-            "axpydot": (axpydot_streaming, vecs[:3], (0.7,), dict(width=8)),
-            "atax": (atax_streaming, [a, vecs[0]], (), sized),
-            "atax_broken": (atax_broken, [a, vecs[0]], (), sized),
-            "bicg": (bicg_streaming, [a] + vecs[:2], (), sized),
-            "gemver": (gemver_streaming, [a] + vecs, (1.2, 0.8), sized),
-        }
-
-    @pytest.mark.parametrize(
-        "app", ("axpydot", "atax", "atax_broken", "bicg", "gemver"))
+    @pytest.mark.parametrize("app", sorted([*APPS, "atax_broken"]))
     def test_same_bytes_and_cycles_every_call(self, app):
-        run, arrays, scalars, kwargs = self._cases()[app]
+        spec = APPS["atax" if app == "atax_broken" else app]
+        run = atax_broken if app == "atax_broken" else spec.streaming
+        kwargs = dict(width=4)
+        if any(rank == 2 for _name, rank in spec.operands):
+            kwargs["tile"] = 4
         ctx = FblasContext()
-        bufs = [ctx.copy_to_device(x) for x in arrays]
+        bufs = [ctx.copy_to_device(x) for x in spec.draw(RNG, self.N)]
         first_names = None
         results = []
         for _ in range(3):
             before = set(ctx.mem.buffers)
-            res = run(ctx, *bufs, *scalars, **kwargs)
+            res = run(ctx, *bufs, *spec.scalars, **kwargs)
             value = res.value if isinstance(res.value, tuple) else (res.value,)
             results.append((tuple(np.asarray(v).tobytes() for v in value),
                             res.cycles, res.io_elements))

@@ -403,3 +403,20 @@ class TestCampaignSmoke:
         assert "axpydot" in text
         assert "faults injected:" in text
         assert "unexplained hangs: 0" in text
+
+
+class TestCampaignCliUsage:
+    """A typo or a nonsense size is argparse's one-line usage error (exit
+    2), never a traceback or a silent no-op: exit 1 means an unexplained
+    hang to CI."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--apps", "nope"], ["--apps", ","], ["--n", "0"], ["--budget", "0"],
+    ], ids=["apps-unknown", "apps-empty", "n-zero", "budget-zero"])
+    def test_bad_argument_is_a_usage_error(self, argv, capsys):
+        from repro.faults.__main__ import main
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[0]}" in err and "Traceback" not in err

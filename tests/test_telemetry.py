@@ -524,8 +524,8 @@ class TestDrift:
         assert "FLAGGED" in report.table()
 
     def test_axpydot_probe_unflagged(self):
-        from repro.telemetry.drift import drift_axpydot
-        entries = drift_axpydot(n=1024, width=16)
+        from repro.telemetry.drift import probe
+        entries = probe("axpydot", n=1024, tile=8, width=16)
         assert all(not e.flagged() for e in entries), entries
 
     def test_rel_error_edge_cases(self):

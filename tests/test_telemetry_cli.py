@@ -38,6 +38,20 @@ class TestExitCodes:
         assert rc == 2
         assert "only applies to 'report'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["atax", "--width", "0"], ["atax", "--n", "0"],
+        ["bicg", "--n", "-3"], ["gemver", "--tile", "0"],
+        ["atax", "--tile", "-2"],
+    ], ids=["width-zero", "n-zero", "n-negative", "tile-zero",
+            "tile-negative"])
+    def test_nonpositive_size_is_a_usage_error(self, argv, capsys):
+        """Sizes are positive ints: no silent default, no traceback."""
+        with pytest.raises(SystemExit) as exc:
+            telemetry_main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: expected a positive integer" in \
+            capsys.readouterr().err
+
 
 class TestLedgerArtifacts:
     def test_ledger_and_prometheus_written(self, tmp_path, capsys):
