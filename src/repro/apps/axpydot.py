@@ -109,14 +109,25 @@ def streamed_app(routine_class: str, scalar_outputs: int = 0):
     the decorated call returns its :class:`AppResult`: cycles and kernel
     steps sum the reports, I/O is the DRAM delta plus ``scalar_outputs``
     (results read back without a DRAM buffer, like AXPYDOT's beta);
-    seconds use ``routine_class``'s modeled frequency."""
+    seconds use ``routine_class``'s modeled frequency.
+
+    The buffers the body binds (outputs, zero addends, intermediates)
+    are released once its value is copied out and the I/O counted —
+    also when it raises — so a reused context holds only its caller's
+    buffers between calls."""
     def decorate(body):
         @functools.wraps(body)
         def run(ctx: FblasContext, a, *args, **kwargs) -> AppResult:
-            io_before = ctx.mem.total_elements_moved
-            value, reports = body(ctx, a, *args, **kwargs)
+            mem = ctx.mem
+            bound = len(mem.buffers)
+            io_before = mem.total_elements_moved
+            try:
+                value, reports = body(ctx, a, *args, **kwargs)
+                io = mem.total_elements_moved - io_before + scalar_outputs
+            finally:
+                for name in list(mem.buffers)[bound:]:
+                    mem.release(name)
             cycles = sum(r.cycles for r in reports)
-            io = ctx.mem.total_elements_moved - io_before + scalar_outputs
             precision = "single" if a.data.dtype == np.float32 else "double"
             return AppResult(
                 value, cycles, io,

@@ -61,8 +61,10 @@ _TILE = _WIDTH = 4
 
 def fault_targets(app: str, size: int) -> Tuple[Tuple[str, ...], ...]:
     """``(channels, kernels, buffers)`` a plan may hit in ``app``, read
-    off one clean run at ``size``: channels and kernels in registration
-    order from a ledger-lite session, buffers in binding order."""
+    off one clean ledger-lite run at ``size``: channels and kernels in
+    registration order, buffers in binding order — the placements the
+    engine runs' ledger records saw, since the app releases its own
+    buffers when it returns."""
     from ..apps import APPS
     from ..telemetry import runtime
     spec = APPS[app]
@@ -73,7 +75,10 @@ def fault_targets(app: str, size: int) -> Tuple[Tuple[str, ...], ...]:
                  width=_WIDTH, tile=_TILE)
     channels = dict.fromkeys(c for r in tel.runs for c in r["channels"])
     kernels = dict.fromkeys(k for r in tel.runs for k in r["kernels"])
-    return tuple(channels), tuple(kernels), tuple(ctx.mem.buffers)
+    buffers = dict.fromkeys(b for r in tel.ledger.records()
+                            if r.kind == "engine.run"
+                            for b in r.memory["placements"])
+    return tuple(channels), tuple(kernels), tuple(buffers)
 
 
 def _matches(value, ref, rtol: float = 1e-3, atol: float = 1e-4) -> bool:

@@ -180,11 +180,11 @@ def _flow_peak(ch, w, eff, push, pop, offs, K):
     return min(ch.depth, max(occ, int(np.maximum.reduce(level))))
 
 
-def _flow_occupancy(ch, w, eff, push, pop, offs, K):
+def _flow_occupancy(ch, t, w, eff, push, pop, K):
     """Post-maturation FIFO occupancy of each of a window's ``K`` cycles
     — the samples the event core's ``on_cycle`` would have taken —
     run-length encoded in time order as ``[(occupancy, cycles), ...]``;
-    arguments as in :func:`_flow_bound`.
+    ``t`` is the window's first cycle, the rest as in :func:`_flow_bound`.
 
     By cycle ``j`` the channel has been offered its ``occ`` visible
     elements, the staged ones whose offset is at most ``j`` and the
@@ -192,23 +192,63 @@ def _flow_occupancy(ch, w, eff, push, pop, offs, K):
     taken ``w * j``.  Maturation admits what is due only up to
     ``depth`` and the overflow waits its turn, so the FIFO holds the
     smaller of that balance and ``depth``.
+
+    That balance is linear between breakpoints — a staged burst
+    maturing, the first push arriving — with slope ``-w``, ``0`` or
+    ``+w``, so each segment is emitted whole: one run where it is flat
+    or capped at ``depth``, one run per cycle where it moves.  The cost
+    is one step per staged burst plus one per run emitted; a steady
+    window with a short staged tail is a single run.
     """
-    n = K
-    if push and pop:
-        # Net rate 0: the balance stops changing once the staged
-        # backlog has matured and the window's first push has arrived.
-        n = min(K, max(eff, int(offs[-1]) + 1 if offs is not None else 0))
-    j = np.arange(n)
-    level = len(ch._fifo) - w * j if pop else np.full(n, len(ch._fifo))
-    if offs is not None:
-        level += offs.searchsorted(j, side="right")
+    depth = ch.depth
+    # Elements due by each distinct maturation offset, head-of-line
+    # ordered (a burst matures no earlier than its predecessor).
+    due_at = {}
+    due = off = 0
+    for ready, values in ch._staged:
+        if ready - t > off:
+            off = ready - t
+        due += len(values)
+        due_at[off] = due
+    marks = set(due_at)
     if push:
-        level += w * np.maximum(j - eff + 1, 0)
-    np.minimum(level, ch.depth, out=level)
-    starts = np.flatnonzero(np.diff(level, prepend=level[0] - 1))
-    cycles = np.diff(starts, append=n)
-    cycles[-1] += K - n
-    return list(zip(level[starts].tolist(), cycles.tolist()))
+        marks.add(eff - 1)              # the first push arrives at eff
+    marks = sorted([m for m in marks if 0 < m < K])
+    marks.append(K)
+    runs = []
+    due = due_at.get(0, 0)
+    occ = len(ch._fifo)
+    j = 0
+    for end in marks:
+        rate = (w if push and j >= eff - 1 else 0) - (w if pop else 0)
+        level = (occ + due - (w * j if pop else 0)
+                 + (w * (j - eff + 1) if push and j >= eff - 1 else 0))
+        n = end - j
+        if rate == 0:
+            _emit(runs, min(level, depth), n)
+        elif rate > 0:
+            below = min(n, max(0, -(-(depth - level) // rate)))
+            for i in range(below):
+                _emit(runs, level + i * rate, 1)
+            if n > below:
+                _emit(runs, depth, n - below)
+        else:
+            above = min(n, max(0, (level - depth) // -rate + 1))
+            if above:
+                _emit(runs, depth, above)
+            for i in range(above, n):
+                _emit(runs, level + i * rate, 1)
+        j = end
+        due = due_at.get(j, due)
+    return runs
+
+
+def _emit(runs, occupancy, cycles):
+    """Append ``cycles`` samples of ``occupancy`` to a run-length list."""
+    if runs and runs[-1][0] == occupancy:
+        runs[-1] = (occupancy, runs[-1][1] + cycles)
+    else:
+        runs.append((occupancy, cycles))
 
 
 class WindowScheduler(WakeListScheduler):
@@ -465,9 +505,9 @@ class WindowScheduler(WakeListScheduler):
             ops += [(k, ch, "push", w) for ch, w, _lat in p.writes]
         occupancy = {}
         for ch, port in ports.items():
-            pk, ck, w, eff, offs, _ = port
+            pk, ck, w, eff = port[:4]
             runs = occupancy[ch] = _flow_occupancy(
-                ch, w, eff, pk is not None, ck is not None, offs, K)
+                ch, t, w, eff, pk is not None, ck is not None, K)
             # The series is already capped at depth; its maximum is the
             # peak _execute_window would otherwise ask _flow_peak for.
             port[5] = max(occ for occ, _n in runs)

@@ -180,6 +180,9 @@ class DramModel:
         #: unaligned cost the HyperFlex optimization).
         self.stride_penalty = stride_penalty
         self.buffers: Dict[str, DramBuffer] = {}
+        # placement_summary() of the current layout; bind and release
+        # drop it.
+        self._summary: Optional[dict] = None
         self.bank_stats = [BankStats() for _ in range(num_banks)]
         self._budget = [0] * num_banks
         self._pool_budget = 0
@@ -238,6 +241,7 @@ class DramModel:
             self._next_bank = (self._next_bank + 1) % self.num_banks
         buf = DramBuffer(name, np.array(data, copy=True), bank, placement)
         self.buffers[name] = buf
+        self._summary = None
         return buf
 
     def release(self, name: str) -> None:
@@ -251,6 +255,7 @@ class DramModel:
         buffer keep their (now unbound) storage alive.
         """
         del self.buffers[name]
+        self._summary = None
 
     # -- per-cycle bandwidth ------------------------------------------------
     def begin_cycle(self, cycle: int) -> None:
@@ -335,8 +340,13 @@ class DramModel:
         """Compact description of where every buffer lives.
 
         The run ledger stamps this on each :class:`RunRecord` so fleet
-        reports can split results by device and memory layout.
+        reports can split results by device and memory layout.  It is
+        built once per layout — :meth:`bind` and :meth:`release` drop
+        it — and shared by every run on that layout: read it, never
+        mutate it.
         """
+        if self._summary is not None:
+            return self._summary
         by_kind: Dict[str, int] = {}
         placements: Dict[str, str] = {}
         for name, buf in self.buffers.items():
@@ -345,13 +355,14 @@ class DramModel:
             by_kind[kind] = by_kind.get(kind, 0) + 1
             placements[name] = ("interleaved" if buf.placement is None
                                 else buf.placement.describe())
-        return {
+        self._summary = {
             "device": self.device_label,
             "channels": self.num_banks,
             "buffers": len(self.buffers),
             "by_kind": by_kind,
             "placements": placements,
         }
+        return self._summary
 
     @property
     def total_elements_moved(self) -> int:

@@ -239,7 +239,11 @@ class StallChainProfiler(EngineObserver):
     def on_channel_op(self, t: int, kernel, channel, kind: str,
                       count: int) -> None:
         side = self.producers if kind == "push" else self.consumers
-        side.setdefault(channel.name, set()).add(kernel.name)
+        names = side.get(channel.name)
+        if names is None:
+            side[channel.name] = {kernel.name}
+        else:
+            names.add(kernel.name)
 
     def on_window(self, start: int, cycles: int, window: Window) -> None:
         for k, state in window.states:

@@ -87,8 +87,9 @@ class WakeListScheduler:
         self._live = 0
         self._stepped = 0                 # cycles executed, not jumped
         self._observers = list(engine._observers)
-        self._wants_states = any(o.wants_kernel_states
-                                 for o in self._observers)
+        # The per-cycle kernel sweep feeds these; empty, it is skipped.
+        self._state_hooks = [o.on_kernel_state for o in self._observers
+                             if o.wants_kernel_states]
 
     # -- channel event sink (bound via Channel.bind_events) -----------------
     def on_staged(self, ch: Channel, ready_cycle: int) -> None:
@@ -288,7 +289,8 @@ class WakeListScheduler:
                 self._progressed = True
         self._step_idx = -1
         # Phase 2: observer sweep (exactly the dense per-cycle record).
-        if self._wants_states:
+        hooks = self._state_hooks
+        if hooks:
             for k in self.kernels:
                 if k._last_stepped == t:
                     state = "#" if k._last_progress else "s"
@@ -298,9 +300,8 @@ class WakeListScheduler:
                     state = "z"
                 else:
                     state = "s"
-                for o in observers:
-                    if o.wants_kernel_states:
-                        o.on_kernel_state(t, k, state)
+                for hook in hooks:
+                    hook(t, k, state)
         # Phase 3: deadlock detection, same condition as the dense schedule.
         if not self._progressed and self._live:
             sleepers = any(not k.done and k.sleep_until > t
@@ -323,12 +324,10 @@ class WakeListScheduler:
         if observers:
             for o in observers:
                 o.on_cycle(t)
-            if self._wants_states:
-                for k in self.kernels:
-                    state = "-" if k.done else "s"
-                    for o in observers:
-                        if o.wants_kernel_states:
-                            o.on_kernel_state(t, k, state)
+            for k in self.kernels:
+                state = "-" if k.done else "s"
+                for hook in self._state_hooks:
+                    hook(t, k, state)
         self._raise_deadlock(t)
 
     def _charge_stalls(self, t: int) -> None:
@@ -516,6 +515,7 @@ class DenseScheduler(WakeListScheduler):
         if eng.memory is not None:
             eng.memory.begin_cycle(t)
         sleepers = False
+        hooks = self._state_hooks
         for k in self.kernels:
             if k.done:
                 state = "-"
@@ -527,10 +527,8 @@ class DenseScheduler(WakeListScheduler):
                 state = "#"
             else:
                 state = "s"
-            if self._wants_states:
-                for o in observers:
-                    if o.wants_kernel_states:
-                        o.on_kernel_state(t, k, state)
+            for hook in hooks:
+                hook(t, k, state)
         if not (progressed or sleepers) and self._live and not any(
                 ch.can_mature_later() for ch in self.channels):
             self._raise_deadlock(t)

@@ -184,7 +184,8 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
         recs = self.context.records
         before = len(recs)
         prior_recovery = self.last_recovery
-        sc0 = self._schedule_cache.stats()
+        cache = self._schedule_cache
+        hits0, misses0 = cache.hits, cache.misses
         with tel.span("host.call", cat="host") as sp, \
                 run_scope(tel.ledger, "host.call",
                           engine_mode=self.engine_mode) as lrec:
@@ -198,9 +199,8 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
                 sp.args["cycles"] = sum(r.cycles for r in new)
                 lrec.label = new[-1].routine
                 lrec.cycles = sum(r.cycles for r in new)
-            sc1 = self._schedule_cache.stats()
-            lrec.schedule_cache = {"hits": sc1["hits"] - sc0["hits"],
-                                   "misses": sc1["misses"] - sc0["misses"]}
+            lrec.schedule_cache = {"hits": cache.hits - hits0,
+                                   "misses": cache.misses - misses0}
             if self.last_recovery is not prior_recovery:
                 outcome = self.last_recovery
                 lrec.recovery = outcome.to_dict()

@@ -52,7 +52,7 @@ class PlanCache:
             tel.registry.counter(
                 "plan_cache.requests",
                 "compiled-plan / certificate cache lookups by outcome",
-            ).inc(1, cache=self.name, result=result)
+            ).add((("cache", self.name), ("result", result)), 1)
 
     def get(self, key: Any, default: Optional[Any] = None) -> Any:
         store = self._store

@@ -284,11 +284,24 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "RunRecord":
+        """Rebuild a record from :meth:`to_dict` output.
+
+        A document of the wrong shape — not an object, a field that
+        should be an object or a ``[lo, hi]`` band and is not, a count
+        that is not a number — raises :class:`ValueError` naming the
+        field (a missing ``run_id`` / ``kind`` raises :class:`KeyError`).
+        """
+        if not isinstance(d, dict):
+            raise ValueError(
+                f"a ledger row is a JSON object, not {type(d).__name__}")
         schema = d.get("schema", RUN_RECORD_SCHEMA)
         if schema != RUN_RECORD_SCHEMA:
             raise ValueError(
                 f"not a {RUN_RECORD_SCHEMA} document: schema={schema!r}")
         pc = d.get("predicted_cycles")
+        if pc and not (isinstance(pc, list) and len(pc) == 2):
+            raise ValueError(
+                f"predicted_cycles must be [lo, hi], not {pc!r}")
         return cls(
             run_id=d["run_id"],
             kind=d["kind"],
@@ -297,31 +310,53 @@ class RunRecord:
             tenant=d.get("tenant"),
             engine_mode=d.get("engine_mode"),
             device_label=d.get("device_label"),
-            memory=(dict(d["memory"])
-                    if d.get("memory") is not None else None),
-            cycles=int(d.get("cycles", 0)),
-            stall_cycles=int(d.get("stall_cycles", 0)),
-            kernel_steps=int(d.get("kernel_steps", 0)),
-            wall_seconds=float(d.get("wall_seconds", 0.0)),
+            memory=_object_field(d, "memory"),
+            cycles=_number_field(d, "cycles", int),
+            stall_cycles=_number_field(d, "stall_cycles", int),
+            kernel_steps=_number_field(d, "kernel_steps", int),
+            wall_seconds=_number_field(d, "wall_seconds", float),
             plan_key=d.get("plan_key"),
             mdag_fingerprint=d.get("mdag_fingerprint"),
-            plan_cache=(dict(d["plan_cache"])
-                        if d.get("plan_cache") is not None else None),
-            schedule_cache=(dict(d["schedule_cache"])
-                            if d.get("schedule_cache") is not None else None),
-            predicted_cycles=(int(pc[0]), int(pc[1])) if pc else None,
+            plan_cache=_object_field(d, "plan_cache"),
+            schedule_cache=_object_field(d, "schedule_cache"),
+            predicted_cycles=((_number(pc[0], "predicted_cycles", int),
+                               _number(pc[1], "predicted_cycles", int))
+                              if pc else None),
             in_band=d.get("in_band"),
-            bulk=dict(d["bulk"]) if d.get("bulk") is not None else None,
+            bulk=_object_field(d, "bulk"),
             fallback_reason=d.get("fallback_reason"),
-            faults_injected=int(d.get("faults_injected", 0)),
-            retries=int(d.get("retries", 0)),
-            demotions=int(d.get("demotions", 0)),
-            recovery=(dict(d["recovery"])
-                      if d.get("recovery") is not None else None),
+            faults_injected=_number_field(d, "faults_injected", int),
+            retries=_number_field(d, "retries", int),
+            demotions=_number_field(d, "demotions", int),
+            recovery=_object_field(d, "recovery"),
             outcome=d.get("outcome", "ok"),
             error=d.get("error"),
-            extra=dict(d.get("extra", {})),
+            extra=_object_field(d, "extra") or {},
         )
+
+
+def _object_field(d: Dict[str, Any],
+                  name: str) -> Optional[Dict[str, Any]]:
+    """A copy of the JSON object ``d[name]``, or None when absent/null."""
+    value = d.get(name)
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, not {value!r}")
+    return dict(value)
+
+
+def _number(value: Any, name: str, kind: type) -> Any:
+    """``kind(value)`` for the field ``name``, or a ValueError naming it."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{name} must be a number, not {value!r}") from None
+
+
+def _number_field(d: Dict[str, Any], name: str, kind: type) -> Any:
+    return _number(d.get(name, 0), name, kind)
 
 
 # -- storage -----------------------------------------------------------------

@@ -25,6 +25,7 @@ telemetry artifacts, benchmark JSON and tests share one format.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
@@ -39,6 +40,10 @@ METRICS_SCHEMA = "repro.metrics/1"
 #: zero gets its own bucket, then powers of two; +inf is implicit.
 DEFAULT_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 
+#: A series key: its ``(label, value)`` pairs in label-name order.
+#: :class:`~repro.telemetry.observers.MetricsObserver` spells the order
+#: of each family it writes once and builds its keys in it, so no update
+#: on the watched path sorts; the keyword API below sorts its labels.
 LabelKey = Tuple[Tuple[str, object], ...]
 
 
@@ -86,11 +91,14 @@ class Counter(Metric):
     kind = "counter"
 
     def inc(self, value: float = 1, **labels: object) -> None:
+        self.add(_key(labels), value)
+
+    def add(self, key: LabelKey, value: float) -> None:
+        """:meth:`inc` the series of an already ordered ``key``."""
         if value < 0:
             raise ValueError(
                 f"counter {self.name!r} cannot decrease (inc {value})")
-        k = _key(labels)
-        self._series[k] = self._series.get(k, 0) + value
+        self._series[key] = self._series.get(key, 0) + value
 
     def get(self, **labels: object) -> float:
         return float(self._series.get(_key(labels), 0))
@@ -107,6 +115,10 @@ class Gauge(Metric):
 
     def set(self, value: float, **labels: object) -> None:
         self._series[_key(labels)] = value
+
+    def put(self, key: LabelKey, value: float) -> None:
+        """:meth:`set` the series of an already ordered ``key``."""
+        self._series[key] = value
 
     def get(self, **labels: object) -> Optional[float]:
         return self._series.get(_key(labels))
@@ -130,7 +142,8 @@ class Histogram(Metric):
     catches the overflow.  ``observe(value, count)`` records ``count``
     identical samples in O(log buckets) — that is what lets the event
     engine's ``on_quiet`` windows fold thousands of constant-occupancy
-    cycles into one call.
+    cycles into one call — and :meth:`fold` records a whole tally of
+    them at once.
     """
 
     kind = "histogram"
@@ -142,27 +155,25 @@ class Histogram(Metric):
             raise ValueError("buckets must be sorted and unique")
         self.buckets = tuple(buckets)
 
-    def _bucket_index(self, value: float) -> int:
-        lo, hi = 0, len(self.buckets)
-        while lo < hi:                         # first bound >= value
-            mid = (lo + hi) // 2
-            if self.buckets[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo                              # == len(buckets) -> +inf
-
     def observe(self, value: float, count: int = 1,
                 **labels: object) -> None:
-        if count < 1:
-            return
-        k = _key(labels)
-        s = self._series.get(k)
+        if count >= 1:
+            self.fold(_key(labels), ((value, count),))
+
+    def fold(self, key: LabelKey,
+             samples: Iterable[Tuple[float, int]]) -> None:
+        """Record ``count`` samples of ``value`` for every ``(value,
+        count)`` in ``samples`` (each ``count`` >= 1) in the series of an
+        already ordered ``key``."""
+        s = self._series.get(key)
         if s is None:
-            s = self._series[k] = _HistSeries(len(self.buckets))
-        s.bucket_counts[self._bucket_index(value)] += count
-        s.count += count
-        s.sum += value * count
+            s = self._series[key] = _HistSeries(len(self.buckets))
+        counts, buckets = s.bucket_counts, self.buckets
+        for value, count in samples:
+            # The first bound >= value; len(buckets) is the +inf bucket.
+            counts[bisect_left(buckets, value)] += count
+            s.count += count
+            s.sum += value * count
 
     def mean(self, **labels: object) -> float:
         s = self._series.get(_key(labels))

@@ -24,8 +24,10 @@ afterwards, so an engine with no active telemetry session never sees
 them (the zero-cost-when-unused contract).
 
 Both define ``on_window`` (a certified superstep folds into the
-histograms, stall charges and slices arithmetically, like an
+occupancy tallies, stall charges and slices arithmetically, like an
 ``on_quiet`` jump), so a watched certified run keeps its windows.
+Neither writes the registry while the run is under way: the metrics
+observer writes each of the run's series once, when it ends.
 
 Both implement the :class:`~repro.fpga.observers.EngineObserver`
 protocol structurally rather than by inheritance, and the profiler is
@@ -37,7 +39,7 @@ import back into ``fpga`` would be a cycle).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 from .spans import Slice
@@ -57,6 +59,15 @@ class MetricsObserver:
     All series carry a ``run`` label so several engine runs in one
     session (a multi-component plan, a host program issuing many calls)
     stay distinguishable while counters still sum to session totals.
+
+    The run is folded once.  During the run the observer only tallies:
+    its profiler charges stalls, and each channel's occupancy samples
+    go into a plain ``{occupancy: cycles}`` dict (one entry per stepped
+    cycle, ``on_quiet`` jump or window run).  :meth:`on_run_end` writes
+    every series of the run, each once; a run that raises instead gets
+    its occupancy series from :meth:`fold_occupancy`, which the session
+    calls before ``Engine.run`` lets the exception out.  Either way the
+    registry is current when the run returns.
     """
 
     wants_kernel_states = True       # drives the stall-cause profiler
@@ -67,57 +78,73 @@ class MetricsObserver:
         self.registry = registry
         self.run = run
         self.occupancy = occupancy
-        self.profiler = StallChainProfiler()
+        prof = self.profiler = StallChainProfiler()
+        # The profiler's per-event hooks are this observer's own: bound
+        # here, the scheduler calls them without a forwarding frame.
+        self.on_kernel_state = prof.on_kernel_state
+        self.on_channel_op = prof.on_channel_op
         self.last_report: Optional[Any] = None
-        self._engine: Optional[Any] = None
+        #: ``(name, channel, {occupancy: cycles})`` per engine channel.
+        self._occ: List[Tuple[str, Any, Dict[int, int]]] = []
+        #: Whether any cycle was sampled since the last fold (a run that
+        #: executed none writes no occupancy family).
+        self._sampled = False
 
-    # -- protocol forwarding -------------------------------------------------
+    # -- protocol ------------------------------------------------------------
     def on_run_start(self, engine: Any) -> None:
-        self._engine = engine
         self.profiler.on_run_start(engine)
+        if self.occupancy:
+            self._occ = [(name, ch, {})
+                         for name, ch in engine.channels.items()]
 
     def on_cycle(self, t: int) -> None:
         if self.occupancy:
-            hist = self.registry.histogram(
-                "channel.occupancy", "per-cycle FIFO occupancy samples")
-            run = self.run
-            for name, ch in self._engine.channels.items():
-                hist.observe(ch.occupancy, run=run, channel=name)
-
-    def on_kernel_state(self, t: int, kernel: Any, state: str) -> None:
-        self.profiler.on_kernel_state(t, kernel, state)
-
-    def on_channel_op(self, t: int, kernel: Any, channel: Any, kind: str,
-                      count: int) -> None:
-        self.profiler.on_channel_op(t, kernel, channel, kind, count)
+            self._sampled = True
+            for _name, ch, tally in self._occ:
+                occ = ch.occupancy
+                tally[occ] = tally.get(occ, 0) + 1
 
     def on_quiet(self, start: int, cycles: int) -> None:
         self.profiler.on_quiet(start, cycles)
         if self.occupancy:
-            hist = self.registry.histogram(
-                "channel.occupancy", "per-cycle FIFO occupancy samples")
-            run = self.run
-            for name, ch in self._engine.channels.items():
-                hist.observe(ch.occupancy, count=cycles, run=run,
-                             channel=name)
+            self._sampled = True
+            for _name, ch, tally in self._occ:
+                occ = ch.occupancy
+                tally[occ] = tally.get(occ, 0) + cycles
 
     def on_window(self, start: int, cycles: int, window: Any) -> None:
         self.profiler.on_window(start, cycles, window)
         if self.occupancy:
-            hist = self.registry.histogram(
-                "channel.occupancy", "per-cycle FIFO occupancy samples")
-            run = self.run
-            for name, ch in self._engine.channels.items():
-                for occ, span in window.occupancy.get(
-                        ch, ((ch.occupancy, cycles),)):
-                    hist.observe(occ, count=span, run=run, channel=name)
+            self._sampled = True
+            runs_of = window.occupancy
+            for _name, ch, tally in self._occ:
+                runs = runs_of.get(ch)
+                if runs is None:
+                    runs = ((ch.occupancy, cycles),)
+                for occ, span in runs:
+                    tally[occ] = tally.get(occ, 0) + span
 
-    # -- aggregation ---------------------------------------------------------
+    # -- the fold ------------------------------------------------------------
+    def fold_occupancy(self) -> None:
+        """Write the tallied occupancy samples (idempotent)."""
+        if not self._sampled:
+            return
+        self._sampled = False
+        hist = self.registry.histogram(
+            "channel.occupancy", "per-cycle FIFO occupancy samples")
+        run = self.run
+        for name, _ch, tally in self._occ:
+            if tally:
+                hist.fold((("channel", name), ("run", run)), tally.items())
+                tally.clear()
+
     def on_run_end(self, report: Any) -> None:
         self.last_report = report
+        self.fold_occupancy()
         reg, run = self.registry, self.run
-        reg.counter("sim.cycles", "simulated cycles per engine run").inc(
-            report.cycles, run=run)
+        by_run = ("run", run)
+        reg.counter("sim.cycles", "simulated cycles per engine run").add(
+            (by_run,), report.cycles)
         util = reg.gauge("kernel.utilization",
                          "fraction of live cycles a kernel did work")
         ii = reg.gauge("kernel.ii",
@@ -130,21 +157,21 @@ class MetricsObserver:
         for name, k in report.kernels.items():
             s = k.stats
             live = s.active_cycles + s.stall_cycles
-            active.inc(s.active_cycles, run=run, kernel=name)
-            stalled.inc(s.stall_cycles, run=run, kernel=name)
-            util.set(s.active_cycles / live if live else 0.0,
-                     run=run, kernel=name)
-            ii.set(float(getattr(k, "ii", 1)), run=run, kernel=name,
-                   kind="declared")
-            ii.set(live / s.active_cycles if s.active_cycles else 0.0,
-                   run=run, kernel=name, kind="achieved")
+            key = (("kernel", name), by_run)
+            active.add(key, s.active_cycles)
+            stalled.add(key, s.stall_cycles)
+            util.put(key, s.active_cycles / live if live else 0.0)
+            ii.put((("kernel", name), ("kind", "declared"), by_run),
+                   float(getattr(k, "ii", 1)))
+            ii.put((("kernel", name), ("kind", "achieved"), by_run),
+                   live / s.active_cycles if s.active_cycles else 0.0)
         cause = reg.counter(
             "kernel.stall_cause_cycles",
             "stalled cycles attributed to a channel and direction")
         for kname, per_chan in self.profiler.stalls.items():
             for (chan, kind), cycles in per_chan.items():
-                cause.inc(cycles, run=run, kernel=kname, channel=chan,
-                          cause=STALL_CAUSES[kind])
+                cause.add((("cause", STALL_CAUSES[kind]), ("channel", chan),
+                           ("kernel", kname), by_run), cycles)
         pushes = reg.counter("channel.pushes", "elements pushed")
         pops = reg.counter("channel.pops", "elements popped")
         push_stall = reg.counter("channel.push_stall_cycles",
@@ -155,11 +182,12 @@ class MetricsObserver:
                             "highwater FIFO occupancy")
         for name, ch in report.channels.items():
             st = ch.stats
-            pushes.inc(st.pushes, run=run, channel=name)
-            pops.inc(st.pops, run=run, channel=name)
-            push_stall.inc(st.stalled_push_cycles, run=run, channel=name)
-            pop_stall.inc(st.stalled_pop_cycles, run=run, channel=name)
-            max_occ.set(st.max_occupancy, run=run, channel=name)
+            key = (("channel", name), by_run)
+            pushes.add(key, st.pushes)
+            pops.add(key, st.pops)
+            push_stall.add(key, st.stalled_push_cycles)
+            pop_stall.add(key, st.stalled_pop_cycles)
+            max_occ.put(key, st.max_occupancy)
         if report.bank_stats:
             bbytes = reg.counter("dram.bank.bytes",
                                  "bytes a DRAM bank moved during the run")
@@ -168,10 +196,13 @@ class MetricsObserver:
             denied = reg.counter("dram.bank.denied_cycles",
                                  "requests finding a bank budget exhausted")
             for bank, bs in enumerate(report.bank_stats):
-                bbytes.inc(bs.bytes_read, run=run, bank=bank, dir="read")
-                bbytes.inc(bs.bytes_written, run=run, bank=bank, dir="write")
-                busy.inc(bs.busy_cycles, run=run, bank=bank)
-                denied.inc(bs.denied_cycles, run=run, bank=bank)
+                bbytes.add((("bank", bank), ("dir", "read"), by_run),
+                           bs.bytes_read)
+                bbytes.add((("bank", bank), ("dir", "write"), by_run),
+                           bs.bytes_written)
+                key = (("bank", bank), by_run)
+                busy.add(key, bs.busy_cycles)
+                denied.add(key, bs.denied_cycles)
 
 
 class SliceRecorder:
@@ -209,16 +240,6 @@ class SliceRecorder:
                       count: int) -> None:
         pass
 
-    def _transition(self, name: str, state: str, t: int) -> None:
-        cur = self._open.get(name)
-        if cur is None:
-            self._open[name] = [state, t]
-            return
-        if cur[0] == state:
-            return
-        self._emit(name, cur[0], cur[1], t)
-        cur[0], cur[1] = state, t
-
     def _emit(self, name: str, state: str, start: int, end: int) -> None:
         if end <= start:
             return
@@ -226,24 +247,29 @@ class SliceRecorder:
             self.truncated = True
             return
         self._count += 1
-        self.sink.append(Slice(run=self.run, kernel=name, state=state,
-                               start=self.offset + start,
-                               end=self.offset + end))
+        self.sink.append(Slice(self.run, name, state, self.offset + start,
+                               self.offset + end))
 
     def on_kernel_state(self, t: int, kernel: Any, state: str) -> None:
-        self._transition(kernel.name, state, t)
+        name = kernel.name
+        cur = self._open.get(name)
+        if cur is None:
+            self._open[name] = [state, t]
+        elif cur[0] != state:
+            self._emit(name, cur[0], cur[1], t)
+            cur[0], cur[1] = state, t
 
     def on_quiet(self, start: int, cycles: int) -> None:
         # States are provably constant over the window; synthesize the
         # same per-kernel verdict the TraceObserver uses.
         for k in self._engine.kernels.values():
             state = "-" if k.done else ("z" if k.sleep_until > start else "s")
-            self._transition(k.name, state, start)
+            self.on_kernel_state(start, k, state)
 
     def on_window(self, start: int, cycles: int, window: Any) -> None:
         # One state per kernel for the whole window, by its own proof.
         for k, state in window.states:
-            self._transition(k.name, state, start)
+            self.on_kernel_state(start, k, state)
 
     def finalize(self, t: int) -> None:
         """Close every open interval at engine cycle ``t`` (idempotent)."""

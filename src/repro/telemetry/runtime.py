@@ -220,9 +220,9 @@ class TelemetrySession:
                              run_id=rec.run_id, mode=engine.mode,
                              kernels=len(engine.kernels),
                              channels=len(engine.channels))
-        sched_cache = getattr(engine, "_schedule_cache", None)
-        stats = getattr(sched_cache, "stats", None)
-        sc0 = stats() if callable(stats) else None
+        cache = getattr(engine, "_schedule_cache", None)
+        hits0 = getattr(cache, "hits", None)
+        misses0 = getattr(cache, "misses", None)
         faults0 = self._counter_total("faults_injected")
         wall0 = time.perf_counter()
         for o in attach:
@@ -248,6 +248,9 @@ class TelemetrySession:
             self.clock = offset + end_t
             self.spans.close(sp, cycles=end_t - t0)
             if mo is not None:
+                # A run that raised never reached on_run_end; its
+                # occupancy samples still land before Engine.run exits.
+                mo.fold_occupancy()
                 # Kept for report(), which reads the stall tables; the
                 # engine (channels, generators, buffers) must not live
                 # as long as the session does.
@@ -279,11 +282,9 @@ class TelemetrySession:
                     rec.predicted_cycles = (int(band[0]), int(band[1]))
                 # The key the certificate lookup already computed.
                 rec.plan_key = getattr(schedule, "plan_key", None)
-            if sc0 is not None:
-                sc1 = stats()
-                rec.schedule_cache = {
-                    "hits": sc1["hits"] - sc0["hits"],
-                    "misses": sc1["misses"] - sc0["misses"]}
+            if hits0 is not None:
+                rec.schedule_cache = {"hits": cache.hits - hits0,
+                                      "misses": cache.misses - misses0}
             rec.faults_injected = int(
                 self._counter_total("faults_injected") - faults0)
             rec.bulk = engine.bulk_stats()

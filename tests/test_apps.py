@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.apps import (
     APPS,
     atax_broken,
@@ -266,9 +267,9 @@ class TestGemver:
 
 class TestOneContextServesRepeatedCalls:
     """The streaming apps bind buffers of their own (outputs, zero
-    addends).  The first call on a context keeps the documented names
-    (fault plans and reports refer to them); later calls take a free
-    one instead of dying in ``DramModel.bind``."""
+    addends) and release them when they return, so a reused context
+    holds only its caller's buffers between calls, and every call binds
+    the documented names (fault plans and reports refer to them)."""
 
     N = 16
 
@@ -281,16 +282,27 @@ class TestOneContextServesRepeatedCalls:
             kwargs["tile"] = 4
         ctx = FblasContext()
         bufs = [ctx.copy_to_device(x) for x in spec.draw(RNG, self.N)]
-        first_names = None
-        results = []
+        callers = list(ctx.mem.buffers)     # the caller's operands
+        results, own = [], []
         for _ in range(3):
-            before = set(ctx.mem.buffers)
-            res = run(ctx, *bufs, *spec.scalars, **kwargs)
+            with telemetry.session(metrics=False, kernel_slices=False,
+                                   occupancy=False) as tel:
+                res = run(ctx, *bufs, *spec.scalars, **kwargs)
+            assert list(ctx.mem.buffers) == callers
             value = res.value if isinstance(res.value, tuple) else (res.value,)
             results.append((tuple(np.asarray(v).tobytes() for v in value),
                             res.cycles, res.io_elements))
-            if first_names is None:
-                first_names = set(ctx.mem.buffers) - before
+            own.append({b for r in tel.ledger.records()
+                        if r.kind == "engine.run"
+                        for b in r.memory["placements"]} - set(callers))
         assert results[1:] == results[:1] * 2
-        # The first call's buffers carry no suffix.
-        assert all("." not in name for name in first_names)
+        assert own[1:] == own[:1] * 2
+        assert all("." not in name for name in own[0])
+
+    def test_a_failed_call_releases_its_buffers_too(self):
+        ctx = FblasContext()
+        a, x = (ctx.copy_to_device(v) for v in APPS["atax"].draw(RNG, 16))
+        before = len(ctx.mem.buffers)
+        with pytest.raises(DeadlockError):
+            atax_streaming(ctx, a, x, tile=4, width=4, channel_depth=16)
+        assert len(ctx.mem.buffers) == before

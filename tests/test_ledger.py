@@ -123,6 +123,33 @@ class TestRunRecord:
         rec.predicted_cycles = None
         assert rec.band_excess() is None
 
+    @pytest.mark.parametrize("row", ["[1, 2]", '"x"', "null", "3"],
+                             ids=["list", "string", "null", "number"])
+    def test_read_ledger_rejects_a_row_that_is_not_an_object(
+            self, tmp_path, row):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(_full_record().to_dict()) + "\n"
+                        + row + "\n")
+        with pytest.raises(ValueError,
+                           match=r"bad\.jsonl:2: bad ledger row"):
+            read_ledger(str(path))
+
+    @pytest.mark.parametrize("field,value", [
+        ("bulk", [1]), ("memory", [1]), ("predicted_cycles", [1]),
+        ("schedule_cache", "x"), ("extra", 5), ("predicted_cycles", 7),
+        ("cycles", [1]), ("wall_seconds", "soon"),
+    ], ids=["bulk-list", "memory-list", "band-short", "cache-string",
+            "extra-number", "band-number", "cycles-list", "wall-string"])
+    def test_read_ledger_rejects_a_field_of_the_wrong_shape(
+            self, tmp_path, field, value):
+        doc = _full_record().to_dict()
+        doc[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"bad\.jsonl:1: bad ledger row: {field}"):
+            read_ledger(str(path))
+
     @settings(max_examples=50, deadline=None)
     @given(
         cycles=st.integers(min_value=0, max_value=10**9),

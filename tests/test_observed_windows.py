@@ -230,15 +230,25 @@ class TestOccupancySeries:
                                                monkeypatch):
         """An observed window reads ``max_occupancy`` off the series, an
         unobserved one asks ``_flow_peak``: same storage model, so the
-        same number, on fill, steady and drain channels alike."""
+        same number, on fill, steady and drain channels alike.  The
+        series itself, expanded, is the storage model evaluated cycle
+        by cycle."""
         from repro.fpga import bulk
         real, checked = bulk._flow_occupancy, []
 
-        def both(ch, w, eff, push, pop, offs, K):
-            runs = real(ch, w, eff, push, pop, offs, K)
+        def both(ch, t, w, eff, push, pop, K):
+            runs = real(ch, t, w, eff, push, pop, K)
+            offs = bulk._flow_bound(ch, t, w, eff, push, pop, True, K)[1]
             assert max(occ for occ, _n in runs) == bulk._flow_peak(
                 ch, w, eff, push, pop, offs, K)
             assert sum(n for _occ, n in runs) == K
+            due = [] if offs is None else offs.tolist()
+            model = [min(ch.depth, len(ch._fifo) - (w * j if pop else 0)
+                         + sum(1 for o in due if o <= j)
+                         + (w * max(j - eff + 1, 0) if push else 0))
+                     for j in range(K)]
+            assert [occ for occ, n in runs for _ in range(n)] == model
+            assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
             checked.append((push, pop))
             return runs
 

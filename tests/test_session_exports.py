@@ -1,0 +1,235 @@
+"""What a full telemetry session exports, pinned by digest.
+
+A full :func:`repro.telemetry.session` (metrics, kernel slices and
+occupancy on) turns every watched engine run into six artifacts: the
+metrics registry, the kernel slices, the per-run ``SimReport`` summaries,
+the run ledger, the Chrome trace and the bottleneck report.  How the
+observers fold a run into them may change; what they export may not.
+Each scenario below — a certified DOT that rides its windows, an
+event-tier ATAX that steps every cycle, GEMVER's two engine runs, a
+``"bulk"`` run refused by FB404, a run under a seeded fault plan and a
+deadlocked ATAX — is hashed, artifact by artifact, to one SHA-256
+digest, recorded before the observers were rewritten to fold each run
+once.
+
+Run ids carry a process-unique prefix and a global counter, so every id
+is replaced by its order of first appearance before hashing; ledger rows
+also drop ``parent_id`` and ``wall_seconds``.
+``python tests/test_session_exports.py`` prints the current digests.
+"""
+
+import hashlib
+import json
+import re
+
+import numpy as np
+import pytest
+
+from repro import telemetry
+from repro.apps import APPS, atax
+from repro.blas import level1
+from repro.faults import COMPLETION_SAFE_KINDS, FaultPlan
+from repro.fpga import Clock, DeadlockError, Engine, Pop, Push
+from repro.fpga.util import source_kernel
+from repro.host import Fblas, FblasContext
+from repro.telemetry.chrome_trace import to_chrome_trace
+
+EXPECTED = {
+    "bulk_refused_fb404": {
+        "registry": "c7ce92415ec9549f4881236313def2f33379c759be84bde974d836625622d4cf",
+        "slices": "2c7553acb21925a5ad7fc5433e7f36e39f3493962453e2265a984c998c7879c9",
+        "runs": "e8f9b3e37a583f2c1eb260adca6571e5a69eec5477a7108b94a33a5ef65313fb",
+        "ledger": "67bd483e737b229a9e95bd2edb89b5fb9333cc3e85427191da05ea4f4e586d39",
+        "chrome_trace": "182a76bf35beeb6b7a612d73186ee621ae28a519ca890bed5d620439a2cae6ea",
+        "report": "2dc4149714242b062bb72a7186b146cb259ec5779fbc2e4bba12b94d4ee30d70"
+    },
+    "certified_dot": {
+        "registry": "bb42f0c6c7e90aa4cdff4dfe6d3f1c738c9293902e81f1ed5989cb24673838ad",
+        "slices": "ce1bbc6622929b305e6123bf73edb75e79a0d8e757f02f730a77d3977de5599b",
+        "runs": "93faccc4f7742deac40bc351f94de8bd7cabe6a328341bafb01b18b059804d0f",
+        "ledger": "22f92e952044a98c4456439d459001892d57584936995519035be7b68a14f4dc",
+        "chrome_trace": "f01584d6239edf21991a2ec9476c8c01a920e337e2df280ef62fecab20cc12e9",
+        "report": "3c50e571c14cf3a9bf673beccc89a2a1da32e8b1f4718594d2c9484768c2c63d"
+    },
+    "deadlocked_atax": {
+        "registry": "d0cc41b876b357bc04b3c11b89a4f823be4cc0edac1076a06bbe7a92ee56f3a9",
+        "slices": "4f5786b739db919f992ed20309511a2b8d3793b63b987fdabd5567efa3f0ddf7",
+        "runs": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "ledger": "4c24240ec9557197ab2946d4f2e693ac32960ff9625c1189ddec958e87d6f8c3",
+        "chrome_trace": "8d5176ff837b801da38cee53146a1c4271d1085d6bbf5868aae0a63da8bfc587",
+        "report": "17134b59ebf5d7500cb53ccbe7a0749c6c8d08adf143f82cfd9edba3b6b08ccc"
+    },
+    "event_atax": {
+        "registry": "aa65a0139e680ef416beb37ab4430587622906f2ed40b883b02dec725fd2a2e3",
+        "slices": "4306b6dd64c60d254464b8d941ff1bd01ed1f00deb16a0b2648d056abddd9e39",
+        "runs": "d52bbe8be48accf1e54de88c41e8f4dce6e98cbddf7a5543733aaecdb3a3e705",
+        "ledger": "9c6c0efe24b6a0e08eb8687ceb948ab794715be511293aca6721e8aed4c58fa8",
+        "chrome_trace": "a74509600d6c9c0a1e8a2bb3d8964a31c52ee09eca9786f7432909e6c90404a3",
+        "report": "238013f9f8494b3d2d13d9092f9cbae474c6213d966e28705c306f16f5ae8de9"
+    },
+    "faulted_chain": {
+        "registry": "dd7521fea1ad47954acfe2905f81bb23484bc1b220f4840d99cb80707d4a05ba",
+        "slices": "89b4dfc8044c3be0fd39f9e180a82fc5c272757c831ef975713987f7ce622444",
+        "runs": "6cf7aa74f58349b91f84576e016b2bcc8cdbfe98b8609a3acd5321f31360bf7a",
+        "ledger": "bc8bb6e57986ca7865518613839573cc85f501b037e3708fdc293e19c75b4354",
+        "chrome_trace": "0b30625cb85dcff14cebf9252a1102ae0e109a3ca86a6fe10db59f706e57fd53",
+        "report": "5fe1de0bf7adbeae4e1935aefa903af372864976fd38b1e90b374bf8900df2dd"
+    },
+    "gemver": {
+        "registry": "f2de76eb2f39221c5097c1b7430e608610b3b385d4b659f77c98dc217e90c8e8",
+        "slices": "c95df44a92db7d1623d7d2844586fe6593dbceaf7a581defdb6d06e9af6f7d3c",
+        "runs": "4d87f0a922722d50cd23075cd3edc85614b1195e727ff8c657825933d31726e8",
+        "ledger": "54bd6f1d3f2f67a58aaf3c218a34501d19307edca6b88284afc082a523f4e37e",
+        "chrome_trace": "ee536371b1dc0376ba115b192cb837e4d5a24157100dd7380038cb75dd766289",
+        "report": "c9821560e46dd0c7ee4d796e3eccad110b55bd5624eaaa351492c3476e5dfe93"
+    },
+}
+
+_RUN_ID = re.compile(r"r-[0-9a-zA-Z]+-[0-9]{6}")
+
+
+def _arrays(seed, *shapes):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(s).astype(np.float32) for s in shapes]
+
+
+def _certified_dot():
+    fb = Fblas(width=8, engine_mode="certified")
+    x, y = (fb.copy_to_device(v) for v in _arrays(1, 4096, 4096))
+    fb.dot(x, y)
+    fb.dot(x, y)                       # the second hits the certificate
+    assert fb.context.records[-1].cycles == 606
+
+
+def _event_atax():
+    ctx = FblasContext()
+    APPS["atax"].run(ctx, _arrays(2, (32, 32), 32), width=4, tile=8,
+                     mode="event")
+
+
+def _gemver():
+    ctx = FblasContext()
+    spec = APPS["gemver"]
+    spec.run(ctx, spec.draw(np.random.default_rng(3), 32), width=4,
+             tile=8, mode="event")
+
+
+def _bulk_refused_fb404():
+    fb = Fblas(width=4, engine_mode="bulk")
+    x, y = (fb.copy_to_device(v) for v in _arrays(4, 128, 128))
+    fb.dot(x, y, incx=2, incy=2)
+
+
+def _mapper(cin, cout, n, width, sleep):
+    done = 0
+    while done < n:
+        take = min(width, n - done)
+        vals = yield Pop(cin, take)
+        if take == 1:
+            vals = (vals,)
+        yield Push(cout, tuple(v + 1.0 for v in vals), 2)
+        done += take
+        yield Clock(sleep)
+
+
+def _faulted_chain():
+    n, w = 40, 3
+    plan = FaultPlan.generate(
+        0, channels=("cx", "cy", "c0", "c1"),
+        kernels=("src_x", "src_y", "axpy", "dyn"), n_faults=4,
+        element_horizon=2 * n, cycle_horizon=4 * n,
+        kinds=COMPLETION_SAFE_KINDS)
+    eng = Engine(mode="event", fault_plan=plan)
+    cx, cy, c0, c1 = (eng.channel(c, 6) for c in ("cx", "cy", "c0", "c1"))
+    eng.add_kernel("src_x", source_kernel(
+        cx, [np.float32(i % 23 - 11) for i in range(n)], w))
+    eng.add_kernel("src_y", source_kernel(
+        cy, [np.float32(i % 7 - 3) for i in range(n)], w))
+    eng.add_kernel("axpy", level1.axpy_kernel(n, 0.5, cx, cy, c0, w),
+                   latency=5)
+    eng.add_kernel("dyn", _mapper(c0, c1, n, 2, 2))
+
+    def sink():
+        for _ in range(n):
+            yield Pop(c1)
+            yield Clock()
+
+    eng.add_kernel("sink", sink())
+    eng.run()
+
+
+def _deadlocked_atax():
+    ctx = FblasContext()
+    a, x = _arrays(5, (16, 16), 16)
+    with pytest.raises(DeadlockError):
+        atax.atax_streaming(ctx, ctx.copy_to_device(a),
+                            ctx.copy_to_device(x), tile=4, width=4,
+                            channel_depth=16, mode="event")
+
+
+SCENARIOS = {
+    "certified_dot": _certified_dot,
+    "event_atax": _event_atax,
+    "gemver": _gemver,
+    "bulk_refused_fb404": _bulk_refused_fb404,
+    "faulted_chain": _faulted_chain,
+    "deadlocked_atax": _deadlocked_atax,
+}
+
+
+def _exports(tel):
+    """Every artifact the session exports, as canonical JSON text."""
+    rows = []
+    for rec in tel.ledger.records():
+        d = rec.to_dict()
+        for k in ("parent_id", "wall_seconds"):
+            del d[k]
+        rows.append(d)
+    runs = [{k: v for k, v in d.items() if k != "run_id"} for d in tel.runs]
+    artifacts = {
+        "registry": tel.registry.to_dict(),
+        "slices": [repr(s) for s in tel.slices],
+        "runs": runs,
+        "ledger": rows,
+        "chrome_trace": to_chrome_trace(tel),
+        "report": tel.report(),
+    }
+    texts = {k: json.dumps(v, sort_keys=True, default=repr)
+             for k, v in artifacts.items()}
+    ids = {}
+    for k in texts:
+        texts[k] = _RUN_ID.sub(
+            lambda m: ids.setdefault(m.group(0), f"run#{len(ids)}"),
+            texts[k])
+    return texts
+
+
+def _digests(name):
+    with telemetry.session() as tel:
+        SCENARIOS[name]()
+    return {k: hashlib.sha256(v.encode()).hexdigest()
+            for k, v in _exports(tel).items()}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_session_exports_digest(name):
+    assert _digests(name) == EXPECTED[name]
+
+
+def test_watched_runs_really_differ():
+    """The scenarios cover windows, stepping, refusals, faults and hangs."""
+    with telemetry.session() as tel:
+        _certified_dot()
+        _bulk_refused_fb404()
+        _faulted_chain()
+        _deadlocked_atax()
+    recs = [r for r in tel.ledger.records() if r.kind == "engine.run"]
+    assert recs[0].bulk["windows"] > 0
+    assert any((r.fallback_reason or "").startswith("FB404:") for r in recs)
+    assert any(r.faults_injected for r in recs)
+    assert recs[-1].outcome == "deadlock"
+
+
+if __name__ == "__main__":
+    for scenario in sorted(SCENARIOS):
+        print(f'    "{scenario}": {json.dumps(_digests(scenario), indent=8)},')

@@ -1,9 +1,9 @@
 """Cost guards for the stepping core, counted rather than timed.
 
 Python + C calls (``sys.setprofile`` "call" / "c_call" events; every
-``len`` counts) for the two places the stepping core is the cost: an
-event-tier Sec. V application, and the cycles a certified run cannot
-replay.  Call creep on the per-step path (an op that grows a field, a
+``len`` counts) for the places the stepping core is the cost: an
+event-tier Sec. V application, the cycles a certified run cannot
+replay, and a certified run watched by a full telemetry session.  Call creep on the per-step path (an op that grows a field, a
 per-element walk over staged values, a second capacity check) fails
 here before it fails the benchmark's 2 % bound on
 ``host_calls_per_req``.  The bounds are the counts measured when the
@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from repro import telemetry
 from repro.apps import atax_streaming
 from repro.fpga.scheduler import WakeListScheduler
 from repro.host import Fblas, FblasContext
@@ -23,6 +24,9 @@ from repro.host import Fblas, FblasContext
 ATAX_CALLS = 44_674
 #: Calls inside the 7 stepped cycles of a warm certified dot (585 before).
 DOT_STEPPED_CALLS = 341
+#: Calls of a warm certified dot inside a full telemetry session (2 226
+#: before).
+WATCHED_DOT_CALLS = 1_701
 
 
 def _count_calls(fn, inside=None):
@@ -88,3 +92,22 @@ def test_certified_dot_stepped_cycles_call_count():
                             inside=WakeListScheduler._run_cycle.__code__)
     assert fb.engine.bulk_stats()["stepped_cycles"] == 7
     assert calls <= 1.05 * DOT_STEPPED_CALLS, calls
+
+
+def test_watched_certified_dot_call_count():
+    """A warm certified 4096-element ``dot`` inside a full session
+    (metrics, kernel slices, occupancy): the whole request, host call to
+    ledger record, its windows still ridden.  2 226 calls when every
+    labelled series was written per label, per stepped cycle and per
+    window; the observers now fold the run once."""
+    fb = _Capturing(width=8, engine_mode="certified")
+    rng = np.random.default_rng(7)
+    x, y = (fb.copy_to_device(rng.standard_normal(4096).astype(np.float32))
+            for _ in range(2))
+    fb.dot(x, y)
+    with telemetry.session() as tel:
+        fb.dot(x, y)
+        _, calls = _count_calls(lambda: fb.dot(x, y))
+    assert fb.engine.bulk_stats()["windows"] > 0
+    assert tel.runs[-1]["kernel_steps"] == 2143
+    assert calls <= 1.05 * WATCHED_DOT_CALLS, calls

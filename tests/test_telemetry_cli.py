@@ -33,6 +33,21 @@ class TestExitCodes:
         assert telemetry_main(["report", str(bad)]) == 2
         assert "bad ledger row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["[1, 2]", '{"run_id": "r", '
+                                     '"kind": "host.call", "bulk": [1]}'],
+                             ids=["not-an-object", "bulk-list"])
+    def test_report_wrongly_shaped_row_is_usage_error(self, tmp_path, capsys,
+                                                      row):
+        """A row of the wrong shape is one line on stderr, not a
+        traceback."""
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(row + "\n")
+        assert telemetry_main(["report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read ledger ")
+        assert "bad.jsonl:1: bad ledger row" in err
+        assert "Traceback" not in err
+
     def test_stray_path_rejected_outside_report(self, capsys):
         rc = telemetry_main(["atax", "ledger.jsonl"])
         assert rc == 2
