@@ -31,7 +31,7 @@ def host_run(interleaving):
 
 def host_run_worst_case():
     """Everything — including z — crammed into one bank."""
-    from repro.apps.axpydot import AppResult
+    from repro.apps import AppResult
     fb = Fblas(width=16)
     w, v, u = (fb.copy_to_device(a, bank=0) for a in (W, V, U))
     z = fb.allocate(N, dtype=np.float32, bank=0)

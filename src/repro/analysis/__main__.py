@@ -112,17 +112,20 @@ def run_demo(as_json: bool) -> int:
 
 
 def _axpydot_engine() -> Any:
-    """AXPYDOT's streaming engine on 1024 drawn elements, not run."""
+    """AXPYDOT's streaming engine on 1024 drawn elements, as the
+    executor builds it from the catalogue's bound MDAG, not run."""
     import numpy as np
 
     from ..apps import APPS
-    from ..apps.axpydot import build_axpydot_engine
     from ..host.context import FblasContext
+    from ..streaming import build_engine
     ctx = FblasContext()
+    spec = APPS["axpydot"]
     bufs = [ctx.copy_to_device(a) for a in
-            APPS["axpydot"].draw(np.random.default_rng(7), 1024)]
-    eng, _out = build_axpydot_engine(ctx, *bufs, np.float32(0.5), width=8)
-    return eng
+            spec.draw(np.random.default_rng(7), 1024)]
+    ((mdag, _options),), _value = spec.bind(ctx, *bufs, np.float32(0.5),
+                                            width=8)
+    return build_engine(mdag, ctx.mem)
 
 
 def analyze_app(name: str) -> AnalysisResult:

@@ -22,16 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..blas import level2
-from ..fpga.engine import Engine
-from ..fpga.memory import read_kernel, write_kernel
 from ..fpga.resources import level1_latency
-from ..fpga.util import duplicate_kernel
 from ..host.api import Fblas
 from ..host.context import FblasContext
 from ..models.iomodel import atax_min_channel_depth
-from ..streaming import MDAG, matrix_stream, row_tiles, vector_stream
-from ..telemetry.runtime import span as _telemetry_span
-from .axpydot import host_app, streamed_app
+from ..streaming import (BoundMDAG, ComputeBinding, ReadBinding,
+                         WriteBinding, matrix_stream, row_tiles,
+                         vector_stream)
+from .catalogue import (AppResult, bound_graph, host_app, mdag,
+                        precision_of, run_app, streamed)
 
 
 def atax_reference(a, x):
@@ -44,146 +43,119 @@ def atax_reference(a, x):
 def atax_host(fb: Fblas, a, x):
     """Two GEMV host calls with the intermediate vector in DRAM."""
     m, n = a.data.shape
-    tmp = fb.allocate(m, dtype=a.data.dtype)
-    y = fb.allocate(n, dtype=a.data.dtype)
+    free = fb.context.free_name
+    tmp = fb.allocate(m, dtype=a.data.dtype, name=free("atax_tmp"))
+    y = fb.allocate(n, dtype=a.data.dtype, name=free("atax_y"))
     fb.gemv(1.0, a, x, 0.0, tmp)
     return fb.gemv(1.0, a, tmp, 0.0, y, trans=True)
 
 
-@streamed_app("level2")
+def atax_mdag(m: int, n: int, tm: int, tn: int, width: int = 8,
+              depth: int = 0, split: bool = False) -> BoundMDAG:
+    """The Fig. 8 MDAG, unbound (A is M x N in ``tm x tn`` row tiles).
+
+    The A edge into ``gemvT`` is ``depth`` deep (default ``8 * width``,
+    unsized), so the graph is statically invalid: two reconvergent paths
+    from ``read_A``.  ``split`` gives each GEMV its own read of A
+    (``read_A1`` / ``read_A2``: Sec. V-B's remedy b), a valid multitree.
+    """
+    a1, a2 = ("read_A1", "read_A2") if split else ("read_A", "read_A")
+    d = 8 * width
+    asig = matrix_stream(row_tiles(m, n, tm, tn))
+    # The shared read's fan-out channels absorb the cycles gemv spends
+    # popping its x blocks while gemvT keeps consuming A.
+    return mdag(f"{a1} {a2} read_x read_z1 read_z2 gemv gemvT write_y", [
+        (a1, "gemv.A", asig, d if split else max(d, 4 * max(tm, tn))),
+        (a2, "gemvT.A", asig, depth or d),
+        ("read_x", "gemv.x", vector_stream(n, replay=m // tm), d),
+        ("read_z1", "gemv.y", vector_stream(m), d),
+        ("read_z2", "gemvT.y", vector_stream(n), d),
+        ("gemv", "gemvT.x", vector_stream(m), max(d, 2 * tm)),
+        ("gemvT", "write_y", vector_stream(n), d)])
+
+
+def bind_gemv_pair(g: BoundMDAG, rows: int, cols: int, tr: int, tc: int,
+                   width: int, a, defer: int = 0) -> None:
+    """Bind ``gemv`` (A x + y) and ``gemvT`` (A^T x + y) over the
+    ``rows x cols`` matrix ``a`` streamed in ``tr x tc`` row tiles; each
+    takes ports ``A``, ``x``, ``y`` and pushes ``out``.  ``defer`` is
+    gemv's reordering window."""
+    dtype = a.data.dtype.type
+    lat = level1_latency("map_reduce", width, precision_of(a))
+    for node, kernel, wait in (("gemv", level2.gemv_row_tiles, defer),
+                               ("gemvT", level2.gemv_transposed_row_tiles,
+                                0)):
+        g.bind(node, ComputeBinding(
+            lambda i, o, k=kernel: k(rows, cols, 1.0, 0.0, i["A"], i["x"],
+                                     i["y"], o["out"], tr, tc, width,
+                                     dtype),
+            lat, wait))
+
+
+def _bind(ctx: FblasContext, a, x, tile: int, width: int, depth: int,
+          split: bool):
+    """Fig. 8 (or, ``split``, remedy b) bound on ``ctx``'s DRAM."""
+    m, n = a.data.shape
+    tm = tile if m % tile == 0 else m            # tile rows of A
+    tn = tile if n % tile == 0 else n            # tile cols of A
+    g = bound_graph(atax_mdag, m, n, tm, tn, width, depth, split)
+    prefix = "atax_b" if split else "atax"
+    dtype = a.data.dtype
+    y = ctx.mem.allocate(ctx.free_name(f"{prefix}_y"), n, dtype=dtype)
+    z1 = ctx.mem.bind(ctx.free_name(f"{prefix}_z1"), np.zeros(m, dtype))
+    z2 = ctx.mem.bind(ctx.free_name(f"{prefix}_z2"), np.zeros(n, dtype))
+    order = row_tiles(m, n, tm, tn).indices()
+    for node in ("read_A1", "read_A2") if split else ("read_A",):
+        g.bind(node, ReadBinding(a, width, order=order))
+    g.bind("read_x", ReadBinding(x, width, repeat=m // tm))
+    g.bind("read_z1", ReadBinding(z1, width))
+    g.bind("read_z2", ReadBinding(z2, width))
+    bind_gemv_pair(g, m, n, tm, tn, width, a,
+                   defer=atax_min_channel_depth(n, tm))
+    g.bind("write_y", WriteBinding(y, n, width))
+    return g, lambda: np.array(y.data)
+
+
+@streamed("level2")
 def atax_streaming(ctx: FblasContext, a, x, tile: int = 4, width: int = 4,
-                   channel_depth="auto", preflight: bool = False,
-                   mode: str = "event"):
+                   channel_depth="auto", preflight: bool = False):
     """Fully streamed ATAX — valid only with an adequately sized channel.
 
     ``channel_depth`` is the depth of the second GEMV's A channel:
-    ``"auto"`` applies the Sec. V-B bound (a full row of tiles); an
-    integer forces a specific depth, and an undersized one makes the
-    composition deadlock (the simulator raises
-    :class:`repro.fpga.engine.DeadlockError`).  With ``preflight=True``
-    the static analyzer proves that outcome before cycle 0 instead
-    (:class:`repro.analysis.AnalysisError`, diagnostic FB003): every
-    kernel below declares its ports, and the first GEMV declares its
-    reordering window (it consumes a full row of tiles of A before its
-    first output block).
+    ``"auto"`` applies the Sec. V-B bound (a full row of tiles, plus
+    ``8 * width``); an integer forces a specific depth, and an undersized
+    one makes the composition deadlock (the simulator raises
+    :class:`repro.fpga.engine.DeadlockError`).  The depth is handed to
+    the planner as that edge's window, so the edge stays on chip at
+    exactly that depth.  With ``preflight=True`` the static analyzer
+    proves the deadlock before cycle 0 instead
+    (:class:`repro.analysis.AnalysisError`, diagnostic FB003): the
+    executor declares every kernel's ports, and the first GEMV its
+    reordering window (a full row of tiles of A before its first output
+    block).
     """
     m, n = a.data.shape
-    dtype = a.data.dtype.type
-    precision = "single" if a.data.dtype == np.float32 else "double"
-    tm_ = tile if m % tile == 0 else m           # tile rows of A
-    tn_ = tile if n % tile == 0 else n           # tile cols of A
-    sched = row_tiles(m, n, tm_, tn_)
     if channel_depth == "auto":
-        channel_depth = atax_min_channel_depth(n, tm_) + 8 * width
-    eng = Engine(memory=ctx.mem, mode=mode)
-    ca = eng.channel("A", 8 * width)
-    ca1 = eng.channel("A1", max(8 * width, 4 * max(tm_, tn_)))
-    ca2 = eng.channel("A2", channel_depth)
-    cx = eng.channel("x", 8 * width)
-    cy0a = eng.channel("zeros1", 8 * width)
-    cy0b = eng.channel("zeros2", 8 * width)
-    ctmp = eng.channel("tmp", max(8 * width, 2 * tm_))
-    cy = eng.channel("y", 8 * width)
-    y = ctx.mem.allocate(ctx.free_name("atax_y"), n, dtype=a.data.dtype)
-    z1 = ctx.mem.bind(ctx.free_name("atax_z1"),
-                      np.zeros(m, dtype=a.data.dtype))
-    z2 = ctx.mem.bind(ctx.free_name("atax_z2"),
-                      np.zeros(n, dtype=a.data.dtype))
-    eng.add_kernel("read_A", read_kernel(ctx.mem, a, ca, width,
-                                         order=sched.indices()),
-                   writes=[(ca, width, 1)])
-    eng.add_kernel("fanout", duplicate_kernel(ca, (ca1, ca2), m * n, width),
-                   reads=(ca,), writes=[(ca1, width, 1), (ca2, width, 1)])
-    eng.add_kernel("read_x", read_kernel(ctx.mem, x, cx, width,
-                                         repeat=m // tm_),
-                   writes=[(cx, width, 1)])
-    eng.add_kernel("read_z1", read_kernel(ctx.mem, z1, cy0a, width),
-                   writes=[(cy0a, width, 1)])
-    eng.add_kernel("read_z2", read_kernel(ctx.mem, z2, cy0b, width),
-                   writes=[(cy0b, width, 1)])
-    lat = level1_latency("map_reduce", width, precision)
-    eng.add_kernel("gemv", level2.gemv_row_tiles(
-        m, n, 1.0, 0.0, ca1, cx, cy0a, ctmp, tm_, tn_, width, dtype),
-        latency=lat, reads=(ca1, cx, cy0a), writes=[(ctmp, width)],
-        defer=atax_min_channel_depth(n, tm_))
-    eng.add_kernel("gemvT", level2.gemv_transposed_row_tiles(
-        m, n, 1.0, 0.0, ca2, ctmp, cy0b, cy, tm_, tn_, width, dtype),
-        latency=lat, reads=(ca2, ctmp, cy0b), writes=[(cy, width)])
-    eng.add_kernel("write_y", write_kernel(ctx.mem, y, cy, n, width),
-                   reads=(cy,))
-    with _telemetry_span("app.atax", cat="app", m=m, n=n, tile=tile,
-                         width=width, mode=mode):
-        report = eng.run(preflight=preflight)
-    return np.array(y.data), [report]
+        channel_depth = (atax_min_channel_depth(
+            n, tile if m % tile == 0 else m) + 8 * width)
+    g, value = _bind(ctx, a, x, tile, width, channel_depth, False)
+    return [(g, {"windows": {("read_A", "gemvT"): channel_depth},
+                 "buffer_budget": channel_depth,
+                 "preflight": preflight})], value
 
 
-@streamed_app("level2")
-def atax_broken(ctx: FblasContext, a, x, tile: int = 4, width: int = 4):
+def _broken(ctx: FblasContext, a, x, tile: int, width: int):
+    g, value = _bind(ctx, a, x, tile, width, 0, True)
+    return [(g, {})], value
+
+
+def atax_broken(ctx: FblasContext, a, x, tile: int = 4,
+                width: int = 4) -> AppResult:
     """ATAX with the MDAG broken in two: each GEMV reads A itself.
 
     Same I/O volume as the non-streamed version (A read twice), but the
     two matrix-vector pipelines still overlap through the on-chip
     intermediate-vector channel (Sec. V-B's remedy b).
     """
-    m, n = a.data.shape
-    dtype = a.data.dtype.type
-    precision = "single" if a.data.dtype == np.float32 else "double"
-    tm_ = tile if m % tile == 0 else m
-    tn_ = tile if n % tile == 0 else n
-    sched = row_tiles(m, n, tm_, tn_)
-    eng = Engine(memory=ctx.mem)
-    ca1 = eng.channel("A1", 8 * width)
-    ca2 = eng.channel("A2", 8 * width)
-    cx = eng.channel("x", 8 * width)
-    cy0a = eng.channel("zeros1", 8 * width)
-    cy0b = eng.channel("zeros2", 8 * width)
-    ctmp = eng.channel("tmp", max(8 * width, 2 * tm_))
-    cy = eng.channel("y", 8 * width)
-    y = ctx.mem.allocate(ctx.free_name("atax_b_y"), n, dtype=a.data.dtype)
-    z1 = ctx.mem.bind(ctx.free_name("atax_b_z1"),
-                      np.zeros(m, dtype=a.data.dtype))
-    z2 = ctx.mem.bind(ctx.free_name("atax_b_z2"),
-                      np.zeros(n, dtype=a.data.dtype))
-    eng.add_kernel("read_A1", read_kernel(ctx.mem, a, ca1, width,
-                                          order=sched.indices()),
-                   writes=[(ca1, width, 1)])
-    eng.add_kernel("read_A2", read_kernel(ctx.mem, a, ca2, width,
-                                          order=sched.indices()),
-                   writes=[(ca2, width, 1)])
-    eng.add_kernel("read_x", read_kernel(ctx.mem, x, cx, width,
-                                         repeat=m // tm_),
-                   writes=[(cx, width, 1)])
-    eng.add_kernel("read_z1", read_kernel(ctx.mem, z1, cy0a, width),
-                   writes=[(cy0a, width, 1)])
-    eng.add_kernel("read_z2", read_kernel(ctx.mem, z2, cy0b, width),
-                   writes=[(cy0b, width, 1)])
-    lat = level1_latency("map_reduce", width, precision)
-    eng.add_kernel("gemv", level2.gemv_row_tiles(
-        m, n, 1.0, 0.0, ca1, cx, cy0a, ctmp, tm_, tn_, width, dtype),
-        latency=lat, reads=(ca1, cx, cy0a), writes=[(ctmp, width)],
-        defer=atax_min_channel_depth(n, tm_))
-    eng.add_kernel("gemvT", level2.gemv_transposed_row_tiles(
-        m, n, 1.0, 0.0, ca2, ctmp, cy0b, cy, tm_, tn_, width, dtype),
-        latency=lat, reads=(ca2, ctmp, cy0b), writes=[(cy, width)])
-    eng.add_kernel("write_y", write_kernel(ctx.mem, y, cy, n, width),
-                   reads=(cy,))
-    report = eng.run()
-    return np.array(y.data), [report]
-
-
-def atax_mdag(m: int, n: int, tm: int, tn: int) -> MDAG:
-    """The Fig. 8 MDAG — statically invalid (reconvergent paths)."""
-    g = MDAG()
-    g.add_interface("read_A")
-    g.add_interface("read_x")
-    g.add_module("gemv")
-    g.add_module("gemvT")
-    g.add_interface("write_y")
-    asig = matrix_stream(row_tiles(m, n, tm, tn))
-    g.connect("read_A", "gemv", asig, asig)
-    g.connect("read_A", "gemvT", asig, asig)
-    xsig = vector_stream(n, replay=m // tm)
-    g.connect("read_x", "gemv", xsig, xsig)
-    g.connect("gemv", "gemvT", vector_stream(m), vector_stream(m))
-    g.connect("gemvT", "write_y", vector_stream(n), vector_stream(n))
-    return g
+    return run_app(ctx, "atax_broken", "level2", _broken, a, x, tile=tile,
+                   width=width)

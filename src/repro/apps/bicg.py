@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..blas import level2, reference
-from ..fpga.engine import Engine
-from ..fpga.memory import read_kernel, write_kernel
-from ..fpga.resources import level1_latency
-from ..fpga.util import duplicate_kernel
+from ..blas import reference
 from ..host.api import Fblas
 from ..host.context import FblasContext
-from ..streaming import MDAG, matrix_stream, row_tiles, vector_stream
-from ..telemetry.runtime import span as _telemetry_span
-from .axpydot import host_app, streamed_app
+from ..streaming import (BoundMDAG, ReadBinding, WriteBinding,
+                         matrix_stream, row_tiles, vector_stream)
+from .atax import bind_gemv_pair
+from .catalogue import bound_graph, host_app, mdag, streamed
 
 
 def bicg_reference(a, p, r):
@@ -34,78 +31,52 @@ def bicg_reference(a, p, r):
 def bicg_host(fb: Fblas, a, p, r):
     """Two independent GEMV host calls, each reading A from DRAM."""
     n, m = a.data.shape
-    q = fb.allocate(n, dtype=a.data.dtype)
-    s = fb.allocate(m, dtype=a.data.dtype)
+    free = fb.context.free_name
+    q = fb.allocate(n, dtype=a.data.dtype, name=free("bicg_q"))
+    s = fb.allocate(m, dtype=a.data.dtype, name=free("bicg_s"))
     return (fb.gemv(1.0, a, p, 0.0, q),
             fb.gemv(1.0, a, r, 0.0, s, trans=True))
 
 
-@streamed_app("level2")
-def bicg_streaming(ctx: FblasContext, a, p, r, tile: int = 4,
-                   width: int = 4, mode: str = "event"):
-    """One read of A feeds both GEMVs (Fig. 7)."""
-    n, m = a.data.shape
-    dtype = a.data.dtype.type
-    precision = "single" if a.data.dtype == np.float32 else "double"
-    tn = tile if n % tile == 0 else n
-    tm = tile if m % tile == 0 else m
-    sched = row_tiles(n, m, tn, tm)
-    eng = Engine(memory=ctx.mem, mode=mode)
+def bicg_mdag(n: int, m: int, tn: int, tm: int,
+              width: int = 8) -> BoundMDAG:
+    """The Fig. 7 MDAG, unbound: a valid fan-out multitree (A is N x M
+    in ``tn x tm`` row tiles)."""
+    d = 8 * width
     # The fan-out channels must absorb the cycles one GEMV spends popping
     # its vector blocks while the other keeps consuming A.
-    fan_depth = max(8 * width, 4 * max(tn, tm))
-    ca = eng.channel("A", 8 * width)
-    ca1 = eng.channel("A1", fan_depth)
-    ca2 = eng.channel("A2", fan_depth)
-    cp = eng.channel("p", 8 * width)
-    cr = eng.channel("r", 8 * width)
-    cy1 = eng.channel("y_q", 8 * width)
-    cy2 = eng.channel("y_s", 8 * width)
-    cq = eng.channel("q", 8 * width)
-    cs = eng.channel("s", 8 * width)
-    q = ctx.mem.allocate(ctx.free_name("bicg_q"), n, dtype=a.data.dtype)
-    s = ctx.mem.allocate(ctx.free_name("bicg_s"), m, dtype=a.data.dtype)
-    zeros_n = ctx.mem.bind(ctx.free_name("bicg_zn"),
-                           np.zeros(n, dtype=a.data.dtype))
-    zeros_m = ctx.mem.bind(ctx.free_name("bicg_zm"),
-                           np.zeros(m, dtype=a.data.dtype))
-    eng.add_kernel("read_A", read_kernel(ctx.mem, a, ca, width,
-                                         order=sched.indices()))
-    eng.add_kernel("fanout", duplicate_kernel(ca, (ca1, ca2), n * m, width))
-    eng.add_kernel("read_p", read_kernel(ctx.mem, p, cp, width,
-                                         repeat=n // tn))
-    eng.add_kernel("read_r", read_kernel(ctx.mem, r, cr, width))
-    eng.add_kernel("read_zn", read_kernel(ctx.mem, zeros_n, cy1, width))
-    eng.add_kernel("read_zm", read_kernel(ctx.mem, zeros_m, cy2, width))
-    lat = level1_latency("map_reduce", width, precision)
-    eng.add_kernel("gemv", level2.gemv_row_tiles(
-        n, m, 1.0, 0.0, ca1, cp, cy1, cq, tn, tm, width, dtype), latency=lat)
-    eng.add_kernel("gemvT", level2.gemv_transposed_row_tiles(
-        n, m, 1.0, 0.0, ca2, cr, cy2, cs, tn, tm, width, dtype), latency=lat)
-    eng.add_kernel("write_q", write_kernel(ctx.mem, q, cq, n, width))
-    eng.add_kernel("write_s", write_kernel(ctx.mem, s, cs, m, width))
-    with _telemetry_span("app.bicg", cat="app", n=n, m=m, tile=tile,
-                         width=width, mode=mode):
-        report = eng.run()
-    return (np.array(q.data), np.array(s.data)), [report]
-
-
-def bicg_mdag(n: int, m: int, tn: int, tm: int) -> MDAG:
-    """The Fig. 7 MDAG: a valid fan-out multitree."""
-    g = MDAG()
-    g.add_interface("read_A")
-    g.add_interface("read_p")
-    g.add_interface("read_r")
-    g.add_module("gemv")
-    g.add_module("gemvT")
-    g.add_interface("write_q")
-    g.add_interface("write_s")
+    fan = max(d, 4 * max(tn, tm))
     asig = matrix_stream(row_tiles(n, m, tn, tm))
-    g.connect("read_A", "gemv", asig, asig)
-    g.connect("read_A", "gemvT", asig, asig)
-    psig = vector_stream(m, replay=n // tn)
-    g.connect("read_p", "gemv", psig, psig)
-    g.connect("read_r", "gemvT", vector_stream(n), vector_stream(n))
-    g.connect("gemv", "write_q", vector_stream(n), vector_stream(n))
-    g.connect("gemvT", "write_s", vector_stream(m), vector_stream(m))
-    return g
+    nodes = "read_A read_p read_r read_zn read_zm gemv gemvT write_q write_s"
+    return mdag(nodes, [
+        ("read_A", "gemv.A", asig, fan), ("read_A", "gemvT.A", asig, fan),
+        ("read_p", "gemv.x", vector_stream(m, replay=n // tn), d),
+        ("read_r", "gemvT.x", vector_stream(n), d),
+        ("read_zn", "gemv.y", vector_stream(n), d),
+        ("read_zm", "gemvT.y", vector_stream(m), d),
+        ("gemv", "write_q", vector_stream(n), d),
+        ("gemvT", "write_s", vector_stream(m), d)])
+
+
+@streamed("level2")
+def bicg_streaming(ctx: FblasContext, a, p, r, tile: int = 4,
+                   width: int = 4):
+    """One read of A feeds both GEMVs (Fig. 7)."""
+    n, m = a.data.shape
+    tn = tile if n % tile == 0 else n
+    tm = tile if m % tile == 0 else m
+    g = bound_graph(bicg_mdag, n, m, tn, tm, width)
+    dtype = a.data.dtype
+    q = ctx.mem.allocate(ctx.free_name("bicg_q"), n, dtype=dtype)
+    s = ctx.mem.allocate(ctx.free_name("bicg_s"), m, dtype=dtype)
+    zn = ctx.mem.bind(ctx.free_name("bicg_zn"), np.zeros(n, dtype))
+    zm = ctx.mem.bind(ctx.free_name("bicg_zm"), np.zeros(m, dtype))
+    g.bind("read_A", ReadBinding(a, width,
+                                 order=row_tiles(n, m, tn, tm).indices()))
+    g.bind("read_p", ReadBinding(p, width, repeat=n // tn))
+    for node, buf in (("read_r", r), ("read_zn", zn), ("read_zm", zm)):
+        g.bind(node, ReadBinding(buf, width))
+    bind_gemv_pair(g, n, m, tn, tm, width, a)
+    g.bind("write_q", WriteBinding(q, n, width))
+    g.bind("write_s", WriteBinding(s, m, width))
+    return [(g, {})], lambda: (np.array(q.data), np.array(s.data))

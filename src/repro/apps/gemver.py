@@ -19,15 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..blas import level2
-from ..fpga.engine import Engine
-from ..fpga.memory import read_kernel, write_kernel
 from ..fpga.resources import level1_latency
 from ..fpga.util import duplicate_kernel
 from ..host.api import Fblas
 from ..host.context import FblasContext
-from ..streaming import MDAG, matrix_stream, row_tiles, vector_stream
-from ..telemetry.runtime import span as _telemetry_span
-from .axpydot import AppResult, host_app, streamed_app
+from ..streaming import (MDAG, BoundMDAG, ComputeBinding, ReadBinding,
+                         WriteBinding, matrix_stream, row_tiles,
+                         vector_stream)
+from .catalogue import bound_graph, host_app, mdag, precision_of, streamed
 
 
 def gemver_reference(a, u1, v1, u2, v2, y, z, alpha, beta):
@@ -42,9 +41,10 @@ def gemver_reference(a, u1, v1, u2, v2, y, z, alpha, beta):
 def gemver_host(fb: Fblas, a, u1, v1, u2, v2, y, z, alpha, beta):
     """Classic BLAS sequence: 2 copies, 2 GER, 2 GEMV."""
     n = a.data.shape[0]
-    b = fb.allocate((n, n), dtype=a.data.dtype)
-    x = fb.allocate(n, dtype=a.data.dtype)
-    w = fb.allocate(n, dtype=a.data.dtype)
+    free, dtype = fb.context.free_name, a.data.dtype
+    b = fb.allocate((n, n), dtype=dtype, name=free("gemver_B"))
+    x = fb.allocate(n, dtype=dtype, name=free("gemver_x"))
+    w = fb.allocate(n, dtype=dtype, name=free("gemver_w"))
     fb.copy(a, b)                        # B <- A
     fb.ger(1.0, u1, v1, b)               # B += u1 v1^T
     fb.ger(1.0, u2, v2, b)               # B += u2 v2^T
@@ -52,93 +52,6 @@ def gemver_host(fb: Fblas, a, u1, v1, u2, v2, y, z, alpha, beta):
     fb.gemv(beta, b, y, 1.0, x, trans=True)   # x = beta*B^T y + z
     wv = fb.gemv(alpha, b, x, 0.0, w)         # w = alpha*B x
     return fb.copy_from_device(b), fb.copy_from_device(x), wv
-
-
-def gemver_streaming(ctx: FblasContext, a, u1, v1, u2, v2, y, z,
-                     alpha, beta, tile: int = 4, width: int = 4,
-                     mode: str = "event") -> AppResult:
-    """Two sequential streaming components (Fig. 9)."""
-    with _telemetry_span("app.gemver", cat="app", n=a.data.shape[0],
-                         tile=tile, width=width, mode=mode):
-        return _gemver_streaming(ctx, a, u1, v1, u2, v2, y, z, alpha,
-                                 beta, tile, width, mode)
-
-
-@streamed_app("level2")
-def _gemver_streaming(ctx, a, u1, v1, u2, v2, y, z, alpha, beta, tile,
-                      width, mode):
-    n = a.data.shape[0]
-    dtype = a.data.dtype.type
-    precision = "single" if a.data.dtype == np.float32 else "double"
-    tn = tile if n % tile == 0 else n
-    sched = row_tiles(n, n, tn, tn)
-    replay = n // tn
-    b = ctx.mem.allocate(ctx.free_name("gemver_B"), (n, n),
-                         dtype=a.data.dtype)
-    x = ctx.mem.allocate(ctx.free_name("gemver_x"), n, dtype=a.data.dtype)
-    w = ctx.mem.allocate(ctx.free_name("gemver_w"), n, dtype=a.data.dtype)
-    lat_map = level1_latency("map", width, precision)
-    lat_red = level1_latency("map_reduce", width, precision)
-
-    # -- component 1: GER -> GER -> (write B, GEMV^T producing x) ---------
-    eng1 = Engine(memory=ctx.mem, mode=mode)
-    ca = eng1.channel("A", 8 * width)
-    cb1 = eng1.channel("B1", 8 * width)
-    cb2 = eng1.channel("B2", 8 * width)
-    cbw = eng1.channel("B_to_mem", max(8 * width, 4 * tn))
-    cbg = eng1.channel("B_to_gemv", max(8 * width, 4 * tn))
-    cu1 = eng1.channel("u1", 8 * width)
-    cv1 = eng1.channel("v1", 8 * width)
-    cu2 = eng1.channel("u2", 8 * width)
-    cv2 = eng1.channel("v2", 8 * width)
-    cy = eng1.channel("y", 8 * width)
-    cz = eng1.channel("z", 8 * width)
-    cx = eng1.channel("x", 8 * width)
-    eng1.add_kernel("read_A", read_kernel(ctx.mem, a, ca, width,
-                                          order=sched.indices()))
-    eng1.add_kernel("read_u1", read_kernel(ctx.mem, u1, cu1, width))
-    eng1.add_kernel("read_v1", read_kernel(ctx.mem, v1, cv1, width,
-                                           repeat=replay))
-    eng1.add_kernel("read_u2", read_kernel(ctx.mem, u2, cu2, width))
-    eng1.add_kernel("read_v2", read_kernel(ctx.mem, v2, cv2, width,
-                                           repeat=replay))
-    eng1.add_kernel("read_y", read_kernel(ctx.mem, y, cy, width))
-    eng1.add_kernel("read_z", read_kernel(ctx.mem, z, cz, width))
-    eng1.add_kernel("ger1", level2.ger_kernel(
-        n, n, 1.0, ca, cu1, cv1, cb1, tn, tn, width, dtype), latency=lat_map)
-    eng1.add_kernel("ger2", level2.ger_kernel(
-        n, n, 1.0, cb1, cu2, cv2, cb2, tn, tn, width, dtype),
-        latency=lat_map)
-    eng1.add_kernel("fanout", duplicate_kernel(cb2, (cbw, cbg), n * n,
-                                               width))
-    eng1.add_kernel("gemvT", level2.gemv_transposed_row_tiles(
-        n, n, beta, 1.0, cbg, cy, cz, cx, tn, tn, width, dtype),
-        latency=lat_red)
-    eng1.add_kernel("write_B", write_kernel(ctx.mem, b, cbw, n * n, width,
-                                            order=sched.indices()))
-    eng1.add_kernel("write_x", write_kernel(ctx.mem, x, cx, n, width))
-    rep1 = eng1.run()
-
-    # -- component 2: w = alpha * B x -------------------------------------
-    eng2 = Engine(memory=ctx.mem, mode=mode)
-    cb = eng2.channel("B", 8 * width)
-    cx2 = eng2.channel("x", 8 * width)
-    cy0 = eng2.channel("zeros", 8 * width)
-    cw = eng2.channel("w", 8 * width)
-    zeros = ctx.mem.bind(ctx.free_name("gemver_zeros"),
-                         np.zeros(n, dtype=a.data.dtype))
-    eng2.add_kernel("read_B", read_kernel(ctx.mem, b, cb, width,
-                                          order=sched.indices()))
-    eng2.add_kernel("read_x", read_kernel(ctx.mem, x, cx2, width,
-                                          repeat=replay))
-    eng2.add_kernel("read_zeros", read_kernel(ctx.mem, zeros, cy0, width))
-    eng2.add_kernel("gemv", level2.gemv_row_tiles(
-        n, n, alpha, 0.0, cb, cx2, cy0, cw, tn, tn, width, dtype),
-        latency=lat_red)
-    eng2.add_kernel("write_w", write_kernel(ctx.mem, w, cw, n, width))
-    rep2 = eng2.run()
-    return ((np.array(b.data), np.array(x.data), np.array(w.data)),
-            [rep1, rep2])
 
 
 def gemver_full_streaming_mdag(n: int, tn: int) -> MDAG:
@@ -166,19 +79,87 @@ def gemver_full_streaming_mdag(n: int, tn: int) -> MDAG:
     return g
 
 
-def gemver_component1_mdag(n: int, tn: int) -> MDAG:
-    """Component 1 of the paper's split (valid multitree)."""
-    g = MDAG()
-    g.add_interface("read_A")
-    g.add_module("ger1")
-    g.add_module("ger2")
-    g.add_module("gemvT")
-    g.add_interface("write_B")
-    g.add_interface("write_x")
+def gemver_component1_mdag(n: int, tn: int, width: int = 8) -> BoundMDAG:
+    """Component 1 of the paper's split, unbound (a valid multitree):
+    GER -> GER -> fan-out -> {write B, GEMV^T -> write x}.  The fan-out
+    channels absorb gemvT's vector-block pops."""
+    d, fan = 8 * width, max(8 * width, 4 * tn)
     bsig = matrix_stream(row_tiles(n, n, tn, tn))
-    g.connect("read_A", "ger1", bsig, bsig)
-    g.connect("ger1", "ger2", bsig, bsig)
-    g.connect("ger2", "write_B", bsig, bsig)
-    g.connect("ger2", "gemvT", bsig, bsig)
-    g.connect("gemvT", "write_x", vector_stream(n), vector_stream(n))
-    return g
+    u, v = vector_stream(n), vector_stream(n, replay=n // tn)
+    return mdag("read_A read_u1 read_v1 read_u2 read_v2 read_y read_z ger1 "
+                "ger2 fanout gemvT write_B write_x", [
+                    ("read_A", "ger1.A", bsig, d),
+                    ("read_u1", "ger1.x", u, d), ("read_v1", "ger1.y", v, d),
+                    ("ger1", "ger2.A", bsig, d),
+                    ("read_u2", "ger2.x", u, d), ("read_v2", "ger2.y", v, d),
+                    ("ger2", "fanout", bsig, d),
+                    ("fanout.B", "write_B", bsig, fan),
+                    ("fanout.gemv", "gemvT.A", bsig, fan),
+                    ("read_y", "gemvT.x", u, d), ("read_z", "gemvT.y", u, d),
+                    ("gemvT", "write_x", u, d)])
+
+
+def _gemver_component2_mdag(n: int, tn: int, width: int) -> BoundMDAG:
+    """Component 2: w = alpha * B x, reading B and x back."""
+    d, u = 8 * width, vector_stream(n)
+    return mdag("read_B read_x read_zeros gemv write_w", [
+        ("read_B", "gemv.A", matrix_stream(row_tiles(n, n, tn, tn)), d),
+        ("read_x", "gemv.x", vector_stream(n, replay=n // tn), d),
+        ("read_zeros", "gemv.y", u, d), ("gemv", "write_w", u, d)])
+
+
+@streamed("level2")
+def gemver_streaming(ctx: FblasContext, a, u1, v1, u2, v2, y, z, alpha,
+                     beta, tile: int = 4, width: int = 4):
+    """Two sequential streaming components (Fig. 9), each bound only
+    once the one before it has run."""
+    n = a.data.shape[0]
+    dtype = a.data.dtype.type
+    precision = precision_of(a)
+    tn = tile if n % tile == 0 else n
+    replay = n // tn
+    b = ctx.mem.allocate(ctx.free_name("gemver_B"), (n, n), dtype=dtype)
+    x = ctx.mem.allocate(ctx.free_name("gemver_x"), n, dtype=dtype)
+    w = ctx.mem.allocate(ctx.free_name("gemver_w"), n, dtype=dtype)
+    # One tile order serves read_A, write_B and read_B.
+    order = row_tiles(n, n, tn, tn).indices()
+    lat_map = level1_latency("map", width, precision)
+    lat_red = level1_latency("map_reduce", width, precision)
+
+    def ger(i, o):
+        return level2.ger_kernel(n, n, 1.0, i["A"], i["x"], i["y"], o["out"],
+                                 tn, tn, width, dtype)
+
+    def stages():
+        g = bound_graph(gemver_component1_mdag, n, tn, width)
+        g.bind("read_A", ReadBinding(a, width, order=order))
+        for node, buf, repeat in (("read_u1", u1, 1), ("read_v1", v1, replay),
+                                  ("read_u2", u2, 1), ("read_v2", v2, replay),
+                                  ("read_y", y, 1), ("read_z", z, 1)):
+            g.bind(node, ReadBinding(buf, width, repeat=repeat))
+        g.bind("ger1", ComputeBinding(ger, lat_map))
+        g.bind("ger2", ComputeBinding(ger, lat_map))
+        g.bind("fanout", ComputeBinding(lambda i, o: duplicate_kernel(
+            i["in"], (o["B"], o["gemv"]), n * n, width)))
+        g.bind("gemvT", ComputeBinding(
+            lambda i, o: level2.gemv_transposed_row_tiles(
+                n, n, beta, 1.0, i["A"], i["x"], i["y"], o["out"], tn, tn,
+                width, dtype), lat_red))
+        g.bind("write_B", WriteBinding(b, n * n, width, order=order))
+        g.bind("write_x", WriteBinding(x, n, width))
+        yield g, {}
+        g = bound_graph(_gemver_component2_mdag, n, tn, width)
+        zeros = ctx.mem.bind(ctx.free_name("gemver_zeros"),
+                             np.zeros(n, dtype=dtype))
+        g.bind("read_B", ReadBinding(b, width, order=order))
+        g.bind("read_x", ReadBinding(x, width, repeat=replay))
+        g.bind("read_zeros", ReadBinding(zeros, width))
+        g.bind("gemv", ComputeBinding(
+            lambda i, o: level2.gemv_row_tiles(
+                n, n, alpha, 0.0, i["A"], i["x"], i["y"], o["out"], tn, tn,
+                width, dtype), lat_red))
+        g.bind("write_w", WriteBinding(w, n, width))
+        yield g, {}
+
+    return stages(), lambda: (np.array(b.data), np.array(x.data),
+                              np.array(w.data))

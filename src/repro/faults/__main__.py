@@ -16,7 +16,8 @@ from .campaign import _to_plain, render_summary, run_campaign
 
 
 def main(argv=None) -> int:
-    from ..apps.catalogue import APPS, positive_int
+    from ..apps import APPS
+    from ..apps.catalogue import positive_int
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults",
         description="deterministic fault-injection campaigns")

@@ -439,8 +439,11 @@ def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
     n = buf.num_elements if idx is None else len(idx)
     if idx is not None:
         # breaks[j]: stride breaks among idx[0 .. j], so the burst
-        # idx[a:b] is contiguous iff breaks[b - 1] == breaks[a].
-        breaks = [0, *np.cumsum(np.diff(idx) != 1).tolist()]
+        # idx[a:b] is contiguous iff breaks[b - 1] == breaks[a].  An int32
+        # memoryview indexes to plain ints at 4 bytes per element (a list
+        # costs 8, plus an int object per count above 256).
+        breaks = memoryview(np.cumsum(np.diff(idx, prepend=idx[:1] - 1) != 1,
+                                      dtype=np.int32))
     st = _Cursor()
 
     def gen():

@@ -7,7 +7,9 @@ so callers can assert that repeat requests really skipped scheduling
 and pattern derivation, and never holds more than
 :attr:`PlanCache.MAX_ENTRIES` entries (least recently used goes first),
 so a long-lived process cannot leak through it however many distinct
-structures it sees.
+structures it sees.  Lookups, stores and counters take one lock, so a
+cache is safe to share between threads (service workers, the
+process-wide caches of :mod:`repro.apps.catalogue`).
 
 When a telemetry session is active, every counted lookup also
 increments the labelled ``plan_cache.requests`` counter in the
@@ -21,6 +23,7 @@ read, so an un-instrumented lookup stays O(1) dict work).
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict, Iterator, Optional
 
 __all__ = ["PlanCache"]
@@ -44,6 +47,7 @@ class PlanCache:
         self._store: Dict[Any, Any] = {}
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
 
     def _observe(self, result: str) -> None:
         from ..telemetry.runtime import active
@@ -55,26 +59,28 @@ class PlanCache:
             ).add((("cache", self.name), ("result", result)), 1)
 
     def get(self, key: Any, default: Optional[Any] = None) -> Any:
-        store = self._store
-        if key in store:
-            self.hits += 1
-            self._observe("hit")
-            # Re-insert: dict order is recency, oldest first.
-            value = store[key] = store.pop(key)
-            return value
-        self.misses += 1
-        self._observe("miss")
-        return default
+        with self._lock:
+            store = self._store
+            if key in store:
+                self.hits += 1
+                self._observe("hit")
+                # Re-insert: dict order is recency, oldest first.
+                value = store[key] = store.pop(key)
+                return value
+            self.misses += 1
+            self._observe("miss")
+            return default
 
     def __getitem__(self, key: Any) -> Any:
         return self._store[key]
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        store = self._store
-        store.pop(key, None)
-        store[key] = value
-        if len(store) > self.MAX_ENTRIES:
-            del store[next(iter(store))]
+        with self._lock:
+            store = self._store
+            store.pop(key, None)
+            store[key] = value
+            if len(store) > self.MAX_ENTRIES:
+                del store[next(iter(store))]
 
     def __contains__(self, key: Any) -> bool:
         return key in self._store
@@ -86,13 +92,15 @@ class PlanCache:
         return iter(self._store)
 
     def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._store.clear()
+            self.hits = 0
+            self.misses = 0
 
     def stats(self) -> Dict[str, int]:
-        return {"entries": len(self._store), "hits": self.hits,
-                "misses": self.misses}
+        with self._lock:
+            return {"entries": len(self._store), "hits": self.hits,
+                    "misses": self.misses}
 
     def __repr__(self) -> str:   # pragma: no cover - debugging aid
         return (f"PlanCache(name={self.name!r}, entries={len(self._store)}, "

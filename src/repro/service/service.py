@@ -84,26 +84,6 @@ Job = Union[RoutineJob, EngineJob, PlanJob, AppJob]
 _JOB_SEQ = itertools.count()
 
 
-class _LockedPlanCache(PlanCache):
-    """A :class:`~repro.plan.PlanCache` safe under concurrent workers."""
-
-    def __init__(self, name: str = "plan") -> None:
-        super().__init__(name)
-        self._cache_lock = threading.Lock()
-
-    def get(self, key, default=None):
-        with self._cache_lock:
-            return super().get(key, default)
-
-    def __setitem__(self, key, value) -> None:
-        with self._cache_lock:
-            super().__setitem__(key, value)
-
-    def stats(self) -> Dict[str, int]:
-        with self._cache_lock:
-            return super().stats()
-
-
 class Ticket:
     """Handle for one admitted request; resolves exactly once."""
 
@@ -217,9 +197,8 @@ class SimulationService:
         #: Service-shared caches: compiled plans (``PlanJob`` ->
         #: ``execute_plan``) and certification verdicts, which every
         #: worker's :class:`~repro.host.api.Fblas` instance mounts too.
-        self.plan_cache: PlanCache = _LockedPlanCache(name="service.plan")
-        self.schedule_cache: PlanCache = _LockedPlanCache(
-            name="service.schedule")
+        self.plan_cache = PlanCache(name="service.plan")
+        self.schedule_cache = PlanCache(name="service.schedule")
         #: Per-plan degradation map: ``plan_label -> demoted tier``.
         self._tier: Dict[str, str] = {}
         self._tier_lock = threading.Lock()

@@ -15,6 +15,7 @@ from .executor import (
     ExecutionResult,
     ReadBinding,
     WriteBinding,
+    build_engine,
     execute_plan,
 )
 from .scheduler import CompositionPlan, PlanningError, plan_composition
@@ -32,7 +33,8 @@ __all__ = [
     "DEFAULT_CHANNEL_DEPTH", "EdgeIssue", "ElementOrder", "ExecutionError",
     "ExecutionResult", "MDAG", "MDAGError", "MatrixSchedule",
     "PlanningError", "ReadBinding", "StreamSignature", "TileOrder",
-    "ValidationReport", "VectorSchedule", "WriteBinding", "col_tiles",
+    "ValidationReport", "VectorSchedule", "WriteBinding", "build_engine",
+    "col_tiles",
     "execute_plan", "matrix_stream", "plan_composition", "row_tiles",
     "scalar_stream", "vector_stream",
 ]

@@ -22,6 +22,7 @@ cycle/I-O report out.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -55,11 +56,14 @@ class ComputeBinding:
     """Kernel factory for a compute node.
 
     ``factory(inputs, outputs)`` receives dicts of channels keyed by the
-    port names used in :meth:`BoundMDAG.connect`.
+    port names used in :meth:`BoundMDAG.connect`.  ``defer`` is the
+    kernel's reordering window for pre-flight analysis: the elements it
+    consumes before its first output (the ATAX GEMV's row of tiles).
     """
 
     factory: Callable[[Dict, Dict], object]
     latency: int = 1
+    defer: int = 0
 
 
 @dataclass
@@ -139,7 +143,8 @@ def execute_plan(mdag: BoundMDAG, mem: DramModel,
                  windows=None, buffer_budget: int = 0,
                  mode: str = "event", recovery=None,
                  schedule_cache: Optional[dict] = None,
-                 plan_cache: Optional[dict] = None) -> ExecutionResult:
+                 plan_cache: Optional[dict] = None,
+                 preflight: Optional[bool] = None) -> ExecutionResult:
     """Plan (unless given) and run a bound MDAG on ``mem``.
 
     ``plan`` may be a pre-compiled :class:`~repro.plan.PlanIR` (or a
@@ -169,6 +174,11 @@ def execute_plan(mdag: BoundMDAG, mem: DramModel,
     engine tier for the re-attempt.  Outcomes are recorded per component
     in :attr:`ExecutionResult.recovery`.
 
+    ``preflight`` is passed to every component's
+    :meth:`~repro.fpga.engine.Engine.run`: with it, a component the
+    static analyzer proves invalid raises
+    :class:`~repro.analysis.AnalysisError` before cycle 0.
+
     Under a telemetry session, each invocation is one ledger request:
     an ``execute_plan`` :class:`~repro.telemetry.ledger.RunRecord` is
     appended carrying the ``plan_key``, the structural MDAG fingerprint
@@ -180,42 +190,26 @@ def execute_plan(mdag: BoundMDAG, mem: DramModel,
     if tel is None:
         return _execute_plan(mdag, mem, plan, windows, buffer_budget,
                              mode, recovery, schedule_cache, plan_cache,
-                             None)
+                             preflight, None)
     cur = tel.spans.current()
     with _ledger_scope(tel.ledger, "execute_plan", engine_mode=mode,
                        label=cur.name if cur is not None else None) as lrec:
         return _execute_plan(mdag, mem, plan, windows, buffer_budget,
                              mode, recovery, schedule_cache, plan_cache,
-                             lrec)
+                             preflight, lrec)
 
 
 def _execute_plan(mdag: BoundMDAG, mem: DramModel, plan, windows,
                   buffer_budget: int, mode: str, recovery,
                   schedule_cache: Optional[dict],
                   plan_cache: Optional[dict],
+                  preflight: Optional[bool],
                   lrec) -> ExecutionResult:
     """The :func:`execute_plan` body, with an optional ledger record to
     fill (``lrec`` is None exactly when no telemetry session is active)."""
-    plan_ir: Optional[PlanIR] = None
     if plan is None:
-        # The structural fingerprint doubles as the plan-cache key and
-        # the ledger correlation fact, so compute it when either wants it.
-        key = (mdag_fingerprint(mdag, windows, buffer_budget)
-               if plan_cache is not None or lrec is not None else None)
-        if lrec is not None:
-            lrec.mdag_fingerprint = _fingerprint_digest(key)
-        if plan_cache is not None:
-            plan_ir = plan_cache.get(key)
-            if lrec is not None:
-                lrec.plan_cache = ({"hits": 1, "misses": 0}
-                                   if plan_ir is not None
-                                   else {"hits": 0, "misses": 1})
-        if plan_ir is None:
-            plan_ir = plan_from_mdag(
-                mdag, windows=windows, buffer_budget=buffer_budget,
-                device=getattr(mem, "device_label", None))
-            if plan_cache is not None:
-                plan_cache[key] = plan_ir
+        plan_ir = _compiled(mdag, mem, windows, buffer_budget, plan_cache,
+                            lrec)
         plan = composition_from_plan(plan_ir, mdag)
     elif isinstance(plan, PlanIR):
         plan_ir = plan
@@ -256,18 +250,21 @@ def _execute_plan(mdag: BoundMDAG, mem: DramModel, plan, windows,
                          components=len(plan.components),
                          materialized=len(cut)):
         for comp_idx, component in enumerate(plan.components):
+            def run(m: str, _c=component, _i=comp_idx) -> None:
+                with _telemetry_span(f"streaming.component[{_i}]",
+                                     cat="streaming", component=_i,
+                                     nodes=sorted(_c)):
+                    reports.append(_build_component(
+                        mdag, mem, plan, cut, scratch, _c, m,
+                        schedule_cache).run(preflight=preflight))
             if recovery is None:
-                _run_component(mdag, mem, plan, cut, scratch, component,
-                               comp_idx, mode, reports, schedule_cache)
+                run(mode)
                 continue
             from ..faults.recovery import (MemoryCheckpoint,
                                            run_with_recovery)
             ckpt = MemoryCheckpoint.capture(mem)
-            out = run_with_recovery(
-                lambda m, _c=component, _i=comp_idx: _run_component(
-                    mdag, mem, plan, cut, scratch, _c, _i, m, reports,
-                    schedule_cache),
-                policy=recovery, mode=mode, restore=ckpt.restore)
+            out = run_with_recovery(run, policy=recovery, mode=mode,
+                                    restore=ckpt.restore)
             recovery_log.append(out.to_dict())
 
     if lrec is not None:
@@ -281,126 +278,163 @@ def _execute_plan(mdag: BoundMDAG, mem: DramModel, plan, windows,
                            recovery=recovery_log, plan_ir=plan_ir)
 
 
-def _fingerprint_digest(key) -> Optional[str]:
-    """Short stable hex digest of a structural MDAG fingerprint tuple."""
-    if key is None:
-        return None
-    import hashlib
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:16]
+def _compiled(mdag: BoundMDAG, mem: DramModel, windows,
+              buffer_budget: int, plan_cache: Optional[dict],
+              lrec) -> PlanIR:
+    """Compile ``mdag``, or take its plan from ``plan_cache``."""
+    # The structural fingerprint doubles as the plan-cache key and the
+    # ledger correlation fact, so compute it when either wants it.
+    key = (mdag_fingerprint(mdag, windows, buffer_budget)
+           if plan_cache is not None or lrec is not None else None)
+    if lrec is not None:
+        lrec.mdag_fingerprint = hashlib.sha256(
+            repr(key).encode("utf-8")).hexdigest()[:16]
+    plan_ir = plan_cache.get(key) if plan_cache is not None else None
+    if lrec is not None and plan_cache is not None:
+        lrec.plan_cache = ({"hits": 1, "misses": 0} if plan_ir is not None
+                           else {"hits": 0, "misses": 1})
+    if plan_ir is None:
+        plan_ir = plan_from_mdag(
+            mdag, windows=windows, buffer_budget=buffer_budget,
+            device=getattr(mem, "device_label", None))
+        if plan_cache is not None:
+            plan_cache[key] = plan_ir
+    return plan_ir
 
 
-def _run_component(mdag: BoundMDAG, mem: DramModel, plan: CompositionPlan,
-                   cut, scratch: Dict[Tuple[str, str], DramBuffer],
-                   component, comp_idx: int, mode: str,
-                   reports: List[SimReport],
-                   schedule_cache: Optional[dict] = None) -> None:
-    """Build and run the engine for one plan component."""
-    with _telemetry_span(f"streaming.component[{comp_idx}]",
-                         cat="streaming", component=comp_idx,
-                         nodes=sorted(component)):
-        eng = Engine(memory=mem, mode=mode, schedule_cache=schedule_cache)
-        in_chans: Dict[str, Dict[str, object]] = {n: {} for n in component}
-        out_chans: Dict[str, Dict[str, object]] = {n: {} for n in component}
-        # interface fanout bookkeeping: read node -> list of its channels
-        read_fanout: Dict[str, List] = {}
+def build_engine(mdag: BoundMDAG, mem: DramModel, mode: str = "event",
+                 schedule_cache: Optional[dict] = None) -> Engine:
+    """Plan ``mdag`` and build, without running, the engine of its one
+    component — the design a pre-flight analyzer or an observer inspects.
 
-        for u, v, data in mdag.graph.edges(data=True):
-            produces = data["produces"]
-            if (u, v) in cut:
-                # Producer side: drain into DRAM in the producer's
-                # component (compute producers only; interface producers
-                # simply re-read in the consumer's component).
-                if (mdag.kind(u) == "compute"
-                        and u in component):
-                    ch = eng.channel(f"cut_{u}_{v}",
-                                     max(64, 2 * _width_of(mdag, u)))
-                    out_chans[u][data["src_port"]] = ch
-                    buf = scratch[(u, v)]
-                    eng.add_kernel(f"write_{u}_{v}", write_kernel(
-                        mem, buf, ch, produces.total,
-                        _width_of(mdag, u)))
-                # Consumer side: read back in the consumer's component.
-                if v in component:
-                    ch = eng.channel(f"mat_{u}_{v}",
-                                     max(64, 2 * _width_of(mdag, v)))
-                    in_chans[v][data["dst_port"]] = ch
-                    consumes = data["consumes"]
-                    if mdag.kind(u) == "compute":
-                        src_buf = scratch[(u, v)]
-                        repeat = max(1, consumes.total // produces.total)
-                        eng.add_kernel(f"read_{u}_{v}", read_kernel(
-                            mem, src_buf, ch, _width_of(mdag, v),
-                            repeat=repeat))
-                    else:
-                        binding = mdag.bindings[u]
-                        eng.add_kernel(f"read_{u}_{v}", read_kernel(
-                            mem, binding.buffer, ch, binding.width,
-                            order=binding.order,
-                            repeat=binding.repeat))
-                continue
-            if u not in component and v not in component:
-                continue
-            if u not in component or v not in component:  # pragma: no cover
-                raise ExecutionError(
-                    f"on-chip edge {u!r}->{v!r} spans components; "
-                    "plan is inconsistent")
-            depth = plan.channel_depths.get((u, v), data["depth"])
-            ch = eng.channel(f"{u}__{v}", max(depth, 4))
-            if mdag.kind(u) == "interface":
-                read_fanout.setdefault(u, []).append((ch, produces))
-            else:
+    Raises :class:`ExecutionError` when the plan needs several
+    components (run those with :func:`execute_plan`).
+    """
+    _check_bound(mdag)
+    plan = composition_from_plan(_compiled(mdag, mem, None, 0, None, None),
+                                 mdag)
+    if plan.num_components != 1:
+        raise ExecutionError(
+            f"the plan has {plan.num_components} components; "
+            "build_engine builds a single-component plan")
+    return _build_component(mdag, mem, plan, set(), {}, plan.components[0],
+                            mode, schedule_cache)
+
+
+def _build_component(mdag: BoundMDAG, mem: DramModel,
+                     plan: CompositionPlan, cut,
+                     scratch: Dict[Tuple[str, str], DramBuffer], component,
+                     mode: str,
+                     schedule_cache: Optional[dict] = None) -> Engine:
+    """Wire the engine for one plan component.
+
+    Every kernel declares its ports (and a compute node its binding's
+    ``defer``), so pre-flight analysis covers the whole design.  An
+    interface node's kernel takes the node's name; on-chip edges are
+    channels named ``<src>__<dst>``.
+    """
+    eng = Engine(memory=mem, mode=mode, schedule_cache=schedule_cache)
+    in_chans: Dict[str, Dict[str, object]] = {n: {} for n in component}
+    out_chans: Dict[str, Dict[str, object]] = {n: {} for n in component}
+    # interface fanout bookkeeping: read node -> list of its channels
+    read_fanout: Dict[str, List] = {}
+
+    for u, v, data in mdag.graph.edges(data=True):
+        produces = data["produces"]
+        if (u, v) in cut:
+            # Producer side: drain into DRAM in the producer's component
+            # (compute producers only; interface producers simply re-read
+            # in the consumer's component).
+            if mdag.kind(u) == "compute" and u in component:
+                ch = eng.channel(f"cut_{u}_{v}",
+                                 max(64, 2 * _width_of(mdag, u)))
                 out_chans[u][data["src_port"]] = ch
-            if mdag.kind(v) == "interface":
+                eng.add_kernel(f"write_{u}_{v}", write_kernel(
+                    mem, scratch[(u, v)], ch, produces.total,
+                    _width_of(mdag, u)), reads=(ch,))
+            # Consumer side: read back in the consumer's component.
+            if v in component:
+                width = _width_of(mdag, v)
+                ch = eng.channel(f"mat_{u}_{v}", max(64, 2 * width))
                 in_chans[v][data["dst_port"]] = ch
-            else:
-                in_chans[v][data["dst_port"]] = ch
-
-        # Instantiate node kernels in MDAG insertion order (``component`` is
-        # a set, and the engine steps kernels in registration order).
-        for node in (n for n in mdag.graph.nodes if n in component):
-            kind = mdag.kind(node)
-            binding = mdag.bindings.get(node)
-            if kind == "compute":
-                eng.add_kernel(node, binding.factory(
-                    in_chans[node], out_chans[node]),
-                    latency=binding.latency)
-            elif isinstance(binding, ReadBinding):
-                chans = read_fanout.get(node, [])
-                if not chans:
-                    continue          # all of its edges were materialized
-                total = chans[0][1].total
-                if len(chans) == 1:
-                    eng.add_kernel(f"read_{node}", read_kernel(
-                        mem, binding.buffer, chans[0][0], binding.width,
-                        order=binding.order,
-                        repeat=binding.repeat))
+                if mdag.kind(u) == "compute":
+                    repeat = max(1, data["consumes"].total // produces.total)
+                    body = read_kernel(mem, scratch[(u, v)], ch, width,
+                                       repeat=repeat)
                 else:
-                    feed = eng.channel(f"{node}__fan",
-                                       max(64, 2 * binding.width))
-                    eng.add_kernel(f"read_{node}", read_kernel(
-                        mem, binding.buffer, feed, binding.width,
-                        order=binding.order,
-                        repeat=binding.repeat))
-                    eng.add_kernel(f"fan_{node}", duplicate_kernel(
-                        feed, [c for c, _s in chans], total,
-                        binding.width))
-            elif isinstance(binding, WriteBinding):
-                chans = list(in_chans[node].values())
-                if not chans:
-                    continue
-                if len(chans) != 1:
-                    raise ExecutionError(
-                        f"write interface {node!r} must have one in-edge")
-                eng.add_kernel(f"write_{node}", write_kernel(
-                    mem, binding.buffer, chans[0], binding.count,
-                    binding.width,
-                    order=binding.order))
-        reports.append(eng.run())
+                    b = mdag.bindings[u]
+                    width = b.width
+                    body = read_kernel(mem, b.buffer, ch, width,
+                                       order=b.order, repeat=b.repeat)
+                eng.add_kernel(f"read_{u}_{v}", body,
+                               writes=[(ch, width, 1)])
+            continue
+        if u not in component and v not in component:
+            continue
+        if u not in component or v not in component:  # pragma: no cover
+            raise ExecutionError(
+                f"on-chip edge {u!r}->{v!r} spans components; "
+                "plan is inconsistent")
+        depth = plan.channel_depths.get((u, v), data["depth"])
+        ch = eng.channel(f"{u}__{v}", depth)
+        if mdag.kind(u) == "interface":
+            read_fanout.setdefault(u, []).append((ch, produces))
+        else:
+            out_chans[u][data["src_port"]] = ch
+        in_chans[v][data["dst_port"]] = ch
+
+    # Instantiate node kernels in MDAG insertion order (``component`` is
+    # a set, and the engine steps kernels in registration order).
+    for node in (n for n in mdag.graph.nodes if n in component):
+        binding = mdag.bindings.get(node)
+        if isinstance(binding, ComputeBinding):
+            ins, outs = in_chans[node], out_chans[node]
+            lanes = _lanes(mdag, node)
+            eng.add_kernel(node, binding.factory(ins, outs),
+                           latency=binding.latency,
+                           reads=tuple(ins.values()),
+                           writes=[(c, lanes) for c in outs.values()],
+                           defer=binding.defer)
+        elif isinstance(binding, ReadBinding):
+            chans = read_fanout.get(node, [])
+            if not chans:
+                continue          # all of its edges were materialized
+            width = binding.width
+            feed = (chans[0][0] if len(chans) == 1 else
+                    eng.channel(f"{node}__fan", 8 * width))
+            eng.add_kernel(node, read_kernel(
+                mem, binding.buffer, feed, width, order=binding.order,
+                repeat=binding.repeat), writes=[(feed, width, 1)])
+            if len(chans) > 1:
+                fans = [c for c, _s in chans]
+                eng.add_kernel(f"fan_{node}", duplicate_kernel(
+                    feed, fans, chans[0][1].total, width),
+                    reads=(feed,), writes=[(c, width, 1) for c in fans])
+        elif isinstance(binding, WriteBinding):
+            chans = list(in_chans[node].values())
+            if not chans:
+                continue
+            if len(chans) != 1:
+                raise ExecutionError(
+                    f"write interface {node!r} must have one in-edge")
+            eng.add_kernel(node, write_kernel(
+                mem, binding.buffer, chans[0], binding.count,
+                binding.width, order=binding.order), reads=(chans[0],))
+    return eng
 
 
 def _width_of(mdag: BoundMDAG, node: str) -> int:
     binding = mdag.bindings.get(node)
     return getattr(binding, "width", 1) or 1
+
+
+def _lanes(mdag: BoundMDAG, node: str) -> int:
+    """Push width a compute node declares: the widest interface binding
+    next to it (its bindings carry no width of their own)."""
+    g = mdag.graph
+    return max((_width_of(mdag, n) for n in (*g.predecessors(node),
+                                              *g.successors(node))
+                if mdag.kind(n) == "interface"), default=1)
 
 
 def _check_bound(mdag: BoundMDAG) -> None:

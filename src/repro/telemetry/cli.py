@@ -38,8 +38,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..analysis import AnalysisError
 from ..fpga.engine import ENGINE_MODES
+from ..fpga.errors import ReproError
 from ..host.context import FblasContext
 from . import runtime
 from .chrome_trace import write_chrome_trace
@@ -52,7 +52,8 @@ TELEMETRY_SCHEMA = "repro.telemetry/1"
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from ..apps.catalogue import APPS, positive_int
+    from ..apps import APPS
+    from ..apps.catalogue import positive_int
     p = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
         description="Run a streaming composition with telemetry attached.")
@@ -120,7 +121,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"positional path {args.path!r} only applies to 'report'",
               file=sys.stderr)
         return 2
+    try:
+        return _run(args)
+    except ReproError as exc:
+        # A typed failure is one line, never a traceback: e.g. certified
+        # mode refuses the width-16 AXPYDOT (FB402) before cycle 0.
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(args: argparse.Namespace) -> int:
+    """Run one app, or the drift sweep, under the parsed options."""
     if args.app == "drift":
         rep = drift_report(threshold=args.drift_threshold, mode=args.mode)
         print(rep.table())
@@ -134,16 +145,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     from ..apps import APPS
     spec = APPS[args.app]
     arrays = spec.draw(np.random.default_rng(args.seed), args.n or spec.n)
-    try:
-        with runtime.session(ledger_path=args.ledger) as tel:
-            result = spec.run(FblasContext(), arrays,
-                              width=args.width or spec.width,
-                              tile=args.tile, mode=args.mode)
-    except AnalysisError as exc:
-        # certified mode rejects non-certifiable designs before cycle 0
-        # (e.g. the default width 16 exceeds the per-bank DRAM budget).
-        print(str(exc), file=sys.stderr)
-        return 1
+    with runtime.session(ledger_path=args.ledger) as tel:
+        result = spec.run(FblasContext(), arrays,
+                          width=args.width or spec.width, tile=args.tile,
+                          mode=args.mode)
     print(f"{args.app}: {result.cycles} cycles, "
           f"{result.io_elements} I/O elements, "
           f"{result.seconds * 1e6:.1f} us modeled "

@@ -8,6 +8,20 @@ from repro.fpga import Engine, sink_kernel, source_kernel
 from repro.streaming import MatrixSchedule
 
 
+def bound_app(name: str, arrays, *scalars, **sizes):
+    """Catalogue app ``name`` bound on a fresh context by its own binder:
+    ``(graph, options, value, mem)`` of its one stage (``options`` are
+    its ``execute_plan`` keywords; ``value()`` reads the result once the
+    graph has run)."""
+    from repro.apps import APPS
+    from repro.host import FblasContext
+    ctx = FblasContext()
+    bufs = [ctx.copy_to_device(np.asarray(a)) for a in arrays]
+    ((graph, options),), value = APPS[name].bind(ctx, *bufs, *scalars,
+                                                 **sizes)
+    return graph, options, value, ctx.mem
+
+
 def stream_of(matrix: np.ndarray, schedule: MatrixSchedule) -> list:
     """Flatten ``matrix`` in the streaming order of ``schedule``."""
     flat = np.asarray(matrix).reshape(-1)

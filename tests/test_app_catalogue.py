@@ -29,13 +29,13 @@ from repro.host import FblasContext
 
 EXPECTED = {
     "campaign":
-        "642f26457c63e494b5e3375b3e919e825edd8d8416057a0bd5be804535fea826",
+        "f59649852c453ffb4745d4beccd3cddb6c161c7910866891c230f6fc95e2ed39",
     "drift":
         "d972ed920418176ecfa5c476fdd2e8b070f57b86762d85205f5f1e65b64e8b08",
     "analysis":
         "ddf317f20e224ca1ce1745688e3e4c379ad9d215b55958ee01f360ee8a34dbbd",
     "telemetry_atax_runs":
-        "8e3044e8eb51df91a573f3f6c33e4dc67f434ebfb88438facc576a066683cde8",
+        "2941dfb458c6119f3fe83b948c282f525ca613d1f18942c2fdff65ceaa2a667b",
 }
 
 
@@ -136,22 +136,28 @@ class TestOneCatalogue:
             np.testing.assert_allclose(g, w, rtol=1e-2, atol=1e-2)
 
     def test_fault_targets_come_from_one_clean_run(self):
-        """The hand-kept lists they replace, plus the zero addends the
-        BICG and GEMVER lists had missed."""
+        """What the executor wires: interface kernels take their node's
+        name, on-chip edges are ``<src>__<dst>`` channels, a shared read
+        fans out through ``fan_<node>``, and every app-bound buffer
+        (zero addends and AXPYDOT's beta included) is a target."""
         from repro.faults.campaign import fault_targets
         assert fault_targets("axpydot", 8) == (
-            ("w", "v", "u", "z", "beta"),
-            ("read_w", "read_v", "read_u", "axpy", "dot", "sink"),
-            ("w", "v", "u"))
+            ("read_w__axpy", "read_v__axpy", "read_u__dot", "axpy__dot",
+             "dot__write_beta"),
+            ("read_w", "read_v", "read_u", "axpy", "dot", "write_beta"),
+            ("w", "v", "u", "axpydot_beta"))
         assert fault_targets("atax", 8) == (
-            ("A", "A1", "A2", "x", "zeros1", "zeros2", "tmp", "y"),
-            ("read_A", "fanout", "read_x", "read_z1", "read_z2", "gemv",
+            ("read_A__gemv", "read_A__gemvT", "read_x__gemv",
+             "read_z1__gemv", "read_z2__gemvT", "gemv__gemvT",
+             "gemvT__write_y", "read_A__fan"),
+            ("read_A", "fan_read_A", "read_x", "read_z1", "read_z2", "gemv",
              "gemvT", "write_y"),
             ("A", "x", "atax_y", "atax_z1", "atax_z2"))
         assert fault_targets("bicg", 8)[2] == (
             "A", "p", "r", "bicg_q", "bicg_s", "bicg_zn", "bicg_zm")
         channels, kernels, buffers = fault_targets("gemver", 8)
-        assert channels[-3:] == ("B", "zeros", "w")     # component 2
+        assert channels[-4:] == ("read_B__gemv", "read_x__gemv",
+                                 "read_zeros__gemv", "gemv__write_w")
         assert kernels[-5:] == ("read_B", "read_x", "read_zeros", "gemv",
                                 "write_w")
         assert buffers == ("A", "u1", "v1", "u2", "v2", "y", "z",

@@ -1,5 +1,7 @@
 """Integration tests for the Sec. V composed applications."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -266,28 +268,39 @@ class TestGemver:
 
 
 class TestOneContextServesRepeatedCalls:
-    """The streaming apps bind buffers of their own (outputs, zero
-    addends) and release them when they return, so a reused context
-    holds only its caller's buffers between calls, and every call binds
-    the documented names (fault plans and reports refer to them)."""
+    """The apps bind buffers of their own (outputs, zero addends, the
+    host variants' intermediates) and release them when they return, so
+    a reused context holds only its caller's buffers between calls, and
+    every call binds the documented names (fault plans and reports refer
+    to them)."""
 
     N = 16
 
-    @pytest.mark.parametrize("app", sorted([*APPS, "atax_broken"]))
+    HOST = {"atax_host": atax_host, "axpydot_host": axpydot_host,
+            "bicg_host": bicg_host, "gemver_host": gemver_host}
+
+    @pytest.mark.parametrize("app", sorted([*APPS, "atax_broken", *HOST]))
     def test_same_bytes_and_cycles_every_call(self, app):
-        spec = APPS["atax" if app == "atax_broken" else app]
-        run = atax_broken if app == "atax_broken" else spec.streaming
+        spec = APPS[app.split("_")[0]]
         kwargs = dict(width=4)
         if any(rank == 2 for _name, rank in spec.operands):
             kwargs["tile"] = 4
         ctx = FblasContext()
+        if app in self.HOST:
+            # Host variants take an Fblas on the same context; the
+            # sizes go to its constructor.
+            run = partial(self.HOST[app], Fblas(context=ctx, **kwargs))
+            kwargs = {}
+        else:
+            run = partial(atax_broken if app == "atax_broken"
+                          else spec.streaming, ctx)
         bufs = [ctx.copy_to_device(x) for x in spec.draw(RNG, self.N)]
         callers = list(ctx.mem.buffers)     # the caller's operands
         results, own = [], []
         for _ in range(3):
             with telemetry.session(metrics=False, kernel_slices=False,
                                    occupancy=False) as tel:
-                res = run(ctx, *bufs, *spec.scalars, **kwargs)
+                res = run(*bufs, *spec.scalars, **kwargs)
             assert list(ctx.mem.buffers) == callers
             value = res.value if isinstance(res.value, tuple) else (res.value,)
             results.append((tuple(np.asarray(v).tobytes() for v in value),

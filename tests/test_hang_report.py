@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.apps.atax import atax_streaming
+from repro.apps import atax_streaming
 from repro.fpga import DeadlockError
 from repro.fpga.errors import HANG_REPORT_SCHEMA, HangReport
 from repro.host.api import FblasContext
@@ -39,18 +39,19 @@ class TestAtaxHangReport:
 
     def test_blocked_set_names_the_reconvergence(self, atax_deadlock):
         blocked = atax_deadlock.report.blocked
-        # The fanout cannot push into the undersized A2 channel while the
-        # two GEMVs starve downstream of it.
-        assert "fanout" in blocked and "'A2'" in blocked["fanout"]
+        # The fan-out cannot push into the undersized read_A__gemvT
+        # channel while the two GEMVs starve downstream of it.
+        assert ("fan_read_A" in blocked
+                and "'read_A__gemvT'" in blocked["fan_read_A"])
         assert "gemv" in blocked and "pop" in blocked["gemv"]
         assert "gemvT" in blocked
 
     def test_wait_for_graph_has_circular_certificate(self, atax_deadlock):
         report = atax_deadlock.report
-        assert ("fanout", "gemvT", "A2") in report.wait_for
+        assert ("fan_read_A", "gemvT", "read_A__gemvT") in report.wait_for
         assert report.wait_cycles, "expected a circular-wait certificate"
         cycle = report.wait_cycles[0]
-        assert {"fanout", "gemv", "gemvT"} <= set(cycle)
+        assert {"fan_read_A", "gemv", "gemvT"} <= set(cycle)
 
     def test_analyzer_blames_reconvergent_fanout(self, atax_deadlock):
         # FB003 is the static checker's reconvergent-fanout-depth code;
@@ -60,14 +61,15 @@ class TestAtaxHangReport:
     def test_channel_pressure_shows_starved_consumers(self, atax_deadlock):
         report = atax_deadlock.report
         pressure = {c.channel: c for c in report.channels}
-        assert pressure["A2"].occupancy == pressure["A2"].depth == 2
-        assert pressure["tmp"].occupancy == 0
+        assert (pressure["read_A__gemvT"].occupancy
+                == pressure["read_A__gemvT"].depth == 2)
+        assert pressure["gemv__gemvT"].occupancy == 0
 
     def test_render_text_golden_fragments(self, atax_deadlock):
         text = atax_deadlock.report.render_text()
         assert text.startswith("deadlock at cycle ")
         assert "wait-for graph:" in text
-        assert "fanout -> gemvT  (via 'A2')" in text
+        assert "fan_read_A -> gemvT  (via 'read_A__gemvT')" in text
         assert "circular wait: " in text
         assert "channel pressure:" in text
         assert "FB003" in text
@@ -78,14 +80,14 @@ class TestAtaxHangReport:
         clone = json.loads(json.dumps(doc))
         assert clone["kind"] == "deadlock"
         assert clone["cycle"] == atax_deadlock.cycle
-        assert any(e == ["fanout", "gemvT", "A2"]
+        assert any(e == ["fan_read_A", "gemvT", "read_A__gemvT"]
                    for e in clone["wait_for"])
         assert any(d["code"] == "FB003" for d in clone["analysis"])
 
     def test_exception_message_summarises_blockers(self, atax_deadlock):
         msg = str(atax_deadlock)
         assert "deadlock at cycle" in msg
-        assert "fanout" in msg and "A2" in msg
+        assert "fan_read_A" in msg and "read_A__gemvT" in msg
 
     def test_deterministic_across_runs(self, atax_deadlock):
         ctx = FblasContext()

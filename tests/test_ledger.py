@@ -567,7 +567,7 @@ class TestExecutorNesting:
 
 class TestHangCorrelation:
     def test_hang_report_carries_the_run_id(self):
-        from repro.apps.atax import atax_streaming
+        from repro.apps import atax_streaming
         ctx = FblasContext()
         rng = np.random.default_rng(0)
         a = rng.standard_normal((8, 8)).astype(np.float32)
@@ -588,7 +588,7 @@ class TestHangCorrelation:
         assert rec.error == "DeadlockError"
 
     def test_hang_report_has_no_id_outside_a_session(self):
-        from repro.apps.atax import atax_streaming
+        from repro.apps import atax_streaming
         ctx = FblasContext()
         rng = np.random.default_rng(0)
         a = rng.standard_normal((8, 8)).astype(np.float32)

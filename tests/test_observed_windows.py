@@ -335,16 +335,21 @@ class TestRegistryRoutines:
 
     @pytest.mark.parametrize("n,width", [(4096, 8), (1000, 4)])
     def test_axpydot(self, n, width, monkeypatch):
-        from repro.apps import axpydot
-        real = axpydot.build_axpydot_engine
+        from repro.apps import catalogue
+        from repro.streaming import executor
+        real = executor._build_component
 
         def drive(mode, attach):
             def build(*args, **kwargs):
-                eng, out = real(*args, **kwargs)
+                eng = real(*args, **kwargs)
                 attach(eng)
-                return eng, out
+                return eng
 
-            monkeypatch.setattr(axpydot, "build_axpydot_engine", build)
+            monkeypatch.setattr(executor, "_build_component", build)
+            # Both tiers start from cold, uncounted caches, as the app
+            # did when it wired its own engine.
+            monkeypatch.setattr(catalogue, "PLANS", {})
+            monkeypatch.setattr(catalogue, "CERTIFICATES", {})
             ctx = FblasContext()
             rng = np.random.default_rng(n)
             w, v, u = (ctx.copy_to_device(

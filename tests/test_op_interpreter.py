@@ -25,18 +25,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.apps import atax, axpydot, bicg
+from repro.apps import atax_streaming, axpydot_streaming, bicg_streaming
 from repro.blas import level1
 from repro.faults import COMPLETION_SAFE_KINDS, FaultPlan
 from repro.fpga import Clock, DeadlockError, Engine, EngineObserver, Pop, Push
 from repro.fpga.util import source_kernel
 from repro.host import Fblas, FblasContext
+from repro.streaming import executor
 
 EXPECTED = {
-    "atax": "624f7eb6843b74d76e430ed757437c065b669d2c0804e3aae6f3a357da3f3c4d",
-    "atax_undersized": "1e2140d2d0bf0f385cd31b1e380adbc462702ec02416590901a912a481448c3f",
-    "axpydot": "024e7dbb08c951c08f944bc3bfd6667841dbbd1e31e259ac6ccc49db7c5defe4",
-    "bicg": "07d81ece98889873ac82e78c546cd23831b3a1e47b7b65d2be2932bd8378b0af",
+    "atax": "2f75e3189e9e7a7393055e513f91d09aec0645b688d4a3cffa4b0a9ca9f6d64b",
+    "atax_undersized": "5665fb6bda9012331d0409ee069d8c18f29e60d70ec7ac511666488dec8a4df5",
+    "axpydot": "1baf287d685d828b5162341c601be817810d2178bc0b676b165f0dee593d67d6",
+    "bicg": "088e05df597ac0640aa570f26762ae01ae1b0f3ca61417eab359430da5258342",
     "faulted_chain": "16f15b7443d50243d3673111e38556012c282c3d4f58c5a2825c0d58020f0c21",
     "host_dot_axpy": "d1a272f80ec77d33cdb6f21c66154ad9b70937f1f151f1a49bd7e12ccec3412a",
 }
@@ -88,12 +89,11 @@ def _arrays(seed, *shapes):
 
 
 def _atax(rec, monkeypatch, depth="auto"):
-    monkeypatch.setattr(atax, "Engine", _recording_engine(rec))
+    monkeypatch.setattr(executor, "Engine", _recording_engine(rec))
     a, x = _arrays(1, (16, 16), 16)
     ctx = FblasContext()
-    res = atax.atax_streaming(ctx, ctx.copy_to_device(a),
-                              ctx.copy_to_device(x), tile=4, width=4,
-                              channel_depth=depth, mode="dense")
+    res = atax_streaming(ctx, ctx.copy_to_device(a), ctx.copy_to_device(x),
+                         tile=4, width=4, channel_depth=depth, mode="dense")
     rec.log("value", np.asarray(res.value).tobytes())
 
 
@@ -105,18 +105,18 @@ def _atax_undersized(rec, monkeypatch):
 
 
 def _axpydot(rec, monkeypatch):
-    monkeypatch.setattr(axpydot, "Engine", _recording_engine(rec))
+    monkeypatch.setattr(executor, "Engine", _recording_engine(rec))
     ctx = FblasContext()
     bufs = [ctx.copy_to_device(v) for v in _arrays(2, 128, 128, 128)]
-    res = axpydot.axpydot_streaming(ctx, *bufs, 0.7, width=8, mode="dense")
+    res = axpydot_streaming(ctx, *bufs, 0.7, width=8, mode="dense")
     rec.log("value", repr(res.value))
 
 
 def _bicg(rec, monkeypatch):
-    monkeypatch.setattr(bicg, "Engine", _recording_engine(rec))
+    monkeypatch.setattr(executor, "Engine", _recording_engine(rec))
     ctx = FblasContext()
     bufs = [ctx.copy_to_device(v) for v in _arrays(3, (16, 16), 16, 16)]
-    res = bicg.bicg_streaming(ctx, *bufs, tile=4, width=4, mode="dense")
+    res = bicg_streaming(ctx, *bufs, tile=4, width=4, mode="dense")
     rec.log("value", *(np.asarray(v).tobytes() for v in res.value))
 
 

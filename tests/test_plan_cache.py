@@ -6,8 +6,8 @@ Three things are pinned here:
   binds fresh ``batch{uid}.*`` buffers every burst; the role-based
   ``plan_key`` makes them one plan);
 * the cache never exceeds :attr:`PlanCache.MAX_ENTRIES`, evicts the
-  least recently *used* entry, and the service's locked variant keeps
-  both properties under concurrent workers;
+  least recently *used* entry, and keeps both properties under
+  concurrent workers;
 * the hit/miss counts the retired ``benchmarks/test_plan_cache.py``
   asserted: executor repeat requests, certified engines sharing one
   cache, and a repeated host call.
@@ -18,16 +18,13 @@ import threading
 
 import numpy as np
 
-from repro.apps.axpydot import build_axpydot_engine
-from repro.fpga.memory import DramModel
 from repro.host import Fblas, FblasContext
 from repro.plan import PlanCache
 from repro.service import RoutineJob
 from repro.service.batch import run_batch
-from repro.service.service import _LockedPlanCache
-from repro.streaming import execute_plan
+from repro.streaming import build_engine, execute_plan
 
-from test_plan_consumers import _bound_axpydot
+from helpers import bound_app
 
 RNG = np.random.default_rng(18)
 BOUND = PlanCache.MAX_ENTRIES
@@ -86,7 +83,7 @@ def test_bound_and_least_recently_used_eviction():
 def test_locked_cache_stays_bounded_under_threads():
     """Four workers, each hitting one hot key between bursts of distinct
     ones: no lost counts, never over the bound, the hot key survives."""
-    cache = _LockedPlanCache(name="t")
+    cache = PlanCache(name="t")
     cache["hot"] = "hot"
     per_thread, threads = BOUND, 4
     errors = []
@@ -132,9 +129,8 @@ def test_executor_repeat_requests_compile_once():
     cache = PlanCache()
     reports = []
     for _ in range(REPEATS):
-        mem = DramModel(num_banks=4)
-        g, _beta = _bound_axpydot(mem, f32(512), f32(512), f32(512), 0.5,
-                                  512, 8)
+        g, _, _, mem = bound_app("axpydot", [f32(512) for _ in range(3)],
+                                 0.5, width=8)
         res = execute_plan(g, mem, plan_cache=cache)
         reports.append([r.to_dict() for r in res.reports])
     assert all(r == reports[0] for r in reports[1:])
@@ -146,12 +142,9 @@ def test_certified_engines_share_one_certification():
     the first run pays the FB4xx passes, repeats replay the certificate."""
     cache = PlanCache()
     for _ in range(REPEATS):
-        ctx = FblasContext()
-        bufs = [ctx.copy_to_device(f32(1024)) for _ in range(3)]
-        eng, _out = build_axpydot_engine(ctx, *bufs, np.float32(0.7),
-                                         width=8, mode="certified",
-                                         schedule_cache=cache)
-        eng.run()
+        g, _, _, mem = bound_app("axpydot", [f32(1024) for _ in range(3)],
+                                 np.float32(0.7), width=8)
+        build_engine(g, mem, mode="certified", schedule_cache=cache).run()
     assert cache.stats() == {"entries": 1, "hits": REPEATS - 1, "misses": 1}
 
 

@@ -14,24 +14,16 @@ import pytest
 
 from repro.analysis import analyze_rates, certify, ensure_certified, \
     schedule_key
-from repro.apps.bicg import bicg_reference, bicg_streaming
-from repro.apps.gemver import gemver_reference, gemver_streaming
+from repro.apps import (bicg_reference, bicg_streaming, gemver_reference,
+                        gemver_streaming)
 from repro.blas import level1
 from repro.fpga.engine import Engine
-from repro.fpga.memory import DramModel
-from repro.fpga.resources import level1_latency
 from repro.fpga.util import duplicate_kernel, sink_kernel, source_kernel
 from repro.host.context import FblasContext
 from repro.plan import PlanCache, PlanIR, compile_plan, mdag_fingerprint
-from repro.streaming import (
-    BoundMDAG,
-    ComputeBinding,
-    ReadBinding,
-    WriteBinding,
-    execute_plan,
-    scalar_stream,
-    vector_stream,
-)
+from repro.streaming import execute_plan, scalar_stream, vector_stream
+
+from helpers import bound_app
 
 RNG = np.random.default_rng(42)
 
@@ -65,37 +57,6 @@ def _axpy_dot_engine(n=128, width=4):
                    latency=8)
     eng.add_kernel("sink", sink_kernel(cres, 1, 1, out))
     return eng
-
-
-def _bound_axpydot(mem, w, v, u, alpha, n, width):
-    g = BoundMDAG()
-    g.add_interface("read_w")
-    g.add_interface("read_v")
-    g.add_interface("read_u")
-    g.add_module("axpy")
-    g.add_module("dot")
-    g.add_interface("write_beta")
-    sig = vector_stream(n)
-    g.connect("read_w", "axpy", sig, sig, dst_port="w")
-    g.connect("read_v", "axpy", sig, sig, dst_port="v")
-    g.connect("axpy", "dot", sig, sig, src_port="z", dst_port="z")
-    g.connect("read_u", "dot", sig, sig, dst_port="u")
-    g.connect("dot", "write_beta", scalar_stream(), scalar_stream(),
-              src_port="res", dst_port="res")
-    beta = mem.allocate("beta_out", 1)
-    g.bind("read_w", ReadBinding(mem.bind("w_buf", w), width))
-    g.bind("read_v", ReadBinding(mem.bind("v_buf", v), width))
-    g.bind("read_u", ReadBinding(mem.bind("u_buf", u), width))
-    g.bind("axpy", ComputeBinding(
-        lambda ins, outs: level1.axpy_kernel(
-            n, -alpha, ins["v"], ins["w"], outs["z"], width),
-        latency=level1_latency("map", width)))
-    g.bind("dot", ComputeBinding(
-        lambda ins, outs: level1.dot_kernel(
-            n, ins["z"], ins["u"], outs["res"], width),
-        latency=level1_latency("map_reduce", width)))
-    g.bind("write_beta", WriteBinding(beta, 1))
-    return g, beta
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +129,8 @@ class TestExecutorOnPlanIR:
     def _fresh(self):
         n, width, alpha = 96, 4, 0.75
         w, v, u = (f32(RNG.normal(size=n)) for _ in range(3))
-        mem = DramModel(num_banks=4)
-        g, beta = _bound_axpydot(mem, w, v, u, alpha, n, width)
+        g, _, beta, mem = bound_app("axpydot", (w, v, u), alpha,
+                                    width=width)
         return g, mem, beta, (w, v, u, alpha)
 
     def test_execution_records_plan_ir(self):
@@ -183,14 +144,14 @@ class TestExecutorOnPlanIR:
         compile-inside path in results, cycles, and I/O."""
         g1, mem1, beta1, (w, v, u, alpha) = self._fresh()
         auto = execute_plan(g1, mem1)
-        mem2 = DramModel(num_banks=4)
-        g2, beta2 = _bound_axpydot(mem2, w, v, u, alpha, 96, 4)
+        g2, _, beta2, mem2 = bound_app("axpydot", (w, v, u), alpha,
+                                       width=4)
         pre = execute_plan(g2, mem2, plan=compile_plan(
             g2, device=mem2.device_label))
         assert [r.to_dict() for r in auto.reports] \
             == [r.to_dict() for r in pre.reports]
         assert auto.io_elements == pre.io_elements
-        assert np.array_equal(beta1.data, beta2.data)
+        assert beta1() == beta2()
         assert auto.plan_ir.plan_key == pre.plan_ir.plan_key
 
     def test_plan_cache_hits_skip_recompilation(self):
@@ -200,8 +161,7 @@ class TestExecutorOnPlanIR:
         g1, mem1, _, (w, v, u, alpha) = self._fresh()
         r1 = execute_plan(g1, mem1, plan_cache=cache)
         assert cache.misses == 1 and cache.hits == 0
-        mem2 = DramModel(num_banks=4)
-        g2, _ = _bound_axpydot(mem2, w, v, u, alpha, 96, 4)
+        g2, _, _, mem2 = bound_app("axpydot", (w, v, u), alpha, width=4)
         r2 = execute_plan(g2, mem2, plan_cache=cache)
         assert cache.hits == 1
         assert r2.plan_ir is r1.plan_ir        # the cached object itself
@@ -217,11 +177,12 @@ class TestExecutorOnPlanIR:
         """All engine cores fed the same precompiled PlanIR agree."""
         outcomes = {}
         for mode in ("dense", "event", "bulk"):
-            mem = DramModel(num_banks=4)
-            g, beta = _bound_axpydot(mem, *self._payload(), 96, 4)
+            w, v, u, alpha = self._payload()
+            g, _, beta, mem = bound_app("axpydot", (w, v, u), alpha,
+                                        width=4)
             res = execute_plan(g, mem, plan=compile_plan(g), mode=mode)
             outcomes[mode] = ([r.to_dict() for r in res.reports],
-                              res.io_elements, beta.data.tobytes())
+                              res.io_elements, beta().tobytes())
         assert outcomes["dense"] == outcomes["event"] == outcomes["bulk"]
 
     def _payload(self):

@@ -172,7 +172,7 @@ def test_atax_undersized_preflight_raises_with_fix(atax_inputs):
         atax_streaming(ctx, da, dx, tile=8, width=4, channel_depth=16,
                        preflight=True)
     (err,) = [d for d in exc.value.diagnostics if d.code == "FB003"]
-    assert "'A2'" in err.fix
+    assert "'read_A__gemvT'" in err.fix
 
 
 def test_atax_undersized_without_preflight_deadlocks(atax_inputs):

@@ -25,14 +25,16 @@ from repro.analysis import (
     schedule_key,
 )
 from repro.analysis.rate_passes import min_depth_requirements
-from repro.apps.atax import atax_streaming
-from repro.apps.axpydot import axpydot_reference, build_axpydot_engine
+from repro.apps import atax_streaming, axpydot_reference
 from repro.blas import level1, level2
 from repro.fpga.engine import Engine
 from repro.fpga.memory import read_kernel
 from repro.fpga.util import sink_kernel, source_kernel
 from repro.host.context import FblasContext
 from repro.models.iomodel import atax_min_channel_depth
+from repro.streaming import build_engine
+
+from helpers import bound_app
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -64,16 +66,14 @@ def _chain_engine(n=64, src_width=4, sink_width=4, src_total=None,
     return eng
 
 
-def _axpydot(ctx=None, n=1024, width=8, mode="event", schedule_cache=None):
-    ctx = ctx or FblasContext()
+def _axpydot(n=1024, width=8, mode="event"):
+    """The AXPYDOT engine the executor builds (not run) and its beta."""
     rng = np.random.default_rng(11)
-    w = ctx.copy_to_device(rng.standard_normal(n).astype(np.float32))
-    v = ctx.copy_to_device(rng.standard_normal(n).astype(np.float32))
-    u = ctx.copy_to_device(rng.standard_normal(n).astype(np.float32))
-    eng, out = build_axpydot_engine(ctx, w, v, u, np.float32(0.5),
-                                    width=width, mode=mode,
-                                    schedule_cache=schedule_cache)
-    return eng, out
+    g, _, _, mem = bound_app(
+        "axpydot", [rng.standard_normal(n).astype(np.float32)
+                    for _ in range(3)], np.float32(0.5), width=width)
+    return (build_engine(g, mem, mode=mode),
+            g.bindings["write_beta"].buffer.data)
 
 
 def _gemv_engine(mode, out, N=32, M=48, TN=8, TM=12, W=4):
@@ -198,14 +198,14 @@ class TestRatePasses:
                            tile=tile)
         want = atax_min_channel_depth(n, tile)
         reqs = min_depth_requirements(eng)
-        assert any(req == want and "A2" in chans
+        assert any(req == want and "read_A__gemvT" in chans
                    for _pair, _nodes, chans, _cap, req in reqs)
         errs = analyze_rates(eng).by_code("FB403")
         assert errs
         assert f"minimal deadlock-free branch depth is {want}" \
             in errs[0].message
         assert f"minimal deadlock-free depth {want}" in errs[0].fix
-        assert "A2" in errs[0].fix
+        assert "read_A__gemvT" in errs[0].fix
 
     def test_fb403_silent_at_auto_depth(self, monkeypatch):
         eng = _atax_engine(monkeypatch, channel_depth="auto")
@@ -345,19 +345,16 @@ class TestCertifiedEngine:
         assert results["event"] == results["certified"]
 
     def test_certified_value_matches_reference(self):
-        ctx = FblasContext()
         rng = np.random.default_rng(11)
         n = 256
         w = rng.standard_normal(n).astype(np.float32)
         v = rng.standard_normal(n).astype(np.float32)
         u = rng.standard_normal(n).astype(np.float32)
-        eng, out = build_axpydot_engine(
-            ctx, ctx.copy_to_device(w), ctx.copy_to_device(v),
-            ctx.copy_to_device(u), np.float32(0.5), width=8,
-            mode="certified")
-        eng.run()
+        g, _, value, mem = bound_app("axpydot", (w, v, u), np.float32(0.5),
+                                     width=8)
+        build_engine(g, mem, mode="certified").run()
         ref = axpydot_reference(w, v, u, np.float32(0.5))
-        np.testing.assert_allclose(out[0], ref, rtol=1e-4)
+        np.testing.assert_allclose(value(), ref, rtol=1e-4)
 
     def test_host_api_certified_dot(self):
         from repro.host.api import Fblas

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.apps import APPS, atax
+from repro.apps import APPS, atax_streaming, catalogue
 from repro.blas import level1
 from repro.faults import COMPLETION_SAFE_KINDS, FaultPlan
 from repro.fpga import Clock, DeadlockError, Engine, Pop, Push
@@ -52,20 +52,20 @@ EXPECTED = {
         "report": "3c50e571c14cf3a9bf673beccc89a2a1da32e8b1f4718594d2c9484768c2c63d"
     },
     "deadlocked_atax": {
-        "registry": "d0cc41b876b357bc04b3c11b89a4f823be4cc0edac1076a06bbe7a92ee56f3a9",
-        "slices": "4f5786b739db919f992ed20309511a2b8d3793b63b987fdabd5567efa3f0ddf7",
+        "registry": "0101168377124e75716b24bab9b97d54f306223464889cad5a59734e96057b6e",
+        "slices": "1c927ad9e810f15d9d487ee269a296beee0b7722e91542289393a39a9b8695f6",
         "runs": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "ledger": "4c24240ec9557197ab2946d4f2e693ac32960ff9625c1189ddec958e87d6f8c3",
-        "chrome_trace": "8d5176ff837b801da38cee53146a1c4271d1085d6bbf5868aae0a63da8bfc587",
-        "report": "17134b59ebf5d7500cb53ccbe7a0749c6c8d08adf143f82cfd9edba3b6b08ccc"
+        "ledger": "a799ac82df6016a4b4d688697ff08817351e755a94b300d5fb247eb2e774f338",
+        "chrome_trace": "4b4cbf879c14f5c1bd149ce5f43d152ef0dfef1b42b4f68c30dd83ff65c89d2a",
+        "report": "07599bbc81694a7a43d0b2d7686bac81d50963b17461d9cefb772c2bba19d356"
     },
     "event_atax": {
-        "registry": "aa65a0139e680ef416beb37ab4430587622906f2ed40b883b02dec725fd2a2e3",
-        "slices": "4306b6dd64c60d254464b8d941ff1bd01ed1f00deb16a0b2648d056abddd9e39",
-        "runs": "d52bbe8be48accf1e54de88c41e8f4dce6e98cbddf7a5543733aaecdb3a3e705",
-        "ledger": "9c6c0efe24b6a0e08eb8687ceb948ab794715be511293aca6721e8aed4c58fa8",
-        "chrome_trace": "a74509600d6c9c0a1e8a2bb3d8964a31c52ee09eca9786f7432909e6c90404a3",
-        "report": "238013f9f8494b3d2d13d9092f9cbae474c6213d966e28705c306f16f5ae8de9"
+        "registry": "2527d3a1c337be397f9469ba1230c1cfe1aa037d3e43c3fa6dc9ec99018f0e98",
+        "slices": "465521e10b5d8a7b7b0959e96d7fa8ab383df93c212b2901af51a4d1d3fcf9ba",
+        "runs": "cde8a2eed37e23305f939973d58f9880558a22b378deba698c20e28bfcddaedb",
+        "ledger": "34c36542778d4710d148099cd6d860aad8be84f078d949a0d70c60fd6b84c7f8",
+        "chrome_trace": "5ead34377bd9f4ffc8d1a869df405f16ef19861b6b15c97d7ef953d181d89940",
+        "report": "dc349bbdb1051de6810ebd605d60a3c87a55bd88e0304b25e38ff215ddeff470"
     },
     "faulted_chain": {
         "registry": "dd7521fea1ad47954acfe2905f81bb23484bc1b220f4840d99cb80707d4a05ba",
@@ -76,12 +76,12 @@ EXPECTED = {
         "report": "5fe1de0bf7adbeae4e1935aefa903af372864976fd38b1e90b374bf8900df2dd"
     },
     "gemver": {
-        "registry": "f2de76eb2f39221c5097c1b7430e608610b3b385d4b659f77c98dc217e90c8e8",
+        "registry": "1f08923db88a427d4e21a0a3ebaaa306f9b2a9c71f4fa802f714b9cf83c4cd28",
         "slices": "c95df44a92db7d1623d7d2844586fe6593dbceaf7a581defdb6d06e9af6f7d3c",
-        "runs": "4d87f0a922722d50cd23075cd3edc85614b1195e727ff8c657825933d31726e8",
-        "ledger": "54bd6f1d3f2f67a58aaf3c218a34501d19307edca6b88284afc082a523f4e37e",
-        "chrome_trace": "ee536371b1dc0376ba115b192cb837e4d5a24157100dd7380038cb75dd766289",
-        "report": "c9821560e46dd0c7ee4d796e3eccad110b55bd5624eaaa351492c3476e5dfe93"
+        "runs": "3b00aaef9a815f4b3f87a175ef550981b32f00224abec2cd9f55265bf3c83172",
+        "ledger": "c8f753d780e4621bea18f2d5b0b50f66c08a734a01db4cd981833798a5300ac9",
+        "chrome_trace": "6c8ea1cc9678943a86a9b8f7a407f1cc174b98bf6617030ff975c8d8aa09a0fa",
+        "report": "603df892f76b5ff89de333343c7a93d040db8231ce02cb3675c561f660603fb1"
     },
 }
 
@@ -162,9 +162,8 @@ def _deadlocked_atax():
     ctx = FblasContext()
     a, x = _arrays(5, (16, 16), 16)
     with pytest.raises(DeadlockError):
-        atax.atax_streaming(ctx, ctx.copy_to_device(a),
-                            ctx.copy_to_device(x), tile=4, width=4,
-                            channel_depth=16, mode="event")
+        atax_streaming(ctx, ctx.copy_to_device(a), ctx.copy_to_device(x),
+                       tile=4, width=4, channel_depth=16, mode="event")
 
 
 SCENARIOS = {
@@ -205,6 +204,10 @@ def _exports(tel):
 
 
 def _digests(name):
+    # The app scenarios export their plan-cache lookups: start each one
+    # from empty process-wide caches, whatever ran before it.
+    for cache in (catalogue.PLANS, catalogue.CERTIFICATES):
+        cache.clear()
     with telemetry.session() as tel:
         SCENARIOS[name]()
     return {k: hashlib.sha256(v.encode()).hexdigest()

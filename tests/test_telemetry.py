@@ -15,15 +15,14 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.apps.axpydot import AppResult, axpydot_streaming
-from repro.apps.gemver import gemver_streaming
+from repro.apps import AppResult, axpydot_streaming, gemver_streaming
 from repro.fpga import Clock, Engine, Pop, Push, sink_kernel, source_kernel
 from repro.fpga.engine import SIM_REPORT_SCHEMA
 from repro.fpga.memory import DramModel, read_kernel
 from repro.fpga.observers import JSONL_EVENTS_SCHEMA, JsonlEventDump
 from repro.host.api import Fblas
 from repro.host.context import FblasContext
-from repro.apps.axpydot import APP_RESULT_SCHEMA
+from repro.apps.catalogue import APP_RESULT_SCHEMA
 from repro.telemetry import (
     CHROME_TRACE_SCHEMA,
     METRICS_SCHEMA,
@@ -241,8 +240,8 @@ class TestMetricsAgreeWithSimReport:
         cause = tel.registry.get("kernel.stall_cause_cycles")
         causes = {dict(key)["cause"] for key in cause.labelsets()}
         assert causes <= {"upstream-starved", "downstream-backpressured"}
-        # The sink pops a scalar that arrives last: must be starved.
-        assert cause.get(run=0, kernel="sink", channel="beta",
+        # write_beta pops a scalar that arrives last: must be starved.
+        assert cause.get(run=0, kernel="write_beta", channel="dot__write_beta",
                          cause="upstream-starved") > 0
 
     def test_declared_ii_validation(self):
@@ -264,7 +263,10 @@ class TestSpans:
         assert "engine.run[0]" in names
         app = tel.spans.spans[0]
         eng_span = next(s for s in tel.spans.spans if s.cat == "engine")
-        assert app.depth == 0 and eng_span.depth == 1
+        # app -> streaming.composition -> streaming.component[0] -> engine
+        assert names[1:3] == ["streaming.composition",
+                              "streaming.component[0]"]
+        assert app.depth == 0 and eng_span.depth == 3
         assert app.start <= eng_span.start <= eng_span.end <= app.end
 
     def test_multi_run_clock_is_coherent(self):
@@ -353,7 +355,7 @@ class TestChromeTrace:
         assert kernel_tids and min(kernel_tids) >= 1
         named = {e["args"]["name"] for e in ev
                  if e["ph"] == "M" and e["name"] == "thread_name"}
-        assert {"axpy", "dot", "sink"} <= named
+        assert {"axpy", "dot", "write_beta"} <= named
 
     def test_b_e_balanced_per_pid(self):
         _tel, doc = self._trace()

@@ -54,6 +54,19 @@ class TestExitCodes:
         assert "only applies to 'report'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["drift", "--engine-mode", "certified"],
+        ["axpydot", "--engine-mode", "certified"],
+    ], ids=["drift", "axpydot"])
+    def test_refused_design_is_one_typed_line(self, argv, capsys):
+        """Certified mode refuses the width-16 AXPYDOT (FB402) before
+        cycle 0: exit 1 and one typed line on stderr, for the drift
+        sweep as for the app."""
+        assert telemetry_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("AnalysisError: ") and "FB402" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["atax", "--width", "0"], ["atax", "--n", "0"],
         ["bicg", "--n", "-3"], ["gemver", "--tile", "0"],
         ["atax", "--tile", "-2"],
@@ -83,10 +96,9 @@ class TestLedgerArtifacts:
 
         records = read_ledger(str(ledger))
         assert records, "expected at least one run record"
-        # the apps drive the engine directly, so every record is an
-        # engine.run root (execute_plan nesting is covered in
-        # test_ledger / test_executor)
-        assert {r.kind for r in records} == {"engine.run"}
+        # the apps run through execute_plan: one execute_plan record
+        # per stage, its engine run a child of it
+        assert {r.kind for r in records} == {"engine.run", "execute_plan"}
         # every row is schema-tagged and losslessly re-serializable
         for line in ledger.read_text().splitlines():
             doc = json.loads(line)
