@@ -50,6 +50,7 @@ The passes live in their own ``"rates"`` registry;
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -148,10 +149,9 @@ def bank_demand(subject) -> Dict[Optional[int], int]:
     interleaved buffers (drawing from the pooled budget).  Traffic on a
     striped/range placement spreads evenly over its member channels
     (rounded up per channel — the conservative direction for a
-    feasibility lint).  Only pattern-declared traffic is visible —
-    dynamic (ordered) memory kernels contribute nothing here, which
-    FB404 surfaces separately.  Budgets come from the plan's
-    :class:`~repro.plan.PlanMemory`.
+    feasibility lint).  Every memory kernel declares its traffic, a
+    gather at the budget its stride penalty draws.  Budgets come from
+    the plan's :class:`~repro.plan.PlanMemory`.
     """
     plan = as_plan(subject)
     demand: Dict[Optional[int], int] = {}
@@ -272,6 +272,15 @@ def check_certifiable(plan: PlanIR, ctx) -> Iterable[Diagnostic]:
                 obj=k.name,
                 fix="wrap the generator in PatternedGenerator with an "
                     "executable StaticPattern")
+        # A declare-only pattern carries no DRAM traffic: a memory kernel
+        # is non-executable only by engine_rows' store-order guard.
+        elif not k.executable and k.dram:
+            yield Diagnostic(
+                "FB404", Severity.ERROR,
+                f"kernel {k.name!r} reads buffer {k.dram[0].buffer!r} out of "
+                "the order the design stores it in, or twice; a window "
+                "would gather bytes the stepped run overwrites first",
+                obj=f"{k.name}@{k.dram[0].buffer}")
         elif not k.executable:
             yield Diagnostic(
                 "FB404", Severity.ERROR,
@@ -374,6 +383,17 @@ def check_bandwidth(plan: PlanIR, ctx) -> Iterable[Diagnostic]:
                 obj=f"bank{bank}",
                 fix="spread the buffers over more banks or reduce the "
                     "vectorization width")
+    traffic = [t for k in plan.kernels for t in k.dram]
+    users = Counter(c for t in traffic for c in t.channels or (t.bank,))
+    for t in traffic:
+        shared = [c for c in t.channels if users[c] > 1]
+        if shared:
+            yield Diagnostic(
+                "FB402", Severity.ERROR,
+                f"striped buffer {t.buffer!r} shares channel {shared[0]} "
+                "with other traffic: how its bursts split over its "
+                "channels would depend on the order kernels step",
+                obj=f"bank{shared[0]}")
     budget = mem.num_banks * mem.bytes_per_cycle
     if total > budget:
         yield Diagnostic(

@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .memory import stripe_split
 from .observers import Window
 from .scheduler import _KIDX, _MATURE, WakeListScheduler
 
@@ -442,16 +443,18 @@ class WindowScheduler(WakeListScheduler):
             k._last_stepped = last
             k._last_progress = True
             for d in p.dram:
-                nbytes = K * d.elements * d.buf.itemsize
-                if d.buf.bank is not None:
-                    bs = d.mem.bank_stats[d.buf.bank]
-                    if d.kind == "read":
-                        bs.bytes_read += nbytes
+                burst = d.elements * d.buf.itemsize
+                for bank, nbytes in (((d.buf.bank, burst),)
+                                     if d.buf.bank is not None
+                                     else _stripe_split(d, burst)):
+                    bs = d.mem.bank_stats[bank]
+                    if d.kind == "write":
+                        bs.bytes_written += K * nbytes
                     else:
-                        bs.bytes_written += nbytes
+                        bs.bytes_read += K * nbytes
                     # A bank is busy once per cycle no matter how many
                     # kernels hit it — mirror DramModel._busy_mark.
-                    touched_banks.add((id(d.mem), d.mem, d.buf.bank))
+                    touched_banks.add((id(d.mem), d.mem, bank))
         for _mid, mem, bank in touched_banks:
             mem.bank_stats[bank].busy_cycles += K
         for ch, (_pk, ck, w, _eff, _offs, peak) in ports.items():
@@ -512,6 +515,16 @@ class WindowScheduler(WakeListScheduler):
             # peak _execute_window would otherwise ask _flow_peak for.
             port[5] = max(occ for occ, _n in runs)
         return Window(states, ops, occupancy)
+
+
+def _stripe_split(d, nbytes):
+    """``(channel, bytes)`` a full burst of ``d`` moves on each member of
+    its striped buffer: the event tier's split at full budgets, as FB402
+    keeps all other traffic off those channels."""
+    f = d.mem.stride_penalty if d.kind == "gather" else 1.0
+    return [(c, int(take // f)) for c, take in stripe_split(
+        d.buf.placement.channels if d.buf.placement else (), int(nbytes * f),
+        [d.mem.bytes_per_cycle] * d.mem.num_banks)]
 
 
 def _is_store(p) -> bool:

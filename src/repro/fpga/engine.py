@@ -548,9 +548,10 @@ class Engine:
         (:attr:`schedule`); return None, or why the run steps instead.
 
         ``"certified"`` raises :class:`~repro.analysis.AnalysisError`
-        on a refusal.  ``"bulk"`` never does: every FB404 refusal is
-        found by a scan that builds no plan and runs no rate pass, any
-        other is memoized in the schedule cache beside the certificates.
+        on a refusal.  ``"bulk"`` never does: a kernel without an
+        executable pattern is found by a scan that builds no plan and
+        runs no rate pass, any other refusal is memoized in the schedule
+        cache beside the certificates.
         Both step when an observer has no ``on_window``.
         """
         # Imported lazily: repro.analysis depends on this module.

@@ -93,6 +93,16 @@ class Placement:
         return "striped[" + ",".join(str(c) for c in self.channels) + "]"
 
 
+def stripe_split(channels, need: int, budget):
+    """``(channel, bytes)`` a striped request for ``need`` bytes draws:
+    each member channel in order gives what is left of ``budget[c]``."""
+    for c in channels:
+        take = min(need, budget[c])
+        if take > 0:
+            need -= take
+            yield c, take
+
+
 @dataclass
 class BankStats:
     bytes_read: int = 0
@@ -279,20 +289,14 @@ class DramModel:
             # Striped/range placement: draw from each member channel's
             # remaining budget in order until the request is met.
             granted = 0
-            need = nbytes
-            for c in pl.channels:
-                take = min(need, self._budget[c])
-                if take > 0:
-                    self._budget[c] -= take
-                    self._pool_budget = max(0, self._pool_budget - take)
-                    if self._busy_mark[c] != self._cycle:
-                        self._busy_mark[c] = self._cycle
-                        self.bank_stats[c].busy_cycles += 1
-                    self._last_grants.append((c, take))
-                    granted += take
-                    need -= take
-                if need == 0:
-                    break
+            for c, take in stripe_split(pl.channels, nbytes, self._budget):
+                self._budget[c] -= take
+                self._pool_budget = max(0, self._pool_budget - take)
+                if self._busy_mark[c] != self._cycle:
+                    self._busy_mark[c] = self._cycle
+                    self.bank_stats[c].busy_cycles += 1
+                self._last_grants.append((c, take))
+                granted += take
             if granted == 0 and nbytes > 0:
                 for c in pl.channels:
                     self.bank_stats[c].denied_cycles += 1
@@ -327,12 +331,12 @@ class DramModel:
             self.bank_stats[c].bytes_read += int(raw // factor)
         return granted
 
-    def request_write(self, buf: DramBuffer, nbytes: int,
-                      contiguous: bool = True) -> int:
-        factor = 1.0 if contiguous else self.stride_penalty
-        granted = int(self._grant(buf, int(nbytes * factor)) // factor)
+    def request_write(self, buf: DramBuffer, nbytes: int) -> int:
+        """Grant up to ``nbytes`` of write budget (a store is never
+        charged the stride penalty)."""
+        granted = self._grant(buf, nbytes)
         for c, raw in self._last_grants:
-            self.bank_stats[c].bytes_written += int(raw // factor)
+            self.bank_stats[c].bytes_written += raw
         return granted
 
     # -- accounting ---------------------------------------------------------
@@ -427,23 +431,27 @@ def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
     linear); ``repeat`` replays it that many times (Sec. III-B).  Each
     cycle pushes what the bank grants of the next burst, ``flat[pos:end]``
     or ``flat[idx[pos:end]]``; a gather burst pays the stride penalty.
-    The identity order carries a :class:`~repro.fpga.pattern.StaticPattern`
-    (one full contiguous burst per cycle while the bank grants it) for
-    window replay; any other order is event-stepped.  Bad geometry raises
-    :class:`~repro.fpga.errors.StreamOrderError` here.
+    Every order carries a :class:`~repro.fpga.pattern.StaticPattern`
+    (``block(k)`` slices or gathers ``k`` full bursts); one whose aligned
+    bursts cross a stride break declares ``"gather"`` traffic.  Bad
+    geometry raises :class:`~repro.fpga.errors.StreamOrderError` here.
     """
     check_stream_geometry("read_kernel", width, repeat=repeat)
     idx = _index_array(order, buf)
     itemsize = buf.itemsize
     flat = buf.data.reshape(-1)
-    n = buf.num_elements if idx is None else len(idx)
+    n, kind = buf.num_elements, "read"
     if idx is not None:
-        # breaks[j]: stride breaks among idx[0 .. j], so the burst
-        # idx[a:b] is contiguous iff breaks[b - 1] == breaks[a].  An int32
-        # memoryview indexes to plain ints at 4 bytes per element (a list
-        # costs 8, plus an int object per count above 256).
-        breaks = memoryview(np.cumsum(np.diff(idx, prepend=idx[:1] - 1) != 1,
-                                      dtype=np.int32))
+        n = len(idx)
+        # br[j]: stride breaks among idx[0 .. j], so the burst idx[a:b] is
+        # contiguous iff br[b - 1] == br[a].  An int32 memoryview indexes
+        # to plain ints at 4 bytes per element (a list costs 8, plus an
+        # int object per count above 256).
+        br = np.cumsum(np.diff(idx, prepend=idx[:1] - 1) != 1,
+                       dtype=np.int32)
+        breaks = memoryview(br)
+        if (br[width - 1::width] != br[:n - width + 1:width]).any():
+            kind = "gather"
     st = _Cursor()
 
     def gen():
@@ -466,22 +474,23 @@ def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
             st.pass_no += 1
             st.pos = 0
 
-    if idx is not None:
-        return gen()
-
     def ready():
-        # After a short grant the next cycles are not statically full.
-        return 0 if st.partial else (n - st.pos) // width
+        # After a short grant the next cycles are not statically full;
+        # an ordered burst off the boundary is not one ``kind`` classed.
+        if st.partial or (idx is not None and st.pos % width):
+            return 0
+        return (n - st.pos) // width
 
     def block(k, _ins):
         pos, st.pos = st.pos, st.pos + k * width
         buf.elements_read += k * width
-        return [flat[pos:st.pos]]
+        return [flat[pos:st.pos] if idx is None else flat[idx[pos:st.pos]]]
 
+    traffic = DramTraffic(mem, buf, width, kind)
+    traffic.order = idx
     pat = StaticPattern(
         writes=((ch, width, 1),), ii=1, ready=ready, block=block,
-        dram=(DramTraffic(mem, buf, width, "read"),),
-        write_totals=(n * repeat,))
+        dram=(traffic,), write_totals=(n * repeat,))
     return PatternedGenerator(gen(), pat)
 
 
@@ -493,9 +502,9 @@ def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
     (default: linear), exactly ``count`` of them.  Each cycle the kernel
     stores what the channel has delivered (up to ``width`` elements)
     within the bank's grant, so partial grants and a slower producer do
-    not halve the write rate.  As for :func:`read_kernel`, only the
-    identity order is patterned, and bad geometry raises
-    :class:`~repro.fpga.errors.StreamOrderError` here.
+    not halve the write rate.  As for :func:`read_kernel`, every order
+    is patterned (a store pays no stride penalty), and bad geometry
+    raises :class:`~repro.fpga.errors.StreamOrderError` here.
     """
     check_stream_geometry("write_kernel", width, count=count)
     idx = _index_array(order, buf, count)
@@ -524,34 +533,32 @@ def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
             if granted > 0:
                 pos = st.pos
                 st.pos = pos + granted
-                if idx is None:
-                    flat[pos:pos + granted] = pending[:granted]
-                else:
-                    flat[idx[pos:pos + granted]] = pending[:granted]
+                flat[slice(pos, st.pos) if idx is None
+                     else idx[pos:st.pos]] = pending[:granted]
                 buf.elements_written += granted
                 del pending[:granted]
             yield Clock()
-
-    if idx is not None:
-        return gen()
 
     def ready():
         return 0 if pending else (count - st.received) // width
 
     def block(k, ins):
         moved = k * width
+        pos, st.pos = st.pos, st.pos + moved
         # One slice store; when ``ins[0]`` is a view of this same buffer
         # (an in-place map fed by the linear read kernel) numpy buffers
         # overlapping operands, and the window is a pure elementwise map
         # of elements at or ahead of ``pos``, so the result is the same.
-        flat[st.pos:st.pos + moved] = ins[0][:moved]
+        # A scatter's in-place twin is a gather, hence never a view.
+        flat[slice(pos, st.pos) if idx is None
+             else idx[pos:st.pos]] = ins[0][:moved]
         buf.elements_written += moved
         st.received += moved
-        st.pos += moved
         return []
 
+    traffic = DramTraffic(mem, buf, width, "write")
+    traffic.order = idx
     pat = StaticPattern(
         reads=((ch, width),), ii=1, ready=ready, block=block,
-        dram=(DramTraffic(mem, buf, width, "write"),),
-        read_totals=(count,))
+        dram=(traffic,), read_totals=(count,))
     return PatternedGenerator(gen(), pat)

@@ -68,21 +68,25 @@ __all__ = ["DramTraffic", "PatternedGenerator", "StaticPattern"]
 class DramTraffic:
     """Per-iteration DRAM traffic of a patterned memory kernel.
 
-    ``kind`` is ``"read"`` or ``"write"``; ``elements`` is the number of
-    buffer elements moved per iteration (always a full burst in steady
-    state — a partially granted burst leaves residue in the kernel's
-    pending list, which drives ``ready()`` to 0 and forces fallback).
+    ``kind`` is ``"read"``, ``"gather"`` (a read paying the stride
+    penalty) or ``"write"``; ``elements`` is the number of buffer elements
+    moved per iteration (always a full burst in steady state — a
+    partially granted burst leaves residue in the kernel's pending list,
+    which drives ``ready()`` to 0 and forces fallback); ``order`` is the
+    kernel's flat index array, ``None`` for the identity.
     """
 
-    __slots__ = ("mem", "buf", "elements", "kind")
+    __slots__ = ("mem", "buf", "elements", "kind", "order")
 
     def __init__(self, mem, buf, elements: int, kind: str):
-        if kind not in ("read", "write"):
-            raise ValueError(f"kind must be 'read' or 'write', got {kind!r}")
+        if kind not in ("read", "gather", "write"):
+            raise ValueError(
+                f"kind must be 'read', 'gather' or 'write', got {kind!r}")
         self.mem = mem
         self.buf = buf
         self.elements = elements
         self.kind = kind
+        self.order = None
 
 
 class StaticPattern:

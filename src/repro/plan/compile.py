@@ -20,6 +20,8 @@ from __future__ import annotations
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional, Set,
                     Tuple, Union)
 
+import numpy as np
+
 from .ir import (
     PlanChannel,
     PlanEdge,
@@ -120,12 +122,26 @@ def _stripe(buf: Any) -> Tuple[int, ...]:
     return ()
 
 
+def _overtakes(load: Any, total: int, store: Any) -> bool:
+    """True unless the read ``load`` (``total`` elements) walks the order
+    ``store`` writes their buffer in once, no index twice: a window
+    gathers its reads before it stores its writes."""
+    a, b = load.order, store.order
+    if a is None and b is None:
+        return total != load.buf.num_elements
+    a = np.arange(load.buf.num_elements) if a is None else a
+    b = np.arange(len(a)) if b is None else b
+    return (total != len(a) or not np.array_equal(a, b)
+            or np.unique(a).size < a.size)
+
+
 def engine_rows(engine: Any) -> EngineRows:
     """The single extraction pass: kernels, patterns, channels, DRAM."""
     kernels: List[Row] = []
     depths: Dict[str, int] = {
         name: ch.depth for name, ch in engine.channels.items()}
     buffers: Dict[str, Any] = {}
+    stores: Dict[Any, List[Any]] = {}
     mem = engine.memory
 
     for k in engine.kernels.values():
@@ -141,13 +157,17 @@ def engine_rows(engine: Any) -> EngineRows:
                 (ch.name, w, lat, total)
                 for (ch, w, lat), total in zip(p.writes, p.write_totals))
             dram = tuple(
-                (d.buf.name, d.buf.bank, d.elements, d.buf.itemsize, d.kind,
-                 _stripe(d.buf))
+                (d.buf.name, d.buf.bank, d.elements if d.kind != "gather"
+                 else -(-int(d.elements * d.buf.itemsize  # the budget drawn
+                             * d.mem.stride_penalty) // d.buf.itemsize),
+                 d.buf.itemsize, d.kind, _stripe(d.buf))
                 for d in p.dram)
             for d in p.dram:
                 buffers[d.buf.name] = d.buf
                 if mem is None:
                     mem = d.mem
+                if d.kind == "write":
+                    stores.setdefault(d.buf, []).append(d)
             for ch, _w in p.reads:
                 depths.setdefault(ch.name, ch.depth)
             for ch, _w, _lat in p.writes:
@@ -167,6 +187,14 @@ def engine_rows(engine: Any) -> EngineRows:
             tuple((port.channel.name, port.lanes, port.latency, None)
                   for port in k.write_ports),
             dram))
+
+    if stores:      # a read its design stores over is not executable
+        for i, k in enumerate(engine.kernels.values()):
+            p = k.pattern
+            if p is not None and any(
+                    _overtakes(d, p.write_totals[0], s) for d in p.dram
+                    if d.kind != "write" for s in stores.get(d.buf, ())):
+                kernels[i] = kernels[i][:6] + (False,) + kernels[i][7:]
 
     memory = None
     device = None

@@ -82,13 +82,16 @@ class PlanTraffic:
     ``channels`` lists the member channels of a striped/range placement
     (the demand spreads over them); empty means the traffic hits the
     single ``bank`` (or the pooled budget when ``bank`` is ``None``).
+    ``kind`` is ``"read"``, ``"write"`` or ``"gather"`` (a read with
+    bursts across stride breaks, whose ``elements`` is the budget it
+    draws at the memory's stride penalty, not the elements it moves).
     """
 
     buffer: str
     bank: Optional[int]
     elements: int
     itemsize: int
-    kind: str                    # "read" | "write"
+    kind: str                    # "read" | "gather" | "write"
     channels: Tuple[int, ...] = ()
 
 
@@ -100,7 +103,8 @@ class PlanKernel:
     StaticPattern` ports (the executable contract); ``annotated_reads``/
     ``annotated_writes`` are the ``add_kernel(reads=..., writes=...)``
     lint annotations.  ``executable`` distinguishes a pattern with a
-    ``ready``/``block`` fast path from a declare-only one.
+    ``ready``/``block`` fast path from a declare-only one, or from a
+    read of a buffer its design stores in another order.
     """
 
     name: str

@@ -112,8 +112,9 @@ class MatrixSchedule:
         full-width row bands (``tile_cols == cols``) with row-major
         elements — the result is a unit-stride :class:`range`, which
         :func:`repro.fpga.memory.read_kernel` and
-        :func:`~repro.fpga.memory.write_kernel` normalize onto their
-        patterned linear fast path, keeping such schedules certifiable.
+        :func:`~repro.fpga.memory.write_kernel` normalize onto the
+        identity, so their bursts are slices rather than gathers (every
+        order is patterned either way).
         Otherwise it is an int ndarray, built without a Python loop: the
         row-major index grid viewed as (tile row, row, tile col, col)
         with its axes permuted into tile order, then element order.

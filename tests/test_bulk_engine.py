@@ -17,7 +17,7 @@ from repro.blas import level1
 from repro.blas.routines import info as routine_info
 from repro.fpga.channel import Channel, ChannelError
 from repro.fpga.engine import Engine
-from repro.fpga.memory import read_kernel, write_kernel
+from repro.fpga.memory import Placement, read_kernel, write_kernel
 from repro.fpga.pattern import DramTraffic, PatternedGenerator, StaticPattern
 from repro.host import FblasContext
 from repro.models import dse
@@ -217,32 +217,36 @@ class TestBulkEngine:
     def test_dram_read_compute_write_parity(self):
         """Memory kernels carry patterns too: a read -> scal -> write
         round trip fast-forwards and leaves identical DRAM contents,
-        cycle counts, and bank counters."""
-        results = {}
-        for mode in ("dense", "event", "bulk"):
-            ctx = FblasContext()
-            src = np.arange(512, dtype=np.float32)
-            dsrc = ctx.copy_to_device(src)
-            ddst = ctx.allocate((512,), np.float32, name="dst")
-            eng = Engine(memory=ctx.mem, mode=mode)
-            w = 4
-            cin = eng.channel("cin", 4 * w)
-            cmid = eng.channel("cmid", 4 * w)
-            eng.add_kernel("read", read_kernel(ctx.mem, dsrc, cin, w))
-            eng.add_kernel("scal",
-                           level1.scal_kernel(512, 2.0, cin, cmid, w),
-                           latency=5)
-            eng.add_kernel("write",
-                           write_kernel(ctx.mem, ddst, cmid, 512, w))
-            rep = eng.run()
-            banks = [b.to_dict() for b in ctx.mem.bank_stats]
-            results[mode] = (rep.to_dict(),
-                             ctx.copy_from_device(ddst).tolist(), banks)
-            if mode == "bulk":
-                assert eng._bulk_cycles > 0
-        assert results["dense"] == results["event"] == results["bulk"]
-        assert results["bulk"][1] == (np.arange(512, dtype=np.float32)
-                                      * np.float32(2.0)).tolist()
+        cycle counts, and bank counters — also with the source striped
+        over two channels, whose bursts a window splits over them as
+        the event tier's grants do."""
+        for placement in (None, Placement.striped((0, 1))):
+            results = {}
+            for mode in ("dense", "event", "bulk"):
+                ctx = FblasContext()
+                src = np.arange(512, dtype=np.float32)
+                dsrc = ctx.mem.bind("src", src, placement=placement)
+                ddst = ctx.allocate((512,), np.float32, name="dst", bank=2)
+                eng = Engine(memory=ctx.mem, mode=mode)
+                w = 4
+                cin = eng.channel("cin", 4 * w)
+                cmid = eng.channel("cmid", 4 * w)
+                eng.add_kernel("read", read_kernel(ctx.mem, dsrc, cin, w))
+                eng.add_kernel("scal",
+                               level1.scal_kernel(512, 2.0, cin, cmid, w),
+                               latency=5)
+                eng.add_kernel("write",
+                               write_kernel(ctx.mem, ddst, cmid, 512, w))
+                rep = eng.run()
+                banks = [b.to_dict() for b in ctx.mem.bank_stats]
+                results[mode] = (rep.to_dict(),
+                                 ctx.copy_from_device(ddst).tolist(), banks)
+                if mode == "bulk":
+                    assert eng._bulk_cycles > 0
+            assert results["dense"] == results["event"] == results["bulk"]
+            assert results["bulk"][1] == (np.arange(512, dtype=np.float32)
+                                          * np.float32(2.0)).tolist()
+            assert results["bulk"][2][0]["bytes_read"] == 2048
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import pytest
 
 from repro import telemetry
 from repro.blas import level1, level2, reference
-from repro.fpga import Engine, memory, util
+from repro.fpga import memory, util
 from repro.fpga.channel import Channel
 from repro.fpga.kernel import Clock, Pop
 from repro.fpga.memory import DramModel, read_kernel, write_kernel
@@ -51,10 +51,10 @@ def _vec(rng, *shape):
     return rng.standard_normal(shape).astype(np.float32)
 
 
-def _host_call(routine, n, mode="certified"):
+def _host_call(routine, n, mode="certified", tile=512):
     """Run one stream-shaped host call; return (result, cycles, stats)."""
     rng = np.random.default_rng(16)
-    fb = Fblas(width=WIDTH, engine_mode=mode, tile=512)
+    fb = Fblas(width=WIDTH, engine_mode=mode, tile=tile)
     engines = []
     make = fb._engine
     fb._engine = lambda: engines.append(make()) or engines[-1]
@@ -77,32 +77,6 @@ def _host_call(routine, n, mode="certified"):
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
     return (np.asarray(got).tobytes(), fb.records[-1].cycles,
             engines[-1].bulk_stats())
-
-
-def _tiled_gemv(n, tile, mode):
-    """512-style GEMV with a pre-tiled A stream, so the linear (patterned)
-    read kernel serves tiles smaller than the matrix."""
-    rng = np.random.default_rng(128)
-    a, x, y = _vec(rng, n, n), _vec(rng, n), _vec(rng, n)
-    a_streams, _ = level2.shard_gemv_streams(a, y, tile, tile, lanes=1)
-    mem = DramModel()
-    ba = mem.bind("A", a_streams[0], bank=0)
-    bx = mem.bind("x", x, bank=1)
-    by = mem.bind("y", y.copy(), bank=2)
-    eng = Engine(mode=mode, memory=mem)
-    ca, cx, cy, co = (eng.channel(name, 256)
-                      for name in ("A", "x", "y", "out"))
-    eng.add_kernel("read_a", read_kernel(mem, ba, ca, WIDTH))
-    eng.add_kernel("read_x", read_kernel(mem, bx, cx, WIDTH,
-                                         repeat=n // tile))
-    eng.add_kernel("read_y", read_kernel(mem, by, cy, WIDTH))
-    eng.add_kernel("gemv", level2.gemv_row_tiles(
-        n, n, 0.5, 0.25, ca, cx, cy, co, tile, tile, WIDTH), latency=87)
-    eng.add_kernel("write_y", write_kernel(mem, by, co, n, WIDTH))
-    report = eng.run()
-    np.testing.assert_allclose(by.data, reference.gemv(0.5, a, x, 0.25, y),
-                               rtol=1e-4, atol=1e-4)
-    return by.data.tobytes(), report.to_dict(), eng.bulk_stats()
 
 
 class TestSteppedCycleBudget:
@@ -129,22 +103,23 @@ class TestSteppedCycleBudget:
 
     @pytest.mark.parametrize("tile", (512, 128))
     def test_tiled_gemv_stays_within_budget(self, tile):
-        got, report, stats = _tiled_gemv(512, tile, "certified")
+        """The host's own GEMV, A read in tiles by rows (a gather)."""
+        got, cycles, stats = _host_call("gemv", 512, tile=tile)
         # Entering a tile's x load and its matrix phase each wakes a
         # back-pressured read kernel: the waking pop and the reader's
         # retry are real event cycles, four per tile, on top of the
         # per-call handful.
         tiles = (512 // tile) ** 2
         assert stats["stepped_cycles"] <= min(BUDGET, 16) + 5 * (tiles - 1)
-        event = _tiled_gemv(512, tile, "event")
-        assert (got, report) == event[:2]
+        event = _host_call("gemv", 512, "event", tile)
+        assert (got, cycles) == event[:2]
 
     def test_tiled_gemv_budget_follows_phases_not_elements(self):
         """Four times the elements at the same tile count: the same
         phases, so (up to where a latency lands in them) the same
         stepped cycles, while the replayed cycles grow with the data."""
-        small = _tiled_gemv(128, 32, "certified")[2]
-        large = _tiled_gemv(256, 64, "certified")[2]
+        small = _host_call("gemv", 128, tile=32)[2]
+        large = _host_call("gemv", 256, tile=64)[2]
         assert abs(large["stepped_cycles"] - small["stepped_cycles"]) <= 8
         assert large["bulk_cycles"] > 3 * small["bulk_cycles"]
 
@@ -215,6 +190,11 @@ def _single_phase_patterns():
     c = [_chan(f"c{i}") for i in range(4)]
     yield "memory.read", read_kernel(mem, src, c[0], w).pattern
     yield "memory.write", write_kernel(mem, dst, c[0], n, w).pattern
+    backwards = np.arange(n)[::-1]
+    yield "memory.gather", read_kernel(mem, src, c[0], w,
+                                       order=backwards).pattern
+    yield "memory.scatter", write_kernel(mem, dst, c[0], n, w,
+                                         order=backwards).pattern
     yield "util.source", util.source_kernel(c[0], _counting(n), w).pattern
     # (out= collects boxed values one by one by design; the pattern's
     # own work is what is measured.)

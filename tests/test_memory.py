@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import AnalysisError
+from repro.blas import level1
 from repro.fpga import (DramModel, Engine, duplicate_kernel, forward_kernel,
                         sink_kernel, source_kernel)
 from repro.fpga.errors import ReproError, StreamOrderError
 from repro.fpga.memory import read_kernel, write_kernel
+from repro.host.orders import column_major_order
+from repro.plan import PlanCache, plan_identity
+from repro.streaming.tiling import col_tiles, row_tiles
 
 
 class TestAllocation:
@@ -272,9 +279,9 @@ class TestGeometryRefusals:
 
 
 #: The identity order, spelled every way a caller can spell it.  Only
-#: None and a full unit-stride range are recognised as the identity (and
-#: carry a pattern); the others are index arrays that happen to be
-#: sorted, so they must stream, cost and count exactly the same.
+#: None and a full unit-stride range are recognised as the identity
+#: (slices); the others are index arrays that happen to be sorted
+#: (gathers), so they must stream, cost and count exactly the same.
 IDENTITY = {
     "none": lambda n: None,
     "range": range,
@@ -382,25 +389,177 @@ class TestAnOrderIsAnOrder:
                 assert got == expect.tobytes()
                 assert moved == count
 
-    def test_only_the_identity_carries_a_pattern(self):
+    def test_every_order_carries_a_pattern(self):
+        """Every order, however spelled, is patterned; a read whose
+        aligned bursts cross a stride break declares gather traffic."""
         mem = DramModel()
         buf = mem.allocate("b", 8)
         ch = Engine(memory=mem).channel("c", 8)
-        for order in (None, range(8), range(0, 8, 1)):
-            assert hasattr(read_kernel(mem, buf, ch, 2, order=order),
-                           "pattern"), order
-        for order in (np.arange(8), list(range(8)), tuple(range(8)),
-                      iter(range(8)), range(7), range(1, 8),
-                      range(7, -1, -1)):
-            assert not hasattr(read_kernel(mem, buf, ch, 2, order=order),
-                               "pattern"), order
-        for order in (None, range(6)):
-            assert hasattr(write_kernel(mem, buf, ch, 6, 2, order=order),
-                           "pattern"), order
-        for order in (np.arange(6), list(range(6)), range(1, 7),
-                      range(5, -1, -1)):
-            assert not hasattr(write_kernel(mem, buf, ch, 6, 2, order=order),
-                               "pattern"), order
+        reads = {"read": (None, range(8), np.arange(8), list(range(8)),
+                          tuple(range(8)), iter(range(8)), range(7),
+                          range(1, 8), [2, 3, 0, 1, 6, 7, 4, 5],
+                          [0, 1, 0, 1]),
+                 "gather": (range(7, -1, -1), range(0, 8, 2),
+                            [1, 2, 3, 4, 5, 6, 7, 0])}
+        for kind, orders in reads.items():
+            for order in orders:
+                traffic, = read_kernel(mem, buf, ch, 2,
+                                       order=order).pattern.dram
+                assert traffic.kind == kind, order
+        for order in (None, range(6), np.arange(6), list(range(6)),
+                      range(1, 7), range(5, -1, -1)):
+            traffic, = write_kernel(mem, buf, ch, 6, 2,
+                                    order=order).pattern.dram
+            assert traffic.kind == "write", order
+
+
+# ---------------------------------------------------------------------------
+# Ordered streams in windows: a window gathers every read before it
+# stores a write, so a buffer read and written by one design replays only
+# if each read walks the store's order once, no index twice.
+# ---------------------------------------------------------------------------
+
+def _order(kind, rows, cols, tile, rng):
+    """One of the orders the tree builds, over a rows x cols buffer."""
+    n = rows * cols
+    return {
+        "identity": lambda: None,
+        "strided": lambda: np.arange(0, n, 2),
+        "rows": lambda: row_tiles(rows, cols, tile, tile).indices(),
+        "cols": lambda: col_tiles(rows, cols, tile, tile).indices(),
+        "colmajor": lambda: column_major_order(rows, cols),
+        "perm": lambda: rng.permutation(n),
+        "replay": lambda: np.tile(np.arange(n // 2), 2),
+    }[kind]()
+
+
+def _ordered_run(mode, spec, cache=None):
+    """``(report, stored bytes, bank stats)`` of read -> scal -> write,
+    or the :class:`AnalysisError` the certified tier raises; plus the
+    engine."""
+    rows, cols, width = spec["rows"], spec["cols"], spec["width"]
+    dt = spec["dtype"]
+    mem = DramModel(num_banks=2, bytes_per_cycle=256)
+    buf = mem.bind("buf", (np.arange(rows * cols) % 7 - 3).astype(dt),
+                   bank=0)
+    read_order, write_order = spec["orders"]
+    n = rows * cols if read_order is None else len(read_order)
+    dst = buf if spec["inplace"] else mem.allocate("dst", n, dt, bank=1)
+    eng = Engine(memory=mem, mode=mode, schedule_cache=cache)
+    cin, cout = eng.channel("cin", 2 * width), eng.channel("cout", 2 * width)
+    eng.add_kernel("read", read_kernel(mem, buf, cin, width, read_order))
+    eng.add_kernel("scal", level1.scal_kernel(n, 1.5, cin, cout, width, dt),
+                   latency=spec["lat"])
+    eng.add_kernel("write", write_kernel(mem, dst, cout, n, width,
+                                         write_order))
+    try:
+        report = eng.run()
+    except AnalysisError as exc:
+        return exc, eng
+    return (report.to_dict(), dst.data.tobytes(),
+            [b.to_dict() for b in mem.bank_stats]), eng
+
+
+@st.composite
+def _ordered_specs(draw):
+    rows, cols = (draw(st.sampled_from((2, 4, 8, 16))) for _ in range(2))
+    tile = draw(st.sampled_from([t for t in (1, 2, 4) if t <= min(rows,
+                                                                  cols)]))
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    kind = draw(st.sampled_from(("identity", "strided", "rows", "cols",
+                                 "colmajor", "perm", "replay")))
+    read_order = _order(kind, rows, cols, tile, rng)
+    pair = draw(st.sampled_from(("copy", "same", "other")))
+    if pair == "other" and kind != "strided":
+        other = draw(st.sampled_from(("identity", "rows", "cols",
+                                      "colmajor", "perm")))
+        write_order = _order(other, rows, cols, tile, rng)
+    elif pair == "other":       # the odd elements, half as many
+        write_order = np.arange(1, rows * cols, 2)
+    else:
+        write_order = read_order if pair == "same" else None
+    return {"rows": rows, "cols": cols, "inplace": pair != "copy",
+            "orders": (read_order, write_order),
+            "width": draw(st.integers(1, 8)), "lat": draw(st.integers(1, 9)),
+            "dtype": draw(st.sampled_from((np.float32, np.float64)))}
+
+
+def _overtaken(spec):
+    """Whether the spec's in-place read is one a window may not replay."""
+    if not spec["inplace"]:
+        return False
+    a, b = (np.arange(spec["rows"] * spec["cols"]) if o is None
+            else np.asarray(o) for o in spec["orders"])
+    return not np.array_equal(a, b) or np.unique(a).size < a.size
+
+
+def check_ordered_windows(spec):
+    """event == bulk == certified, report and bytes; or, for a read its
+    design stores over out of order, a typed refusal naming the read
+    kernel and the buffer, and a bulk run that says so and steps."""
+    (event, _), (bulk, bulk_eng) = (_ordered_run(m, spec)
+                                    for m in ("event", "bulk"))
+    certified, _ = _ordered_run("certified", spec)
+    assert bulk == event
+    if _overtaken(spec):
+        assert isinstance(certified, AnalysisError)
+        assert [(d.code, d.obj) for d in certified.diagnostics] == [
+            ("FB404", "read@buf")]
+        assert bulk_eng._bulk_fallback == "FB404:read@buf"
+        assert bulk_eng.bulk_stats()["windows"] == 0
+    else:
+        assert certified == event
+        assert bulk_eng._bulk_fallback is None
+
+
+class TestOrderedWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(_ordered_specs())
+    def test_orders_replay_or_are_refused(self, spec):
+        check_ordered_windows(spec)
+
+    @pytest.mark.parametrize("read_order", [
+        row_tiles(16, 16, 8, 8).indices(), None], ids=("tiles", "identity"))
+    def test_in_place_reorder_never_replays(self, read_order):
+        """Replayed, these copies would take the same cycles as stepped
+        ones but store different bytes: a window gathers elements that,
+        stepped, a store of the same window overwrites first."""
+        spec = {"rows": 16, "cols": 16, "width": 4, "lat": 3,
+                "dtype": np.float32, "inplace": True,
+                "orders": (read_order, column_major_order(16, 16))}
+        check_ordered_windows(spec)
+        refused, _ = _ordered_run("certified", spec)
+        assert "kernel 'read' reads buffer 'buf'" in str(refused)
+
+    def test_a_repeated_read_of_a_stored_buffer_is_refused(self):
+        mem = DramModel(bytes_per_cycle=256)
+        buf = mem.bind("buf", np.arange(16, dtype=np.float32), bank=0)
+        eng = Engine(memory=mem, mode="certified")
+        cin, cout = eng.channel("cin", 8), eng.channel("cout", 8)
+        eng.add_kernel("read", read_kernel(mem, buf, cin, 4, repeat=2))
+        eng.add_kernel("scal", level1.scal_kernel(32, 1.5, cin, cout, 4))
+        eng.add_kernel("write", write_kernel(mem, buf, cout, 32, 4,
+                                             np.tile(np.arange(16), 2)))
+        with pytest.raises(AnalysisError, match="FB404.*read@buf"):
+            eng.run()
+
+    def test_no_certificate_covers_a_hazardous_twin(self):
+        """Same-order and reordering in-place copies differ only in the
+        store's order: their keys differ, and the first's cached
+        certificate does not let the second replay."""
+        order = column_major_order(16, 16)
+        safe = {"rows": 16, "cols": 16, "width": 4, "lat": 3,
+                "dtype": np.float32, "inplace": True,
+                "orders": (order, order)}
+        twin = dict(safe, orders=(order, np.arange(256)))
+        assert len({plan_identity(_ordered_run("event", spec)[1])[0]
+                    for spec in (safe, twin)}) == 2
+        cache = PlanCache()
+        (event, _), (replayed, eng) = (_ordered_run(m, safe, cache)
+                                       for m in ("event", "certified"))
+        assert replayed == event and eng.bulk_stats()["windows"] > 0
+        refused, _ = _ordered_run("certified", twin, cache)
+        assert isinstance(refused, AnalysisError)
 
 
 class TestValidation:
@@ -409,3 +568,9 @@ class TestValidation:
             DramModel(num_banks=0)
         with pytest.raises(ValueError):
             DramModel(bytes_per_cycle=0)
+
+
+if __name__ == "__main__":
+    # The ordered-window property at a larger budget than tier-1's.
+    settings(max_examples=400, deadline=None)(
+        given(_ordered_specs())(check_ordered_windows))()

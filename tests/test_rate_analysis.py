@@ -28,7 +28,7 @@ from repro.analysis.rate_passes import min_depth_requirements
 from repro.apps import atax_streaming, axpydot_reference
 from repro.blas import level1, level2
 from repro.fpga.engine import Engine
-from repro.fpga.memory import read_kernel
+from repro.fpga.memory import DramModel, Placement, read_kernel
 from repro.fpga.util import sink_kernel, source_kernel
 from repro.host.context import FblasContext
 from repro.models.iomodel import atax_min_channel_depth
@@ -161,6 +161,28 @@ class TestRatePasses:
     def test_fb402_clean_at_half_width(self):
         result = analyze_rates(_axpydot(width=8)[0])
         assert result.ok and "FB405" in _codes(result)
+
+    def test_fb402_refuses_a_stripe_sharing_its_channels(self):
+        """A striped buffer's window traffic is the event tier's greedy
+        split over its channels, which other traffic on one of them
+        would make depend on step order: that design is refused."""
+        def dot(y_bank):
+            mem = DramModel(num_banks=4)
+            x = mem.bind("x", np.ones(64, np.float32),
+                         placement=Placement.striped((0, 1)))
+            y = mem.bind("y", np.ones(64, np.float32), bank=y_bank)
+            eng = Engine(memory=mem)
+            cx, cy, co = (eng.channel(c, 16) for c in ("cx", "cy", "co"))
+            eng.add_kernel("read_x", read_kernel(mem, x, cx, 4))
+            eng.add_kernel("read_y", read_kernel(mem, y, cy, 4))
+            eng.add_kernel("dot", level1.dot_kernel(64, cx, cy, co, 4))
+            eng.add_kernel("sink", sink_kernel(co, 1, 1))
+            return analyze_rates(eng)
+
+        assert dot(2).ok
+        errs = dot(1).by_code("FB402")
+        assert [d.obj for d in errs] == ["bank1"]
+        assert "striped buffer 'x' shares channel 1" in errs[0].message
 
     def test_fb404_unpatterned_kernel(self):
         eng = Engine()

@@ -36,12 +36,12 @@ from repro.telemetry.chrome_trace import to_chrome_trace
 
 EXPECTED = {
     "bulk_refused_fb404": {
-        "registry": "c7ce92415ec9549f4881236313def2f33379c759be84bde974d836625622d4cf",
-        "slices": "2c7553acb21925a5ad7fc5433e7f36e39f3493962453e2265a984c998c7879c9",
-        "runs": "e8f9b3e37a583f2c1eb260adca6571e5a69eec5477a7108b94a33a5ef65313fb",
-        "ledger": "67bd483e737b229a9e95bd2edb89b5fb9333cc3e85427191da05ea4f4e586d39",
-        "chrome_trace": "182a76bf35beeb6b7a612d73186ee621ae28a519ca890bed5d620439a2cae6ea",
-        "report": "2dc4149714242b062bb72a7186b146cb259ec5779fbc2e4bba12b94d4ee30d70"
+        "registry": "b8791a0b6f03c3c3db387a5293b1daf449dcb88cd64293893b689a8fb6afa3c2",
+        "slices": "f5cc2cc044e44bc3125ffa60646866c254842aad2f9138c1dd46daa44f48b700",
+        "runs": "676f5a458d48757a9ac2e61f814540f749b9d43a4d7ebf8d9ca4b9d1d131ca67",
+        "ledger": "2d733688415fe950713bf1022204e0fa71dbdf18f7dcc5d02a06bb06ece7275c",
+        "chrome_trace": "eac9894d4a983954d9d96207fbd8c16635615b222469c1bfabcae06c7b44249c",
+        "report": "39770939c68d0674fa693375e33e658424b74acc85f1fd40e33d71cd9b1dfec1"
     },
     "certified_dot": {
         "registry": "bb42f0c6c7e90aa4cdff4dfe6d3f1c738c9293902e81f1ed5989cb24673838ad",
@@ -116,8 +116,9 @@ def _gemver():
 
 def _bulk_refused_fb404():
     fb = Fblas(width=4, engine_mode="bulk")
-    x, y = (fb.copy_to_device(v) for v in _arrays(4, 128, 128))
-    fb.dot(x, y, incx=2, incy=2)
+    a, b = _arrays(4, (32, 32), 32)
+    a = np.tril(a) + 32 * np.eye(32, dtype=np.float32)
+    fb.trsv(fb.copy_to_device(a), fb.copy_to_device(b))
 
 
 def _mapper(cin, cout, n, width, sleep):
