@@ -13,8 +13,10 @@ This script measures both, at the sizes of the benchmark's
 ``stream_certified`` workload (DOT 2^20, in-place AXPY 2^19, GEMV / GEMV^T
 / GER on one 512 x 512 tile, width 4, float32), checks that the two
 produce the same bytes, and prints the floors side by side.  What
-separates the columns is the simulator (window plans, stepped phase
-changes, boxed tokens at window edges), not the payload.
+separates the columns is the simulator (host marshalling, engine build,
+the superstep plans and the edge cycles between them — a handful per
+call, where a kernel joins, waits or finishes — and the DRAM model),
+not the payload.
 
 Run:  python examples/faithful_order_floors.py [repeats]
 """

@@ -123,7 +123,8 @@ def _steady_map(n, width, ins, outs, emit, block, dtype):
         reads=tuple((ch, width) for ch in ins),
         writes=tuple((ch, width, None) for ch in outs),
         ii=1, dtype=dtype, ready=ready, block=blk,
-        read_totals=(n,) * len(ins), write_totals=(n,) * len(outs))
+        read_totals=(n,) * len(ins), write_totals=(n,) * len(outs),
+        ends=lambda: (n - st.done) % width == 0)
     return PatternedGenerator(gen(), pat)
 
 
@@ -433,7 +434,7 @@ def batched_dot_kernel(b, n, ch_x, ch_y, ch_res, width=1, dtype=np.float32):
     def ready():
         if n % width == 0:
             return (total - st.done) // width
-        seg_end = (st.done // n + 1) * n
+        seg_end = min(total, (st.done // n + 1) * n)
         return (seg_end - st.done) // width
 
     def blk(k, arrs):
@@ -491,7 +492,7 @@ def batched_axpy_kernel(b, n, alphas, ch_x, ch_y, ch_out,
     def ready():
         if n % width == 0:
             return (total - st.done) // width
-        seg_end = (st.done // n + 1) * n
+        seg_end = min(total, (st.done // n + 1) * n)
         return (seg_end - st.done) // width
 
     def blk(k, arrs):
@@ -504,7 +505,8 @@ def batched_axpy_kernel(b, n, alphas, ch_x, ch_y, ch_out,
         reads=((ch_x, width), (ch_y, width)),
         writes=((ch_out, width, None),),
         ii=1, dtype=dtype, ready=ready, block=blk,
-        read_totals=(total, total), write_totals=(total,))
+        read_totals=(total, total), write_totals=(total,),
+        ends=lambda: st.done + ready() * width == total)
     return PatternedGenerator(gen(), pat)
 
 

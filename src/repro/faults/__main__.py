@@ -17,7 +17,7 @@ from .campaign import _to_plain, render_summary, run_campaign
 
 def main(argv=None) -> int:
     from ..apps import APPS
-    from ..apps.catalogue import positive_int
+    from ..apps.catalogue import positive_int, unwritable
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults",
         description="deterministic fault-injection campaigns")
@@ -44,6 +44,10 @@ def main(argv=None) -> int:
     if not apps or not set(apps) <= set(APPS):
         camp.error(f"argument --apps: expected a comma-separated subset of "
                    f"{', '.join(APPS)}, got {args.apps!r}")
+    why = args.out and unwritable(args.out)
+    if why:
+        print(f"cannot write --out {args.out}: {why}", file=sys.stderr)
+        return 2
 
     doc = run_campaign(seed=args.seed, apps=apps,
                        budget=args.budget, size=args.n,

@@ -68,7 +68,8 @@ class Channel:
         self._fifo: deque = deque()
         # Staged (in-flight) values in arrival order, one
         # ``(ready_cycle, values)`` entry per push — a burst, not an
-        # element — and the number of elements they hold.
+        # element — then the block runs (below); ``_nstaged`` counts the
+        # elements of both.
         self._staged: deque = deque()
         self._nstaged = 0
         self.stats = ChannelStats()
@@ -84,9 +85,12 @@ class Channel:
         self._push_waiters: list = []
         # Cycle of the currently scheduled maturation event, for dedup.
         self._mature_at = None
-        # Block runs staged by push_block during a replay window:
-        # entries [first_ready, lanes, array, consumed_offset].  Always
-        # empty outside a WindowScheduler replay window.
+        # Block runs staged by push_block (a replay window), behind the
+        # staged bursts in stream order: entries [first_ready, lanes,
+        # values, consumed_offset].  They outlive the window that pushed
+        # them; a burst staged while any is left joins them as a
+        # one-group run, so stream order holds.  Always empty in the
+        # event and dense tiers.
         self._runs: list = []
         # Fault-injection hook (repro.faults.FaultInjector) intercepting
         # pushes; None outside an injected run, making push() fault-free.
@@ -155,7 +159,10 @@ class Channel:
         if n:
             if type(values) is not tuple:
                 values = tuple(values)     # the caller may reuse its list
-            self._staged.append((ready_cycle, values))
+            if self._runs:
+                self._runs.append([ready_cycle, n, values, 0])
+            else:
+                self._staged.append((ready_cycle, values))
             self._nstaged += n
             self.stats.pushes += n
         return n
@@ -192,15 +199,13 @@ class Channel:
 
     # -- block transfers (replay windows) -----------------------------------
     #
-    # During a replay window the WindowScheduler owns the channel: values
-    # move as ndarrays in ring-buffer *runs* instead of per-push staged
-    # bursts, and no capacity checks or events fire —
-    # the scheduler has already proven (_flow_bound) that every pop of
-    # the window finds matured data and every push finds room, so space
-    # and availability hold by construction.  ``occupancy``/``space`` do not count run values;
-    # nothing but the scheduler reads them mid-window, and
-    # :meth:`end_window` restores exact cycle-level storage before any
-    # other code runs.
+    # A replay window moves values as ndarray *runs* instead of per-push
+    # staged bursts, and no capacity checks or events fire: the scheduler
+    # has already proven (:meth:`flow`) that every pop of the window
+    # finds matured data and every push finds room.  Runs count as
+    # staged (``in_flight``, ``space``), mature like staged bursts, and
+    # stay runs after the window: :meth:`end_window` only moves what is
+    # due into the FIFO, so nothing is ever re-boxed per burst.
 
     def push_block(self, values, lanes: int, first_ready: int) -> None:
         """Stage ``K * lanes`` values pushed over K consecutive cycles.
@@ -211,30 +216,40 @@ class Channel:
         """
         arr = values if isinstance(values, np.ndarray) else np.asarray(values)
         self._runs.append([first_ready, lanes, arr, 0])
+        self._nstaged += len(arr)
         self.stats.pushes += len(arr)
 
     def block_cuts(self, lanes: int, iterations: int, cuts: set) -> None:
         """Add to ``cuts`` the iteration indices at which a consumer
-        popping ``lanes`` per iteration crosses a storage boundary.
+        popping ``lanes`` per iteration enters or leaves a block run of
+        more than one group.
 
-        The stream is stored in segments — the boxed FIFO/staged tokens,
-        then each block run.  A consumer that replays its window in
-        sub-blocks split at these indices (``block(k1)`` then
-        ``block(k2)`` is ``block(k1 + k2)`` by the pattern contract)
-        receives every run as a *view*; only the single iteration that
-        straddles a boundary is ever concatenated.
+        The stream is stored in pieces — the boxed FIFO/staged tokens,
+        then each run.  A consumer that replays its window in sub-blocks
+        split at these indices (``block(k1)`` then ``block(k2)`` is
+        ``block(k1 + k2)`` by the pattern contract) receives every such
+        run as a *view*; what is concatenated is the boxed head, the
+        one-group runs a stepped or edge cycle left, and the single
+        iteration that straddles a boundary.
         """
         total = iterations * lanes
-        edge = len(self._fifo) + self._nstaged
-        for run in (None, *self._runs):
-            if run is not None:
-                edge += len(run[2]) - run[3]
+        runs = self._runs
+        left = [len(run[2]) - run[3] for run in runs]
+        edge = len(self._fifo) + self._nstaged - sum(left)
+        big = False
+        for run, n in zip(runs, left):
+            was, big = big, n > run[1]
             if edge >= total:
                 break
-            if edge:
+            if edge and (was or big):
                 cuts.add(edge // lanes)
                 if edge % lanes:
                     cuts.add(edge // lanes + 1)
+            edge += n
+        if big and edge < total:
+            cuts.add(edge // lanes)
+            if edge % lanes:
+                cuts.add(edge // lanes + 1)
 
     def pop_block(self, count: int, dtype=None) -> np.ndarray:
         """Drain ``count`` elements, in arrival order, as one ndarray.
@@ -251,14 +266,12 @@ class Channel:
         if fifo and need:
             take = min(need, len(fifo))
             boxed.extend(islice(fifo, take))
-            if take == len(fifo):
-                fifo.clear()
-            else:
-                for _ in range(take):
-                    fifo.popleft()
+            rest = list(islice(fifo, take, None)) if take < len(fifo) else ()
+            fifo.clear()
+            fifo.extend(rest)
             need -= take
         if self._staged and need:
-            need -= self._unstage(min(need, self._nstaged), boxed.extend)
+            need -= self._unstage(need, boxed.extend, runs=False)
         parts = []
         if boxed:
             parts.append(np.asarray(boxed, dtype=dtype))
@@ -271,8 +284,12 @@ class Channel:
             run = runs[0]
             arr, off = run[2], run[3]
             take = min(need, len(arr) - off)
-            parts.append(arr[off:off + take])
+            piece = arr[off:off + take]
+            # A burst staged behind the runs is still a tuple.
+            parts.append(np.asarray(piece, dtype=dtype)
+                         if type(piece) is tuple else piece)
             run[3] = off + take
+            self._nstaged -= take
             need -= take
             if run[3] == len(arr):
                 runs.pop(0)
@@ -281,47 +298,43 @@ class Channel:
         return out.astype(dtype, copy=False) if dtype is not None else out
 
     def end_window(self, cycle: int, popped: int = 0) -> None:
-        """Fold leftover run values back into cycle-exact storage.
+        """Mature what a replay window left due.
 
         Values due by ``cycle`` (the window's last executed cycle) enter
         the FIFO as maturation would have — in ready order, capped at
-        ``depth`` — and the rest become ordinary staged bursts, so the
+        ``depth`` — and the rest stay staged (runs stay runs), so the
         channel leaves the window indistinguishable from one stepped
         cycle by cycle.  ``popped`` is what the consumer took in that
         last cycle: its pop ran *after* the cycle's maturation, so a
         backlog the full FIFO held back stays staged until the next
         cycle instead of refilling the slots the pop just freed.
         """
-        fifo, staged = self._fifo, self._staged
-        cap = self.depth - popped
-        self._unstage(cap - len(fifo), fifo.extend, cycle)
-        for first_ready, lanes, arr, off in self._runs:
-            end = len(arr)
-            due = off
-            if not staged:
-                due = min(end, (cycle - first_ready + 1) * lanes,
-                          off + cap - len(fifo))
-                if due > off:
-                    fifo.extend(arr[off:due])
-                else:
-                    due = off
-            # The rest is staged as the bursts per-cycle pushes would
-            # have staged: group j // lanes of the run, ready at
-            # first_ready + j // lanes (the first may be a partial one).
-            j = due
-            while j < end:
-                g = j // lanes
-                stop = min(end, (g + 1) * lanes)
-                staged.append((first_ready + g, tuple(arr[j:stop])))
-                j = stop
-            self._nstaged += end - due
-        self._runs.clear()
+        fifo = self._fifo
+        self._unstage(self.depth - popped - len(fifo), fifo.extend, cycle)
+        # What is left is a tail of a window's block: keep a copy of it,
+        # whole groups from the first unread one, so it neither pins the
+        # block nor reads a buffer a later store overwrites.
+        for run in self._runs:
+            first, lanes, arr, off = run
+            if type(arr) is not tuple:
+                g = off // lanes
+                run[:] = first + g, lanes, arr[g * lanes:].copy(), off % lanes
 
-    def _unstage(self, limit: int, sink, cycle=None) -> int:
+    def head_ready(self):
+        """Ready cycle of the oldest staged element (None if none)."""
+        if self._staged:
+            return self._staged[0][0]
+        if self._runs:
+            first, lanes, _arr, off = self._runs[0]
+            return first + off // lanes
+        return None
+
+    def _unstage(self, limit: int, sink, cycle=None, runs=True) -> int:
         """Hand up to ``limit`` staged elements, oldest first, to ``sink``
         (a list or deque ``extend``); with ``cycle``, only those ready by
         then — head of line, as maturation goes: a burst not yet ready
-        holds back every burst behind it.  Returns how many moved."""
+        holds back every burst behind it.  ``runs=False`` stops at the
+        block runs.  Returns how many moved."""
         staged = self._staged
         moved = 0
         while staged and moved < limit:
@@ -338,8 +351,90 @@ class Channel:
                 sink(vals[:n])
                 staged[0] = (ready, vals[n:])
                 moved = limit
+        if runs and self._runs and not staged:
+            runs = self._runs
+            while runs and moved < limit:
+                run = runs[0]
+                first, lanes, arr, off = run
+                end = len(arr)
+                due = end if cycle is None else min(
+                    end, (cycle - first + 1) * lanes)
+                take = min(due - off, limit - moved)
+                if take <= 0:
+                    break
+                sink(arr[off:off + take])
+                run[3] = off + take
+                moved += take
+                if off + take < end:
+                    break
+                runs.pop(0)
         self._nstaged -= moved
         return moved
+
+    def flow(self, t, w, eff, n_p, n_c, cf, K, offs=None, series=False):
+        """Walk this channel through a replay window of at most ``K``
+        cycles (:mod:`repro.fpga.bulk`).
+
+        The producer pushes ``w`` a cycle in the first ``n_p`` cycles at
+        latency ``eff``, the consumer pops ``w`` in the first ``n_c`` (0:
+        outside the window; ``cf``: the consumer steps first in a
+        cycle).  After cycle ``j``'s maturations the FIFO holds
+        ``min(depth, B(j))``, with ``B(j) = occ + due(j) + w * clip(j -
+        eff + 1, 0, n_p) - w * min(j, n_c)`` (``due``: staged elements
+        matured by then, head of line), linear between breakpoints.  The
+        window is exact while every pop finds its lanes, every push the
+        op interpreter's ``depth + eff * w`` room, and no waiter wakes.
+
+        Returns ``(cycles, offs)``: how long that holds, and the staged
+        elements' maturation offsets.  Given ``offs`` back, returns the
+        highest FIFO sample over ``K`` cycles or, with ``series``, the
+        run-length encoded samples ``[(occupancy, cycles), ...]`` and
+        that peak.
+        """
+        depth = self.depth
+        occ = len(self._fifo)
+        if offs is not None:
+            return _flow_samples(depth, occ, w, eff, n_p, n_c, K,
+                                 offs if len(offs) else None, series)
+        if self._push_waiters or eff < 1 or (n_c and self._pop_waiters):
+            return 0, None
+        total = occ + self._nstaged
+        if n_p:
+            # Push j fits iff total + w*j - w*min(j + cf, n_c) <= cap; the
+            # left side never falls.
+            cap = depth + (eff - 1) * w
+            if total - w * min(cf, n_c) > cap:
+                return 0, None
+            full = max(n_c + (cap - total) // w + 1, n_c - cf + 1)
+            if full < n_p and full < K:
+                K = full
+        if n_c:
+            supply = total + w * n_p
+            if supply < n_c * w and supply // w < K:
+                K = supply // w                 # the supply runs out
+            if n_p and total < eff * w and total // w < K:
+                K = total // w                  # the window's pushes are late
+        elif self._pop_waiters and occ < depth:
+            # The first maturation wakes the waiter: that cycle is an edge.
+            K = min(K, self.head_ready() - t if total > occ else eff)
+        if total == occ:
+            return K, _NONE
+        parts = []
+        if self._staged:
+            parts.append(np.repeat([r for r, _v in self._staged],
+                                   [len(v) for _r, v in self._staged]))
+        for first, lanes, arr, off in self._runs:
+            parts.append(first + np.arange(off, len(arr)) // lanes)
+        offs = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        offs -= t
+        np.maximum.accumulate(offs, out=offs)
+        np.maximum(offs, 0, out=offs)
+        pops = min(total, n_c * w) - occ
+        if pops > 0:
+            late = (offs[:pops] > np.arange(occ, occ + pops) // w).nonzero()[0]
+            if late.size:
+                K = min(K, (occ + int(late[0])) // w)
+        return K, offs
 
     # -- simulation hooks ---------------------------------------------------
     def mature(self, cycle: int) -> int:
@@ -352,7 +447,7 @@ class Channel:
         """
         fifo = self._fifo
         moved = (self._unstage(self.depth - len(fifo), fifo.extend, cycle)
-                 if self._staged else 0)
+                 if self._staged or self._runs else 0)
         occ = len(fifo)
         if occ > self.stats.max_occupancy:
             self.stats.max_occupancy = occ
@@ -366,12 +461,13 @@ class Channel:
         Used by deadlock detection: staged values destined for a full FIFO
         cannot make progress unless some kernel pops first.
         """
-        return bool(self._staged) and len(self._fifo) < self.depth
+        return (bool(self._staged or self._runs)
+                and len(self._fifo) < self.depth)
 
     @property
     def drained(self) -> bool:
         """True when no data remains visible or in flight."""
-        return not self._fifo and not self._staged
+        return not (self._fifo or self._staged or self._runs)
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -381,3 +477,62 @@ class Channel:
             f"Channel({self.name!r}, depth={self.depth}, "
             f"occ={self.occupancy}, in_flight={self.in_flight})"
         )
+
+
+#: ``offs`` of a channel with nothing staged.
+_NONE = np.zeros(0, dtype=np.int64)
+
+
+def _flow_samples(depth, occ, w, eff, n_p, n_c, K, offs, series):
+    """The FIFO samples ``min(depth, B(j))``, ``j < K``, of
+    :meth:`Channel.flow`, piece by piece between breakpoints (``B`` is
+    linear in each): their maximum or, with ``series``, also the samples
+    run-length encoded — one run per piece where flat or capped, one run
+    per cycle where they move."""
+    due_at = {}                         # offset -> elements due by then
+    if offs is not None:
+        for i, off in enumerate(offs.tolist(), 1):
+            due_at[off] = i
+    cuts = sorted({m for m in (*due_at, eff - 1, eff - 1 + n_p, n_c)
+                   if 0 < m < K})
+    cuts.append(K)
+    runs, peak = [], 0
+    due = due_at[0] if 0 in due_at else 0
+    j = 0
+    for end in cuts:
+        rate = ((w if eff - 1 <= j < eff - 1 + n_p else 0)
+                - (w if j < n_c else 0))
+        a = j - eff + 1
+        level = occ + due + w * ((0 if a < 0 else n_p if a > n_p else a)
+                                 - (j if j < n_c else n_c))
+        n = end - j
+        top = level + rate * (n - 1) if rate > 0 else level
+        top = depth if top > depth else top
+        peak = top if top > peak else peak
+        if not series:
+            pass
+        elif rate == 0:
+            _emit(runs, min(level, depth), n)
+        elif rate > 0:
+            below = min(n, max(0, -(-(depth - level) // rate)))
+            for i in range(below):
+                _emit(runs, level + i * rate, 1)
+            if n > below:
+                _emit(runs, depth, n - below)
+        else:
+            above = min(n, max(0, (level - depth) // -rate + 1))
+            if above:
+                _emit(runs, depth, above)
+            for i in range(above, n):
+                _emit(runs, level + i * rate, 1)
+        j = end
+        due = due_at[j] if j in due_at else due
+    return (runs, peak) if series else peak
+
+
+def _emit(runs, occupancy, cycles):
+    """Append ``cycles`` samples of ``occupancy`` to a run-length list."""
+    if runs and runs[-1][0] == occupancy:
+        runs[-1] = (occupancy, runs[-1][1] + cycles)
+    else:
+        runs.append((occupancy, cycles))

@@ -490,7 +490,10 @@ def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
     traffic.order = idx
     pat = StaticPattern(
         writes=((ch, width, 1),), ii=1, ready=ready, block=block,
-        dram=(traffic,), write_totals=(n * repeat,))
+        dram=(traffic,), write_totals=(n * repeat,),
+        ends=lambda: (st.pass_no == repeat - 1 and not st.partial
+                      and (n - st.pos) % width == 0
+                      and (idx is None or st.pos % width == 0)))
     return PatternedGenerator(gen(), pat)
 
 
@@ -560,5 +563,6 @@ def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
     traffic.order = idx
     pat = StaticPattern(
         reads=((ch, width),), ii=1, ready=ready, block=block,
-        dram=(traffic,), read_totals=(count,))
+        dram=(traffic,), read_totals=(count,), whole_pops=False,
+        ends=lambda: not pending and (count - st.received) % width == 0)
     return PatternedGenerator(gen(), pat)

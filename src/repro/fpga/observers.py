@@ -34,17 +34,20 @@ JSONL event dump, ad-hoc debugging hooks — subscribes as an observer:
 ``on_window(start, cycles, window)``
     Window scheduler only (``mode="certified"``, and ``mode="bulk"``
     when the design certifies), and **opt-in**: the scheduler replayed
-    cycles ``start .. start+cycles-1`` as one arithmetic superstep
-    (:mod:`repro.fpga.bulk`) and describes them with one
-    :class:`Window` instead of ``cycles`` rounds of the three per-cycle
-    hooks.  That is exact because of what the window's own proof holds
-    constant: its kernels all work in every one of the cycles (state
-    ``#``, the same pops and pushes each time); nothing wakes, blocks
-    or finishes outside it, so every other kernel keeps the state it
-    has at ``start``; a channel outside the window is untouched and
-    holds its occupancy; and a window channel's occupancy is a closed
-    form of its storage at ``start``.  The hook is called after the
-    window has executed.
+    cycles ``start .. start+cycles-1`` (:mod:`repro.fpga.bulk`) and
+    describes them with one :class:`Window` instead of ``cycles`` rounds
+    of the three per-cycle hooks — one record per stretch of constant
+    state: a superstep, split where a kernel finishes inside it (at its
+    last iteration and at the cycle its return takes), or a single edge
+    cycle in which some kernel replayed its iteration or waited on its
+    first pop while others stepped.  That is exact because every cycle
+    of a record repeats the same states and ops: a superstep's kernels
+    work (state ``#``, the same pops and pushes) and nothing outside it
+    wakes, blocks or finishes; an edge cycle's record is that cycle's
+    own.  A channel a superstep does not touch holds its occupancy, and
+    a superstep channel's occupancy is a closed form of its storage at
+    ``start``.  The hook is called after the record's cycles executed;
+    per-cycle hooks see exactly the stepped cycles.
 
     The engine takes windows only when *every* attached observer
     defines ``on_window`` — it looks for the method, there is no flag.
@@ -75,7 +78,8 @@ MAX_TRACE_CYCLES = 100_000
 
 
 class Window(NamedTuple):
-    """One replayed superstep, as its observers see it (``on_window``).
+    """One stretch of replayed cycles, as its observers see it
+    (``on_window``).
 
     ``states``
         ``(kernel, state)`` for every kernel of the engine in
@@ -249,8 +253,14 @@ class StallChainProfiler(EngineObserver):
         for k, state in window.states:
             if state == "s" and k.blocked is not None:
                 self._charge(k, cycles)
-        for k, ch, kind, count in window.ops:
-            self.on_channel_op(start, k, ch, kind, count)
+        # on_channel_op for each op, inlined.
+        for k, ch, kind, _count in window.ops:
+            side = self.producers if kind == "push" else self.consumers
+            names = side.get(ch.name)
+            if names is None:
+                side[ch.name] = {k.name}
+            else:
+                names.add(k.name)
 
     # -- analysis ----------------------------------------------------------
     def dominant_stall(self, kernel: str) -> Optional[Tuple[str, str, int]]:

@@ -56,6 +56,31 @@ regular on its own ports.  Such a kernel carries one
 Schedulers therefore always ask ``kernel.pattern.phase()`` for ports,
 ``ready()`` and ``block()``; only static analysis reads the outer
 union.
+
+Ending
+------
+A pattern may also say how its kernel ends (``ends=``): a callable
+that is true, at an iteration boundary, when the generator *returns* —
+performs no further op — once the current phase's ``ready()``
+iterations are done.  The window scheduler lets such a kernel finish
+inside a window: after its last ``block()`` it resumes the generator
+once, which must raise ``StopIteration`` (a :class:`SimulationError`
+otherwise), and books the kernel done at the cycle after its last
+iteration, exactly when the event core's resume would have.  A kernel
+without ``ends`` (a reduction with its result push still to come, a
+phased module whose next phase is not yet known) keeps its last
+iteration as a window edge.
+
+Waiting
+-------
+At an iteration boundary with ``ready() > 0``, the next op of a kernel
+with read ports is ``Pop(reads[0])`` of its full lanes, and nothing it
+does before that op is observable — unless its pattern says otherwise
+with ``whole_pops=False`` (the DRAM write kernel pops what is there).
+So when that first pop would find its FIFO short, the window scheduler
+blocks the kernel on exactly that ``Pop`` without resuming its
+generator, and when data arrives replays the iteration (or, if the rest
+of it cannot proceed, resumes the generator to that same ``Pop`` then).
 """
 
 from __future__ import annotations
@@ -131,11 +156,18 @@ class StaticPattern:
         inference sums along reconvergent paths.  Mirrors the ``defer=``
         argument of ``Engine.add_kernel`` but travels with the pattern,
         so fully patterned designs need no per-call annotations.
+    ends:
+        Optional zero-argument callable: true when the generator returns
+        right after the current ``ready()`` iterations (see "Ending" in
+        the module docstring).
+    whole_pops:
+        False for a kernel whose first pop of an iteration takes less
+        than its lanes when fewer are there (see "Waiting").
     """
 
     __slots__ = ("reads", "writes", "ii", "dtype", "dram",
                  "read_totals", "write_totals", "defer",
-                 "_ready", "_block", "_phase")
+                 "_ready", "_block", "_phase", "_ends", "whole_pops")
 
     def __init__(self, reads: Sequence[Tuple] = (),
                  writes: Sequence[Tuple] = (), ii: int = 1,
@@ -144,7 +176,8 @@ class StaticPattern:
                  dram: Sequence[DramTraffic] = (),
                  read_totals: Optional[Sequence[Optional[int]]] = None,
                  write_totals: Optional[Sequence[Optional[int]]] = None,
-                 defer: int = 0):
+                 defer: int = 0, ends: Optional[Callable[[], bool]] = None,
+                 whole_pops: bool = True):
         self.reads = tuple(reads)
         self.writes = tuple(writes)
         self.ii = ii
@@ -162,6 +195,8 @@ class StaticPattern:
         self._ready = ready
         self._block = block
         self._phase = None
+        self._ends = ends
+        self.whole_pops = whole_pops
 
     @classmethod
     def phased(cls, current: Callable[[], Optional["StaticPattern"]],
@@ -207,6 +242,11 @@ class StaticPattern:
         if self._ready is None:
             return 0
         return self._ready()
+
+    def ends(self) -> bool:
+        """True when the generator returns after the ``ready()``
+        iterations executable now (False unless declared)."""
+        return self._ends is not None and self._ends()
 
     def block(self, k: int, ins: List) -> List:
         """Advance ``k`` iterations; return one output array per write."""

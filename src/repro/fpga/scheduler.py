@@ -99,8 +99,9 @@ class WakeListScheduler:
     def on_space(self, ch: Channel) -> None:
         for k in ch._push_waiters:
             self._wake(k)
-        if ch._staged:
-            nm = ch._staged[0][0]
+        if ch._staged or ch._runs:
+            # head_ready(), without the call on the event tier's path
+            nm = ch._staged[0][0] if ch._staged else ch.head_ready()
             self._schedule_mature(ch, nm if nm > self.now else self.now + 1)
 
     def on_data(self, ch: Channel) -> None:
@@ -140,8 +141,8 @@ class WakeListScheduler:
             ch._mature_at = None
             ch._pop_waiters.clear()
             ch._push_waiters.clear()
-            if ch._staged:
-                nm = ch._staged[0][0]
+            if ch._staged or ch._runs:
+                nm = ch.head_ready()
                 self._schedule_mature(ch, nm if nm > self.now else self.now)
         w = eng._watch_window
         try:
@@ -247,8 +248,9 @@ class WakeListScheduler:
                 if obj.mature(t):        # fires on_data -> _wake
                     self._progressed = True
                     eng._last_op_cycle = t
-                if obj._staged and len(obj._fifo) < obj.depth:
-                    nm = obj._staged[0][0]
+                if (obj._staged or obj._runs) and len(obj._fifo) < obj.depth:
+                    nm = (obj._staged[0][0] if obj._staged
+                          else obj.head_ready())
                     self._schedule_mature(obj, nm if nm > t else t + 1)
             else:
                 if obj._queued_for == _t0 and not obj.done:

@@ -67,7 +67,9 @@ def source_kernel(ch, data: Sequence, width: int = 1, repeat: int = 1):
 
     pat = StaticPattern(writes=((ch, width, 1),), ii=1,
                         ready=ready, block=block,
-                        write_totals=(n * repeat,))
+                        write_totals=(n * repeat,),
+                        ends=lambda: (st.pass_no == repeat - 1
+                                      and (n - st.done) % width == 0))
     return PatternedGenerator(gen(), pat)
 
 
@@ -99,7 +101,8 @@ def sink_kernel(ch, count: int, width: int = 1, out: Optional[List] = None):
 
     pat = StaticPattern(reads=((ch, width),), ii=1,
                         ready=ready, block=block,
-                        read_totals=(count,))
+                        read_totals=(count,),
+                        ends=lambda: (count - st.done) % width == 0)
     return PatternedGenerator(gen(), pat)
 
 
@@ -135,7 +138,8 @@ def forward_kernel(ch_in, ch_out, count: int, width: int = 1):
     pat = StaticPattern(reads=((ch_in, width),),
                         writes=((ch_out, width, 1),), ii=1,
                         ready=ready, block=block,
-                        read_totals=(count,), write_totals=(count,))
+                        read_totals=(count,), write_totals=(count,),
+                        ends=lambda: (count - st.done) % width == 0)
     return PatternedGenerator(gen(), pat)
 
 
@@ -223,5 +227,6 @@ def duplicate_kernel(ch_in, outs: Sequence, count: int, width: int = 1):
                         writes=tuple((o, width, 1) for o in outs), ii=1,
                         ready=ready, block=block,
                         read_totals=(count,),
-                        write_totals=(count,) * len(outs))
+                        write_totals=(count,) * len(outs),
+                        ends=lambda: (count - st.done) % width == 0)
     return PatternedGenerator(gen(), pat)

@@ -121,6 +121,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"positional path {args.path!r} only applies to 'report'",
               file=sys.stderr)
         return 2
+    from ..apps.catalogue import unwritable
+    for flag in ("trace", "metrics", "ledger", "prometheus"):
+        path = getattr(args, flag)
+        why = path and unwritable(path)
+        if why:
+            print(f"cannot write --{flag} {path}: {why}", file=sys.stderr)
+            return 2
     try:
         return _run(args)
     except ReproError as exc:
@@ -128,6 +135,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # mode refuses the width-16 AXPYDOT (FB402) before cycle 0.
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # An output that became unwritable after the check above.
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -124,6 +124,17 @@ class TestOneCatalogue:
             faults_main(["campaign", "--apps", "nope"])
         assert ", ".join(apps) in capsys.readouterr().err
 
+    def test_unwritable_campaign_out_is_one_line(self, tmp_path, capsys):
+        """``--out`` in a missing directory: exit 2 and one line on
+        stderr before any trial runs."""
+        from repro.faults.__main__ import main as faults_main
+        path = tmp_path / "absent" / "c.json"
+        assert faults_main(["campaign", "--apps", "atax", "--budget", "2",
+                            "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cannot write --out {path}: no directory {path.parent}\n"
+
     @pytest.mark.parametrize("app", list(APPS))
     def test_drawn_run_matches_reference(self, app):
         spec = APPS[app]

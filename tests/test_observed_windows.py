@@ -167,7 +167,7 @@ class TestDifferentialBuilders:
         (0) and drain (-w) channels all report their occupancy series."""
         spec = {"n": 4000, "width": 4, "slack": 60, "lat": 60, "lat2": 33,
                 "reduce": False, "max_cycles": 200_000}
-        assert _assert_same_story(_engine_drive(_build_ramp_chain, spec)) >= 5
+        assert _assert_same_story(_engine_drive(_build_ramp_chain, spec)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,30 +229,31 @@ class TestOccupancySeries:
     def test_peak_is_the_maximum_of_the_series(self, build, spec,
                                                monkeypatch):
         """An observed window reads ``max_occupancy`` off the series, an
-        unobserved one asks ``_flow_peak``: same storage model, so the
-        same number, on fill, steady and drain channels alike.  The
-        series itself, expanded, is the storage model evaluated cycle
+        unobserved one asks the walk for the peak alone: the same pieces,
+        so the same number, on fill, steady and drain channels alike.
+        The series itself, expanded, is the storage model evaluated cycle
         by cycle."""
-        from repro.fpga import bulk
-        real, checked = bulk._flow_occupancy, []
+        from repro.fpga import channel
+        real, checked = channel._flow_samples, []
 
-        def both(ch, t, w, eff, push, pop, K):
-            runs = real(ch, t, w, eff, push, pop, K)
-            offs = bulk._flow_bound(ch, t, w, eff, push, pop, True, K)[1]
-            assert max(occ for occ, _n in runs) == bulk._flow_peak(
-                ch, w, eff, push, pop, offs, K)
+        def both(depth, occ, w, eff, n_p, n_c, K, offs, series):
+            if not series:
+                return real(depth, occ, w, eff, n_p, n_c, K, offs, False)
+            runs, peak = real(depth, occ, w, eff, n_p, n_c, K, offs, True)
+            assert peak == max(occ for occ, _n in runs) == real(
+                depth, occ, w, eff, n_p, n_c, K, offs, False)
             assert sum(n for _occ, n in runs) == K
             due = [] if offs is None else offs.tolist()
-            model = [min(ch.depth, len(ch._fifo) - (w * j if pop else 0)
+            model = [min(depth, occ - w * min(j, n_c)
                          + sum(1 for o in due if o <= j)
-                         + (w * max(j - eff + 1, 0) if push else 0))
+                         + w * min(max(j - eff + 1, 0), n_p))
                      for j in range(K)]
             assert [occ for occ, n in runs for _ in range(n)] == model
             assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
-            checked.append((push, pop))
-            return runs
+            checked.append((n_p > 0, n_c > 0))
+            return runs, peak
 
-        monkeypatch.setattr(bulk, "_flow_occupancy", both)
+        monkeypatch.setattr(channel, "_flow_samples", both)
         eng = Engine(mode="certified", observers=[TraceObserver()])
         build(eng, spec, [])
         eng.run()

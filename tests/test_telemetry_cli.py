@@ -81,6 +81,26 @@ class TestExitCodes:
             capsys.readouterr().err
 
 
+class TestUnwritableOutputs:
+    """An output path the CLI cannot write is one line on stderr and exit
+    2, before anything is simulated (nothing on stdout)."""
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics",
+                                      "--prometheus", "--ledger"])
+    def test_missing_directory(self, flag, tmp_path, capsys):
+        path = tmp_path / "absent" / "out"
+        assert telemetry_main(["atax", flag, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cannot write {flag} {path}: no directory {path.parent}\n"
+
+    def test_directory_as_output(self, tmp_path, capsys):
+        assert telemetry_main(["atax", "--trace", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cannot write --trace {tmp_path}: it is a directory\n"
+
+
 class TestLedgerArtifacts:
     def test_ledger_and_prometheus_written(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.jsonl"
