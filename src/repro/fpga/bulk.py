@@ -111,8 +111,7 @@ class WindowScheduler(WakeListScheduler):
         t = self.now
         entries = self._survey(t)
         plan = self._window_plan(entries) if entries else None
-        if plan is not None:
-            # The records describe the state the superstep starts from.
+        if plan is not None:            # described from its start state
             records = self._describe_window(*plan) if self._observers else ()
             self._execute_window(*plan)
             self._count(t, plan[0])
@@ -142,20 +141,17 @@ class WindowScheduler(WakeListScheduler):
             self._count(t, 1)
 
     def _count(self, t, cycles) -> None:
-        """Book ``cycles`` replayed cycles from ``t`` (a new window unless
-        the last one ended at ``t``)."""
+        """Book replayed cycles (a new window unless one ended at ``t``)."""
         self.engine._bulk_windows += t != self._chain_end
         self.engine._bulk_cycles += cycles
         self._chain_end = t + cycles
 
     def _replay_set(self, t):
-        """What each kernel queued at ``t`` does without its generator,
-        decided after ``t``'s maturations: ``{kernel: phase}`` for one
-        whose whole iteration succeeds (it replays it), ``{kernel:
-        (channel, lanes)}`` for one whose first pop finds its FIFO short
-        (it waits on that ``Pop``; "Waiting" in :mod:`.pattern`).  As a
-        kernel is the only consumer of what it pops and the only producer
-        of what it pushes, that holds at its turn."""
+        """After ``t``'s maturations, ``{kernel: phase}`` for each queued
+        kernel whose whole iteration succeeds (it replays it), ``{kernel:
+        (channel, lanes)}`` for one whose first pop is short (it waits;
+        "Waiting" in :mod:`.pattern`).  A kernel is the only consumer of
+        its pops and producer of its pushes, so that holds at its turn."""
         if self._set_at != t:
             self._set_at = t
             inj = self.engine._injector
@@ -244,9 +240,8 @@ class WindowScheduler(WakeListScheduler):
         return True
 
     def _survey(self, t):
-        """``[(kernel, phase, ready iterations), ...]`` for the kernels
-        queued at ``t``, or ``None`` when one rules a superstep out;
-        keeps the edge cycle's replay candidates for :meth:`_replay_set`."""
+        """``[(kernel, phase, ready iterations)]`` queued at ``t`` (``None``
+        if one rules a superstep out), keeping :meth:`_replay_set`'s."""
         cands = self._cands = []
         self._set_at, self._set = t, _NO_REPLAY
         inj = self.engine._injector
@@ -287,11 +282,17 @@ class WindowScheduler(WakeListScheduler):
         when no superstep of :data:`MIN_WINDOW` cycles is provable.
         """
         t1 = self.now
-        for _k, p, n in entries:
-            if n:
-                for ch, w in p.reads:
-                    if len(ch._fifo) < w and not ch._nstaged:
-                        return None     # nothing to pop at the start
+        # The walks' cheapest refusals first: nothing to pop, a push
+        # waiter to free, a pop waiter outside fed within MIN_WINDOW.
+        for k, p, n in entries:
+            for ch, w in p.reads if n else ():
+                if ch._push_waiters or not ch._nstaged and len(ch._fifo) < w:
+                    return None
+            for ch, _w, lat in p.writes:
+                if ch._pop_waiters and len(ch._fifo) < ch.depth and (
+                        ch.head_ready() - t1 if ch._nstaged else
+                        k.latency if lat is None else lat) < self.MIN_WINDOW:
+                    return None
         # The fewest iterations bound the superstep, unless that kernel
         # ends after them: then it leaves inside and the next bounds.
         K = self.max_cycles - t1
@@ -581,8 +582,7 @@ def _finish(k) -> None:
         k._send(None)
     except StopIteration:
         return
-    raise SimulationError(f"kernel {k.name!r} did not return after its "
-                          "pattern's last iteration")
+    raise SimulationError(f"kernel {k.name!r} outlived its pattern's end")
 
 
 def _stripe_split(d, nbytes):
