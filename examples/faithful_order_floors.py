@@ -14,9 +14,9 @@ This script measures both, at the sizes of the benchmark's
 / GER on one 512 x 512 tile, width 4, float32), checks that the two
 produce the same bytes, and prints the floors side by side.  What
 separates the columns is the simulator (host marshalling, engine build,
-the superstep plans and the edge cycles between them — a handful per
-call, where a kernel joins, waits or finishes — and the DRAM model),
-not the payload.
+the superstep plans and the cycles stepped between them — a handful per
+call, where a kernel wakes, blocks or pushes a result — and the DRAM
+model), not the payload.
 
 Run:  python examples/faithful_order_floors.py [repeats]
 """

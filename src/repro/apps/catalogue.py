@@ -28,9 +28,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -269,19 +268,6 @@ class AppSpec:
             sizes["tile"] = tile
         return self.streaming(ctx, *bufs, *self.scalars, mode=mode,
                               **sizes)
-
-
-def unwritable(path: str) -> Optional[str]:
-    """Why the app CLIs could not write an output file at ``path`` (None
-    if they could), checked before anything is simulated."""
-    if os.path.isdir(path):
-        return "it is a directory"
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        return f"no directory {parent}"
-    if not os.access(parent, os.W_OK):
-        return f"directory {parent} is not writable"
-    return None
 
 
 def positive_int(text: str) -> int:

@@ -17,7 +17,7 @@ from .campaign import _to_plain, render_summary, run_campaign
 
 def main(argv=None) -> int:
     from ..apps import APPS
-    from ..apps.catalogue import positive_int, unwritable
+    from ..apps.catalogue import positive_int
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults",
         description="deterministic fault-injection campaigns")
@@ -44,19 +44,20 @@ def main(argv=None) -> int:
     if not apps or not set(apps) <= set(APPS):
         camp.error(f"argument --apps: expected a comma-separated subset of "
                    f"{', '.join(APPS)}, got {args.apps!r}")
-    why = args.out and unwritable(args.out)
-    if why:
-        print(f"cannot write --out {args.out}: {why}", file=sys.stderr)
+    try:
+        if args.out:
+            open(args.out, "a").close()     # before any trial runs
+        doc = run_campaign(seed=args.seed, apps=apps,
+                           budget=args.budget, size=args.n,
+                           recover=not args.no_recover, mode=args.mode)
+        print(render_summary(doc))
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump(_to_plain(doc), fh, indent=2)
+            print(f"\nfull report written to {args.out}")
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-
-    doc = run_campaign(seed=args.seed, apps=apps,
-                       budget=args.budget, size=args.n,
-                       recover=not args.no_recover, mode=args.mode)
-    print(render_summary(doc))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(_to_plain(doc), fh, indent=2)
-        print(f"\nfull report written to {args.out}")
     return 1 if doc["unexplained_hangs"] else 0
 
 

@@ -6,34 +6,38 @@ skip, so :class:`WindowScheduler` replays the cycles whose work is
 
 What a window is
 ----------------
-A run of cycles none of which the stepping core executes whole, made of
+A *superstep* of K >= :data:`~WindowScheduler.MIN_WINDOW` cycles,
+byte-identical to K event cycles.  Its kernels are the ones queued at
+its first cycle, each with an executable
+:class:`~repro.fpga.pattern.StaticPattern` *phase* (``ii == 1``, not
+blocked, no fault pending on its outputs); each runs ``min(ready(),
+K)`` iterations, and one whose pattern
+:meth:`~repro.fpga.pattern.StaticPattern.ends` may run fewer and
+*leave*, finishing the cycle after its last iteration as the event
+core's resume would have.  Its channels are those phases' ports, and
+each one's net rate (``+lanes`` fill, ``0`` steady, ``-lanes`` drain)
+is piecewise constant: it changes only where a staged burst matures,
+the first push arrives or an endpoint leaves.
 
-* **supersteps** of K >= :data:`~WindowScheduler.MIN_WINDOW` cycles:
-  the kernels queued at the first cycle, each with an executable
-  :class:`~repro.fpga.pattern.StaticPattern` *phase* (``ii == 1``, not
-  blocked, no fault pending on its outputs), run ``min(ready(), K)``
-  iterations; one whose pattern
-  :meth:`~repro.fpga.pattern.StaticPattern.ends` may run fewer and
-  *leave*, finishing the cycle after its last iteration as the event
-  core's resume would have.  Each channel's net rate (``+lanes`` fill,
-  ``0`` steady, ``-lanes`` drain) is so piecewise constant;
-* **edge cycles**: the event core's cycle, except that a kernel whose
-  whole iteration succeeds at its turn replays it (:meth:`_step`), and
-  one whose first pop finds its FIFO short waits on that ``Pop``
-  without resuming its generator ("Waiting" in :mod:`.pattern`) — so a
-  pop waiter joins at the maturation that feeds it by replaying.  Only
-  a push waiter's retry, a kernel leaving or an op outside a pattern
-  resumes a generator; a cycle that does nothing else is a stepped
-  cycle and ends the window.
+:func:`_walk` follows each channel's balance over those breakpoints to
+find for how long its pops find data and its pushes room.  K is that,
+clamped to
 
-:meth:`Channel.flow` walks each channel's balance over its breakpoints
-(staged maturations, the first and last push arriving, the last pop)
-to find for how long its pops find data and its pushes room.  K is
-that, clamped to (1) the fewest iterations of a kernel that does not
-end, and ``max_cycles``; (2) the earliest viable foreign heap event and
-the next injected memory fault (both land on executed cycles); (3) the
-first maturation for a pop waiter outside, or any push waiter's retry:
-that cycle is an edge where the waiter joins.
+1. the fewest iterations of a kernel that does not end, and
+   ``max_cycles``;
+2. the earliest viable foreign heap event (a sleeper's wake, a
+   maturation on a channel outside) and the next injected memory
+   fault, which must land on an executed cycle;
+3. the first maturation that would wake a pop waiter outside the
+   superstep, and any push waiter at all: nothing outside may change
+   the runnable set mid-window;
+4. each channel's supply (the staged ramp runs out) and its ``depth +
+   latency * lanes`` staging headroom.
+
+Every other cycle — a kernel waking or blocking at a phase change, a
+reduction's result push, a ragged tail — is the inherited event
+scheduler's own, which keeps every verdict (deadlocks included)
+byte-identical across the schedules.
 
 The replay runs one ``block()`` per kernel in producer -> consumer
 order (DRAM stores last) over ndarray block runs
@@ -50,32 +54,151 @@ ii = 1 patterns, one producer and one consumer of equal lanes per
 channel, conserved totals, depths at the inferred minima, DRAM demand
 within budget): every kernel's next ``ready()`` cycles are known and
 how long the state sustains them is decidable per channel from its
-storage alone.  An edge cycle's replay rests on the op interpreter's own
-checks at the kernel's turn, and whatever is not replayed is the event
-scheduler's own cycle, so every verdict (deadlocks included) stays
-byte-identical.  Without a certificate ``"certified"`` raises the FB4xx
+storage alone.  Without a certificate ``"certified"`` raises the FB4xx
 diagnostics before cycle 0 and ``"bulk"`` runs the event scheduler.
 
 Observers with ``on_window`` (:mod:`repro.fpga.observers`) get one
 record per stretch of constant state (a superstep, split where a kernel
-leaves; an edge cycle that replays or waits); an observer without the
-hook makes the engine step the whole run.
+leaves); an observer without the hook makes the engine step the whole
+run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DeadlockError, SimulationError
-from .kernel import BlockedState, Pop
+from .errors import SimulationError
 from .memory import stripe_split
 from .observers import Window
 from .scheduler import _KIDX, _MATURE, WakeListScheduler
 
 __all__ = ["WindowScheduler"]
 
-_op_step = WakeListScheduler._step      # the op interpreter itself
-_NO_REPLAY: dict = {}
+#: ``offs`` of a channel with nothing staged.
+_NONE = np.zeros(0, dtype=np.int64)
+
+
+def _walk(ch, t, port, K, offs=None, series=False):
+    """Walk channel ``ch`` through a superstep of at most ``K`` cycles
+    from cycle ``t``; ``port`` is its row of
+    :meth:`WindowScheduler._window_plan`.
+
+    The producer pushes ``w`` a cycle in the first ``n_p`` cycles at
+    latency ``eff``, the consumer pops ``w`` in the first ``n_c`` (0:
+    outside the superstep).  After cycle ``j``'s maturations the FIFO
+    holds ``min(depth, B(j))``, with ``B(j) = occ + due(j) + w * clip(j
+    - eff + 1, 0, n_p) - w * min(j, n_c)`` (``due``: staged elements
+    matured by then, head of line), linear between breakpoints.  The
+    superstep is exact while every pop finds its lanes, every push the
+    op interpreter's ``depth + eff * w`` room, and no waiter wakes.
+
+    Returns ``(cycles, offs)``: how long that holds, and the staged
+    elements' maturation offsets.  Given ``offs`` back, returns the
+    highest FIFO sample over ``K`` cycles or, with ``series``, the
+    run-length encoded samples ``[(occupancy, cycles), ...]`` and that
+    peak.
+    """
+    pk, ck, w, eff, n_p, n_c = port[:6]
+    depth = ch.depth
+    occ = len(ch._fifo)
+    if offs is not None:
+        return _samples(depth, occ, w, eff, n_p, n_c, K,
+                        offs if len(offs) else None, series)
+    if ch._push_waiters or eff < 1 or (n_c and ch._pop_waiters):
+        return 0, None
+    total = occ + ch._nstaged
+    if n_p:
+        # Push j fits iff total + w*j - w*min(j + cf, n_c) <= cap (cf:
+        # the consumer steps first in a cycle); the left side never falls.
+        cf = ck is not None and ck.index < pk.index
+        cap = depth + (eff - 1) * w
+        if total - w * min(cf, n_c) > cap:
+            return 0, None
+        full = max(n_c + (cap - total) // w + 1, n_c - cf + 1)
+        if full < n_p and full < K:
+            K = full
+    if n_c:
+        supply = total + w * n_p
+        if supply < n_c * w and supply // w < K:
+            K = supply // w                     # the supply runs out
+        if n_p and total < eff * w and total // w < K:
+            K = total // w                      # the superstep's pushes are late
+    elif ch._pop_waiters and occ < depth:
+        # The first maturation wakes the waiter: that cycle is stepped.
+        K = min(K, ch.head_ready() - t if total > occ else eff)
+    if total == occ:
+        return K, _NONE
+    parts = []
+    if ch._staged:
+        parts.append(np.repeat([r for r, _v in ch._staged],
+                               [len(v) for _r, v in ch._staged]))
+    for first, lanes, arr, off in ch._runs:
+        parts.append(first + np.arange(off, len(arr)) // lanes)
+    offs = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    offs -= t
+    np.maximum.accumulate(offs, out=offs)
+    np.maximum(offs, 0, out=offs)
+    pops = min(total, n_c * w) - occ
+    if pops > 0:
+        late = (offs[:pops] > np.arange(occ, occ + pops) // w).nonzero()[0]
+        if late.size:
+            K = min(K, (occ + int(late[0])) // w)
+    return K, offs
+
+
+def _samples(depth, occ, w, eff, n_p, n_c, K, offs, series):
+    """The FIFO samples ``min(depth, B(j))``, ``j < K``, of
+    :func:`_walk`, piece by piece between breakpoints (``B`` is linear
+    in each): their maximum or, with ``series``, also the samples
+    run-length encoded — one run per piece where flat or capped, one run
+    per cycle where they move."""
+    due_at = {}                         # offset -> elements due by then
+    if offs is not None:
+        for i, off in enumerate(offs.tolist(), 1):
+            due_at[off] = i
+    cuts = sorted({m for m in (*due_at, eff - 1, eff - 1 + n_p, n_c)
+                   if 0 < m < K})
+    cuts.append(K)
+    runs, peak = [], 0
+    due = due_at[0] if 0 in due_at else 0
+    j = 0
+    for end in cuts:
+        rate = ((w if eff - 1 <= j < eff - 1 + n_p else 0)
+                - (w if j < n_c else 0))
+        a = j - eff + 1
+        level = occ + due + w * ((0 if a < 0 else n_p if a > n_p else a)
+                                 - (j if j < n_c else n_c))
+        n = end - j
+        top = level + rate * (n - 1) if rate > 0 else level
+        top = depth if top > depth else top
+        peak = top if top > peak else peak
+        if not series:
+            pass
+        elif rate == 0:
+            _emit(runs, min(level, depth), n)
+        elif rate > 0:
+            below = min(n, max(0, -(-(depth - level) // rate)))
+            for i in range(below):
+                _emit(runs, level + i * rate, 1)
+            if n > below:
+                _emit(runs, depth, n - below)
+        else:
+            above = min(n, max(0, (level - depth) // -rate + 1))
+            if above:
+                _emit(runs, depth, above)
+            for i in range(above, n):
+                _emit(runs, level + i * rate, 1)
+        j = end
+        due = due_at[j] if j in due_at else due
+    return (runs, peak) if series else peak
+
+
+def _emit(runs, occupancy, cycles):
+    """Append ``cycles`` samples of ``occupancy`` to a run-length list."""
+    if runs and runs[-1][0] == occupancy:
+        runs[-1] = (occupancy, runs[-1][1] + cycles)
+    else:
+        runs.append((occupancy, cycles))
 
 
 def _slice_runs(runs, a, b):
@@ -90,186 +213,54 @@ def _slice_runs(runs, a, b):
 
 
 class WindowScheduler(WakeListScheduler):
-    """Event scheduler plus certificate-driven replay: each cycle starts
-    a superstep :meth:`_window_plan` proves or is an edge cycle whose
-    fitting kernels replay (:meth:`_step`); ``engine._bulk_windows`` /
-    ``_bulk_cycles`` / ``_bulk_stepped`` count them (``bulk_stats``)."""
+    """Event scheduler plus certificate-driven superstep replay.
+
+    A superstep :meth:`_window_plan` proves executes at once
+    (:meth:`_execute_window`); otherwise the inherited scheduler steps
+    exactly one cycle and the next cycle tries again.
+    ``engine._bulk_windows`` / ``_bulk_cycles`` count the supersteps and
+    the cycles they replayed (:meth:`Engine.bulk_stats`).
+    """
 
     #: Smallest superstep worth replaying arithmetically.
     MIN_WINDOW = 4
 
-    _chain_end = -1          # first cycle after the last replayed one
-    _cands = ()              # (kernel, phase) that may replay this cycle
-    _set_at = -1             # the cycle _replay_set last decided
-    _replays = 0             # kernels replayed or waiting this edge cycle
-
-    def __init__(self, engine, max_cycles: int):
-        super().__init__(engine, max_cycles)
-        self._waiting = set()    # kernels blocked on a Pop never yielded
-
     def _run_cycle(self) -> None:
-        t = self.now
-        entries = self._survey(t)
+        entries = self._survey()
         plan = self._window_plan(entries) if entries else None
-        if plan is not None:            # described from its start state
-            records = self._describe_window(*plan) if self._observers else ()
-            self._execute_window(*plan)
-            self._count(t, plan[0])
-            for start, cycles, window in records:
-                for o in self._observers:
-                    o.on_window(start, cycles, window)
-            return
-        self._replays = 0
-        observers = self._observers
-        if not observers or not (self._cands or self._waiting):
-            super()._run_cycle()
-        else:
-            tap = _CycleTap(self, observers)
-            hooks = self._state_hooks
-            self._observers, self._state_hooks = [tap], ()
-            try:
-                super()._run_cycle()
-            except DeadlockError:
-                tap.deliver(t)          # raised after the state sweep
-                raise
-            else:
-                tap.deliver(t)
-            finally:
-                self._observers, self._state_hooks = observers, hooks
-        if self._replays:
-            self._stepped -= 1
-            self._count(t, 1)
+        if plan is None:
+            return super()._run_cycle()
+        # The records describe the state the superstep starts from.
+        records = self._describe_window(*plan) if self._observers else ()
+        self._execute_window(*plan)
+        for start, cycles, window in records:
+            for o in self._observers:
+                o.on_window(start, cycles, window)
 
-    def _count(self, t, cycles) -> None:
-        """Book replayed cycles (a new window unless one ended at ``t``)."""
-        self.engine._bulk_windows += t != self._chain_end
-        self.engine._bulk_cycles += cycles
-        self._chain_end = t + cycles
-
-    def _replay_set(self, t):
-        """After ``t``'s maturations, ``{kernel: phase}`` for each queued
-        kernel whose whole iteration succeeds (it replays it), ``{kernel:
-        (channel, lanes)}`` for one whose first pop is short (it waits;
-        "Waiting" in :mod:`.pattern`).  A kernel is the only consumer of
-        its pops and producer of its pushes, so that holds at its turn."""
-        if self._set_at != t:
-            self._set_at = t
-            inj = self.engine._injector
-            cands = self._cands
-            if self._waiting:           # waiters this cycle's data woke
-                cands = cands + [(k, k.pattern.phase()) for k in
-                                 self._current if k in self._waiting]
-            self._set = fits = {}
-            for k, p in cands:
-                if _fits(k, p, inj):
-                    fits[k] = p
-                elif p.whole_pops and p.reads:
-                    ch, w = p.reads[0]
-                    if len(ch._fifo) < w:
-                        fits[k] = ch, w
-        return self._set
-
-    def _step(self, k, t) -> bool:
-        """Cycle ``t`` of ``k``: its phase's iteration replayed when
-        :meth:`_replay_set` holds it, else the op interpreter."""
-        if self._set_at != t:
-            self._replay_set(t)
-        p = self._set.get(k) if self._set else None
-        waiting = self._waiting
-        if p is None:
-            if k in waiting:
-                # The rest of the iteration cannot proceed: resume the
-                # generator to the Pop it waits on, and step it.
-                waiting.discard(k)
-                op = k._send(None)
-                if getattr(op, "channel", None) is not k.blocked.channel:
-                    raise SimulationError(
-                        f"kernel {k.name!r} did not pop its first port first")
-                k.blocked.op = op
-            return _op_step(self, k, t)
-        stats = k.stats
-        if stats.start_cycle is None:
-            stats.start_cycle = t
-        self._replays += 1
-        if type(p) is tuple:            # a wait: the op interpreter's stall
-            ch, w = p
-            if k.blocked is None:
-                k.blocked = BlockedState(Pop(ch, w), ch, "pop", t)
-                ch._pop_waiters.append(k)
-                waiting.add(k)
-            else:
-                k.blocked.since = t
-            stats.stall_cycles += 1
-            ch.stats.stalled_pop_cycles += 1
-            return False
-        if k in waiting:
-            waiting.discard(k)
-            self._unblock(k)
-        observers = self._observers
-        ins = []
-        for ch, w in p.reads:
-            vals = ch.pop(w)                                    # on_space
-            # Uncast values go in as popped, as the op hands them over.
-            ins.append(vals if p.dtype is None else np.asarray(vals, p.dtype))
-            for o in observers:
-                o.on_channel_op(t, k, ch, "pop", w)
-        for d in p.dram:
-            nbytes = d.elements * d.buf.itemsize
-            if d.kind == "write":
-                d.mem.request_write(d.buf, nbytes)
-            else:
-                d.mem.request_read(d.buf, nbytes, d.kind == "read")
-        for (ch, w, lat), arr in zip(p.writes, p.block(1, ins)):
-            eff = lat if lat is not None else k.latency
-            # A read kernel's burst is a view of its buffer: copy it, as
-            # the op's tuple would, before a store can overwrite it.
-            if not isinstance(arr, np.ndarray):
-                arr = tuple(arr)
-            elif arr.base is not None:
-                arr = arr.copy()
-            ch._runs.append([t + eff, w, arr, 0])   # push_block, inlined
-            ch._nstaged += w
-            ch.stats.pushes += w
-            self._schedule_mature(ch, t + eff)
-            for o in observers:
-                o.on_channel_op(t, k, ch, "push", w)
-        self.engine._last_op_cycle = t
-        stats.active_cycles += 1
-        k._queued_for = t + 1
-        self._next.append(k)
-        return True
-
-    def _survey(self, t):
-        """``[(kernel, phase, ready iterations)]`` queued at ``t`` (``None``
-        if one rules a superstep out), keeping :meth:`_replay_set`'s."""
-        cands = self._cands = []
-        self._set_at, self._set = t, _NO_REPLAY
+    def _survey(self):
+        """``[(kernel, phase, ready iterations)]`` for the kernels queued
+        this cycle, or ``None`` when one rules a superstep out."""
+        cur = self._current
+        if not cur:
+            return None
         inj = self.engine._injector
         # Replay assumes full DRAM grants: a throttled cycle steps.
-        if inj is not None and inj.throttle_active(t):
+        if inj is not None and inj.throttle_active(self.now):
             return None
         entries = []
-        for k in self._current:
+        for k in cur:
             p = k.pattern
             if p is not None:
                 p = p.phase()
             if p is None or p.ii != 1 or k.blocked is not None:
-                entries = None
-                continue
+                return None
             n = p.ready()
-            if n:
-                cands.append((k, p))
-            if entries is None:
-                continue
             if n < self.MIN_WINDOW and not p.ends():
-                entries = None          # it bounds any superstep below it
-            elif inj is not None and any(inj.pending(ch)
-                                         for ch, _w, _lat in p.writes):
-                entries = None          # a pending fault must fire
-            else:
-                entries.append((k, p, n))
-        if cands or self._waiting:
-            self._set_at = -1
+                return None             # it bounds any superstep below it
+            if inj is not None and any(inj.pending(ch)
+                                       for ch, _w, _lat in p.writes):
+                return None             # a pending fault must fire
+            entries.append((k, p, n))
         return entries
 
     def _window_plan(self, entries):
@@ -347,7 +338,7 @@ class WindowScheduler(WakeListScheduler):
         for ch, port in ports.items():
             if K < self.MIN_WINDOW:
                 return None
-            K, port[6] = self._walk(ch, port, K)
+            K, port[6] = _walk(ch, t1, port, K)
         if K < self.MIN_WINDOW:
             return None
         # A channel outside is untouched, which is only faithful while
@@ -380,19 +371,13 @@ class WindowScheduler(WakeListScheduler):
                 frontier.sort(key=_KIDX)
         return (K, order, ports) if len(order) == len(entries) else None
 
-    def _walk(self, ch, port, K, offs=None, series=False):
-        """:meth:`Channel.flow` of the superstep channel ``port``."""
-        pk, ck, w, eff, n_p, n_c = port[:6]
-        cf = ck is not None and pk is not None and ck.index < pk.index
-        return ch.flow(self.now, w, eff, n_p, n_c, cf, K, offs, series)
-
     def _execute_window(self, K, order, ports) -> None:
         """Execute one K-cycle superstep (no bail-outs)."""
         t1 = self.now
         last = t1 + K - 1
         for ch, port in ports.items():
             if port[7] is None:         # not already read off the series
-                port[7] = self._walk(ch, port, K, port[6])
+                port[7] = _walk(ch, t1, port, K, port[6])
         # DRAM stores run last: a read kernel's block is a *view* of its
         # buffer, to be used before a store can overwrite it.
         stores = [e for e in order if _is_store(e[1])]
@@ -457,6 +442,8 @@ class WindowScheduler(WakeListScheduler):
             if ch._nstaged and len(ch._fifo) < ch.depth:
                 nm = ch.head_ready()
                 self._schedule_mature(ch, nm if nm > t1 + K else t1 + K)
+        self.engine._bulk_windows += 1
+        self.engine._bulk_cycles += K
         self.now = self.engine.now = t1 + K
         self.engine._last_op_cycle = last   # the watchdog, as if stepped
 
@@ -488,7 +475,7 @@ class WindowScheduler(WakeListScheduler):
         active = {k: (p, n, leaves) for k, p, n, leaves in order}
         series = {}
         for ch, port in ports.items():
-            series[ch], port[7] = self._walk(ch, port, K, port[6], True)
+            series[ch], port[7] = _walk(ch, t, port, K, port[6], True)
         cuts = {K}
         for _p, n, leaves in active.values():
             if leaves:
@@ -514,66 +501,6 @@ class WindowScheduler(WakeListScheduler):
                                     for ch, runs in series.items()})))
             a = b
         return records
-
-
-class _CycleTap:
-    """Stands in for the observers during an edge cycle: one that
-    replays a kernel reaches them as a one-cycle :class:`Window` (so
-    per-cycle hooks still see stepped cycles only), any other as its
-    per-cycle calls, passed on as they happen."""
-
-    def __init__(self, sched, observers):
-        self.sched = sched
-        self.observers = observers
-        self.record = None
-
-    def on_cycle(self, t):
-        sched = self.sched
-        if sched._replay_set(t):
-            self.record = Window(
-                None, [], {ch: [(len(ch._fifo), 1)] for ch in sched.channels})
-        else:
-            for o in self.observers:
-                o.on_cycle(t)
-
-    def on_channel_op(self, t, kernel, channel, kind, count):
-        if self.record is not None:
-            self.record.ops.append((kernel, channel, kind, count))
-        else:
-            for o in self.observers:
-                o.on_channel_op(t, kernel, channel, kind, count)
-
-    def deliver(self, t):
-        """The event core's state sweep, read off the same fields."""
-        states = [(k, ("#" if k._last_progress else "s")
-                   if k._last_stepped == t else "-" if k.done
-                   else "z" if k.sleep_until > t else "s")
-                  for k in self.sched.kernels]
-        if self.record is not None:
-            rec = self.record._replace(states=states)
-            for o in self.observers:
-                o.on_window(t, 1, rec)
-            return
-        for o in self.observers:
-            if o.wants_kernel_states:
-                for k, state in states:
-                    o.on_kernel_state(t, k, state)
-
-
-def _fits(k, p, inj) -> bool:
-    """True when every op of one iteration of ``k``'s phase ``p`` would
-    succeed now: each pop finds its lanes, each push the op
-    interpreter's room, with no fault waiting on the channel."""
-    for ch, w in p.reads:
-        if len(ch._fifo) < w:
-            return False
-    for ch, w, lat in p.writes:
-        eff = lat if lat is not None else k.latency
-        if (eff < 1 or ch.fault_hook is not None
-                or (inj is not None and inj.pending(ch))
-                or ch.depth + (eff - 1) * w < len(ch._fifo) + ch._nstaged):
-            return False
-    return True
 
 
 def _finish(k) -> None:

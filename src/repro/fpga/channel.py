@@ -201,7 +201,7 @@ class Channel:
     #
     # A replay window moves values as ndarray *runs* instead of per-push
     # staged bursts, and no capacity checks or events fire: the scheduler
-    # has already proven (:meth:`flow`) that every pop of the window
+    # has already proven (:func:`repro.fpga.bulk._walk`) that every pop of the window
     # finds matured data and every push finds room.  Runs count as
     # staged (``in_flight``, ``space``), mature like staged bursts, and
     # stay runs after the window: :meth:`end_window` only moves what is
@@ -229,7 +229,7 @@ class Channel:
         split at these indices (``block(k1)`` then ``block(k2)`` is
         ``block(k1 + k2)`` by the pattern contract) receives every such
         run as a *view*; what is concatenated is the boxed head, the
-        one-group runs a stepped or edge cycle left, and the single
+        one-group runs a stepped cycle left, and the single
         iteration that straddles a boundary.
         """
         total = iterations * lanes
@@ -371,71 +371,6 @@ class Channel:
         self._nstaged -= moved
         return moved
 
-    def flow(self, t, w, eff, n_p, n_c, cf, K, offs=None, series=False):
-        """Walk this channel through a replay window of at most ``K``
-        cycles (:mod:`repro.fpga.bulk`).
-
-        The producer pushes ``w`` a cycle in the first ``n_p`` cycles at
-        latency ``eff``, the consumer pops ``w`` in the first ``n_c`` (0:
-        outside the window; ``cf``: the consumer steps first in a
-        cycle).  After cycle ``j``'s maturations the FIFO holds
-        ``min(depth, B(j))``, with ``B(j) = occ + due(j) + w * clip(j -
-        eff + 1, 0, n_p) - w * min(j, n_c)`` (``due``: staged elements
-        matured by then, head of line), linear between breakpoints.  The
-        window is exact while every pop finds its lanes, every push the
-        op interpreter's ``depth + eff * w`` room, and no waiter wakes.
-
-        Returns ``(cycles, offs)``: how long that holds, and the staged
-        elements' maturation offsets.  Given ``offs`` back, returns the
-        highest FIFO sample over ``K`` cycles or, with ``series``, the
-        run-length encoded samples ``[(occupancy, cycles), ...]`` and
-        that peak.
-        """
-        depth = self.depth
-        occ = len(self._fifo)
-        if offs is not None:
-            return _flow_samples(depth, occ, w, eff, n_p, n_c, K,
-                                 offs if len(offs) else None, series)
-        if self._push_waiters or eff < 1 or (n_c and self._pop_waiters):
-            return 0, None
-        total = occ + self._nstaged
-        if n_p:
-            # Push j fits iff total + w*j - w*min(j + cf, n_c) <= cap; the
-            # left side never falls.
-            cap = depth + (eff - 1) * w
-            if total - w * min(cf, n_c) > cap:
-                return 0, None
-            full = max(n_c + (cap - total) // w + 1, n_c - cf + 1)
-            if full < n_p and full < K:
-                K = full
-        if n_c:
-            supply = total + w * n_p
-            if supply < n_c * w and supply // w < K:
-                K = supply // w                 # the supply runs out
-            if n_p and total < eff * w and total // w < K:
-                K = total // w                  # the window's pushes are late
-        elif self._pop_waiters and occ < depth:
-            # The first maturation wakes the waiter: that cycle is an edge.
-            K = min(K, self.head_ready() - t if total > occ else eff)
-        if total == occ:
-            return K, _NONE
-        parts = []
-        if self._staged:
-            parts.append(np.repeat([r for r, _v in self._staged],
-                                   [len(v) for _r, v in self._staged]))
-        for first, lanes, arr, off in self._runs:
-            parts.append(first + np.arange(off, len(arr)) // lanes)
-        offs = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        offs -= t
-        np.maximum.accumulate(offs, out=offs)
-        np.maximum(offs, 0, out=offs)
-        pops = min(total, n_c * w) - occ
-        if pops > 0:
-            late = (offs[:pops] > np.arange(occ, occ + pops) // w).nonzero()[0]
-            if late.size:
-                K = min(K, (occ + int(late[0])) // w)
-        return K, offs
-
     # -- simulation hooks ---------------------------------------------------
     def mature(self, cycle: int) -> int:
         """Move due staged values into the FIFO, as far as space allows.
@@ -478,61 +413,3 @@ class Channel:
             f"occ={self.occupancy}, in_flight={self.in_flight})"
         )
 
-
-#: ``offs`` of a channel with nothing staged.
-_NONE = np.zeros(0, dtype=np.int64)
-
-
-def _flow_samples(depth, occ, w, eff, n_p, n_c, K, offs, series):
-    """The FIFO samples ``min(depth, B(j))``, ``j < K``, of
-    :meth:`Channel.flow`, piece by piece between breakpoints (``B`` is
-    linear in each): their maximum or, with ``series``, also the samples
-    run-length encoded — one run per piece where flat or capped, one run
-    per cycle where they move."""
-    due_at = {}                         # offset -> elements due by then
-    if offs is not None:
-        for i, off in enumerate(offs.tolist(), 1):
-            due_at[off] = i
-    cuts = sorted({m for m in (*due_at, eff - 1, eff - 1 + n_p, n_c)
-                   if 0 < m < K})
-    cuts.append(K)
-    runs, peak = [], 0
-    due = due_at[0] if 0 in due_at else 0
-    j = 0
-    for end in cuts:
-        rate = ((w if eff - 1 <= j < eff - 1 + n_p else 0)
-                - (w if j < n_c else 0))
-        a = j - eff + 1
-        level = occ + due + w * ((0 if a < 0 else n_p if a > n_p else a)
-                                 - (j if j < n_c else n_c))
-        n = end - j
-        top = level + rate * (n - 1) if rate > 0 else level
-        top = depth if top > depth else top
-        peak = top if top > peak else peak
-        if not series:
-            pass
-        elif rate == 0:
-            _emit(runs, min(level, depth), n)
-        elif rate > 0:
-            below = min(n, max(0, -(-(depth - level) // rate)))
-            for i in range(below):
-                _emit(runs, level + i * rate, 1)
-            if n > below:
-                _emit(runs, depth, n - below)
-        else:
-            above = min(n, max(0, (level - depth) // -rate + 1))
-            if above:
-                _emit(runs, depth, above)
-            for i in range(above, n):
-                _emit(runs, level + i * rate, 1)
-        j = end
-        due = due_at[j] if j in due_at else due
-    return (runs, peak) if series else peak
-
-
-def _emit(runs, occupancy, cycles):
-    """Append ``cycles`` samples of ``occupancy`` to a run-length list."""
-    if runs and runs[-1][0] == occupancy:
-        runs[-1] = (occupancy, runs[-1][1] + cycles)
-    else:
-        runs.append((occupancy, cycles))

@@ -563,6 +563,6 @@ def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
     traffic.order = idx
     pat = StaticPattern(
         reads=((ch, width),), ii=1, ready=ready, block=block,
-        dram=(traffic,), read_totals=(count,), whole_pops=False,
+        dram=(traffic,), read_totals=(count,),
         ends=lambda: not pending and (count - st.received) % width == 0)
     return PatternedGenerator(gen(), pat)

@@ -38,16 +38,14 @@ JSONL event dump, ad-hoc debugging hooks — subscribes as an observer:
     describes them with one :class:`Window` instead of ``cycles`` rounds
     of the three per-cycle hooks — one record per stretch of constant
     state: a superstep, split where a kernel finishes inside it (at its
-    last iteration and at the cycle its return takes), or a single edge
-    cycle in which some kernel replayed its iteration or waited on its
-    first pop while others stepped.  That is exact because every cycle
-    of a record repeats the same states and ops: a superstep's kernels
-    work (state ``#``, the same pops and pushes) and nothing outside it
-    wakes, blocks or finishes; an edge cycle's record is that cycle's
-    own.  A channel a superstep does not touch holds its occupancy, and
-    a superstep channel's occupancy is a closed form of its storage at
-    ``start``.  The hook is called after the record's cycles executed;
-    per-cycle hooks see exactly the stepped cycles.
+    last iteration and at the cycle its return takes).  That is exact
+    because of what the superstep's own proof holds constant: its
+    kernels all work in every cycle of a record (state ``#``, the same
+    pops and pushes each time); nothing wakes, blocks or finishes
+    outside it, so every other kernel keeps the state it has at
+    ``start``; a channel outside is untouched and holds its occupancy;
+    and a superstep channel's occupancy is a closed form of its storage
+    at ``start``.  The hook is called after the superstep executed.
 
     The engine takes windows only when *every* attached observer
     defines ``on_window`` — it looks for the method, there is no flag.
@@ -78,7 +76,7 @@ MAX_TRACE_CYCLES = 100_000
 
 
 class Window(NamedTuple):
-    """One stretch of replayed cycles, as its observers see it
+    """One stretch of a replayed superstep, as its observers see it
     (``on_window``).
 
     ``states``
@@ -253,14 +251,8 @@ class StallChainProfiler(EngineObserver):
         for k, state in window.states:
             if state == "s" and k.blocked is not None:
                 self._charge(k, cycles)
-        # on_channel_op for each op, inlined.
-        for k, ch, kind, _count in window.ops:
-            side = self.producers if kind == "push" else self.consumers
-            names = side.get(ch.name)
-            if names is None:
-                side[ch.name] = {k.name}
-            else:
-                names.add(k.name)
+        for k, ch, kind, count in window.ops:
+            self.on_channel_op(start, k, ch, kind, count)
 
     # -- analysis ----------------------------------------------------------
     def dominant_stall(self, kernel: str) -> Optional[Tuple[str, str, int]]:

@@ -70,17 +70,6 @@ iteration, exactly when the event core's resume would have.  A kernel
 without ``ends`` (a reduction with its result push still to come, a
 phased module whose next phase is not yet known) keeps its last
 iteration as a window edge.
-
-Waiting
--------
-At an iteration boundary with ``ready() > 0``, the next op of a kernel
-with read ports is ``Pop(reads[0])`` of its full lanes, and nothing it
-does before that op is observable — unless its pattern says otherwise
-with ``whole_pops=False`` (the DRAM write kernel pops what is there).
-So when that first pop would find its FIFO short, the window scheduler
-blocks the kernel on exactly that ``Pop`` without resuming its
-generator, and when data arrives replays the iteration (or, if the rest
-of it cannot proceed, resumes the generator to that same ``Pop`` then).
 """
 
 from __future__ import annotations
@@ -160,14 +149,11 @@ class StaticPattern:
         Optional zero-argument callable: true when the generator returns
         right after the current ``ready()`` iterations (see "Ending" in
         the module docstring).
-    whole_pops:
-        False for a kernel whose first pop of an iteration takes less
-        than its lanes when fewer are there (see "Waiting").
     """
 
     __slots__ = ("reads", "writes", "ii", "dtype", "dram",
                  "read_totals", "write_totals", "defer",
-                 "_ready", "_block", "_phase", "_ends", "whole_pops")
+                 "_ready", "_block", "_phase", "_ends")
 
     def __init__(self, reads: Sequence[Tuple] = (),
                  writes: Sequence[Tuple] = (), ii: int = 1,
@@ -176,8 +162,7 @@ class StaticPattern:
                  dram: Sequence[DramTraffic] = (),
                  read_totals: Optional[Sequence[Optional[int]]] = None,
                  write_totals: Optional[Sequence[Optional[int]]] = None,
-                 defer: int = 0, ends: Optional[Callable[[], bool]] = None,
-                 whole_pops: bool = True):
+                 defer: int = 0, ends: Optional[Callable[[], bool]] = None):
         self.reads = tuple(reads)
         self.writes = tuple(writes)
         self.ii = ii
@@ -196,7 +181,6 @@ class StaticPattern:
         self._block = block
         self._phase = None
         self._ends = ends
-        self.whole_pops = whole_pops
 
     @classmethod
     def phased(cls, current: Callable[[], Optional["StaticPattern"]],

@@ -121,14 +121,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"positional path {args.path!r} only applies to 'report'",
               file=sys.stderr)
         return 2
-    from ..apps.catalogue import unwritable
-    for flag in ("trace", "metrics", "ledger", "prometheus"):
-        path = getattr(args, flag)
-        why = path and unwritable(path)
-        if why:
-            print(f"cannot write --{flag} {path}: {why}", file=sys.stderr)
-            return 2
     try:
+        for flag in ("trace", "metrics", "ledger", "prometheus"):
+            if getattr(args, flag):
+                # Opened before anything is simulated (appending, so a
+                # failed run truncates nothing), written after.
+                open(getattr(args, flag), "a").close()
         return _run(args)
     except ReproError as exc:
         # A typed failure is one line, never a traceback: e.g. certified
@@ -136,8 +134,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        # An output that became unwritable after the check above.
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

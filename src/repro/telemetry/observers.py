@@ -267,16 +267,9 @@ class SliceRecorder:
             self.on_kernel_state(start, k, state)
 
     def on_window(self, start: int, cycles: int, window: Any) -> None:
-        # One state per kernel for the whole window, by its own proof:
-        # on_kernel_state(start, k, state) for each, inlined.
-        opened = self._open
+        # One state per kernel for the whole window, by its own proof.
         for k, state in window.states:
-            cur = opened.get(k.name)
-            if cur is None:
-                opened[k.name] = [state, start]
-            elif cur[0] != state:
-                self._emit(k.name, cur[0], cur[1], start)
-                cur[0], cur[1] = state, start
+            self.on_kernel_state(start, k, state)
 
     def finalize(self, t: int) -> None:
         """Close every open interval at engine cycle ``t`` (idempotent)."""

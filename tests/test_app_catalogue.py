@@ -133,7 +133,7 @@ class TestOneCatalogue:
                             "--out", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"cannot write --out {path}: no directory {path.parent}\n"
+        assert err == f"cannot write {path}: No such file or directory\n"
 
     @pytest.mark.parametrize("app", list(APPS))
     def test_drawn_run_matches_reference(self, app):

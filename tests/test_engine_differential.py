@@ -742,15 +742,14 @@ class TestDifferentialRampWindows:
             assert eng.bulk_stats()["windows"] > 0
 
     def test_fill_and_drain_are_windows(self):
-        """A 60-deep latency ramp is replayed, not stepped: its fill, its
-        steady state and its drain are one window (the start-up cycles
-        and each kernel finishing are edges inside it)."""
+        """A 60-deep latency ramp is replayed, not stepped: its fill,
+        steady state and drain are three supersteps."""
         spec = {"n": 4000, "width": 4, "slack": 60, "lat": 60, "lat2": 33,
                 "reduce": False, "max_cycles": 200_000}
         eng = _assert_certified_matches_event(_build_ramp_chain, spec)
         stats = eng.bulk_stats()
-        assert stats["windows"] == 1
-        assert stats["stepped_cycles"] == 0
+        assert stats["windows"] == 3
+        assert stats["stepped_cycles"] <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ class TestDifferentialBuilders:
         (0) and drain (-w) channels all report their occupancy series."""
         spec = {"n": 4000, "width": 4, "slack": 60, "lat": 60, "lat2": 33,
                 "reduce": False, "max_cycles": 200_000}
-        assert _assert_same_story(_engine_drive(_build_ramp_chain, spec)) == 1
+        assert _assert_same_story(_engine_drive(_build_ramp_chain, spec)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +233,8 @@ class TestOccupancySeries:
         so the same number, on fill, steady and drain channels alike.
         The series itself, expanded, is the storage model evaluated cycle
         by cycle."""
-        from repro.fpga import channel
-        real, checked = channel._flow_samples, []
+        from repro.fpga import bulk
+        real, checked = bulk._samples, []
 
         def both(depth, occ, w, eff, n_p, n_c, K, offs, series):
             if not series:
@@ -253,7 +253,7 @@ class TestOccupancySeries:
             checked.append((n_p > 0, n_c > 0))
             return runs, peak
 
-        monkeypatch.setattr(channel, "_flow_samples", both)
+        monkeypatch.setattr(bulk, "_samples", both)
         eng = Engine(mode="certified", observers=[TraceObserver()])
         build(eng, spec, [])
         eng.run()

@@ -47,7 +47,7 @@ EXPECTED = {
         "registry": "bb42f0c6c7e90aa4cdff4dfe6d3f1c738c9293902e81f1ed5989cb24673838ad",
         "slices": "ce1bbc6622929b305e6123bf73edb75e79a0d8e757f02f730a77d3977de5599b",
         "runs": "93faccc4f7742deac40bc351f94de8bd7cabe6a328341bafb01b18b059804d0f",
-        "ledger": "9141975772dfb48d290e7a8013665c399499ab46ea31c024dd93dc989f1cad9b",
+        "ledger": "15d6538584388c21fca6e6793f5ab3f067cfcfe19093a5e1efc3a09f32de192a",
         "chrome_trace": "f01584d6239edf21991a2ec9476c8c01a920e337e2df280ef62fecab20cc12e9",
         "report": "3c50e571c14cf3a9bf673beccc89a2a1da32e8b1f4718594d2c9484768c2c63d"
     },

@@ -22,10 +22,9 @@ from repro.host import Fblas, FblasContext
 
 #: Calls of one warm event-tier ATAX (80 038 before).
 ATAX_CALLS = 44_674
-#: Calls inside the event core's cycles of a warm certified dot: its 3
-#: stepped cycles and the 3 edge cycles that replay or wait (585, then
+#: Calls inside the 6 stepped cycles of a warm certified dot (585, then
 #: 341 for 7 stepped cycles, before).
-DOT_STEPPED_CALLS = 262
+DOT_STEPPED_CALLS = 261
 #: Calls of a warm certified dot inside a full telemetry session (2 226
 #: before).
 WATCHED_DOT_CALLS = 1_701
@@ -82,10 +81,10 @@ class _Capturing(Fblas):
 
 
 def test_certified_dot_stepped_cycles_call_count():
-    """The cycles a warm certified 4096-element ``dot`` runs on the event
-    core (the result push and the returns of the dot and its sink; the
-    edges where the reads replay and the dot and sink wait or join) —
-    counted inside the event core's ``_run_cycle`` only."""
+    """The cycles a warm certified 4096-element ``dot`` steps between its
+    replayed window (pipeline start-up, the reduction's tail and result
+    push, the sink) — counted inside the event core's ``_run_cycle``
+    only."""
     fb = _Capturing(width=8, engine_mode="certified")
     rng = np.random.default_rng(7)
     x, y = (fb.copy_to_device(rng.standard_normal(4096).astype(np.float32))
@@ -93,7 +92,7 @@ def test_certified_dot_stepped_cycles_call_count():
     fb.dot(x, y)
     _, calls = _count_calls(lambda: fb.dot(x, y),
                             inside=WakeListScheduler._run_cycle.__code__)
-    assert fb.engine.bulk_stats()["stepped_cycles"] == 3
+    assert fb.engine.bulk_stats()["stepped_cycles"] == 6
     assert calls <= 1.05 * DOT_STEPPED_CALLS, calls
 
 

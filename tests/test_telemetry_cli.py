@@ -92,13 +92,13 @@ class TestUnwritableOutputs:
         assert telemetry_main(["atax", flag, str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"cannot write {flag} {path}: no directory {path.parent}\n"
+        assert err == f"cannot write {path}: No such file or directory\n"
 
     def test_directory_as_output(self, tmp_path, capsys):
         assert telemetry_main(["atax", "--trace", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"cannot write --trace {tmp_path}: it is a directory\n"
+        assert err == f"cannot write {tmp_path}: Is a directory\n"
 
 
 class TestLedgerArtifacts:
