@@ -122,7 +122,7 @@ def _walk(ch, t, port, K, offs=None, series=False):
         if supply < n_c * w and supply // w < K:
             K = supply // w                     # the supply runs out
         if n_p and total < eff * w and total // w < K:
-            K = total // w                      # the superstep's pushes are late
+            K = total // w                      # its own pushes are late
     elif ch._pop_waiters and occ < depth:
         # The first maturation wakes the waiter: that cycle is stepped.
         K = min(K, ch.head_ready() - t if total > occ else eff)

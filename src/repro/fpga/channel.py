@@ -201,11 +201,12 @@ class Channel:
     #
     # A replay window moves values as ndarray *runs* instead of per-push
     # staged bursts, and no capacity checks or events fire: the scheduler
-    # has already proven (:func:`repro.fpga.bulk._walk`) that every pop of the window
-    # finds matured data and every push finds room.  Runs count as
-    # staged (``in_flight``, ``space``), mature like staged bursts, and
-    # stay runs after the window: :meth:`end_window` only moves what is
-    # due into the FIFO, so nothing is ever re-boxed per burst.
+    # has already proven (``repro.fpga.bulk._walk``) that every pop of
+    # the window finds matured data and every push finds room.  Runs
+    # count as staged (``in_flight``, ``space``), mature like staged
+    # bursts, and stay runs after the window: :meth:`end_window` only
+    # moves what is due into the FIFO, so nothing is ever re-boxed per
+    # burst.
 
     def push_block(self, values, lanes: int, first_ready: int) -> None:
         """Stage ``K * lanes`` values pushed over K consecutive cycles.
@@ -412,4 +413,3 @@ class Channel:
             f"Channel({self.name!r}, depth={self.depth}, "
             f"occ={self.occupancy}, in_flight={self.in_flight})"
         )
-
