@@ -7,13 +7,14 @@ strip-mined by the vectorization width W, whose body pops W operands per
 stream, computes the unrolled inner loop, and pushes the results — one
 loop iteration per clock cycle (II = 1).
 
-Every loop kernel carries a :class:`~repro.fpga.pattern.StaticPattern`:
-the generator and the pattern's vectorized ``block()`` share one cursor
-(and, for reductions, one accumulator), so the bulk engine can replay K
-full-width iterations arithmetically with bit-identical rounding — the
-block executors use only elementwise array ops, the same pairwise adder
-tree (:func:`_tree_reduce_rows`), and strictly sequential accumulation
-(``np.add.accumulate``) to reproduce the scalar loop's summation order.
+Every loop kernel is one :class:`~repro.fpga.pattern.SteadyLoop`
+declared by its block body ``body(ins, base, n, lanes)``: the event
+core steps it one burst at a time and the bulk engine replays K
+full-width iterations with the same call, so the two agree by
+construction.  Bodies use only elementwise array ops, the pairwise
+adder tree of the unrolled inner loop (:func:`_tree_reduce_rows`) per
+burst, and strictly sequential accumulation across bursts
+(``np.add.accumulate``), which is the listing's summation order.
 
 Conventions: ``n`` is the vector length; widths need not divide ``n`` (the
 tail iteration is narrower); ``dtype`` selects single (np.float32) or
@@ -28,7 +29,7 @@ import threading
 import numpy as np
 
 from ..fpga.kernel import Clock, Pop, Push
-from ..fpga.pattern import PatternedGenerator, StaticPattern
+from ..fpga.pattern import steady_kernel
 from . import reference
 
 
@@ -64,15 +65,15 @@ def _temp(n, dtype):
     return _scratch.buf[:nbytes].view(dtype)
 
 
-def _burst_sums(ufunc, arrs, k, width):
-    """Adder-tree sum of each of ``k`` ``width``-wide bursts of
-    ``ufunc(*arrs)``, which takes the shape of ``arrs[0]`` (the others
-    broadcast against it): a view of the thread's scratch, valid until
-    the next call on this thread (:func:`_fold_rows` consumes it)."""
+def _burst_sums(ufunc, arrs, width):
+    """Adder-tree sum of each ``width``-wide burst of ``ufunc(*arrs)``,
+    which takes the shape of ``arrs[0]`` (the others broadcast against
+    it): a view of the thread's scratch, valid until the next call on
+    this thread (:func:`_fold_rows` consumes it)."""
     first = arrs[0]
-    terms = _temp(k * width, first.dtype)
+    terms = _temp(first.size, first.dtype)
     ufunc(*arrs, out=terms.reshape(first.shape))
-    return _tree_reduce_rows(terms.reshape(k, width))
+    return _tree_reduce_rows(terms.reshape(-1, width))
 
 
 def _chunk(vals, count):
@@ -80,150 +81,65 @@ def _chunk(vals, count):
     return [vals] if count == 1 else vals
 
 
-class _Cursor:
-    """Shared loop cursor: the generator advances it *before* its
-    end-of-iteration ``Clock`` (no op is emitted in between, so the op
-    sequence is unchanged) and the pattern's ``block()`` advances it by
-    ``k`` iterations — both always agree at cycle boundaries."""
+def _sum_kernel(kernel, n, width, ins, ch_res, ufunc, acc, finish,
+                dtype, ii=1):
+    """Sum ``ufunc`` of the input bursts — per burst through the adder
+    tree, across bursts sequentially from ``acc`` — then push
+    ``finish(sum)``."""
+    acc = [acc]
 
-    __slots__ = ("done",)
+    def body(ins, _base, _n, lanes):
+        acc[0] = _fold_rows(acc[0], _burst_sums(ufunc, ins, lanes))
+        return ()
 
-    def __init__(self):
-        self.done = 0
-
-
-def _steady_map(n, width, ins, outs, emit, block, dtype):
-    """Patterned elementwise kernel: pop W per input, emit W per output.
-
-    ``emit(rows)`` computes one iteration's output tuples from lists of
-    scalars (the original listing's body, verbatim); ``block(k, arrs)``
-    is its vectorized equivalent over ``(k*width,)`` arrays.
-    """
-    st = _Cursor()
-
-    def gen():
-        while st.done < n:
-            c = min(width, n - st.done)
-            rows = []
-            for ch in ins:
-                rows.append(_chunk((yield Pop(ch, c)), c))
-            for ch, vals in zip(outs, emit(rows)):
-                yield Push(ch, vals, None)
-            st.done += c
-            yield Clock()
-
-    def ready():
-        return (n - st.done) // width
-
-    def blk(k, arrs):
-        st.done += k * width
-        return block(k, arrs)
-
-    pat = StaticPattern(
-        reads=tuple((ch, width) for ch in ins),
-        writes=tuple((ch, width, None) for ch in outs),
-        ii=1, dtype=dtype, ready=ready, block=blk,
-        read_totals=(n,) * len(ins), write_totals=(n,) * len(outs),
-        ends=lambda: (n - st.done) % width == 0)
-    return PatternedGenerator(gen(), pat)
-
-
-def _steady_reduce(n, width, ins, ch_res, fold, block, finalize,
-                   ii, dtype):
-    """Patterned reduction kernel: accumulate over the stream, push the
-    result in an (event-stepped) epilogue.
-
-    ``fold(rows, base)`` folds one iteration starting at element index
-    ``base``; ``block(k, arrs, base)`` folds ``k`` full-width iterations.
-    """
-    st = _Cursor()
-
-    def gen():
-        if ii < 1:
-            raise ValueError("initiation interval must be >= 1")
-        while st.done < n:
-            c = min(width, n - st.done)
-            rows = []
-            for ch in ins:
-                rows.append(_chunk((yield Pop(ch, c)), c))
-            fold(rows, st.done)
-            st.done += c
-            yield Clock(ii)
-        yield Push(ch_res, finalize(), None)
-        yield Clock()
-
-    def ready():
-        return (n - st.done) // width
-
-    def blk(k, arrs):
-        block(k, arrs, st.done)
-        st.done += k * width
-        return []
-
-    pat = StaticPattern(
-        reads=tuple((ch, width) for ch in ins),
-        ii=ii, dtype=dtype, ready=ready, block=blk,
-        read_totals=(n,) * len(ins))
-    return PatternedGenerator(gen(), pat)
+    return steady_kernel(kernel, body, ins, count=n, width=width, ii=ii,
+                         dtype=dtype,
+                         result=(ch_res, lambda: (finish(acc[0]),)))
 
 
 def scal_kernel(n, alpha, ch_x, ch_out, width=1, dtype=np.float32):
     """SCAL: stream x, push alpha*x (Fig. 4 of the paper)."""
     alpha = dtype(alpha)
 
-    def emit(rows):
-        xs, = rows
-        return (tuple(alpha * dtype(x) for x in xs),)
+    def body(ins, _base, _n, _lanes):
+        return [alpha * ins[0]]
 
-    def block(k, arrs):
-        return [alpha * arrs[0]]
-
-    return _steady_map(n, width, (ch_x,), (ch_out,), emit, block, dtype)
+    return steady_kernel("scal_kernel", body, (ch_x,), (ch_out,), count=n,
+                         width=width, dtype=dtype)
 
 
 def copy_kernel(n, ch_x, ch_out, width=1, dtype=np.float32):
     """COPY: forward the stream unchanged."""
 
-    def emit(rows):
-        xs, = rows
-        return (tuple(dtype(x) for x in xs),)
+    def body(ins, _base, _n, _lanes):
+        return ins
 
-    def block(k, arrs):
-        return [arrs[0]]
-
-    return _steady_map(n, width, (ch_x,), (ch_out,), emit, block, dtype)
+    return steady_kernel("copy_kernel", body, (ch_x,), (ch_out,), count=n,
+                         width=width, dtype=dtype)
 
 
 def axpy_kernel(n, alpha, ch_x, ch_y, ch_out, width=1, dtype=np.float32):
     """AXPY: push alpha*x + y."""
     alpha = dtype(alpha)
 
-    def emit(rows):
-        xs, ys = rows
-        return (tuple(alpha * dtype(x) + dtype(y)
-                      for x, y in zip(xs, ys)),)
-
-    def block(k, arrs):
-        xa, ya = arrs
+    def body(ins, _base, _n, _lanes):
+        xa, ya = ins
         return [alpha * xa + ya]
 
-    return _steady_map(n, width, (ch_x, ch_y), (ch_out,), emit, block, dtype)
+    return steady_kernel("axpy_kernel", body, (ch_x, ch_y), (ch_out,),
+                         count=n, width=width, dtype=dtype)
 
 
 def swap_kernel(n, ch_x, ch_y, ch_out_x, ch_out_y, width=1, dtype=np.float32):
     """SWAP: route x to the y output and vice versa."""
 
-    def emit(rows):
-        xs, ys = rows
-        return (tuple(dtype(y) for y in ys),
-                tuple(dtype(x) for x in xs))
-
-    def block(k, arrs):
-        xa, ya = arrs
+    def body(ins, _base, _n, _lanes):
+        xa, ya = ins
         return [ya, xa]
 
-    return _steady_map(n, width, (ch_x, ch_y), (ch_out_x, ch_out_y),
-                       emit, block, dtype)
+    return steady_kernel("swap_kernel", body, (ch_x, ch_y),
+                         (ch_out_x, ch_out_y), count=n, width=width,
+                         dtype=dtype)
 
 
 def rot_kernel(n, c_rot, s_rot, ch_x, ch_y, ch_out_x, ch_out_y,
@@ -232,19 +148,13 @@ def rot_kernel(n, c_rot, s_rot, ch_x, ch_y, ch_out_x, ch_out_y,
     c_rot = dtype(c_rot)
     s_rot = dtype(s_rot)
 
-    def emit(rows):
-        xs, ys = rows
-        return (tuple(c_rot * dtype(x) + s_rot * dtype(y)
-                      for x, y in zip(xs, ys)),
-                tuple(c_rot * dtype(y) - s_rot * dtype(x)
-                      for x, y in zip(xs, ys)))
-
-    def block(k, arrs):
-        xa, ya = arrs
+    def body(ins, _base, _n, _lanes):
+        xa, ya = ins
         return [c_rot * xa + s_rot * ya, c_rot * ya - s_rot * xa]
 
-    return _steady_map(n, width, (ch_x, ch_y), (ch_out_x, ch_out_y),
-                       emit, block, dtype)
+    return steady_kernel("rot_kernel", body, (ch_x, ch_y),
+                         (ch_out_x, ch_out_y), count=n, width=width,
+                         dtype=dtype)
 
 
 def rotm_kernel(n, param, ch_x, ch_y, ch_out_x, ch_out_y,
@@ -262,19 +172,13 @@ def rotm_kernel(n, param, ch_x, ch_y, ch_out_x, ch_out_y,
     elif flag != -1.0:
         raise ValueError(f"invalid rotm flag {flag}")
 
-    def emit(rows):
-        xs, ys = rows
-        return (tuple(h11 * dtype(x) + h12 * dtype(y)
-                      for x, y in zip(xs, ys)),
-                tuple(h21 * dtype(x) + h22 * dtype(y)
-                      for x, y in zip(xs, ys)))
-
-    def block(k, arrs):
-        xa, ya = arrs
+    def body(ins, _base, _n, _lanes):
+        xa, ya = ins
         return [h11 * xa + h12 * ya, h21 * xa + h22 * ya]
 
-    return _steady_map(n, width, (ch_x, ch_y), (ch_out_x, ch_out_y),
-                       emit, block, dtype)
+    return steady_kernel("rotm_kernel", body, (ch_x, ch_y),
+                         (ch_out_x, ch_out_y), count=n, width=width,
+                         dtype=dtype)
 
 
 def dot_kernel(n, ch_x, ch_y, ch_res, width=1, dtype=np.float32, ii=1):
@@ -291,110 +195,49 @@ def dot_kernel(n, ch_x, ch_y, ch_res, width=1, dtype=np.float32, ii=1):
     would otherwise force the scheduler to ii > 1; passing ii > 1 models
     the *untransformed* loop for the ablation benchmark.
     """
-    acc = [dtype(0)]
-
-    def fold(rows, _base):
-        xs, ys = rows
-        acc[0] = acc[0] + _tree_reduce(
-            [dtype(x) * dtype(y) for x, y in zip(xs, ys)], dtype)
-
-    def block(k, arrs, _base):
-        acc[0] = _fold_rows(acc[0], _burst_sums(np.multiply, arrs, k, width))
-
-    def finalize():
-        return (acc[0],)
-
-    return _steady_reduce(n, width, (ch_x, ch_y), ch_res, fold, block,
-                          finalize, ii, dtype)
+    return _sum_kernel("dot_kernel", n, width, (ch_x, ch_y), ch_res,
+                       np.multiply, dtype(0), dtype, dtype, ii)
 
 
 def sdsdot_kernel(n, sb, ch_x, ch_y, ch_res, width=1):
     """SDSDOT: single-precision inputs, double-precision accumulation."""
-    acc = [np.float64(sb)]
-
-    def fold(rows, _base):
-        xs, ys = rows
-        acc[0] = acc[0] + _tree_reduce(
-            [np.float64(x) * np.float64(y) for x, y in zip(xs, ys)],
-            np.float64)
-
-    def block(k, arrs, _base):
-        acc[0] = _fold_rows(acc[0], _burst_sums(np.multiply, arrs, k, width))
-
-    def finalize():
-        return (np.float32(acc[0]),)
-
-    return _steady_reduce(n, width, (ch_x, ch_y), ch_res, fold, block,
-                          finalize, 1, np.float64)
+    return _sum_kernel("sdsdot_kernel", n, width, (ch_x, ch_y), ch_res,
+                       np.multiply, np.float64(sb), np.float32, np.float64)
 
 
 def nrm2_kernel(n, ch_x, ch_res, width=1, dtype=np.float32):
     """NRM2: sqrt of the sum of squares."""
-    acc = [dtype(0)]
-
-    def fold(rows, _base):
-        xs, = rows
-        acc[0] = acc[0] + _tree_reduce(
-            [dtype(x) * dtype(x) for x in xs], dtype)
-
-    def block(k, arrs, _base):
-        acc[0] = _fold_rows(acc[0], _burst_sums(
-            np.multiply, (arrs[0], arrs[0]), k, width))
-
-    def finalize():
-        return (dtype(np.sqrt(acc[0])),)
-
-    return _steady_reduce(n, width, (ch_x,), ch_res, fold, block,
-                          finalize, 1, dtype)
+    return _sum_kernel("nrm2_kernel", n, width, (ch_x,), ch_res, np.square,
+                       dtype(0), lambda s: dtype(np.sqrt(s)), dtype)
 
 
 def asum_kernel(n, ch_x, ch_res, width=1, dtype=np.float32):
     """ASUM: sum of absolute values."""
-    acc = [dtype(0)]
-
-    def fold(rows, _base):
-        xs, = rows
-        acc[0] = acc[0] + _tree_reduce(
-            [dtype(abs(dtype(x))) for x in xs], dtype)
-
-    def block(k, arrs, _base):
-        acc[0] = _fold_rows(acc[0], _burst_sums(np.abs, arrs, k, width))
-
-    def finalize():
-        return (acc[0],)
-
-    return _steady_reduce(n, width, (ch_x,), ch_res, fold, block,
-                          finalize, 1, dtype)
+    return _sum_kernel("asum_kernel", n, width, (ch_x,), ch_res, np.abs,
+                       dtype(0), dtype, dtype)
 
 
 def iamax_kernel(n, ch_x, ch_res, width=1, dtype=np.float32):
-    """IAMAX: index of the first element of maximal magnitude."""
+    """IAMAX: index of the first element of maximal magnitude.
+
+    The listing keeps the *first* strictly greater magnitude, so a NaN
+    never wins; over a run of bursts that is the first occurrence of
+    the largest non-NaN magnitude, provided it beats the running best.
+    """
     best = [dtype(-1), 0]             # [magnitude, flat index]
 
-    def fold(rows, base):
-        xs, = rows
-        for lane, x in enumerate(xs):
-            mag = abs(dtype(x))
-            if mag > best[0]:
-                best[0] = mag
-                best[1] = base + lane
-
-    def block(k, arrs, base):
-        # The scalar scan keeps the *first* strictly-greater magnitude;
-        # over a block that is the first occurrence of the block maximum,
-        # provided it beats the running best — exactly argmax semantics.
-        mags = np.abs(arrs[0])
-        m = mags.max()
+    def body(ins, base, _n, _lanes):
+        mags = np.abs(ins[0])
+        m = np.fmax.reduce(mags)
         if m > best[0]:
-            idx = int(np.argmax(mags))
-            best[0] = mags[idx]
+            idx = int(np.argmax(mags == m))
+            best[0] = m
             best[1] = base + idx
+        return ()
 
-    def finalize():
-        return (best[1],)
-
-    return _steady_reduce(n, width, (ch_x,), ch_res, fold, block,
-                          finalize, 1, dtype)
+    return steady_kernel("iamax_kernel", body, (ch_x,), count=n,
+                         width=width, dtype=dtype,
+                         result=(ch_res, lambda: best[1:]))
 
 
 def batched_dot_kernel(b, n, ch_x, ch_y, ch_res, width=1, dtype=np.float32):
@@ -406,54 +249,28 @@ def batched_dot_kernel(b, n, ch_x, ch_y, ch_res, width=1, dtype=np.float32):
     across bursts — so every result is bit-identical to ``b`` separate
     single-problem runs.  All ``b`` results are pushed in one
     event-stepped epilogue, which keeps the entire ``b*n``-element read
-    phase a single regular patterned region: when ``width`` divides
-    ``n``, ``block()`` replays bursts spanning segment boundaries by
-    folding each segment's contiguous run of burst sums separately;
-    otherwise bursts stop at segment boundaries so tails stay scalar.
+    phase one loop: when ``width`` divides ``n`` a window spans segment
+    boundaries and each segment's contiguous run of burst sums is folded
+    separately; otherwise bursts stop at segment boundaries.
     """
     if b < 1 or n < 1:
         raise ValueError("batched dot needs b >= 1 and n >= 1")
-    total = b * n
     accs = [dtype(0)] * b
-    st = _Cursor()
 
-    def gen():
-        while st.done < total:
-            seg = st.done // n
-            c = min(width, (seg + 1) * n - st.done)
-            xs = _chunk((yield Pop(ch_x, c)), c)
-            ys = _chunk((yield Pop(ch_y, c)), c)
-            accs[seg] = accs[seg] + _tree_reduce(
-                [dtype(x) * dtype(y) for x, y in zip(xs, ys)], dtype)
-            st.done += c
-            yield Clock()
-        for seg in range(b):
-            yield Push(ch_res, (accs[seg],), None)
-            yield Clock()
-
-    def ready():
-        if n % width == 0:
-            return (total - st.done) // width
-        seg_end = min(total, (st.done // n + 1) * n)
-        return (seg_end - st.done) // width
-
-    def blk(k, arrs):
-        rows = _burst_sums(np.multiply, arrs, k, width)
-        pos, i = st.done, 0
+    def body(ins, base, n_in, lanes):
+        sums = _burst_sums(np.multiply, ins, lanes)
+        i, k = 0, n_in // lanes
         while i < k:
-            seg = pos // n
-            take = min(k - i, ((seg + 1) * n - pos) // width)
-            accs[seg] = _fold_rows(accs[seg], rows[i:i + take])
+            seg = base // n
+            take = min(k - i, ((seg + 1) * n - base) // lanes)
+            accs[seg] = _fold_rows(accs[seg], sums[i:i + take])
             i += take
-            pos += take * width
-        st.done = pos
-        return []
+            base += take * lanes
+        return ()
 
-    pat = StaticPattern(
-        reads=((ch_x, width), (ch_y, width)),
-        ii=1, dtype=dtype, ready=ready, block=blk,
-        read_totals=(total, total))
-    return PatternedGenerator(gen(), pat)
+    return steady_kernel("batched_dot_kernel", body, (ch_x, ch_y),
+                         count=b * n, width=width, dtype=dtype, segment=n,
+                         result=(ch_res, lambda: accs))
 
 
 def batched_axpy_kernel(b, n, alphas, ch_x, ch_y, ch_out,
@@ -461,53 +278,26 @@ def batched_axpy_kernel(b, n, alphas, ch_x, ch_y, ch_out,
     """Batched AXPY: ``b`` independent ``alpha_i * x_i + y_i`` updates
     streamed back to back over one pipeline.
 
-    ``alphas`` holds one scalar per segment.  The vectorized ``block()``
-    multiplies by a per-element alpha array (each segment's scalar
-    repeated ``n`` times) — elementwise, that is the same IEEE operation
-    as the scalar listing's ``alpha * x``, so results stay bit-identical
-    to ``b`` separate :func:`axpy_kernel` runs.  Bursts never straddle a
-    segment inside the generator (``c`` stops at the boundary); the
-    pattern spans segments only when ``width`` divides ``n``, where
-    boundaries coincide with burst edges.
+    ``alphas`` holds one scalar per segment.  The body multiplies by a
+    per-element alpha array (each segment's scalar repeated ``n``
+    times) — elementwise, that is the same IEEE operation as the
+    listing's ``alpha * x``, so results stay bit-identical to ``b``
+    separate :func:`axpy_kernel` runs.  Bursts stop at segment
+    boundaries, which only exist inside a burst when ``width`` does not
+    divide ``n``.
     """
     if len(alphas) != b:
         raise ValueError(f"need {b} alphas, got {len(alphas)}")
-    total = b * n
-    alpha_seg = np.asarray([dtype(a) for a in alphas], dtype=dtype)
-    alpha_elem = np.repeat(alpha_seg, n)
-    st = _Cursor()
+    alpha_elem = np.repeat(np.asarray([dtype(a) for a in alphas],
+                                      dtype=dtype), n)
 
-    def gen():
-        while st.done < total:
-            seg = st.done // n
-            c = min(width, (seg + 1) * n - st.done)
-            a = alpha_seg[seg]
-            xs = _chunk((yield Pop(ch_x, c)), c)
-            ys = _chunk((yield Pop(ch_y, c)), c)
-            yield Push(ch_out, tuple(a * dtype(x) + dtype(y)
-                                     for x, y in zip(xs, ys)), None)
-            st.done += c
-            yield Clock()
+    def body(ins, base, n_in, _lanes):
+        xa, ya = ins
+        return [alpha_elem[base:base + n_in] * xa + ya]
 
-    def ready():
-        if n % width == 0:
-            return (total - st.done) // width
-        seg_end = min(total, (st.done // n + 1) * n)
-        return (seg_end - st.done) // width
-
-    def blk(k, arrs):
-        xa, ya = arrs
-        base = st.done
-        st.done += k * width
-        return [alpha_elem[base:base + k * width] * xa + ya]
-
-    pat = StaticPattern(
-        reads=((ch_x, width), (ch_y, width)),
-        writes=((ch_out, width, None),),
-        ii=1, dtype=dtype, ready=ready, block=blk,
-        read_totals=(total, total), write_totals=(total,),
-        ends=lambda: st.done + ready() * width == total)
-    return PatternedGenerator(gen(), pat)
+    return steady_kernel("batched_axpy_kernel", body, (ch_x, ch_y),
+                         (ch_out,), count=b * n, width=width, dtype=dtype,
+                         segment=n)
 
 
 def rotg_kernel(ch_ab, ch_out, dtype=np.float32):

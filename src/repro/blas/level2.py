@@ -19,13 +19,16 @@ A tiled loop nest is not one steady loop but a *sequence* of statically
 regular phases — load a block of y, load a block of x, stream a tile of
 A, store a block of results.  :func:`gemv_row_tiles`,
 :func:`gemv_transposed_row_tiles` and :func:`ger_kernel` are written
-that way (:class:`_Sequencer`): each phase is a cursor shared by a
-scalar generator loop and an executable
-:class:`~repro.fpga.pattern.StaticPattern`, the kernel's outer pattern
-reports the ports and ``ready()`` of whichever phase is current (the
-phase-pattern contract of :mod:`repro.fpga.pattern`), and the
-bulk/certified engines replay block loads, whole tiles and result
-stores alike as windows.  The matrix phase is only regular when the
+that way (:class:`_Sequencer`): a block load or store is a
+:class:`~repro.fpga.pattern.SteadyLoop` declared by its block body
+(:class:`_Load`, :class:`_Store`), a matrix phase is a scalar generator
+loop and an executable :class:`~repro.fpga.pattern.StaticPattern`
+sharing one cursor (:class:`_Stream`; stepping it through its block
+body would cost about three times as much per event-tier iteration),
+the kernel's outer pattern reports the ports and ``ready()`` of
+whichever phase is current (the phase-pattern contract of
+:mod:`repro.fpga.pattern`), and the bulk/certified engines replay
+block loads, whole tiles and result stores alike as windows.  The matrix phase is only regular when the
 vectorization width divides the tile width; otherwise those three fall
 back, like the remaining modules (column tiles, double buffering,
 loop-carried solves), to a *declare-only* pattern via :func:`_declared`:
@@ -42,7 +45,7 @@ import inspect
 import numpy as np
 
 from ..fpga.kernel import Clock, Pop, Push
-from ..fpga.pattern import PatternedGenerator, StaticPattern
+from ..fpga.pattern import PatternedGenerator, StaticPattern, SteadyLoop
 from .level1 import _burst_sums, _chunk, _temp, _tree_reduce
 
 
@@ -82,10 +85,10 @@ class _Sequencer(PatternedGenerator):
     prepares a phase's cursor (``load.start(count)``), yields the phase
     object, and resumes — with the phase's results in place — once the
     phase has run to completion.  A phase object carries ``run()``, the
-    scalar generator loop driven off its cursor, and ``pattern``, the
+    stepped generator loop driven off its cursor, and ``pattern``, the
     :class:`StaticPattern` whose ``block`` fast-forwards the same
     cursor.  Both call :meth:`advance` the moment they consume the
-    phase's last iteration — the scalar loop *before* that iteration's
+    phase's last iteration — the stepped loop *before* that iteration's
     ``Clock`` — so at every cycle boundary :meth:`current` already names
     the phase of the next iteration.
 
@@ -133,101 +136,52 @@ class _Sequencer(PatternedGenerator):
         return self.send(None)
 
 
-class _Idle:
-    """Stands in for the sequencer of a one-off block transfer."""
+class _Load(SteadyLoop):
+    """Phase: pop ``count`` elements in W-wide cycles into a fresh
+    ``buf`` (the program keeps the previous one)."""
 
-    @staticmethod
-    def advance():
-        pass
+    __slots__ = ("buf",)
 
-
-class _Transfer:
-    """Cursor of a W-wide block transfer phase: ``done`` of ``count``
-    elements moved, ``width`` per iteration."""
-
-    __slots__ = ("seq", "ch", "width", "done", "count", "pattern")
-
-    def __init__(self, seq, ch, width):
-        self.seq = seq
-        self.ch = ch
-        self.width = width
-
-    def _ready(self):
-        return (self.count - self.done) // self.width
-
-    def _advance(self, elements):
-        """Move the cursor; hand over to the next phase at the end (so
-        call it only once this iteration's data is in place)."""
-        self.done += elements
-        if self.done == self.count:
-            self.seq.advance()
-
-
-class _Load(_Transfer):
-    """Phase: pop ``count`` elements in W-wide cycles into ``buf``."""
-
-    __slots__ = ("dtype", "buf")
-
-    def __init__(self, seq, ch, width, dtype):
-        super().__init__(seq, ch, width)
-        self.dtype = dtype
-        self.pattern = StaticPattern(reads=((ch, width),), dtype=dtype,
-                                     ready=self._ready, block=self._block)
+    def __init__(self, ch, width, dtype, on_end=None):
+        super().__init__("load", self._body, (ch,), width=width,
+                         dtype=dtype, on_end=on_end)
 
     def start(self, count):
         self.buf = np.empty(count, dtype=self.dtype)
+        self.total = count
         self.done = 0
-        self.count = count
         return self
 
-    def run(self):
-        ch, width = self.ch, self.width
-        while self.done < self.count:
-            c = min(width, self.count - self.done)
-            self.buf[self.done:self.done + c] = _chunk((yield Pop(ch, c)), c)
-            self._advance(c)
-            yield Clock()
-
-    def _block(self, k, ins):
-        n = k * self.width
-        self.buf[self.done:self.done + n] = ins[0]
-        self._advance(n)
-        return []
+    def _body(self, ins, base, n, _lanes):
+        self.buf[base:base + n] = ins[0]
+        return ()
 
 
-class _Store(_Transfer):
-    """Phase: push the ndarray ``values`` in W-wide cycles."""
+class _Store(SteadyLoop):
+    """Phase: push the array ``values`` in W-wide cycles."""
 
     __slots__ = ("values",)
 
-    def __init__(self, seq, ch, width):
-        super().__init__(seq, ch, width)
-        self.pattern = StaticPattern(writes=((ch, width, None),),
-                                     ready=self._ready, block=self._block)
+    def __init__(self, ch, width, on_end=None):
+        super().__init__("store", self._body, writes=(ch,), width=width,
+                         on_end=on_end)
 
     def start(self, values):
         self.values = values
+        self.total = len(values)
         self.done = 0
-        self.count = len(values)
         return self
 
-    def run(self):
-        ch, width = self.ch, self.width
-        while self.done < self.count:
-            c = min(width, self.count - self.done)
-            yield Push(ch, tuple(self.values[self.done:self.done + c]), None)
-            self._advance(c)
-            yield Clock()
-
-    def _block(self, k, _ins):
-        n = k * self.width
-        out = self.values[self.done:self.done + n]
-        self._advance(n)
-        return [out]
+    def _body(self, _ins, base, n, _lanes):
+        return [self.values[base:base + n]]
 
 
 class _Stream:
-    """Phase: a module's own matrix loop (scalar ``run`` + pattern)."""
+    """Phase: a module's own matrix loop (scalar ``run`` + pattern).
+
+    The scalar loop stays beside the vectorised ``block``: on the event
+    tier, where every iteration of A is stepped, it costs about a third
+    of a one-burst ``block`` call."""
 
     __slots__ = ("run", "pattern")
 
@@ -242,14 +196,14 @@ def _pop_block(ch, count, width, dtype):
     This is a sub-generator used via ``yield from``; each W-chunk costs one
     cycle, matching an interface that delivers W elements per clock.
     """
-    load = _Load(_Idle, ch, width, dtype).start(count)
+    load = _Load(ch, width, dtype).start(count)
     yield from load.run()
     return load.buf
 
 
 def _push_block(ch, values, width):
     """Push an array of values in W-wide cycles (sub-generator)."""
-    yield from _Store(_Idle, ch, width).start(values).run()
+    yield from _Store(ch, width).start(values).run()
 
 
 def _pieces(a, pos, period, width):
@@ -309,9 +263,10 @@ def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     beta = dtype(beta)
     st = _TileCursor()
     seq = _Sequencer()
-    load_y = _Load(seq, ch_y, width, dtype)
-    load_x = _Load(seq, ch_x, width, dtype)
-    store = _Store(seq, ch_out, width)
+    advance = seq.advance
+    load_y = _Load(ch_y, width, dtype, advance)
+    load_x = _Load(ch_x, width, dtype, advance)
+    store = _Store(ch_out, width, advance)
     cpr = tile_m // width               # A-bursts per row
 
     def matrix_run():
@@ -341,7 +296,7 @@ def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
         for r, off, run in _pieces(ins[0], pos, cpr, width):
             rows, per, _w = run.shape
             sums = _burst_sums(np.multiply, (run, xs[off:off + per]),
-                               rows * per, width).reshape(rows, per)
+                               width).reshape(rows, per)
             # Left-fold the piece's rows at once, in place, each from the
             # row's partial sum (the scalar loop's +0.0 on a fresh row):
             # np.add.accumulate is elementwise-sequential like its adds.
@@ -601,9 +556,10 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     beta = dtype(beta)
     st = _TileCursor()
     seq = _Sequencer()
-    load_x = _Load(seq, ch_x, width, dtype)
-    load_y = _Load(seq, ch_y, width, dtype)
-    store = _Store(seq, ch_out, width)
+    advance = seq.advance
+    load_x = _Load(ch_x, width, dtype, advance)
+    load_y = _Load(ch_y, width, dtype, advance)
+    store = _Store(ch_out, width, advance)
     cpr = tile_m // width               # A-bursts per row segment
     bpt = tile_n * cpr                  # A-bursts per tile
     col_tiles = m // tile_m
@@ -701,8 +657,9 @@ def ger_kernel(n, m, alpha, ch_a, ch_x, ch_y, ch_out,
     alpha = dtype(alpha)
     st = _TileCursor()
     seq = _Sequencer()
-    load_x = _Load(seq, ch_x, width, dtype)
-    load_y = _Load(seq, ch_y, width, dtype)
+    advance = seq.advance
+    load_x = _Load(ch_x, width, dtype, advance)
+    load_y = _Load(ch_y, width, dtype, advance)
     cpr = tile_m // width               # A-bursts per row
 
     def matrix_run():

@@ -43,6 +43,7 @@ imported lazily by the engine at raise time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Optional, Tuple
 
 #: Safety bound on ops a kernel may perform within one simulated cycle.
@@ -67,19 +68,24 @@ class EngineModeError(ReproError, ValueError):
 
 
 class StreamOrderError(ReproError, ValueError):
-    """A stream kernel whose geometry cannot be streamed: a width or
-    ``repeat`` below 1, a negative element count, an interface kernel's
+    """A stream kernel whose geometry cannot be streamed: a width,
+    ``repeat`` or initiation interval that is not an integer >= 1, a
+    negative or fractional element count, an interface kernel's
     order holding an index outside its buffer or (writes) not holding
     ``count`` of them, or a linear write longer than its buffer.  Raised
     when the kernel is built, not mid-simulation."""
 
 
 def check_stream_geometry(kernel: str, width: int, repeat: int = 1,
-                          count: int = 0) -> None:
+                          count: int = 0, ii: int = 1) -> None:
     """Refuse a stream kernel that would spin, deadlock or finish
     without moving its elements (:class:`StreamOrderError`)."""
     for name, value, least in (("width", width, 1), ("repeat", repeat, 1),
-                               ("count", count, 0)):
+                               ("count", count, 0), ("ii", ii, 1)):
+        if value.__class__ is not int and (
+                value.__class__ is bool or not isinstance(value, Integral)):
+            raise StreamOrderError(
+                f"{kernel}: {name} must be an integer, got {value!r}")
         if value < least:
             raise StreamOrderError(
                 f"{kernel}: {name} must be at least {least}, got {value}")

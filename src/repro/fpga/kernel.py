@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Generator, Optional, Sequence, Tuple
 
 from .channel import Channel
-from .pattern import PatternedGenerator
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,42 @@ class Clock(_Op):
 
 
 KernelBody = Generator  # yields Pop/Push/Clock, receives pop results
+
+
+class PatternedGenerator:
+    """A generator plus its :class:`~repro.fpga.pattern.StaticPattern`.
+
+    Generators cannot carry attributes, so module builders wrap the
+    generator object in this proxy; the engine looks for a ``pattern``
+    attribute on the kernel body (``getattr(body, "pattern", None)``).
+    The full generator protocol is implemented so ``yield from`` over a
+    patterned generator delegates transparently (PEP 380) — e.g.
+    ``syr_kernel`` delegating to ``ger_kernel``.
+    """
+
+    __slots__ = ("_gen", "pattern")
+
+    def __init__(self, gen, pattern):
+        self._gen = gen
+        self.pattern = pattern
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._gen)
+
+    def send(self, value):
+        return self._gen.send(value)
+
+    def throw(self, *exc_info):
+        return self._gen.throw(*exc_info)
+
+    def close(self):
+        return self._gen.close()
+
+    def __repr__(self):              # pragma: no cover - debugging aid
+        return f"PatternedGenerator({self._gen!r}, {self.pattern.describe()})"
 
 
 @dataclass

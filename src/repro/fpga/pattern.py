@@ -8,27 +8,53 @@ analyzer certifies a design from its patterns, and the window scheduler
 (:mod:`repro.fpga.bulk`) then uses them to replay many cycles
 arithmetically instead of resuming the generator once per cycle.
 
-The contract a pattern-carrying generator must honour:
+The contract a pattern-carrying kernel honours:
 
 * while ``ready() > 0`` the generator is suspended at an iteration
   boundary (its steady-loop ``Clock``) and its *next* ``ready()``
   iterations each perform exactly one ``Pop`` per read port (``lanes``
   values), one ``Push`` per write port (``lanes`` values, the declared
   latency) — in declaration order — followed by ``Clock(ii)``;
-* ``block(k, ins)`` advances the kernel's shared state by ``k`` full
+* ``block(k, ins)`` advances the kernel's state by ``k`` full
   iterations, consuming ``k * lanes`` input values per read port (the
   ``ins`` arrays) and returning one ndarray of ``k * lanes`` output
-  values per write port, **bit-identical** to what ``k`` scalar
+  values per write port, **bit-identical** to what ``k`` stepped
   iterations would have produced;
 * after ``block(k, ...)``, resuming the generator continues from
-  iteration boundary ``+k`` — i.e. the generator reads its loop state
-  from the same shared cursor ``block`` mutates.
+  iteration boundary ``+k``.
 
-Kernels whose steady loop is not statically regular (the reordering
-routers, the column-tiled GEMV) use :meth:`StaticPattern.declare`: the
-ports are still documented for analysis/telemetry, but the pattern is
-not :attr:`~StaticPattern.executable`, so a design containing one is
-never certified (FB404) and runs on the event scheduler.
+Steady kernels: one body
+------------------------
+A kernel that is one counted, W-wide loop — the source, sink, forward
+and duplicate helpers of :mod:`repro.fpga.util`, every Level-1 map and
+reduction including the batched DOT and AXPY, and the block loads and
+stores of the tiled Level-2 modules — is a :class:`SteadyLoop` (built
+with :func:`steady_kernel`).  It is declared by its access pattern
+(read and write ports, width, ``ii``, count, an optional segment) and
+one block body ``body(ins, base, n, lanes)``; the driver owns the
+cursor, ``ready()``, ``ends()`` and the totals.  A stepped iteration
+pops one burst per read port, calls the body on it and pushes what it
+returns; a replayed window calls the same body on ``k`` bursts.  The
+two therefore agree by construction, and the contract above holds
+without a second, scalar copy of the kernel.
+
+Kernels that keep a hand-written generator, and why:
+
+* the grant-driven interface kernels (:func:`~repro.fpga.memory.read_kernel`,
+  :func:`~repro.fpga.memory.write_kernel`): each cycle moves what the
+  DRAM bank grants, so a stepped burst may be short, and they carry
+  their own ``block``;
+* the tiled Level-2 matrix phases (the ``_Stream`` phases of GEMV,
+  GEMV^T and GER): their scalar loop is the stepped path, because
+  stepping them through their block body measured about three times
+  slower per iteration on the event tier;
+* the kernels whose loop is not statically regular (merge, routers,
+  column tiles, double buffering, solves): :meth:`StaticPattern.declare`
+  documents their ports for analysis, but the pattern is not
+  executable, so a design containing one is refused (FB404) and
+  event-stepped;
+* one-shot kernels with no steady loop (``scalar_sink``, ROTG,
+  ROTMG).
 
 Phase patterns
 --------------
@@ -51,7 +77,8 @@ regular on its own ports.  Such a kernel carries one
   a phase's last iteration (and ``block`` does the same when it
   consumes the last iteration), so at every cycle boundary ``phase()``
   already describes the next iteration and a phase change costs no
-  event-stepped cycle.
+  event-stepped cycle (a :class:`SteadyLoop` phase does this through
+  its ``on_end``).
 
 Schedulers therefore always ask ``kernel.pattern.phase()`` for ports,
 ``ready()`` and ``block()``; only static analysis reads the outer
@@ -74,9 +101,16 @@ iteration as a window edge.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
-__all__ = ["DramTraffic", "PatternedGenerator", "StaticPattern"]
+import numpy as np
+
+from .errors import check_stream_geometry
+from .kernel import Clock, PatternedGenerator, Pop, Push
+
+__all__ = ["DramTraffic", "PatternedGenerator", "StaticPattern",
+           "SteadyLoop", "steady_kernel"]
 
 
 class DramTraffic:
@@ -152,7 +186,7 @@ class StaticPattern:
     """
 
     __slots__ = ("reads", "writes", "ii", "dtype", "dram",
-                 "read_totals", "write_totals", "defer",
+                 "read_totals", "write_totals", "defer", "executable",
                  "_ready", "_block", "_phase", "_ends")
 
     def __init__(self, reads: Sequence[Tuple] = (),
@@ -177,6 +211,8 @@ class StaticPattern:
         if len(self.write_totals) != len(self.writes):
             raise ValueError("write_totals must align with writes")
         self.defer = defer
+        #: False for a declare-only pattern (no ``ready=``/``block=``).
+        self.executable = ready is not None
         self._ready = ready
         self._block = block
         self._phase = None
@@ -211,11 +247,6 @@ class StaticPattern:
                    read_totals=read_totals, write_totals=write_totals,
                    defer=defer)
 
-    @property
-    def executable(self) -> bool:
-        """False for a declare-only pattern (no ``ready=``/``block=``)."""
-        return self._ready is not None
-
     def phase(self) -> Optional["StaticPattern"]:
         """Pattern of the kernel's current phase (``self`` unless the
         kernel is multi-phase; ``None`` between phases)."""
@@ -246,37 +277,118 @@ class StaticPattern:
                 f"reads=[{rd}] writes=[{wr}]>")
 
 
-class PatternedGenerator:
-    """A generator plus its :class:`StaticPattern`.
+class SteadyLoop(StaticPattern):
+    """One counted steady loop, declared by its block body (see "Steady
+    kernels: one body" above): an executable pattern that also steps.
 
-    Generators cannot carry attributes, so module builders wrap the
-    generator object in this proxy; the engine looks for a ``pattern``
-    attribute on the kernel body (``getattr(body, "pattern", None)``).
-    The full generator protocol is implemented so ``yield from`` over a
-    patterned generator delegates transparently (PEP 380) — e.g.
-    ``syr_kernel`` delegating to ``ger_kernel``.
+    ``count`` elements stream in ``width``-wide iterations ending in
+    ``Clock(ii)``; a ragged tail is one narrower burst.  With a
+    ``segment`` bursts also stop at every ``segment``-th element (a
+    batched kernel's problems, a replayed source's passes), unless
+    ``width`` divides it: then ``ready()`` spans segments.
+    ``body(ins, base, n, lanes)`` computes stream elements ``base`` to
+    ``base + n`` in bursts of ``lanes`` from ``n`` values per read port
+    (cast to ``dtype`` when there is one) and returns ``n`` values per
+    write port.  ``result=(channel, values)`` is a reduction's epilogue:
+    each of ``values()`` pushed alone, one per cycle.  ``on_end`` runs
+    as the last iteration is consumed, before its ``Clock``: a tiled
+    module's load or store phase hands over with it, and is rearmed by
+    resetting ``total`` and ``done``.
     """
 
-    __slots__ = ("_gen", "pattern")
+    __slots__ = ("body", "width", "segment", "result", "on_end", "total",
+                 "done")
 
-    def __init__(self, gen, pattern: StaticPattern):
-        self._gen = gen
-        self.pattern = pattern
+    def __init__(self, kernel: str, body: Callable, reads: Sequence = (),
+                 writes: Sequence = (), count: Optional[int] = None,
+                 width: int = 1, ii: int = 1, dtype=None,
+                 latency: Optional[int] = None,
+                 segment: Optional[int] = None, result=None,
+                 on_end: Optional[Callable[[], None]] = None):
+        check_stream_geometry(kernel, width, count=count or 0, ii=ii)
+        reads, writes = tuple(reads), tuple(writes)
+        super().__init__(
+            reads=zip(reads, repeat(width)),
+            writes=zip(writes, repeat(width), repeat(latency)),
+            ii=ii, dtype=dtype,
+            read_totals=None if count is None else (count,) * len(reads),
+            write_totals=None if count is None else (count,) * len(writes))
+        self.executable = True
+        self.body = body
+        self.width = width
+        self.segment = segment if segment and segment % width else None
+        self.result = result
+        self.on_end = on_end
+        self.total = count
+        self.done = 0
 
-    def __iter__(self):
+    @property
+    def pattern(self) -> "SteadyLoop":
+        """The loop is its own (phase) pattern."""
         return self
 
-    def __next__(self):
-        return next(self._gen)
+    def _stop(self, done: int) -> int:
+        """Where the burst or window starting at ``done`` must stop."""
+        seg = self.segment
+        if seg is None:
+            return self.total
+        end = (done // seg + 1) * seg
+        return end if end < self.total else self.total
 
-    def send(self, value):
-        return self._gen.send(value)
+    def ready(self) -> int:
+        """Full-width iterations before the next stop."""
+        if self.segment is None:
+            return (self.total - self.done) // self.width
+        return (self._stop(self.done) - self.done) // self.width
 
-    def throw(self, *exc_info):
-        return self._gen.throw(*exc_info)
+    def ends(self) -> bool:
+        """True when the ``ready()`` iterations finish the kernel: never
+        before a reduction's result or a phase's hand-over."""
+        return (self.result is None and self.on_end is None
+                and self._stop(self.done) == self.total
+                and (self.total - self.done) % self.width == 0)
 
-    def close(self):
-        return self._gen.close()
+    def block(self, k: int, ins: List) -> Sequence:
+        """Replay ``k`` full-width iterations."""
+        base = self.done
+        n = k * self.width
+        outs = self.body(ins, base, n, self.width)
+        self.done = base + n
+        if self.done == self.total and self.on_end is not None:
+            self.on_end()
+        return outs
 
-    def __repr__(self):              # pragma: no cover - debugging aid
-        return f"PatternedGenerator({self._gen!r}, {self.pattern.describe()})"
+    def run(self):
+        """The stepped loop (then the reduction's result, if any)."""
+        body, width = self.body, self.width
+        reads, writes, dtype = self.reads, self.writes, self.dtype
+        ins = list(reads)
+        while self.done < self.total:
+            base = self.done
+            c = (self.total if self.segment is None
+                 else self._stop(base)) - base
+            if c > width:
+                c = width
+            for i, (ch, _lanes) in enumerate(reads):
+                vals = yield Pop(ch, c)
+                vals = (vals,) if c == 1 else tuple(vals)
+                ins[i] = vals if dtype is None else np.asarray(vals, dtype)
+            outs = body(ins, base, c, c)
+            for (ch, _lanes, latency), vals in zip(writes, outs):
+                yield Push(ch, tuple(vals), latency)
+            self.done = base + c
+            if self.done == self.total and self.on_end is not None:
+                self.on_end()
+            yield Clock(self.ii)
+        if self.result is not None:
+            ch, values = self.result
+            for value in values():
+                yield Push(ch, (value,), None)
+                yield Clock()
+
+
+def steady_kernel(kernel: str, body: Callable, reads: Sequence = (),
+                  writes: Sequence = (), **loop) -> PatternedGenerator:
+    """A kernel that is one :class:`SteadyLoop` (keywords as there)."""
+    loop = SteadyLoop(kernel, body, reads, writes, **loop)
+    return PatternedGenerator(loop.run(), loop)

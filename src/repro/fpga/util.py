@@ -7,103 +7,56 @@ interfaces faster than the one offered by the testbed".  These kernels play
 that role: they feed/drain channels at ``width`` elements per cycle without
 consuming DRAM bandwidth.
 
-Each streaming helper carries a :class:`~repro.fpga.pattern.StaticPattern`
-so the bulk engine can fast-forward its steady phase: the generator and the
-pattern's ``block()`` share one cursor object, and the generator updates
-that cursor *before* yielding ``Clock`` (which emits no ops, so the
-observable op sequence is unchanged) — at every cycle boundary the cursor
-therefore describes exactly the iterations still to run.  A width below
-1 or a negative count is refused when the kernel is built
-(:class:`~repro.fpga.errors.StreamOrderError`): an empty push would
-count as progress and spin until the cycle budget ran out.
+Each streaming helper is one :class:`~repro.fpga.pattern.SteadyLoop`:
+its block body is both the stepped iteration and the replayed window,
+so the bulk engine fast-forwards the steady phase with the same code
+the event core steps.  A width below 1 or a negative count is refused
+when the kernel is built (:class:`~repro.fpga.errors.StreamOrderError`):
+an empty push would count as progress and spin until the cycle budget
+ran out.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from .errors import check_stream_geometry
 from .kernel import Clock, Pop, Push
-from .pattern import PatternedGenerator, StaticPattern
-
-
-class _Cursor:
-    """Shared mutable loop state for a patterned helper kernel."""
-
-    __slots__ = ("done", "pass_no")
-
-    def __init__(self):
-        self.done = 0             # elements fully processed (current pass)
-        self.pass_no = 0
+from .pattern import PatternedGenerator, StaticPattern, steady_kernel
 
 
 def source_kernel(ch, data: Sequence, width: int = 1, repeat: int = 1):
     """Push ``data`` into ``ch``, up to ``width`` elements per cycle.
 
-    ``repeat`` replays the whole sequence (vector replay, Sec. III-B).
+    ``repeat`` replays the whole sequence (vector replay, Sec. III-B);
+    a pass's ragged tail is one narrower burst.
     """
     check_stream_geometry("source_kernel", width, repeat=repeat)
-    n = len(data)
-    st = _Cursor()
+    size = len(data)
 
-    def gen():
-        while st.pass_no < repeat:
-            while st.done < n:
-                chunk = min(width, n - st.done)
-                yield Push(ch, tuple(data[st.done:st.done + chunk]), 1)
-                st.done += chunk
-                yield Clock()
-            st.pass_no += 1
-            st.done = 0
+    def body(_ins, base, n, _lanes):
+        lo = base % size
+        if lo + n <= size:
+            return [data[lo:lo + n]]
+        return [np.resize(np.roll(data, -lo), n)]     # a window wraps
 
-    def ready():
-        return (n - st.done) // width
-
-    def block(k, _ins):
-        base = st.done
-        moved = k * width
-        st.done = base + moved
-        return [data[base:base + moved]]
-
-    pat = StaticPattern(writes=((ch, width, 1),), ii=1,
-                        ready=ready, block=block,
-                        write_totals=(n * repeat,),
-                        ends=lambda: (st.pass_no == repeat - 1
-                                      and (n - st.done) % width == 0))
-    return PatternedGenerator(gen(), pat)
+    return steady_kernel("source_kernel", body, writes=(ch,),
+                         count=size * repeat, width=width, latency=1,
+                         segment=size)
 
 
 def sink_kernel(ch, count: int, width: int = 1, out: Optional[List] = None):
     """Pop ``count`` elements from ``ch``; append them to ``out`` if given."""
-    check_stream_geometry("sink_kernel", width, count=count)
-    st = _Cursor()
 
-    def gen():
-        while st.done < count:
-            chunk = min(width, count - st.done)
-            vals = yield Pop(ch, chunk)
-            if chunk == 1:
-                vals = [vals]
-            if out is not None:
-                out.extend(vals)
-            st.done += chunk
-            yield Clock()
-
-    def ready():
-        return (count - st.done) // width
-
-    def block(k, ins):
-        moved = k * width
+    def body(ins, _base, _n, _lanes):
         if out is not None:
-            out.extend(list(ins[0]))
-        st.done += moved
-        return []
+            out.extend(ins[0])
+        return ()
 
-    pat = StaticPattern(reads=((ch, width),), ii=1,
-                        ready=ready, block=block,
-                        read_totals=(count,),
-                        ends=lambda: (count - st.done) % width == 0)
-    return PatternedGenerator(gen(), pat)
+    return steady_kernel("sink_kernel", body, reads=(ch,), count=count,
+                         width=width)
 
 
 def scalar_sink(ch, out: List):
@@ -115,32 +68,13 @@ def scalar_sink(ch, out: List):
 
 def forward_kernel(ch_in, ch_out, count: int, width: int = 1):
     """Copy ``count`` elements from ``ch_in`` to ``ch_out`` (a wire)."""
-    check_stream_geometry("forward_kernel", width, count=count)
-    st = _Cursor()
 
-    def gen():
-        while st.done < count:
-            chunk = min(width, count - st.done)
-            vals = yield Pop(ch_in, chunk)
-            if chunk == 1:
-                vals = (vals,)
-            yield Push(ch_out, tuple(vals), 1)
-            st.done += chunk
-            yield Clock()
+    def body(ins, _base, _n, _lanes):
+        return ins
 
-    def ready():
-        return (count - st.done) // width
-
-    def block(k, ins):
-        st.done += k * width
-        return [ins[0]]
-
-    pat = StaticPattern(reads=((ch_in, width),),
-                        writes=((ch_out, width, 1),), ii=1,
-                        ready=ready, block=block,
-                        read_totals=(count,), write_totals=(count,),
-                        ends=lambda: (count - st.done) % width == 0)
-    return PatternedGenerator(gen(), pat)
+    return steady_kernel("forward_kernel", body, reads=(ch_in,),
+                         writes=(ch_out,), count=count, width=width,
+                         latency=1)
 
 
 def merge_kernel(inputs: Sequence, ch_out, schedule, width: int = 1):
@@ -197,36 +131,12 @@ def duplicate_kernel(ch_in, outs: Sequence, count: int, width: int = 1):
     Models sharing one interface module between modules that read the same
     data, as in the BICG composition where both GEMVs read matrix A.
     """
-    check_stream_geometry("duplicate_kernel", width, count=count)
     outs = tuple(outs)
-    st = _Cursor()
 
-    def gen():
-        while st.done < count:
-            chunk = min(width, count - st.done)
-            vals = yield Pop(ch_in, chunk)
-            if chunk == 1:
-                vals = (vals,)
-            else:
-                vals = tuple(vals)
-            for ch_out in outs:
-                yield Push(ch_out, vals, 1)
-            st.done += chunk
-            yield Clock()
-
-    def ready():
-        return (count - st.done) // width
-
-    def block(k, ins):
-        st.done += k * width
+    def body(ins, _base, _n, _lanes):
         # One physical stream copied to every consumer: the same array can
         # back every channel's run — readers never mutate popped blocks.
-        return [ins[0]] * len(outs)
+        return ins * len(outs)
 
-    pat = StaticPattern(reads=((ch_in, width),),
-                        writes=tuple((o, width, 1) for o in outs), ii=1,
-                        ready=ready, block=block,
-                        read_totals=(count,),
-                        write_totals=(count,) * len(outs),
-                        ends=lambda: (count - st.done) % width == 0)
-    return PatternedGenerator(gen(), pat)
+    return steady_kernel("duplicate_kernel", body, reads=(ch_in,),
+                         writes=outs, count=count, width=width, latency=1)

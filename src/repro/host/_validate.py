@@ -11,6 +11,8 @@ none of them is retried or demoted by the recovery ladder.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 from ..blas.routines import REGISTRY
 from ..fpga.errors import ReproError
 from ..fpga.memory import DramBuffer
@@ -66,14 +68,29 @@ def device_operands(routine, *values):
     return dtype
 
 
+def positive_int(what, value) -> int:
+    """``value`` as an int >= 1; a bool, a float or a string is a
+    :class:`HostArgumentError` and an int below 1 a
+    :class:`HostValueError`, both naming ``what``."""
+    if value.__class__ is not int and (
+            value.__class__ is bool or not isinstance(value, Integral)):
+        raise HostArgumentError(
+            f"{what} must be an int, got {type(value).__name__} {value!r}")
+    if value < 1:
+        raise HostValueError(f"{what} must be >= 1, got {value}")
+    return int(value)
+
+
 def strided_length(buf, inc, n) -> int:
     """Validate stride/length; derive n from the buffer if omitted."""
-    if inc < 1:
-        raise HostValueError(f"stride must be >= 1, got {inc}")
+    if inc.__class__ is not int or inc < 1:
+        inc = positive_int("stride", inc)
     size = buf.data.size
     if n is None:
         n = 1 + (size - 1) // inc
-    if n < 1 or 1 + (n - 1) * inc > size:
+    elif n.__class__ is not int or n < 1:
+        n = positive_int("n", n)
+    if 1 + (n - 1) * inc > size:
         raise HostValueError(
             f"{n} elements with stride {inc} exceed buffer "
             f"{buf.name!r} ({size} elements)")

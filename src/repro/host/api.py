@@ -41,7 +41,8 @@ from ..telemetry.runtime import active as _telemetry_active
 from ._l1 import Level1Mixin
 from ._l2 import Level2Mixin
 from ._l3 import Level3Mixin
-from ._validate import HostArgumentError, HostValueError, device_operands
+from ._validate import (HostArgumentError, HostValueError, device_operands,
+                        positive_int)
 from .context import CallRecord, FblasContext
 
 _PREFIXED = {
@@ -89,13 +90,15 @@ class Fblas(Level1Mixin, Level2Mixin, Level3Mixin):
         self.context = context or FblasContext(device=device,
                                                **context_kwargs)
         self.mode = mode
-        self.width = width or self.context.default_width
-        self.tile = tile or self.context.default_tile
+        self.width = (self.context.default_width if width is None
+                      else positive_int("width", width))
+        self.tile = (self.context.default_tile if tile is None
+                     else positive_int("tile", tile))
         if systolic_rows < 1 or systolic_cols < 1:
             raise HostValueError("systolic grid must be positive")
         self.systolic_rows = systolic_rows
         self.systolic_cols = systolic_cols
-        self.channel_depth = channel_depth
+        self.channel_depth = positive_int("channel_depth", channel_depth)
         #: Run the static analyzer (:mod:`repro.analysis`) on every built
         #: design before simulating it; errors raise
         #: :class:`~repro.analysis.AnalysisError` instead of stalling.

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..fpga.device import STRATIX10, FpgaDevice, FrequencyModel, PowerModel
 from ..fpga.memory import DramBuffer, DramModel
-from ._validate import HostArgumentError, HostValueError
+from ._validate import HostArgumentError, positive_int
 
 
 @dataclass
@@ -69,12 +69,10 @@ class FblasContext:
                  interleaving: bool = False,
                  default_width: int = 16,
                  default_tile: int = 256):
-        if default_width < 1 or default_tile < 1:
-            raise HostValueError("width and tile defaults must be positive")
         self.device = device
         self.interleaving = interleaving
-        self.default_width = default_width
-        self.default_tile = default_tile
+        self.default_width = positive_int("default_width", default_width)
+        self.default_tile = positive_int("default_tile", default_tile)
         self._freq_model = FrequencyModel(device)
         self._power_model = PowerModel(device)
         self._fixed_frequency = frequency

@@ -179,7 +179,7 @@ def engine_rows(engine: Any) -> EngineRows:
         kernels.append((
             k.name, k.latency, k.ii, k.defer, k.annotated,
             p is not None,
-            p is not None and p._ready is not None,
+            p is not None and p.executable,
             p.ii if p is not None else 1,
             getattr(p, "defer", 0) if p is not None else 0,
             reads, writes,

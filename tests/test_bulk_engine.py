@@ -214,6 +214,26 @@ class TestBulkEngine:
         assert eng._bulk_cycles > report.cycles // 2
         assert seen["bulk"] == seen["event"]
 
+    @pytest.mark.parametrize("n,width", [(64, 4), (10, 4), (9, 3)])
+    def test_replayed_source_passes(self, n, width):
+        """A source's ``repeat`` passes are segments of its one loop: a
+        window runs through the passes when the width divides a pass
+        (wrapping the data) and stops at each pass's ragged tail
+        otherwise, with the event run's report and values either way."""
+        seen = {}
+        for mode in ("event", "certified"):
+            eng = Engine(mode=mode)
+            c = eng.channel("c", 4 * width)
+            data = [np.float32(i) for i in range(n)]
+            eng.add_kernel("src", source_kernel(c, data, width, repeat=16))
+            out = []
+            eng.add_kernel("sink", sink_kernel(c, 16 * n, width, out))
+            seen[mode] = eng.run().to_dict(), [float(v) for v in out]
+        assert seen["certified"] == seen["event"]
+        assert seen["event"][1] == list(range(n)) * 16
+        if n % width == 0:
+            assert eng.bulk_stats()["windows"] == 1
+
     def test_dram_read_compute_write_parity(self):
         """Memory kernels carry patterns too: a read -> scal -> write
         round trip fast-forwards and leaves identical DRAM contents,

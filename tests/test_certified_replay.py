@@ -9,7 +9,9 @@ allocation proportional to neither:
   windows, and the handful does not grow with the problem size;
 * **vectorisation guard** — every executable pattern's ``block(k, ins)``
   touches its input arrays a number of times that does not grow with
-  ``k``, and no ``block`` body loops over a range derived from ``k``;
+  ``k``, no executor loops over a range derived from its window size
+  (a ``block``'s ``k``, a steady loop body's ``n``), and only the
+  shared machinery passes ``block=`` to ``StaticPattern``;
 * **window temporaries** — a warm certified DOT allocates no
   window-sized array (runs move as views, the adder tree works in place
   on a per-thread scratch), the in-place tree rounds exactly like the
@@ -25,13 +27,14 @@ import inspect
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.blas import level1, level2, reference
-from repro.fpga import memory, util
+from repro.fpga import memory, pattern, util
 from repro.fpga.channel import Channel
 from repro.fpga.kernel import Clock, Pop
 from repro.fpga.memory import DramModel, read_kernel, write_kernel
@@ -272,23 +275,33 @@ class TestBlocksAreVectorised:
         with pytest.raises(StopIteration):
             body.send(None)
 
-    @pytest.mark.parametrize("module", (memory, util, level1, level2))
+    @pytest.mark.parametrize("module", (pattern, memory, util, level1,
+                                        level2))
     def test_no_block_loops_over_k(self, module):
-        """No ``block`` executor contains a ``for`` or a comprehension
-        over a ``range`` derived from its iteration count ``k``."""
+        """No executor contains a ``for`` or a comprehension over a
+        ``range`` derived from its window size: the iteration count ``k``
+        of a ``block(k, ins)``, or the element count ``n`` of a
+        :class:`~repro.fpga.pattern.SteadyLoop` body
+        ``body(ins, base, n, lanes)``."""
         tree = ast.parse(inspect.getsource(module))
-        def first_arg(fn):
-            args = [a.arg for a in fn.args.args if a.arg != "self"]
-            return args[0] if args else None
 
-        # A pattern's executor is ``block(k, ins)`` under some name.
-        blocks = [node for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef)
-                  and node.name.lstrip("_").split("_")[-1] in ("block", "blk")
-                  and first_arg(node) == "k"]
-        assert blocks, f"no block executors found in {module.__name__}"
-        for fn in blocks:
-            tainted = {"k"}
+        def args(fn):
+            return [a.arg for a in fn.args.args if a.arg != "self"]
+
+        def role(fn):
+            """The window-size argument of an executor, else None."""
+            name = fn.name.lstrip("_").split("_")[-1]
+            if name in ("block", "blk") and args(fn)[:1] == ["k"]:
+                return "k"
+            if name == "body" and len(args(fn)) == 4:
+                return args(fn)[2]
+            return None
+
+        executors = [(node, role(node)) for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and role(node)]
+        assert executors, f"no executors found in {module.__name__}"
+        for fn, size in executors:
+            tainted = {size}
 
             def mentions(node):
                 return any(isinstance(n, ast.Name) and n.id in tainted
@@ -319,8 +332,39 @@ class TestBlocksAreVectorised:
                               and it.func.id == "range")
                 assert not (over_range and mentions(it)), (
                     f"{module.__name__}.{fn.name} (line {fn.lineno}) loops "
-                    f"over a range derived from k: {ast.unparse(it)}")
+                    f"over a range derived from {size}: {ast.unparse(it)}")
 
+    def test_steady_kernels_have_one_body(self):
+        """A ``block=`` executor beside a scalar loop is a second copy of
+        the kernel that only the differential suites hold equal, so only
+        :mod:`repro.fpga.pattern` itself, the grant-driven interface
+        kernels of :mod:`repro.fpga.memory` and the tiled Level-2 matrix
+        phases (``_Stream``) pass one to ``StaticPattern(...)``.  Every
+        other steady kernel is a :class:`~repro.fpga.pattern.SteadyLoop`,
+        declared by its body alone."""
+        root = Path(pattern.__file__).resolve().parents[1]
+        shared = {"fpga/pattern.py", "fpga/memory.py"}
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            tree = ast.parse(path.read_text())
+            streams = {id(arg) for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "_Stream"
+                       for arg in node.args}
+            for node in ast.walk(tree):
+                callee = getattr(node, "func", None)
+                if (isinstance(node, ast.Call)
+                        and "StaticPattern" in (getattr(callee, "id", None),
+                                                getattr(callee, "attr", None))
+                        and any(kw.arg == "block" for kw in node.keywords)):
+                    found.append(rel)
+                    assert rel in shared or (
+                        rel == "blas/level2.py" and id(node) in streams), (
+                        f"{rel}:{node.lineno} passes block= to "
+                        f"StaticPattern; declare the kernel with "
+                        f"repro.fpga.pattern.steady_kernel instead")
+        assert {"fpga/memory.py", "blas/level2.py"} <= set(found)
 
     def test_matrix_blocks_build_no_index_or_staging_array(self):
         """The tiled matrix phases cut their window into views

@@ -61,6 +61,49 @@ class TestContext:
             Fblas(mode="quantum")
 
 
+class TestConfigurationIsTyped:
+    """Widths, tiles, depths, lengths and strides are ints >= 1 (a bool
+    is not one), refused with a typed error naming them where they are
+    given — not a bare ``ValueError`` from ``islice`` at the first call,
+    a silent fallback to the default, or a message about something
+    else."""
+
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"width": 2.5}, HostArgumentError),
+        ({"width": "8"}, HostArgumentError),
+        ({"width": True}, HostArgumentError),
+        ({"width": 0}, HostValueError),
+        ({"tile": -4}, HostValueError),
+        ({"channel_depth": 0}, HostValueError),
+        ({"default_width": 2.5}, HostArgumentError),
+    ], ids=lambda v: repr(v) if isinstance(v, dict) else v.__name__)
+    def test_constructor(self, kwargs, error):
+        name = next(iter(kwargs))
+        with pytest.raises(error, match=name):
+            Fblas(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,error,name", [
+        ({"n": 2.5}, HostArgumentError, "n"),
+        ({"n": 0}, HostValueError, "n"),
+        ({"incx": 1.5}, HostArgumentError, "stride"),
+        ({"incy": False}, HostArgumentError, "stride"),
+        ({"incx": 0}, HostValueError, "stride"),
+    ], ids=lambda v: repr(v) if isinstance(v, dict) else getattr(
+        v, "__name__", v))
+    def test_call(self, kwargs, error, name):
+        fb = Fblas(width=4)
+        x = fb.copy_to_device(f32(np.arange(8)))
+        with pytest.raises(error, match=f"^{name} must be"):
+            fb.dot(x, x, **kwargs)
+
+    def test_numpy_integers_are_ints(self):
+        fb = Fblas(width=np.int64(4), tile=np.int32(8))
+        x = fb.copy_to_device(f32(np.arange(8)))
+        assert fb.width == 4 and type(fb.width) is int
+        assert fb.dot(x, x, n=np.int64(4), incx=np.int32(2),
+                      incy=np.int32(2)) == np.float32(0 + 4 + 16 + 36)
+
+
 class TestHostOperands:
     """A raw ndarray where a device buffer belongs is the first mistake
     a new user makes; it must raise a typed error naming the argument,

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blas import level1, reference
+from repro.fpga import Engine
+from repro.fpga.channel import Channel
+from repro.fpga.errors import StreamOrderError
 from repro.models import level1_cycles
 
 from helpers import run_map_kernel, run_reduction_kernel
@@ -193,3 +196,72 @@ class TestTreeReduce:
 
     def test_empty(self):
         assert level1._tree_reduce([], np.float32) == 0
+
+
+def _every_kernel(width, n=8, ii=1):
+    """One builder per Level-1 loop kernel at ``width`` (and ``n``)."""
+    c = [Channel(f"c{i}", 16) for i in range(4)]
+    return {
+        "scal": lambda: level1.scal_kernel(n, 2.0, c[0], c[1], width),
+        "copy": lambda: level1.copy_kernel(n, c[0], c[1], width),
+        "axpy": lambda: level1.axpy_kernel(n, 2.0, c[0], c[1], c[2], width),
+        "swap": lambda: level1.swap_kernel(n, *c, width),
+        "rot": lambda: level1.rot_kernel(n, .6, .8, *c, width),
+        "rotm": lambda: level1.rotm_kernel(n, [-1.0, 1, 2, 3, 4], *c,
+                                           width),
+        "dot": lambda: level1.dot_kernel(n, c[0], c[1], c[2], width, ii=ii),
+        "sdsdot": lambda: level1.sdsdot_kernel(n, 0.5, c[0], c[1], c[2],
+                                               width),
+        "nrm2": lambda: level1.nrm2_kernel(n, c[0], c[1], width),
+        "asum": lambda: level1.asum_kernel(n, c[0], c[1], width),
+        "iamax": lambda: level1.iamax_kernel(n, c[0], c[1], width),
+        "batched_dot": lambda: level1.batched_dot_kernel(
+            2, 4, c[0], c[1], c[2], width),
+        "batched_axpy": lambda: level1.batched_axpy_kernel(
+            2, 4, [1.0, 2.0], c[0], c[1], c[2], width),
+    }
+
+
+class TestGeometryIsCheckedWhenBuilt:
+    """A width below 1 used to spin until the livelock watchdog tripped
+    (``width=0``) or fail inside ``islice`` mid-run (``width=-2``), and
+    ``ii=0`` failed at the first step; every loop kernel now refuses its
+    geometry with a typed error when it is built."""
+
+    @pytest.mark.parametrize("name", sorted(_every_kernel(1)))
+    @pytest.mark.parametrize("width", (0, -2, 2.5))
+    def test_width(self, name, width):
+        with pytest.raises(StreamOrderError, match="width"):
+            _every_kernel(width)[name]()
+
+    @pytest.mark.parametrize("name", ("scal", "dot", "iamax"))
+    def test_negative_length(self, name):
+        with pytest.raises(StreamOrderError, match="count"):
+            _every_kernel(4, n=-1)[name]()
+
+    def test_initiation_interval(self):
+        with pytest.raises(StreamOrderError, match="ii"):
+            _every_kernel(4, ii=0)["dot"]()
+
+    def test_dot_width_zero_does_not_spin(self):
+        """The original report: a DOT at width 0 ran into the watchdog."""
+        eng = Engine()
+        cx, cy, cr = (eng.channel(name, 8) for name in "xyr")
+        with pytest.raises(StreamOrderError):
+            eng.add_kernel("dot", level1.dot_kernel(8, cx, cy, cr, width=0))
+
+
+def test_iamax_skips_nan_on_every_tier():
+    """The listing keeps the first strictly greater magnitude, so a NaN
+    never wins.  The replayed window used to skip a whole window that
+    held a NaN (index 0 here, where the event core said 300); stepped
+    and replayed runs now share one body."""
+    from repro.host import Fblas
+    x = np.ones(512, np.float32)
+    x[100] = np.nan
+    x[300] = 9.0
+    got = set()
+    for mode in ("event", "certified"):
+        fb = Fblas(width=4, engine_mode=mode)
+        got.add(fb.iamax(fb.copy_to_device(x)))
+    assert got == {300}
