@@ -101,7 +101,6 @@ iteration as a window edge.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -306,11 +305,10 @@ class SteadyLoop(StaticPattern):
                  segment: Optional[int] = None, result=None,
                  on_end: Optional[Callable[[], None]] = None):
         check_stream_geometry(kernel, width, count=count or 0, ii=ii)
-        reads, writes = tuple(reads), tuple(writes)
-        super().__init__(
-            reads=zip(reads, repeat(width)),
-            writes=zip(writes, repeat(width), repeat(latency)),
-            ii=ii, dtype=dtype,
+        reads = [(ch, width) for ch in reads]
+        writes = [(ch, width, latency) for ch in writes]
+        StaticPattern.__init__(
+            self, reads, writes, ii, dtype,
             read_totals=None if count is None else (count,) * len(reads),
             write_totals=None if count is None else (count,) * len(writes))
         self.executable = True
@@ -359,27 +357,35 @@ class SteadyLoop(StaticPattern):
         return outs
 
     def run(self):
-        """The stepped loop (then the reduction's result, if any)."""
-        body, width = self.body, self.width
-        reads, writes, dtype = self.reads, self.writes, self.dtype
-        ins = list(reads)
+        """The stepped loop (then the reduction's result, if any).  Ops
+        are values, so a full-width iteration yields the same ``Pop`` and
+        ``Clock`` objects every time."""
+        body, width, dtype = self.body, self.width, self.dtype
+        writes = self.writes
+        full = [Pop(ch, width) for ch, _lanes in self.reads]
+        clock = Clock(self.ii)
+        ins = list(full)
         while self.done < self.total:
             base = self.done
             c = (self.total if self.segment is None
                  else self._stop(base)) - base
-            if c > width:
-                c = width
-            for i, (ch, _lanes) in enumerate(reads):
-                vals = yield Pop(ch, c)
-                vals = (vals,) if c == 1 else tuple(vals)
+            if c >= width:
+                c, pops = width, full
+            else:
+                pops = [Pop(op.channel, c) for op in full]
+            for i, op in enumerate(pops):
+                vals = yield op
+                if c == 1:
+                    vals = (vals,)
                 ins[i] = vals if dtype is None else np.asarray(vals, dtype)
             outs = body(ins, base, c, c)
-            for (ch, _lanes, latency), vals in zip(writes, outs):
-                yield Push(ch, tuple(vals), latency)
+            if writes:
+                for (ch, _lanes, latency), vals in zip(writes, outs):
+                    yield Push(ch, tuple(vals), latency)
             self.done = base + c
             if self.done == self.total and self.on_end is not None:
                 self.on_end()
-            yield Clock(self.ii)
+            yield clock
         if self.result is not None:
             ch, values = self.result
             for value in values():
