@@ -375,8 +375,7 @@ class SteadyLoop(StaticPattern):
                 pops = [Pop(op.channel, c) for op in full]
             for i, op in enumerate(pops):
                 vals = yield op
-                if c == 1:
-                    vals = (vals,)
+                vals = (vals,) if c == 1 else tuple(vals)
                 ins[i] = vals if dtype is None else np.asarray(vals, dtype)
             outs = body(ins, base, c, c)
             if writes:

@@ -132,11 +132,12 @@ def duplicate_kernel(ch_in, outs: Sequence, count: int, width: int = 1):
     data, as in the BICG composition where both GEMVs read matrix A.
     """
     outs = tuple(outs)
+    fan = len(outs)
 
     def body(ins, _base, _n, _lanes):
         # One physical stream copied to every consumer: the same array can
         # back every channel's run — readers never mutate popped blocks.
-        return ins * len(outs)
+        return ins * fan
 
     return steady_kernel("duplicate_kernel", body, reads=(ch_in,),
                          writes=outs, count=count, width=width, latency=1)
