@@ -14,7 +14,9 @@ full-width iterations with the same call, so the two agree by
 construction.  Bodies use only elementwise array ops, the pairwise
 adder tree of the unrolled inner loop (:func:`_tree_reduce_rows`) per
 burst, and strictly sequential accumulation across bursts
-(``np.add.accumulate``), which is the listing's summation order.
+(``np.add.accumulate``), which is the listing's summation order.  A
+reduction's lone stepped burst takes the same tree on scalars
+(:func:`_fold_bursts`); the two trees pair alike and round alike.
 
 Conventions: ``n`` is the vector length; widths need not divide ``n`` (the
 tail iteration is narrower); ``dtype`` selects single (np.float32) or
@@ -81,6 +83,16 @@ def _chunk(vals, count):
     return [vals] if count == 1 else vals
 
 
+def _fold_bursts(acc, ufunc, arrs, width):
+    """``acc`` plus the adder-tree sum of each ``width``-wide burst of
+    ``ufunc(*arrs)``, folded in sequentially.  A lone burst (a stepped
+    iteration) takes the same pairwise tree on scalars: for so few lanes
+    the array tree's per-level calls cost several times as much."""
+    if len(arrs[0]) == width:
+        return acc + _tree_reduce(list(ufunc(*arrs)), type(acc))
+    return _fold_rows(acc, _burst_sums(ufunc, arrs, width))
+
+
 def _sum_kernel(kernel, n, width, ins, ch_res, ufunc, acc, finish,
                 dtype, ii=1):
     """Sum ``ufunc`` of the input bursts — per burst through the adder
@@ -89,7 +101,7 @@ def _sum_kernel(kernel, n, width, ins, ch_res, ufunc, acc, finish,
     acc = [acc]
 
     def body(ins, _base, _n, lanes):
-        acc[0] = _fold_rows(acc[0], _burst_sums(ufunc, ins, lanes))
+        acc[0] = _fold_bursts(acc[0], ufunc, ins, lanes)
         return ()
 
     return steady_kernel(kernel, body, ins, count=n, width=width, ii=ii,
@@ -258,6 +270,10 @@ def batched_dot_kernel(b, n, ch_x, ch_y, ch_res, width=1, dtype=np.float32):
     accs = [dtype(0)] * b
 
     def body(ins, base, n_in, lanes):
+        if n_in == lanes:                   # one burst lies in one problem
+            accs[base // n] = _fold_bursts(accs[base // n], np.multiply,
+                                           ins, lanes)
+            return ()
         sums = _burst_sums(np.multiply, ins, lanes)
         i, k = 0, n_in // lanes
         while i < k:
@@ -318,18 +334,17 @@ def rotmg_kernel(ch_in, ch_out, dtype=np.float32):
 
 
 def _tree_reduce(values, dtype):
-    """Sum a list the way the unrolled adder tree does (pairwise)."""
+    """Sum a list the way the unrolled adder tree does (pairwise), with
+    the stride pairing of :func:`_tree_reduce_rows`."""
     if not values:
         return dtype(0)
-    level = list(values)
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(level[i] + level[i + 1])
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    vals = list(values)
+    n, s = len(vals), 1
+    while s < n:
+        for i in range(0, n - s, 2 * s):
+            vals[i] = vals[i] + vals[i + s]
+        s *= 2
+    return vals[0]
 
 
 def _tree_reduce_rows(mat):
