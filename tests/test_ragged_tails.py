@@ -14,8 +14,11 @@ file pins, per case, one SHA-256 over:
 The cases are every Level-1 host routine, batched DOT and AXPY through
 :func:`repro.service.batch.run_batch`, and a source -> forward ->
 duplicate -> sink chain, at ``n`` in ``{1, w - 1, 3w + 1, 1001}``,
-``w`` in ``{1, 3, 8, 16}``, float32 and float64, on the event and the
-bulk tier.  Tier-1 checks the ``n = 3w + 1``, ``w in {3, 8}`` slice;
+``w`` in ``{1, 3, 8, 16}``; and the tiled GEMV, GEMV^T and GER on
+matrices whose tile width ``w`` does or does not divide (a row of a
+tile then ends in a narrower burst) — each in float32 and float64, on
+the event and the bulk tier.  Tier-1 checks the ``n = 3w + 1``,
+``w in {3, 8}`` slice and two Level-2 geometries;
 ``python tests/test_ragged_tails.py`` checks every case, and
 ``python tests/test_ragged_tails.py --write`` records them (say in
 CHANGES.md which cases moved and why).
@@ -64,6 +67,17 @@ ROUTINES = {
 }
 KINDS = (*ROUTINES, "batched_dot", "batched_axpy", "chain")
 
+#: tiled Level-2 routine -> host call on (a, x, y)
+MATRIX = {
+    "gemv": lambda fb, a, x, y: fb.gemv(0.75, a, x, -0.5, y),
+    "gemv_t": lambda fb, a, x, y: fb.gemv(0.75, a, x, -0.5, y, trans=True),
+    "ger": lambda fb, a, x, y: fb.ger(0.75, x, y, a),
+}
+#: (rows, cols, width, tile): tile_m % width is 2, 2, 0 and 0 (the host
+#: fits 12 rows to 6-row tiles under tile 8).
+GEOMETRIES = ((12, 18, 4, 6), (10, 10, 3, 5), (16, 24, 4, 8),
+              (12, 16, 2, 8))
+
 
 def _sizes(w):
     return sorted({1, w - 1, 3 * w + 1, 1001} - {0})
@@ -71,9 +85,13 @@ def _sizes(w):
 
 CASES = [f"{kind}/n{n}/w{w}/{dt}/{mode}"
          for kind in KINDS for w in WIDTHS for n in _sizes(w)
-         for dt in DTYPES for mode in MODES]
+         for dt in DTYPES for mode in MODES] + [
+    f"{kind}/{n}x{m}/w{w}/t{t}/{dt}/{mode}"
+    for kind in MATRIX for n, m, w, t in GEOMETRIES
+    for dt in DTYPES for mode in MODES]
 TIER1 = [c for c in CASES
-         if c.split("/")[1:3] in (["n10", "w3"], ["n25", "w8"])]
+         if c.split("/")[1:3] in (["n10", "w3"], ["n25", "w8"],
+                                  ["12x18", "w4"], ["16x24", "w4"])]
 
 
 def _digest(value):
@@ -119,13 +137,27 @@ def _chain(n, w, dtype, mode, data):
     return [np.asarray(o, dtype=dtype) for o in outs], []
 
 
+def _matrix(kind, size, w, tile, dtype, mode, rng):
+    """One tiled Level-2 call on fresh buffers: (result, buffers)."""
+    n, m = (int(d) for d in size.split("x"))
+    fb = Fblas(width=w, tile=int(tile[1:]), engine_mode=mode)
+    xlen, ylen = (m, n) if kind == "gemv" else (n, m)
+    bufs = [fb.copy_to_device(rng.standard_normal(shape).astype(dtype))
+            for shape in ((n, m), xlen, ylen)]
+    return MATRIX[kind](fb, *bufs), [b.data for b in bufs]
+
+
 def run_case(case):
     """Drive one case on fresh state; return its SHA-256."""
-    kind, n, w, dt, mode = case.split("/")
-    n, w, dtype = int(n[1:]), int(w[1:]), DTYPES[dt]
+    kind, size, w, *tile, dt, mode = case.split("/")
+    w, dtype = int(w[1:]), DTYPES[dt]
     rng = np.random.default_rng(zlib.crc32(case.encode()))
     with _runs() as runs:
-        if kind in ROUTINES:
+        if kind in MATRIX:
+            result, buffers = _matrix(kind, size, w, *tile, dtype, mode,
+                                      rng)
+        elif kind in ROUTINES:
+            n = int(size[1:])
             operands, call = ROUTINES[kind]
             fb = Fblas(width=w, engine_mode=mode)
             bufs = [fb.copy_to_device(rng.standard_normal(n).astype(dtype))
@@ -133,9 +165,11 @@ def run_case(case):
             result = call(fb, *bufs)
             buffers = [b.data for b in bufs]
         elif kind == "chain":
+            n = int(size[1:])
             data = [rng.standard_normal(n).astype(dtype)]
             result, buffers = _chain(n, w, dtype, mode, data)
         else:
+            n = int(size[1:])
             routine = kind.split("_")[1]
             jobs = [RoutineJob(routine, (
                 *((dtype(rng.standard_normal()),) if routine == "axpy"
