@@ -15,26 +15,30 @@ streaming implementations with different I/O complexities:
 All kernels expect the matrix stream in the order produced by the matching
 :class:`repro.streaming.tiling.MatrixSchedule` with row-major elements.
 
-A tiled loop nest is not one steady loop but a *sequence* of statically
-regular phases — load a block of y, load a block of x, stream a tile of
-A, store a block of results.  :func:`gemv_row_tiles`,
+A tiled loop nest is not one steady loop but a *sequence* of II = 1
+loops (Sec. III-B) — load a block of y, load a block of x, stream a
+tile of A, store a block of results.  :func:`gemv_row_tiles`,
 :func:`gemv_transposed_row_tiles` and :func:`ger_kernel` are written
-that way (:class:`_Sequencer`): a block load or store is a
-:class:`~repro.fpga.pattern.SteadyLoop` declared by its block body
-(:class:`_Load`, :class:`_Store`), a matrix phase is a scalar generator
-loop and an executable :class:`~repro.fpga.pattern.StaticPattern`
-sharing one cursor (:class:`_Stream`; stepping it through its block
-body would cost about three times as much per event-tier iteration),
-the kernel's outer pattern reports the ports and ``ready()`` of
-whichever phase is current (the phase-pattern contract of
-:mod:`repro.fpga.pattern`), and the bulk/certified engines replay
-block loads, whole tiles and result stores alike as windows.  The matrix phase is only regular when the
-vectorization width divides the tile width; otherwise those three fall
-back, like the remaining modules (column tiles, double buffering,
-loop-carried solves), to a *declare-only* pattern via :func:`_declared`:
-the steady ports, rates and reordering windows (``defer``) are
-documented for analysis, but ``ready()`` is pinned to 0 and the fast
-path always falls back to exact event stepping.
+that way: each loop is a :class:`~repro.fpga.pattern.SteadyLoop`
+declared by its block body (:class:`_Load`, :class:`_Store` and the
+module's own ``matrix_body``), and :class:`_Sequencer` runs them in the
+order the module's program names.  A body called on one burst does the
+listing's arithmetic on that burst; called on a replayed window it cuts
+the window where the tile's row structure changes (:func:`_pieces`) and
+computes each piece with the same rounding.  The kernel's outer pattern
+reports the ports and ``ready()`` of whichever loop is current (the
+phase-pattern contract of :mod:`repro.fpga.pattern`), so the
+bulk/certified engines replay block loads, whole tiles and result
+stores alike as windows.
+
+A tile row ends in a narrower burst when the vectorization width does
+not divide the tile width.  The three modules still step such rows
+exactly, but their outer pattern is then *declare-only*, like that of
+the remaining modules (column tiles, double buffering, loop-carried
+solves, via :func:`_declared`): the steady ports, rates and reordering
+windows (``defer``) are documented for analysis, but ``ready()`` is
+pinned to 0 and the fast path always falls back to exact event
+stepping.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 
 from ..fpga.kernel import Clock, Pop, Push
 from ..fpga.pattern import PatternedGenerator, StaticPattern, SteadyLoop
-from .level1 import _burst_sums, _chunk, _temp, _tree_reduce
+from .level1 import _burst_sums, _chunk, _fold_bursts, _temp, _tree_reduce
 
 
 def _declared(reads=(), writes=(), defer=None):
@@ -78,18 +82,16 @@ def _declared(reads=(), writes=(), defer=None):
 
 
 class _Sequencer(PatternedGenerator):
-    """Kernel body that runs a tiled module as a sequence of statically
-    regular phases.
+    """Kernel body that runs a tiled module as a sequence of
+    :class:`~repro.fpga.pattern.SteadyLoop` phases.
 
     ``program`` is a generator holding the module's control flow: it
-    prepares a phase's cursor (``load.start(count)``), yields the phase
-    object, and resumes — with the phase's results in place — once the
-    phase has run to completion.  A phase object carries ``run()``, the
-    stepped generator loop driven off its cursor, and ``pattern``, the
-    :class:`StaticPattern` whose ``block`` fast-forwards the same
-    cursor.  Both call :meth:`advance` the moment they consume the
-    phase's last iteration — the stepped loop *before* that iteration's
-    ``Clock`` — so at every cycle boundary :meth:`current` already names
+    arms a phase (``load.start(count)``), yields it, and resumes — with
+    the phase's results in place — once the phase has run to
+    completion.  Every phase is built with ``on_end=`` :meth:`advance`,
+    which its driver calls the moment it consumes the phase's last
+    iteration, stepped (*before* that iteration's ``Clock``) or
+    replayed, so at every cycle boundary :meth:`current` already names
     the phase of the next iteration.
 
     The engine resumes the current phase's loop directly (no delegating
@@ -119,8 +121,7 @@ class _Sequencer(PatternedGenerator):
         self.phase = next(self._program, None)
 
     def current(self):
-        ph = self.phase
-        return ph.pattern if ph is not None else None
+        return self.phase
 
     def send(self, value):
         try:
@@ -148,9 +149,7 @@ class _Load(SteadyLoop):
 
     def start(self, count):
         self.buf = np.empty(count, dtype=self.dtype)
-        self.total = count
-        self.done = 0
-        return self
+        return super().start(count)
 
     def _body(self, ins, base, n, _lanes):
         self.buf[base:base + n] = ins[0]
@@ -168,26 +167,10 @@ class _Store(SteadyLoop):
 
     def start(self, values):
         self.values = values
-        self.total = len(values)
-        self.done = 0
-        return self
+        return super().start(len(values))
 
     def _body(self, _ins, base, n, _lanes):
         return [self.values[base:base + n]]
-
-
-class _Stream:
-    """Phase: a module's own matrix loop (scalar ``run`` + pattern).
-
-    The scalar loop stays beside the vectorised ``block``: on the event
-    tier, where every iteration of A is stepped, it costs about a third
-    of a one-burst ``block`` call."""
-
-    __slots__ = ("run", "pattern")
-
-    def __init__(self, run, pattern):
-        self.run = run
-        self.pattern = pattern
 
 
 def _pop_block(ch, count, width, dtype):
@@ -230,15 +213,13 @@ def _pieces(a, pos, period, width):
 
 
 class _TileCursor:
-    """Matrix-phase loop state of a tiled module, shared by its scalar
-    loop and its pattern's ``block()``; the module's program sets what
-    it uses before every matrix phase: ``tj`` the tile column (GEMV^T),
-    ``r`` the row within the tile, ``done`` the elements consumed in
-    that row; ``row_acc`` the row's partial sum (GEMV), ``acc`` the
-    on-chip accumulators (``tile_n`` of them, ``m`` for GEMV^T), ``xs``
-    / ``ys`` the current x / y block, ``axs`` alpha times ``xs`` (GER)."""
+    """On-chip state a tiled module's ``matrix_body`` works on; where in
+    the phase it is comes from the body's ``base``.  ``row_acc`` is the
+    partial sum of the row in progress (GEMV), ``acc`` the on-chip
+    accumulators (``tile_n`` of them, ``m`` for GEMV^T), ``xs`` / ``ys``
+    the current x / y block, ``axs`` alpha times ``xs`` (GER)."""
 
-    __slots__ = ("tj", "r", "done", "row_acc", "acc", "xs", "axs", "ys")
+    __slots__ = ("row_acc", "acc", "xs", "axs", "ys")
 
 
 def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
@@ -251,17 +232,17 @@ def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     receives y' in T_N blocks.  A block of y is reused on chip across an
     entire row of tiles.
 
-    When ``width`` divides ``tile_m`` the matrix phase is statically
-    regular (one W-wide burst of A per cycle) and the module is a
-    sequence of executable phases — load y, then per tile load x and
-    stream A, then store y' — which the bulk/certified engines replay
-    arithmetically with the same adder-tree and sequential accumulation
-    rounding as the scalar loop.
+    The module is a sequence of loops — load y, then per tile load x
+    and stream A, then store y'.  Each burst of A is summed through the
+    adder tree and folded into its row's sum in order; when ``width``
+    divides ``tile_m`` the bulk/certified engines replay every loop
+    arithmetically with the same rounding.
     """
     _check_tiles(n, tile_n, m, tile_m)
     alpha = dtype(alpha)
     beta = dtype(beta)
     st = _TileCursor()
+    st.row_acc = dtype(0)
     seq = _Sequencer()
     advance = seq.advance
     load_y = _Load(ch_y, width, dtype, advance)
@@ -269,36 +250,23 @@ def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     store = _Store(ch_out, width, advance)
     cpr = tile_m // width               # A-bursts per row
 
-    def matrix_run():
-        while st.r < tile_n:
-            c = min(width, tile_m - st.done)
-            avals = _chunk((yield Pop(ch_a, c)), c)
-            st.row_acc = st.row_acc + _tree_reduce(
-                [dtype(a) * x
-                 for a, x in zip(avals, st.xs[st.done:st.done + c])],
-                dtype)
-            st.done += c
-            if st.done == tile_m:
-                st.acc[st.r] = st.acc[st.r] + st.row_acc
+    def matrix_body(ins, base, n_in, lanes):
+        if n_in == lanes:               # one burst, in one row
+            r, done = divmod(base, tile_m)
+            st.row_acc = _fold_bursts(st.row_acc, np.multiply,
+                                      (ins[0], st.xs[done:done + n_in]),
+                                      lanes)
+            if done + n_in == tile_m:
+                st.acc[r] = st.acc[r] + st.row_acc
                 st.row_acc = dtype(0)
-                st.done = 0
-                st.r += 1
-                if st.r == tile_n:
-                    seq.advance()
-            yield Clock()
-
-    def matrix_ready():
-        return (tile_n - st.r) * cpr - st.done // width
-
-    def matrix_block(k, ins):
+            return ()
         xs = st.xs.reshape(cpr, width)
-        pos = st.r * cpr + st.done // width
-        for r, off, run in _pieces(ins[0], pos, cpr, width):
+        for r, off, run in _pieces(ins[0], base // width, cpr, width):
             rows, per, _w = run.shape
             sums = _burst_sums(np.multiply, (run, xs[off:off + per]),
                                width).reshape(rows, per)
             # Left-fold the piece's rows at once, in place, each from the
-            # row's partial sum (the scalar loop's +0.0 on a fresh row):
+            # row's partial sum (+0.0 on a fresh row, as a lone burst adds):
             # np.add.accumulate is elementwise-sequential like its adds.
             np.add(st.row_acc, sums[:, 0], out=sums[:, 0])
             totals = np.add.accumulate(sums, axis=1, out=sums)[:, -1]
@@ -307,15 +275,11 @@ def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
                 st.row_acc = dtype(0)
             else:
                 st.row_acc = totals[0]
-        st.r, b = divmod(pos + k, cpr)
-        st.done = b * width
-        if st.r == tile_n:
-            seq.advance()
-        return []
+        return ()
 
-    matrix = _Stream(matrix_run, StaticPattern(
-        reads=((ch_a, width),), dtype=dtype,
-        ready=matrix_ready, block=matrix_block))
+    matrix = SteadyLoop("gemv_row_tiles", matrix_body, (ch_a,),
+                        width=width, dtype=dtype, segment=tile_m,
+                        on_end=advance)
 
     def program():
         for _ti in range(n // tile_n):
@@ -325,10 +289,7 @@ def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
             for _tj in range(m // tile_m):
                 yield load_x.start(tile_m)
                 st.xs = load_x.buf
-                st.r = 0
-                st.done = 0
-                st.row_acc = dtype(0)
-                yield matrix
+                yield matrix.start(tile_n * tile_m)
             yield store.start(alpha * st.acc + beta * ys)
 
     union = dict(
@@ -545,11 +506,10 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     output.  ``ch_x`` carries the N-element input once, in T_N blocks;
     ``ch_y`` the M-element addend once; ``ch_out`` the M-element result.
 
-    Like :func:`gemv_row_tiles`, when ``width`` divides ``tile_m`` the
-    module is a sequence of executable phases — per row of tiles load x
-    and stream A, then load y and store the result — replayed by the
-    bulk/certified engines with the scalar loop's exact accumulation
-    order.
+    Like :func:`gemv_row_tiles` the module is a sequence of loops — per
+    row of tiles load x and stream A, then load y and store the result
+    — replayed, when ``width`` divides ``tile_m``, by the bulk/certified
+    engines with the listing's exact accumulation order.
     """
     _check_tiles(n, tile_n, m, tile_m)
     alpha = dtype(alpha)
@@ -564,34 +524,17 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     bpt = tile_n * cpr                  # A-bursts per tile
     col_tiles = m // tile_m
 
-    def matrix_run():
-        while st.tj < col_tiles:
-            c = min(width, tile_m - st.done)
-            avals = _chunk((yield Pop(ch_a, c)), c)
-            xr = st.xs[st.r]
-            col0 = st.tj * tile_m + st.done
-            for j, a in enumerate(avals):
-                st.acc[col0 + j] = st.acc[col0 + j] + dtype(a) * xr
-            st.done += c
-            if st.done == tile_m:
-                st.done = 0
-                st.r += 1
-                if st.r == tile_n:
-                    st.r = 0
-                    st.tj += 1
-                    if st.tj == col_tiles:
-                        seq.advance()
-            yield Clock()
-
-    def matrix_ready():
-        return (col_tiles - st.tj) * bpt - st.r * cpr - st.done // width
-
-    def matrix_block(k, ins):
+    def matrix_body(ins, base, n_in, lanes):
+        if n_in == lanes:               # one burst, in one row
+            tj, at = divmod(base, tile_n * tile_m)
+            r, done = divmod(at, tile_m)
+            col = tj * tile_m + done
+            st.acc[col:col + n_in] += ins[0] * st.xs[r]
+            return ()
         s = st.acc.reshape(col_tiles, tile_m)
-        pos = st.tj * bpt + st.r * cpr + st.done // width
         # Whole tiles fold together; a partial tile is cut again into
         # rows (cutting whole tiles hands them back as their rows).
-        for tj, at, tile_run in _pieces(ins[0], pos, bpt, width):
+        for tj, at, tile_run in _pieces(ins[0], base // width, bpt, width):
             tiles = len(tile_run)
             for r, off, run in _pieces(tile_run, at, cpr, width):
                 shape = tiles, len(run) // tiles, run.shape[1] * width
@@ -603,26 +546,18 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
                 seg = s[tj:tj + tiles, off * width:off * width + shape[2]]
                 np.add(seg, prod[:, 0], out=prod[:, 0])
                 seg[...] = np.add.accumulate(prod, axis=1, out=prod)[:, -1]
-        st.tj, at = divmod(pos + k, bpt)
-        st.r, b = divmod(at, cpr)
-        st.done = b * width
-        if st.tj == col_tiles:
-            seq.advance()
-        return []
+        return ()
 
-    matrix = _Stream(matrix_run, StaticPattern(
-        reads=((ch_a, width),), dtype=dtype,
-        ready=matrix_ready, block=matrix_block))
+    matrix = SteadyLoop("gemv_transposed_row_tiles", matrix_body, (ch_a,),
+                        width=width, dtype=dtype, segment=tile_m,
+                        on_end=advance)
 
     def program():
         st.acc = np.zeros(m, dtype=dtype)
         for _ti in range(n // tile_n):
             yield load_x.start(tile_n)
             st.xs = load_x.buf
-            st.tj = 0
-            st.r = 0
-            st.done = 0
-            yield matrix
+            yield matrix.start(tile_n * m)
         yield load_y.start(m)
         yield store.start(alpha * st.acc + beta * load_y.buf)
 
@@ -647,11 +582,10 @@ def ger_kernel(n, m, alpha, ch_a, ch_x, ch_y, ch_out,
     replayed ceil(N/T_N) times; ``ch_out`` receives A' in the same tile
     order as ``ch_a``.
 
-    When ``width`` divides ``tile_m`` each tile's matrix phase is
-    statically regular — one W-wide burst of A in and one W-wide burst
-    of A' out per cycle — so the module is a sequence of executable
-    phases (load x per row of tiles, then per tile load y and stream
-    the tile) that the bulk/certified engines replay arithmetically.
+    The module is a sequence of loops — load x per row of tiles, then
+    per tile load y and stream the tile, one burst of A in and one of
+    A' out per cycle — that the bulk/certified engines replay
+    arithmetically when ``width`` divides ``tile_m``.
     """
     _check_tiles(n, tile_n, m, tile_m)
     alpha = dtype(alpha)
@@ -662,49 +596,28 @@ def ger_kernel(n, m, alpha, ch_a, ch_x, ch_y, ch_out,
     load_y = _Load(ch_y, width, dtype, advance)
     cpr = tile_m // width               # A-bursts per row
 
-    def matrix_run():
-        while st.r < tile_n:
-            c = min(width, tile_m - st.done)
-            avals = _chunk((yield Pop(ch_a, c)), c)
-            xr = st.axs[st.r]
-            yield Push(ch_out, tuple(
-                dtype(a) + xr * y
-                for a, y in zip(avals, st.ys[st.done:st.done + c])), None)
-            st.done += c
-            if st.done == tile_m:
-                st.done = 0
-                st.r += 1
-                if st.r == tile_n:
-                    seq.advance()
-            yield Clock()
-
-    def matrix_ready():
-        return (tile_n - st.r) * cpr - st.done // width
-
-    def matrix_block(k, ins):
-        ys = st.ys.reshape(cpr, width)
-        pos = st.r * cpr + st.done // width
+    def matrix_body(ins, base, n_in, lanes):
         # Each burst is an independent elementwise map: A + (alpha*x_r)
-        # times the matching y segment — same products and adds as the
-        # scalar loop.  The result is pushed, so it owns its memory.
-        out = np.empty(k * width, dtype=dtype)
+        # times the matching y segment.  The result is pushed, so it
+        # owns its memory.
+        if n_in == lanes:               # one burst, in one row
+            r, done = divmod(base, tile_m)
+            return [ins[0] + st.axs[r] * st.ys[done:done + n_in]]
+        ys = st.ys.reshape(cpr, width)
+        out = np.empty(n_in, dtype=dtype)
         lo = 0
-        for r, off, run in _pieces(ins[0], pos, cpr, width):
+        for r, off, run in _pieces(ins[0], base // width, cpr, width):
             rows, per, _w = run.shape
             res = out[lo:lo + run.size].reshape(run.shape)
             np.multiply(st.axs[r:r + rows, None, None], ys[off:off + per],
                         out=res)
             np.add(run, res, out=res)
             lo += run.size
-        st.r, b = divmod(pos + k, cpr)
-        st.done = b * width
-        if st.r == tile_n:
-            seq.advance()
         return [out]
 
-    matrix = _Stream(matrix_run, StaticPattern(
-        reads=((ch_a, width),), writes=((ch_out, width, None),),
-        dtype=dtype, ready=matrix_ready, block=matrix_block))
+    matrix = SteadyLoop("ger_kernel", matrix_body, (ch_a,), (ch_out,),
+                        width=width, dtype=dtype, segment=tile_m,
+                        on_end=advance)
 
     def program():
         for _ti in range(n // tile_n):
@@ -713,9 +626,7 @@ def ger_kernel(n, m, alpha, ch_a, ch_x, ch_y, ch_out,
             for _tj in range(m // tile_m):
                 yield load_y.start(tile_m)
                 st.ys = load_y.buf
-                st.r = 0
-                st.done = 0
-                yield matrix
+                yield matrix.start(tile_n * tile_m)
 
     union = dict(
         reads=((ch_a, width), (ch_x, width), (ch_y, width)),

@@ -200,11 +200,16 @@ def asum(x: np.ndarray) -> float:
 
 
 def iamax(x: np.ndarray) -> int:
-    """IAMAX: index of the first element with maximal absolute value."""
-    x = np.asarray(x)
-    if x.size == 0:
+    """IAMAX: index of the first element with maximal absolute value.
+
+    The listing keeps the first strictly greater magnitude, so a NaN
+    never wins: the first index of the largest non-NaN magnitude, 0 when
+    every element is NaN."""
+    mags = np.abs(np.asarray(x).reshape(-1))
+    if mags.size == 0:
         raise ValueError("iamax of empty vector")
-    return int(np.argmax(np.abs(x)))
+    top = np.fmax.reduce(mags)
+    return 0 if np.isnan(top) else int(np.argmax(mags == top))
 
 
 # ---------------------------------------------------------------------------

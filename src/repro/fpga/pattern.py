@@ -27,16 +27,16 @@ Steady kernels: one body
 ------------------------
 A kernel that is one counted, W-wide loop — the source, sink, forward
 and duplicate helpers of :mod:`repro.fpga.util`, every Level-1 map and
-reduction including the batched DOT and AXPY, and the block loads and
-stores of the tiled Level-2 modules — is a :class:`SteadyLoop` (built
-with :func:`steady_kernel`).  It is declared by its access pattern
-(read and write ports, width, ``ii``, count, an optional segment) and
-one block body ``body(ins, base, n, lanes)``; the driver owns the
-cursor, ``ready()``, ``ends()`` and the totals.  A stepped iteration
-pops one burst per read port, calls the body on it and pushes what it
-returns; a replayed window calls the same body on ``k`` bursts.  The
-two therefore agree by construction, and the contract above holds
-without a second, scalar copy of the kernel.
+reduction including the batched DOT and AXPY, and each loop of the
+tiled Level-2 modules (block loads, matrix tiles, result stores) — is a
+:class:`SteadyLoop` (built with :func:`steady_kernel`).  It is declared
+by its access pattern (read and write ports, width, ``ii``, count, an
+optional segment) and one block body ``body(ins, base, n, lanes)``; the
+driver owns the cursor, ``ready()``, ``ends()`` and the totals.  A
+stepped iteration pops one burst per read port, calls the body on it
+and pushes what it returns; a replayed window calls the same body on
+``k`` bursts.  The two therefore agree by construction, and the
+contract above holds without a second, scalar copy of the kernel.
 
 Kernels that keep a hand-written generator, and why:
 
@@ -44,10 +44,6 @@ Kernels that keep a hand-written generator, and why:
   :func:`~repro.fpga.memory.write_kernel`): each cycle moves what the
   DRAM bank grants, so a stepped burst may be short, and they carry
   their own ``block``;
-* the tiled Level-2 matrix phases (the ``_Stream`` phases of GEMV,
-  GEMV^T and GER): their scalar loop is the stepped path, because
-  stepping them through their block body measured about three times
-  slower per iteration on the event tier;
 * the kernels whose loop is not statically regular (merge, routers,
   column tiles, double buffering, solves): :meth:`StaticPattern.declare`
   documents their ports for analysis, but the pattern is not
@@ -291,8 +287,7 @@ class SteadyLoop(StaticPattern):
     write port.  ``result=(channel, values)`` is a reduction's epilogue:
     each of ``values()`` pushed alone, one per cycle.  ``on_end`` runs
     as the last iteration is consumed, before its ``Clock``: a tiled
-    module's load or store phase hands over with it, and is rearmed by
-    resetting ``total`` and ``done``.
+    module's phase hands over with it, and is rearmed by :meth:`start`.
     """
 
     __slots__ = ("body", "width", "segment", "result", "on_end", "total",
@@ -320,9 +315,10 @@ class SteadyLoop(StaticPattern):
         self.total = count
         self.done = 0
 
-    @property
-    def pattern(self) -> "SteadyLoop":
-        """The loop is its own (phase) pattern."""
+    def start(self, count: int) -> "SteadyLoop":
+        """Rearm the loop for ``count`` more elements."""
+        self.total = count
+        self.done = 0
         return self
 
     def _stop(self, done: int) -> int:

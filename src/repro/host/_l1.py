@@ -14,7 +14,8 @@ import numpy as np
 
 from ..blas import level1, reference
 from ..models.performance import level1_cycles, routine_flops
-from ._validate import device_operands, strided_length, strided_pair
+from ._validate import (device_operands, real_scalar, rotm_param,
+                        strided_length, strided_pair)
 
 
 def _strided(buf, inc, n):
@@ -28,6 +29,8 @@ class Level1Mixin:
     # -- map routines -----------------------------------------------------------
     def scal(self, alpha, x, n=None, incx=1, async_=False):
         """x <- alpha * x (over n elements with stride incx)."""
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
         dt = device_operands("scal", x).type
         n = strided_length(x, incx, n)
         order = range(0, n * incx, incx)
@@ -58,6 +61,8 @@ class Level1Mixin:
 
     def axpy(self, alpha, x, y, n=None, incx=1, incy=1, async_=False):
         """y <- alpha*x + y (strided)."""
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
         dt = device_operands("axpy", x, y).type
         n = strided_pair(x, y, incx, incy, n)
         return self._execute(lambda: self._run_design(
@@ -97,6 +102,10 @@ class Level1Mixin:
 
     def rot(self, x, y, c, s, async_=False):
         """Apply the plane rotation (c, s) to x and y."""
+        if c.__class__ is not float:
+            real_scalar("c", c)
+        if s.__class__ is not float:
+            real_scalar("s", s)
         return self._update_pair(
             "rot", x, y,
             lambda n, *rest: level1.rot_kernel(n, c, s, *rest),
@@ -104,6 +113,7 @@ class Level1Mixin:
 
     def rotm(self, x, y, param, async_=False):
         """Apply the modified rotation defined by ``param``."""
+        rotm_param(param)
         return self._update_pair(
             "rotm", x, y,
             lambda n, *rest: level1.rotm_kernel(n, param, *rest),
@@ -125,6 +135,8 @@ class Level1Mixin:
 
     def sdsdot(self, sb, x, y, async_=False):
         """Return sb + x^T y accumulated in double precision."""
+        if sb.__class__ is not float:
+            real_scalar("sb", sb)
         dt = device_operands("sdsdot", x, y).type
         n = strided_pair(x, y)
         return self._execute(lambda: self._run_design(

@@ -11,7 +11,7 @@ from ..models import iomodel
 from ..models.performance import gemv_cycles, routine_flops
 from ..streaming.tiling import col_tiles, row_tiles
 from . import orders
-from ._validate import HostValueError, device_operands
+from ._validate import HostValueError, device_operands, real_scalar
 
 
 class Level2Mixin:
@@ -28,6 +28,10 @@ class Level2Mixin:
         feedback loop — I/O NM + M + 2NM/T_M).  Transposed GEMV currently
         uses the rows scheme.
         """
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
+        if beta.__class__ is not float:
+            real_scalar("beta", beta)
         dt = device_operands("gemv", a, x, y).type
         n, m = a.data.shape
         xlen, ylen = (n, m) if trans else (m, n)
@@ -119,6 +123,8 @@ class Level2Mixin:
 
     def ger(self, alpha, x, y, a, async_=False):
         """A <- A + alpha * x y^T."""
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
         dt = device_operands("ger", x, y, a).type
         n, m = a.data.shape
         if x.num_elements != n or y.num_elements != m:
@@ -132,6 +138,8 @@ class Level2Mixin:
 
     def syr(self, alpha, x, a, async_=False):
         """A <- A + alpha * x x^T."""
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
         dt = device_operands("syr", x, a).type
         n = x.num_elements
         if a.data.shape != (n, n):
@@ -144,6 +152,8 @@ class Level2Mixin:
 
     def syr2(self, alpha, x, y, a, async_=False):
         """A <- A + alpha * (x y^T + y x^T)."""
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
         dt = device_operands("syr2", x, y, a).type
         n = x.num_elements
         if a.data.shape != (n, n) or y.num_elements != n:

@@ -10,7 +10,7 @@ from ..models.iomodel import gemm_io_tiled
 from ..models.performance import gemm_systolic_cycles, routine_flops
 from ..streaming.tiling import row_tiles
 from . import orders
-from ._validate import HostValueError, device_operands
+from ._validate import HostValueError, device_operands, real_scalar
 
 
 class Level3Mixin:
@@ -24,6 +24,10 @@ class Level3Mixin:
         in "model" mode); ``"tiled"`` uses the generic streaming kernel
         through the DRAM interfaces.
         """
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
+        if beta.__class__ is not float:
+            real_scalar("beta", beta)
         dt = device_operands("gemm", a, b, c).type
         n, k = a.data.shape
         k2, m = b.data.shape
@@ -101,6 +105,10 @@ class Level3Mixin:
 
     def syrk(self, alpha, a, beta, c, async_=False):
         """C <- alpha*A*A^T + beta*C."""
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
+        if beta.__class__ is not float:
+            real_scalar("beta", beta)
         dt = device_operands("syrk", a, c).type
         n, k = a.data.shape
         if c.data.shape != (n, n):
@@ -132,6 +140,10 @@ class Level3Mixin:
 
     def syr2k(self, alpha, a, b, beta, c, async_=False):
         """C <- alpha*(A*B^T + B*A^T) + beta*C (model-backed host call)."""
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
+        if beta.__class__ is not float:
+            real_scalar("beta", beta)
         dt = device_operands("syr2k", a, b, c).type
         n, k = a.data.shape
         if b.data.shape != (n, k) or c.data.shape != (n, n):
@@ -149,6 +161,8 @@ class Level3Mixin:
 
     def trsm(self, alpha, a, b, lower=True, unit_diag=False, async_=False):
         """B <- solution X of A X = alpha*B (left side)."""
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
         dt = device_operands("trsm", a, b).type
         n, m = b.data.shape
         if a.data.shape != (n, n):
@@ -177,6 +191,10 @@ class Level3Mixin:
         result array; the call record reflects the II=1 pipeline: roughly
         ``latency + nbatch`` cycles when DRAM can feed a problem per cycle.
         """
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
+        if beta.__class__ is not float:
+            real_scalar("beta", beta)
         return self._run_batched(
             "gemm", size, (a_batch, b_batch, c_batch), 40,
             lambda nbatch, *rest: level3.gemm_unrolled(
@@ -186,6 +204,8 @@ class Level3Mixin:
 
     def batched_trsm(self, size, a_batch, b_batch, alpha=1.0):
         """Run ``nbatch`` fully-unrolled size x size TRSMs, one per cycle."""
+        if alpha.__class__ is not float:
+            real_scalar("alpha", alpha)
         return self._run_batched(
             "trsm", size, (a_batch, b_batch), 50,
             lambda nbatch, *rest: level3.trsm_unrolled(

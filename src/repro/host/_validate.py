@@ -11,7 +11,7 @@ none of them is retried or demoted by the recovery ladder.
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 
 from ..blas.routines import REGISTRY
 from ..fpga.errors import ReproError
@@ -79,6 +79,37 @@ def positive_int(what, value) -> int:
     if value < 1:
         raise HostValueError(f"{what} must be >= 1, got {value}")
     return int(value)
+
+
+def real_scalar(what, value) -> None:
+    """Hold ``value`` to a real number — an int, a float or a numpy real
+    scalar; a bool, a complex, a string, None or an array is a
+    :class:`HostArgumentError` naming ``what``.  Callers test
+    ``value.__class__ is not float`` first, so a plain float costs no
+    call."""
+    if value.__class__ is bool or not isinstance(value, Real):
+        raise HostArgumentError(
+            f"{what} must be a real number, got {type(value).__name__}")
+
+
+def rotm_param(param) -> None:
+    """Hold a ROTM ``param`` to five reals (flag, h11, h21, h12, h22)
+    with a flag of -2, -1, 0 or 1: a wrong length or flag is a
+    :class:`HostValueError`, an entry that is not real a
+    :class:`HostArgumentError`."""
+    if not hasattr(param, "__len__"):
+        raise HostArgumentError(
+            f"param must be a sequence of 5 reals, got "
+            f"{type(param).__name__}")
+    if len(param) != 5:
+        raise HostValueError(
+            f"param must hold 5 values (flag, h11, h21, h12, h22), got "
+            f"{len(param)}")
+    for i, value in enumerate(param):
+        real_scalar(f"param[{i}]", value)
+    if param[0] not in (-2.0, -1.0, 0.0, 1.0):
+        raise HostValueError(
+            f"param[0], the flag, must be -2, -1, 0 or 1, got {param[0]}")
 
 
 def strided_length(buf, inc, n) -> int:

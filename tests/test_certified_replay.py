@@ -337,21 +337,18 @@ class TestBlocksAreVectorised:
     def test_steady_kernels_have_one_body(self):
         """A ``block=`` executor beside a scalar loop is a second copy of
         the kernel that only the differential suites hold equal, so only
-        :mod:`repro.fpga.pattern` itself, the grant-driven interface
-        kernels of :mod:`repro.fpga.memory` and the tiled Level-2 matrix
-        phases (``_Stream``) pass one to ``StaticPattern(...)``.  Every
-        other steady kernel is a :class:`~repro.fpga.pattern.SteadyLoop`,
-        declared by its body alone."""
+        :mod:`repro.fpga.pattern` itself and the grant-driven interface
+        kernels of :mod:`repro.fpga.memory` pass one to
+        ``StaticPattern(...)``.  Every steady kernel, the tiled Level-2
+        matrix phases included, is a
+        :class:`~repro.fpga.pattern.SteadyLoop`, declared by its body
+        alone."""
         root = Path(pattern.__file__).resolve().parents[1]
         shared = {"fpga/pattern.py", "fpga/memory.py"}
         found = []
         for path in sorted(root.rglob("*.py")):
             rel = path.relative_to(root).as_posix()
             tree = ast.parse(path.read_text())
-            streams = {id(arg) for node in ast.walk(tree)
-                       if isinstance(node, ast.Call)
-                       and getattr(node.func, "id", None) == "_Stream"
-                       for arg in node.args}
             for node in ast.walk(tree):
                 callee = getattr(node, "func", None)
                 if (isinstance(node, ast.Call)
@@ -359,15 +356,14 @@ class TestBlocksAreVectorised:
                                                 getattr(callee, "attr", None))
                         and any(kw.arg == "block" for kw in node.keywords)):
                     found.append(rel)
-                    assert rel in shared or (
-                        rel == "blas/level2.py" and id(node) in streams), (
+                    assert rel in shared, (
                         f"{rel}:{node.lineno} passes block= to "
                         f"StaticPattern; declare the kernel with "
                         f"repro.fpga.pattern.steady_kernel instead")
-        assert {"fpga/memory.py", "blas/level2.py"} <= set(found)
+        assert "fpga/memory.py" in found
 
     def test_matrix_blocks_build_no_index_or_staging_array(self):
-        """The tiled matrix phases cut their window into views
+        """The tiled matrix phases' bodies cut their window into views
         (``level2._pieces``); nothing in them enumerates bursts
         (``arange``), gathers or repeats an operand, or stages the
         window on a padded grid (``full`` / ``concatenate``)."""
@@ -376,7 +372,7 @@ class TestBlocksAreVectorised:
         tree = ast.parse(inspect.getsource(level2))
         blocks = [node for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef)
-                  and node.name == "matrix_block"]
+                  and node.name == "matrix_body"]
         assert len(blocks) == 3
         for fn in blocks:
             used = {node.func.attr for node in ast.walk(fn)

@@ -104,6 +104,54 @@ class TestConfigurationIsTyped:
                       incy=np.int32(2)) == np.float32(0 + 4 + 16 + 36)
 
 
+class TestScalarsAreTyped:
+    """Scalar coefficients are real numbers: ``None`` does not turn into
+    a NaN result, and a string, a complex, a bool or an array is refused
+    with a typed error naming the argument, not a bare ``ValueError``
+    from ``dtype(...)`` or a broadcast.  A malformed ROTM ``param`` is a
+    :class:`HostValueError`."""
+
+    @pytest.mark.parametrize("call,error,name", [
+        (lambda fb, x, y, a: fb.scal(None, x), HostArgumentError, "alpha"),
+        (lambda fb, x, y, a: fb.scal(1j, x), HostArgumentError, "alpha"),
+        (lambda fb, x, y, a: fb.scal(True, x), HostArgumentError, "alpha"),
+        (lambda fb, x, y, a: fb.scal(np.ones(3), x), HostArgumentError,
+         "alpha"),
+        (lambda fb, x, y, a: fb.gemv(None, a, x, 1.0, y), HostArgumentError,
+         "alpha"),
+        (lambda fb, x, y, a: fb.axpy("a", x, y), HostArgumentError, "alpha"),
+        (lambda fb, x, y, a: fb.gemv(1.0, a, x, "b", y), HostArgumentError,
+         "beta"),
+        (lambda fb, x, y, a: fb.rot(x, y, "c", 0.5), HostArgumentError, "c"),
+        (lambda fb, x, y, a: fb.sdsdot("s", x, y), HostArgumentError, "sb"),
+        (lambda fb, x, y, a: fb.ger([1, 2], x, y, a), HostArgumentError,
+         "alpha"),
+        (lambda fb, x, y, a: fb.rotm(x, y, [1.0]), HostValueError,
+         "param"),
+        (lambda fb, x, y, a: fb.rotm(x, y, [3.0, 1, 1, 1, 1]),
+         HostValueError, "param"),
+    ], ids=["scal-None", "scal-complex", "scal-bool", "scal-array",
+            "gemv-alpha-None", "axpy-str", "gemv-beta-str", "rot-str",
+            "sdsdot-str", "ger-list", "rotm-short", "rotm-flag"])
+    def test_refused_with_its_name(self, call, error, name):
+        fb = Fblas(width=4)
+        x, y = (fb.copy_to_device(f32(np.arange(8))) for _ in range(2))
+        a = fb.copy_to_device(f32(np.ones((8, 8))))
+        before = [b.data.copy() for b in (x, y, a)]
+        with pytest.raises(error, match=f"^{name}"):
+            call(fb, x, y, a)
+        assert all(np.array_equal(b.data, d)
+                   for b, d in zip((x, y, a), before))
+
+    def test_real_numbers_pass(self):
+        fb = Fblas(width=4)
+        x = fb.copy_to_device(f32(np.arange(8)))
+        for alpha in (2, 2.0, np.float32(2), np.float64(2), np.int64(2)):
+            fb.scal(alpha, x)
+        assert np.array_equal(x.data, f32(np.arange(8) * 32))
+        fb.rotm(x, x, np.array([-2.0, 0, 0, 0, 0]))
+
+
 class TestHostOperands:
     """A raw ndarray where a device buffer belongs is the first mistake
     a new user makes; it must raise a typed error naming the argument,

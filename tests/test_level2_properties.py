@@ -121,14 +121,15 @@ class TestGerConformance:
 
 
 # ---------------------------------------------------------------------------
-# The matrix phase's block() against its scalar loop, split anywhere
+# The matrix phase's block() against its stepped loop, split anywhere
 # ---------------------------------------------------------------------------
 #
-# A window hands ``matrix_block`` any ``k`` bursts from any position: the
+# A window hands ``matrix_body`` any ``k`` bursts from any position: the
 # rest of a row, whole rows, a partial last row (for GEMV^T also whole
-# tiles and a tile-column boundary).  Whatever the split, the cursor and
-# every accumulator / output byte must equal the scalar ``matrix_run``
-# stepped over the same bursts, and the unsplit ``block(total)``.
+# tiles and a tile-column boundary).  Whatever the split, the loop's
+# position, the cursor and every accumulator / output byte must equal
+# the stepped loop (one burst per body call) over the same bursts, and
+# the unsplit ``block(total)``.
 #
 # "Byte" has one exception, which predates the broadcast views: IEEE 754
 # leaves the sign and payload of a NaN *result* open, x86 takes them from
@@ -180,7 +181,7 @@ class _Module:
         self.dtype = dtype
         self.out = []               # every value pushed, in order
         self.bursts = 0             # matrix-phase iterations so far
-        self.cursor = None
+        self.matrix = self.cursor = None
 
     def _take(self, ch, count):
         lo = self.at[ch]
@@ -196,7 +197,7 @@ class _Module:
                 and phase.reads[0][0] is self.ch["a"])
 
     def step(self):
-        """One scalar iteration (up to and including its ``Clock``)."""
+        """One stepped iteration (up to and including its ``Clock``)."""
         matrix = self.in_matrix(self.phase())
         op = self.body.send(None)
         while not isinstance(op, Clock):
@@ -209,10 +210,11 @@ class _Module:
         self.bursts += matrix
 
     def find_cursor(self, phase):
-        """The matrix phase's cursor: the one the module's scalar loop
-        and ``matrix_block`` both close over."""
+        """The matrix phase's loop and the cursor its ``matrix_body``
+        closes over."""
+        self.matrix = phase
         self.cursor = next(
-            cell.cell_contents for cell in phase._block.__closure__
+            cell.cell_contents for cell in phase.body.__closure__
             if isinstance(cell.cell_contents, level2._TileCursor))
 
     def block(self, k):
@@ -228,8 +230,8 @@ class _Module:
         return arr.tobytes()
 
     def snapshot(self):
-        """Cursor position and accumulators, byte for byte."""
-        fields = []
+        """Loop position, cursor and accumulators, byte for byte."""
+        fields = [self.matrix.done]
         for slot in level2._TileCursor.__slots__:
             val = getattr(self.cursor, slot, None)
             fields.append(val if val is None or isinstance(val, int)
@@ -243,7 +245,7 @@ class _Module:
 def _run_split(make, chooser):
     """Run one module to the end.  At every matrix-phase boundary
     ``chooser(ready, bursts)`` picks ``k``: ``k > 0`` replays ``k``
-    bursts with ``block``, ``0`` steps one scalar iteration.  Returns
+    bursts with ``block``, ``0`` steps one iteration.  Returns
     ``{bursts: snapshot}`` for every boundary visited, and the output
     bytes."""
     mod = make()
@@ -283,17 +285,17 @@ def _maker(name, n, m, tn, tm, w, dtype, seed, special):
 
 def _check_partition(make, cuts):
     """``cuts``: the sizes to try, in order (cycled; clipped to what is
-    left of the phase); 0 means one scalar step."""
-    scalar_snaps, scalar_out = _run_split(make, lambda ready, at: 0)
+    left of the phase); 0 means one stepped iteration."""
+    stepped_snaps, stepped_out = _run_split(make, lambda ready, at: 0)
     whole_snaps, whole_out = _run_split(make, lambda ready, at: ready)
-    sizes = iter(cuts * (max(scalar_snaps) + 1))
+    sizes = iter(cuts * (max(stepped_snaps) + 1))
     split_snaps, split_out = _run_split(
         make, lambda ready, at: min(next(sizes), ready))
-    assert whole_out == scalar_out
-    assert split_out == scalar_out
+    assert whole_out == stepped_out
+    assert split_out == stepped_out
     for snaps in (whole_snaps, split_snaps):
         for at, snap in snaps.items():
-            assert snap == scalar_snaps[at], at
+            assert snap == stepped_snaps[at], at
     return split_snaps
 
 
@@ -332,9 +334,9 @@ class TestMatrixBlockEqualsScalarLoop:
 
     @pytest.mark.parametrize("name", MODULES)
     def test_signed_zero_rows_keep_their_sign(self, name):
-        """All-(-0.0) products: a fresh row starts from the scalar
-        loop's +0.0, so its sum is +0.0 — and -0.0 only where the
-        scalar loop says so — whichever way the window is cut."""
+        """All-(-0.0) products: a fresh row starts from the listing's
+        +0.0, so its sum is +0.0 — and -0.0 only where the stepped
+        loop says so — whichever way the window is cut."""
         def make():
             mod = _maker(name, 2, 8, 2, 4, 2, np.float32, 0, 0.0)()
             for ch, data in mod.feed.items():

@@ -53,6 +53,24 @@ class TestLevel1:
     def test_iamax_ties_take_first(self):
         assert ref.iamax(np.array([1.0, -3.0, 3.0])) == 1
 
+    @pytest.mark.parametrize("nans,nine,want", [
+        ((100,), 300, 300), ((0,), None, 1), ((0,), 300, 300),
+        (range(512), None, 0)])
+    def test_iamax_on_nan_agrees_with_every_tier(self, nans, nine, want):
+        """A NaN never wins the listing's strictly-greater scan: the
+        first index of the largest non-NaN magnitude, 0 when all are
+        NaN — what the event and the certified tier return."""
+        from repro.host import Fblas
+        x = np.ones(512, np.float32)
+        x[list(nans)] = np.nan
+        if nine is not None:
+            x[nine] = 9.0
+        got = {ref.iamax(x)}
+        for mode in ("event", "certified"):
+            fb = Fblas(width=4, engine_mode=mode)
+            got.add(fb.iamax(fb.copy_to_device(x.copy())))
+        assert got == {want}
+
     def test_iamax_empty(self):
         with pytest.raises(ValueError):
             ref.iamax(np.array([]))
