@@ -105,6 +105,13 @@ class StaticSchedule:
 
     ``plan_key`` names the structure the certificate was compiled from
     (and is cached under); run records copy it from here.
+
+    ``scripts`` is not part of the certificate's value (not a field, not
+    compared, not in :meth:`to_dict`): it maps the kernels' timing
+    signatures to the superstep script the first complete run of that
+    design recorded, so warm runs replay it instead of planning
+    (:mod:`repro.fpga.bulk`, "Recorded scripts").  Living here, it is
+    evicted with its certificate.
     """
 
     subject: str
@@ -115,6 +122,9 @@ class StaticSchedule:
     predicted_cycles: Tuple[int, int] = (0, 0)
     plan_key: str = ""
     schema: str = SCHEDULE_SCHEMA
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scripts", {})
 
     def to_dict(self) -> dict:
         d = asdict(self)

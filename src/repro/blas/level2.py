@@ -303,7 +303,9 @@ def gemv_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
         # ports and reordering window visible to analysis only.
         pat = StaticPattern.declare(**union)
     else:
-        pat = StaticPattern.phased(seq.current, dtype=dtype, **union)
+        pat = StaticPattern.phased(
+            seq.current, dtype=dtype,
+            timing=("gemv_row_tiles", tile_n, tile_m), **union)
     return seq.start(program(), pat)
 
 
@@ -569,7 +571,9 @@ def gemv_transposed_row_tiles(n, m, alpha, beta, ch_a, ch_x, ch_y, ch_out,
     if tile_m % width:
         pat = StaticPattern.declare(**union)
     else:
-        pat = StaticPattern.phased(seq.current, dtype=dtype, **union)
+        pat = StaticPattern.phased(
+            seq.current, dtype=dtype,
+            timing=("gemv_transposed_row_tiles", tile_n, tile_m), **union)
     return seq.start(program(), pat)
 
 
@@ -636,7 +640,9 @@ def ger_kernel(n, m, alpha, ch_a, ch_x, ch_y, ch_out,
     if tile_m % width:
         pat = StaticPattern.declare(**union)
     else:
-        pat = StaticPattern.phased(seq.current, dtype=dtype, **union)
+        pat = StaticPattern.phased(
+            seq.current, dtype=dtype,
+            timing=("ger_kernel", tile_n, tile_m), **union)
     return seq.start(program(), pat)
 
 

@@ -61,6 +61,33 @@ Observers with ``on_window`` (:mod:`repro.fpga.observers`) get one
 record per stretch of constant state (a superstep, split where a kernel
 leaves); an observer without the hook makes the engine step the whole
 run.
+
+Recorded scripts
+----------------
+A certified design has ii = 1 patterns, full grants and no
+data-dependent control, so the sequence of decisions above — step this
+cycle, or run this superstep — is the same on every run of the design
+(Chi et al.: timing is separate from function, so work it out once).
+The first complete run records it: one entry per :meth:`_run_cycle`,
+the cycle ``now`` for a stepped one or ``(now, K, order, ports)`` for a
+superstep, kernels and channels by index, with the peak occupancy the
+walk found.  The script is stored in the certificate
+(:attr:`StaticSchedule.scripts`, so the schedule cache's LRU bound
+covers it) under the kernels' timing signatures
+(:mod:`repro.fpga.pattern`, "Timing signature"), because the
+``plan_key`` does not determine the cycles.  A later run of the same
+design takes the next entry at each cycle: a step is the event core's
+``_run_cycle``, a superstep is rebuilt on the live kernels and channels
+and handed to the same :meth:`_execute_window`, so nothing is surveyed,
+planned or walked.  A recorded ``now`` that is not the run's raises
+:class:`SimulationError`; a replay never falls back to planning.
+Only a run that can be repeated exactly records or replays: one from
+cycle 0 on empty channels, at the default ``max_cycles``, with a
+schedule cache, no observer, no fault plan and every kernel's timing
+declared; and a script stays bounded (:data:`~WindowScheduler.MAX_SCRIPTS`
+per certificate, :data:`~WindowScheduler.MAX_SCRIPT_ENTRIES` entries
+each; a longer run is marked and plans).  Everything else plans, as
+above.
 """
 
 from __future__ import annotations
@@ -224,18 +251,111 @@ class WindowScheduler(WakeListScheduler):
 
     #: Smallest superstep worth replaying arithmetically.
     MIN_WINDOW = 4
+    #: Scripts one certificate keeps (one per timing signature), and the
+    #: most entries a script may hold: a run that steps more gains little
+    #: from replay, and its certificate should stay small.
+    MAX_SCRIPTS = 8
+    MAX_SCRIPT_ENTRIES = 4096
+
+    #: The script a run replays and the entries it records (``None``:
+    #: plan, and record nothing); see "Recorded scripts" above.
+    _script = _record = None
+
+    def run_scripted(self, scripts):
+        """:meth:`run`, replaying the superstep script ``scripts`` holds
+        for this design or recording one into it.  The engine calls this
+        for runs without observers, fault plan or explicit
+        ``max_cycles``; one that does not start at cycle 0 on empty
+        channels, or has a kernel without a timing signature, plans."""
+        fresh = not self.engine.now
+        for ch in self.channels:
+            if ch._fifo or ch._nstaged:
+                fresh = False
+        key = tuple([k.pattern.timing for k in self.kernels])
+        if not fresh or None in key:
+            return self.run()
+        script = scripts.get(key)
+        if script is None:
+            if len(scripts) >= self.MAX_SCRIPTS:
+                return self.run()
+            record = self._record = []
+            report = self.run()
+            scripts.setdefault(key, tuple(record) if len(record)
+                               <= self.MAX_SCRIPT_ENTRIES else ())
+            return report
+        if not script:                  # () marks a design too long to keep
+            return self.run()
+        self._script, self._at = script, 0
+        report = self.run()
+        if self._at != len(script):
+            raise SimulationError(
+                f"the run ended at cycle {self.now} with "
+                f"{len(script) - self._at} recorded script entries left")
+        return report
 
     def _run_cycle(self) -> None:
+        t = self.now
+        if self._script is not None:
+            return self._replay(t)
         entries = self._survey()
         plan = self._window_plan(entries) if entries else None
+        record = self._record
         if plan is None:
+            if record is not None:
+                record.append(t)
             return super()._run_cycle()
         # The records describe the state the superstep starts from.
         records = self._describe_window(*plan) if self._observers else ()
         self._execute_window(*plan)
+        if record is not None:
+            record.append(self._script_entry(t, *plan))
         for start, cycles, window in records:
             for o in self._observers:
                 o.on_window(start, cycles, window)
+
+    def _script_entry(self, t, K, order, ports):
+        """The superstep just executed from cycle ``t``, as plain ints:
+        ``(t, K, order, ports)`` with the order as ``(kernel index,
+        iterations, leaves)`` and per channel ``(channel index, producer
+        index, consumer index, lanes, latency, pushes, pops, peak)``
+        (``None`` for an endpoint outside)."""
+        cidx = {ch: i for i, ch in enumerate(self.channels)}
+        return (t, K,
+                tuple([(k.index, n, leaves) for k, _p, n, leaves in order]),
+                tuple([(cidx[ch], None if pk is None else pk.index,
+                        None if ck is None else ck.index, w, eff, n_p, n_c,
+                        peak)
+                       for ch, (pk, ck, w, eff, n_p, n_c, _offs, peak)
+                       in ports.items()]))
+
+    def _replay(self, t) -> None:
+        """Take the recorded decision for cycle ``t``: step it (an entry
+        that is just the cycle), or rebuild the recorded superstep on the
+        live kernels and channels and execute it."""
+        try:
+            entry = self._script[self._at]
+        except IndexError:
+            raise SimulationError(
+                f"the recorded superstep script ended before cycle {t}"
+            ) from None
+        self._at += 1
+        window = entry.__class__ is not int
+        t0 = entry[0] if window else entry
+        if t0 != t:
+            raise SimulationError(
+                f"the recorded superstep script is at cycle {t0}, the run "
+                f"at cycle {t}")
+        if not window:
+            return super()._run_cycle()
+        _t, K, order, ports = entry
+        kernels, channels = self.kernels, self.channels
+        self._execute_window(K, [
+            (kernels[i], kernels[i].pattern.phase(), n, leaves)
+            for i, n, leaves in order], {
+            channels[c]: [None if pk is None else kernels[pk],
+                          None if ck is None else kernels[ck],
+                          w, eff, n_p, n_c, None, peak]
+            for c, pk, ck, w, eff, n_p, n_c, peak in ports})
 
     def _survey(self):
         """``[(kernel, phase, ready iterations)]`` for the kernels queued

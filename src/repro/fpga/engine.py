@@ -303,7 +303,9 @@ class Engine:
         Optional mutable mapping reused across ``"certified"`` and
         ``"bulk"`` runs: structurally identical compositions share one
         certification verdict — certificate or refusal (see
-        :func:`repro.analysis.schedule.lookup_certified`).
+        :func:`repro.analysis.schedule.lookup_certified`) — and a
+        certificate keeps the superstep scripts its designs' runs
+        recorded (:mod:`repro.fpga.bulk`, "Recorded scripts").
     observers:
         Iterable of :class:`~repro.fpga.observers.EngineObserver`
         instances notified of run/cycle/kernel/channel events.
@@ -513,6 +515,8 @@ class Engine:
             # Imported lazily: repro.analysis depends on this module.
             from ..analysis import analyze_engine
             analyze_engine(self).raise_if_errors()
+        # A recorded superstep script assumes the default cycle budget.
+        scripted = max_cycles is None and self._schedule_cache is not None
         if max_cycles is None:
             max_cycles = self.cycle_budget()
         self._watch_window = (self.livelock_budget()
@@ -536,7 +540,10 @@ class Engine:
             self._bulk_windows = self._bulk_cycles = self._bulk_stepped = 0
             self._bulk_fallback = self._window_tier()
             if self._bulk_fallback is None:
-                return WindowScheduler(self, max_cycles).run()
+                sched = WindowScheduler(self, max_cycles)
+                if scripted and injector is None and not self._observers:
+                    return sched.run_scripted(self.schedule.scripts)
+                return sched.run()
             return WakeListScheduler(self, max_cycles).run()
         finally:
             if injector is not None:

@@ -493,7 +493,8 @@ def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
         dram=(traffic,), write_totals=(n * repeat,),
         ends=lambda: (st.pass_no == repeat - 1 and not st.partial
                       and (n - st.pos) % width == 0
-                      and (idx is None or st.pos % width == 0)))
+                      and (idx is None or st.pos % width == 0)),
+        timing=("read", repeat, idx is None))
     return PatternedGenerator(gen(), pat)
 
 
@@ -564,5 +565,6 @@ def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
     pat = StaticPattern(
         reads=((ch, width),), ii=1, ready=ready, block=block,
         dram=(traffic,), read_totals=(count,),
-        ends=lambda: not pending and (count - st.received) % width == 0)
+        ends=lambda: not pending and (count - st.received) % width == 0,
+        timing=("write", idx is None))
     return PatternedGenerator(gen(), pat)

@@ -93,6 +93,21 @@ iteration, exactly when the event core's resume would have.  A kernel
 without ``ends`` (a reduction with its result push still to come, a
 phased module whose next phase is not yet known) keeps its last
 iteration as a window edge.
+
+Timing signature
+----------------
+A certified design's supersteps do not depend on the values it
+carries, but they are not a function of its ``plan_key`` alone: the key
+holds ports, lanes and totals, not *where* a kernel's bursts stop.  A
+source of 63 elements replayed 16 times and one of 1 008 elements have
+the same key and run 258 vs 254 cycles.  So each executable pattern
+declares ``timing``, a small hashable value naming what else decides
+its ``ready()``: a :class:`SteadyLoop` its ``segment``, a tiled
+Level-2 module its name and tile geometry, the DRAM interface kernels
+their ``repeat`` and whether their order is the identity.  The window
+scheduler keys a recorded superstep script on the certificate plus the
+kernels' signatures (:mod:`repro.fpga.bulk`, "Recorded scripts"); a
+pattern that declares none is planned every run.
 """
 
 from __future__ import annotations
@@ -178,11 +193,17 @@ class StaticPattern:
         Optional zero-argument callable: true when the generator returns
         right after the current ``ready()`` iterations (see "Ending" in
         the module docstring).
+    timing:
+        Hashable *timing signature*: what, besides the design's
+        ``plan_key``, decides when the kernel's iterations are ready —
+        see "Timing signature" in the module docstring.  ``None`` (the
+        default) declares none, and a run containing such a kernel
+        plans every window afresh.
     """
 
     __slots__ = ("reads", "writes", "ii", "dtype", "dram",
                  "read_totals", "write_totals", "defer", "executable",
-                 "_ready", "_block", "_phase", "_ends")
+                 "timing", "_ready", "_block", "_phase", "_ends")
 
     def __init__(self, reads: Sequence[Tuple] = (),
                  writes: Sequence[Tuple] = (), ii: int = 1,
@@ -191,7 +212,8 @@ class StaticPattern:
                  dram: Sequence[DramTraffic] = (),
                  read_totals: Optional[Sequence[Optional[int]]] = None,
                  write_totals: Optional[Sequence[Optional[int]]] = None,
-                 defer: int = 0, ends: Optional[Callable[[], bool]] = None):
+                 defer: int = 0, ends: Optional[Callable[[], bool]] = None,
+                 timing=None):
         self.reads = tuple(reads)
         self.writes = tuple(writes)
         self.ii = ii
@@ -208,6 +230,7 @@ class StaticPattern:
         self.defer = defer
         #: False for a declare-only pattern (no ``ready=``/``block=``).
         self.executable = ready is not None
+        self.timing = timing
         self._ready = ready
         self._block = block
         self._phase = None
@@ -310,6 +333,7 @@ class SteadyLoop(StaticPattern):
         self.body = body
         self.width = width
         self.segment = segment if segment and segment % width else None
+        self.timing = ("steady", self.segment)
         self.result = result
         self.on_end = on_end
         self.total = count

@@ -130,9 +130,17 @@ class TestScalarsAreTyped:
          "param"),
         (lambda fb, x, y, a: fb.rotm(x, y, [3.0, 1, 1, 1, 1]),
          HostValueError, "param"),
+        (lambda fb, x, y, a: fb.rotg(None, 1.0), HostArgumentError, "a"),
+        (lambda fb, x, y, a: fb.rotg(True, 1.0), HostArgumentError, "a"),
+        (lambda fb, x, y, a: fb.rotg("a", 1.0), HostArgumentError, "a"),
+        (lambda fb, x, y, a: fb.rotg(1j, 1.0), HostArgumentError, "a"),
+        (lambda fb, x, y, a: fb.rotmg(1.0, 1.0, "x", 1.0),
+         HostArgumentError, "x1"),
     ], ids=["scal-None", "scal-complex", "scal-bool", "scal-array",
             "gemv-alpha-None", "axpy-str", "gemv-beta-str", "rot-str",
-            "sdsdot-str", "ger-list", "rotm-short", "rotm-flag"])
+            "sdsdot-str", "ger-list", "rotm-short", "rotm-flag",
+            "rotg-None", "rotg-bool", "rotg-str", "rotg-complex",
+            "rotmg-str"])
     def test_refused_with_its_name(self, call, error, name):
         fb = Fblas(width=4)
         x, y = (fb.copy_to_device(f32(np.arange(8))) for _ in range(2))
@@ -150,6 +158,10 @@ class TestScalarsAreTyped:
             fb.scal(alpha, x)
         assert np.array_equal(x.data, f32(np.arange(8) * 32))
         fb.rotm(x, x, np.array([-2.0, 0, 0, 0, 0]))
+        assert fb.rotg(3, np.float32(4)) == fb.rotg(3.0, 4.0)
+        assert all(np.array_equal(p, q) for p, q in zip(
+            fb.rotmg(np.int64(1), 1, 2.0, np.float64(1)),
+            fb.rotmg(1.0, 1.0, 2.0, 1.0)))
 
 
 class TestHostOperands:
