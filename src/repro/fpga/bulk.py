@@ -69,25 +69,30 @@ data-dependent control, so the sequence of decisions above — step this
 cycle, or run this superstep — is the same on every run of the design
 (Chi et al.: timing is separate from function, so work it out once).
 The first complete run records it: one entry per :meth:`_run_cycle`,
-the cycle ``now`` for a stepped one or ``(now, K, order, ports)`` for a
-superstep, kernels and channels by index, with the peak occupancy the
-walk found.  The script is stored in the certificate
+the cycle ``now`` for a stepped one or ``(now, K, order, peaks)`` for a
+superstep — kernels by index (the ``plan_key`` fixes their registration
+order), channels by name (it sorts them, so creation order is not
+fixed) with the peak occupancy the walk found.  The script is stored in
+the certificate
 (:attr:`StaticSchedule.scripts`, so the schedule cache's LRU bound
 covers it) under the kernels' timing signatures
 (:mod:`repro.fpga.pattern`, "Timing signature"), because the
 ``plan_key`` does not determine the cycles.  A later run of the same
 design takes the next entry at each cycle: a step is the event core's
-``_run_cycle``, a superstep is rebuilt on the live kernels and channels
-and handed to the same :meth:`_execute_window`, so nothing is surveyed,
-planned or walked.  A recorded ``now`` that is not the run's raises
+``_run_cycle``; for a superstep the channel rows are rebuilt from the
+live kernels' phases (as the planner builds them) and handed with the
+recorded peaks to the same :meth:`_execute_window`, so nothing is
+surveyed, planned or walked.  A recorded ``now`` that is not the run's,
+a kernel not queued or without the iterations it is to run, or a
+channel set that is not the one the kernels touch raises
 :class:`SimulationError`; a replay never falls back to planning.
 Only a run that can be repeated exactly records or replays: one from
 cycle 0 on empty channels, at the default ``max_cycles``, with a
 schedule cache, no observer, no fault plan and every kernel's timing
 declared; and a script stays bounded (:data:`~WindowScheduler.MAX_SCRIPTS`
 per certificate, :data:`~WindowScheduler.MAX_SCRIPT_ENTRIES` entries
-each; a longer run is marked and plans).  Everything else plans, as
-above.
+each, memory guards that no benchmark workload comes near; a longer
+run is marked and plans).  Everything else plans, as above.
 """
 
 from __future__ import annotations
@@ -220,6 +225,30 @@ def _samples(depth, occ, w, eff, n_p, n_c, K, offs, series):
     return (runs, peak) if series else peak
 
 
+def _ports(entries, K):
+    """Per channel the ``[producer, consumer, lanes, latency, pushes,
+    pops, offs, peak]`` row of a ``K``-cycle superstep over ``(kernel,
+    phase, iterations, ...)`` entries (``None`` / 0 for an endpoint
+    outside; ``offs`` and ``peak`` left for the walk)."""
+    # The certificate (FB400) proves every channel has one producer,
+    # one consumer and the same lanes on both sides.
+    ports = {}
+    for k, p, n, *_leaves in entries:
+        n = n if n < K else K
+        for ch, w in p.reads:
+            if ch in ports:
+                ports[ch][1], ports[ch][5] = k, n
+            else:
+                ports[ch] = [None, k, w, 1, 0, n, None, None]
+        for ch, w, lat in p.writes:
+            eff = lat if lat is not None else k.latency
+            if ch in ports:
+                ports[ch][0], ports[ch][3], ports[ch][4] = k, eff, n
+            else:
+                ports[ch] = [k, None, w, eff, n, 0, None, None]
+    return ports
+
+
 def _emit(runs, occupancy, cycles):
     """Append ``cycles`` samples of ``occupancy`` to a run-length list."""
     if runs and runs[-1][0] == occupancy:
@@ -252,8 +281,9 @@ class WindowScheduler(WakeListScheduler):
     #: Smallest superstep worth replaying arithmetically.
     MIN_WINDOW = 4
     #: Scripts one certificate keeps (one per timing signature), and the
-    #: most entries a script may hold: a run that steps more gains little
-    #: from replay, and its certificate should stay small.
+    #: most entries a script may hold: memory guards, not tuning.  The
+    #: benchmark workloads keep one script per certificate and at most
+    #: 22 entries; the tiled GEMV / GEMV^T collision keeps four.
     MAX_SCRIPTS = 8
     MAX_SCRIPT_ENTRIES = 4096
 
@@ -313,25 +343,23 @@ class WindowScheduler(WakeListScheduler):
             for o in self._observers:
                 o.on_window(start, cycles, window)
 
-    def _script_entry(self, t, K, order, ports):
-        """The superstep just executed from cycle ``t``, as plain ints:
-        ``(t, K, order, ports)`` with the order as ``(kernel index,
-        iterations, leaves)`` and per channel ``(channel index, producer
-        index, consumer index, lanes, latency, pushes, pops, peak)``
-        (``None`` for an endpoint outside)."""
-        cidx = {ch: i for i, ch in enumerate(self.channels)}
+    @staticmethod
+    def _script_entry(t, K, order, ports):
+        """The superstep just executed from cycle ``t``, as plain values:
+        ``(t, K, order, peaks)`` with the order as ``(kernel index,
+        iterations, leaves)`` and per channel ``(channel name, walked
+        peak)``.  The ``plan_key`` fixes the kernels' registration order
+        and the channels' names, not the order they were created in."""
         return (t, K,
                 tuple([(k.index, n, leaves) for k, _p, n, leaves in order]),
-                tuple([(cidx[ch], None if pk is None else pk.index,
-                        None if ck is None else ck.index, w, eff, n_p, n_c,
-                        peak)
-                       for ch, (pk, ck, w, eff, n_p, n_c, _offs, peak)
-                       in ports.items()]))
+                tuple([(ch.name, port[7]) for ch, port in ports.items()]))
 
     def _replay(self, t) -> None:
         """Take the recorded decision for cycle ``t``: step it (an entry
         that is just the cycle), or rebuild the recorded superstep on the
-        live kernels and channels and execute it."""
+        live kernels and channels and execute it.  The rows come from the
+        live phases, only the peaks from the script; a superstep the live
+        state does not sustain raises."""
         try:
             entry = self._script[self._at]
         except IndexError:
@@ -347,15 +375,31 @@ class WindowScheduler(WakeListScheduler):
                 f"at cycle {t}")
         if not window:
             return super()._run_cycle()
-        _t, K, order, ports = entry
-        kernels, channels = self.kernels, self.channels
-        self._execute_window(K, [
-            (kernels[i], kernels[i].pattern.phase(), n, leaves)
-            for i, n, leaves in order], {
-            channels[c]: [None if pk is None else kernels[pk],
-                          None if ck is None else kernels[ck],
-                          w, eff, n_p, n_c, None, peak]
-            for c, pk, ck, w, eff, n_p, n_c, peak in ports})
+        _t, K, steps, peaks = entry
+        kernels, cur = self.kernels, self._current
+        order = []
+        for i, n, leaves in steps:
+            k = kernels[i]
+            p = k.pattern.phase() if k in cur else None
+            if (p is None or p.ready() < n
+                    or leaves and (p.ready() != n or not p.ends())):
+                raise SimulationError(
+                    f"the recorded superstep at cycle {t} runs kernel "
+                    f"{k.name!r} {n} iterations it cannot run")
+            order.append((k, p, n, leaves))
+        live, ports = _ports(order, K), {}
+        chans = self.engine.channels
+        for name, peak in peaks:
+            ch = chans[name] if name in chans else None
+            if ch not in live:
+                break
+            live[ch][7] = peak
+            ports[ch] = live[ch]
+        if len(order) != len(cur) or len(ports) != len(live):
+            raise SimulationError(
+                f"the recorded superstep at cycle {t} does not match the "
+                f"kernels and channels queued then")
+        self._execute_window(K, order, ports)
 
     def _survey(self):
         """``[(kernel, phase, ready iterations)]`` for the kernels queued
@@ -424,22 +468,7 @@ class WindowScheduler(WakeListScheduler):
             ends.add(low[0])
         if K < self.MIN_WINDOW:
             return None
-        # The certificate (FB400) proves every channel has one producer,
-        # one consumer and the same lanes on both sides.
-        ports = {}
-        for k, p, n in entries:
-            n = min(n, K)
-            for ch, w in p.reads:
-                if ch in ports:
-                    ports[ch][1], ports[ch][5] = k, n
-                else:
-                    ports[ch] = [None, k, w, 1, 0, n, None, None]
-            for ch, w, lat in p.writes:
-                eff = lat if lat is not None else k.latency
-                if ch in ports:
-                    ports[ch][0], ports[ch][3], ports[ch][4] = k, eff, n
-                else:
-                    ports[ch] = [k, None, w, eff, n, 0, None, None]
+        ports = _ports(entries, K)
         # Nothing may fire inside but the superstep's own maturations.
         for tev, _seq, tag, obj in self._heap:
             if tev >= t1 + K:

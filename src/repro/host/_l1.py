@@ -18,13 +18,6 @@ from ._validate import (device_operands, real_scalar, rotm_param,
                         strided_length, strided_pair)
 
 
-def _real_scalars(*named):
-    """:func:`real_scalar` over ``(name, value)`` pairs."""
-    for what, value in named:
-        if value.__class__ is not float:
-            real_scalar(what, value)
-
-
 def _strided(buf, inc, n):
     """The n elements of ``buf`` at stride ``inc``: a writable flat view."""
     return buf.data.reshape(-1)[::inc][:n]
@@ -185,14 +178,18 @@ class Level1Mixin:
 
     def rotg(self, a, b, dtype=np.float64):
         """Generate a Givens rotation; returns (r, z, c, s)."""
-        _real_scalars(("a", a), ("b", b))
+        real_scalar("a", a)
+        real_scalar("b", b)
         r = reference.rotg(a, b, dtype=dtype)
         self._record("rotg", "level1", dtype, 50, 6, 10, "model")
         return r
 
     def rotmg(self, d1, d2, x1, y1, dtype=np.float64):
         """Generate a modified Givens rotation."""
-        _real_scalars(("d1", d1), ("d2", d2), ("x1", x1), ("y1", y1))
+        real_scalar("d1", d1)
+        real_scalar("d2", d2)
+        real_scalar("x1", x1)
+        real_scalar("y1", y1)
         r = reference.rotmg(d1, d2, x1, y1, dtype=dtype)
         self._record("rotmg", "level1", dtype, 60, 12, 30, "model")
         return r

@@ -10,6 +10,9 @@ and later runs of the same design replay it (``fpga/bulk.py``,
 * the script's key is the certificate plus the kernels' timing
   signatures, not the ``plan_key`` alone: designs that share a
   ``plan_key`` and run different schedules each replay their own;
+  designs that differ only in the order their channels were created
+  share a script and replay it onto their own channels, and a recorded
+  superstep the live kernels and channels cannot run raises;
 * on every design the differential and wake-window suites draw, the
   recording run, the replaying run and a run that plans on a fresh
   cache agree byte for byte, and the fresh run records the same script;
@@ -133,6 +136,82 @@ def test_designs_sharing_a_plan_key_replay_their_own_script(name, reverse):
     with _planning_forbidden():
         warm = [run(cache) for run in designs]
     assert warm == cold
+
+
+def _streams(cache, created):
+    """Two independent source -> sink streams, ``a`` (depth 8, width 4)
+    and ``b`` (depth 32, width 2), their channels created in the order
+    ``created``; the kernels are always registered in one order."""
+    eng = Engine(mode="certified", schedule_cache=cache)
+    geometry = {"a": (8, 256, 4), "b": (32, 96, 2)}
+    chans = {n: eng.channel(n, geometry[n][0]) for n in created}
+    outs = {"a": [], "b": []}
+    for n in "ab":
+        _depth, size, w = geometry[n]
+        eng.add_kernel("src_" + n, source_kernel(
+            chans[n], np.arange(size, dtype=np.float32) + 7 * (n == "b"), w))
+    for n in "ab":
+        _depth, size, w = geometry[n]
+        eng.add_kernel("sink_" + n, sink_kernel(chans[n], size, w, outs[n]))
+    report = eng.run()
+    return (report.to_dict(), [np.asarray(outs[n]).tobytes() for n in "ab"],
+            eng.bulk_stats())
+
+
+@pytest.mark.parametrize("first", ("ab", "ba"))
+def test_channel_creation_order_does_not_move_a_replayed_superstep(first):
+    """The ``plan_key`` sorts the channels, so two designs that differ
+    only in the order their channels were created share a certificate
+    and a script; each must still replay onto its own channels."""
+    orders = (first, first[::-1])
+    planned = [_streams(PlanCache(), o) for o in orders]
+    # The streams differ, so a superstep put on the wrong FIFO shows.
+    assert (planned[0][0]["channels"]["a"]["max_occupancy"]
+            != planned[0][0]["channels"]["b"]["max_occupancy"])
+    cache = PlanCache()
+    cold = [_streams(cache, o) for o in orders]
+    assert len(cache) == 1 and len(_certificate(cache).scripts) == 1
+    with _planning_forbidden():
+        warm = [_streams(cache, o) for o in orders]
+    assert cold == planned
+    assert warm == planned
+
+
+def _tampered(edit):
+    """Record ``_streams``' script, apply ``edit`` to its one superstep
+    entry ``[t, K, order, peaks]`` and replay it."""
+    cache = PlanCache()
+    _streams(cache, "ab")
+    scripts = _certificate(cache).scripts
+    (key,) = scripts
+    (at,) = [i for i, e in enumerate(scripts[key]) if not isinstance(e, int)]
+    entry = list(scripts[key][at])
+    edit(entry)
+    scripts[key] = (*scripts[key][:at], tuple(entry),
+                    *scripts[key][at + 1:])
+    return _streams(cache, "ab")
+
+
+@pytest.mark.parametrize("edit", [
+    # A kernel runs more iterations than it has ready.
+    lambda e: e.__setitem__(2, ((e[2][0][0], e[2][0][1] + 1, e[2][0][2]),
+                                *e[2][1:])),
+    # Kernels said to leave before their last iteration.
+    lambda e: e.__setitem__(2, tuple((i, n - 1, lv) for i, n, lv in e[2])),
+    # A kernel queued then is left out.
+    lambda e: e.__setitem__(2, e[2][1:]),
+    # A channel the design does not have.
+    lambda e: e.__setitem__(3, (("z", 4), *e[3][1:])),
+    # A channel the kernels do not touch is missing.
+    lambda e: e.__setitem__(3, e[3][1:]),
+], ids=("iterations", "leaves-early", "kernel", "channel", "missing-channel"))
+def test_a_superstep_the_live_state_cannot_run_is_an_error(edit):
+    """A recorded superstep is checked against the live kernels and
+    channels before it runs; one that does not fit raises."""
+    from repro.fpga import SimulationError
+
+    with pytest.raises(SimulationError, match="recorded superstep at cycle"):
+        _tampered(edit)
 
 
 def test_a_script_that_does_not_fit_the_run_is_an_error():
