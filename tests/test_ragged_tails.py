@@ -36,12 +36,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.fpga import Engine
+from repro.fpga import DramModel, Engine
+from repro.fpga.memory import read_kernel, write_kernel
 from repro.fpga.util import (duplicate_kernel, forward_kernel, sink_kernel,
                              source_kernel)
 from repro.host import Fblas, FblasContext
 from repro.service.batch import run_batch
 from repro.service.jobs import RoutineJob
+from repro.streaming.tiling import row_tiles
 
 PINS = Path(__file__).parent / "data" / "ragged_tails.json"
 
@@ -78,6 +80,17 @@ MATRIX = {
 GEOMETRIES = ((12, 18, 4, 6), (10, 10, 3, 5), (16, 24, 4, 8),
               (12, 16, 2, 8))
 
+#: DRAM interface design -> its (elements, passes, width) on one bank,
+#: event tier only: a width-16 read -> write copy at 53 B/cycle (short
+#: read grants and a write carry); an ordered gather read (4 x 4 tiles
+#: of 8 x 8) at 14 B/cycle; a repeated read whose pass ``w`` does not
+#: divide; a repeated read, ``w`` dividing its pass, that another read
+#: on the bank grants short at first; a write fed 3 elements a cycle.
+#: The rates are for float32; float64 gets twice the bytes.
+INTERFACE = {"dram_copy": (1001, 1, 16), "gather_read": (64, 2, 4),
+             "repeat_read": (63, 16, 4), "contended_repeat": (64, 4, 4),
+             "narrow_write": (100, 1, 8)}
+
 
 def _sizes(w):
     return sorted({1, w - 1, 3 * w + 1, 1001} - {0})
@@ -88,10 +101,13 @@ CASES = [f"{kind}/n{n}/w{w}/{dt}/{mode}"
          for dt in DTYPES for mode in MODES] + [
     f"{kind}/{n}x{m}/w{w}/t{t}/{dt}/{mode}"
     for kind in MATRIX for n, m, w, t in GEOMETRIES
-    for dt in DTYPES for mode in MODES]
+    for dt in DTYPES for mode in MODES] + [
+    f"{kind}/n{n}x{passes}/w{w}/{dt}/event"
+    for kind, (n, passes, w) in INTERFACE.items() for dt in DTYPES]
 TIER1 = [c for c in CASES
          if c.split("/")[1:3] in (["n10", "w3"], ["n25", "w8"],
-                                  ["12x18", "w4"], ["16x24", "w4"])]
+                                  ["12x18", "w4"], ["16x24", "w4"])
+         or c.split("/")[0] in INTERFACE]
 
 
 def _digest(value):
@@ -147,6 +163,43 @@ def _matrix(kind, size, w, tile, dtype, mode, rng):
     return MATRIX[kind](fb, *bufs), [b.data for b in bufs]
 
 
+def _interface(kind, n, passes, w, dtype, rng):
+    """One DRAM interface design on a one-bank board: (what the sinks
+    received or the store holds, with the element counters; buffers)."""
+    rate = {"dram_copy": 53, "gather_read": 14, "contended_repeat": 20}
+    mem = DramModel(num_banks=1, bytes_per_cycle=rate.get(kind, 64)
+                    * np.dtype(dtype).itemsize // 4)
+    eng = Engine(memory=mem)
+    c, d = eng.channel("c", 2 * w), eng.channel("d", 4)
+    data = rng.standard_normal(n).astype(dtype)
+    src = mem.bind("src", data)
+    dst = mem.allocate("dst", n, dtype)
+    outs = ([], [])
+    if kind == "dram_copy":
+        eng.add_kernel("read", read_kernel(mem, src, c, w))
+        eng.add_kernel("write", write_kernel(mem, dst, c, n, w))
+    elif kind == "narrow_write":
+        eng.add_kernel("src", source_kernel(c, data, 3))
+        eng.add_kernel("write", write_kernel(mem, dst, c, n, w))
+    else:
+        if kind == "contended_repeat":
+            # Registered first, it takes 8 of the bank's 20 B for three
+            # cycles: the repeated read gets 3 elements, then full bursts.
+            other = mem.bind("other", data[:6])
+            eng.add_kernel("other", read_kernel(mem, other, d, 2))
+            eng.add_kernel("sink_d", sink_kernel(d, 6, 2, outs[1]))
+        order = row_tiles(8, 8, 4, 4).indices() if kind == "gather_read" \
+            else None
+        eng.add_kernel("read", read_kernel(mem, src, c, w, order=order,
+                                           repeat=passes))
+        eng.add_kernel("sink", sink_kernel(c, n * passes, w, outs[0]))
+    eng.run()
+    moved = [b.elements_read + b.elements_written
+             for b in mem.buffers.values()]
+    return ([np.asarray(o, dtype=dtype) for o in outs]
+            + [np.asarray(moved)]), [b.data for b in mem.buffers.values()]
+
+
 def run_case(case):
     """Drive one case on fresh state; return its SHA-256."""
     kind, size, w, *tile, dt, mode = case.split("/")
@@ -156,6 +209,9 @@ def run_case(case):
         if kind in MATRIX:
             result, buffers = _matrix(kind, size, w, *tile, dtype, mode,
                                       rng)
+        elif kind in INTERFACE:
+            n, passes = (int(v) for v in size[1:].split("x"))
+            result, buffers = _interface(kind, n, passes, w, dtype, rng)
         elif kind in ROUTINES:
             n = int(size[1:])
             operands, call = ROUTINES[kind]
