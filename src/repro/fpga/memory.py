@@ -28,7 +28,11 @@ The model stays deliberately simple and countable:
   operations* the paper's Sec. V analysis reasons about.
 
 Interface kernels (:func:`read_kernel`, :func:`write_kernel`) bridge DRAM
-and channels: they are the circles of the paper's MDAG figures.
+and channels: they are the circles of the paper's MDAG figures.  Each is
+one :class:`~repro.fpga.pattern.SteadyLoop` whose body is the buffer
+access, a slice or a gather / scatter through the order's index array:
+the same body moves a stepped burst, as much of it as the bank grants,
+and a replayed window of full bursts.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .errors import StreamOrderError, check_stream_geometry
-from .kernel import Clock, Pop, Push
-from .pattern import DramTraffic, PatternedGenerator, StaticPattern
+from .kernel import Clock, Pop
+from .pattern import DramTraffic, PatternedGenerator, SteadyLoop
 
 
 @dataclass(frozen=True)
@@ -409,32 +413,21 @@ def _index_array(order, buf: DramBuffer, count: Optional[int] = None):
     return idx.astype(np.intp, copy=False)
 
 
-class _Cursor:
-    """Shared state of an interface kernel: the generator and its
-    pattern's ``block`` advance the same fields."""
-
-    __slots__ = ("pos", "pass_no", "received", "partial")
-
-    def __init__(self):
-        self.pos = 0             # next stream position to push / store
-        self.pass_no = 0
-        self.received = 0        # elements popped so far (writes)
-        self.partial = False     # the last read burst was granted short
-
-
 def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
                 order: Optional[Iterable[int]] = None, repeat: int = 1):
     """Stream ``buf`` into ``ch``, ``width`` elements per cycle at most.
 
     ``order`` is an iterable of flat indices defining the streaming order
     (e.g. a tiled schedule from :mod:`repro.streaming.tiling`; default
-    linear); ``repeat`` replays it that many times (Sec. III-B).  Each
-    cycle pushes what the bank grants of the next burst, ``flat[pos:end]``
-    or ``flat[idx[pos:end]]``; a gather burst pays the stride penalty.
-    Every order carries a :class:`~repro.fpga.pattern.StaticPattern`
-    (``block(k)`` slices or gathers ``k`` full bursts); one whose aligned
-    bursts cross a stride break declares ``"gather"`` traffic.  Bad
-    geometry raises :class:`~repro.fpga.errors.StreamOrderError` here.
+    linear); ``repeat`` replays it that many times (Sec. III-B).  The
+    kernel is one :class:`~repro.fpga.pattern.SteadyLoop` over the
+    ``n * repeat`` elements, each pass a segment: its ``lanes`` hook
+    asks the bank for the next burst (a gather burst pays the stride
+    penalty) and its body pushes ``flat[lo:lo + m]`` or
+    ``flat[idx[lo:lo + m]]``, a stepped burst as granted or a replayed
+    window.  An order whose aligned bursts cross a stride break declares
+    ``"gather"`` traffic.  Bad geometry raises
+    :class:`~repro.fpga.errors.StreamOrderError` here.
     """
     check_stream_geometry("read_kernel", width, repeat=repeat)
     idx = _index_array(order, buf)
@@ -452,50 +445,37 @@ def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
         breaks = memoryview(br)
         if (br[width - 1::width] != br[:n - width + 1:width]).any():
             kind = "gather"
-    st = _Cursor()
 
-    def gen():
-        while st.pass_no < repeat:
-            while st.pos < n:
-                pos = st.pos
-                end = min(pos + width, n)
-                granted = mem.request_read(
-                    buf, (end - pos) * itemsize,
-                    contiguous=idx is None or breaks[end - 1] == breaks[pos]
-                ) // itemsize
-                st.partial = pos + granted < end
-                if granted > 0:
-                    buf.elements_read += granted
-                    yield Push(ch, tuple(
-                        flat[pos:pos + granted] if idx is None
-                        else flat[idx[pos:pos + granted]]), 1)
-                    st.pos = pos + granted
-                yield Clock()
-            st.pass_no += 1
-            st.pos = 0
+    total = n * repeat
 
-    def ready():
+    def grant(base, c):
+        lo = base % n
+        got = mem.request_read(
+            buf, c * itemsize,
+            contiguous=idx is None or breaks[lo + c - 1] == breaks[lo]
+        ) // itemsize
         # After a short grant the next cycles are not statically full;
-        # an ordered burst off the boundary is not one ``kind`` classed.
-        if st.partial or (idx is not None and st.pos % width):
-            return 0
-        return (n - st.pos) // width
+        # an ordered burst off the grid is not one ``kind`` classed.
+        loop.held = got < c or (idx is not None and (lo + got) % width != 0)
+        return got
 
-    def block(k, _ins):
-        pos, st.pos = st.pos, st.pos + k * width
-        buf.elements_read += k * width
-        return [flat[pos:st.pos] if idx is None else flat[idx[pos:st.pos]]]
+    def body(_ins, base, m, _lanes):
+        buf.elements_read += m
+        lo = base % n
+        if lo + m == n and base + m < total:
+            # The next pass starts with a stepped burst, so a window
+            # never runs through a pass end (ROADMAP item 20).
+            loop.held = True
+        return [flat[lo:lo + m] if idx is None else flat[idx[lo:lo + m]]]
 
+    loop = SteadyLoop("read_kernel", body, writes=(ch,), count=total,
+                      width=width, latency=1,
+                      segment=n if repeat > 1 else None, lanes=grant)
     traffic = DramTraffic(mem, buf, width, kind)
     traffic.order = idx
-    pat = StaticPattern(
-        writes=((ch, width, 1),), ii=1, ready=ready, block=block,
-        dram=(traffic,), write_totals=(n * repeat,),
-        ends=lambda: (st.pass_no == repeat - 1 and not st.partial
-                      and (n - st.pos) % width == 0
-                      and (idx is None or st.pos % width == 0)),
-        timing=("read", repeat, idx is None))
-    return PatternedGenerator(gen(), pat)
+    loop.dram = (traffic,)
+    loop.timing = ("read", repeat, idx is None)
+    return PatternedGenerator(loop.run(), loop)
 
 
 def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
@@ -503,68 +483,62 @@ def write_kernel(mem: DramModel, buf: DramBuffer, ch, count: int,
     """Drain ``count`` elements from ``ch`` into ``buf``.
 
     ``order`` gives the flat destination index of each received element
-    (default: linear), exactly ``count`` of them.  Each cycle the kernel
-    stores what the channel has delivered (up to ``width`` elements)
-    within the bank's grant, so partial grants and a slower producer do
-    not halve the write rate.  As for :func:`read_kernel`, every order
-    is patterned (a store pays no stride penalty), and bad geometry
-    raises :class:`~repro.fpga.errors.StreamOrderError` here.
+    (default: linear), exactly ``count`` of them.  The kernel is a
+    :class:`~repro.fpga.pattern.SteadyLoop` whose body is the one store
+    (a slice or a scatter); a window replays it over ``k`` bursts.
+    Stepped, each cycle tops a staging register up with what the
+    channel has delivered (up to ``width`` elements), stores what the
+    bank grants through the same body and carries the rest, so partial
+    grants and a slower producer do not halve the write rate; a carry
+    holds the loop (``ready()`` is 0).  As for :func:`read_kernel`,
+    every order is patterned (a store pays no stride penalty), and bad
+    geometry raises :class:`~repro.fpga.errors.StreamOrderError` here.
     """
     check_stream_geometry("write_kernel", width, count=count)
     idx = _index_array(order, buf, count)
     itemsize = buf.itemsize
     flat = buf.data.reshape(-1)
-    st = _Cursor()
-    pending: list = []
 
-    def gen():
-        while st.received < count or pending:
-            # Top up the staging register with what is visible; block
-            # for at least one element when empty (avoids busy-spin).
-            if st.received < count and len(pending) < width:
-                avail = min(ch.occupancy, width - len(pending),
-                            count - st.received)
-                if avail == 0 and not pending:
-                    avail = 1
-                if avail > 0:
-                    vals = yield Pop(ch, avail)
-                    if avail == 1:
-                        vals = [vals]
-                    pending.extend(vals)
-                    st.received += avail
-            granted = mem.request_write(
-                buf, len(pending) * itemsize) // itemsize
-            if granted > 0:
-                pos = st.pos
-                st.pos = pos + granted
-                flat[slice(pos, st.pos) if idx is None
-                     else idx[pos:st.pos]] = pending[:granted]
-                buf.elements_written += granted
-                del pending[:granted]
-            yield Clock()
+    def body(ins, base, m, _lanes):
+        # When ``ins[0]`` is a view of this same buffer (an in-place map
+        # fed by the linear read kernel) numpy buffers overlapping
+        # operands, and a window is a pure elementwise map of elements
+        # at or ahead of ``base``, so the result is the same.  A
+        # scatter's in-place twin is a gather, hence never a view.
+        flat[slice(base, base + m) if idx is None
+             else idx[base:base + m]] = ins[0][:m]
+        buf.elements_written += m
+        return ()
 
-    def ready():
-        return 0 if pending else (count - st.received) // width
-
-    def block(k, ins):
-        moved = k * width
-        pos, st.pos = st.pos, st.pos + moved
-        # One slice store; when ``ins[0]`` is a view of this same buffer
-        # (an in-place map fed by the linear read kernel) numpy buffers
-        # overlapping operands, and the window is a pure elementwise map
-        # of elements at or ahead of ``pos``, so the result is the same.
-        # A scatter's in-place twin is a gather, hence never a view.
-        flat[slice(pos, st.pos) if idx is None
-             else idx[pos:st.pos]] = ins[0][:moved]
-        buf.elements_written += moved
-        st.received += moved
-        return []
-
+    loop = SteadyLoop("write_kernel", body, (ch,), count=count, width=width)
     traffic = DramTraffic(mem, buf, width, "write")
     traffic.order = idx
-    pat = StaticPattern(
-        reads=((ch, width),), ii=1, ready=ready, block=block,
-        dram=(traffic,), read_totals=(count,),
-        ends=lambda: not pending and (count - st.received) % width == 0,
-        timing=("write", idx is None))
-    return PatternedGenerator(gen(), pat)
+    loop.dram = (traffic,)
+    loop.timing = ("write", idx is None)
+
+    def stage():
+        reg = []                        # popped, not yet stored
+        clock = Clock()
+        while loop.done < count:
+            size = len(reg)
+            left = count - loop.done - size
+            if left and size < width:
+                # Top up with what is visible; block for one element
+                # when empty (avoids busy-spin).
+                avail = min(ch.occupancy, width - size, left)
+                if avail == 0 and not size:
+                    avail = 1
+                if avail == 1:
+                    reg.append((yield Pop(ch, 1)))
+                elif avail:
+                    reg.extend((yield Pop(ch, avail)))
+            size = len(reg)
+            got = mem.request_write(buf, size * itemsize) // itemsize
+            if got:
+                body((reg,), loop.done, got, got)
+                loop.done += got
+                del reg[:got]
+            loop.held = got < size      # a carry: no window until stored
+            yield clock
+
+    return PatternedGenerator(stage(), loop)

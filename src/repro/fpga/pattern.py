@@ -27,8 +27,9 @@ Steady kernels: one body
 ------------------------
 A kernel that is one counted, W-wide loop — the source, sink, forward
 and duplicate helpers of :mod:`repro.fpga.util`, every Level-1 map and
-reduction including the batched DOT and AXPY, and each loop of the
-tiled Level-2 modules (block loads, matrix tiles, result stores) — is a
+reduction including the batched DOT and AXPY, each loop of the tiled
+Level-2 modules (block loads, matrix tiles, result stores) and the DRAM
+interface kernels of :mod:`repro.fpga.memory` — is a
 :class:`SteadyLoop` (built with :func:`steady_kernel`).  It is declared
 by its access pattern (read and write ports, width, ``ii``, count, an
 optional segment) and one block body ``body(ins, base, n, lanes)``; the
@@ -38,12 +39,15 @@ and pushes what it returns; a replayed window calls the same body on
 ``k`` bursts.  The two therefore agree by construction, and the
 contract above holds without a second, scalar copy of the kernel.
 
+The interface kernels differ from the others only in the grant: a
+stepped burst moves what the DRAM bank grants, so it may be short.  The
+read asks through the loop's ``lanes`` hook; the write steps its loop
+with its own staging rule (pop what is visible, store what is granted
+through the same body, carry the rest).  A short grant sets the loop's
+``held``.
+
 Kernels that keep a hand-written generator, and why:
 
-* the grant-driven interface kernels (:func:`~repro.fpga.memory.read_kernel`,
-  :func:`~repro.fpga.memory.write_kernel`): each cycle moves what the
-  DRAM bank grants, so a stepped burst may be short, and they carry
-  their own ``block``;
 * the kernels whose loop is not statically regular (merge, routers,
   column tiles, double buffering, solves): :meth:`StaticPattern.declare`
   documents their ports for analysis, but the pattern is not
@@ -128,10 +132,10 @@ class DramTraffic:
 
     ``kind`` is ``"read"``, ``"gather"`` (a read paying the stride
     penalty) or ``"write"``; ``elements`` is the number of buffer elements
-    moved per iteration (always a full burst in steady state — a
-    partially granted burst leaves residue in the kernel's pending list,
-    which drives ``ready()`` to 0 and forces fallback); ``order`` is the
-    kernel's flat index array, ``None`` for the identity.
+    moved per iteration (always a full burst in steady state — a short
+    grant sets the kernel's :attr:`SteadyLoop.held`, which drives
+    ``ready()`` to 0 until a stepped burst is granted in full); ``order``
+    is the kernel's flat index array, ``None`` for the identity.
     """
 
     __slots__ = ("mem", "buf", "elements", "kind", "order")
@@ -303,7 +307,8 @@ class SteadyLoop(StaticPattern):
     ``Clock(ii)``; a ragged tail is one narrower burst.  With a
     ``segment`` bursts also stop at every ``segment``-th element (a
     batched kernel's problems, a replayed source's passes), unless
-    ``width`` divides it: then ``ready()`` spans segments.
+    ``width`` divides it and the loop has no ``lanes`` hook: then bursts
+    never straddle one, and ``ready()`` spans segments.
     ``body(ins, base, n, lanes)`` computes stream elements ``base`` to
     ``base + n`` in bursts of ``lanes`` from ``n`` values per read port
     (cast to ``dtype`` when there is one) and returns ``n`` values per
@@ -311,17 +316,25 @@ class SteadyLoop(StaticPattern):
     each of ``values()`` pushed alone, one per cycle.  ``on_end`` runs
     as the last iteration is consumed, before its ``Clock``: a tiled
     module's phase hands over with it, and is rearmed by :meth:`start`.
+
+    ``lanes(base, c)``, for a DRAM read, is asked before each stepped
+    iteration how many of its ``c`` lanes move this cycle (the bank's
+    grant; 0 leaves the cycle idle).  A short grant leaves the loop off
+    its burst grid, so a hooked loop keeps its segments to stop bursts
+    at, and its kernel sets ``held`` while the next cycles are not
+    statically full: ``ready()`` is then 0 and ``ends()`` false.
     """
 
     __slots__ = ("body", "width", "segment", "result", "on_end", "total",
-                 "done")
+                 "done", "lanes", "held")
 
     def __init__(self, kernel: str, body: Callable, reads: Sequence = (),
                  writes: Sequence = (), count: Optional[int] = None,
                  width: int = 1, ii: int = 1, dtype=None,
                  latency: Optional[int] = None,
                  segment: Optional[int] = None, result=None,
-                 on_end: Optional[Callable[[], None]] = None):
+                 on_end: Optional[Callable[[], None]] = None,
+                 lanes: Optional[Callable[[int, int], int]] = None):
         check_stream_geometry(kernel, width, count=count or 0, ii=ii)
         reads = [(ch, width) for ch in reads]
         writes = [(ch, width, latency) for ch in writes]
@@ -332,12 +345,15 @@ class SteadyLoop(StaticPattern):
         self.executable = True
         self.body = body
         self.width = width
-        self.segment = segment if segment and segment % width else None
+        self.segment = (segment if segment and (segment % width or lanes)
+                        else None)
         self.timing = ("steady", self.segment)
         self.result = result
         self.on_end = on_end
         self.total = count
         self.done = 0
+        self.lanes = lanes
+        self.held = False
 
     def start(self, count: int) -> "SteadyLoop":
         """Rearm the loop for ``count`` more elements."""
@@ -355,6 +371,8 @@ class SteadyLoop(StaticPattern):
 
     def ready(self) -> int:
         """Full-width iterations before the next stop."""
+        if self.held:
+            return 0
         if self.segment is None:
             return (self.total - self.done) // self.width
         return (self._stop(self.done) - self.done) // self.width
@@ -362,7 +380,8 @@ class SteadyLoop(StaticPattern):
     def ends(self) -> bool:
         """True when the ``ready()`` iterations finish the kernel: never
         before a reduction's result or a phase's hand-over."""
-        return (self.result is None and self.on_end is None
+        return (not self.held and self.result is None
+                and self.on_end is None
                 and self._stop(self.done) == self.total
                 and (self.total - self.done) % self.width == 0)
 
@@ -381,7 +400,7 @@ class SteadyLoop(StaticPattern):
         are values, so a full-width iteration yields the same ``Pop`` and
         ``Clock`` objects every time."""
         body, width, dtype = self.body, self.width, self.dtype
-        writes = self.writes
+        writes, lanes = self.writes, self.lanes
         full = [Pop(ch, width) for ch, _lanes in self.reads]
         clock = Clock(self.ii)
         ins = list(full)
@@ -389,6 +408,11 @@ class SteadyLoop(StaticPattern):
             base = self.done
             c = (self.total if self.segment is None
                  else self._stop(base)) - base
+            if lanes is not None:
+                c = lanes(base, c if c < width else width)
+                if not c:
+                    yield clock
+                    continue
             if c >= width:
                 c, pops = width, full
             else:

@@ -337,15 +337,13 @@ class TestBlocksAreVectorised:
     def test_steady_kernels_have_one_body(self):
         """A ``block=`` executor beside a scalar loop is a second copy of
         the kernel that only the differential suites hold equal, so only
-        :mod:`repro.fpga.pattern` itself and the grant-driven interface
-        kernels of :mod:`repro.fpga.memory` pass one to
+        :mod:`repro.fpga.pattern` itself passes one to
         ``StaticPattern(...)``.  Every steady kernel, the tiled Level-2
-        matrix phases included, is a
+        matrix phases and the DRAM interface kernels included, is a
         :class:`~repro.fpga.pattern.SteadyLoop`, declared by its body
         alone."""
         root = Path(pattern.__file__).resolve().parents[1]
-        shared = {"fpga/pattern.py", "fpga/memory.py"}
-        found = []
+        shared = {"fpga/pattern.py"}
         for path in sorted(root.rglob("*.py")):
             rel = path.relative_to(root).as_posix()
             tree = ast.parse(path.read_text())
@@ -355,12 +353,38 @@ class TestBlocksAreVectorised:
                         and "StaticPattern" in (getattr(callee, "id", None),
                                                 getattr(callee, "attr", None))
                         and any(kw.arg == "block" for kw in node.keywords)):
-                    found.append(rel)
                     assert rel in shared, (
                         f"{rel}:{node.lineno} passes block= to "
                         f"StaticPattern; declare the kernel with "
                         f"repro.fpga.pattern.steady_kernel instead")
-        assert "fpga/memory.py" in found
+
+    def test_interface_kernels_touch_the_buffer_once(self):
+        """In :mod:`repro.fpga.memory` exactly one function stores into
+        a buffer's data (the write kernel's body) and exactly one slices
+        bursts out of it (the read kernel's body): a stepped burst and a
+        replayed window move through the same line."""
+        tree = ast.parse(inspect.getsource(memory))
+        views = {target.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(sub, ast.Attribute) and sub.attr == "data"
+                         for sub in ast.walk(node.value))
+                 for target in node.targets if isinstance(target, ast.Name)}
+        assert views, "no name bound to a buffer's data"
+        users = {ast.Store: set(), ast.Load: set()}
+
+        def visit(node, fn):
+            for child in ast.iter_child_nodes(node):
+                inner = child if isinstance(child, ast.FunctionDef) else fn
+                if (isinstance(child, ast.Subscript)
+                        and isinstance(child.value, ast.Name)
+                        and child.value.id in views):
+                    users[type(child.ctx)].add((inner.name, inner.lineno))
+                visit(child, inner)
+
+        visit(tree, None)
+        assert [name for name, _ in users[ast.Store]] == ["body"]
+        assert [name for name, _ in users[ast.Load]] == ["body"]
+        assert users[ast.Store] != users[ast.Load]
 
     def test_matrix_blocks_build_no_index_or_staging_array(self):
         """The tiled matrix phases' bodies cut their window into views

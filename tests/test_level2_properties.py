@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blas import level2, reference
-from repro.fpga import Engine, sink_kernel, source_kernel
+from repro.blas import level1, level2, reference
+from repro.fpga import (DramModel, Engine, duplicate_kernel, forward_kernel,
+                        sink_kernel, source_kernel)
 from repro.fpga.channel import Channel
 from repro.fpga.kernel import Clock, Pop
+from repro.fpga.memory import read_kernel, write_kernel
 from repro.models import iomodel
 from repro.streaming import row_tiles
 
@@ -344,3 +346,145 @@ class TestMatrixBlockEqualsScalarLoop:
             return mod
         for cuts in ([1], [2], [3], [1, 0, 2], [4], [8]):
             _check_partition(make, cuts)
+
+
+# ---------------------------------------------------------------------------
+# Every steady loop's block() against its stepped loop, split anywhere
+# ---------------------------------------------------------------------------
+#
+# The same property for the one-loop kernels: the source, sink, forward
+# and duplicate helpers, a Level-1 map and a reduction, and the DRAM
+# read and write kernels (a repeated gather and a scatter, on a bank
+# that grants every burst).  ``_run_split`` drives them like the tiled
+# modules; the loop's ``done`` is the position.
+
+class _Wire:
+    """A channel stand-in: the op interpreter's side of it is the feed,
+    so ``occupancy`` is what is left to feed (all of it visible)."""
+
+    def __init__(self, name):
+        self.name = name
+        self.occupancy = 0
+
+
+class _Loop:
+    """One kernel that is a single :class:`~repro.fpga.pattern.SteadyLoop`
+    outside any engine; the interface of :class:`_Module`."""
+
+    def __init__(self, build, n=20, w=3):
+        rng = np.random.default_rng(n * w)
+        self.mem = DramModel(num_banks=1, bytes_per_cycle=1 << 12)
+        self.ch = {c: _Wire(c) for c in "abcd"}
+        self.feed = {}
+        self.sunk = []
+        self.body = build(self, n, w, rng)
+        self.loop = self.cursor = self.body.pattern
+        self.at = dict.fromkeys(self.feed, 0)
+        self.out = {c: [] for c in self.ch.values()}
+        self.cycle = 0
+        self.finished = False
+
+    def data(self, rng, n, dtype=np.float32):
+        return rng.standard_normal(n).astype(dtype)
+
+    def fed(self, name, values):
+        self.feed[self.ch[name]] = values
+        return self.ch[name]
+
+    _take = _Module._take
+
+    def phase(self):
+        return None if self.finished else self.loop
+
+    def in_matrix(self, phase):
+        return True
+
+    @property
+    def bursts(self):
+        return self.loop.done
+
+    def step(self):
+        """One stepped iteration; the bank's budget is refreshed first."""
+        for ch, data in self.feed.items():
+            ch.occupancy = len(data) - self.at[ch]
+        self.mem.begin_cycle(self.cycle)
+        self.cycle += 1
+        try:
+            op = self.body.send(None)
+            while not isinstance(op, Clock):
+                if isinstance(op, Pop):
+                    vals = list(self._take(op.channel, op.count))
+                    op = self.body.send(vals[0] if op.count == 1 else vals)
+                else:
+                    self.out[op.channel].extend(op.values)
+                    op = self.body.send(None)
+        except StopIteration:
+            self.finished = True
+
+    def block(self, k):
+        phase = self.loop
+        ins = [self._take(ch, k * lanes).copy() for ch, lanes in phase.reads]
+        for (ch, _lanes, _lat), vals in zip(phase.writes,
+                                            phase.block(k, ins)):
+            self.out[ch].extend(vals)
+
+    def snapshot(self):
+        """Position, element counters, buffer and output bytes so far."""
+        return (self.loop.done, self.result(),
+                tuple((b.elements_read, b.elements_written, b.data.tobytes())
+                      for b in self.mem.buffers.values()))
+
+    def result(self):
+        return tuple(np.asarray(v, dtype=np.float64).tobytes()
+                     for v in (*self.out.values(), self.sunk))
+
+
+def _read(mod, n, w, rng):
+    buf = mod.mem.bind("src", mod.data(rng, n // 2))
+    return read_kernel(mod.mem, buf, mod.ch["a"], w,
+                       order=np.arange(n // 2)[::-1], repeat=2)
+
+
+def _write(mod, n, w, rng):
+    buf = mod.mem.allocate("dst", n + 3)
+    return write_kernel(mod.mem, buf, mod.fed("a", mod.data(rng, n)), n, w,
+                        order=rng.permutation(n + 3)[:n])
+
+
+#: one-loop kernel -> builder(module, n, w, rng)
+LOOPS = {
+    "source": lambda m, n, w, rng: source_kernel(
+        m.ch["a"], m.data(rng, n // 2 - 1), w, repeat=2),
+    "sink": lambda m, n, w, rng: sink_kernel(
+        m.fed("a", m.data(rng, n)), n, w, m.sunk),
+    "forward": lambda m, n, w, rng: forward_kernel(
+        m.fed("a", m.data(rng, n)), m.ch["b"], n, w),
+    "duplicate": lambda m, n, w, rng: duplicate_kernel(
+        m.fed("a", m.data(rng, n)), (m.ch["b"], m.ch["c"]), n, w),
+    "axpy": lambda m, n, w, rng: level1.axpy_kernel(
+        n, 0.75, m.fed("a", m.data(rng, n)), m.fed("b", m.data(rng, n)),
+        m.ch["c"], w),
+    "dot": lambda m, n, w, rng: level1.dot_kernel(
+        n, m.fed("a", m.data(rng, n)), m.fed("b", m.data(rng, n)),
+        m.ch["c"], w),
+    "read": _read,
+    "write": _write,
+}
+
+
+class TestSteadyBlockEqualsSteppedLoop:
+    @pytest.mark.parametrize("name", LOOPS)
+    def test_every_two_cut_partition(self, name):
+        """n = 20 at w = 3 (the source and the read: two passes of 9
+        and 10): every (k1, k2, rest) after the first stepped burst, and
+        the ragged tail stepped."""
+        make = lambda: _Loop(LOOPS[name])               # noqa: E731
+        mod = make()
+        mod.step()
+        total = mod.loop.ready()
+        assert total >= 2
+        seen = set()
+        for k1 in range(1, total):
+            for k2 in range(1, total - k1 + 1):
+                seen.update(_check_partition(make, [k1, k2, total]))
+        assert len(seen) >= total

@@ -9,7 +9,9 @@ from repro.analysis import AnalysisError
 from repro.blas import level1
 from repro.fpga import (DramModel, Engine, duplicate_kernel, forward_kernel,
                         sink_kernel, source_kernel)
+from repro.fpga.channel import Channel
 from repro.fpga.errors import ReproError, StreamOrderError
+from repro.fpga.kernel import Clock, Pop
 from repro.fpga.memory import read_kernel, write_kernel
 from repro.host.orders import column_major_order
 from repro.plan import PlanCache, plan_identity
@@ -156,6 +158,69 @@ class TestInterfaceKernels:
         eng.add_kernel("sink", sink_kernel(ch, 6, 1, out))
         eng.run()
         assert out == [3.0, 1.0, 2.0] * 2
+
+
+def _step(gen, feed=None):
+    """Resume a kernel through one ``Clock``, answering its pops from
+    ``feed``; return what it pushed."""
+    pushed, op = [], next(gen)
+    while not isinstance(op, Clock):
+        if isinstance(op, Pop):
+            vals = [feed.pop(0) for _ in range(op.count)]
+            op = gen.send(vals[0] if op.count == 1 else vals)
+        else:
+            pushed += op.values
+            op = next(gen)
+    return pushed
+
+
+class TestHeldLoops:
+    """No window starts where the next cycles are not statically full:
+    after a short read grant, with the write's register holding a
+    carry, and at the end of a repeated read's pass."""
+
+    def test_a_short_grant_holds_the_read(self):
+        mem = DramModel(num_banks=1, bytes_per_cycle=12)
+        buf = mem.bind("b", np.arange(16, dtype=np.float32))
+        gen = read_kernel(mem, buf, Channel("c", 8), 4, repeat=2)
+        loop = gen.pattern
+        assert loop.ready() == 4 and not loop.ends()
+        assert _step(gen) == [0.0, 1.0, 2.0]          # 12 of 16 bytes
+        assert (loop.ready(), loop.ends()) == (0, False)
+        mem.begin_cycle(1)
+        assert _step(gen) == [3.0, 4.0, 5.0]
+        mem.begin_cycle(2)
+        mem.bytes_per_cycle = 64
+        mem.begin_cycle(3)
+        assert _step(gen) == [6.0, 7.0, 8.0, 9.0]     # off the grid
+        assert loop.ready() == 1                      # stops at the pass end
+        assert _step(gen) == [10.0, 11.0, 12.0, 13.0]
+        mem.begin_cycle(4)
+        assert _step(gen) == [14.0, 15.0]             # stepped to the end
+        assert (loop.ready(), loop.ends()) == (0, False)
+        mem.begin_cycle(5)
+        assert _step(gen) == [0.0, 1.0, 2.0, 3.0]     # the next pass
+        assert (loop.ready(), loop.ends()) == (3, True)
+
+    def test_a_carry_holds_the_write(self):
+        mem = DramModel(num_banks=1, bytes_per_cycle=12)
+        buf = mem.allocate("b", 8)
+        ch = Channel("c", 8)
+        gen = write_kernel(mem, buf, ch, 8, 4)
+        loop = gen.pattern
+        ch._fifo.extend(range(8))      # all visible: pops take full bursts
+        feed = list(np.arange(8, dtype=np.float32) + 1)
+        _step(gen, feed)                              # pops 4, stores 3
+        assert (loop.done, loop.ready(), loop.ends()) == (3, 0, False)
+        mem.begin_cycle(1)
+        mem.bytes_per_cycle = 64
+        mem.begin_cycle(2)
+        _step(gen, feed)                              # the carry and 3
+        assert (loop.done, loop.ready(), loop.ends()) == (7, 0, False)
+        _step(gen, feed)
+        assert (loop.done, loop.ready(), loop.ends()) == (8, 0, True)
+        np.testing.assert_array_equal(buf.data, np.arange(8) + 1)
+        assert buf.elements_written == 8
 
 
 class TestOrderRefusals:
