@@ -446,8 +446,6 @@ def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
         if (br[width - 1::width] != br[:n - width + 1:width]).any():
             kind = "gather"
 
-    total = n * repeat
-
     def grant(base, c):
         lo = base % n
         got = mem.request_read(
@@ -456,19 +454,16 @@ def read_kernel(mem: DramModel, buf: DramBuffer, ch, width: int = 1,
         ) // itemsize
         # After a short grant the next cycles are not statically full;
         # an ordered burst off the grid is not one ``kind`` classed.
-        loop.held = got < c or (idx is not None and (lo + got) % width != 0)
-        return got
+        return got, got < c or (idx is not None and (lo + got) % width != 0)
 
     def body(_ins, base, m, _lanes):
         buf.elements_read += m
         lo = base % n
-        if lo + m == n and base + m < total:
-            # The next pass starts with a stepped burst, so a window
-            # never runs through a pass end (ROADMAP item 20).
-            loop.held = True
         return [flat[lo:lo + m] if idx is None else flat[idx[lo:lo + m]]]
 
-    loop = SteadyLoop("read_kernel", body, writes=(ch,), count=total,
+    # Each pass is a segment, started with a stepped burst, so a window
+    # never runs through a pass end (ROADMAP item 20).
+    loop = SteadyLoop("read_kernel", body, writes=(ch,), count=n * repeat,
                       width=width, latency=1,
                       segment=n if repeat > 1 else None, lanes=grant)
     traffic = DramTraffic(mem, buf, width, kind)

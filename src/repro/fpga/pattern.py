@@ -319,10 +319,12 @@ class SteadyLoop(StaticPattern):
 
     ``lanes(base, c)``, for a DRAM read, is asked before each stepped
     iteration how many of its ``c`` lanes move this cycle (the bank's
-    grant; 0 leaves the cycle idle).  A short grant leaves the loop off
-    its burst grid, so a hooked loop keeps its segments to stop bursts
-    at, and its kernel sets ``held`` while the next cycles are not
-    statically full: ``ready()`` is then 0 and ``ends()`` false.
+    grant; 0 leaves the cycle idle) and whether the next cycles are
+    statically full; it returns ``(lanes, held)``.  While ``held`` —
+    which a kernel that steps its loop itself sets too — ``ready()`` is
+    0 and ``ends()`` false.  A short grant leaves the loop off its burst
+    grid, so a hooked loop keeps its segments to stop bursts at, and it
+    starts each segment with a stepped iteration (a DRAM read's pass).
     """
 
     __slots__ = ("body", "width", "segment", "result", "on_end", "total",
@@ -373,17 +375,23 @@ class SteadyLoop(StaticPattern):
         """Full-width iterations before the next stop."""
         if self.held:
             return 0
-        if self.segment is None:
-            return (self.total - self.done) // self.width
-        return (self._stop(self.done) - self.done) // self.width
+        done, seg = self.done, self.segment
+        if seg is None:
+            return (self.total - done) // self.width
+        if self.lanes is not None and not done % seg and 0 < done < self.total:
+            return 0                    # a segment starts stepped
+        return (self._stop(done) - done) // self.width
 
     def ends(self) -> bool:
         """True when the ``ready()`` iterations finish the kernel: never
         before a reduction's result or a phase's hand-over."""
-        return (not self.held and self.result is None
-                and self.on_end is None
-                and self._stop(self.done) == self.total
-                and (self.total - self.done) % self.width == 0)
+        done, seg = self.done, self.segment
+        if (self.held or self.result is not None or self.on_end is not None
+                or self.lanes is not None and seg is not None
+                and not done % seg and 0 < done < self.total):
+            return False
+        return (self._stop(done) == self.total
+                and (self.total - done) % self.width == 0)
 
     def block(self, k: int, ins: List) -> Sequence:
         """Replay ``k`` full-width iterations."""
@@ -409,7 +417,7 @@ class SteadyLoop(StaticPattern):
             c = (self.total if self.segment is None
                  else self._stop(base)) - base
             if lanes is not None:
-                c = lanes(base, c if c < width else width)
+                c, self.held = lanes(base, c if c < width else width)
                 if not c:
                     yield clock
                     continue
