@@ -287,7 +287,7 @@ def check_certifiable(plan: PlanIR, ctx) -> Iterable[Diagnostic]:
                 f"kernel {k.name!r} has a declare-only pattern (ports "
                 "documented, no block executor); the fast path can never "
                 "engage for it", obj=k.name,
-                fix="supply ready=/block= so the pattern is executable")
+                fix="declare the loop as a repro.fpga.pattern.SteadyLoop")
         elif k.pattern_ii != 1:
             yield Diagnostic(
                 "FB404", Severity.ERROR,

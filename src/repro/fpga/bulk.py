@@ -12,7 +12,7 @@ its first cycle, each with an executable
 :class:`~repro.fpga.pattern.StaticPattern` *phase* (``ii == 1``, not
 blocked, no fault pending on its outputs); each runs ``min(ready(),
 K)`` iterations, and one whose pattern
-:meth:`~repro.fpga.pattern.StaticPattern.ends` may run fewer and
+:meth:`~repro.fpga.pattern.SteadyLoop.ends` may run fewer and
 *leave*, finishing the cycle after its last iteration as the event
 core's resume would have.  Its channels are those phases' ports, and
 each one's net rate (``+lanes`` fill, ``0`` steady, ``-lanes`` drain)

@@ -39,12 +39,9 @@ and pushes what it returns; a replayed window calls the same body on
 ``k`` bursts.  The two therefore agree by construction, and the
 contract above holds without a second, scalar copy of the kernel.
 
-The interface kernels differ from the others only in the grant: a
-stepped burst moves what the DRAM bank grants, so it may be short.  The
-read asks through the loop's ``lanes`` hook; the write steps its loop
-with its own staging rule (pop what is visible, store what is granted
-through the same body, carry the rest).  A short grant sets the loop's
-``held``.
+An interface kernel's stepped burst is what the DRAM bank grants: the
+read asks through the loop's ``lanes`` hook, the write steps its loop
+by its own staging rule through the same body.
 
 Kernels that keep a hand-written generator, and why:
 
@@ -86,8 +83,8 @@ union.
 
 Ending
 ------
-A pattern may also say how its kernel ends (``ends=``): a callable
-that is true, at an iteration boundary, when the generator *returns* —
+A :class:`SteadyLoop` also says how its kernel ends: its ``ends()`` is
+true, at an iteration boundary, when the generator *returns* —
 performs no further op — once the current phase's ``ready()``
 iterations are done.  The window scheduler lets such a kernel finish
 inside a window: after its last ``block()`` it resumes the generator
@@ -171,12 +168,10 @@ class StaticPattern:
         the channel values' native dtype).
     ready:
         Zero-argument callable returning how many full steady iterations
-        the kernel can still execute from its current shared state.
-        ``None`` (or :meth:`declare`) pins it to 0: ports are declared
-        but the fast path never engages.
-    block:
-        ``block(k, ins) -> [out_arrays]`` — the vectorized interpreter
-        for ``k`` iterations (see the module docstring contract).
+        the kernel can still execute from its current shared state (a
+        phased kernel's outer pattern; a :class:`SteadyLoop` answers
+        itself).  ``None`` (or :meth:`declare`) pins it to 0: ports are
+        declared but the fast path never engages.
     dram:
         Optional sequence of :class:`DramTraffic` descriptors for memory
         kernels, so bank counters can be advanced arithmetically.
@@ -193,10 +188,6 @@ class StaticPattern:
         inference sums along reconvergent paths.  Mirrors the ``defer=``
         argument of ``Engine.add_kernel`` but travels with the pattern,
         so fully patterned designs need no per-call annotations.
-    ends:
-        Optional zero-argument callable: true when the generator returns
-        right after the current ``ready()`` iterations (see "Ending" in
-        the module docstring).
     timing:
         Hashable *timing signature*: what, besides the design's
         ``plan_key``, decides when the kernel's iterations are ready —
@@ -207,17 +198,15 @@ class StaticPattern:
 
     __slots__ = ("reads", "writes", "ii", "dtype", "dram",
                  "read_totals", "write_totals", "defer", "executable",
-                 "timing", "_ready", "_block", "_phase", "_ends")
+                 "timing", "_ready", "_phase")
 
     def __init__(self, reads: Sequence[Tuple] = (),
                  writes: Sequence[Tuple] = (), ii: int = 1,
                  dtype=None, ready: Optional[Callable[[], int]] = None,
-                 block: Optional[Callable] = None,
                  dram: Sequence[DramTraffic] = (),
                  read_totals: Optional[Sequence[Optional[int]]] = None,
                  write_totals: Optional[Sequence[Optional[int]]] = None,
-                 defer: int = 0, ends: Optional[Callable[[], bool]] = None,
-                 timing=None):
+                 defer: int = 0, timing=None):
         self.reads = tuple(reads)
         self.writes = tuple(writes)
         self.ii = ii
@@ -232,13 +221,11 @@ class StaticPattern:
         if len(self.write_totals) != len(self.writes):
             raise ValueError("write_totals must align with writes")
         self.defer = defer
-        #: False for a declare-only pattern (no ``ready=``/``block=``).
+        #: False for a declare-only pattern (no ``ready=``).
         self.executable = ready is not None
         self.timing = timing
         self._ready = ready
-        self._block = block
         self._phase = None
-        self._ends = ends
 
     @classmethod
     def phased(cls, current: Callable[[], Optional["StaticPattern"]],
@@ -251,8 +238,7 @@ class StaticPattern:
             ph = current()
             return ph.ready() if ph is not None else 0
 
-        pat = cls(ready=ready, block=lambda k, ins: current().block(k, ins),
-                  **union)
+        pat = cls(ready=ready, **union)
         pat._phase = current
         return pat
 
@@ -280,17 +266,6 @@ class StaticPattern:
             return 0
         return self._ready()
 
-    def ends(self) -> bool:
-        """True when the generator returns after the ``ready()``
-        iterations executable now (False unless declared)."""
-        return self._ends is not None and self._ends()
-
-    def block(self, k: int, ins: List) -> List:
-        """Advance ``k`` iterations; return one output array per write."""
-        if self._block is None:       # pragma: no cover - guarded by ready()
-            raise RuntimeError("declare-only pattern has no block executor")
-        return self._block(k, ins)
-
     def describe(self) -> str:
         rd = ", ".join(f"{ch.name}x{w}" for ch, w in self.reads)
         wr = ", ".join(f"{ch.name}x{w}" for ch, w, _lat in self.writes)
@@ -317,14 +292,12 @@ class SteadyLoop(StaticPattern):
     as the last iteration is consumed, before its ``Clock``: a tiled
     module's phase hands over with it, and is rearmed by :meth:`start`.
 
-    ``lanes(base, c)``, for a DRAM read, is asked before each stepped
-    iteration how many of its ``c`` lanes move this cycle (the bank's
-    grant; 0 leaves the cycle idle) and whether the next cycles are
-    statically full; it returns ``(lanes, held)``.  While ``held`` —
-    which a kernel that steps its loop itself sets too — ``ready()`` is
-    0 and ``ends()`` false.  A short grant leaves the loop off its burst
-    grid, so a hooked loop keeps its segments to stop bursts at, and it
-    starts each segment with a stepped iteration (a DRAM read's pass).
+    ``lanes(base, c)`` (a DRAM read's bank) returns ``(m, held)``
+    before each stepped iteration: it moves ``m`` of its ``c`` lanes (0:
+    an idle cycle), and while ``held`` (also set by a kernel that steps
+    the loop itself) ``ready()`` is 0 and ``ends()`` false.  A hooked
+    loop keeps its segments, as a short grant leaves it off its burst
+    grid, and starts each one with a stepped iteration.
     """
 
     __slots__ = ("body", "width", "segment", "result", "on_end", "total",
@@ -336,7 +309,8 @@ class SteadyLoop(StaticPattern):
                  latency: Optional[int] = None,
                  segment: Optional[int] = None, result=None,
                  on_end: Optional[Callable[[], None]] = None,
-                 lanes: Optional[Callable[[int, int], int]] = None):
+                 lanes: Optional[Callable[[int, int],
+                                          Tuple[int, bool]]] = None):
         check_stream_geometry(kernel, width, count=count or 0, ii=ii)
         reads = [(ch, width) for ch in reads]
         writes = [(ch, width, latency) for ch in writes]

@@ -117,8 +117,7 @@ class TestStaticPattern:
     def test_executable_pattern_reports_ready(self):
         ch = Channel("x", 4)
         state = {"left": 5}
-        p = StaticPattern(reads=((ch, 1),), ready=lambda: state["left"],
-                          block=lambda k, ins: [])
+        p = StaticPattern(reads=((ch, 1),), ready=lambda: state["left"])
         assert p.ready() == 5
         assert "static" in p.describe()
 

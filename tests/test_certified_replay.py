@@ -11,7 +11,7 @@ allocation proportional to neither:
   touches its input arrays a number of times that does not grow with
   ``k``, no executor loops over a range derived from its window size
   (a ``block``'s ``k``, a steady loop body's ``n``), and only the
-  shared machinery passes ``block=`` to ``StaticPattern``;
+  no module passes ``block=`` to ``StaticPattern``;
 * **window temporaries** — a warm certified DOT allocates no
   window-sized array (runs move as views, the adder tree works in place
   on a per-thread scratch), the in-place tree rounds exactly like the
@@ -336,14 +336,13 @@ class TestBlocksAreVectorised:
 
     def test_steady_kernels_have_one_body(self):
         """A ``block=`` executor beside a scalar loop is a second copy of
-        the kernel that only the differential suites hold equal, so only
-        :mod:`repro.fpga.pattern` itself passes one to
-        ``StaticPattern(...)``.  Every steady kernel, the tiled Level-2
-        matrix phases and the DRAM interface kernels included, is a
-        :class:`~repro.fpga.pattern.SteadyLoop`, declared by its body
-        alone."""
+        the kernel that only the differential suites hold equal, so no
+        module passes one to ``StaticPattern(...)``.  Every steady
+        kernel, the tiled Level-2 matrix phases and the DRAM interface
+        kernels included, is a :class:`~repro.fpga.pattern.SteadyLoop`,
+        declared by its body alone."""
         root = Path(pattern.__file__).resolve().parents[1]
-        shared = {"fpga/pattern.py"}
+        shared = set()
         for path in sorted(root.rglob("*.py")):
             rel = path.relative_to(root).as_posix()
             tree = ast.parse(path.read_text())
