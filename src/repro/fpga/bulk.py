@@ -80,19 +80,23 @@ covers it) under the kernels' timing signatures
 ``plan_key`` does not determine the cycles.  A later run of the same
 design takes the next entry at each cycle: a step is the event core's
 ``_run_cycle``; for a superstep the channel rows are rebuilt from the
-live kernels' phases (as the planner builds them) and handed with the
-recorded peaks to the same :meth:`_execute_window`, so nothing is
-surveyed, planned or walked.  A recorded ``now`` that is not the run's,
+live kernels' phases (as the planner builds them) and, with the
+recorded peaks, take the planned superstep's own path — described to
+the observers, if any, then :meth:`_execute_window` — so nothing is
+surveyed, planned or bounded by a walk (the description still samples
+its channels).  A recorded ``now`` that is not the run's,
 a kernel not queued or without the iterations it is to run, or a
 channel set that is not the one the kernels touch raises
 :class:`SimulationError`; a replay never falls back to planning.
 Only a run that can be repeated exactly records or replays: one from
 cycle 0 on empty channels, at the default ``max_cycles``, with a
-schedule cache, no observer, no fault plan and every kernel's timing
-declared; and a script stays bounded (:data:`~WindowScheduler.MAX_SCRIPTS`
-per certificate, :data:`~WindowScheduler.MAX_SCRIPT_ENTRIES` entries
-each, memory guards that no benchmark workload comes near; a longer
-run is marked and plans).  Everything else plans, as above.
+schedule cache, no fault plan and every kernel's timing declared
+(observers take no part: what they are shown follows from the
+decisions, so a watched run records and replays like any other); and a
+script stays bounded (:data:`~WindowScheduler.MAX_SCRIPTS` per
+certificate, :data:`~WindowScheduler.MAX_SCRIPT_ENTRIES` entries each,
+memory guards that no benchmark workload comes near; a longer run is
+marked and plans).  Everything else plans, as above.
 """
 
 from __future__ import annotations
@@ -160,6 +164,21 @@ def _walk(ch, t, port, K, offs=None, series=False):
         K = min(K, ch.head_ready() - t if total > occ else eff)
     if total == occ:
         return K, _NONE
+    offs = _offsets(ch, t)
+    pops = min(total, n_c * w) - occ
+    if pops > 0:
+        late = (offs[:pops] > np.arange(occ, occ + pops) // w).nonzero()[0]
+        if late.size:
+            K = min(K, (occ + int(late[0])) // w)
+    return K, offs
+
+
+def _offsets(ch, t):
+    """The cycles after ``t`` by which ``ch``'s staged elements have
+    matured, head of line first (:data:`_NONE` when nothing is staged):
+    a staged element matures no earlier than the one before it."""
+    if not ch._nstaged:
+        return _NONE
     parts = []
     if ch._staged:
         parts.append(np.repeat([r for r, _v in ch._staged],
@@ -170,12 +189,7 @@ def _walk(ch, t, port, K, offs=None, series=False):
     offs -= t
     np.maximum.accumulate(offs, out=offs)
     np.maximum(offs, 0, out=offs)
-    pops = min(total, n_c * w) - occ
-    if pops > 0:
-        late = (offs[:pops] > np.arange(occ, occ + pops) // w).nonzero()[0]
-        if late.size:
-            K = min(K, (occ + int(late[0])) // w)
-    return K, offs
+    return offs
 
 
 def _samples(depth, occ, w, eff, n_p, n_c, K, offs, series):
@@ -294,9 +308,9 @@ class WindowScheduler(WakeListScheduler):
     def run_scripted(self, scripts):
         """:meth:`run`, replaying the superstep script ``scripts`` holds
         for this design or recording one into it.  The engine calls this
-        for runs without observers, fault plan or explicit
-        ``max_cycles``; one that does not start at cycle 0 on empty
-        channels, or has a kernel without a timing signature, plans."""
+        for runs without fault plan or explicit ``max_cycles``; one that
+        does not start at cycle 0 on empty channels, or has a kernel
+        without a timing signature, plans."""
         fresh = not self.engine.now
         for ch in self.channels:
             if ch._fifo or ch._nstaged:
@@ -326,9 +340,10 @@ class WindowScheduler(WakeListScheduler):
     def _run_cycle(self) -> None:
         t = self.now
         if self._script is not None:
-            return self._replay(t)
-        entries = self._survey()
-        plan = self._window_plan(entries) if entries else None
+            plan = self._replay(t)
+        else:
+            entries = self._survey()
+            plan = self._window_plan(entries) if entries else None
         record = self._record
         if plan is None:
             if record is not None:
@@ -354,12 +369,13 @@ class WindowScheduler(WakeListScheduler):
                 tuple([(k.index, n, leaves) for k, _p, n, leaves in order]),
                 tuple([(ch.name, port[7]) for ch, port in ports.items()]))
 
-    def _replay(self, t) -> None:
-        """Take the recorded decision for cycle ``t``: step it (an entry
-        that is just the cycle), or rebuild the recorded superstep on the
-        live kernels and channels and execute it.  The rows come from the
-        live phases, only the peaks from the script; a superstep the live
-        state does not sustain raises."""
+    def _replay(self, t):
+        """The recorded decision for cycle ``t``: ``None`` to step it (an
+        entry that is just the cycle), or the recorded superstep rebuilt
+        on the live kernels and channels as :meth:`_window_plan`'s ``(K,
+        order, ports)``.  The rows come from the live phases, only the
+        peaks from the script; a superstep the live state does not
+        sustain raises."""
         try:
             entry = self._script[self._at]
         except IndexError:
@@ -374,7 +390,7 @@ class WindowScheduler(WakeListScheduler):
                 f"the recorded superstep script is at cycle {t0}, the run "
                 f"at cycle {t}")
         if not window:
-            return super()._run_cycle()
+            return None
         _t, K, steps, peaks = entry
         kernels, cur = self.kernels, self._current
         order = []
@@ -399,7 +415,7 @@ class WindowScheduler(WakeListScheduler):
             raise SimulationError(
                 f"the recorded superstep at cycle {t} does not match the "
                 f"kernels and channels queued then")
-        self._execute_window(K, order, ports)
+        return K, order, ports
 
     def _survey(self):
         """``[(kernel, phase, ready iterations)]`` for the kernels queued
@@ -624,7 +640,10 @@ class WindowScheduler(WakeListScheduler):
         active = {k: (p, n, leaves) for k, p, n, leaves in order}
         series = {}
         for ch, port in ports.items():
-            series[ch], port[7] = _walk(ch, t, port, K, port[6], True)
+            offs = port[6]
+            if offs is None:            # a replayed row: never walked
+                offs = _offsets(ch, t)
+            series[ch], port[7] = _walk(ch, t, port, K, offs, True)
         cuts = {K}
         for _p, n, leaves in active.values():
             if leaves:

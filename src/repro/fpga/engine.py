@@ -516,6 +516,8 @@ class Engine:
             from ..analysis import analyze_engine
             analyze_engine(self).raise_if_errors()
         # A recorded superstep script assumes the default cycle budget.
+        # Observers take no part: a replayed superstep is described to
+        # them as a planned one is.
         scripted = max_cycles is None and self._schedule_cache is not None
         if max_cycles is None:
             max_cycles = self.cycle_budget()
@@ -541,7 +543,7 @@ class Engine:
             self._bulk_fallback = self._window_tier()
             if self._bulk_fallback is None:
                 sched = WindowScheduler(self, max_cycles)
-                if scripted and injector is None and not self._observers:
+                if scripted and injector is None:
                     return sched.run_scripted(self.schedule.scripts)
                 return sched.run()
             return WakeListScheduler(self, max_cycles).run()

@@ -14,6 +14,8 @@ keep working).  The hierarchy:
     ├── ``StreamOrderError``      — a stream kernel's width, repeat,
     │                               count or ``order=`` that cannot be
     │                               streamed (also a ``ValueError``)
+    ├── ``SessionConfigError``    — a telemetry session switched half
+    │                               on (also a ``ValueError``)
     ├── ``FaultError``            — errors raised *by injected faults*
     │        └── ``TransientFaultError`` — retrying may succeed
     │                 ├── ``KernelCrashError`` — injected kernel crash
@@ -89,6 +91,12 @@ def check_stream_geometry(kernel: str, width: int, repeat: int = 1,
         if value < least:
             raise StreamOrderError(
                 f"{kernel}: {name} must be at least {least}, got {value}")
+
+
+class SessionConfigError(ReproError, ValueError):
+    """A :func:`repro.telemetry.session` whose ``metrics``,
+    ``kernel_slices`` and ``occupancy`` are not all on or all off: they
+    are one switch."""
 
 
 class ChannelError(ReproError):

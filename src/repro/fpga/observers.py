@@ -50,8 +50,9 @@ JSONL event dump, ad-hoc debugging hooks — subscribes as an observer:
     The engine takes windows only when *every* attached observer
     defines ``on_window`` — it looks for the method, there is no flag.
     :class:`TraceObserver` and :class:`StallChainProfiler` (and the
-    telemetry session's observers) define it and fold a window into
-    their totals arithmetically, as they do for ``on_quiet``.
+    telemetry session's :class:`~repro.telemetry.RunObserver`) define it
+    and fold a window into their totals arithmetically, as they do for
+    ``on_quiet``.
     :class:`EngineObserver` deliberately does not: a subclass that
     overrides ``on_cycle`` expecting every cycle (``JsonlEventDump``
     writes a line per op) keeps exact per-cycle stepping, at stepping

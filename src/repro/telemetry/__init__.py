@@ -45,7 +45,7 @@ from .ledger import (RUN_RECORD_SCHEMA, LedgerQuery, RunLedger, RunRecord,
                      read_ledger)
 from .metrics import (METRICS_SCHEMA, Counter, Gauge, Histogram,
                       MetricsRegistry)
-from .observers import STALL_CAUSES, MetricsObserver, SliceRecorder
+from .observers import STALL_CAUSES, RunObserver
 from .prometheus import (PROMETHEUS_CONTENT_TYPE, to_prometheus,
                          write_prometheus)
 from .runtime import TelemetrySession, active, session, span
@@ -55,8 +55,7 @@ __all__ = [
     "CHROME_TRACE_SCHEMA", "METRICS_SCHEMA", "PROMETHEUS_CONTENT_TYPE",
     "RUN_RECORD_SCHEMA", "STALL_CAUSES",
     "Counter", "Gauge", "Histogram", "LedgerQuery", "MetricsRegistry",
-    "MetricsObserver", "RunLedger", "RunRecord", "SliceRecorder",
-    "Slice", "Span", "SpanRecorder", "TelemetrySession",
+    "RunLedger", "RunObserver", "RunRecord", "Slice", "Span", "SpanRecorder", "TelemetrySession",
     "active", "correlate", "current_run_id", "fleet_report",
     "mint_run_id", "read_ledger", "session", "span",
     "to_chrome_trace", "to_prometheus", "trace_events",

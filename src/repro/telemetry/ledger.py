@@ -678,6 +678,7 @@ def run_scope(ledger: Optional[RunLedger], kind: str,
                     parent_id=current_run_id(), label=label,
                     tenant=tenant, engine_mode=engine_mode)
     t0 = time.perf_counter()
+    appended = ledger.appended if ledger is not None else 0
     _STACK.append(rec.run_id)
     try:
         yield rec
@@ -689,7 +690,10 @@ def run_scope(ledger: Optional[RunLedger], kind: str,
         _STACK.pop()
         rec.wall_seconds = time.perf_counter() - t0
         if ledger is not None:
-            ledger.merge_children_into(rec)
+            # A child is appended inside the scope: with none appended
+            # (an engine run), the ring is not scanned for one.
+            if ledger.appended != appended:
+                ledger.merge_children_into(rec)
             ledger.append(rec)
 
 

@@ -41,7 +41,7 @@ METRICS_SCHEMA = "repro.metrics/1"
 DEFAULT_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 
 #: A series key: its ``(label, value)`` pairs in label-name order.
-#: :class:`~repro.telemetry.observers.MetricsObserver` spells the order
+#: :class:`~repro.telemetry.observers.RunObserver` spells the order
 #: of each family it writes once and builds its keys in it, so no update
 #: on the watched path sorts; the keyword API below sorts its labels.
 LabelKey = Tuple[Tuple[str, object], ...]

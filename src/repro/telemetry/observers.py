@@ -1,40 +1,24 @@
-"""Engine observers that feed the telemetry session.
+"""The engine observer that feeds the telemetry session.
 
-Two observers bridge the PR-2 engine event protocol
-(:mod:`repro.fpga.observers`) into the telemetry data model:
+:class:`RunObserver` bridges the engine event protocol
+(:mod:`repro.fpga.observers`) into the telemetry data model: the stall
+profile (who stalls on which channel, in which direction), the
+per-channel occupancy histograms and the per-kernel, per-bank series of
+the :class:`~repro.telemetry.metrics.MetricsRegistry`, and the kernel
+:class:`~repro.telemetry.spans.Slice` intervals on the session clock
+(the leaf rows of the exported Perfetto timeline).  One is attached per
+engine run by
+:meth:`~repro.telemetry.runtime.TelemetrySession.engine_run` and
+detached afterwards, so an engine with no active telemetry session never
+sees it (the zero-cost-when-unused contract).  It defines ``on_window``,
+so a watched certified run keeps its supersteps.
 
-:class:`MetricsObserver`
-    Fills a :class:`~repro.telemetry.metrics.MetricsRegistry` with the
-    attribution quantities the paper's evaluation reasons about:
-    per-kernel achieved vs declared initiation interval, utilization,
-    stall-cause breakdown (upstream-starved vs downstream-backpressured,
-    reusing :class:`~repro.fpga.observers.StallChainProfiler`
-    attribution), per-channel occupancy histograms, and per-DRAM-bank
-    busy-cycles/bytes from the run's
-    :attr:`~repro.fpga.engine.SimReport.bank_stats`.
-
-:class:`SliceRecorder`
-    Coalesces the per-cycle kernel states into
-    :class:`~repro.telemetry.spans.Slice` intervals on the session
-    clock — the leaf rows of the exported Perfetto timeline.
-
-Both are attached per engine run by
-:meth:`~repro.telemetry.runtime.TelemetrySession.engine_run` and detach
-afterwards, so an engine with no active telemetry session never sees
-them (the zero-cost-when-unused contract).
-
-Both define ``on_window`` (a certified superstep folds into the
-occupancy tallies, stall charges and slices arithmetically, like an
-``on_quiet`` jump), so a watched certified run keeps its windows.
-Neither writes the registry while the run is under way: the metrics
-observer writes each of the run's series once, when it ends.
-
-Both implement the :class:`~repro.fpga.observers.EngineObserver`
-protocol structurally rather than by inheritance, and the profiler is
-imported lazily: :mod:`repro.telemetry` must stay importable without
-touching :mod:`repro.fpga` (the engine imports
-:mod:`repro.telemetry.runtime` at module scope, and a module-level
-import back into ``fpga`` would be a cycle).
+It implements the :class:`~repro.fpga.observers.EngineObserver` protocol
+structurally rather than by inheritance, and the profiler is imported
+lazily: :mod:`repro.telemetry` must stay importable without touching
+:mod:`repro.fpga` (the engine imports :mod:`repro.telemetry.runtime` at
+module scope, and a module-level import back into ``fpga`` would be a
+cycle).
 """
 
 from __future__ import annotations
@@ -44,7 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from .metrics import MetricsRegistry
 from .spans import Slice
 
-__all__ = ["MetricsObserver", "SliceRecorder", "STALL_CAUSES"]
+__all__ = ["RunObserver", "STALL_CAUSES"]
 
 #: Map from the :class:`~repro.fpga.kernel.BlockedState` kind to the
 #: dimensioning vocabulary of Sec. IV-B: a kernel blocked *popping* is
@@ -53,76 +37,115 @@ __all__ = ["MetricsObserver", "SliceRecorder", "STALL_CAUSES"]
 STALL_CAUSES = {"pop": "upstream-starved", "push": "downstream-backpressured"}
 
 
-class MetricsObserver:
-    """Record one engine run into a shared metrics registry.
+class RunObserver:
+    """Record one engine run into a telemetry session.
 
     All series carry a ``run`` label so several engine runs in one
     session (a multi-component plan, a host program issuing many calls)
     stay distinguishable while counters still sum to session totals.
 
-    The run is folded once.  During the run the observer only tallies:
-    its profiler charges stalls, and each channel's occupancy samples
-    go into a plain ``{occupancy: cycles}`` dict (one entry per stepped
-    cycle, ``on_quiet`` jump or window run).  :meth:`on_run_end` writes
-    every series of the run, each once; a run that raises instead gets
-    its occupancy series from :meth:`fold_occupancy`, which the session
-    calls before ``Engine.run`` lets the exception out.  Either way the
-    registry is current when the run returns.
+    The run is folded once.  During the run the observer only tallies.
+    Every kernel state comes through :meth:`on_kernel_state`, for one
+    stepped cycle or for all the cycles of an ``on_quiet`` jump or an
+    ``on_window`` record: it charges a blocked stall to the profiler and
+    opens a slice where the state changes, so the slices are bounded by
+    state *transitions*, not cycles (:data:`MAX_SLICES` caps
+    pathological runs and sets :attr:`truncated`).  Each channel's
+    occupancy samples go into a plain ``{occupancy: cycles}`` dict.
+    :meth:`on_run_end` writes every series of the run, each once;
+    :meth:`close`, which the session calls whether or not the run
+    raised, writes what a raising run tallied and closes the open slices.
     """
 
-    wants_kernel_states = True       # drives the stall-cause profiler
+    wants_kernel_states = True
 
-    def __init__(self, registry: MetricsRegistry, run: int = 0,
-                 occupancy: bool = True) -> None:
+    #: Upper bound on recorded slices per engine run.
+    MAX_SLICES = 250_000
+
+    def __init__(self, registry: MetricsRegistry, sink: List[Slice],
+                 offset: int = 0, run: int = 0) -> None:
         from ..fpga.observers import StallChainProfiler
         self.registry = registry
+        self.sink = sink
+        self.offset = offset
         self.run = run
-        self.occupancy = occupancy
+        self.truncated = False
         prof = self.profiler = StallChainProfiler()
-        # The profiler's per-event hooks are this observer's own: bound
-        # here, the scheduler calls them without a forwarding frame.
-        self.on_kernel_state = prof.on_kernel_state
+        # Bound here, the scheduler calls them without a forwarding frame.
         self.on_channel_op = prof.on_channel_op
+        self._charge = prof._charge
         self.last_report: Optional[Any] = None
+        self._kernels: List[Any] = []
         #: ``(name, channel, {occupancy: cycles})`` per engine channel.
         self._occ: List[Tuple[str, Any, Dict[int, int]]] = []
         #: Whether any cycle was sampled since the last fold (a run that
         #: executed none writes no occupancy family).
         self._sampled = False
+        self._open: Dict[str, list] = {}      # kernel -> [state, start]
+        self._count = 0
 
     # -- protocol ------------------------------------------------------------
     def on_run_start(self, engine: Any) -> None:
         self.profiler.on_run_start(engine)
-        if self.occupancy:
-            self._occ = [(name, ch, {})
-                         for name, ch in engine.channels.items()]
+        self._kernels = list(engine.kernels.values())
+        self._occ = [(name, ch, {}) for name, ch in engine.channels.items()]
 
     def on_cycle(self, t: int) -> None:
-        if self.occupancy:
-            self._sampled = True
-            for _name, ch, tally in self._occ:
-                occ = ch.occupancy
-                tally[occ] = tally.get(occ, 0) + 1
+        self._sampled = True
+        for _name, ch, tally in self._occ:
+            occ = ch.occupancy
+            tally[occ] = tally.get(occ, 0) + 1
+
+    def on_kernel_state(self, t: int, kernel: Any, state: str,
+                        cycles: int = 1) -> None:
+        """``kernel`` was in ``state`` for ``cycles`` cycles from ``t``."""
+        if state == "s" and kernel.blocked is not None:
+            self._charge(kernel, cycles)
+        name = kernel.name
+        cur = self._open.get(name)
+        if cur is None:
+            self._open[name] = [state, t]
+        elif cur[0] != state:
+            self._emit(name, cur[0], cur[1], t)
+            cur[0], cur[1] = state, t
 
     def on_quiet(self, start: int, cycles: int) -> None:
-        self.profiler.on_quiet(start, cycles)
-        if self.occupancy:
-            self._sampled = True
-            for _name, ch, tally in self._occ:
-                occ = ch.occupancy
-                tally[occ] = tally.get(occ, 0) + cycles
+        # Nothing moves over the jump: every kernel keeps its state and
+        # every channel its occupancy.
+        for k in self._kernels:
+            self.on_kernel_state(start, k, "-" if k.done else "z"
+                                 if k.sleep_until > start else "s", cycles)
+        self._tally({}, cycles)
 
     def on_window(self, start: int, cycles: int, window: Any) -> None:
-        self.profiler.on_window(start, cycles, window)
-        if self.occupancy:
-            self._sampled = True
-            runs_of = window.occupancy
-            for _name, ch, tally in self._occ:
-                runs = runs_of.get(ch)
-                if runs is None:
-                    runs = ((ch.occupancy, cycles),)
-                for occ, span in runs:
-                    tally[occ] = tally.get(occ, 0) + span
+        # One state per kernel for the whole window, by its own proof.
+        for k, state in window.states:
+            self.on_kernel_state(start, k, state, cycles)
+        op = self.on_channel_op
+        for k, ch, kind, count in window.ops:
+            op(start, k, ch, kind, count)
+        self._tally(window.occupancy, cycles)
+
+    def _tally(self, runs_of: dict, cycles: int) -> None:
+        """Add ``cycles`` samples: a channel's runs from ``runs_of``, or
+        its current occupancy throughout."""
+        self._sampled = True
+        for _name, ch, tally in self._occ:
+            runs = runs_of.get(ch)
+            if runs is None:
+                runs = ((ch.occupancy, cycles),)
+            for occ, span in runs:
+                tally[occ] = tally.get(occ, 0) + span
+
+    def _emit(self, name: str, state: str, start: int, end: int) -> None:
+        if end <= start:
+            return
+        if self._count >= self.MAX_SLICES:
+            self.truncated = True
+            return
+        self._count += 1
+        self.sink.append(Slice(self.run, name, state, self.offset + start,
+                               self.offset + end))
 
     # -- the fold ------------------------------------------------------------
     def fold_occupancy(self) -> None:
@@ -137,6 +160,16 @@ class MetricsObserver:
             if tally:
                 hist.fold((("channel", name), ("run", run)), tally.items())
                 tally.clear()
+
+    def close(self, t: int) -> None:
+        """End the run at engine cycle ``t`` and let go of the engine (the
+        session keeps the profiler, not the channels and generators)."""
+        self.fold_occupancy()
+        for name, (state, start) in self._open.items():
+            self._emit(name, state, start, t)
+        self._open.clear()
+        self._kernels, self._occ = [], []
+        self.profiler._engine = None
 
     def on_run_end(self, report: Any) -> None:
         self.last_report = report
@@ -203,82 +236,3 @@ class MetricsObserver:
                 key = (("bank", bank), by_run)
                 busy.add(key, bs.busy_cycles)
                 denied.add(key, bs.denied_cycles)
-
-
-class SliceRecorder:
-    """Coalesce per-kernel per-cycle states into timeline slices.
-
-    A slice opens when a kernel's state changes and closes at the next
-    change (or at run end), so the recorded volume is bounded by state
-    *transitions*, not cycles; :data:`MAX_SLICES` caps pathological
-    cases (the trace is then marked ``truncated``).
-    """
-
-    wants_kernel_states = True
-
-    #: Upper bound on recorded slices per engine run.
-    MAX_SLICES = 250_000
-
-    def __init__(self, sink: List[Slice], offset: int = 0,
-                 run: int = 0) -> None:
-        self.sink = sink
-        self.offset = offset
-        self.run = run
-        self.truncated = False
-        self._engine: Optional[Any] = None
-        self._open: Dict[str, list] = {}      # kernel -> [state, start]
-        self._count = 0
-        self._final_t: Optional[int] = None
-
-    def on_run_start(self, engine: Any) -> None:
-        self._engine = engine
-
-    def on_cycle(self, t: int) -> None:
-        pass
-
-    def on_channel_op(self, t: int, kernel: Any, channel: Any, kind: str,
-                      count: int) -> None:
-        pass
-
-    def _emit(self, name: str, state: str, start: int, end: int) -> None:
-        if end <= start:
-            return
-        if self._count >= self.MAX_SLICES:
-            self.truncated = True
-            return
-        self._count += 1
-        self.sink.append(Slice(self.run, name, state, self.offset + start,
-                               self.offset + end))
-
-    def on_kernel_state(self, t: int, kernel: Any, state: str) -> None:
-        name = kernel.name
-        cur = self._open.get(name)
-        if cur is None:
-            self._open[name] = [state, t]
-        elif cur[0] != state:
-            self._emit(name, cur[0], cur[1], t)
-            cur[0], cur[1] = state, t
-
-    def on_quiet(self, start: int, cycles: int) -> None:
-        # States are provably constant over the window; synthesize the
-        # same per-kernel verdict the TraceObserver uses.
-        for k in self._engine.kernels.values():
-            state = "-" if k.done else ("z" if k.sleep_until > start else "s")
-            self.on_kernel_state(start, k, state)
-
-    def on_window(self, start: int, cycles: int, window: Any) -> None:
-        # One state per kernel for the whole window, by its own proof.
-        for k, state in window.states:
-            self.on_kernel_state(start, k, state)
-
-    def finalize(self, t: int) -> None:
-        """Close every open interval at engine cycle ``t`` (idempotent)."""
-        if self._final_t is not None:
-            return
-        self._final_t = t
-        for name, (state, start) in self._open.items():
-            self._emit(name, state, start, t)
-        self._open.clear()
-
-    def on_run_end(self, report: Any) -> None:
-        self.finalize(report.cycles)

@@ -30,37 +30,36 @@ Activation is a context manager::
     telemetry.write_chrome_trace(tel, "trace.json")
 
 While a session is active, :meth:`Engine.run` (via a single
-``active()`` check — the entire cost when telemetry is off) attaches a
-:class:`~repro.telemetry.observers.MetricsObserver` and
-:class:`~repro.telemetry.observers.SliceRecorder` for the duration of
-the run and opens an ``engine.run`` span; the instrumented layers
+``active()`` check — the entire cost when telemetry is off) attaches one
+:class:`~repro.telemetry.observers.RunObserver` for the duration of the
+run and opens an ``engine.run`` span; the instrumented layers
 (:mod:`repro.host.api`, :mod:`repro.streaming.executor`, the
 :mod:`repro.apps` entry points) open their spans through the
 module-level :func:`span` helper, which degrades to a shared no-op
-context manager when no session is active.  The simulator is
-single-threaded; so is the session.
+context manager when no session is active.  Watching does not change
+how a run is simulated: a watched certified run takes the same windows,
+and a warm one replays the same recorded script, as an unwatched one.
+The simulator is single-threaded; so is the session.
 
 **Ledger-lite mode.**  ``session(metrics=False, kernel_slices=False,
-occupancy=False, ledger_path=...)`` attaches *no observers at all*:
-the per-run cost is O(kernels) record assembly after the run, with no
-per-cycle or per-window callbacks at all (a full session keeps the
-windows too — its observers take each one as a single ``on_window``
-record — but pays for that accounting).  ``bench/`` times this
-configuration as ``telemetry.ledger_lite_ms`` (a full session is
+occupancy=False, ledger_path=...)`` attaches *no observer at all*: the
+per-run cost is O(kernels) record assembly after the run.  The three
+keywords are one switch: a session records everything or only the
+ledger.  ``bench/`` times this configuration as
+``telemetry.ledger_lite_ms`` (a full session is
 ``telemetry.observed_over_plain``), and ``tests/test_window_tiers.py``
 holds it to the plain run's report and to windows that keep replaying.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager, nullcontext
 from typing import Any, ContextManager, Iterator, List, Optional, Tuple
 
 from . import ledger as _ledger
-from .ledger import RunLedger, RunRecord
+from .ledger import RunLedger
 from .metrics import MetricsRegistry
-from .observers import MetricsObserver, SliceRecorder
+from .observers import RunObserver
 from .spans import Slice, SpanRecorder
 
 __all__ = ["TelemetrySession", "active", "session", "span"]
@@ -104,17 +103,13 @@ class TelemetrySession:
 
     Parameters
     ----------
-    kernel_slices:
-        Record per-kernel work/stall timeline slices (the Perfetto leaf
-        rows).  Costs the per-cycle kernel-state sweep; disable for
-        metrics-only observation of very long runs.
-    occupancy:
-        Sample per-channel occupancy histograms every executed cycle.
-    metrics:
-        Attach the :class:`MetricsObserver` to every run.  Disabling it
-        (together with ``kernel_slices``) leaves the engine entirely
-        observer-free — the *ledger-lite* mode that still records one
-        :class:`RunRecord` per run.
+    metrics, kernel_slices, occupancy:
+        One switch: all true (the default) attaches a
+        :class:`RunObserver` (metrics, kernel slices, occupancy
+        histograms) to every run; all false is *ledger-lite*, which
+        still records one :class:`RunRecord` and one run summary per
+        run.  A mixed setting raises
+        :class:`~repro.fpga.errors.SessionConfigError` (a ``ValueError``).
     ledger_path:
         Optional JSONL sink path for the run ledger (size-rotated; see
         :class:`repro.telemetry.ledger.JsonlSink`).
@@ -125,6 +120,14 @@ class TelemetrySession:
     def __init__(self, kernel_slices: bool = True, occupancy: bool = True,
                  metrics: bool = True, ledger_path: Optional[str] = None,
                  ledger_capacity: int = _ledger.DEFAULT_CAPACITY) -> None:
+        if not bool(metrics) == bool(kernel_slices) == bool(occupancy):
+            # Imported lazily: repro.fpga imports this module.
+            from ..fpga.errors import SessionConfigError
+            raise SessionConfigError(
+                "metrics, kernel_slices and occupancy are one switch: "
+                "set all three or none, got "
+                f"metrics={metrics!r}, kernel_slices={kernel_slices!r}, "
+                f"occupancy={occupancy!r}")
         self.registry = MetricsRegistry()
         self.clock = 0
         self.spans = SpanRecorder(lambda: self.clock)
@@ -133,9 +136,8 @@ class TelemetrySession:
         #: Point events (Chrome-trace ``"i"`` phase): injected faults,
         #: retries, demotions.  Each entry: name/cat/ts/run/args.
         self.instants: List[dict] = []
-        self.kernel_slices = kernel_slices
-        self.occupancy = occupancy
-        self.metrics = metrics
+        #: Whether each run gets a :class:`RunObserver` (not ledger-lite).
+        self.metrics = bool(metrics)
         #: The correlated run ledger (ring + optional JSONL sink).
         self.ledger = RunLedger(capacity=ledger_capacity, path=ledger_path)
         self._run_seq = 0
@@ -180,116 +182,88 @@ class TelemetrySession:
     def engine_run(self, engine: Any) -> Iterator["TelemetrySession"]:
         """Instrument one :meth:`Engine.run` (called by the engine).
 
-        Attaches the run observers (when enabled), opens the
-        ``engine.run`` span, mints the run's correlation id, and —
-        crucially — advances the session clock by the cycles the run
-        executed, even when the run raises (a deadlocked run still shows
-        its partial timeline, ending at the deadlock cycle).  One
-        :class:`RunRecord` is appended per run, success or failure, with
-        the certificate-cache delta, the certified predicted band, the
-        bulk superstep counters and the fault counter delta filled in.
+        Attaches the run's :class:`RunObserver` (unless the session is
+        ledger-lite), opens the ``engine.run`` span and the run's ledger
+        record (:func:`~repro.telemetry.ledger.run_scope`: the
+        correlation id, the outcome, the wall time), and — crucially —
+        advances the session clock by the cycles the run executed, even
+        when the run raises (a deadlocked run still shows its partial
+        timeline, ending at the deadlock cycle).  The record is appended
+        on success or failure, with the certificate-cache delta, the
+        certified predicted band, the bulk superstep counters and the
+        fault counter delta filled in.
         """
         idx = self._run_seq
         self._run_seq += 1
         t0 = engine.now
         offset = self.clock - t0
         self._run_offset = offset
-        mo: Optional[MetricsObserver] = None
-        attach: List[object] = []
-        if self.metrics:
-            mo = MetricsObserver(self.registry, run=idx,
-                                 occupancy=self.occupancy)
-            attach.append(mo)
-        if self.kernel_slices:
-            sl: Optional[SliceRecorder] = SliceRecorder(
-                self.slices, offset=offset, run=idx)
-            attach.append(sl)
-        else:
-            sl = None
-        rec = RunRecord(run_id=_ledger.mint_run_id(), kind="engine.run",
-                        parent_id=_ledger.current_run_id(),
-                        label=f"engine.run[{idx}]",
-                        engine_mode=engine.mode)
-        mem = getattr(engine, "memory", None)
-        if mem is not None:
-            rec.device_label = getattr(mem, "device_label", None)
-            summary = getattr(mem, "placement_summary", None)
-            if callable(summary):
-                rec.memory = summary()
-        sp = self.spans.open(f"engine.run[{idx}]", cat="engine", run=idx,
-                             run_id=rec.run_id, mode=engine.mode,
-                             kernels=len(engine.kernels),
-                             channels=len(engine.channels))
-        cache = getattr(engine, "_schedule_cache", None)
-        hits0 = getattr(cache, "hits", None)
-        misses0 = getattr(cache, "misses", None)
-        faults0 = self._counter_total("faults_injected")
-        wall0 = time.perf_counter()
-        for o in attach:
-            engine.add_observer(o)
-        _ledger._STACK.append(rec.run_id)
-        try:
-            yield self
-        except BaseException as exc:
-            sp.args.setdefault("error", type(exc).__name__)
-            rec.outcome = _ledger.classify_outcome(exc)
-            rec.error = type(exc).__name__
-            raise
-        finally:
-            _ledger._STACK.pop()
-            for o in attach:
-                try:
-                    engine._observers.remove(o)
-                except ValueError:      # pragma: no cover - defensive
-                    pass
-            end_t = engine.now
-            if sl is not None:
-                sl.finalize(end_t)
-            self.clock = offset + end_t
-            self.spans.close(sp, cycles=end_t - t0)
-            if mo is not None:
-                # A run that raised never reached on_run_end; its
-                # occupancy samples still land before Engine.run exits.
-                mo.fold_occupancy()
-                # Kept for report(), which reads the stall tables; the
-                # engine (channels, generators, buffers) must not live
-                # as long as the session does.
-                mo.profiler._engine = None
-                self._profilers.append((idx, mo.profiler))
-            report_dict: Optional[dict] = None
-            if mo is not None and mo.last_report is not None:
-                report_dict = mo.last_report.to_dict()
-            elif rec.error is None and not self.metrics:
-                # Ledger-lite: no observer saw the run end; the engine's
-                # own report builder is O(kernels) and side-effect free.
-                try:
-                    report_dict = engine._build_report().to_dict()
-                except Exception:       # pragma: no cover - best-effort
-                    report_dict = None
-            if report_dict is not None:
-                report_dict["run"] = idx
-                report_dict["offset"] = offset + t0
-                report_dict["run_id"] = rec.run_id
-                self.runs.append(report_dict)
-                rec.stall_cycles = report_dict["total_stall_cycles"]
-                rec.kernel_steps = report_dict["kernel_steps"]
-            rec.cycles = end_t - t0
-            rec.wall_seconds = time.perf_counter() - wall0
-            schedule = getattr(engine, "schedule", None)
-            if schedule is not None:
-                band = getattr(schedule, "predicted_cycles", None)
-                if band is not None:
-                    rec.predicted_cycles = (int(band[0]), int(band[1]))
-                # The key the certificate lookup already computed.
-                rec.plan_key = getattr(schedule, "plan_key", None)
-            if hits0 is not None:
-                rec.schedule_cache = {"hits": cache.hits - hits0,
-                                      "misses": cache.misses - misses0}
-            rec.faults_injected = int(
-                self._counter_total("faults_injected") - faults0)
-            rec.bulk = engine.bulk_stats()
-            rec.fallback_reason = engine._bulk_fallback
-            self.ledger.append(rec)
+        with _ledger.run_scope(self.ledger, "engine.run",
+                               label=f"engine.run[{idx}]",
+                               engine_mode=engine.mode) as rec:
+            mem = getattr(engine, "memory", None)
+            if mem is not None:
+                rec.device_label = getattr(mem, "device_label", None)
+                summary = getattr(mem, "placement_summary", None)
+                if callable(summary):
+                    rec.memory = summary()
+            sp = self.spans.open(f"engine.run[{idx}]", cat="engine", run=idx,
+                                 run_id=rec.run_id, mode=engine.mode,
+                                 kernels=len(engine.kernels),
+                                 channels=len(engine.channels))
+            cache = getattr(engine, "_schedule_cache", None)
+            hits0 = getattr(cache, "hits", None)
+            misses0 = getattr(cache, "misses", None)
+            faults0 = self._counter_total("faults_injected")
+            obs: Optional[RunObserver] = None
+            if self.metrics:
+                obs = RunObserver(self.registry, self.slices, offset=offset,
+                                  run=idx)
+                engine.add_observer(obs)
+            ok = False
+            try:
+                yield self
+                ok = True
+            except BaseException as exc:
+                sp.args.setdefault("error", type(exc).__name__)
+                raise
+            finally:
+                end_t = engine.now
+                if obs is not None:
+                    engine._observers.remove(obs)
+                    obs.close(end_t)
+                    if obs.truncated:
+                        sp.args["slices_truncated"] = True
+                    # Kept for report(), which reads the stall tables.
+                    self._profilers.append((idx, obs.profiler))
+                self.clock = offset + end_t
+                self.spans.close(sp, cycles=end_t - t0)
+                if ok:
+                    # Ledger-lite: no observer saw the run end; the
+                    # engine's report builder is O(kernels).
+                    report_dict = (obs.last_report if obs is not None
+                                   else engine._build_report()).to_dict()
+                    report_dict["run"] = idx
+                    report_dict["offset"] = offset + t0
+                    report_dict["run_id"] = rec.run_id
+                    self.runs.append(report_dict)
+                    rec.stall_cycles = report_dict["total_stall_cycles"]
+                    rec.kernel_steps = report_dict["kernel_steps"]
+                rec.cycles = end_t - t0
+                schedule = getattr(engine, "schedule", None)
+                if schedule is not None:
+                    band = getattr(schedule, "predicted_cycles", None)
+                    if band is not None:
+                        rec.predicted_cycles = (int(band[0]), int(band[1]))
+                    # The key the certificate lookup already computed.
+                    rec.plan_key = getattr(schedule, "plan_key", None)
+                if hits0 is not None:
+                    rec.schedule_cache = {"hits": cache.hits - hits0,
+                                          "misses": cache.misses - misses0}
+                rec.faults_injected = int(
+                    self._counter_total("faults_injected") - faults0)
+                rec.bulk = engine.bulk_stats()
+                rec.fallback_reason = engine._bulk_fallback
 
     # -- reporting -----------------------------------------------------------
     def report(self, top: int = 8) -> str:

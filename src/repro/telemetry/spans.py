@@ -12,7 +12,7 @@ span starts becomes its parent.  The ``host/api.py`` routine wrappers
 open root spans, ``streaming/executor.py`` compositions and
 ``fpga/engine.py`` runs nest under them, and kernel work/stall intervals
 (recorded separately as :class:`Slice` by the
-:class:`~repro.telemetry.observers.SliceRecorder`) become the leaf
+:class:`~repro.telemetry.observers.RunObserver`) become the leaf
 slices.  :mod:`repro.telemetry.chrome_trace` renders both to Chrome
 ``trace_event`` JSON loadable in ``ui.perfetto.dev``.
 """

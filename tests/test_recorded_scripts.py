@@ -16,6 +16,8 @@ and later runs of the same design replay it (``fpga/bulk.py``,
 * on every design the differential and wake-window suites draw, the
   recording run, the replaying run and a run that plans on a fresh
   cache agree byte for byte, and the fresh run records the same script;
+  a watched replay (a trace observer and a stall profiler) shows its
+  observers what a watched run that plans shows them;
 * two threads recording and replaying on one shared cache get what one
   thread gets.
 
@@ -36,6 +38,7 @@ from repro.analysis import AnalysisError
 from repro.fpga import DeadlockError, Engine, LivelockError
 from repro.fpga.bulk import WindowScheduler
 from repro.fpga.memory import DramModel
+from repro.fpga.observers import StallChainProfiler, TraceObserver
 from repro.fpga.util import sink_kernel, source_kernel
 from repro.host import Fblas
 from repro.plan import PlanCache
@@ -240,32 +243,45 @@ def test_a_script_too_long_to_keep_is_marked_and_the_design_plans():
     assert list(_certificate(cache).scripts.values()) == [()]
 
 
-def test_watched_budgeted_and_uncached_runs_plan():
-    """Observers, an explicit ``max_cycles`` and a run without a
-    schedule cache neither record nor replay."""
-    from repro.fpga.observers import TraceObserver
+def _small(cache, **kw):
+    """A 64-element source -> sink run, certified, width 4."""
+    eng = Engine(mode="certified", schedule_cache=cache,
+                 observers=kw.pop("observers", ()))
+    ch = eng.channel("c", 8)
+    eng.add_kernel("src", source_kernel(ch, np.ones(64, np.float32), 4))
+    eng.add_kernel("sink", sink_kernel(ch, 64, 4))
+    return eng.run(**kw)
 
+
+def test_budgeted_and_uncached_runs_plan():
+    """An explicit ``max_cycles`` and a run without a schedule cache
+    neither record nor replay."""
     cache = PlanCache()
-
-    def run(**kw):
-        eng = Engine(mode="certified", schedule_cache=kw.pop("cache", cache),
-                     observers=kw.pop("observers", ()))
-        ch = eng.channel("c", 8)
-        eng.add_kernel("src", source_kernel(ch, np.ones(64, np.float32), 4))
-        eng.add_kernel("sink", sink_kernel(ch, 64, 4))
-        return eng.run(**kw)
-
-    run(max_cycles=10_000)
-    run(observers=[TraceObserver()])
+    _small(cache, max_cycles=10_000)
+    _small(None)
     assert _certificate(cache).scripts == {}
-    run()
+    _small(cache)
     assert len(_certificate(cache).scripts) == 1
     with _planning_forbidden():
-        run()
-        for kw in ({"max_cycles": 10_000}, {"cache": None},
-                   {"observers": [TraceObserver()]}):
+        _small(cache)
+        for kw in ({"cache": cache, "max_cycles": 10_000},
+                   {"cache": None}):
             with pytest.raises(AssertionError, match="planned a window"):
-                run(**kw)
+                _small(**kw)
+
+
+def test_watched_runs_record_and_replay():
+    """Observers take no part in the script: a watched run records it,
+    and watched and unwatched runs replay it."""
+    cache = PlanCache()
+    _small(cache, observers=[TraceObserver()])
+    assert len(_certificate(cache).scripts) == 1
+    with _planning_forbidden():
+        plain = _small(cache)
+        watched = _small(cache, observers=[TraceObserver(),
+                                           StallChainProfiler()])
+    assert watched.cycles == plain.cycles
+    assert watched.timelines and not plain.timelines
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +307,15 @@ designs = st.one_of(
 )
 
 
-def _outcome(build, spec, cache):
+def _outcome(build, spec, cache, watched=False):
     """Everything one certified run at the default cycle budget shows:
-    verdict and report, result bytes, bank stats, counters, bulk stats.
+    verdict and report, result bytes, bank stats, counters, bulk stats
+    and, ``watched``, what a trace observer and a stall profiler saw.
     ``None`` when the design is refused before cycle 0."""
     memory = spec.get("memory")
+    observers = [TraceObserver(), StallChainProfiler()] if watched else []
     eng = Engine(mode="certified", memory=memory and memory(),
-                 schedule_cache=cache)
+                 schedule_cache=cache, observers=observers)
     out = []
     extra = build(eng, spec, out)
     try:
@@ -311,11 +329,17 @@ def _outcome(build, spec, cache):
     payload = [np.asarray(o).tobytes() for o in (out, *(extra or ()))]
     banks = ([(b.bytes_read, b.bytes_written, b.busy_cycles)
               for b in eng.memory.bank_stats] if eng.memory else [])
-    return got, payload, banks, _stats(eng), eng.bulk_stats()
+    seen = ()
+    if watched:
+        trace, prof = observers
+        seen = (trace.timelines, trace.occupancy_sums, prof.stalls,
+                prof.producers, prof.consumers)
+    return (got, payload, banks, _stats(eng), eng.bulk_stats(), *seen)
 
 
 def check_script(design):
-    """The recording, replaying and fresh planning runs of one design."""
+    """The recording, replaying and fresh planning runs of one design,
+    unwatched and watched."""
     build, spec = design
     cache = PlanCache()
     cold = _outcome(build, spec, cache)
@@ -328,11 +352,17 @@ def check_script(design):
     (script,) = scripts.values()
     with _planning_forbidden():
         warm = _outcome(build, spec, cache)
+        watched = _outcome(build, spec, cache, watched=True)
     fresh_cache = PlanCache()
     fresh = _outcome(build, spec, fresh_cache)
     assert warm == cold, f"the replay diverged for {spec}"
     assert fresh == cold, f"a fresh plan diverged for {spec}"
     assert list(_certificate(fresh_cache).scripts.values()) == [script]
+    # A watched replay shows its observers what a watched plan does, and
+    # looking changes nothing the run itself shows.
+    planned = _outcome(build, spec, PlanCache(), watched=True)
+    assert watched == planned, f"a watched replay diverged for {spec}"
+    assert watched[:5] == cold
 
 
 @settings(max_examples=100, deadline=None)

@@ -32,6 +32,7 @@ from repro.faults import COMPLETION_SAFE_KINDS, FaultPlan
 from repro.fpga import Clock, DeadlockError, Engine, Pop, Push
 from repro.fpga.util import source_kernel
 from repro.host import Fblas, FblasContext
+from repro.plan import PlanCache
 from repro.telemetry.chrome_trace import to_chrome_trace
 
 EXPECTED = {
@@ -232,6 +233,51 @@ def test_watched_runs_really_differ():
     assert any((r.fallback_reason or "").startswith("FB404:") for r in recs)
     assert any(r.faults_injected for r in recs)
     assert recs[-1].outcome == "deadlock"
+
+
+def _certified_dot_drive():
+    cache = PlanCache()
+    fb = Fblas(width=8, engine_mode="certified", schedule_cache=cache)
+    x, y = (fb.copy_to_device(v) for v in _arrays(1, 4096, 4096))
+    return cache, lambda: fb.dot(x, y)
+
+
+def _certified_gemver_drive():
+    # A fresh context per call: one context's allocator moves the
+    # buffers to other banks, which is another plan.
+    spec = APPS["gemver"]
+    args = spec.draw(np.random.default_rng(3), 32)
+    return catalogue.CERTIFICATES, lambda: spec.run(
+        FblasContext(), args, width=4, tile=8, mode="certified")
+
+
+@pytest.mark.parametrize("drive", (_certified_dot_drive,
+                                   _certified_gemver_drive),
+                         ids=("dot", "gemver"))
+def test_watched_replay_exports_what_a_watched_plan_does(drive):
+    """A warm certified request watched by a full session replays its
+    recorded script and plans nothing; every artifact it exports equals
+    that of the same request planned cold."""
+    from test_recorded_scripts import _planning_forbidden
+
+    for cache in (catalogue.PLANS, catalogue.CERTIFICATES):
+        cache.clear()
+    certificates, request = drive()
+    request()                           # certificates and scripts warm
+
+    def watched():
+        with telemetry.session() as tel:
+            request()
+        return _exports(tel)
+
+    scripts = [certificates[k].scripts for k in certificates]
+    for script in scripts:
+        script.clear()
+    cold = watched()                    # hits the certificate, plans
+    assert all(scripts), "the planned run recorded no script"
+    with _planning_forbidden():
+        warm = watched()
+    assert warm == cold
 
 
 if __name__ == "__main__":

@@ -12,11 +12,13 @@ plus 5 %.
 """
 
 import sys
+from unittest import mock
 
 import numpy as np
 
 from repro import telemetry
 from repro.apps import atax_streaming
+from repro.fpga.bulk import WindowScheduler
 from repro.fpga.scheduler import WakeListScheduler
 from repro.host import Fblas, FblasContext
 
@@ -25,9 +27,9 @@ ATAX_CALLS = 44_674
 #: Calls inside the 6 stepped cycles of a warm certified dot (585, then
 #: 341 for 7 stepped cycles, before).
 DOT_STEPPED_CALLS = 261
-#: Calls of a warm certified dot inside a full telemetry session (2 226
-#: before).
-WATCHED_DOT_CALLS = 1_701
+#: Calls of a warm certified dot inside a full telemetry session (2 226,
+#: then 1 662 while a watched run planned its windows, before).
+WATCHED_DOT_CALLS = 1_553
 
 
 def _count_calls(fn, inside=None):
@@ -96,12 +98,17 @@ def test_certified_dot_stepped_cycles_call_count():
     assert calls <= 1.05 * DOT_STEPPED_CALLS, calls
 
 
+def _refuse(*args):
+    raise AssertionError("a watched warm run planned a window")
+
+
 def test_watched_certified_dot_call_count():
     """A warm certified 4096-element ``dot`` inside a full session
     (metrics, kernel slices, occupancy): the whole request, host call to
-    ledger record, its windows still ridden.  2 226 calls when every
+    ledger record, its windows still ridden and replayed from the
+    recorded script, so nothing is planned.  2 226 calls when every
     labelled series was written per label, per stepped cycle and per
-    window; the observers now fold the run once."""
+    window; the observer now folds the run once."""
     fb = _Capturing(width=8, engine_mode="certified")
     rng = np.random.default_rng(7)
     x, y = (fb.copy_to_device(rng.standard_normal(4096).astype(np.float32))
@@ -109,7 +116,9 @@ def test_watched_certified_dot_call_count():
     fb.dot(x, y)
     with telemetry.session() as tel:
         fb.dot(x, y)
-        _, calls = _count_calls(lambda: fb.dot(x, y))
+        with mock.patch.multiple(WindowScheduler, _survey=_refuse,
+                                 _window_plan=_refuse):
+            _, calls = _count_calls(lambda: fb.dot(x, y))
     assert fb.engine.bulk_stats()["windows"] > 0
     assert tel.runs[-1]["kernel_steps"] == 2143
     assert calls <= 1.05 * WATCHED_DOT_CALLS, calls
