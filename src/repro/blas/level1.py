@@ -42,8 +42,9 @@ class _Scratch(threading.local):
     allocating the product, the adder-tree levels and the running sums
     afresh each time made those temporaries the allocation peak of a
     certified request.  They live here instead, sized by the largest
-    window the thread has replayed.  Two engines may run on two threads
-    at once (the service's workers), hence ``threading.local``.
+    window the thread has replayed (to a power of two, so a compiled
+    hit's slightly longer one fits).  Two engines may run on two
+    threads at once (the service's workers), hence ``threading.local``.
 
     Only values that are consumed before ``block()`` returns may be
     placed here — never an array that is pushed into a channel, stored
@@ -63,7 +64,7 @@ def _temp(n, dtype):
     valid until the next call on this thread."""
     nbytes = n * dtype.itemsize
     if _scratch.buf.nbytes < nbytes:
-        _scratch.buf = np.empty(nbytes, np.uint8)
+        _scratch.buf = np.empty(1 << (nbytes - 1).bit_length(), np.uint8)
     return _scratch.buf[:nbytes].view(dtype)
 
 

@@ -110,14 +110,16 @@ class _Sequencer(PatternedGenerator):
         self._program = program
         self._gen = self._first()
         self.pattern = pattern
+        self.advance()                  # the first phase, armed at once
         return self
 
     def _first(self):
-        self.advance()
         return
         yield
 
     def advance(self):
+        if self.phase is not None:      # done: its finished phases
+            self.pattern.done += self.phase.total
         self.phase = next(self._program, None)
 
     def current(self):

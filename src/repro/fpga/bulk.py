@@ -68,35 +68,38 @@ A certified design has ii = 1 patterns, full grants and no
 data-dependent control, so the sequence of decisions above — step this
 cycle, or run this superstep — is the same on every run of the design
 (Chi et al.: timing is separate from function, so work it out once).
-The first complete run records it: one entry per :meth:`_run_cycle`,
-the cycle ``now`` for a stepped one or ``(now, K, order, peaks)`` for a
-superstep — kernels by index (the ``plan_key`` fixes their registration
-order), channels by name (it sorts them, so creation order is not
-fixed) with the peak occupancy the walk found.  The script is stored in
-the certificate
-(:attr:`StaticSchedule.scripts`, so the schedule cache's LRU bound
-covers it) under the kernels' timing signatures
-(:mod:`repro.fpga.pattern`, "Timing signature"), because the
-``plan_key`` does not determine the cycles.  A later run of the same
-design takes the next entry at each cycle: a step is the event core's
-``_run_cycle``; for a superstep the channel rows are rebuilt from the
-live kernels' phases (as the planner builds them) and, with the
-recorded peaks, take the planned superstep's own path — described to
-the observers, if any, then :meth:`_execute_window` — so nothing is
-surveyed, planned or bounded by a walk (the description still samples
-its channels).  A recorded ``now`` that is not the run's,
-a kernel not queued or without the iterations it is to run, or a
-channel set that is not the one the kernels touch raises
-:class:`SimulationError`; a replay never falls back to planning.
-Only a run that can be repeated exactly records or replays: one from
-cycle 0 on empty channels, at the default ``max_cycles``, with a
-schedule cache, no fault plan and every kernel's timing declared
-(observers take no part: what they are shown follows from the
-decisions, so a watched run records and replays like any other); and a
-script stays bounded (:data:`~WindowScheduler.MAX_SCRIPTS` per
-certificate, :data:`~WindowScheduler.MAX_SCRIPT_ENTRIES` entries each,
-memory guards that no benchmark workload comes near; a longer run is
-marked and plans).  Everything else plans, as above.
+The first complete run records it: per :meth:`_run_cycle` the cycle
+``now`` of a step or ``(now, K, order, peaks)`` of a superstep, kernels
+by index (the ``plan_key`` fixes their registration order), channels by
+name with the peak the walk found.  It is kept in the certificate
+(:attr:`StaticSchedule.scripts`, under the schedule cache's LRU bound)
+under the kernels' timing signatures (:mod:`repro.fpga.pattern`,
+"Timing signature"): the ``plan_key`` does not fix the cycles.  A
+replay takes the next entry each cycle: a step is the event core's, a
+superstep is rebuilt on the live kernels' phases with the recorded
+peaks, described to the observers and executed — no survey, plan or
+walk.  A recorded ``now`` that is not the run's, a kernel not queued or
+short of its iterations, or a channel set the kernels do not touch
+raises :class:`SimulationError`; a replay never falls back to planning.
+Only a run that can be repeated exactly records or replays: from cycle
+0 on empty channels, at the default ``max_cycles``, with a schedule
+cache, no fault plan and every kernel's timing declared (observers
+take no part); scripts stay bounded (:data:`~WindowScheduler.MAX_SCRIPTS`
+per certificate, :data:`~WindowScheduler.MAX_SCRIPT_ENTRIES` entries
+each; a longer run is marked and plans).
+
+Compiled hits
+-------------
+A design's first replay also compiles its hit, kept with the script:
+per stretch (a superstep or a run of steps, merged unless a DRAM store
+moved and another kernel moves next) each moving kernel's progress —
+the elements its bodies ran — producers first, stores last; then the
+run's counters, bank deltas and DRAM state, as plain values.  A later
+unwatched run takes the hit inside :meth:`Engine.run`: :func:`_play`
+runs the live loops' bodies on their stepped burst grid, handing bursts
+on as arrays, and the counters are applied — no event core, planner,
+walk or channel.  A kernel short of its recorded progress raises
+:class:`SimulationError`.  The replay now serves only watched runs.
 """
 
 from __future__ import annotations
@@ -303,11 +306,12 @@ class WindowScheduler(WakeListScheduler):
 
     #: The script a run replays and the entries it records (``None``:
     #: plan, and record nothing); see "Recorded scripts" above.
-    _script = _record = None
+    _script = _record = _trace = None
+    _cut = False
 
     def run_scripted(self, scripts):
-        """:meth:`run`, replaying the superstep script ``scripts`` holds
-        for this design or recording one into it.  The engine calls this
+        """:meth:`run`, recording this design's script into ``scripts``,
+        replaying it, or taking its compiled hit.  The engine calls this
         for runs without fault plan or explicit ``max_cycles``; one that
         does not start at cycle 0 on empty channels, or has a kernel
         without a timing signature, plans."""
@@ -329,13 +333,110 @@ class WindowScheduler(WakeListScheduler):
             return report
         if not script:                  # () marks a design too long to keep
             return self.run()
+        if script.__class__ is list:    # [script, compiled hit] or [script]
+            if script[1:] and not self._observers:
+                return self._hit(*script[1:])
+            script = script[0]
+        else:
+            self._trace = []
         self._script, self._at = script, 0
         report = self.run()
         if self._at != len(script):
             raise SimulationError(
                 f"the run ended at cycle {self.now} with "
                 f"{len(script) - self._at} recorded script entries left")
+        if self._trace is not None:
+            self._trace.append(self._progress())
+            scripts[key] = self._compile(script, self._trace)
         return report
+
+    def _progress(self):
+        """Each kernel's progress: the elements its bodies have run (a
+        phased pattern's ``done`` counts its finished phases)."""
+        return [k.pattern.done + (k.pattern._phase is not None and getattr(
+            k.pattern.phase(), "done", 0)) for k in self.kernels]
+
+    def _compile(self, script, trace):
+        """``[script, *hit]`` from a replay's :meth:`_progress` around each
+        superstep and at the end (``[script]``: a kernel runs no body)."""
+        eng, kernels = self.engine, self.kernels
+        if 0 in trace[-1]:
+            return [script]
+        # Producers (a reduction's result too) first, DRAM stores last.
+        feeds = {port[0]: k.index for k in kernels for port in (
+            *k.pattern.writes, getattr(k.pattern, "result", None) or "-")}
+        deps = [[feeds[ch] for ch, _w in k.pattern.reads] for k in kernels]
+        depth = [0] * len(kernels)
+        for _k in kernels:
+            for i, d in enumerate(deps):
+                for j in d:
+                    if depth[j] >= depth[i]:
+                        depth[i] = depth[j] + 1
+        store = [_is_store(k.pattern) for k in kernels]
+        order = sorted(range(len(kernels)), key=lambda i: (store[i], depth[i]))
+        stretches, goals, stored, was = [], {}, False, [0] * len(kernels)
+        for now in trace:
+            row = [(i, now[i]) for i in order if now[i] != was[i]]
+            was = now
+            if stored and row and not store[row[0][0]]:
+                stretches.append(goals)     # a store moved: a new stretch
+                goals, stored = {}, False
+            goals.update(row)
+            stored = stored or row != [] and store[row[-1][0]]
+        mem = eng.memory
+        return [script, tuple(
+            tuple((i, g[i]) for i in order if i in g)
+            for g in (*stretches, goals)), (
+            trace[-1], tuple(order[-sum(store):]) if sum(store) > 1 else (),
+            [vars(k.stats).copy() for k in kernels],
+            [(ch.name, vars(ch.stats).copy()) for ch in self.channels],
+            [tuple(vars(b).values()) for b in eng._bank_delta()],
+            mem and (mem._cycle, tuple(mem._busy_mark), tuple(mem._budget),
+                     mem._pool_budget),
+            (eng.now, eng._bulk_windows, eng._bulk_cycles, eng._bulk_stepped,
+             eng._last_op_cycle))]
+
+    def _hit(self, stretches, final):
+        """Run the design's compiled hit (see "Compiled hits")."""
+        eng, kernels = self.engine, self.kernels
+        q = {ch: [] for ch in self.channels}
+        moved = [0] * len(kernels)
+        totals, stores, stats, chans, banks, mem, ends = final
+        try:
+            for stretch in stretches:
+                views = stores          # stores that may read each other's
+                for i, goal in stretch:  # target: detach their inputs
+                    if i in views:
+                        views = ()
+                        for runs in q.values():
+                            runs[:] = [a if getattr(a, "base", None) is None
+                                       else a.copy() for a in runs]
+                    moved[i] = _play(kernels[i].pattern, moved[i], goal, q)
+                    if moved[i] != goal:
+                        raise IndexError
+        except IndexError:              # a body found its inputs short
+            moved = None
+        if moved != totals or any(q.values()):
+            raise SimulationError("the compiled hit cannot run its kernels "
+                                  "to their recorded progress")
+        for k, row in zip(kernels, stats):
+            vars(k.stats).update(row)
+            k.done = True
+        for name, row in chans:
+            vars(eng.channels[name].stats).update(row)
+        if mem:
+            dram = eng.memory
+            for b, (r, w, d, u, e) in zip(dram.bank_stats, banks):
+                b.bytes_read += r
+                b.bytes_written += w
+                b.denied_cycles += d
+                b.busy_cycles += u
+                b.ecc_events += e
+            (dram._cycle, dram._busy_mark[:], dram._budget[:],
+             dram._pool_budget) = mem
+        (eng.now, eng._bulk_windows, eng._bulk_cycles, eng._bulk_stepped,
+         eng._last_op_cycle) = ends
+        return eng._build_report()
 
     def _run_cycle(self) -> None:
         t = self.now
@@ -384,6 +485,9 @@ class WindowScheduler(WakeListScheduler):
             ) from None
         self._at += 1
         window = entry.__class__ is not int
+        if self._trace is not None and (window or self._cut):
+            self._trace.append(self._progress())    # a stretch ends
+        self._cut = window
         t0 = entry[0] if window else entry
         if t0 != t:
             raise SimulationError(
@@ -669,6 +773,47 @@ class WindowScheduler(WakeListScheduler):
                                     for ch, runs in series.items()})))
             a = b
         return records
+
+
+def _play(pat, moved, goal, q):
+    """Run ``pat``'s bodies from ``moved`` to ``goal`` elements (``q``
+    queues its channels' runs; a call ends where one does, a ragged burst
+    runs alone, then ``on_end`` and a result); return where it stopped."""
+    while moved < goal:
+        p = pat.phase()
+        if p is None or p.done == p.total:
+            break
+        base = p.done
+        c = min(p._stop(base), base + goal - moved) - base
+        lanes = p.width if c >= p.width else c
+        c -= c % lanes
+        for ch, _w in p.reads:
+            if len(q[ch][0]) < c:
+                c = len(q[ch][0]) // lanes * lanes or lanes
+        outs = p.body([_take(q[ch], c, p.dtype) for ch, _w in p.reads],
+                      base, c, lanes)
+        for (ch, _w, _lat), arr in zip(p.writes, outs):
+            q[ch].append(arr)
+        p.done = base = base + c
+        moved += c
+        if base == p.total and p.on_end is not None:
+            p.on_end()
+        if base == p.total and p.result is not None:
+            q[p.result[0]].append(tuple(p.result[1]()))
+    return moved
+
+
+def _take(runs, n, dtype):
+    """Pop ``n`` queued values as ``dtype``: a view if one run has them."""
+    a = runs[0]
+    if len(a) > n:
+        runs[0], a = a[n:], a[:n]
+    elif len(a) == n:
+        del runs[0]
+    else:                               # a burst that straddles runs
+        del runs[0]
+        a = np.concatenate((a, _take(runs, n - len(a), None)))
+    return a if dtype is None else np.asarray(a, dtype)
 
 
 def _finish(k) -> None:

@@ -515,9 +515,9 @@ class Engine:
             # Imported lazily: repro.analysis depends on this module.
             from ..analysis import analyze_engine
             analyze_engine(self).raise_if_errors()
-        # A recorded superstep script assumes the default cycle budget.
-        # Observers take no part: a replayed superstep is described to
-        # them as a planned one is.
+        # A recorded script and its compiled hit assume the default cycle
+        # budget.  A watched run replays the script (each superstep shown
+        # to the observers as a planned one is), an unwatched one the hit.
         scripted = max_cycles is None and self._schedule_cache is not None
         if max_cycles is None:
             max_cycles = self.cycle_budget()

@@ -63,12 +63,13 @@ regular on its own ports.  Such a kernel carries one
 
 * the outer pattern's ``reads``/``writes``/totals/``defer`` are the
   **union** over all phases — what the kernel does over a whole run,
-  which is what the FB40x rate analyzer and the plan IR consume;
+  which is what the FB40x rate analyzer and the plan IR consume — and
+  its ``done`` the elements of the phases that have ended;
 * :meth:`StaticPattern.phase` returns the pattern of the phase the
-  kernel is in *now* (``None`` between phases, or for an unstarted
-  generator): its ports are the only channels the next ``ready()``
-  iterations touch, and its ``block`` is what replays them.  A
-  single-phase pattern is its own phase;
+  kernel is in *now* (``None`` once the last has run): its ports are
+  the only channels the next ``ready()`` iterations touch, and its
+  ``block`` is what replays them.  A single-phase pattern is its own
+  phase;
 * the contract above holds per phase, with one addition: the kernel
   moves its cursor to the next phase **before** the ``Clock`` that ends
   a phase's last iteration (and ``block`` does the same when it
@@ -106,9 +107,10 @@ declares ``timing``, a small hashable value naming what else decides
 its ``ready()``: a :class:`SteadyLoop` its ``segment``, a tiled
 Level-2 module its name and tile geometry, the DRAM interface kernels
 their ``repeat`` and whether their order is the identity.  The window
-scheduler keys a recorded superstep script on the certificate plus the
-kernels' signatures (:mod:`repro.fpga.bulk`, "Recorded scripts"); a
-pattern that declares none is planned every run.
+scheduler keys a recorded superstep script and its compiled hit (which
+runs :class:`SteadyLoop` bodies alone, so only loops and kernels phased
+into them declare one) on the certificate plus the kernels' signatures
+(:mod:`repro.fpga.bulk`); a pattern that declares none plans every run.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ class StaticPattern:
 
     __slots__ = ("reads", "writes", "ii", "dtype", "dram",
                  "read_totals", "write_totals", "defer", "executable",
-                 "timing", "_ready", "_phase")
+                 "timing", "done", "_ready", "_phase")
 
     def __init__(self, reads: Sequence[Tuple] = (),
                  writes: Sequence[Tuple] = (), ii: int = 1,
@@ -225,7 +227,7 @@ class StaticPattern:
         self.executable = ready is not None
         self.timing = timing
         self._ready = ready
-        self._phase = None
+        self._phase, self.done = None, 0
 
     @classmethod
     def phased(cls, current: Callable[[], Optional["StaticPattern"]],
@@ -257,7 +259,7 @@ class StaticPattern:
 
     def phase(self) -> Optional["StaticPattern"]:
         """Pattern of the kernel's current phase (``self`` unless the
-        kernel is multi-phase; ``None`` between phases)."""
+        kernel is multi-phase; ``None`` once its last phase has run)."""
         return self if self._phase is None else self._phase()
 
     def ready(self) -> int:
@@ -301,7 +303,7 @@ class SteadyLoop(StaticPattern):
     """
 
     __slots__ = ("body", "width", "segment", "result", "on_end", "total",
-                 "done", "lanes", "held")
+                 "lanes", "held")
 
     def __init__(self, kernel: str, body: Callable, reads: Sequence = (),
                  writes: Sequence = (), count: Optional[int] = None,
@@ -404,10 +406,10 @@ class SteadyLoop(StaticPattern):
                 vals = (vals,) if c == 1 else tuple(vals)
                 ins[i] = vals if dtype is None else np.asarray(vals, dtype)
             outs = body(ins, base, c, c)
+            self.done = base + c        # what the body has run
             if writes:
                 for (ch, _lanes, latency), vals in zip(writes, outs):
                     yield Push(ch, tuple(vals), latency)
-            self.done = base + c
             if self.done == self.total and self.on_end is not None:
                 self.on_end()
             yield clock

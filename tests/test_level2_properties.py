@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.blas import level1, level2, reference
 from repro.fpga import (DramModel, Engine, duplicate_kernel, forward_kernel,
                         sink_kernel, source_kernel)
+from repro.fpga.bulk import _play
 from repro.fpga.channel import Channel
 from repro.fpga.kernel import Clock, Pop
 from repro.fpga.memory import read_kernel, write_kernel
@@ -353,10 +354,13 @@ class TestMatrixBlockEqualsScalarLoop:
 # ---------------------------------------------------------------------------
 #
 # The same property for the one-loop kernels: the source, sink, forward
-# and duplicate helpers, a Level-1 map and a reduction, and the DRAM
-# read and write kernels (a repeated gather and a scatter, on a bank
-# that grants every burst).  ``_run_split`` drives them like the tiled
-# modules; the loop's ``done`` is the position.
+# and duplicate helpers, every Level-1 kernel a certified design in the
+# differential suites uses (maps, reductions, the batched DOT and AXPY),
+# and the DRAM read and write kernels (a repeated gather and a scatter,
+# on a bank that grants every burst).  ``_run_split`` drives them like
+# the tiled modules; the loop's ``done`` is the position.  The compiled
+# hit's function-only steps are checked against the same stepped loops
+# and the tiled modules.
 
 class _Wire:
     """A channel stand-in: the op interpreter's side of it is the feed,
@@ -469,6 +473,22 @@ LOOPS = {
         m.ch["c"], w),
     "read": _read,
     "write": _write,
+    "scal": lambda m, n, w, rng: level1.scal_kernel(
+        n, -1.5, m.fed("a", m.data(rng, n)), m.ch["b"], w),
+    "copy": lambda m, n, w, rng: level1.copy_kernel(
+        n, m.fed("a", m.data(rng, n)), m.ch["b"], w),
+    "asum": lambda m, n, w, rng: level1.asum_kernel(
+        n, m.fed("a", m.data(rng, n)), m.ch["c"], w),
+    "nrm2": lambda m, n, w, rng: level1.nrm2_kernel(
+        n, m.fed("a", m.data(rng, n)), m.ch["c"], w),
+    "iamax": lambda m, n, w, rng: level1.iamax_kernel(
+        n, m.fed("a", m.data(rng, n)), m.ch["c"], w),
+    "batched_dot": lambda m, n, w, rng: level1.batched_dot_kernel(
+        2, n // 2, m.fed("a", m.data(rng, n)), m.fed("b", m.data(rng, n)),
+        m.ch["c"], w),
+    "batched_axpy": lambda m, n, w, rng: level1.batched_axpy_kernel(
+        2, n // 2, [0.5, -2.0], m.fed("a", m.data(rng, n)),
+        m.fed("b", m.data(rng, n)), m.ch["c"], w),
 }
 
 
@@ -488,3 +508,72 @@ class TestSteadyBlockEqualsSteppedLoop:
             for k2 in range(1, total - k1 + 1):
                 seen.update(_check_partition(make, [k1, k2, total]))
         assert len(seen) >= total
+
+    @pytest.mark.parametrize("name", [*LOOPS, *MODULES])
+    def test_function_only_steps_equal_the_stepped_loop(self, name):
+        """A compiled hit runs a kernel by its bodies alone
+        (``fpga/bulk.py`` ``_play``): full bursts at once, a ragged
+        burst, a reduction's result, a phase hand-over and the first
+        phase's arming are each a function-only step.  Cut anywhere on
+        the stepped loop's grid — every two cuts, phase boundaries
+        among them — it ends with the stepped loop's outputs, buffers
+        and counters."""
+        make = (_maker(name, 4, 8, 2, 4, 2, np.float32, 3, 0.1)
+                if name in MODULES else lambda: _Loop(LOOPS[name]))
+        stepped, points = _stepped_points(make)
+        assert len(points) >= 6
+        for i, a in enumerate(points):
+            for b in points[i:]:
+                assert _played(make, [a, b, points[-1]]) == stepped, (a, b)
+
+
+def _progress(pattern, seen):
+    """A kernel's progress over its phases (as the hit compiler counts
+    it), ``seen`` carrying ``[phase, completed]`` between calls."""
+    p = pattern.phase()
+    if p is not seen[0]:
+        seen[1] += seen[0].total if seen[0] is not None else 0
+        seen[0] = p
+    return seen[1] + (p.done if p is not None else 0)
+
+
+def _outcome(mod):
+    """Outputs, buffers and counters of a finished one-kernel module."""
+    if isinstance(mod, _Loop):
+        return mod.snapshot()
+    return mod.result()
+
+
+def _stepped_points(make):
+    """The stepped run's outcome and its progress after every step."""
+    mod, seen = make(), [None, 0]
+    points = [_progress(mod.body.pattern, seen)]
+    with np.errstate(all="ignore"):
+        while not getattr(mod, "finished", False):
+            try:
+                mod.step()
+            except StopIteration:
+                break
+            points.append(_progress(mod.body.pattern, seen))
+    return _outcome(mod), sorted(set(points) - {0})
+
+
+def _played(make, goals):
+    """Run a fresh module function-only to each progress in ``goals``."""
+    mod = make()
+    q = {ch: [data] for ch, data in mod.feed.items()}
+    outs = [ch for ch in mod.ch.values() if ch not in q]
+    q.update((ch, []) for ch in outs)
+    moved = 0
+    with np.errstate(all="ignore"):
+        for goal in goals:
+            moved = _play(mod.body.pattern, moved, goal, q)
+            assert moved == goal
+    assert not any(q[ch] for ch in mod.feed)
+    for ch in outs:
+        vals = [v for run in q[ch] for v in run]
+        if isinstance(mod, _Loop):
+            mod.out[ch] = vals
+        else:
+            mod.out += vals
+    return _outcome(mod)

@@ -3,7 +3,8 @@
 Python + C calls (``sys.setprofile`` "call" / "c_call" events; every
 ``len`` counts) for the places the stepping core is the cost: an
 event-tier Sec. V application, the cycles a certified run cannot
-replay, and a certified run watched by a full telemetry session.  Call creep on the per-step path (an op that grows a field, a
+replay, a certified run watched by a full telemetry session, and the
+whole of a warm unwatched certified run, which takes its compiled hit.  Call creep on the per-step path (an op that grows a field, a
 per-element walk over staged values, a second capacity check) fails
 here before it fails the benchmark's 2 % bound on
 ``host_calls_per_req``.  The bounds are the counts measured when the
@@ -30,6 +31,9 @@ DOT_STEPPED_CALLS = 261
 #: Calls of a warm certified dot inside a full telemetry session (2 226,
 #: then 1 662 while a watched run planned its windows, before).
 WATCHED_DOT_CALLS = 1_553
+#: Calls of a warm unwatched certified dot, host call to result: its
+#: compiled hit (779 while it replayed its script).
+CERTIFIED_DOT_CALLS = 429
 
 
 def _count_calls(fn, inside=None):
@@ -83,10 +87,11 @@ class _Capturing(Fblas):
 
 
 def test_certified_dot_stepped_cycles_call_count():
-    """The cycles a warm certified 4096-element ``dot`` steps between its
+    """The cycles a certified 4096-element ``dot`` steps between its
     replayed window (pipeline start-up, the reduction's tail and result
     push, the sink) — counted inside the event core's ``_run_cycle``
-    only."""
+    only, on the design's first replayed run (later runs take the
+    compiled hit, which steps nothing)."""
     fb = _Capturing(width=8, engine_mode="certified")
     rng = np.random.default_rng(7)
     x, y = (fb.copy_to_device(rng.standard_normal(4096).astype(np.float32))
@@ -96,6 +101,25 @@ def test_certified_dot_stepped_cycles_call_count():
                             inside=WakeListScheduler._run_cycle.__code__)
     assert fb.engine.bulk_stats()["stepped_cycles"] == 6
     assert calls <= 1.05 * DOT_STEPPED_CALLS, calls
+    _, calls = _count_calls(lambda: fb.dot(x, y),
+                            inside=WakeListScheduler._run_cycle.__code__)
+    assert calls == 0
+    assert fb.engine.bulk_stats()["stepped_cycles"] == 6
+
+
+def test_certified_dot_call_count():
+    """A warm unwatched certified 4096-element ``dot``, host call to
+    result: the compiled hit runs the bodies and applies the recorded
+    counters, with no event loop."""
+    fb = _Capturing(width=8, engine_mode="certified")
+    rng = np.random.default_rng(7)
+    x, y = (fb.copy_to_device(rng.standard_normal(4096).astype(np.float32))
+            for _ in range(2))
+    want = fb.dot(x, y)
+    fb.dot(x, y)
+    got, calls = _count_calls(lambda: fb.dot(x, y))
+    assert np.float32(got).tobytes() == np.float32(want).tobytes()
+    assert calls <= 1.05 * CERTIFIED_DOT_CALLS, calls
 
 
 def _refuse(*args):
