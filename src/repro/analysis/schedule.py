@@ -108,9 +108,9 @@ class StaticSchedule:
 
     ``scripts`` is not part of the certificate's value (not a field, not
     compared, not in :meth:`to_dict`): it maps the kernels' timing
-    signatures to the superstep script the first complete run of that
-    design recorded, so warm runs replay it instead of planning
-    (:mod:`repro.fpga.bulk`, "Recorded scripts").  Living here, it is
+    signatures to the ``(compiled hit, observation)`` the runs of that
+    design recorded, so warm runs take the hit instead of planning
+    (:mod:`repro.fpga.bulk`, "Compiled hits").  Living here, it is
     evicted with its certificate.
     """
 

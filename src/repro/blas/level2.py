@@ -81,6 +81,14 @@ def _declared(reads=(), writes=(), defer=None):
     return deco
 
 
+#: A finished generator (every ``send`` raises ``StopIteration``), what a
+#: sequencer starts on: a fresh one per kernel that a compiled hit never
+#: resumed would be closed, running its frame, whenever the cyclic
+#: collector picked.
+_STARTED = (_ for _ in ())
+next(_STARTED, None)
+
+
 class _Sequencer(PatternedGenerator):
     """Kernel body that runs a tiled module as a sequence of
     :class:`~repro.fpga.pattern.SteadyLoop` phases.
@@ -108,14 +116,10 @@ class _Sequencer(PatternedGenerator):
 
     def start(self, program, pattern):
         self._program = program
-        self._gen = self._first()
+        self._gen = _STARTED
         self.pattern = pattern
         self.advance()                  # the first phase, armed at once
         return self
-
-    def _first(self):
-        return
-        yield
 
     def advance(self):
         if self.phase is not None:      # done: its finished phases

@@ -62,44 +62,39 @@ record per stretch of constant state (a superstep, split where a kernel
 leaves); an observer without the hook makes the engine step the whole
 run.
 
-Recorded scripts
-----------------
-A certified design has ii = 1 patterns, full grants and no
-data-dependent control, so the sequence of decisions above — step this
-cycle, or run this superstep — is the same on every run of the design
-(Chi et al.: timing is separate from function, so work it out once).
-The first complete run records it: per :meth:`_run_cycle` the cycle
-``now`` of a step or ``(now, K, order, peaks)`` of a superstep, kernels
-by index (the ``plan_key`` fixes their registration order), channels by
-name with the peak the walk found.  It is kept in the certificate
-(:attr:`StaticSchedule.scripts`, under the schedule cache's LRU bound)
-under the kernels' timing signatures (:mod:`repro.fpga.pattern`,
-"Timing signature"): the ``plan_key`` does not fix the cycles.  A
-replay takes the next entry each cycle: a step is the event core's, a
-superstep is rebuilt on the live kernels' phases with the recorded
-peaks, described to the observers and executed — no survey, plan or
-walk.  A recorded ``now`` that is not the run's, a kernel not queued or
-short of its iterations, or a channel set the kernels do not touch
-raises :class:`SimulationError`; a replay never falls back to planning.
-Only a run that can be repeated exactly records or replays: from cycle
-0 on empty channels, at the default ``max_cycles``, with a schedule
-cache, no fault plan and every kernel's timing declared (observers
-take no part); scripts stay bounded (:data:`~WindowScheduler.MAX_SCRIPTS`
-per certificate, :data:`~WindowScheduler.MAX_SCRIPT_ENTRIES` entries
-each; a longer run is marked and plans).
-
 Compiled hits
 -------------
-A design's first replay also compiles its hit, kept with the script:
-per stretch (a superstep or a run of steps, merged unless a DRAM store
-moved and another kernel moves next) each moving kernel's progress —
-the elements its bodies ran — producers first, stores last; then the
-run's counters, bank deltas and DRAM state, as plain values.  A later
-unwatched run takes the hit inside :meth:`Engine.run`: :func:`_play`
-runs the live loops' bodies on their stepped burst grid, handing bursts
-on as arrays, and the counters are applied — no event core, planner,
-walk or channel.  A kernel short of its recorded progress raises
-:class:`SimulationError`.  The replay now serves only watched runs.
+A certified design has ii = 1 patterns, full grants and no
+data-dependent control, so how it runs is the same on every run of the
+design (Chi et al.: timing is separate from function, so work it out
+once).  Its first complete run plans and compiles its *hit* from
+:meth:`_progress` read around each superstep: per stretch (a superstep
+or a run of steps, merged unless a DRAM store moved and another kernel
+moves next) each moving kernel's progress, the elements its bodies ran,
+producers first and stores last; then the run's counters, bank deltas
+and DRAM state.  Every later run takes the hit inside
+:meth:`Engine.run`: :func:`_play` runs the live loops' bodies on their
+stepped burst grid, handing bursts on as arrays, and the counters are
+applied; no event core, planner, walk or channel runs.
+
+What a run shows its observers is as fixed as its timing.  The first
+watched run of a design plans and records its *observation*
+(:class:`~repro.fpga.observers.WindowRecorder`): every ``on_window``
+record, stepped cycle and quiet jump as a window of plain values,
+kernels by index and channels by name.  A later watched run takes the
+hit and shows its observers the observation, one ``on_window`` per
+window.  A kernel short of its recorded progress, or a window naming a
+kernel or channel the design lacks, raises :class:`SimulationError`.
+
+The certificate keeps both (:attr:`StaticSchedule.scripts`, under the
+schedule cache's LRU bound) as ``(hit, observation)`` under the
+kernels' timing signatures (:mod:`repro.fpga.pattern`, "Timing
+signature"), from runs that can be repeated exactly: from cycle 0 on
+empty channels, at the default ``max_cycles``, with a schedule cache,
+no fault plan and every kernel's timing declared.  A hit longer than
+:data:`~WindowScheduler.MAX_RECORD_LEN` stretches, or with a kernel
+that runs no body, is marked ``(None, None)`` and the design plans; a
+longer observation is marked ``()`` and its watched runs plan.
 """
 
 from __future__ import annotations
@@ -108,7 +103,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .memory import stripe_split
-from .observers import Window
+from .observers import Window, WindowRecorder, quiet_window
 from .scheduler import _KIDX, _MATURE, WakeListScheduler
 
 __all__ = ["WindowScheduler"]
@@ -297,24 +292,23 @@ class WindowScheduler(WakeListScheduler):
 
     #: Smallest superstep worth replaying arithmetically.
     MIN_WINDOW = 4
-    #: Scripts one certificate keeps (one per timing signature), and the
-    #: most entries a script may hold: memory guards, not tuning.  The
-    #: benchmark workloads keep one script per certificate and at most
-    #: 22 entries; the tiled GEMV / GEMV^T collision keeps four.
-    MAX_SCRIPTS = 8
-    MAX_SCRIPT_ENTRIES = 4096
+    #: Records one certificate keeps (one per timing signature), and the
+    #: most stretches a hit, or windows an observation, may hold: memory
+    #: guards, not tuning.  The benchmark workloads keep one record per
+    #: certificate; the tiled GEMV / GEMV^T collision keeps four.
+    MAX_RECORDS = 8
+    MAX_RECORD_LEN = 4096
 
-    #: The script a run replays and the entries it records (``None``:
-    #: plan, and record nothing); see "Recorded scripts" above.
-    _script = _record = _trace = None
-    _cut = False
+    #: The progress rows a recording run reads around each superstep
+    #: (``None``: not recording); see "Compiled hits" above.
+    _trace = None
 
-    def run_scripted(self, scripts):
-        """:meth:`run`, recording this design's script into ``scripts``,
-        replaying it, or taking its compiled hit.  The engine calls this
-        for runs without fault plan or explicit ``max_cycles``; one that
-        does not start at cycle 0 on empty channels, or has a kernel
-        without a timing signature, plans."""
+    def run_warm(self, records):
+        """:meth:`run`, taking this design's compiled hit from ``records``
+        or recording it there (see "Compiled hits").  The engine calls
+        this for runs without fault plan or explicit ``max_cycles``; one
+        that does not start at cycle 0 on empty channels, or has a
+        kernel without a timing signature, plans."""
         fresh = not self.engine.now
         for ch in self.channels:
             if ch._fifo or ch._nstaged:
@@ -322,86 +316,120 @@ class WindowScheduler(WakeListScheduler):
         key = tuple([k.pattern.timing for k in self.kernels])
         if not fresh or None in key:
             return self.run()
-        script = scripts.get(key)
-        if script is None:
-            if len(scripts) >= self.MAX_SCRIPTS:
-                return self.run()
-            record = self._record = []
-            report = self.run()
-            scripts.setdefault(key, tuple(record) if len(record)
-                               <= self.MAX_SCRIPT_ENTRIES else ())
-            return report
-        if not script:                  # () marks a design too long to keep
-            return self.run()
-        if script.__class__ is list:    # [script, compiled hit] or [script]
-            if script[1:] and not self._observers:
-                return self._hit(*script[1:])
-            script = script[0]
-        else:
-            self._trace = []
-        self._script, self._at = script, 0
+        watched = self._observers
+        hit, seen = records.get(key, (False, None))     # False: no record
+        if hit and (seen or not watched):
+            if watched:
+                self._show(seen)
+            return self._hit(hit)
+        if hit is None or seen == () or (
+                hit is False and len(records) >= self.MAX_RECORDS):
+            return self.run()           # marked, or no room to record
+        if watched:                     # seen is None: record it too
+            seen = WindowRecorder(self.kernels, self.channels)
+            watched.append(seen)
+            self._state_hooks.append(seen.on_kernel_state)
+        trace = self._trace = [[0] * len(self.kernels)]
         report = self.run()
-        if self._at != len(script):
-            raise SimulationError(
-                f"the run ended at cycle {self.now} with "
-                f"{len(script) - self._at} recorded script entries left")
-        if self._trace is not None:
-            self._trace.append(self._progress())
-            scripts[key] = self._compile(script, self._trace)
+        trace.append(self._progress())
+        hit = self._compile(trace, report)
+        if seen is None:
+            records.setdefault(key, (hit, None))
+        else:
+            seen = seen.observation()
+            records[key] = (hit, seen if len(seen) <= self.MAX_RECORD_LEN
+                            else ())
         return report
 
     def _progress(self):
         """Each kernel's progress: the elements its bodies have run (a
         phased pattern's ``done`` counts its finished phases)."""
         return [k.pattern.done + (k.pattern._phase is not None and getattr(
-            k.pattern.phase(), "done", 0)) for k in self.kernels]
+            k.pattern._phase(), "done", 0)) for k in self.kernels]
 
-    def _compile(self, script, trace):
-        """``[script, *hit]`` from a replay's :meth:`_progress` around each
-        superstep and at the end (``[script]``: a kernel runs no body)."""
+    def _compile(self, trace, report):
+        """The hit ``(stretches, final)`` from a run's :meth:`_progress`
+        around each superstep and at the end, and its report (``None``: a
+        kernel runs no body, or the hit is too long to keep)."""
         eng, kernels = self.engine, self.kernels
         if 0 in trace[-1]:
-            return [script]
+            return None
         # Producers (a reduction's result too) first, DRAM stores last.
-        feeds = {port[0]: k.index for k in kernels for port in (
-            *k.pattern.writes, getattr(k.pattern, "result", None) or "-")}
-        deps = [[feeds[ch] for ch, _w in k.pattern.reads] for k in kernels]
+        feeds, store = {}, []
+        for k in kernels:
+            p = k.pattern
+            for port in p.writes:
+                feeds[port[0]] = k.index
+            if getattr(p, "result", None) is not None:
+                feeds[p.result[0]] = k.index
+            store.append(_is_store(p))
         depth = [0] * len(kernels)
         for _k in kernels:
-            for i, d in enumerate(deps):
-                for j in d:
-                    if depth[j] >= depth[i]:
-                        depth[i] = depth[j] + 1
-        store = [_is_store(k.pattern) for k in kernels]
-        order = sorted(range(len(kernels)), key=lambda i: (store[i], depth[i]))
-        stretches, goals, stored, was = [], {}, False, [0] * len(kernels)
+            for k in kernels:
+                for ch, _w in k.pattern.reads:
+                    if depth[feeds[ch]] >= depth[k.index]:
+                        depth[k.index] = depth[feeds[ch]] + 1
+        order = sorted(range(len(kernels)),
+                       key=[(s, d) for s, d in zip(store, depth)].__getitem__)
+        stretches, goals, stored, was = [], {}, False, trace[0]
         for now in trace:
             row = [(i, now[i]) for i in order if now[i] != was[i]]
             was = now
             if stored and row and not store[row[0][0]]:
                 stretches.append(goals)     # a store moved: a new stretch
                 goals, stored = {}, False
-            goals.update(row)
-            stored = stored or row != [] and store[row[-1][0]]
-        mem = eng.memory
-        return [script, tuple(
-            tuple((i, g[i]) for i in order if i in g)
-            for g in (*stretches, goals)), (
-            trace[-1], tuple(order[-sum(store):]) if sum(store) > 1 else (),
-            [vars(k.stats).copy() for k in kernels],
-            [(ch.name, vars(ch.stats).copy()) for ch in self.channels],
-            [tuple(vars(b).values()) for b in eng._bank_delta()],
+            if row:
+                goals.update(row)
+                stored = stored or store[row[-1][0]]
+        stretches.append(goals)
+        if len(stretches) > self.MAX_RECORD_LEN:
+            return None
+        mem, stores = eng.memory, [i for i in order if store[i]]
+        return tuple([tuple([(i, g[i]) for i in order if i in g])
+                      for g in stretches]), (
+            trace[-1], tuple(stores) if len(stores) > 1 else (),
+            [dict(vars(k.stats)) for k in kernels],
+            [(ch.name, dict(vars(ch.stats))) for ch in self.channels],
+            [(b.bytes_read, b.bytes_written, b.denied_cycles, b.busy_cycles,
+              b.ecc_events) for b in report.bank_stats],
             mem and (mem._cycle, tuple(mem._busy_mark), tuple(mem._budget),
                      mem._pool_budget),
             (eng.now, eng._bulk_windows, eng._bulk_cycles, eng._bulk_stepped,
-             eng._last_op_cycle))]
+             eng._last_op_cycle))
 
-    def _hit(self, stretches, final):
+    def _show(self, seen):
+        """Show a watched warm run's observers its design's recorded
+        observation ``seen``, one ``on_window`` per window (see
+        "Compiled hits")."""
+        eng, kernels, observers = self.engine, self.kernels, self._observers
+        chans, windows = eng.channels, []
+        nk, nc = len(kernels), len(chans)
+        try:
+            for t, n, states, ops, occupancy, blocked in seen:
+                if len(states) != nk or len(occupancy) != nc:
+                    raise KeyError
+                windows.append((t, n, Window(
+                    list(zip(kernels, states)),
+                    [(kernels[i], chans[c], kind, m) for i, c, kind, m in ops],
+                    {chans[c]: runs for c, runs in occupancy},
+                    {kernels[i]: (chans[c], kind) for i, c, kind in blocked}
+                    if blocked else {})))
+        except (IndexError, KeyError):
+            raise SimulationError(
+                "the recorded observation does not name this design's "
+                "kernels and channels") from None
+        for o in observers:
+            o.on_run_start(eng)
+        for t, n, window in windows:
+            for o in observers:
+                o.on_window(t, n, window)
+
+    def _hit(self, hit):
         """Run the design's compiled hit (see "Compiled hits")."""
         eng, kernels = self.engine, self.kernels
         q = {ch: [] for ch in self.channels}
         moved = [0] * len(kernels)
-        totals, stores, stats, chans, banks, mem, ends = final
+        stretches, (totals, stores, stats, named, banks, mem, ends) = hit
         try:
             for stretch in stretches:
                 views = stores          # stores that may read each other's
@@ -422,7 +450,7 @@ class WindowScheduler(WakeListScheduler):
         for k, row in zip(kernels, stats):
             vars(k.stats).update(row)
             k.done = True
-        for name, row in chans:
+        for name, row in named:
             vars(eng.channels[name].stats).update(row)
         if mem:
             dram = eng.memory
@@ -436,90 +464,27 @@ class WindowScheduler(WakeListScheduler):
              dram._pool_budget) = mem
         (eng.now, eng._bulk_windows, eng._bulk_cycles, eng._bulk_stepped,
          eng._last_op_cycle) = ends
-        return eng._build_report()
+        report = eng._build_report()
+        for o in self._observers:       # shown the observation
+            o.on_run_end(report)
+        return report
 
     def _run_cycle(self) -> None:
-        t = self.now
-        if self._script is not None:
-            plan = self._replay(t)
-        else:
-            entries = self._survey()
-            plan = self._window_plan(entries) if entries else None
-        record = self._record
+        entries = self._survey()
+        plan = self._window_plan(entries) if entries else None
         if plan is None:
-            if record is not None:
-                record.append(t)
             return super()._run_cycle()
         # The records describe the state the superstep starts from.
         records = self._describe_window(*plan) if self._observers else ()
+        trace = self._trace
+        if trace is not None:
+            trace.append(self._progress())
         self._execute_window(*plan)
-        if record is not None:
-            record.append(self._script_entry(t, *plan))
+        if trace is not None:
+            trace.append(self._progress())
         for start, cycles, window in records:
             for o in self._observers:
                 o.on_window(start, cycles, window)
-
-    @staticmethod
-    def _script_entry(t, K, order, ports):
-        """The superstep just executed from cycle ``t``, as plain values:
-        ``(t, K, order, peaks)`` with the order as ``(kernel index,
-        iterations, leaves)`` and per channel ``(channel name, walked
-        peak)``.  The ``plan_key`` fixes the kernels' registration order
-        and the channels' names, not the order they were created in."""
-        return (t, K,
-                tuple([(k.index, n, leaves) for k, _p, n, leaves in order]),
-                tuple([(ch.name, port[7]) for ch, port in ports.items()]))
-
-    def _replay(self, t):
-        """The recorded decision for cycle ``t``: ``None`` to step it (an
-        entry that is just the cycle), or the recorded superstep rebuilt
-        on the live kernels and channels as :meth:`_window_plan`'s ``(K,
-        order, ports)``.  The rows come from the live phases, only the
-        peaks from the script; a superstep the live state does not
-        sustain raises."""
-        try:
-            entry = self._script[self._at]
-        except IndexError:
-            raise SimulationError(
-                f"the recorded superstep script ended before cycle {t}"
-            ) from None
-        self._at += 1
-        window = entry.__class__ is not int
-        if self._trace is not None and (window or self._cut):
-            self._trace.append(self._progress())    # a stretch ends
-        self._cut = window
-        t0 = entry[0] if window else entry
-        if t0 != t:
-            raise SimulationError(
-                f"the recorded superstep script is at cycle {t0}, the run "
-                f"at cycle {t}")
-        if not window:
-            return None
-        _t, K, steps, peaks = entry
-        kernels, cur = self.kernels, self._current
-        order = []
-        for i, n, leaves in steps:
-            k = kernels[i]
-            p = k.pattern.phase() if k in cur else None
-            if (p is None or p.ready() < n
-                    or leaves and (p.ready() != n or not p.ends())):
-                raise SimulationError(
-                    f"the recorded superstep at cycle {t} runs kernel "
-                    f"{k.name!r} {n} iterations it cannot run")
-            order.append((k, p, n, leaves))
-        live, ports = _ports(order, K), {}
-        chans = self.engine.channels
-        for name, peak in peaks:
-            ch = chans[name] if name in chans else None
-            if ch not in live:
-                break
-            live[ch][7] = peak
-            ports[ch] = live[ch]
-        if len(order) != len(cur) or len(ports) != len(live):
-            raise SimulationError(
-                f"the recorded superstep at cycle {t} does not match the "
-                f"kernels and channels queued then")
-        return K, order, ports
 
     def _survey(self):
         """``[(kernel, phase, ready iterations)]`` for the kernels queued
@@ -744,24 +709,19 @@ class WindowScheduler(WakeListScheduler):
         active = {k: (p, n, leaves) for k, p, n, leaves in order}
         series = {}
         for ch, port in ports.items():
-            offs = port[6]
-            if offs is None:            # a replayed row: never walked
-                offs = _offsets(ch, t)
-            series[ch], port[7] = _walk(ch, t, port, K, offs, True)
+            series[ch], port[7] = _walk(ch, t, port, K, port[6], True)
         cuts = {K}
         for _p, n, leaves in active.values():
             if leaves:
                 cuts.update((n, n + 1))
-        records, a = [], 0
+        # A kernel outside keeps its state and stall, as over a jump.
+        outside, records, a = quiet_window(self.kernels, t), [], 0
         for b in sorted(c for c in cuts if 0 < c <= K):
             states, ops = [], []
-            for k in self.kernels:
+            for k, state in outside.states:
                 if k in active:
                     p, n, leaves = active[k]
                     state = "-" if leaves and a > n else "#"
-                else:
-                    state = ("-" if k.done else "z" if k.sleep_until > t
-                             else "s")
                 states.append((k, state))
             for k in self._current:      # step order: by kernel index
                 p, n, _leaves = active[k]
@@ -770,7 +730,8 @@ class WindowScheduler(WakeListScheduler):
                     ops += [(k, ch, "push", w) for ch, w, _lat in p.writes]
             records.append((t + a, b - a, Window(states, ops, series
                 if b - a == K else {ch: _slice_runs(runs, a, b)
-                                    for ch, runs in series.items()})))
+                                    for ch, runs in series.items()},
+                outside.blocked)))
             a = b
         return records
 

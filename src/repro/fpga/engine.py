@@ -304,8 +304,8 @@ class Engine:
         ``"bulk"`` runs: structurally identical compositions share one
         certification verdict — certificate or refusal (see
         :func:`repro.analysis.schedule.lookup_certified`) — and a
-        certificate keeps the superstep scripts its designs' runs
-        recorded (:mod:`repro.fpga.bulk`, "Recorded scripts").
+        certificate keeps the compiled hits its designs' runs recorded
+        (:mod:`repro.fpga.bulk`, "Compiled hits").
     observers:
         Iterable of :class:`~repro.fpga.observers.EngineObserver`
         instances notified of run/cycle/kernel/channel events.
@@ -442,10 +442,7 @@ class Engine:
         :class:`LivelockError` (``trigger="timeout"``) instead of hanging
         the process — the unbounded-run hazard fix.
         """
-        work = sum(ch.depth for ch in self.channels.values())
-        work += sum(k.latency + k.defer + k.ii
-                    for k in self.kernels.values())
-        return max(2_000_000, 2_000 * max(1, work))
+        return max(2_000_000, 2_000 * max(1, self._work()))
 
     def livelock_budget(self) -> int:
         """Default progress window for the livelock watchdog.
@@ -457,10 +454,13 @@ class Engine:
         never trip it spuriously; sleeping kernels (``Clock(n)``) are
         exempt for as long as they sleep.
         """
-        work = sum(ch.depth for ch in self.channels.values())
-        work += sum(k.latency + k.defer + k.ii
-                    for k in self.kernels.values())
-        return 10_000 + 4 * work
+        return 10_000 + 4 * self._work()
+
+    def _work(self) -> int:
+        """The declared work both budgets scale with."""
+        return (sum([ch.depth for ch in self.channels.values()])
+                + sum([k.latency + k.defer + k.ii
+                       for k in self.kernels.values()]))
 
     def run(self, max_cycles: Optional[int] = None,
             preflight: Optional[bool] = None,
@@ -515,15 +515,10 @@ class Engine:
             # Imported lazily: repro.analysis depends on this module.
             from ..analysis import analyze_engine
             analyze_engine(self).raise_if_errors()
-        # A recorded script and its compiled hit assume the default cycle
-        # budget.  A watched run replays the script (each superstep shown
-        # to the observers as a planned one is), an unwatched one the hit.
-        scripted = max_cycles is None and self._schedule_cache is not None
-        if max_cycles is None:
-            max_cycles = self.cycle_budget()
-        self._watch_window = (self.livelock_budget()
-                              if livelock_window is None
-                              else livelock_window)
+        # A compiled hit assumes the default cycle budget; the budgets
+        # are worked out by the scheduler (None), which a hit never runs.
+        warm = max_cycles is None and self._schedule_cache is not None
+        self._watch_window = livelock_window
         self._last_op_cycle = self.now
         if self.memory is not None:
             self._bank_baseline = [
@@ -543,8 +538,8 @@ class Engine:
             self._bulk_fallback = self._window_tier()
             if self._bulk_fallback is None:
                 sched = WindowScheduler(self, max_cycles)
-                if scripted and injector is None:
-                    return sched.run_scripted(self.schedule.scripts)
+                if warm and injector is None:
+                    return sched.run_warm(self.schedule.scripts)
                 return sched.run()
             return WakeListScheduler(self, max_cycles).run()
         finally:

@@ -63,6 +63,13 @@ JSONL event dump, ad-hoc debugging hooks — subscribes as an observer:
     ``StallChainProfiler`` inherits ``on_window``, so if it overrides a
     per-cycle hook it must override ``on_window`` as well, or that hook
     sees the stepped cycles only.
+
+    A *warm* watched run (:mod:`repro.fpga.bulk`, "Compiled hits")
+    executes no cycle: every record, stepped cycles and quiet jumps
+    included, arrives as a window carrying every channel's occupancy and
+    ``blocked``, and the live engine holds the run's final state, so an
+    observer reads stalls and occupancy from the window, never from a
+    kernel or a channel.
 """
 
 from __future__ import annotations
@@ -93,11 +100,27 @@ class Window(NamedTuple):
         have sampled in each cycle, run-length encoded in time order
         (the runs' ``cycles`` add up to the window's).  Every other
         channel holds ``channel.occupancy`` throughout.
+    ``blocked``
+        ``{kernel: (channel, kind)}`` for the stalled kernels (state
+        ``s``): what ``kernel.blocked`` would have said in each cycle.
     """
 
     states: list
     ops: list
     occupancy: dict
+    blocked: dict
+
+
+def quiet_window(kernels, start: int) -> Window:
+    """The :class:`Window` of an ``on_quiet`` jump from ``start``: each
+    of ``kernels`` keeps its state and stall, each channel its occupancy."""
+    states, blocked = [], {}
+    for k in kernels:
+        state = "-" if k.done else "z" if k.sleep_until > start else "s"
+        states.append((k, state))
+        if state == "s" and k.blocked is not None:
+            blocked[k] = (k.blocked.channel, k.blocked.kind)
+    return Window(states, [], {}, blocked)
 
 
 class EngineObserver:
@@ -163,32 +186,25 @@ class TraceObserver(EngineObserver):
             self.timelines.setdefault(kernel.name, []).append(state)
 
     def on_quiet(self, start: int, cycles: int) -> None:
-        n = min(start + cycles, MAX_TRACE_CYCLES) - start
-        if n <= 0:
-            return
-        sums = self.occupancy_sums
-        for name, ch in self._engine.channels.items():
-            sums[name] = sums.get(name, 0) + n * ch.occupancy
-        for k in self._engine.kernels.values():
-            state = "-" if k.done else ("z" if k.sleep_until > start else "s")
-            self.timelines.setdefault(k.name, []).extend(state * n)
+        self._fold(start, cycles, quiet_window(
+            self._engine.kernels.values(), start))
 
     def on_window(self, start: int, cycles: int, window: Window) -> None:
+        self._fold(start, cycles, window)
+
+    def _fold(self, start: int, cycles: int, window: Window) -> None:
         n = min(start + cycles, MAX_TRACE_CYCLES) - start
         if n <= 0:
             return
         sums = self.occupancy_sums
         for name, ch in self._engine.channels.items():
-            runs = window.occupancy.get(ch)
-            if runs is None:
-                total = n * ch.occupancy
-            else:
-                total, left = 0, n      # the first n samples of the runs
-                for occ, span in runs:
-                    total += occ * min(span, left)
-                    left -= span
-                    if left <= 0:
-                        break
+            total, left = 0, n          # the first n samples of the runs
+            for occ, span in (window.occupancy.get(ch)
+                              or ((ch.occupancy, n),)):
+                total += occ * min(span, left)
+                left -= span
+                if left <= 0:
+                    break
             sums[name] = sums.get(name, 0) + total
         for k, state in window.states:
             self.timelines.setdefault(k.name, []).extend(state * n)
@@ -224,20 +240,20 @@ class StallChainProfiler(EngineObserver):
             for port in k.write_ports:
                 self.producers.setdefault(port.channel.name, set()).add(k.name)
 
-    def _charge(self, kernel, cycles: int) -> None:
-        b = kernel.blocked
-        key = (b.channel.name, b.kind)
+    def _charge(self, kernel, channel, kind: str, cycles: int) -> None:
+        key = (channel.name, kind)
         d = self.stalls.setdefault(kernel.name, {})
         d[key] = d.get(key, 0) + cycles
 
     def on_kernel_state(self, t: int, kernel, state: str) -> None:
-        if state == "s" and kernel.blocked is not None:
-            self._charge(kernel, 1)
+        b = kernel.blocked
+        if state == "s" and b is not None:
+            self._charge(kernel, b.channel, b.kind, 1)
 
     def on_quiet(self, start: int, cycles: int) -> None:
-        for k in self._engine.kernels.values():
-            if not k.done and k.blocked is not None and k.sleep_until <= start:
-                self._charge(k, cycles)
+        for k, (ch, kind) in quiet_window(self._engine.kernels.values(),
+                                          start).blocked.items():
+            self._charge(k, ch, kind, cycles)
 
     def on_channel_op(self, t: int, kernel, channel, kind: str,
                       count: int) -> None:
@@ -249,9 +265,8 @@ class StallChainProfiler(EngineObserver):
             names.add(kernel.name)
 
     def on_window(self, start: int, cycles: int, window: Window) -> None:
-        for k, state in window.states:
-            if state == "s" and k.blocked is not None:
-                self._charge(k, cycles)
+        for k, (ch, kind) in window.blocked.items():
+            self._charge(k, ch, kind, cycles)
         for k, ch, kind, count in window.ops:
             self.on_channel_op(start, k, ch, kind, count)
 
@@ -298,6 +313,73 @@ class StallChainProfiler(EngineObserver):
         if len(lines) == 1:
             lines.append("  (no stalls recorded)")
         return "\n".join(lines)
+
+
+class WindowRecorder(EngineObserver):
+    """Records what a window-scheduled run shows its observers, as plain
+    values: the observation of :mod:`repro.fpga.bulk` ("Compiled hits"),
+    one window per ``on_window`` record, stepped cycle or quiet jump."""
+
+    wants_kernel_states = True
+
+    def __init__(self, kernels, channels):
+        self.kernels, self.channels, self.windows = kernels, channels, []
+
+    def on_cycle(self, t: int) -> None:
+        self.windows.append([t, 1, "", [], self._occupancy({}, 1), []])
+
+    def on_channel_op(self, t, kernel, channel, kind, count) -> None:
+        self.windows[-1][3].append((kernel.index, channel.name, kind, count))
+
+    def on_kernel_state(self, t, kernel, state) -> None:
+        window = self.windows[-1]
+        window[2] += state
+        b = kernel.blocked
+        if state == "s" and b is not None:
+            window[5].append((kernel.index, b.channel.name, b.kind))
+
+    def on_quiet(self, start: int, cycles: int) -> None:
+        self.on_window(start, cycles, quiet_window(self.kernels, start))
+
+    def on_window(self, start: int, cycles: int, window: Window) -> None:
+        # Called after the superstep, which left channels outside alone.
+        self.windows.append([
+            start, cycles, "".join([s for _k, s in window.states]),
+            [(k.index, ch.name, kind, n) for k, ch, kind, n in window.ops],
+            self._occupancy(window.occupancy, cycles),
+            [(k.index, ch.name, kind)
+             for k, (ch, kind) in window.blocked.items()]])
+
+    def _occupancy(self, runs, cycles):
+        """Every channel's runs: from ``runs``, or its occupancy now."""
+        return tuple([(ch.name, tuple(runs[ch]) if ch in runs
+                       else ((ch.occupancy, cycles),))
+                      for ch in self.channels])
+
+    def observation(self) -> tuple:
+        """``(start, cycles, states, ops, occupancy, blocked)`` per window:
+        one state character per kernel, ops ``(kernel index, channel
+        name, kind, count)``, every channel's ``(name, runs)``, the stalled
+        kernels' ``(kernel index, channel name, kind)``.  Neighbours that
+        differ only in occupancy merge: every cycle of a window repeats
+        its ops."""
+        out = []
+        for t, n, states, ops, occupancy, blocked in self.windows:
+            ops, blocked = tuple(ops), tuple(blocked)
+            if out and out[-1][2:4] == (states, ops) and out[-1][5] == blocked:
+                t, m, _states, _ops, before, _blocked = out.pop()
+                n, occupancy = m + n, tuple([
+                    (name, _join(a, b))
+                    for (name, a), (_name, b) in zip(before, occupancy)])
+            out.append((t, n, states, ops, occupancy, blocked))
+        return tuple(out)
+
+
+def _join(a, b):
+    """Two run-length tuples, one after the other, as one."""
+    if a[-1][0] == b[0][0]:
+        return (*a[:-1], (a[-1][0], a[-1][1] + b[0][1]), *b[1:])
+    return (*a, *b)
 
 
 #: Schema tag written in every :class:`JsonlEventDump` header record.

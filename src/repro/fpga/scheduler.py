@@ -72,7 +72,7 @@ _WAKE = 1
 class WakeListScheduler:
     """Drives one :class:`~repro.fpga.engine.Engine` run in event mode."""
 
-    def __init__(self, engine, max_cycles: int):
+    def __init__(self, engine, max_cycles: Optional[int]):
         self.engine = engine
         self.max_cycles = max_cycles
         self.kernels: List[Kernel] = list(engine.kernels.values())
@@ -129,6 +129,10 @@ class WakeListScheduler:
     def run(self):
         eng = self.engine
         observers = self._observers
+        if self.max_cycles is None:
+            self.max_cycles = eng.cycle_budget()
+        if eng._watch_window is None:
+            eng._watch_window = eng.livelock_budget()
         self.now = eng.now
         for i, k in enumerate(self.kernels):
             k._queued_for = self.now if not k.done else None

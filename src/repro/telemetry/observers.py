@@ -45,12 +45,12 @@ class RunObserver:
     stay distinguishable while counters still sum to session totals.
 
     The run is folded once.  During the run the observer only tallies.
-    Every kernel state comes through :meth:`on_kernel_state`, for one
-    stepped cycle or for all the cycles of an ``on_quiet`` jump or an
-    ``on_window`` record: it charges a blocked stall to the profiler and
-    opens a slice where the state changes, so the slices are bounded by
-    state *transitions*, not cycles (:data:`MAX_SLICES` caps
-    pathological runs and sets :attr:`truncated`).  Each channel's
+    Every kernel state, for one stepped cycle or for all the cycles of
+    an ``on_quiet`` jump or an ``on_window`` record, charges a stall to
+    the profiler and opens a slice where the state changes, so the
+    slices are bounded by state *transitions*, not cycles
+    (:data:`MAX_SLICES` caps pathological runs and sets
+    :attr:`truncated`).  Each channel's
     occupancy samples go into a plain ``{occupancy: cycles}`` dict.
     :meth:`on_run_end` writes every series of the run, each once;
     :meth:`close`, which the session calls whether or not the run
@@ -64,7 +64,8 @@ class RunObserver:
 
     def __init__(self, registry: MetricsRegistry, sink: List[Slice],
                  offset: int = 0, run: int = 0) -> None:
-        from ..fpga.observers import StallChainProfiler
+        from ..fpga.observers import StallChainProfiler, quiet_window
+        self._quiet = quiet_window
         self.registry = registry
         self.sink = sink
         self.offset = offset
@@ -96,12 +97,14 @@ class RunObserver:
             occ = ch.occupancy
             tally[occ] = tally.get(occ, 0) + 1
 
-    def on_kernel_state(self, t: int, kernel: Any, state: str,
-                        cycles: int = 1) -> None:
-        """``kernel`` was in ``state`` for ``cycles`` cycles from ``t``."""
-        if state == "s" and kernel.blocked is not None:
-            self._charge(kernel, cycles)
-        name = kernel.name
+    def on_kernel_state(self, t: int, kernel: Any, state: str) -> None:
+        b = kernel.blocked
+        if state == "s" and b is not None:
+            self._charge(kernel, b.channel, b.kind, 1)
+        self._state(kernel.name, state, t)
+
+    def _state(self, name: str, state: str, t: int) -> None:
+        """Kernel ``name`` is in ``state`` from cycle ``t`` on."""
         cur = self._open.get(name)
         if cur is None:
             self._open[name] = [state, t]
@@ -110,31 +113,18 @@ class RunObserver:
             cur[0], cur[1] = state, t
 
     def on_quiet(self, start: int, cycles: int) -> None:
-        # Nothing moves over the jump: every kernel keeps its state and
-        # every channel its occupancy.
-        for k in self._kernels:
-            self.on_kernel_state(start, k, "-" if k.done else "z"
-                                 if k.sleep_until > start else "s", cycles)
-        self._tally({}, cycles)
+        self.on_window(start, cycles, self._quiet(self._kernels, start))
 
     def on_window(self, start: int, cycles: int, window: Any) -> None:
+        self.profiler.on_window(start, cycles, window)  # stalls and ops
         # One state per kernel for the whole window, by its own proof.
         for k, state in window.states:
-            self.on_kernel_state(start, k, state, cycles)
-        op = self.on_channel_op
-        for k, ch, kind, count in window.ops:
-            op(start, k, ch, kind, count)
-        self._tally(window.occupancy, cycles)
-
-    def _tally(self, runs_of: dict, cycles: int) -> None:
-        """Add ``cycles`` samples: a channel's runs from ``runs_of``, or
-        its current occupancy throughout."""
+            self._state(k.name, state, start)
+        # A channel's runs, or its occupancy throughout.
         self._sampled = True
+        runs_of = window.occupancy
         for _name, ch, tally in self._occ:
-            runs = runs_of.get(ch)
-            if runs is None:
-                runs = ((ch.occupancy, cycles),)
-            for occ, span in runs:
+            for occ, span in runs_of.get(ch) or ((ch.occupancy, cycles),):
                 tally[occ] = tally.get(occ, 0) + span
 
     def _emit(self, name: str, state: str, start: int, end: int) -> None:

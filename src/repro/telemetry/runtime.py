@@ -38,7 +38,8 @@ run and opens an ``engine.run`` span; the instrumented layers
 module-level :func:`span` helper, which degrades to a shared no-op
 context manager when no session is active.  Watching does not change
 how a run is simulated: a watched certified run takes the same windows,
-and a warm one replays the same recorded script, as an unwatched one.
+and a warm one the same compiled hit, as an unwatched one; the hit
+shows the observer what the design's first watched run recorded.
 The simulator is single-threaded; so is the session.
 
 **Ledger-lite mode.**  ``session(metrics=False, kernel_slices=False,

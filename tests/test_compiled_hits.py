@@ -1,28 +1,32 @@
 """Compiled hits: a warm certified run executes its recorded stretches as
 block bodies, with no event loop (``fpga/bulk.py``, "Compiled hits").
 
-The first run of a design records its superstep script, the first
-replay of that script compiles the hit, and every later unwatched run
-takes it.  Checked here:
+The first run of a design plans and compiles its hit, and every later
+run takes it; a watched one shows its observers what the design's
+first watched run recorded.  Checked here:
 
 * hit == engine: over the differential, wake-window and recorded-script
-  designs, a run that takes the hit — with the planner, the replay and
-  the event core patched to raise — leaves what a replaying run leaves:
+  designs, a run that takes the hit — with the planner, the walks and
+  both cores patched to raise — leaves what a planning run leaves:
   result bytes, ``SimReport.to_dict()``, bank stats, per-buffer counters,
   the DRAM model's cycle, busy marks and budgets, kernel and channel
   counters and ``bulk_stats()``; and an event-tier run on the same
   memory afterwards sees the same state either way;
+* a watched hit, patched the same way, exports from a full telemetry
+  session (registry, slices, runs, ledger, Chrome trace, report) what a
+  watched planning run exports;
 * every host golden design that certifies, called four times on one
   context (in-place calls, SWAP / ROT / ROTM's two stores among them),
-  gives what replaying calls give;
+  gives what planning calls give;
 * the signature is sound: designs that share a certificate and timing
-  signatures share a script and a hit, so they must give equal reports;
+  signatures share a record and a hit, so they must give equal reports;
 * a hit whose live kernels cannot run the recorded progress raises, and
-  a design with a kernel that runs no body keeps its script.
+  a design with a kernel that runs no body is marked and plans.
 
-Object addresses differ per process, so CI runs this file in several
-fresh interpreters; ``python tests/test_compiled_hits.py`` runs the
-hit == engine property at a larger budget than tier-1's.
+Object addresses and hash seeds differ per process, so CI runs this
+file in several fresh interpreters under several ``PYTHONHASHSEED``s;
+``python tests/test_compiled_hits.py`` runs both properties at a larger
+budget than tier-1's.
 """
 
 import zlib
@@ -34,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.analysis import AnalysisError
 from repro.fpga import DeadlockError, Engine, LivelockError, SimulationError
 from repro.fpga import bulk
@@ -45,27 +50,30 @@ from test_engine_differential import _stats
 from test_host_golden import (CASES, DTYPES, TILE, WIDTH, _digest,
                               _Recording)
 from test_recorded_scripts import COLLISIONS, _certificate, designs
+from test_session_exports import _exports
 
 
 def _forbidden():
-    """Make the planner, the replay and the event core raise: a hit runs
-    none of them."""
+    """Make the planner, the walks and both cores raise: a hit runs none
+    of them."""
     def refuse(*args, **kwargs):
         raise AssertionError("a compiled hit ran the engine")
     stack = ExitStack()
     stack.enter_context(mock.patch.multiple(
         WindowScheduler, _survey=refuse, _window_plan=refuse,
-        _replay=refuse, _run_cycle=refuse, _execute_window=refuse))
+        _run_cycle=refuse, _execute_window=refuse,
+        _describe_window=refuse))
     stack.enter_context(mock.patch.object(WakeListScheduler, "_run_cycle",
                                           refuse))
-    stack.enter_context(mock.patch.object(bulk, "_walk", refuse))
+    stack.enter_context(mock.patch.multiple(bulk, _walk=refuse,
+                                            _samples=refuse))
     return stack
 
 
 def _never_compiled():
-    """Keep every design on its replayed script."""
+    """Keep every design planning."""
     return mock.patch.object(WindowScheduler, "_compile",
-                             lambda self, script, trace: [script])
+                             lambda self, trace, report: None)
 
 
 def _run(build, spec, cache, memory, mode="certified"):
@@ -96,25 +104,24 @@ def _run(build, spec, cache, memory, mode="certified"):
 
 
 def check_hit(design):
-    """Cold, replay, hit, then an event-tier run, against cold, replay,
-    replay, event on a cache that never compiles, each line on its own
-    memory."""
+    """Cold, hit, hit, then an event-tier run, against cold, plan, plan,
+    event on a cache that never compiles, each line on its own memory."""
     build, spec = design
     memory = spec.get("memory")
     lines = []
     for compiled in (False, True):
         mem, cache = memory and memory(), PlanCache()
-        line = [_run(build, spec, cache, mem)]
-        if line[0] is None:
-            return                      # refused or hangs: nothing recorded
         with ExitStack() as stack:
             if not compiled:
                 stack.enter_context(_never_compiled())
-            line.append(_run(build, spec, cache, mem))
+            line = [_run(build, spec, cache, mem)]
+            if line[0] is None:
+                return                  # refused or hangs: nothing recorded
             (entry,) = _certificate(cache).scripts.values()
-            assert len(entry) == (3 if compiled else 1)
+            assert (entry[0] is not None) == compiled
             if compiled:
                 stack.enter_context(_forbidden())
+            line.append(_run(build, spec, cache, mem))
             line.append(_run(build, spec, cache, mem))
         line.append(_run(build, spec, None, mem, mode="event"))
         lines.append(line)
@@ -125,6 +132,47 @@ def check_hit(design):
 @given(designs)
 def test_hit_equals_engine(design):
     check_hit(design)
+
+
+def _session(build, spec, cache):
+    """What a full session exports around one certified run of
+    ``build`` on a memory of its own (``None``: refused or hung)."""
+    memory = spec.get("memory")
+    with telemetry.session() as tel:
+        eng = Engine(mode="certified", memory=memory and memory(),
+                     schedule_cache=cache)
+        build(eng, spec, [])
+        try:
+            eng.run()
+        except (AnalysisError, DeadlockError, LivelockError):
+            return None
+    return _exports(tel)
+
+
+def check_watched(design):
+    """A watched planning run records the observation, then a watched
+    hit exports what it exported.  The certificate is warm for both, so
+    their ledgers see the same cache hits."""
+    build, spec = design
+    memory = spec.get("memory")
+    cache = PlanCache()
+    if _run(build, spec, cache, memory and memory()) is None:
+        return                          # refused or hangs: nothing recorded
+    scripts = _certificate(cache).scripts
+    ((hit, _seen),) = scripts.values()
+    if hit is None:
+        return                          # marked: every run plans
+    scripts.clear()
+    planned = _session(build, spec, cache)
+    with _forbidden():
+        warm = _session(build, spec, cache)
+    assert warm == planned, f"a watched hit diverged for {spec}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(designs)
+def test_watched_hit_exports_what_a_watched_plan_does(design):
+    check_watched(design)
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +207,17 @@ def _rounds(case, dtype, cache):
 @pytest.mark.parametrize("dtype", sorted(DTYPES))
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_host_designs_take_the_hit_and_match_the_replay(case, dtype):
-    """From the third call on, a host design that certifies takes its
+    """From the second call on, a host design that certifies takes its
     hit; every call's result, buffers, counters, record, report and bank
-    traffic equal a replaying run's (SWAP / ROT / ROTM store twice, in
+    traffic equal a planning run's (SWAP / ROT / ROTM store twice, in
     place)."""
     with _never_compiled():
-        replayed = _rounds(case, dtype, PlanCache())
+        planned = _rounds(case, dtype, PlanCache())
     cache = PlanCache()
-    assert _rounds(case, dtype, cache) == replayed
+    assert _rounds(case, dtype, cache) == planned
     for key in list(cache):               # certificates, and refusals
-        for entry in getattr(cache[key], "scripts", {}).values():
-            assert len(entry) == 3
+        for hit, _seen in getattr(cache[key], "scripts", {}).values():
+            assert hit is not None
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +254,7 @@ def _signed(build):
                 min_size=2, max_size=6))
 def test_designs_sharing_a_signature_share_their_reports(specs):
     """Designs with one certificate and one set of timing signatures
-    replay one script and take one hit, so their reports must agree: a
+    share one record and take one hit, so their reports must agree: a
     counterexample is a signature that misses what decides the timing."""
     seen = {}
     for spec in specs:
@@ -242,7 +290,7 @@ def test_gemv_designs_sharing_a_plan_key_take_their_own_hit():
 
 def test_a_kernel_that_runs_no_body_keeps_the_design_replaying():
     """A zero-length DOT's reduction pushes its result without running a
-    body: nothing to compile, so the design is marked and replays."""
+    body: nothing to compile, so the design is marked and plans."""
     from repro.blas import level1
 
     cache, runs = PlanCache(), []
@@ -257,7 +305,7 @@ def test_a_kernel_that_runs_no_body_keeps_the_design_replaying():
         runs.append((eng.run().to_dict(), out))
     assert runs == runs[:1] * 4
     (entry,) = _certificate(cache).scripts.values()
-    assert len(entry) == 1              # the script alone
+    assert entry == (None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +328,16 @@ def _small(cache):
 def test_a_hit_the_live_kernels_cannot_run_is_an_error(edit):
     cache = PlanCache()
     _small(cache)
-    _small(cache)
     scripts = _certificate(cache).scripts
     (key,) = scripts
-    script, stretches, final = scripts[key]
-    scripts[key] = [script, edit(stretches), final]
+    (stretches, final), seen = scripts[key]
+    scripts[key] = ((edit(stretches), final), seen)
     with pytest.raises(SimulationError, match="recorded progress"):
         _small(cache)
 
 
 if __name__ == "__main__":
-    # The property at a larger budget than tier-1's.
+    # The properties at a larger budget than tier-1's.
     settings(max_examples=600, deadline=None)(given(designs)(check_hit))()
+    settings(max_examples=200, deadline=None)(
+        given(designs)(check_watched))()

@@ -3,11 +3,11 @@
 Python + C calls (``sys.setprofile`` "call" / "c_call" events; every
 ``len`` counts) for the places the stepping core is the cost: an
 event-tier Sec. V application, the cycles a certified run cannot
-replay, a certified run watched by a full telemetry session, and the
-whole of a warm unwatched certified run, which takes its compiled hit.  Call creep on the per-step path (an op that grows a field, a
-per-element walk over staged values, a second capacity check) fails
-here before it fails the benchmark's 2 % bound on
-``host_calls_per_req``.  The bounds are the counts measured when the
+replay, a warm certified run watched by a full telemetry session and
+a warm unwatched one, both of which take the compiled hit.  Call creep
+on the per-step path (an op that grows a field, a per-element walk over
+staged values, a second capacity check) fails here before it fails the
+benchmark's 2 % bound on ``host_calls_per_req``.  The bounds are the counts measured when the
 ops, the per-push staging and the index-array interface kernels landed,
 plus 5 %.
 """
@@ -25,15 +25,19 @@ from repro.host import Fblas, FblasContext
 
 #: Calls of one warm event-tier ATAX (80 038 before).
 ATAX_CALLS = 44_674
-#: Calls inside the 6 stepped cycles of a warm certified dot (585, then
-#: 341 for 7 stepped cycles, before).
-DOT_STEPPED_CALLS = 261
-#: Calls of a warm certified dot inside a full telemetry session (2 226,
-#: then 1 662 while a watched run planned its windows, before).
-WATCHED_DOT_CALLS = 1_553
+#: Calls inside the 6 stepped cycles of a certified dot's planning run
+#: (585, then 341 for 7 stepped cycles, then 261 on its first replayed
+#: run, before).
+DOT_STEPPED_CALLS = 249
+#: Calls of a warm certified dot inside a full telemetry session: its
+#: compiled hit and recorded observation (2 226, then 1 662 while a
+#: watched run planned its windows, then 1 553 while it replayed a
+#: superstep script, before).
+WATCHED_DOT_CALLS = 1_077
 #: Calls of a warm unwatched certified dot, host call to result: its
-#: compiled hit (779 while it replayed its script).
-CERTIFIED_DOT_CALLS = 429
+#: compiled hit (779 while it replayed its script, then 429 while every
+#: run worked out its cycle budgets).
+CERTIFIED_DOT_CALLS = 399
 
 
 def _count_calls(fn, inside=None):
@@ -90,13 +94,12 @@ def test_certified_dot_stepped_cycles_call_count():
     """The cycles a certified 4096-element ``dot`` steps between its
     replayed window (pipeline start-up, the reduction's tail and result
     push, the sink) — counted inside the event core's ``_run_cycle``
-    only, on the design's first replayed run (later runs take the
-    compiled hit, which steps nothing)."""
+    only, on the design's planning run (later runs take the compiled
+    hit, which steps nothing)."""
     fb = _Capturing(width=8, engine_mode="certified")
     rng = np.random.default_rng(7)
     x, y = (fb.copy_to_device(rng.standard_normal(4096).astype(np.float32))
             for _ in range(2))
-    fb.dot(x, y)
     _, calls = _count_calls(lambda: fb.dot(x, y),
                             inside=WakeListScheduler._run_cycle.__code__)
     assert fb.engine.bulk_stats()["stepped_cycles"] == 6
@@ -129,10 +132,11 @@ def _refuse(*args):
 def test_watched_certified_dot_call_count():
     """A warm certified 4096-element ``dot`` inside a full session
     (metrics, kernel slices, occupancy): the whole request, host call to
-    ledger record, its windows still ridden and replayed from the
-    recorded script, so nothing is planned.  2 226 calls when every
-    labelled series was written per label, per stepped cycle and per
-    window; the observer now folds the run once."""
+    ledger record.  The session's first run of the design planned and
+    recorded what its observer saw; this one takes the compiled hit and
+    shows the observer that, so nothing is planned.  2 226 calls when
+    every labelled series was written per label, per stepped cycle and
+    per window; the observer now folds the run once."""
     fb = _Capturing(width=8, engine_mode="certified")
     rng = np.random.default_rng(7)
     x, y = (fb.copy_to_device(rng.standard_normal(4096).astype(np.float32))
