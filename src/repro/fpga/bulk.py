@@ -57,10 +57,9 @@ how long the state sustains them is decidable per channel from its
 storage alone.  Without a certificate ``"certified"`` raises the FB4xx
 diagnostics before cycle 0 and ``"bulk"`` runs the event scheduler.
 
-Observers with ``on_window`` (:mod:`repro.fpga.observers`) get one
-record per stretch of constant state (a superstep, split where a kernel
-leaves); an observer without the hook makes the engine step the whole
-run.
+Observers (:mod:`repro.fpga.observers`) get one window per stretch of
+constant state of a superstep (split where a kernel leaves), as they get
+one per stepped cycle and per jump.
 
 Compiled hits
 -------------
@@ -79,12 +78,12 @@ applied; no event core, planner, walk or channel runs.
 
 What a run shows its observers is as fixed as its timing.  The first
 watched run of a design plans and records its *observation*
-(:class:`~repro.fpga.observers.WindowRecorder`): every ``on_window``
-record, stepped cycle and quiet jump as a window of plain values,
-kernels by index and channels by name.  A later watched run takes the
-hit and shows its observers the observation, one ``on_window`` per
-window.  A kernel short of its recorded progress, or a window naming a
-kernel or channel the design lacks, raises :class:`SimulationError`.
+(:class:`~repro.fpga.observers.WindowRecorder`): every window it showed
+its observers, as plain values, kernels by index and channels by name.
+A later watched run takes the hit and shows its observers the
+observation, one ``on_window`` per window.  A kernel short of its
+recorded progress, or a window naming a kernel or channel the design
+lacks, raises :class:`SimulationError`.
 
 The certificate keeps both (:attr:`StaticSchedule.scripts`, under the
 schedule cache's LRU bound) as ``(hit, observation)`` under the
@@ -326,9 +325,8 @@ class WindowScheduler(WakeListScheduler):
                 hit is False and len(records) >= self.MAX_RECORDS):
             return self.run()           # marked, or no room to record
         if watched:                     # seen is None: record it too
-            seen = WindowRecorder(self.kernels, self.channels)
+            seen = WindowRecorder(self.channels)
             watched.append(seen)
-            self._state_hooks.append(seen.on_kernel_state)
         trace = self._trace = [[0] * len(self.kernels)]
         report = self.run()
         trace.append(self._progress())
@@ -405,15 +403,15 @@ class WindowScheduler(WakeListScheduler):
         chans, windows = eng.channels, []
         nk, nc = len(kernels), len(chans)
         try:
-            for t, n, states, ops, occupancy, blocked in seen:
+            for t, n, states, ops, occupancy, blocked, quiet in seen:
                 if len(states) != nk or len(occupancy) != nc:
                     raise KeyError
                 windows.append((t, n, Window(
-                    list(zip(kernels, states)),
+                    states,
                     [(kernels[i], chans[c], kind, m) for i, c, kind, m in ops],
                     {chans[c]: runs for c, runs in occupancy},
                     {kernels[i]: (chans[c], kind) for i, c, kind in blocked}
-                    if blocked else {})))
+                    if blocked else {}, quiet)))
         except (IndexError, KeyError):
             raise SimulationError(
                 "the recorded observation does not name this design's "
@@ -718,17 +716,17 @@ class WindowScheduler(WakeListScheduler):
         outside, records, a = quiet_window(self.kernels, t), [], 0
         for b in sorted(c for c in cuts if 0 < c <= K):
             states, ops = [], []
-            for k, state in outside.states:
+            for k, state in zip(self.kernels, outside.states):
                 if k in active:
                     p, n, leaves = active[k]
                     state = "-" if leaves and a > n else "#"
-                states.append((k, state))
+                states.append(state)
             for k in self._current:      # step order: by kernel index
                 p, n, _leaves = active[k]
                 if a < n:
                     ops += [(k, ch, "pop", w) for ch, w in p.reads]
                     ops += [(k, ch, "push", w) for ch, w, _lat in p.writes]
-            records.append((t + a, b - a, Window(states, ops, series
+            records.append((t + a, b - a, Window("".join(states), ops, series
                 if b - a == K else {ch: _slice_runs(runs, a, b)
                                     for ch, runs in series.items()},
                 outside.blocked)))

@@ -308,7 +308,8 @@ class Engine:
         (:mod:`repro.fpga.bulk`, "Compiled hits").
     observers:
         Iterable of :class:`~repro.fpga.observers.EngineObserver`
-        instances notified of run/cycle/kernel/channel events.
+        instances, shown the run as windows of cycles
+        (:mod:`repro.fpga.observers`).
     """
 
     def __init__(self, memory=None, trace: bool = False,
@@ -556,7 +557,6 @@ class Engine:
         executable pattern is found by a scan that builds no plan and
         runs no rate pass, any other refusal is memoized in the schedule
         cache beside the certificates.
-        Both step when an observer has no ``on_window``.
         """
         # Imported lazily: repro.analysis depends on this module.
         from ..analysis.schedule import (StaticSchedule, ensure_certified,
@@ -574,9 +574,6 @@ class Engine:
                 d = verdict.errors[0]
                 return f"{d.code}:{d.obj}" if d.obj else d.code
             self.schedule = verdict
-        for o in self._observers:
-            if not hasattr(o, "on_window"):
-                return f"observer:{type(o).__name__}"
         return None
 
     def _make_hang(self, kind: str, cycle: int, budget: int = 0):

@@ -62,6 +62,7 @@ from typing import List, Optional
 from .channel import Channel
 from .errors import MAX_OPS_PER_CYCLE, SimulationError
 from .kernel import BlockedState, Clock, Kernel, Pop, Push
+from .observers import Window, quiet_window, stalled
 
 _KIDX = attrgetter("index")
 
@@ -87,9 +88,8 @@ class WakeListScheduler:
         self._live = 0
         self._stepped = 0                 # cycles executed, not jumped
         self._observers = list(engine._observers)
-        # The per-cycle kernel sweep feeds these; empty, it is skipped.
-        self._state_hooks = [o.on_kernel_state for o in self._observers
-                             if o.wants_kernel_states]
+        # The executed cycle's ops, in step order (None: unwatched).
+        self._ops: Optional[list] = [] if self._observers else None
 
     # -- channel event sink (bound via Channel.bind_events) -----------------
     def on_staged(self, ch: Channel, ready_cycle: int) -> None:
@@ -177,8 +177,10 @@ class WakeListScheduler:
                             self._check_livelock(trip)
                         target = min(t_next, self.max_cycles)
                         if observers:
+                            window = quiet_window(self.kernels, self.now)
                             for o in observers:
-                                o.on_quiet(self.now, target - self.now)
+                                o.on_window(self.now, target - self.now,
+                                            window)
                         self.now = target
                         if target >= self.max_cycles:
                             continue     # hits the max_cycles check above
@@ -259,10 +261,7 @@ class WakeListScheduler:
             else:
                 if obj._queued_for == _t0 and not obj.done:
                     insort(self._current, obj, key=_KIDX)
-        observers = self._observers
-        if observers:
-            for o in observers:
-                o.on_cycle(t)
+        occupancy = self._sample() if self._observers else None
         if self.engine.memory is not None:
             self.engine.memory.begin_cycle(t)
         # Phase 1: step queued kernels in registration order.  Kernels
@@ -294,20 +293,12 @@ class WakeListScheduler:
             if progressed:
                 self._progressed = True
         self._step_idx = -1
-        # Phase 2: observer sweep (exactly the dense per-cycle record).
-        hooks = self._state_hooks
-        if hooks:
-            for k in self.kernels:
-                if k._last_stepped == t:
-                    state = "#" if k._last_progress else "s"
-                elif k.done:
-                    state = "-"
-                elif k.sleep_until > t:
-                    state = "z"
-                else:
-                    state = "s"
-                for hook in hooks:
-                    hook(t, k, state)
+        # Phase 2: the cycle's window (exactly the dense per-cycle record).
+        if occupancy is not None:
+            self._show_cycle(t, occupancy, "".join([
+                ("#" if k._last_progress else "s") if k._last_stepped == t
+                else "-" if k.done else "z" if k.sleep_until > t else "s"
+                for k in self.kernels]))
         # Phase 3: deadlock detection, same condition as the dense schedule.
         if not self._progressed and self._live:
             sleepers = any(not k.done and k.sleep_until > t
@@ -326,15 +317,24 @@ class WakeListScheduler:
         """Empty wake list with live kernels: dense would execute one more
         cycle in which every remaining kernel fails its retry."""
         t = self.now
-        observers = self._observers
-        if observers:
-            for o in observers:
-                o.on_cycle(t)
-            for k in self.kernels:
-                state = "-" if k.done else "s"
-                for hook in self._state_hooks:
-                    hook(t, k, state)
+        if self._observers:
+            self._show_cycle(t, self._sample(), "".join([
+                "-" if k.done else "s" for k in self.kernels]))
         self._raise_deadlock(t)
+
+    def _sample(self) -> dict:
+        """Every channel's occupancy in the cycle about to step (after its
+        maturations), as one-cycle runs; starts the cycle's op list."""
+        self._ops = []
+        return {ch: ((len(ch._fifo), 1),) for ch in self.channels}
+
+    def _show_cycle(self, t: int, occupancy: dict, states: str) -> None:
+        """Show the observers executed cycle ``t`` as a one-cycle
+        :class:`Window` of the kernels' ``states`` after the sweep."""
+        window = Window(states, self._ops, occupancy,
+                        stalled(self.kernels, states))
+        for o in self._observers:
+            o.on_window(t, 1, window)
 
     def _charge_stalls(self, t: int) -> None:
         """Bring lazy stall charges up to date through cycle ``t``
@@ -391,7 +391,7 @@ class WakeListScheduler:
         stats = k.stats
         if stats.start_cycle is None:
             stats.start_cycle = t
-        observers = self._observers
+        log = self._ops
         progressed = False
         ops = 0
         b = k.blocked
@@ -429,9 +429,8 @@ class WakeListScheduler:
                     self.engine._last_op_cycle = t
                     if k.blocked is not None:
                         self._unblock(k)
-                    if observers:
-                        for o in observers:
-                            o.on_channel_op(t, k, ch, "pop", n)
+                    if log is not None:
+                        log.append((k, ch, "pop", n))
                     progressed = True
                     ops += 1
                     op = None
@@ -463,9 +462,8 @@ class WakeListScheduler:
                     self.engine._last_op_cycle = t
                     if k.blocked is not None:
                         self._unblock(k)
-                    if observers:
-                        for o in observers:
-                            o.on_channel_op(t, k, ch, "push", n)
+                    if log is not None:
+                        log.append((k, ch, "push", n))
                     progressed = True
                     ops += 1
                     op = None
@@ -515,13 +513,11 @@ class DenseScheduler(WakeListScheduler):
             if ch.mature(t):
                 progressed = True
                 eng._last_op_cycle = t
-        observers = self._observers
-        for o in observers:
-            o.on_cycle(t)
+        occupancy = self._sample() if self._observers else None
         if eng.memory is not None:
             eng.memory.begin_cycle(t)
         sleepers = False
-        hooks = self._state_hooks
+        states = []
         for k in self.kernels:
             if k.done:
                 state = "-"
@@ -533,8 +529,9 @@ class DenseScheduler(WakeListScheduler):
                 state = "#"
             else:
                 state = "s"
-            for hook in hooks:
-                hook(t, k, state)
+            states.append(state)
+        if occupancy is not None:
+            self._show_cycle(t, occupancy, "".join(states))
         if not (progressed or sleepers) and self._live and not any(
                 ch.can_mature_later() for ch in self.channels):
             self._raise_deadlock(t)

@@ -208,10 +208,10 @@ class RunRecord:
     #: Why a ``"bulk"`` / ``"certified"`` run stepped every cycle
     #: instead of replaying windows: the first FB40x code that refused
     #: the certificate and the object it names (``"FB404:<kernel>"``,
-    #: ``"FB402:bank0"``; ``"bulk"`` only — ``"certified"`` raises), or
-    #: ``"observer:<ClassName>"`` for an attached observer without
-    #: ``on_window``.  None when nothing did (or the mode has no
-    #: windows to fall back from).
+    #: ``"FB402:bank0"``; ``"bulk"`` only — ``"certified"`` raises;
+    #: observers never make a run step).  None when nothing did (or the
+    #: mode has no windows to fall back from; rows written before
+    #: observers took windows may carry ``"observer:<ClassName>"``).
     fallback_reason: Optional[str] = None
     faults_injected: int = 0
     retries: int = 0

@@ -140,10 +140,10 @@ class Histogram(Metric):
 
     ``buckets`` are inclusive upper bounds; an implicit +inf bucket
     catches the overflow.  ``observe(value, count)`` records ``count``
-    identical samples in O(log buckets) — that is what lets the event
-    engine's ``on_quiet`` windows fold thousands of constant-occupancy
-    cycles into one call — and :meth:`fold` records a whole tally of
-    them at once.
+    identical samples in O(log buckets) — that is what lets a jump's or
+    a superstep's window fold thousands of constant-occupancy cycles
+    into one call — and :meth:`fold` records a whole tally of them at
+    once.
     """
 
     kind = "histogram"

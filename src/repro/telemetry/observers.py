@@ -10,8 +10,9 @@ the :class:`~repro.telemetry.metrics.MetricsRegistry`, and the kernel
 engine run by
 :meth:`~repro.telemetry.runtime.TelemetrySession.engine_run` and
 detached afterwards, so an engine with no active telemetry session never
-sees it (the zero-cost-when-unused contract).  It defines ``on_window``,
-so a watched certified run keeps its supersteps.
+sees it (the zero-cost-when-unused contract).  Like every observer it
+takes the run as windows (``on_window``), so a watched certified run
+keeps its supersteps.
 
 It implements the :class:`~repro.fpga.observers.EngineObserver` protocol
 structurally rather than by inheritance, and the profiler is imported
@@ -45,38 +46,34 @@ class RunObserver:
     stay distinguishable while counters still sum to session totals.
 
     The run is folded once.  During the run the observer only tallies.
-    Every kernel state, for one stepped cycle or for all the cycles of
-    an ``on_quiet`` jump or an ``on_window`` record, charges a stall to
-    the profiler and opens a slice where the state changes, so the
-    slices are bounded by state *transitions*, not cycles
-    (:data:`MAX_SLICES` caps pathological runs and sets
-    :attr:`truncated`).  Each channel's
+    Every window (one stepped cycle, a jump or a superstep's stretch)
+    charges its stalls to the profiler and opens a slice where a
+    kernel's state changes, so the slices are bounded by state
+    *transitions*, not cycles (:data:`MAX_SLICES` caps pathological
+    runs and sets :attr:`truncated`).  Each channel's
     occupancy samples go into a plain ``{occupancy: cycles}`` dict.
     :meth:`on_run_end` writes every series of the run, each once;
     :meth:`close`, which the session calls whether or not the run
     raised, writes what a raising run tallied and closes the open slices.
     """
 
-    wants_kernel_states = True
-
     #: Upper bound on recorded slices per engine run.
     MAX_SLICES = 250_000
 
     def __init__(self, registry: MetricsRegistry, sink: List[Slice],
                  offset: int = 0, run: int = 0) -> None:
-        from ..fpga.observers import StallChainProfiler, quiet_window
-        self._quiet = quiet_window
+        from ..fpga.observers import StallChainProfiler
         self.registry = registry
         self.sink = sink
         self.offset = offset
         self.run = run
         self.truncated = False
-        prof = self.profiler = StallChainProfiler()
-        # Bound here, the scheduler calls them without a forwarding frame.
-        self.on_channel_op = prof.on_channel_op
-        self._charge = prof._charge
+        self.profiler = StallChainProfiler()
         self.last_report: Optional[Any] = None
-        self._kernels: List[Any] = []
+        #: Kernel names in registration order, and the window states
+        #: the open slices stand for.
+        self._names: List[str] = []
+        self._states = ""
         #: ``(name, channel, {occupancy: cycles})`` per engine channel.
         self._occ: List[Tuple[str, Any, Dict[int, int]]] = []
         #: Whether any cycle was sampled since the last fold (a run that
@@ -88,20 +85,9 @@ class RunObserver:
     # -- protocol ------------------------------------------------------------
     def on_run_start(self, engine: Any) -> None:
         self.profiler.on_run_start(engine)
-        self._kernels = list(engine.kernels.values())
+        self._names = list(engine.kernels)
+        self._states = "?" * len(self._names)    # no slice open yet
         self._occ = [(name, ch, {}) for name, ch in engine.channels.items()]
-
-    def on_cycle(self, t: int) -> None:
-        self._sampled = True
-        for _name, ch, tally in self._occ:
-            occ = ch.occupancy
-            tally[occ] = tally.get(occ, 0) + 1
-
-    def on_kernel_state(self, t: int, kernel: Any, state: str) -> None:
-        b = kernel.blocked
-        if state == "s" and b is not None:
-            self._charge(kernel, b.channel, b.kind, 1)
-        self._state(kernel.name, state, t)
 
     def _state(self, name: str, state: str, t: int) -> None:
         """Kernel ``name`` is in ``state`` from cycle ``t`` on."""
@@ -112,14 +98,14 @@ class RunObserver:
             self._emit(name, cur[0], cur[1], t)
             cur[0], cur[1] = state, t
 
-    def on_quiet(self, start: int, cycles: int) -> None:
-        self.on_window(start, cycles, self._quiet(self._kernels, start))
-
     def on_window(self, start: int, cycles: int, window: Any) -> None:
         self.profiler.on_window(start, cycles, window)  # stalls and ops
-        # One state per kernel for the whole window, by its own proof.
-        for k, state in window.states:
-            self._state(k.name, state, start)
+        states, was = window.states, self._states  # one per kernel
+        if states != was:
+            self._states = states
+            for name, state, old in zip(self._names, states, was):
+                if state != old:
+                    self._state(name, state, start)
         # A channel's runs, or its occupancy throughout.
         self._sampled = True
         runs_of = window.occupancy
@@ -158,7 +144,7 @@ class RunObserver:
         for name, (state, start) in self._open.items():
             self._emit(name, state, start, t)
         self._open.clear()
-        self._kernels, self._occ = [], []
+        self._names, self._occ, self._states = [], [], ""
         self.profiler._engine = None
 
     def on_run_end(self, report: Any) -> None:

@@ -1,15 +1,15 @@
 """Observers ride the certified windows: the contract of ``on_window``.
 
-An observer that defines ``on_window`` is told about a whole certified
-superstep at once; what it records must be indistinguishable from having
-watched the same cycles stepped one by one.  Every check here runs a
-design twice — ``Engine(mode="event")`` and ``mode="certified"`` — with a
-full :func:`repro.telemetry.session` *and* a bare ``TraceObserver`` +
-``StallChainProfiler`` attached, and compares everything either side
-recorded: the metrics registry, the Perfetto slices, timelines and
-occupancy sums, stall charges and endpoint tables, the ``SimReport`` and
-the result bytes.  The certified side must really have taken windows;
-an observer without the hook must keep it from taking any.
+An observer is told about a whole certified superstep at once, as it is
+told about each stepped cycle and each jump; what it records must be
+indistinguishable from having watched the same cycles stepped one by
+one.  Every check here runs a design twice — ``Engine(mode="event")``
+and ``mode="certified"`` — with a full :func:`repro.telemetry.session`
+*and* a bare ``TraceObserver`` + ``StallChainProfiler`` attached, and
+compares everything either side recorded: the metrics registry, the
+Perfetto slices, timelines and occupancy sums, stall charges and
+endpoint tables, the ``SimReport`` and the result bytes.  The certified
+side must really have taken windows, whatever observers are attached.
 """
 
 import io
@@ -362,19 +362,16 @@ class TestRegistryRoutines:
 
 
 # ---------------------------------------------------------------------------
-# Who opts in, and who deliberately does not
+# Every observer rides the windows
 # ---------------------------------------------------------------------------
 
 class _CountsCycles(EngineObserver):
-    """A third-party subclass written before ``on_window`` existed."""
+    """A third-party subclass that counts the cycles it is shown."""
 
     def __init__(self):
         self.cycles = 0
 
-    def on_cycle(self, t):
-        self.cycles += 1
-
-    def on_quiet(self, start, cycles):
+    def on_window(self, start, cycles, window):
         self.cycles += cycles
 
 
@@ -412,53 +409,53 @@ class TestOptIn:
         assert {"#", "-"} <= set(report.timelines["scal"])
 
     def test_event_dump_keeps_every_cycle(self):
+        """The dump writes a window's ops for each of its cycles, so a
+        certified run keeps its windows and dumps the event run's bytes."""
         dumps = {}
         for mode in ("event", "certified"):
             buf = io.StringIO()
             eng, _report, _ = _run_steady(
                 mode, [TraceObserver(), JsonlEventDump(buf)])
             dumps[mode] = buf.getvalue()
-        assert eng.bulk_stats()["windows"] == 0
-        assert eng.bulk_stats()["bulk_cycles"] == 0
-        assert eng._bulk_fallback == "observer:JsonlEventDump"
+        assert eng.bulk_stats()["windows"] > 0
+        assert eng.bulk_stats()["bulk_cycles"] > 0
+        assert eng._bulk_fallback is None
         assert dumps["certified"] == dumps["event"]
         assert dumps["event"].count("\n") > _STEADY["n"] // 4
 
     def test_subclass_without_the_hook_keeps_every_cycle(self):
+        """A plain ``EngineObserver`` subclass rides the windows too, and
+        is shown every cycle of the run."""
         counter = _CountsCycles()
         eng, report, _ = _run_steady("certified", [counter])
-        assert eng.bulk_stats()["windows"] == 0
+        assert eng.bulk_stats()["windows"] > 0
         assert counter.cycles == report.cycles
-        assert eng._bulk_fallback == "observer:_CountsCycles"
+        assert eng._bulk_fallback is None
 
     def test_subclass_of_a_built_in_inherits_the_hook(self):
-        """A subclass of one of the four built-in observers inherits
-        ``on_window`` with the rest: the run keeps its windows, and a
-        per-cycle hook it overrides is called for stepped cycles only —
-        unless it overrides ``on_window`` as well (the documented rule)."""
-        class PerCycleOnly(TraceObserver):
-            cycles = 0
+        """A subclass of one of the built-in observers inherits
+        ``on_window`` with the rest: the run keeps its windows, and an
+        override of the one hook sees stepped cycles (one window each)
+        and supersteps alike."""
+        class Counted(TraceObserver):
+            cycles = windows = 0
 
-            def on_cycle(self, t):
-                super().on_cycle(t)
-                self.cycles += 1
-
-        class WholeWindows(PerCycleOnly):
             def on_window(self, start, cycles, window):
                 super().on_window(start, cycles, window)
                 self.cycles += cycles
+                self.windows += not window.quiet and cycles == 1
 
-        partial, whole = PerCycleOnly(), WholeWindows()
-        eng, report, _ = _run_steady("certified", [partial, whole])
+        counted, plain = Counted(), TraceObserver()
+        eng, report, _ = _run_steady("certified", [counted, plain])
         stats = eng.bulk_stats()
         assert stats["windows"] > 0 and eng._bulk_fallback is None
-        assert partial.cycles == stats["stepped_cycles"] < report.cycles
-        assert whole.cycles - partial.cycles == stats["bulk_cycles"]
-        assert partial.timelines == whole.timelines
+        assert counted.cycles == report.cycles
+        assert stats["stepped_cycles"] <= counted.windows < report.cycles
+        assert counted.timelines == plain.timelines
 
     def test_bulk_spelling_rides_the_windows_too(self):
-        """``"bulk"`` holds the same certificate, so it is the same run:
-        windows under observers with the hook, every cycle without."""
+        """``"bulk"`` holds the same certificate, so it is the same run,
+        with windows under any observer."""
         watched = [_run_steady(mode, [TraceObserver()])
                    for mode in ("certified", "bulk")]
         (cert, _, _), (bulk, _, _) = watched
@@ -468,8 +465,8 @@ class TestOptIn:
         assert (bulk._observers[0].timelines
                 == cert._observers[0].timelines)
         eng, _report, _ = _run_steady("bulk", [_CountsCycles()])
-        assert eng.bulk_stats()["windows"] == 0
-        assert eng._bulk_fallback == "observer:_CountsCycles"
+        assert eng.bulk_stats() == cert.bulk_stats()
+        assert eng._bulk_fallback is None
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +488,15 @@ class TestLedger:
         assert rec.to_dict()["fallback_reason"] is None
 
     def test_fallback_reason_names_the_observer(self):
+        """No observer is a reason to step: a run watched by an event
+        dump keeps its windows and names no fallback."""
         from repro.telemetry.ledger import RunRecord, fleet_report
         rec = self._record([JsonlEventDump(io.StringIO())])
-        assert rec.bulk["windows"] == 0
-        assert rec.fallback_reason == "observer:JsonlEventDump"
+        assert rec.bulk["windows"] > 0
+        assert rec.fallback_reason is None
         again = RunRecord.from_dict(rec.to_dict())
-        assert again.fallback_reason == rec.fallback_reason
-        assert "observer:JsonlEventDump" in fleet_report([rec])
+        assert again.fallback_reason is None
+        assert "observer:" not in fleet_report([rec])
 
     def test_other_tiers_have_no_reason(self):
         with telemetry.session() as tel:

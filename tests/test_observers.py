@@ -3,7 +3,8 @@
 ``TraceObserver`` must reproduce the classic ``trace=True`` recording in
 either engine mode; ``StallChainProfiler`` must find backpressure root
 causes; ``JsonlEventDump`` must emit a parseable, de-duplicated event
-stream.  Custom observers see the documented hook sequence.
+stream.  Custom observers see the documented hook sequence: the run as
+windows, each executed cycle one of its own, a jump one marked window.
 """
 
 import io
@@ -166,6 +167,33 @@ class TestJsonlEventDump:
         # far fewer state lines than cycles x kernels
         assert len(klines) < rep.cycles * 3
 
+    @pytest.mark.parametrize("mode", ("event", "bulk"))
+    def test_zero_channel_design_marks_its_jumps(self, mode):
+        """Windows without channels still tell an executed cycle from a
+        jump: only the jumps are ``quiet`` lines (``"bulk"`` refuses the
+        Clock-only kernels and steps them on the event core)."""
+        def napper(cycles):
+            yield Clock(2)
+            yield Clock(cycles)
+
+        buf = io.StringIO()
+        eng = Engine(mode=mode, observers=[JsonlEventDump(buf)])
+        eng.add_kernel("a", napper(49))
+        eng.add_kernel("b", napper(30))
+        assert eng.run().cycles == 52
+        assert buf.getvalue().splitlines() == [
+            '{"ev": "start", "schema": "repro.engine-events/1", '
+            '"kernels": ["a", "b"], "channels": []}',
+            '{"ev": "kernel", "t": 0, "kernel": "a", "state": "#"}',
+            '{"ev": "kernel", "t": 0, "kernel": "b", "state": "#"}',
+            '{"ev": "quiet", "t": 1, "cycles": 1}',
+            '{"ev": "quiet", "t": 3, "cycles": 29}',
+            '{"ev": "kernel", "t": 32, "kernel": "a", "state": "z"}',
+            '{"ev": "quiet", "t": 33, "cycles": 18}',
+            '{"ev": "kernel", "t": 51, "kernel": "a", "state": "#"}',
+            '{"ev": "kernel", "t": 51, "kernel": "b", "state": "-"}',
+            '{"ev": "end", "cycles": 52}']
+
     def test_writes_to_path(self, tmp_path):
         path = tmp_path / "events.jsonl"
         eng = Engine(mode="event")
@@ -186,11 +214,8 @@ class TestObserverProtocol:
             def on_run_start(self, engine):
                 events.append("start")
 
-            def on_cycle(self, t):
-                events.append(("cycle", t))
-
-            def on_quiet(self, start, cycles):
-                events.append(("quiet", start, cycles))
+            def on_window(self, start, cycles, window):
+                events.append((start, cycles, window.quiet))
 
             def on_run_end(self, report):
                 events.append("end")
@@ -201,12 +226,13 @@ class TestObserverProtocol:
         rep = eng.run()
 
         assert events[0] == "start" and events[-1] == "end"
-        covered = sum(1 for e in events[1:-1] if e[0] == "cycle")
-        covered += sum(e[2] for e in events[1:-1] if e[0] == "quiet")
-        assert covered == rep.cycles
-        # cycle/quiet windows are monotone and non-overlapping
-        ts = [e[1] for e in events[1:-1]]
-        assert ts == sorted(ts)
+        # The windows cover the run's cycles in order, each exactly once;
+        # every executed cycle is a window of its own.
+        t = 0
+        for start, cycles, quiet in events[1:-1]:
+            assert start == t and (quiet or cycles == 1)
+            t += cycles
+        assert t == rep.cycles
 
     def test_quiet_windows_only_in_event_mode(self):
         def napper(ch):
@@ -217,8 +243,9 @@ class TestObserverProtocol:
             events = []
 
             class Recorder(EngineObserver):
-                def on_quiet(self, start, cycles):
-                    events.append((start, cycles))
+                def on_window(self, start, cycles, window):
+                    if window.quiet:
+                        events.append((start, cycles))
 
             eng = Engine(mode=mode)
             ch = eng.channel("c", 2)

@@ -7,9 +7,9 @@ from reappearing under ``src/repro/fpga/``.
 ``Engine(mode="dense")`` visits every kernel every cycle and reports
 each one's state right after it; the differential suites compare the
 other schedules against it.  The digests pin the dense record itself:
-every hook a recording observer sees (``on_cycle``, ``on_kernel_state``
-with the kernel's blocked ``(kind, channel, since)``, ``on_channel_op``,
-``on_quiet``, ``on_run_end``), in order, over the Sec. V apps, a
+every window a recording observer sees, in order (per cycle: the cycle,
+its ops, each kernel's state with its blocked ``(kind, channel,
+since)``; a jump; the run's end), over the Sec. V apps, a
 deadlocking ATAX (with its :class:`~repro.fpga.errors.HangReport`),
 host ``dot`` / ``axpy`` and a run under a seeded fault plan, hashed to
 one SHA-256 digest per scenario.  A digest that moves means the dense
@@ -34,22 +34,21 @@ from repro.host import Fblas, FblasContext
 from repro.streaming import executor
 
 EXPECTED = {
-    "atax": "2f75e3189e9e7a7393055e513f91d09aec0645b688d4a3cffa4b0a9ca9f6d64b",
-    "atax_undersized": "5665fb6bda9012331d0409ee069d8c18f29e60d70ec7ac511666488dec8a4df5",
-    "axpydot": "1baf287d685d828b5162341c601be817810d2178bc0b676b165f0dee593d67d6",
-    "bicg": "088e05df597ac0640aa570f26762ae01ae1b0f3ca61417eab359430da5258342",
-    "faulted_chain": "16f15b7443d50243d3673111e38556012c282c3d4f58c5a2825c0d58020f0c21",
-    "host_dot_axpy": "d1a272f80ec77d33cdb6f21c66154ad9b70937f1f151f1a49bd7e12ccec3412a",
+    "atax": "7f98e13883977306f22c4b44c00ec2e450668a7cf67d4fd484f5faf38293055c",
+    "atax_undersized": "31f3ee3bbaeee77d70d7f3cc0b4f042cb88b09e468e2298b885d77d2b1e51391",
+    "axpydot": "e48991e47fd093294c88727da1a7b82e4fbaef4556636270f15d07005d0fd42e",
+    "bicg": "7b68f98eb4f32526755adb304509f4c40d8d826f06cbd2acecdc637ba85b23f3",
+    "faulted_chain": "b03985a23aa8fe9d57683db47d169d2e20d85da3dec66cb6a9f9ee4ee95afb7a",
+    "host_dot_axpy": "ef716a035d3d58902d8b9afee83547e8599e605fda6825b5441180d1633f4a0d",
 }
 
 
 class _Recorder(EngineObserver):
-    """Feeds every hook, in order, into one running SHA-256."""
-
-    wants_kernel_states = True
+    """Feeds every window, in order, into one running SHA-256."""
 
     def __init__(self):
         self._h = hashlib.sha256()
+        self._kernels = []
 
     def log(self, *record) -> None:
         self._h.update(repr(record).encode() + b"\n")
@@ -57,19 +56,20 @@ class _Recorder(EngineObserver):
     def hexdigest(self) -> str:
         return self._h.hexdigest()
 
-    def on_cycle(self, t):
-        self.log("cycle", t)
+    def on_run_start(self, engine):
+        self._kernels = list(engine.kernels.values())
 
-    def on_kernel_state(self, t, kernel, state):
-        b = kernel.blocked
-        self.log("state", t, kernel.name, state,
-                 None if b is None else (b.kind, b.channel.name, b.since))
-
-    def on_channel_op(self, t, kernel, channel, kind, count):
-        self.log("op", t, kernel.name, channel.name, kind, count)
-
-    def on_quiet(self, start, cycles):
-        self.log("quiet", start, cycles)
+    def on_window(self, start, cycles, window):
+        if window.quiet:
+            self.log("quiet", start, cycles)
+            return
+        self.log("cycle", start)
+        for k, ch, kind, count in window.ops:
+            self.log("op", start, k.name, ch.name, kind, count)
+        for k, state in zip(self._kernels, window.states):
+            b = k.blocked
+            self.log("state", start, k.name, state,
+                     None if b is None else (b.kind, b.channel.name, b.since))
 
     def on_run_end(self, report):
         self.log("end", json.dumps(report.to_dict(), sort_keys=True))
@@ -228,6 +228,33 @@ def _interpreters():
 
 def test_one_op_interpreter():
     assert _interpreters() == {"scheduler:WakeListScheduler._step"}
+
+
+#: The per-cycle hooks every scheduler called before observers took
+#: each executed cycle and each jump as a window, and their opt-in flag.
+_RETIRED = {"on_cycle", "on_kernel_state", "on_channel_op", "on_quiet",
+            "wants_kernel_states"}
+
+
+def _retired_hooks(root):
+    """``path:line name`` of every definition, call or read of a retired
+    hook in the modules under ``root``."""
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.name if isinstance(node, (ast.FunctionDef,
+                                                   ast.AsyncFunctionDef))
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in _RETIRED:
+                found.add(f"{path.relative_to(root)}:{node.lineno} {name}")
+    return found
+
+
+def test_one_observer_hook():
+    """Observers take every cycle through ``on_window``: nothing under
+    ``src/repro/`` defines, calls or reads a per-cycle hook."""
+    assert _retired_hooks(_FPGA.parent) == set()
 
 
 if __name__ == "__main__":

@@ -274,14 +274,17 @@ class TestHostResilience:
         wedge a certified run on its own (kernel faults are refused at
         certification, value faults keep the cadence), so the failure is
         the one only that tier can have — its window replay, broken here
-        by an observer — under a seeded plan whose one-shot fault has
-        already fired when it strikes."""
+        by an observer that fails on a superstep's window, which the
+        event rung never shows — under a seeded plan whose one-shot fault
+        has already fired when it strikes."""
         from repro.faults import ChannelFault
         from repro.fpga.observers import TraceObserver
 
         class BrokenWindow(TraceObserver):
             def on_window(self, start, cycles, window):
-                raise SimulationError("window replay failed")
+                if cycles > 1 and not window.quiet:
+                    raise SimulationError("window replay failed")
+                super().on_window(start, cycles, window)
 
         class Watched(Fblas):
             def _engine(self):

@@ -254,16 +254,17 @@ def _certified_gemver_drive():
 @pytest.mark.parametrize("drive", (_certified_dot_drive,
                                    _certified_gemver_drive),
                          ids=("dot", "gemver"))
-def test_watched_replay_exports_what_a_watched_plan_does(drive):
-    """A warm certified request watched by a full session replays its
-    recorded script and plans nothing; every artifact it exports equals
-    that of the same request planned cold."""
+def test_watched_compiled_hit_exports_what_a_watched_plan_does(drive):
+    """A warm certified request watched by a full session takes its
+    design's compiled hit and shows the session the recorded observation:
+    it plans and steps nothing, and replays no script.  Every artifact it
+    exports equals that of the same request planned cold."""
     from test_recorded_scripts import _planning_forbidden
 
     for cache in (catalogue.PLANS, catalogue.CERTIFICATES):
         cache.clear()
     certificates, request = drive()
-    request()                           # certificates and scripts warm
+    request()                           # certificates and hits warm
 
     def watched():
         with telemetry.session() as tel:
@@ -274,7 +275,7 @@ def test_watched_replay_exports_what_a_watched_plan_does(drive):
     for script in scripts:
         script.clear()
     cold = watched()                    # hits the certificate, plans
-    assert all(scripts), "the planned run recorded no script"
+    assert all(scripts), "the planned run recorded no observation"
     with _planning_forbidden():
         warm = watched()
     assert warm == cold

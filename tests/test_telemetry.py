@@ -108,7 +108,7 @@ class TestMetricsRegistry:
     def test_histogram_bulk_observe(self):
         reg = MetricsRegistry()
         h = reg.histogram("occ", "occupancy")
-        h.observe(5, count=1000)            # an on_quiet window
+        h.observe(5, count=1000)            # a jump's window
         assert h.count() == 1000
         assert h.mean() == 5
 

@@ -57,12 +57,13 @@ from test_host_golden import CASES, DTYPES, GOLDEN, TILE, WIDTH, _digest
 
 
 class _CountsExecuted(EngineObserver):
-    """Cycles the event core executes (``on_quiet`` jumps not counted)."""
+    """Cycles the event core executes (jumps not counted)."""
 
     cycles = 0
 
-    def on_cycle(self, t):
-        self.cycles += 1
+    def on_window(self, start, cycles, window):
+        if not window.quiet:
+            self.cycles += cycles
 
 
 @contextmanager
@@ -385,11 +386,13 @@ class TestLedgerSaysWhy:
         assert alone.bulk_stats()["windows"] > 0
 
     def test_hook_less_observer_is_still_the_reason(self):
+        """An observer is never the reason to step: an event dump rides
+        the windows like any other."""
         eng = Engine(mode="bulk", observers=[JsonlEventDump(io.StringIO())])
         _pipeline(eng)
         eng.run()
-        assert eng.bulk_stats()["windows"] == 0
-        assert eng._bulk_fallback == "observer:JsonlEventDump"
+        assert eng.bulk_stats()["windows"] > 0
+        assert eng._bulk_fallback is None
 
     def test_rows_written_by_the_speculative_tier_still_load(self):
         old = RunRecord(run_id="r", kind="engine.run", engine_mode="bulk",
